@@ -208,21 +208,23 @@ class ProtectedTreeBuilder(TreeBuilder):
         return _spt_edges(source, members, network)
 
     def precompute(self, state, network) -> None:
+        """Store, per tree edge ``(u, v)``, the backup path source -> ``v``.
+
+        A backup depends on the graph, not on the tree, and churn re-installs
+        the same edges over and over, so the search itself is
+        :meth:`Network.shortest_path_avoiding` — memoised per topology epoch
+        — and this pass is one lookup per edge.  The avoided link is hidden
+        from the search rather than removed from and re-added to the shared
+        routing graph; besides keeping the graph (and the path cache) intact,
+        that drops an accidental permutation of networkx adjacency order the
+        remove/re-add used to leave behind.  The order can only matter on
+        equal-delay ties, and every golden and bench fingerprint is unchanged.
+        """
         backups: Dict[Edge, Tuple[Any, ...]] = {}
-        graph = network.graph
         for u, v in state.edges:
-            removed = []
-            for a, b in ((u, v), (v, u)):
-                if graph.has_edge(a, b):
-                    removed.append((a, b, dict(graph.edges[a, b])))
-                    graph.remove_edge(a, b)
-            try:
-                path = network.shortest_path_or_none(state.source, v)
-            finally:
-                for a, b, attrs in removed:
-                    graph.add_edge(a, b, **attrs)
+            path = network.shortest_path_avoiding(state.source, v, u, v)
             if path is not None:
-                backups[(u, v)] = tuple(path)
+                backups[(u, v)] = path
         self._backups[state.group] = backups
 
     # ------------------------------------------------------------------

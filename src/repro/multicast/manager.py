@@ -82,6 +82,9 @@ class GroupState:
         self.blocked: Set[Any] = set()
         self.edges: Set[Edge] = set()
         self.history: List[TreeSnapshot] = []
+        #: ``history[i].time`` for every ``i``, kept alongside so
+        #: :meth:`MulticastManager.snapshot_at` can bisect without a scan.
+        self.history_times: List[float] = []
         #: Members the current tree does not reach (no path from the source);
         #: a restored edge may reconnect them, so on_topology_change treats
         #: any group with uncovered members as touched by edge additions.
@@ -435,10 +438,8 @@ class MulticastManager:
         state = self.groups.get(group)
         if state is None or not state.history:
             return TreeSnapshot(at_time, frozenset(), frozenset())
-        history = state.history
-        times = [snap.time for snap in history]
-        i = bisect_right(times, at_time) - 1
-        return history[max(i, 0)]
+        i = bisect_right(state.history_times, at_time) - 1
+        return state.history[max(i, 0)]
 
     def disruption_windows(self, group: int) -> List[Tuple[Any, float, float]]:
         """Closed disruption windows ``(member, lost_at, restored_at)`` plus
@@ -581,3 +582,4 @@ class MulticastManager:
                 self.sched.now, frozenset(state.members), frozenset(state.edges)
             )
         )
+        state.history_times.append(self.sched.now)

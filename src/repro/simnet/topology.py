@@ -3,6 +3,14 @@
 :class:`Network` owns the node and link objects and computes static
 shortest-path unicast routes (Dijkstra, weighted by propagation delay).  The
 paper's topologies are small trees, but the implementation is general graphs.
+
+:class:`Network` is also the single owner of shortest-path state.  One
+single-source Dijkstra result is kept per queried source for as long as the
+routing graph's *structure* stands; every structural mutation (``add_node``,
+``add_link``, ``set_link_up``, ``set_node_up``) bumps
+:attr:`Network.topology_epoch` and drops the maps.  Nothing outside this
+module may add or remove nodes or edges of :attr:`Network.graph` — that is
+the one invalidation point (pinned by ``tests/test_path_cache.py``).
 """
 
 from __future__ import annotations
@@ -38,6 +46,13 @@ class Network:
         self.nodes: Dict[Any, Node] = {}
         self.links: Dict[Tuple[Any, Any], Link] = {}
         self.graph = nx.DiGraph()
+        #: Bumped by every structural change of the routing graph; cached
+        #: shortest paths are valid for exactly one epoch.
+        self.topology_epoch = 0
+        #: source -> (distance per target, node list per target), this epoch.
+        self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, list]]] = {}
+        #: (a, b, u, v) -> shortest a->b path avoiding link u<->v, this epoch.
+        self._detours: Dict[Tuple[Any, Any, Any, Any], Optional[Tuple[Any, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -49,6 +64,7 @@ class Network:
         node = Node(self.sched, name)
         self.nodes[name] = node
         self.graph.add_node(name)
+        self._topology_changed()
         return node
 
     def add_link(
@@ -94,6 +110,7 @@ class Network:
             self.links[(b, a)] = rev
             self.nodes[b].links[a] = rev
             self.graph.add_edge(b, a, delay=delay, bandwidth=bandwidth)
+        self._topology_changed()
         return fwd
 
     # ------------------------------------------------------------------
@@ -138,11 +155,13 @@ class Network:
                 link.set_up()
                 if not self.graph.has_edge(u, v):
                     self.graph.add_edge(u, v, delay=link.delay, bandwidth=link.bandwidth)
+                    self._topology_changed()
                     changed.append((u, v))
             else:
                 link.set_down()
                 if self.graph.has_edge(u, v):
                     self.graph.remove_edge(u, v)
+                    self._topology_changed()
                     changed.append((u, v))
         return changed
 
@@ -165,7 +184,10 @@ class Network:
     def set_link_bandwidth(self, a: Any, b: Any, bandwidth: float,
                            bidirectional: bool = True) -> None:
         """Change a link's capacity (degradation fault), in both the link
-        object and the routing graph's edge attributes."""
+        object and the routing graph's edge attributes.
+
+        Paths are weighted by delay alone, so this is not a structural
+        change: :attr:`topology_epoch` and the cached paths stand."""
         pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
         for u, v in pairs:
             self.links[(u, v)].set_bandwidth(bandwidth)
@@ -190,21 +212,77 @@ class Network:
                     continue
                 node.next_hop[dst_name] = path[1]
 
+    def _topology_changed(self) -> None:
+        """The routing graph gained or lost a node or edge: start a new
+        epoch and forget every path computed on the old structure."""
+        self.topology_epoch += 1
+        self._spt.clear()
+        self._detours.clear()
+
+    def _paths_from(self, source: Any) -> Tuple[Dict[Any, float], Dict[Any, list]]:
+        """This epoch's ``(distances, paths)`` from ``source`` to every
+        reachable node, computed on first use.
+
+        A full single-source run settles nodes in the same order as the
+        early-stopping per-target run, so each target's node list — ties
+        included — is the one ``nx.dijkstra_path`` would return.
+        """
+        entry = self._spt.get(source)
+        if entry is None:
+            entry = self._spt[source] = nx.single_source_dijkstra(
+                self.graph, source, weight="delay"
+            )
+        return entry
+
     def shortest_path(self, a: Any, b: Any) -> list:
-        """Delay-weighted shortest path from ``a`` to ``b`` as a node list."""
-        return nx.dijkstra_path(self.graph, a, b, weight="delay")
+        """Delay-weighted shortest path from ``a`` to ``b`` as a node list
+        (a fresh copy: callers may mutate it)."""
+        path = self._paths_from(a)[1].get(b)
+        if path is None:
+            raise nx.NetworkXNoPath(f"No path to {b}.")
+        return list(path)
 
     def shortest_path_or_none(self, a: Any, b: Any) -> Optional[list]:
         """Like :meth:`shortest_path` but ``None`` when no path exists
         (partitioned network after link/node failures)."""
         try:
-            return nx.dijkstra_path(self.graph, a, b, weight="delay")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            path = self._paths_from(a)[1].get(b)
+        except nx.NodeNotFound:
             return None
+        return None if path is None else list(path)
 
     def path_delay(self, a: Any, b: Any) -> float:
         """Sum of propagation delays along the shortest path ``a -> b``."""
-        return nx.dijkstra_path_length(self.graph, a, b, weight="delay")
+        delay = self._paths_from(a)[0].get(b)
+        if delay is None:
+            raise nx.NetworkXNoPath(f"No path to {b}.")
+        return delay
+
+    def shortest_path_avoiding(self, a: Any, b: Any, u: Any, v: Any) -> Optional[Tuple[Any, ...]]:
+        """Shortest path ``a -> b`` that uses the link between ``u`` and
+        ``v`` in neither direction, as an immutable tuple; ``None`` when
+        every path needs it.
+
+        The link is hidden from the search, not taken out of the graph, so
+        the query leaves the routing graph and the cached paths alone.  The
+        answer depends only on the graph, so it is kept for the epoch.
+        """
+        key = (a, b, u, v)
+        if key in self._detours:
+            return self._detours[key]
+
+        def weight(x: Any, y: Any, data: Dict[str, Any]) -> Optional[float]:
+            if (x == u and y == v) or (x == v and y == u):
+                return None
+            return data["delay"]
+
+        detour: Optional[Tuple[Any, ...]]
+        try:
+            detour = tuple(nx.dijkstra_path(self.graph, a, b, weight=weight))
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            detour = None
+        self._detours[key] = detour
+        return detour
 
     # ------------------------------------------------------------------
     # Diagnostics

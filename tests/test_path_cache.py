@@ -1,0 +1,274 @@
+"""Network's per-epoch shortest-path state: freshness, ownership, isolation.
+
+``Network`` keeps one single-source Dijkstra result per queried source until
+the routing graph's structure changes.  These tests pin the contract the
+tree builders rely on: a cached answer is always the answer a fresh search
+would give, callers cannot corrupt it, and ``simnet/topology.py`` is the only
+place the graph's structure is ever mutated (so it is the only place that has
+to invalidate).
+"""
+
+import re
+from pathlib import Path
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults.injectors import LinkFault, NodeFault
+from repro.multicast.manager import MulticastManager
+from repro.simnet import topology
+from repro.simnet.engine import Scheduler
+from repro.simnet.topology import Network
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _fresh_path(graph, a, b):
+    """What an uncached search on ``graph`` as it stands returns."""
+    try:
+        return nx.dijkstra_path(graph, a, b, weight="delay")
+    except (nx.NetworkXNoPath, nx.NodeNotFound):
+        return None
+
+
+def _fresh_path_avoiding(graph, a, b, u, v):
+    """Shortest ``a -> b`` with the ``u``/``v`` edge pair really removed —
+    from a copy, which keeps the adjacency order of everything else."""
+    pruned = graph.copy()
+    pruned.remove_edges_from([e for e in ((u, v), (v, u)) if pruned.has_edge(*e)])
+    path = _fresh_path(pruned, a, b)
+    return None if path is None else tuple(path)
+
+
+class UncachedNetwork(Network):
+    """Reference implementation: every query is a fresh search."""
+
+    def shortest_path(self, a, b):
+        return nx.dijkstra_path(self.graph, a, b, weight="delay")
+
+    def shortest_path_or_none(self, a, b):
+        return _fresh_path(self.graph, a, b)
+
+    def path_delay(self, a, b):
+        return nx.dijkstra_path_length(self.graph, a, b, weight="delay")
+
+    def shortest_path_avoiding(self, a, b, u, v):
+        return _fresh_path_avoiding(self.graph, a, b, u, v)
+
+
+def square_network():
+    """a-b-d and a-c-d with equal delays, plus a slow direct a-d chord."""
+    net = Network(Scheduler())
+    for name in "abcd":
+        net.add_node(name)
+    for x, y, delay in [("a", "b", 0.1), ("a", "c", 0.1), ("b", "d", 0.1),
+                        ("c", "d", 0.1), ("a", "d", 0.5)]:
+        net.add_link(x, y, bandwidth=1e6, delay=delay)
+    net.build_routes()
+    return net
+
+
+# ----------------------------------------------------------------------
+# Unit contract
+# ----------------------------------------------------------------------
+def test_cached_paths_cannot_be_corrupted_by_callers():
+    net = square_network()
+    first = net.shortest_path("a", "d")
+    first.append("junk")
+    first[0] = "junk"
+    maybe = net.shortest_path_or_none("a", "d")
+    maybe.clear()
+    assert net.shortest_path("a", "d") == _fresh_path(net.graph, "a", "d")
+    assert net.shortest_path_or_none("a", "d") == _fresh_path(net.graph, "a", "d")
+    detour = net.shortest_path_avoiding("a", "d", "b", "d")
+    assert isinstance(detour, tuple)  # immutable, so the memo can be shared
+    assert detour == _fresh_path_avoiding(net.graph, "a", "d", "b", "d")
+
+
+def test_set_link_bandwidth_keeps_epoch_and_cached_paths(monkeypatch):
+    net = square_network()
+    searches = []
+    real = topology.nx.single_source_dijkstra
+
+    def counting(graph, source, **kwargs):
+        searches.append(source)
+        return real(graph, source, **kwargs)
+
+    monkeypatch.setattr(topology.nx, "single_source_dijkstra", counting)
+    before = net.shortest_path("a", "d")
+    epoch = net.topology_epoch
+    net.set_link_bandwidth("a", "b", 5e5)
+    assert net.topology_epoch == epoch
+    assert net.graph.edges["a", "b"]["bandwidth"] == 5e5
+    assert net.shortest_path("a", "d") == before
+    assert net.path_delay("a", "d") == pytest.approx(0.2)
+    assert searches == ["a"], "a capacity change must not cost a new search"
+
+
+def test_structural_changes_start_a_new_epoch_and_refresh_paths():
+    net = square_network()
+    via = net.shortest_path("a", "d")[1]
+    other = "c" if via == "b" else "b"
+    epoch = net.topology_epoch
+
+    assert net.set_link_up("a", via, False)
+    assert net.topology_epoch > epoch
+    assert net.shortest_path("a", "d") == ["a", other, "d"]
+    epoch = net.topology_epoch
+    assert net.set_link_up("a", via, False) == []  # already down: no change
+    assert net.topology_epoch == epoch
+
+    net.set_node_up(other, False)
+    assert net.shortest_path("a", "d") == ["a", "d"]
+    assert net.path_delay("a", "d") == pytest.approx(0.5)
+    assert net.shortest_path_avoiding("a", "d", "a", "d") is None
+    with pytest.raises(nx.NetworkXNoPath):
+        net.shortest_path("a", other)
+    assert net.shortest_path_or_none("a", other) is None
+    assert net.shortest_path_or_none("nowhere", "a") is None
+
+    net.set_node_up(other, True)
+    net.set_link_up("a", via, True)
+    for x in "abcd":
+        for y in "abcd":
+            assert net.shortest_path_or_none(x, y) == _fresh_path(net.graph, x, y)
+
+    epoch = net.topology_epoch
+    net.add_node("e")
+    net.add_link("a", "e", bandwidth=1e6, delay=0.01)
+    net.add_link("e", "d", bandwidth=1e6, delay=0.01)
+    assert net.topology_epoch > epoch
+    assert net.shortest_path("a", "d") == ["a", "e", "d"]
+
+
+def test_routing_graph_structure_is_mutated_only_in_topology_py():
+    """The single invalidation point: nothing else under src/repro may add or
+    remove nodes or edges of a graph (the path cache would never hear)."""
+    mutation = re.compile(r"graph\.(add|remove|clear)\w*\(")
+    offenders = [
+        f"{path.relative_to(SRC_ROOT)}:{lineno}"
+        for path in sorted(SRC_ROOT.rglob("*.py"))
+        if path.relative_to(SRC_ROOT).as_posix() != "simnet/topology.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if mutation.search(line)
+    ]
+    assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: cached run vs a from-scratch reference run
+# ----------------------------------------------------------------------
+@st.composite
+def tie_rich_scenarios(draw):
+    """A connected graph whose delays come from two values, so equal-delay
+    alternatives are the norm, plus an interleaving of membership changes,
+    link/node faults and explicit precompute passes."""
+    n = draw(st.integers(min_value=4, max_value=8))
+    delay = st.sampled_from([0.1, 0.2])
+    links = {}
+    for child in range(1, n):  # random spanning tree keeps it connected
+        parent = draw(st.integers(min_value=0, max_value=child - 1))
+        links[(parent, child)] = draw(delay)
+    for _ in range(draw(st.integers(min_value=1, max_value=n))):
+        a = draw(st.integers(min_value=0, max_value=n - 2))
+        b = draw(st.integers(min_value=a + 1, max_value=n - 1))
+        links.setdefault((a, b), draw(delay))
+    links = sorted(links.items())
+    node = st.integers(min_value=0, max_value=n - 1)
+    group = st.integers(min_value=0, max_value=1)
+    op = st.one_of(
+        st.tuples(st.just("join"), group, node),
+        st.tuples(st.just("leave"), group, node),
+        st.tuples(st.just("link"), st.integers(min_value=0, max_value=len(links) - 1),
+                  st.booleans()),
+        st.tuples(st.just("node"), node, st.booleans()),
+        st.tuples(st.just("precompute"), group),
+    )
+    return n, links, draw(st.sampled_from(["spt", "protected"])), draw(
+        st.lists(op, min_size=1, max_size=14)
+    )
+
+
+class _Run:
+    """One network + manager driven by the scenario's operations."""
+
+    def __init__(self, network_cls, n, links, builder):
+        self.sched = Scheduler()
+        self.net = network_cls(self.sched)
+        for i in range(n):
+            self.net.add_node(i)
+        for (a, b), delay in links:
+            self.net.add_link(a, b, bandwidth=1e6, delay=delay)
+        self.net.build_routes()
+        self.links = [edge for edge, _ in links]
+        self.mcast = MulticastManager(self.net, leave_latency=0.5, builder=builder)
+        self.groups = [self.mcast.create_group(0), self.mcast.create_group(n - 1)]
+        self.link_fault = LinkFault(self.net, self.mcast)
+        self.node_fault = NodeFault(self.net, self.mcast)
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "join":
+            self.mcast.join(self.groups[op[1]], op[2])
+        elif kind == "leave":
+            self.mcast.leave(self.groups[op[1]], op[2])
+        elif kind == "link":
+            a, b = self.links[op[1]]
+            (self.link_fault.up if op[2] else self.link_fault.down)(a, b)
+        elif kind == "node":
+            (self.node_fault.recover if op[2] else self.node_fault.crash)(op[1])
+        else:
+            state = self.mcast.groups[self.groups[op[1]]]
+            self.mcast.builder.precompute(state, self.net)
+        self.sched.run(until=self.sched.now + 5.0)  # let grafts/prunes apply
+
+    def trees(self):
+        return {g: (frozenset(s.members), frozenset(s.edges))
+                for g, s in self.mcast.groups.items()}
+
+    def backups(self):
+        return dict(getattr(self.mcast.builder, "_backups", {}))
+
+
+@given(tie_rich_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
+    """The "incremental == from-scratch" oracle (ROADMAP item 5).
+
+    The same interleaving drives a cached :class:`Network` and the uncached
+    reference above.  After every step: each cached path equals a fresh
+    search on the graph as it stands, each group's members and tree equal
+    the ones the reference run built from per-member searches, and each
+    stored backup equals the path found with the edge pair removed from a
+    copy of the graph (what the reference run's precompute stores).
+
+    The trees are compared run-to-run rather than against the union of
+    shortest paths on the *current* graph because that union is not what a
+    tree should be at every instant: a locally patched tree keeps its
+    surviving branches, and a group no failure touched is by design not
+    re-examined.
+    """
+    n, links, builder, ops = scenario
+    cached = _Run(Network, n, links, builder)
+    reference = _Run(UncachedNetwork, n, links, builder)
+    for op in ops:
+        before = cached.trees()
+        cached.apply(op)
+        reference.apply(op)
+        graph = cached.net.graph
+        for a in range(n):
+            for b in range(n):
+                assert cached.net.shortest_path_or_none(a, b) == _fresh_path(graph, a, b)
+        assert cached.trees() == reference.trees()
+        assert cached.backups() == reference.backups()
+        # A membership change rebuilds the group on the graph as it stands,
+        # so there the tree *is* the from-scratch per-member union.
+        for group, state in cached.mcast.groups.items():
+            if frozenset(state.members) != before[group][0]:
+                union = set()
+                for member in sorted(state.members):
+                    path = _fresh_path(graph, state.source, member) or ()
+                    union.update(zip(path, path[1:]))
+                assert state.edges == union

@@ -13,8 +13,9 @@ plan round-tripping for churn-as-regression-test workflows:
     python tools/run_churn.py --seed 1 --json > result.json
 
 Exits non-zero when any backend misses the recovery bound, when the
-protected backend never repairs locally, or when its local repairs are not
-faster than SPT's full rebuilds — so CI can gate on it directly.
+protected backend never repairs locally, or when one of its local patches
+disturbs more tree edges than SPT's full rebuild of the same group at the
+same instant — so CI can gate on it directly.
 """
 
 from __future__ import annotations
