@@ -157,6 +157,8 @@ class LayeredSource:
         if not self._running:
             return
         bits_per_packet = self.packet_size * 8.0
+        sched = self.sched
+        at, now, emit = sched.at, sched.now, self._emit
         for sender in self.senders:
             mean_packets = sender.rate * self.slot / bits_per_packet
             n = self._draw_packets(mean_packets)
@@ -165,8 +167,8 @@ class LayeredSource:
             spacing = self.slot / n
             offset = sender.phase * spacing
             for i in range(n):
-                self.sched.after(offset + i * spacing, self._emit, sender)
-        self._slot_event = self.sched.after(self.slot, self._run_slot)
+                at(now + (offset + i * spacing), emit, sender)
+        self._slot_event = at(now + self.slot, self._run_slot)
 
     def _draw_packets(self, mean_packets: float) -> int:
         """Number of packets this slot for a layer with mean ``mean_packets``."""
@@ -181,17 +183,25 @@ class LayeredSource:
     def _emit(self, sender: _LayerSender) -> None:
         if not self._running:
             return
-        pkt = Packet(
-            src=self.node.name,
-            group=sender.group,
+        node = self.node
+        group = sender.group
+        seq = sender.next_seq
+        sender.next_seq = seq + 1
+        sender.packets_sent += 1
+        sender.bytes_sent += self.packet_size
+        # The source transmits every layer, but a packet for a group with no
+        # forwarding entry and no local handler dies inside ``Node.send``
+        # without touching a counter: don't build it.  A dead node still
+        # gets the packet so ``dropped_dead`` is charged.
+        if node.alive and group not in node.mcast_fwd and group not in node.group_handlers:
+            return
+        node.send(Packet(
+            src=node.name,
+            group=group,
             size=self.packet_size,
-            seq=sender.next_seq,
+            seq=seq,
             session=self.session_id,
             layer=sender.layer,
             kind=DATA,
             created_at=self.sched.now,
-        )
-        sender.next_seq += 1
-        sender.packets_sent += 1
-        sender.bytes_sent += self.packet_size
-        self.node.send(pkt)
+        ))

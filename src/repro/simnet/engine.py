@@ -1,21 +1,29 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar queue built on a binary heap.  Events are
-``(time, sequence, callback)`` triples; the monotonically increasing sequence
-number makes the pop order deterministic when several events share a
-timestamp, which in turn makes whole simulations reproducible from a seed.
+The engine is a classic calendar queue built on a binary heap.  A heap entry
+*is* the :class:`Event`: a ``list`` subclass laid out ``[time, seq, fn, args]``
+— one allocation per scheduled callback — so ``heapq`` orders entries with the
+C list comparison and never calls back into Python.  The monotonically
+increasing sequence number is unique: the comparison never reaches ``fn``, and
+the pop order is deterministic when several events share a timestamp, which in
+turn makes whole simulations reproducible from a seed.
 
 This module is the innermost loop of the simulator — every packet
 transmission, arrival, timer and control decision passes through
-:meth:`Scheduler.run`.  Following the optimization guides, the hot path avoids
-allocation beyond the one :class:`Event` per scheduled callback and performs
-no bookkeeping other than heap maintenance.
+:meth:`Scheduler.run`, which unpacks each popped entry and does no
+bookkeeping other than heap maintenance.
+
+**All scheduling goes through** :meth:`Scheduler.at`.  :meth:`Scheduler.after`
+and :meth:`Scheduler.every` delegate to it, hot call sites call it directly
+with ``sched.now + delay``, and nothing else pushes onto the heap: ``at`` is
+the one place a harness can wrap (``bench/tracing.py`` does, at class level)
+or a subclass can override to see every callback.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
+from heapq import heappop, heappush
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
@@ -26,36 +34,35 @@ class SimulationError(RuntimeError):
     """Raised for invalid scheduler usage (e.g. scheduling in the past)."""
 
 
-class Event:
-    """A scheduled callback.
+_INF = float("inf")
+
+
+class Event(list):
+    """A scheduled callback, laid out as ``[time, seq, fn, args]``.
 
     Events are returned by :meth:`Scheduler.at` / :meth:`Scheduler.after` and
-    may be cancelled with :meth:`cancel`.  Cancelled events stay in the heap
-    but are skipped when popped (lazy deletion), which is O(1) instead of the
-    O(n) cost of removing an arbitrary heap element.
+    may be cancelled with :meth:`cancel`, which clears ``fn``.  Cancelled
+    events stay in the heap but are skipped when popped (lazy deletion),
+    which is O(1) instead of the O(n) cost of removing an arbitrary heap
+    element.  Treat an event as an opaque handle: read it through the
+    properties below and never mutate it as a list.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    time = property(itemgetter(0), doc="Simulated time the callback is due.")
+    seq = property(itemgetter(1), doc="Scheduling order; breaks timestamp ties.")
+    fn = property(itemgetter(2), doc="The callback, or ``None`` once cancelled.")
+    args = property(itemgetter(3), doc="Positional arguments for the callback.")
+    cancelled = property(lambda self: self[2] is None, doc="Whether :meth:`cancel` was called.")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        self[2] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} {getattr(self.fn, '__qualname__', self.fn)} {state}>"
+        what = "cancelled" if self[2] is None else getattr(self[2], "__qualname__", self[2])
+        return f"<Event t={self[0]:.6f} #{self[1]} {what}>"
 
 
 class Scheduler:
@@ -77,8 +84,11 @@ class Scheduler:
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._seq = 0
-        self._now = 0.0
         self._stopped = False
+        #: Current simulated time in seconds.  A plain attribute because it
+        #: is read on every packet hop; **read-only** for everyone but the
+        #: scheduler itself.
+        self.now = 0.0
         self.events_processed = 0
         #: Optional :class:`~repro.obs.bus.EventBus`.  Components reach the
         #: bus through their scheduler reference, so attaching observability
@@ -93,11 +103,6 @@ class Scheduler:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def pending(self) -> int:
         """Number of events in the heap (including lazily-cancelled ones)."""
         return len(self._heap)
@@ -105,31 +110,32 @@ class Scheduler:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the heap is empty."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        return heap[0].time if heap else None
+        while heap and heap[0][2] is None:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
-            )
-        if not math.isfinite(time):
+        if not self.now <= time < _INF:  # one test on the fast path; NaN fails it
+            if time < self.now:
+                raise SimulationError(
+                    f"cannot schedule at t={time} before current time t={self.now}"
+                )
             raise SimulationError(f"event time must be finite, got {time!r}")
-        ev = Event(time, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event((time, seq, fn, args))
+        heappush(self._heap, ev)
         return ev
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` ``delay`` seconds from now (``delay >= 0``)."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.at(self._now + delay, fn, *args)
+        return self.at(self.now + delay, fn, *args)
 
     def every(
         self,
@@ -140,11 +146,11 @@ class Scheduler:
     ) -> Event:
         """Schedule ``fn(*args)`` periodically every ``interval`` seconds.
 
-        The returned :class:`Event` is the *first* occurrence; cancelling it
-        before it fires stops the whole chain.  Once running, ``fn`` may call
-        :meth:`Event.cancel` on the event passed back via rescheduling only by
-        raising ``StopIteration`` — returning a truthy value from ``fn`` also
-        stops the repetition.
+        The returned :class:`Event` is the *first* occurrence only:
+        cancelling it before it fires means the chain never starts, and it is
+        a dead handle afterwards.  A running chain ends when ``fn`` returns a
+        truthy value or raises ``StopIteration``; there is no other way to
+        stop it from outside.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
@@ -164,14 +170,12 @@ class Scheduler:
                 # scheduled time so the failure is attributable.
                 raise SimulationError(
                     f"periodic callback {getattr(fn, '__qualname__', fn)!r} "
-                    f"raised at t={self._now:.6f}: {exc!r}"
+                    f"raised at t={self.now:.6f}: {exc!r}"
                 ) from exc
             if not stop:
-                handle = self.after(interval, _tick, *a)
-                chain[0] = handle
+                self.at(self.now + interval, _tick, *a)
 
-        chain = [self.at(self._now + interval if start is None else start, _tick, *args)]
-        return chain[0]
+        return self.at(self.now + interval if start is None else start, _tick, *args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -182,11 +186,11 @@ class Scheduler:
         On return, :attr:`now` equals ``until`` even if the heap drained
         earlier.  Events scheduled exactly at ``until`` are executed.
         """
-        if until < self._now:
-            raise SimulationError(f"cannot run backwards to t={until} from t={self._now}")
+        if until < self.now:
+            raise SimulationError(f"cannot run backwards to t={until} from t={self.now}")
         heap = self._heap
         self._stopped = False
-        pop = heapq.heappop
+        pop = heappop
         # Hoisted observability state: the per-event cost of an unobserved
         # run stays at zero extra work, and a bus without a dispatch
         # subscriber costs one boolean test per event.  Subscribing to
@@ -197,22 +201,21 @@ class Scheduler:
         if prof is not None:
             wall0 = perf_counter()
         while heap and not self._stopped:
-            ev = heap[0]
-            if ev.time > until:
+            if heap[0][0] > until:
                 break
-            pop(heap)
-            if ev.cancelled:
+            time, seq, fn, args = pop(heap)
+            if fn is None:  # cancelled
                 continue
-            self._now = ev.time
+            self.now = time
             self.events_processed += 1
             if dispatch:
                 bus.emit(
-                    "sched.dispatch", ev.time, seq=ev.seq,
-                    fn=getattr(ev.fn, "__qualname__", repr(ev.fn)),
+                    "sched.dispatch", time, seq=seq,
+                    fn=getattr(fn, "__qualname__", repr(fn)),
                 )
-            ev.fn(*ev.args)
+            fn(*args)
         if not self._stopped:
-            self._now = until
+            self.now = until
         if prof is not None:
             prof.add("sched.run", perf_counter() - wall0)
 
@@ -220,12 +223,12 @@ class Scheduler:
         """Execute the single next live event.  Returns False if none remain."""
         heap = self._heap
         while heap:
-            ev = heapq.heappop(heap)
-            if ev.cancelled:
+            time, _seq, fn, args = heappop(heap)
+            if fn is None:  # cancelled
                 continue
-            self._now = ev.time
+            self.now = time
             self.events_processed += 1
-            ev.fn(*ev.args)
+            fn(*args)
             return True
         return False
 

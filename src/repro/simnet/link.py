@@ -11,7 +11,9 @@ creates one in each direction.  The transmit path models store-and-forward:
   delivered to the destination node.
 
 This is the simulator's hot loop; it does no per-packet allocation beyond the
-two scheduler events.
+two scheduler events, and schedules both with ``sched.at(sched.now + delay)``
+directly (``delay`` is non-negative by construction, so ``after``'s check
+would be a second Python call for nothing).
 """
 
 from __future__ import annotations
@@ -134,16 +136,22 @@ class Link:
         self.busy = True
         tx_time = pkt.size * 8.0 / self.bandwidth
         self.stats.busy_time += tx_time
-        self.sched.after(tx_time, self._tx_done, pkt)
+        sched = self.sched
+        sched.at(sched.now + tx_time, self._tx_done, pkt)
 
-    def _tx_done(self, pkt: Packet) -> None:
+    def _tx_done(self, pkt: Packet, lost: bool = False) -> None:
+        """Serialization finished; ``lost`` = the medium ate the packet
+        (wireless), so the airtime is charged but nothing propagates."""
+        sched = self.sched
+        now = sched.now
         stats = self.stats
         stats.tx_packets += 1
         stats.tx_bytes += pkt.size
-        stats.last_tx_end = self.sched.now
-        # Propagation: the receiver sees the packet ``delay`` seconds after
-        # the last bit leaves the transmitter.
-        self.sched.after(self.delay, self.dst.receive, pkt, self)
+        stats.last_tx_end = now
+        if not lost:
+            # Propagation: the receiver sees the packet ``delay`` seconds
+            # after the last bit leaves the transmitter.
+            sched.at(now + self.delay, self.dst.receive, pkt, self)
         nxt = self.queue.pop()
         if nxt is not None:
             self._start_transmit(nxt)

@@ -111,25 +111,16 @@ class WirelessEdgeLink(Link):
             return False
         return bool(rng.random() < p)
 
-    def _tx_done(self, pkt: Packet) -> None:
-        stats = self.stats
-        stats.tx_packets += 1
-        stats.tx_bytes += pkt.size
-        stats.last_tx_end = self.sched.now
+    def _tx_done(self, pkt: Packet, lost: bool = False) -> None:
         # The channel claims the packet after serialization: the transmitter
         # paid the airtime either way, so utilization and the queue are
-        # charged exactly as on a wired link.
+        # charged exactly as on a wired link — by the wired link's own code.
         if self.rng is not None and self._channel_lost():
+            lost = True
             self.wireless_drops += 1
             self.wireless_bytes_dropped += pkt.size
             self._emit_drop(pkt, DROP_WIRELESS)
-        else:
-            self.sched.after(self.delay, self.dst.receive, pkt, self)
-        nxt = self.queue.pop()
-        if nxt is not None:
-            self._start_transmit(nxt)
-        else:
-            self.busy = False
+        Link._tx_done(self, pkt, lost)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fading" if self.fading else "good"

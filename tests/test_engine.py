@@ -1,8 +1,15 @@
 """Unit tests for the discrete-event scheduler."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.media.layers import LayerSchedule
+from repro.media.source import VBR, LayeredSource
 from repro.simnet.engine import Scheduler, SimulationError
+from repro.simnet.topology import Network
+from repro.simnet.wireless import WirelessEdgeLink
 
 
 def test_initial_state():
@@ -222,6 +229,7 @@ def test_peek_time_skips_cancelled():
     ev.cancel()
     assert s.peek_time() == 2.0
 
+
 def test_every_raising_callback_surfaces_simulation_error():
     s = Scheduler()
 
@@ -257,3 +265,160 @@ def test_every_simulation_error_passes_through_unwrapped():
     s.every(1.0, tick)
     with pytest.raises(SimulationError, match="^already typed$"):
         s.run(until=10.0)
+
+
+# ----------------------------------------------------------------------
+# Ordering oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.at(float("nan"), print), r"^event time must be finite, got nan$"),
+    (lambda s: s.at(float("inf"), print), r"^event time must be finite, got inf$"),
+    (lambda s: s.at(float("-inf"), print),
+     r"^cannot schedule at t=-inf before current time t=5\.0$"),
+    (lambda s: s.at(4.0, print), r"^cannot schedule at t=4\.0 before current time t=5\.0$"),
+    (lambda s: s.after(-0.1, print), r"^delay must be non-negative, got -0\.1$"),
+    (lambda s: s.after(float("nan"), print), r"^event time must be finite, got nan$"),
+    (lambda s: s.after(float("inf"), print), r"^event time must be finite, got inf$"),
+])
+def test_invalid_times_keep_their_messages(call, message):
+    s = Scheduler()
+    s.run(until=5.0)
+    with pytest.raises(SimulationError, match=message):
+        call(s)
+    assert s.pending == 0
+
+
+# A script is what one callback does when it fires: schedule children (each
+# with a script of its own) and cancel earlier handles.  Delays come from a
+# tiny grid, so most timestamps collide and only ``seq`` separates them.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+
+
+def _actions(children):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["at", "after"]), _DELAYS, children),
+            st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        ),
+        max_size=4,
+    )
+
+
+_SCRIPTS = st.recursive(st.just([]), _actions, max_leaves=25)
+
+
+class _Program:
+    """Runs a script against a scheduler and keeps the oracle's books."""
+
+    def __init__(self):
+        self.sched = Scheduler()
+        self.handles = []    # every event ever scheduled, in seq order
+        self.cancelled = set()  # ids cancelled while still pending
+        self.fired = []
+
+    def perform(self, script):
+        s = self.sched
+        for action in script:
+            if action[0] == "cancel":
+                if self.handles:
+                    ident = action[1] % len(self.handles)
+                    if ident not in self.fired:
+                        self.cancelled.add(ident)
+                    self.handles[ident].cancel()
+                continue
+            kind, delay, child = action
+            ident = len(self.handles)
+            if kind == "at":
+                ev = s.at(s.now + delay, self.fire, ident, child)
+            else:
+                ev = s.after(delay, self.fire, ident, child)
+            assert (ev.time, ev.seq) == (s.now + delay, ident)
+            assert ev.args == (ident, child) and not ev.cancelled
+            self.handles.append(ev)
+
+    def fire(self, ident, script):
+        assert self.sched.now == self.handles[ident].time
+        self.fired.append(ident)
+        self.perform(script)
+
+    def expected_order(self):
+        live = [ev for i, ev in enumerate(self.handles) if i not in self.cancelled]
+        return [ev.args[0] for ev in sorted(live, key=lambda ev: (ev.time, ev.seq))]
+
+    def next_live_time(self):
+        pending = [ev.time for i, ev in enumerate(self.handles)
+                   if i not in self.cancelled and i not in self.fired]
+        return min(pending, default=None)
+
+
+@given(_SCRIPTS)
+@settings(max_examples=200, deadline=None)
+def test_fires_in_time_seq_order_minus_cancelled(script):
+    stepped = _Program()
+    stepped.perform(script)
+    while True:
+        assert stepped.sched.peek_time() == stepped.next_live_time()
+        if not stepped.sched.step():
+            break
+    assert stepped.fired == stepped.expected_order()
+    assert stepped.sched.events_processed == len(stepped.fired)
+    assert all(stepped.handles[i].cancelled for i in stepped.cancelled)
+
+    ran = _Program()
+    ran.perform(script)
+    ran.sched.run(until=1.0)   # a horizon that splits the program in two
+    assert ran.sched.peek_time() == ran.next_live_time()
+    ran.sched.run(until=1e6)
+    assert ran.fired == stepped.fired
+    assert ran.sched.pending == 0
+
+
+# ----------------------------------------------------------------------
+# Everything is scheduled through Scheduler.at
+# ----------------------------------------------------------------------
+class CountingScheduler(Scheduler):
+    """Counts ``at`` calls the way an external harness would wrap them."""
+
+    def __init__(self):
+        super().__init__()
+        self.at_calls = 0
+
+    def at(self, time, fn, *args):
+        self.at_calls += 1
+        return super().at(time, fn, *args)
+
+
+def test_nothing_is_scheduled_behind_at():
+    s = CountingScheduler()
+    net = Network(s)
+    for name in ("src", "hub", "wired", "radio"):
+        net.add_node(name)
+    net.add_link("src", "hub", bandwidth=10e6, delay=0.01)
+    net.add_link("hub", "wired", bandwidth=200e3, delay=0.02, queue_limit=4)
+    net.add_link(
+        "hub", "radio", bandwidth=1e6, delay=0.02,
+        link_factory=lambda *a: WirelessEdgeLink(
+            *a, loss_rate=0.2, fade_in=0.1, rng=np.random.default_rng(5)),
+    )
+    schedule = LayerSchedule(n_layers=3, base_rate=32_000)
+    groups = [1, 2, 3]
+    for g in groups[:2]:  # layer 3 stays unheard: the source's fast path
+        net.node("src").mcast_fwd[g] = {"hub"}
+        net.node("hub").mcast_fwd[g] = {"wired", "radio"}
+    source = LayeredSource(net.node("src"), 1, groups, schedule, model=VBR,
+                           rng=np.random.default_rng(9), phase_jitter=True)
+    source.start()
+    ticks = []
+    s.every(0.7, ticks.append, "tick")
+    s.after(3.3, ticks.append, "once")
+    s.run(until=20.0)
+
+    radio = net.links[("hub", "radio")]
+    assert isinstance(radio, WirelessEdgeLink) and radio.wireless_drops > 0
+    assert radio.stats.tx_packets > radio.wireless_drops
+    assert net.links[("hub", "wired")].queue.stats.dropped > 0
+    assert source.senders[2].packets_sent > 0 and len(ticks) == 29
+    # Nothing was cancelled, so every entry ever made is either processed or
+    # still pending, and the next sequence number says how many were made.
+    assert s.at_calls == s.events_processed + s.pending
+    assert s.at(s.now, print).seq == s.at_calls - 1

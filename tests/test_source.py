@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.media.layers import LayerSchedule
+from repro.media.receiver import LayeredReceiver
 from repro.media.source import CBR, VBR, LayeredSource
+from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network
 
@@ -185,3 +187,106 @@ def test_delayed_start():
     assert len(got[1]) == 0
     sched.run(until=7.5)
     assert len(got[1]) > 0
+
+
+# ----------------------------------------------------------------------
+# Unheard layers: no packet is built, every counter still moves
+# ----------------------------------------------------------------------
+def pinned_scenario():
+    """src -> hub -> {a (100 Kb/s, lossy), b}: layers come and go, then the
+    source node crashes.  Returns every counter the emit path can touch."""
+    sched = Scheduler()
+    net = Network(sched)
+    for name in ("src", "hub", "a", "b"):
+        net.add_node(name)
+    net.add_link("src", "hub", bandwidth=10e6, delay=0.01)
+    net.add_link("hub", "a", bandwidth=100e3, delay=0.02, queue_limit=4)
+    net.add_link("hub", "b", bandwidth=1e6, delay=0.02)
+    net.build_routes()
+    mcast = MulticastManager(net, leave_latency=0.5, igmp_report_delay=0.05)
+    schedule = LayerSchedule(n_layers=4, base_rate=32_000)
+    groups = [mcast.create_group("src") for _ in range(4)]
+    rng = np.random.default_rng(20010903)
+    source = LayeredSource(net.node("src"), 1, groups, schedule, model=VBR,
+                           peak_to_mean=3, rng=rng, phase_jitter=True)
+    rx_a = LayeredReceiver(net.node("a"), 1, groups, schedule, mcast, initial_level=3)
+    rx_b = LayeredReceiver(net.node("b"), 1, groups, schedule, mcast, initial_level=1)
+    source.start()
+    mid = {}
+
+    def probe():  # before the leaves reset the per-layer loss counters
+        for name, rx in (("a", rx_a), ("b", rx_b)):
+            mid[name] = [[lr.expected, lr.received, lr.lost] for lr in rx.layers]
+
+    sched.at(9.0, probe)
+    sched.at(7.37, rx_b.set_level, 4)      # layer 4 was unheard until now
+    sched.at(9.12, rx_a.set_level, 1)      # layers 2-3 stay heard through b
+    sched.at(10.41, rx_b.set_level, 2)     # layers 3-4 go unheard again
+    sched.at(12.0, net.node("src").crash)  # every later emit is dropped_dead
+    sched.run(until=15.0)
+    return {
+        "events": sched.events_processed,
+        "senders": [[s.next_seq, s.packets_sent, s.bytes_sent] for s in source.senders],
+        "nodes": {
+            name: [getattr(node.stats, f) for f in type(node.stats).__slots__]
+            for name, node in net.nodes.items()
+        },
+        "receivers_at_9s": mid,
+        "receivers": {
+            name: [rx.total_bytes] + [[lr.expected, lr.received, lr.lost] for lr in rx.layers]
+            for name, rx in (("a", rx_a), ("b", rx_b))
+        },
+    }
+
+
+def test_counters_match_values_pinned_before_the_emit_fast_path():
+    """Pinned at commit d2f36b9, where every emit built a Packet and went
+    through ``Node.send``; NodeStats order is received, forwarded, delivered,
+    no_route, dropped_dead."""
+    assert pinned_scenario() == {
+        "events": 3193,
+        "senders": [[69, 69, 69000], [99, 99, 99000], [240, 240, 240000], [945, 945, 945000]],
+        "nodes": {
+            "src": [0, 511, 0, 0, 228],
+            "hub": [511, 597, 0, 0, 0],
+            "a": [114, 0, 113, 0, 0],
+            "b": [279, 0, 278, 0, 0],
+        },
+        "receivers_at_9s": {
+            "a": [[45, 23, 21], [30, 7, 21], [234, 71, 159], [None, 0, 0]],
+            "b": [[45, 45, 0], [30, 1, 0], [234, 27, 0], [657, 142, 0]],
+        },
+        "receivers": {
+            "a": [113000, [57, 35, 21], [None, 0, 0], [None, 0, 0], [None, 0, 0]],
+            "b": [278000, [57, 57, 0], [75, 46, 0], [None, 0, 0], [None, 0, 0]],
+        },
+    }
+
+
+def test_join_mid_slot_gets_the_next_packet_with_its_sequence_number():
+    sched = Scheduler()
+    net = Network(sched)
+    net.add_node("src")
+    net.add_node("dst")
+    net.add_link("src", "dst", bandwidth=10e6, delay=0.01)
+    schedule = LayerSchedule(n_layers=1, base_rate=32_000)  # 4 pkt/s: 0, .25, ...
+    src = LayeredSource(net.node("src"), 1, [7], schedule, model=CBR)
+    src.start()
+    sched.run(until=1.6)
+    sender = src.senders[0]
+    # Seven emits nobody heard: counted, never handed to the node.
+    assert (sender.next_seq, sender.packets_sent, sender.bytes_sent) == (7, 7, 7000)
+    stats = net.node("src").stats
+    assert (stats.forwarded, stats.delivered, stats.dropped_dead) == (0, 0, 0)
+    got = []
+    net.node("dst").add_group_handler(7, got.append)
+    net.node("src").mcast_fwd[7] = {"dst"}  # grafted in the middle of slot 1
+    sched.run(until=1.8)
+    assert [(p.seq, p.created_at) for p in got] == [(7, 1.75)]
+    # A local handler alone (no forwarding entry) is heard as well.
+    del net.node("src").mcast_fwd[7]
+    local = []
+    net.node("src").add_group_handler(7, local.append)
+    sched.run(until=2.1)
+    assert [p.seq for p in local] == [8]
+    assert [p.seq for p in got] == [7]
