@@ -1,4 +1,4 @@
-"""Static & dynamic analysis: ``repro lint`` and ``repro sanitize``.
+"""Static analysis: ``repro lint``.
 
 ``python -m repro lint`` (or ``tools/run_lint.py``) walks ``src/``,
 ``tools/`` and ``tests/`` and enforces the repo-specific rule catalogue
@@ -8,11 +8,6 @@ rules R006 (shard isolation) / R007 (RNG provenance) built on the
 call-graph + effect summaries in :mod:`repro.analysis.callgraph` and
 :mod:`repro.analysis.effects`.  Exit codes are CLI-conventional: 0
 clean, 1 findings, 2 internal error.
-
-``python -m repro sanitize`` (or ``tools/run_sanitize.py``) is the
-runtime counterpart: a parallel federated run under the
-:class:`~repro.analysis.sanitize.SharedStateSanitizer` plus an N-seed
-sequential-vs-parallel determinism fuzz.
 """
 
 from .callgraph import CallGraph, build_callgraph, get_callgraph
@@ -31,7 +26,6 @@ from .engine import (
 )
 from .flow import RngProvenanceRule, ShardIsolationRule
 from .rules import NoFloatEqualityRule, NoSetIterationRule, NoWallClockRule
-from .sanitize import SanitizerError, SharedStateSanitizer
 
 __all__ = [
     "CallGraph",
@@ -46,8 +40,6 @@ __all__ = [
     "Project",
     "RngProvenanceRule",
     "Rule",
-    "SanitizerError",
-    "SharedStateSanitizer",
     "ShardIsolationRule",
     "TopicContractRule",
     "UNUSED_SUPPRESSION_CODE",

@@ -1,8 +1,8 @@
 """Interprocedural call graph + effect summaries over ``src/repro``.
 
 The whole-program rules (R006 shard isolation, R007 RNG provenance) need
-to reason about what is *reachable* from the federation's parallel shard
-entry points and where state flows.  This module builds, from the
+to reason about what is *reachable* from the federation's shard entry
+points and where state flows.  This module builds, from the
 already-parsed :class:`~repro.analysis.engine.Project` ASTs:
 
 * one :class:`FunctionInfo` per function/method (including nested
@@ -17,9 +17,10 @@ already-parsed :class:`~repro.analysis.engine.Project` ASTs:
   ``x.m(...)`` receiver to every repo method named ``m``.  The fallback
   deliberately over-approximates; :data:`FALLBACK_SKIP` lists ubiquitous
   method names (container/str verbs, RNG draws) where it would link the
-  whole repo into one blob and is therefore suppressed.  The runtime
-  sanitizer (DESIGN.md §16) is the dynamic backstop for what the
-  fallback under-approximates.
+  whole repo into one blob and is therefore suppressed.  The shard-
+  isolation oracle in ``tests/test_federation.py`` and the same-seed
+  replay diffs are the dynamic backstop for what the fallback
+  under-approximates.
 
 The graph is built once per lint run and cached on the project
 (:func:`get_callgraph`), so R006 and R007 share it — the whole pass must

@@ -3,15 +3,17 @@
 Both rules run over the whole-program call graph
 (:mod:`repro.analysis.callgraph`) instead of one file at a time, because
 the bugs they hunt only exist across call chains: a helper two frames
-below ``DomainShard.run_to`` that appends to a module-level list races
-exactly like a direct write would, and an RNG that reaches algorithm
+below ``DomainShard.run_to`` that appends to a module-level list couples
+shards exactly like a direct write would, and an RNG that reaches algorithm
 code through three parameters is only as deterministic as wherever it
 was constructed.
 
-**R006 (shard isolation).**  Any function *reachable* from the
-federation's parallel entry points — ``DomainShard.run_to`` and the
-executor thunk ``_advance_one`` — runs concurrently with its siblings
-in parallel mode, so it must only touch shard-local state.  Flagged:
+**R006 (shard isolation).**  A shard's trajectory between barriers must
+be a function of its own view, seed and delivered advice — never of which
+sibling advanced before it — so any function *reachable* from the shard
+entry points (``DomainShard.run_to`` and shard construction) must only
+touch shard-local state.  That is also what keeps shard state
+self-contained enough to advance anywhere.  Flagged:
 
 * writes rooted at module-level names (direct, ``global``, or in-place
   mutation of a module-level container) and class-attribute writes;
@@ -20,7 +22,7 @@ in parallel mode, so it must only touch shard-local state.  Flagged:
 * writes through parameters annotated with a shared type.
 
 Sanctioned merge points — functions that *do* write shared state but
-are only ever invoked on the calling thread between rounds — carry a
+are only ever invoked by the session between rounds — carry a
 ``# repro: shared-ok[R006]`` marker on their ``def`` line.  A marker on
 a function the rule would not flag is itself a finding, so declarations
 can't outlive the code they excuse (mirroring the engine's R008).
@@ -51,24 +53,22 @@ __all__ = [
     "ShardIsolationRule",
 ]
 
-#: Parallel entry points: ``(class name or None, function name)``.
-#: ``DomainShard.run_to`` is each shard's advance loop and
-#: ``_advance_one`` is the module-level executor thunk that wraps it.
-#: Shard construction (``__init__``/``_build``) runs on the calling
-#: thread, but the callbacks it registers with the shard's scheduler
-#: execute inside ``run_to`` — including it makes every
-#: scheduler-registered closure reachable, which is the honest
-#: over-approximation of "code that may run on a shard thread".
+#: Shard entry points: ``(class name or None, function name)``.
+#: ``DomainShard.run_to`` is each shard's advance loop.  Shard
+#: construction (``__init__``/``_build``) is not part of the advance, but
+#: the callbacks it registers with the shard's scheduler execute inside
+#: ``run_to`` — including it makes every scheduler-registered closure
+#: reachable, which is the honest over-approximation of "code that may
+#: run while a shard advances".
 ENTRY_POINTS: Tuple[Tuple[str, str], ...] = (
     ("DomainShard", "run_to"),
     ("DomainShard", "__init__"),
     ("DomainShard", "_build"),
-    (None, "_advance_one"),
 )
 
-#: Classes whose instances are shared across shards during a parallel
-#: round.  Writing their state (or storing/drawing RNGs on them) from
-#: shard-reachable code is a race.
+#: Classes whose instances are shared across shards.  Writing their state
+#: (or storing/drawing RNGs on them) from shard-reachable code makes one
+#: shard's trajectory depend on its siblings'.
 SHARED_TYPES = frozenset({
     "FederationCoordinator",
     "FederatedSession",
@@ -108,7 +108,7 @@ def _shared_write_violations(
 
 
 class ShardIsolationRule(Rule):
-    """R006: no shared-state writes reachable from parallel shard entries."""
+    """R006: no shared-state writes reachable from the shard entry points."""
 
     code = "R006"
     name = "shard-isolation"
@@ -134,9 +134,9 @@ class ShardIsolationRule(Rule):
                     line=line,
                     code=self.code,
                     message=(
-                        f"{msg} while reachable from a parallel shard "
-                        f"entry point [{blame}]; move the write to a "
-                        f"calling-thread merge point or mark the "
+                        f"{msg} while reachable from a shard entry "
+                        f"point [{blame}]; move the write to a "
+                        f"between-rounds merge point or mark the "
                         f"function '# repro: shared-ok[R006]'"
                     ),
                 ))
@@ -146,7 +146,7 @@ class ShardIsolationRule(Rule):
             fn = cg.functions[fid]
             if not fn.shared_ok or fid in sanctioned_used:
                 continue
-            why = ("it is not reachable from a parallel shard entry point"
+            why = ("it is not reachable from a shard entry point"
                    if fid not in reachable
                    else "it writes no shared state")
             findings.append(Finding(
@@ -273,5 +273,4 @@ class RngProvenanceRule(Rule):
                         ),
                     )
                 # otherwise: unresolved receiver (dict entry, comprehension
-                # binding, …) — the runtime sanitizer + mode-identity gate
-                # are the backstop.
+                # binding, …) — the same-seed replay diffs are the backstop.

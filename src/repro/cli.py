@@ -9,18 +9,14 @@ Usage::
     python -m repro byzantine --seed 1 [--attack-start 30] [--json]
     python -m repro churn --seed 1 [--backends spt,protected] [--json]
     python -m repro crowd --seed 1 [--sizes 64,10000] [--loss 0,0.15] [--json]
-    python -m repro federate --seed 1 [--domains 2,4,8] [--parallel] [--json]
+    python -m repro federate --seed 1 [--domains 2,4,8] [--json]
     python -m repro fedchaos --seed 1 [--loss 0.05,0.2] [--windows 3,4] [--json]
     python -m repro bench [--quick] [--baseline BENCH_x.json]
     python -m repro lint [--json] [--root DIR]
-    python -m repro sanitize [--fuzz-seeds 3] [--domains 4] [--json]
 
 ``lint`` runs the determinism & contract linter (rules R001-R008 — incl.
 the interprocedural shard-isolation/RNG-provenance rules, DESIGN.md §11
 and §16) and exits 0 when clean, 1 on findings, 2 on internal error.
-``sanitize`` runs a parallel federated smoke under the runtime
-shared-state sanitizer and fuzzes N seeds sequential-vs-parallel
-(exit 1 on any cross-shard write or replay divergence).
 
 ``REPRO_FULL=1`` switches every experiment to the paper's 1200 s horizon.
 ``demo``, ``chaos``, ``byzantine``, ``churn``, ``federate`` and
@@ -288,9 +284,7 @@ def _cmd_federate(args) -> None:
             total_receivers=args.receivers,
             domain_counts=domain_counts,
             cadence=args.cadence,
-            parallel=args.parallel,
             tolerance=args.tolerance,
-            check_parallel=not args.no_parallel_check,
             recorder=recorder,
         )
     except ValueError as exc:
@@ -337,7 +331,6 @@ def _cmd_fedchaos(args) -> None:
             retry_limit=args.retries,
             recovery_rounds=args.recovery_rounds,
             plan=plan,
-            check_parallel=not args.no_parallel_check,
             recorder=recorder,
         )
     except ValueError as exc:
@@ -452,28 +445,6 @@ def _cmd_lint(args) -> int:
         print(f"lint: {result.files_scanned} files scanned, {status}",
               file=sys.stderr)
     return 0 if result.clean else 1
-
-
-def _cmd_sanitize(args) -> None:
-    from .analysis.sanitize import render_sanitize_report, run_sanitize
-
-    try:
-        result = run_sanitize(
-            seed=args.seed,
-            duration=args.duration or 24.0,
-            n_domains=args.domains,
-            receivers_per_domain=args.receivers_per_domain,
-            cadence=args.cadence,
-            fuzz_seeds=args.fuzz_seeds,
-        )
-    except ValueError as exc:
-        sys.exit(f"sanitize: {exc}")
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-    else:
-        print(render_sanitize_report(result))
-    if not result["ok"]:
-        sys.exit(1)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -592,14 +563,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fed.add_argument("--cadence", type=float, default=4.0,
                      help="summary-exchange cadence, simulated seconds "
                           "(default 4)")
-    fed.add_argument("--parallel", action="store_true",
-                     help="advance domain shards on a thread pool")
     fed.add_argument("--tolerance", type=float, default=0.15,
                      help="allowed control-bytes-per-receiver spread "
                           "across the sweep (default 0.15)")
-    fed.add_argument("--no-parallel-check", action="store_true",
-                     help="skip the sequential-vs-parallel equivalence "
-                          "rerun of the smallest sweep point")
     fed.add_argument("--no-artifacts", action="store_true",
                      help="skip writing the run directory under runs/")
     fed.set_defaults(fn=_cmd_federate)
@@ -637,9 +603,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fedchaos.add_argument("--plan", type=str, default=None,
                           help="JSON fault plan replacing the built-in "
                                "storm (collapses the sweep to one point)")
-    fedchaos.add_argument("--no-parallel-check", action="store_true",
-                          help="skip the sequential-vs-parallel equivalence "
-                               "rerun of each point")
     fedchaos.add_argument("--no-artifacts", action="store_true",
                           help="skip writing the run directory under runs/")
     fedchaos.set_defaults(fn=_cmd_fedchaos)
@@ -700,26 +663,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lint.add_argument("--root", type=str, default=".",
                       help="repo root to scan (default: .)")
     lint.set_defaults(fn=_cmd_lint)
-
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="parallel federated run under the shared-state sanitizer "
-             "plus an N-seed sequential-vs-parallel determinism fuzz",
-    )
-    sanitize.add_argument("--seed", type=int, default=1)
-    sanitize.add_argument("--duration", type=float, default=None,
-                          help="simulated seconds per run (default 24)")
-    sanitize.add_argument("--domains", type=int, default=4,
-                          help="number of domains (default 4)")
-    sanitize.add_argument("--receivers-per-domain", type=int, default=8,
-                          help="receivers per domain (default 8)")
-    sanitize.add_argument("--cadence", type=float, default=4.0,
-                          help="federation round cadence (default 4)")
-    sanitize.add_argument("--fuzz-seeds", type=int, default=3,
-                          help="consecutive seeds to fuzz (default 3)")
-    sanitize.add_argument("--json", action="store_true",
-                          help="emit the JSON result document")
-    sanitize.set_defaults(fn=_cmd_sanitize)
 
     args = parser.parse_args(argv)
     rc = args.fn(args)

@@ -149,8 +149,8 @@ class FederationAdvice:
     ``ceiling`` is the highest layer any domain can use (layers above it
     carry traffic nobody can decode), ``floor`` the lowest fit across
     domains; both are derived purely from :class:`SubtreeSummary`
-    aggregates, merged in sorted-domain order so sequential and parallel
-    shard execution produce identical advice.
+    aggregates, merged in sorted-domain order so the advice does not depend
+    on the order summaries arrive in.
 
     ``epoch``/``round`` make the advice safe on an unreliable channel:
     shards reject advice from a deposed coordinator (lower epoch) or from

@@ -7,7 +7,7 @@ real sharded subsystem:
 * :class:`DomainPartitioner` clips a global topology into per-domain
   :class:`DomainView`\\ s;
 * :class:`DomainShard` runs one domain as a standalone controller + simnet
-  slice (seeded per-shard RNG streams, executor-parallel safe);
+  slice (seeded per-shard RNG streams, no state shared with siblings);
 * :class:`~repro.control.messages.SubtreeSummary` aggregates cross the
   domain boundary on a fixed cadence;
 * :class:`FederationCoordinator` merges them into session-level

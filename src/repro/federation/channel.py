@@ -15,8 +15,8 @@ Determinism model (matches :func:`repro.federation.shard.shard_seed`): each
 ``(domain, direction)`` pair owns a private ``default_rng`` rooted at
 BLAKE2(``"<seed>:fedchan/<domain>/<direction>"``), so adding or removing
 domains never perturbs a sibling's draws; all draws happen at the round
-barrier on the calling thread in sorted-domain order, so sequential and
-executor-parallel shard execution see identical channel behaviour.
+barrier in sorted-domain order, so same-seed runs see identical channel
+behaviour.
 Impairments change only via :class:`~repro.faults.plan.FaultPlan` events,
 which fire at deterministic barrier times.
 """

@@ -10,10 +10,7 @@ coordinator crash -> failover) and gates the partition-tolerance claims:
 * **no ceiling overshoot** — once a shard's advice age exceeds the
   staleness budget, its (decayed) effective session ceiling must never
   exceed the ceiling the same-seed *fault-free* run advised at the same
-  round: a dark domain degrades conservatively, it never over-subscribes;
-* **mode equivalence** — sequential and executor-parallel shard execution
-  must be bit-identical under the same fault plan (summaries, advice,
-  retries, timeouts, fault log, everything but wall timings).
+  round: a dark domain degrades conservatively, it never over-subscribes.
 
 Plans round-trip through JSON (``tools/run_fedchaos.py --save-plan`` /
 ``--plan``) and the whole result is deterministic modulo wall-clock
@@ -22,6 +19,7 @@ fields, so CI replays it diff-clean with ``--strip-timings``.
 
 from __future__ import annotations
 
+import json
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +35,7 @@ __all__ = [
     "DEFAULT_PARTITION_ROUNDS",
     "default_fedchaos_plan",
     "run_fedchaos",
+    "strip_timings",
     "render_fedchaos_report",
 ]
 
@@ -96,7 +95,6 @@ def _run_one(
     seed: int,
     duration: float,
     cadence: float,
-    parallel: bool,
     plan: Optional[FaultPlan],
     retry_limit: int,
     staleness_budget: int,
@@ -110,7 +108,7 @@ def _run_one(
         n_domains, receivers_per_domain, seed=seed, traffic=traffic
     )
     fed = FederatedSession(
-        views, seed=seed, cadence=cadence, parallel=parallel, bus=bus,
+        views, seed=seed, cadence=cadence, bus=bus,
         profiler=Profiler(), channel=InterDomainChannel(seed=seed),
         plan=plan, retry_limit=retry_limit,
         staleness_budget=staleness_budget, decay_floor=decay_floor,
@@ -149,7 +147,6 @@ def _run_one(
     tiers = fed.control_bytes_by_tier()
     channel = fed.channel.summary() if fed.channel is not None else {}
     return {
-        "parallel": parallel,
         "rounds": fed.rounds_completed,
         "events": fed.events_processed,
         "wall_s": round(wall, 4),
@@ -166,10 +163,14 @@ def _run_one(
     }
 
 
-def _comparable(run: Dict[str, Any]) -> Dict[str, Any]:
-    """The mode-equivalence projection: everything but wall timings and
-    the parallel flag itself."""
-    return {k: v for k, v in run.items() if k not in ("wall_s", "parallel")}
+def strip_timings(result: Dict[str, Any]) -> Dict[str, Any]:
+    """A :func:`run_fedchaos` result with wall-clock timing removed — the
+    projection two same-plan runs must agree on bit-for-bit."""
+    out = json.loads(json.dumps(result, default=str))
+    out.get("baseline", {}).pop("wall_s", None)
+    for p in out.get("points", ()):
+        p.get("faulted", {}).pop("wall_s", None)
+    return out
 
 
 def _check_recovery(
@@ -265,17 +266,15 @@ def run_fedchaos(
     recovery_rounds: int = 3,
     traffic: str = "cbr",
     plan: Optional[FaultPlan] = None,
-    check_parallel: bool = True,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Sweep loss × partition windows against one fault-free baseline.
 
-    Each point runs the same-seed federation three ways — fault-free
-    baseline (shared across points), faulted sequential, faulted parallel
-    — and gates recovery, overshoot and mode equivalence per point.  With
-    an explicit ``plan`` the sweep collapses to a single point replaying
-    exactly that plan.  The returned dict is JSON-friendly;
-    ``result["ok"]`` is the CI gate.
+    Each point runs the same-seed federation under its fault plan and
+    gates recovery and overshoot against the fault-free baseline (run once,
+    shared across points).  With an explicit ``plan`` the sweep collapses
+    to a single point replaying exactly that plan.  The returned dict is
+    JSON-friendly; ``result["ok"]`` is the CI gate.
     """
     if n_domains < 2:
         raise ValueError("fedchaos needs at least two domains")
@@ -313,24 +312,16 @@ def run_fedchaos(
         retry_limit=retry_limit, staleness_budget=staleness_budget,
         decay_floor=decay_floor, traffic=traffic,
     )
-    baseline = _run_one(parallel=False, plan=None, **common)
+    baseline = _run_one(plan=None, **common)
 
     points: List[Dict[str, Any]] = []
     for i, (loss, window, point_plan) in enumerate(combos):
         faulted = _run_one(
-            parallel=False, plan=point_plan,
-            bus=bus if i == len(combos) - 1 else None, **common,
+            plan=point_plan, bus=bus if i == len(combos) - 1 else None,
+            **common,
         )
-        modes_identical: Optional[bool] = None
-        if check_parallel:
-            par = _run_one(parallel=True, plan=point_plan, **common)
-            modes_identical = _comparable(faulted) == _comparable(par)
         recovery = _check_recovery(faulted, recovery_rounds)
         overshoot = _check_overshoot(faulted, baseline)
-        point_ok = (
-            recovery["ok"] and overshoot["ok"]
-            and modes_identical is not False
-        )
         points.append({
             "loss": loss,
             "partition_rounds": window,
@@ -338,21 +329,16 @@ def run_fedchaos(
             "delay_rounds": delay_rounds,
             "plan": point_plan.to_dicts(),
             "faulted": faulted,
-            "parallel_identical": modes_identical,
             "recovery": recovery,
             "overshoot": overshoot,
-            "ok": bool(point_ok),
+            "ok": bool(recovery["ok"] and overshoot["ok"]),
         })
 
     gates = {
         "recovery_within_bound": all(p["recovery"]["ok"] for p in points),
         "no_ceiling_overshoot": all(p["overshoot"]["ok"] for p in points),
-        "modes_identical": (
-            None if not check_parallel
-            else all(p["parallel_identical"] for p in points)
-        ),
     }
-    ok = all(v for v in gates.values() if v is not None)
+    ok = all(gates.values())
     return {
         "seed": seed,
         "duration": duration,
@@ -401,14 +387,12 @@ def render_fedchaos_report(result: Dict[str, Any]) -> str:
             f"recovered by round {rec.get('recovered_by_round')}"
             if rec["ok"] else "NOT recovered"
         )
-        modes = p["parallel_identical"]
         lines.append(
             f"     failover @ round {rec.get('failover_round')} -> "
             f"epoch {rec.get('expected_epoch')}, {recovered} "
             f"(bound {rec.get('bound_round')}); overshoot "
             f"{p['overshoot']['violations']}/{p['overshoot']['checked']} "
-            f"checked; modes "
-            f"{'identical' if modes else 'skipped' if modes is None else 'DIVERGED'}"
+            f"checked"
         )
         dark = f["shards"].get(result["partition_domain"])
         base = result["baseline"]["shards"].get(result["partition_domain"])
@@ -419,9 +403,6 @@ def render_fedchaos_report(result: Dict[str, Any]) -> str:
                 f"(optimal {base['optimal_level']:.2f})"
             )
     for name, val in result["gates"].items():
-        lines.append(
-            f"  gate {name}: "
-            + ("skipped" if val is None else "PASS" if val else "FAIL")
-        )
+        lines.append(f"  gate {name}: " + ("PASS" if val else "FAIL"))
     lines.append("RESULT: " + ("OK" if result["ok"] else "FAILED"))
     return "\n".join(lines)

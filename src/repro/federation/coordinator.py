@@ -13,8 +13,8 @@ Structural guarantees backing the scaling and robustness claims:
   ``Register`` smuggled upward raises and is counted in
   ``type_rejected``); nothing receiver-granular ever enters this tier.
 * **Order-independent merging.**  :meth:`merge` folds summaries in sorted
-  ``(session, domain)`` order regardless of arrival order, so sequential
-  and executor-parallel shard execution produce identical advice.
+  ``(session, domain)`` order regardless of arrival order, so delayed,
+  retried or duplicated summaries produce the same advice.
 * **Monotone per-key rounds.**  A summary whose ``round`` is not newer
   than the stored one for its ``(session, domain)`` key is dropped and
   counted in ``stale_rejected`` — this absorbs the duplicates and

@@ -10,9 +10,7 @@ scaling claims:
 * **bounded coordinator memory** — the coordinator stores at most one
   summary per (session, domain), independent of receiver count;
 * **report isolation** — the coordinator never ingests a per-receiver
-  report (structurally rejected and counted);
-* **mode equivalence** — sequential and executor-parallel shard execution
-  produce identical session-level advice and per-domain aggregates.
+  report (structurally rejected and counted).
 
 Per-domain convergence is also scored against the per-shard oracle so a
 federation that is cheap but wrong cannot pass.
@@ -20,6 +18,7 @@ federation that is cheap but wrong cannot pass.
 
 from __future__ import annotations
 
+import json
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -33,6 +32,7 @@ __all__ = [
     "DEFAULT_DOMAIN_COUNTS",
     "build_federated_views",
     "run_federate",
+    "strip_timings",
     "render_federate_report",
 ]
 
@@ -68,7 +68,6 @@ def _run_point(
     seed: int,
     duration: float,
     cadence: float,
-    parallel: bool,
     traffic: str,
     bus: Optional[Any] = None,
 ) -> Dict[str, Any]:
@@ -79,8 +78,7 @@ def _run_point(
     )
     profiler = Profiler()
     fed = FederatedSession(
-        views, seed=seed, cadence=cadence, parallel=parallel,
-        bus=bus, profiler=profiler,
+        views, seed=seed, cadence=cadence, bus=bus, profiler=profiler,
     )
     wall0 = perf_counter()
     fed.run(duration)
@@ -127,7 +125,6 @@ def _run_point(
         "n_domains": n_domains,
         "n_receivers": n_receivers,
         "receivers_per_domain": receivers_per_domain,
-        "parallel": parallel,
         "rounds": fed.rounds_completed,
         "events": fed.events_processed,
         "wall_s": round(wall, 4),
@@ -150,20 +147,14 @@ def _run_point(
     }
 
 
-def _comparable(point: Dict[str, Any]) -> Dict[str, Any]:
-    """The mode-equivalence projection: everything but wall timings."""
-    domains = {
-        name: {k: v for k, v in rec.items() if k != "wall_s"}
-        for name, rec in point["domains"].items()
-    }
-    return {
-        "advice": point["advice"],
-        "control_bytes": point["control_bytes"],
-        "coordinator": point["coordinator"],
-        "domains": domains,
-        "events": point["events"],
-        "rounds": point["rounds"],
-    }
+def strip_timings(result: Dict[str, Any]) -> Dict[str, Any]:
+    """A :func:`run_federate` result with wall-clock timing removed — the
+    projection two same-seed runs must agree on bit-for-bit."""
+    out = json.loads(json.dumps(result, default=str))
+    for p in out.get("points", ()):
+        p.pop("wall_s", None)
+        p.pop("shard_wall_ms", None)
+    return out
 
 
 def run_federate(
@@ -172,20 +163,16 @@ def run_federate(
     total_receivers: int = 1024,
     domain_counts: Sequence[int] = DEFAULT_DOMAIN_COUNTS,
     cadence: float = 4.0,
-    parallel: bool = False,
     traffic: str = "cbr",
     tolerance: float = 0.15,
     deviation_budget: float = 0.5,
-    check_parallel: bool = True,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Sweep domain count at fixed total receivers and gate the claims.
 
     ``total_receivers`` is split evenly (it must divide by every entry of
     ``domain_counts`` so every point serves the same population).  The
-    returned dict is JSON-friendly; ``result["ok"]`` is the CI gate.  With
-    ``check_parallel`` the smallest point is rerun in executor-parallel
-    mode and must match the sequential run exactly (modulo wall timings).
+    returned dict is JSON-friendly; ``result["ok"]`` is the CI gate.
     """
     counts = sorted(set(int(n) for n in domain_counts))
     if not counts or counts[0] < 1:
@@ -203,8 +190,8 @@ def run_federate(
     points: List[Dict[str, Any]] = []
     for n in counts:
         points.append(_run_point(
-            n, total_receivers // n, seed, duration, cadence, parallel,
-            traffic, bus=bus if n == counts[-1] else None,
+            n, total_receivers // n, seed, duration, cadence, traffic,
+            bus=bus if n == counts[-1] else None,
         ))
 
     cbprs = [p["control_bytes_per_receiver"] for p in points]
@@ -224,39 +211,21 @@ def run_federate(
         for p in points for rec in p["domains"].values()
     )
 
-    modes_match: Optional[bool] = None
-    parallel_point: Optional[Dict[str, Any]] = None
-    if check_parallel:
-        parallel_point = _run_point(
-            counts[0], total_receivers // counts[0], seed, duration,
-            cadence, not parallel, traffic,
-        )
-        modes_match = _comparable(points[0]) == _comparable(parallel_point)
-
-    ok = flat and bounded and isolated and converged and modes_match is not False
+    ok = flat and bounded and isolated and converged
     return {
         "seed": seed,
         "duration": duration,
         "cadence": cadence,
         "total_receivers": total_receivers,
         "domain_counts": counts,
-        "parallel": parallel,
         "tolerance": tolerance,
         "deviation_budget": deviation_budget,
         "points": points,
-        "parallel_check": (
-            None if parallel_point is None else {
-                "n_domains": parallel_point["n_domains"],
-                "parallel": parallel_point["parallel"],
-                "identical": modes_match,
-            }
-        ),
         "gates": {
             "control_bytes_flat": flat,
             "coordinator_bounded": bounded,
             "no_per_receiver_reports": isolated,
             "domains_converged": converged,
-            "modes_identical": modes_match,
         },
         "ok": bool(ok),
     }
@@ -268,8 +237,7 @@ def render_federate_report(result: Dict[str, Any]) -> str:
         f"federate seed={result['seed']} duration={result['duration']:.0f}s "
         f"cadence={result['cadence']:.1f}s "
         f"total_receivers={result['total_receivers']} "
-        f"domains={result['domain_counts']} "
-        f"({'parallel' if result['parallel'] else 'sequential'} shards)"
+        f"domains={result['domain_counts']}"
     ]
     for p in result["points"]:
         coord = p["coordinator"]
@@ -294,7 +262,6 @@ def render_federate_report(result: Dict[str, Any]) -> str:
         )
     gates = result["gates"]
     for name, val in gates.items():
-        lines.append(f"  gate {name}: "
-                     + ("PASS" if val else "skipped" if val is None else "FAIL"))
+        lines.append(f"  gate {name}: " + ("PASS" if val else "FAIL"))
     lines.append("RESULT: " + ("OK" if result["ok"] else "FAILED"))
     return "\n".join(lines)

@@ -9,8 +9,8 @@ characteristics, and the sessions/receivers living inside the domain.
 
 A view is everything a :class:`~repro.federation.shard.DomainShard` needs to
 rebuild the domain as a *standalone* simulation slice — no object from the
-global scenario is shared, which is what makes shards executor-parallel
-safe.
+global scenario is shared, which is what keeps shards isolated from one
+another.
 
 Assignments can be given explicitly (node → domain mapping) or derived with
 :meth:`DomainPartitioner.by_gateways`: name one border gateway per domain

@@ -8,9 +8,9 @@ simulated seconds:
 1. federation fault events due by the barrier fire (channel impairments,
    domain partitions, coordinator crash/failover — see
    :class:`~repro.faults.injectors.FederationInjector`);
-2. every shard simulates independently up to the round barrier
-   (sequentially in sorted-domain order by default, or on a
-   ``concurrent.futures`` thread pool with ``parallel=True``);
+2. every shard simulates independently up to the round barrier, one
+   after another in sorted-domain order (``_advance_shards`` — the single
+   seam an out-of-process backend would plug into);
 3. at the barrier each shard publishes one
    :class:`~repro.control.messages.SubtreeSummary` per session — over the
    :class:`~repro.federation.channel.InterDomainChannel` when one is
@@ -24,20 +24,20 @@ simulated seconds:
    domain is dark, and past the budget the shard conservatively decays its
    controller's session ceiling.
 
-Determinism model: shards share no mutable state and draw from seeds
-derived per domain name, so each shard's trajectory is a pure function of
-``(federation seed, its view, cadence schedule)`` — thread interleaving
-cannot touch it.  All cross-shard work (steps 1, 3–5) happens on the
-calling thread after the barrier, in sorted order; the channel draws from
-per-``(domain, direction)`` streams in that same order.  Sequential and
-parallel modes therefore produce identical summaries, advice, fault
-behaviour and per-shard results; the only things allowed to differ are
-wall-clock profiler laps.
+Determinism model: there is one execution path.  Shards share no mutable
+state (lint rule R006 proves it statically) and draw from seeds derived per
+domain name, so each shard's trajectory up to a barrier is a pure function
+of ``(federation seed, its view, cadence schedule, advice delivered so
+far)`` — running a shard alone gives the trajectory it has inside the
+federation.  All cross-shard work (steps 1, 3–5) happens after the barrier
+in sorted-domain order; the channel draws from per-``(domain, direction)``
+streams in that same order.  Two runs of one seed therefore produce
+identical summaries, advice, fault behaviour and per-shard results; the
+only things allowed to differ are wall-clock profiler laps.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -58,8 +58,6 @@ class FederatedSession:
         views: Sequence[DomainView],
         seed: int = 0,
         cadence: float = 4.0,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
         config: Optional[Any] = None,
         interval: Optional[float] = None,
         bus: Optional[Any] = None,
@@ -70,7 +68,6 @@ class FederatedSession:
         backoff_base: float = 0.1,
         staleness_budget: int = 2,
         decay_floor: int = 1,
-        sanitizer: Optional[Any] = None,
     ):
         if cadence <= 0:
             raise ValueError("cadence must be positive")
@@ -83,8 +80,6 @@ class FederatedSession:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate domain names: {names}")
         self.cadence = float(cadence)
-        self.parallel = bool(parallel)
-        self.max_workers = max_workers
         self.bus = bus
         self.profiler = profiler
         self.retry_limit = int(retry_limit)
@@ -125,19 +120,6 @@ class FederatedSession:
                     )
         self.rounds_completed = 0
         self.now = 0.0
-        #: Optional :class:`~repro.analysis.sanitize.SharedStateSanitizer`:
-        #: shard advances run inside per-domain scopes and the shared
-        #: control plane (coordinator, channel) is adopted so any scoped
-        #: write to it is flagged.
-        self.sanitizer = sanitizer
-        self._adopt_shared()
-
-    def _adopt_shared(self) -> None:
-        if self.sanitizer is None:
-            return
-        self.sanitizer.adopt_shared(self.coordinator)
-        if self.channel is not None:
-            self.sanitizer.adopt_shared(self.channel)
 
     # ------------------------------------------------------------------
     @property
@@ -186,7 +168,6 @@ class FederatedSession:
                     round=self.rounds_completed,
                     domains=self.n_domains,
                     summaries=self.coordinator.tracked(),
-                    parallel=self.parallel,
                 )
             self.now = target
 
@@ -209,29 +190,18 @@ class FederatedSession:
             self._injector.execute(ev.kind, ev.args, ev.kwargs)
 
     def _advance_shards(self, target: float) -> None:
-        t0 = perf_counter()
-        if self.parallel and len(self.shards) > 1:
-            workers = self.max_workers or len(self.shards)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                laps = list(pool.map(
-                    _advance_one,
-                    [self.shards[name] for name in sorted(self.shards)],
-                    [target] * len(self.shards),
-                    [self.sanitizer] * len(self.shards),
-                ))
-        else:
-            laps = [
-                _advance_one(self.shards[name], target, self.sanitizer)
-                for name in sorted(self.shards)
-            ]
-        if self.profiler is not None:
-            for name, wall in laps:
-                self.profiler.add(f"fed.shard.{name}", wall)
-            self.profiler.add("fed.round", perf_counter() - t0)
+        prof = self.profiler
+        t0 = t = perf_counter()
+        for name in sorted(self.shards):
+            self.shards[name].run_to(target)
+            if prof is not None:
+                t = prof.lap(f"fed.shard.{name}", t)
+        if prof is not None:
+            prof.add("fed.round", t - t0)
 
     # ------------------------------------------------------------------
     def _exchange(self, now: float, round_no: int) -> None:
-        """Barrier-time summary/advice exchange, on the calling thread."""
+        """Barrier-time summary/advice exchange, in sorted-domain order."""
         t0 = perf_counter()
         ch = self.channel
         if ch is not None:
@@ -332,7 +302,6 @@ class FederatedSession:
         standby.resume_from(old.replicated_summaries())
         self._retired.append(old)
         self.coordinator = standby
-        self._adopt_shared()
         self.coordinator_failovers += 1
         self.failover_rounds.append(self.rounds_completed + 1)
         if self.bus is not None:
@@ -390,14 +359,3 @@ class FederatedSession:
     def control_bytes_total(self) -> int:
         return sum(self.control_bytes_by_tier().values())
 
-
-def _advance_one(
-    shard: DomainShard, target: float, sanitizer: Optional[Any] = None,
-) -> Any:
-    t0 = perf_counter()
-    if sanitizer is None:
-        shard.run_to(target)
-    else:
-        with sanitizer.shard_scope(str(shard.domain)):
-            shard.run_to(target)
-    return (str(shard.domain), perf_counter() - t0)

@@ -89,22 +89,17 @@ def _control_bytes(sc: Any) -> float:
     """All control-plane bytes a scenario's senders put on the wire.
 
     Covers every tier: domain controllers, receiver agents, and —
-    for federated scenarios — coordinator/aggregator senders
-    (``sc.coordinator``, plus anything in ``sc.aggregators``) and the
-    shards' summary uplinks.  Aggregator-tier senders only need a
-    ``control_bytes_sent`` counter to be counted.
+    for federated scenarios — the coordinator (``sc.coordinator``) and
+    the shards' summary uplinks.
     """
     total = sum(c.control_bytes_sent for c in sc.controllers.values())
     for h in sc.receivers:
         agent = h.agent
         if agent is not None:
             total += getattr(agent, "control_bytes_sent", 0)
-    aggregators = list(getattr(sc, "aggregators", ()) or ())
     coordinator = getattr(sc, "coordinator", None)
     if coordinator is not None:
-        aggregators.append(coordinator)
-    for sender in aggregators:
-        total += getattr(sender, "control_bytes_sent", 0)
+        total += getattr(coordinator, "control_bytes_sent", 0)
     shards = getattr(sc, "shards", None)
     if shards:
         total += sum(

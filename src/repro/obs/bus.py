@@ -99,7 +99,7 @@ TOPIC_REGISTRY: Tuple[TopicSpec, ...] = (
               "`floor`, `receivers`, `domains`)"),
     TopicSpec("federation.round", "federation/session.py",
               "one lockstep round completed (`round`, `domains`, "
-              "`summaries`, `parallel`)"),
+              "`summaries`)"),
     TopicSpec("federation.retry", "federation/session.py",
               "summary send attempt repeated after an unacknowledged "
               "attempt (`domain`, `session`, `attempt`, `backoff_s`)"),

@@ -1,9 +1,9 @@
-"""Known-bad R006: the static twin of the runtime injected-write test.
+"""Known-bad R006: a shard that aliases the shared coordinator.
 
-Mirrors ``tests/test_sanitize.py``'s ``LeakyShard``: a shard that keeps
-a class-level reference to the shared coordinator and pokes it from
-inside ``run_to``.  The runtime sanitizer catches this dynamically; the
-R006 rule must catch it statically (exactly one finding, at the poke).
+The shard keeps a class-level reference to the shared coordinator and
+pokes it from inside ``run_to``, so what one shard sees depends on which
+sibling advanced before it.  The R006 rule must catch it statically
+(exactly one finding, at the poke).
 """
 
 

@@ -1,9 +1,9 @@
 """Known-bad R006: shared write two frames below a shard entry point.
 
 ``DomainShard.run_to`` → ``_collect`` → ``_record`` — and ``_record``
-appends to a module-level list.  In parallel mode every shard thread
-would race on ``EVENTS``; the interprocedural pass must follow the call
-chain and flag the write (exactly one finding, at the append).
+appends to a module-level list.  Every shard would write the same
+``EVENTS``; the interprocedural pass must follow the call chain and flag
+the write (exactly one finding, at the append).
 """
 
 EVENTS = []

@@ -182,7 +182,7 @@ class TestCallGraphMechanics:
         assert len(reachable) > 100
         mods = {cg.functions[fid].module for fid in reachable}
         # scheduler callbacks registered at shard construction pull the
-        # whole per-shard algorithm stack into the parallel region
+        # whole per-shard algorithm stack into the shard-reachable set
         assert any(m.startswith("repro.core.") for m in mods)
         assert any(m.startswith("repro.simnet.") for m in mods)
 

@@ -137,8 +137,7 @@ class TestCli:
 
     def test_federate_json(self, capsys):
         assert main(["federate", "--receivers", "16", "--domains", "2,4",
-                     "--duration", "20", "--no-parallel-check",
-                     "--no-artifacts", "--json"]) == 0
+                     "--duration", "20", "--no-artifacts", "--json"]) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["ok"] is True
         assert [p["n_domains"] for p in result["points"]] == [2, 4]
@@ -149,7 +148,7 @@ class TestCli:
     ):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
         assert main(["federate", "--receivers", "8", "--domains", "2",
-                     "--duration", "20", "--no-parallel-check"]) == 0
+                     "--duration", "20"]) == 0
         capsys.readouterr()
         (run_dir,) = tmp_path.iterdir()
         assert run_dir.name.startswith("federate-s1-")
@@ -196,32 +195,3 @@ class TestLintExitCodes:
         (tmp_path / "src" / "oops.py").write_text("this is not python (\n")
         assert main(["lint", "--root", str(tmp_path)]) == 2
         assert "lint:" in capsys.readouterr().err
-
-
-class TestSanitizeCli:
-    """``repro sanitize``: pass exits zero, report names the verdict."""
-
-    def test_small_run_passes(self, capsys):
-        rc = main([
-            "sanitize", "--seed", "1", "--duration", "10",
-            "--domains", "2", "--receivers-per-domain", "4",
-            "--fuzz-seeds", "1",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "seed 1: ok" in out
-
-    def test_json_document(self, capsys):
-        rc = main([
-            "sanitize", "--seed", "2", "--duration", "10",
-            "--domains", "2", "--receivers-per-domain", "4",
-            "--fuzz-seeds", "1", "--json",
-        ])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
-        assert doc["checks"][0]["identical"] is True
-
-    def test_bad_fuzz_seeds_is_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["sanitize", "--fuzz-seeds", "0", "--duration", "5"])

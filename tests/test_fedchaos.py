@@ -407,11 +407,9 @@ class TestRunFedchaos:
         result = run_fedchaos(
             seed=1, n_domains=2, receivers_per_domain=4,
             loss_rates=(0.2,), partition_rounds=(3,),
-            check_parallel=True,
         )
         assert result["ok"], result["gates"]
         (point,) = result["points"]
-        assert point["parallel_identical"] is True
         assert point["recovery"]["ok"] and point["overshoot"]["ok"]
         assert point["overshoot"]["checked"] > 0  # gate is non-vacuous
         assert point["faulted"]["coordinator"]["epoch"] == 2
@@ -422,5 +420,4 @@ class TestRunFedchaos:
         with pytest.raises(ValueError, match="two domains"):
             run_fedchaos(n_domains=1)
         with pytest.raises(ValueError, match="partition_domain"):
-            run_fedchaos(n_domains=2, partition_domain="d9",
-                         check_parallel=False)
+            run_fedchaos(n_domains=2, partition_domain="d9")

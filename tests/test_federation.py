@@ -3,8 +3,8 @@
 Covers the partitioner's clipping (explicit assignments and gateway-subtree
 derivation, on both the hand-built multi-domain topology and the random
 tiered generator), shard isolation and seeding, the coordinator's
-aggregates-only contract, sequential/parallel mode equivalence, and a small
-end-to-end ``run_federate`` sweep.
+aggregates-only contract, same-seed replay identity, the shard-isolation
+oracle, and a small end-to-end ``run_federate`` sweep.
 """
 
 import dataclasses
@@ -154,6 +154,14 @@ class TestPartitioner:
 # ----------------------------------------------------------------------
 
 
+def _shard_traces(shard):
+    return [
+        (str(h.receiver_id), list(h.trace.times), list(h.trace.values),
+         h.receiver.level)
+        for h in shard.scenario.receivers
+    ]
+
+
 class TestShard:
     def test_shard_seed_stable_and_per_domain(self):
         assert shard_seed(1, "d1") == shard_seed(1, "d1")
@@ -176,11 +184,7 @@ class TestShard:
         for _ in range(2):
             shard = DomainShard(view, seed=3)
             shard.run_to(24.0)
-            traces.append([
-                (str(h.receiver_id), list(h.trace.times),
-                 list(h.trace.values), h.receiver.level)
-                for h in shard.scenario.receivers
-            ])
+            traces.append(_shard_traces(shard))
         assert traces[0] == traces[1]
 
     def test_seed_independent_of_sibling_domains(self):
@@ -293,15 +297,28 @@ def _session_digest(fed):
 
 
 class TestFederatedSession:
-    def test_sequential_equals_parallel(self):
+    def test_same_seed_replay_identical(self):
         views = _views(n_domains=4, receivers_per_domain=2, seed=2)
         digests = []
-        for parallel in (False, True):
-            fed = FederatedSession(views, seed=2, cadence=4.0,
-                                   parallel=parallel)
+        for _ in range(2):
+            fed = FederatedSession(views, seed=2, cadence=4.0)
             fed.run(24.0)
             digests.append(_session_digest(fed))
         assert digests[0] == digests[1]
+
+    def test_shards_advance_as_if_alone(self):
+        """Shard isolation: up to the first barrier each shard inside the
+        federation is indistinguishable from the same shard run alone."""
+        views = _views(n_domains=4, receivers_per_domain=2, seed=2)
+        fed = FederatedSession(views, seed=2, cadence=4.0)
+        fed.run(4.0)
+        for view in views:
+            alone = DomainShard(view, seed=2)
+            alone.run_to(4.0)
+            inside = fed.shards[str(view.domain)]
+            assert (inside.scenario.sched.events_processed
+                    == alone.scenario.sched.events_processed)
+            assert _shard_traces(inside) == _shard_traces(alone)
 
     def test_control_byte_tiers(self):
         fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0)
@@ -346,12 +363,11 @@ class TestRunFederate:
     def test_small_sweep_passes_gates(self):
         result = run_federate(
             seed=1, duration=20.0, total_receivers=16,
-            domain_counts=(2, 4), check_parallel=True,
+            domain_counts=(2, 4),
         )
         assert result["ok"], result["gates"]
         assert [p["n_domains"] for p in result["points"]] == [2, 4]
         assert all(p["n_receivers"] == 16 for p in result["points"])
-        assert result["parallel_check"]["identical"] is True
         for p in result["points"]:
             assert p["coordinator"]["rejected_messages"] == 0
             assert p["coordinator"]["peak_tracked"] <= (
@@ -361,4 +377,4 @@ class TestRunFederate:
     def test_uneven_split_rejected(self):
         with pytest.raises(ValueError, match="divide"):
             run_federate(total_receivers=10, domain_counts=(3,),
-                         duration=4.0, check_parallel=False)
+                         duration=4.0)

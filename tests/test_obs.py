@@ -485,10 +485,9 @@ class TestBench:
 
         class Fed(Sc):
             coordinator = Coord()
-            aggregators = (Coord(),)
             shards = {"d1": Shard(), "d2": Shard()}
 
-        assert _control_bytes(Fed()) == 120.0 + 7 + 7 + 5 + 5
+        assert _control_bytes(Fed()) == 120.0 + 7 + 5 + 5
 
 
 class TestSchedulerObservability:

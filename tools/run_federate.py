@@ -14,9 +14,8 @@ run artifacts:
 Exits non-zero when any gate fails: control bytes per receiver must stay
 flat (within ``--tolerance``) as domains are added, the coordinator's
 summary store must stay bounded by domains x sessions (and it must never
-have been offered a per-receiver report), every domain must converge near
-its oracle optimum, and the sequential and executor-parallel shard modes
-must produce identical results (modulo wall timings).
+have been offered a per-receiver report), and every domain must converge
+near its oracle optimum.
 
 Replaying the same seed and arguments reproduces ``result.json`` exactly,
 except for the ``wall_s`` / ``shard_wall_ms`` timing fields — strip those
@@ -32,21 +31,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.federation import (  # noqa: E402
+from repro.federation.experiment import (  # noqa: E402
     DEFAULT_DURATION,
     render_federate_report,
     run_federate,
+    strip_timings,
 )
-
-
-def strip_timings(result: dict) -> dict:
-    """A deep copy of ``result`` without wall-clock timing fields — the
-    replay-diff projection used by CI."""
-    clean = json.loads(json.dumps(result, default=str))
-    for point in clean.get("points", []):
-        point.pop("wall_s", None)
-        point.pop("shard_wall_ms", None)
-    return clean
 
 
 def main(argv=None) -> int:
@@ -58,12 +48,8 @@ def main(argv=None) -> int:
     parser.add_argument("--domains", type=str, default="2,4,8",
                         help="comma-separated domain counts (default 2,4,8)")
     parser.add_argument("--cadence", type=float, default=4.0)
-    parser.add_argument("--parallel", action="store_true",
-                        help="advance shards on a thread pool")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="allowed control-B/receiver spread (default 0.15)")
-    parser.add_argument("--no-parallel-check", action="store_true",
-                        help="skip the mode-equivalence rerun")
     parser.add_argument("--json", action="store_true",
                         help="emit the full result as JSON")
     parser.add_argument("--strip-timings", action="store_true",
@@ -78,9 +64,7 @@ def main(argv=None) -> int:
             total_receivers=args.receivers,
             domain_counts=[int(n) for n in args.domains.split(",") if n],
             cadence=args.cadence,
-            parallel=args.parallel,
             tolerance=args.tolerance,
-            check_parallel=not args.no_parallel_check,
         )
     except ValueError as exc:
         parser.error(str(exc))
