@@ -1,8 +1,8 @@
 """Static analysis: ``repro lint``.
 
-``python -m repro lint`` (or ``tools/run_lint.py``) walks ``src/``,
-``tools/`` and ``tests/`` and enforces the repo-specific rule catalogue
-R001-R008 (DESIGN.md §11 and §16) — the per-file determinism rules, the
+``python -m repro lint`` walks ``src/``, ``tools/`` and ``tests/`` and
+enforces the repo-specific rule catalogue R001-R008 (DESIGN.md §11 and
+§16) — the per-file determinism rules, the
 cross-file contract checkers, and the interprocedural whole-program
 rules R006 (shard isolation) / R007 (RNG provenance) built on the
 call-graph + effect summaries in :mod:`repro.analysis.callgraph` and

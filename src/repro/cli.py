@@ -5,7 +5,7 @@ Usage::
     python -m repro fig6 [--duration 600] [--seed 1]
     python -m repro fig7 | fig8 | fig9 | fig10 | table1
     python -m repro demo --topology a --receivers 4 --traffic vbr --peak 3
-    python -m repro chaos --seed 1 [--plan faults.json] [--json]
+    python -m repro chaos --seed 1 [--save-plan f.json | --plan f.json] [--json]
     python -m repro byzantine --seed 1 [--attack-start 30] [--json]
     python -m repro churn --seed 1 [--backends spt,protected] [--json]
     python -m repro crowd --seed 1 [--sizes 64,10000] [--loss 0,0.15] [--json]
@@ -14,12 +14,19 @@ Usage::
     python -m repro bench [--quick] [--baseline BENCH_x.json]
     python -m repro lint [--json] [--root DIR]
 
+The six gated experiments are rows of :data:`EXPERIMENTS` driven by one
+function; every one takes ``--json --strip-timings`` (output two same-input
+runs must agree on byte for byte) and, where its input is replayable,
+``--save-plan``/``--plan`` or ``--save-spec``/``--spec``.
+
+Every subcommand exits 0 when its gates hold, 1 when one fails (or lint
+has findings) and 2 with a one-line message on input it cannot use.
 ``lint`` runs the determinism & contract linter (rules R001-R008 — incl.
 the interprocedural shard-isolation/RNG-provenance rules, DESIGN.md §11
-and §16) and exits 0 when clean, 1 on findings, 2 on internal error.
+and §16).
 
-``REPRO_FULL=1`` switches every experiment to the paper's 1200 s horizon.
-``demo``, ``chaos``, ``byzantine``, ``churn``, ``federate`` and
+``REPRO_FULL=1`` switches every figure to the paper's 1200 s horizon.
+``demo``, ``chaos``, ``byzantine``, ``churn``, ``crowd``, ``federate`` and
 ``fedchaos`` write run artifacts (manifest, JSONL event log, metrics)
 under ``runs/`` — move the root with ``REPRO_RUNS_DIR`` or disable with
 ``--no-artifacts``.
@@ -30,12 +37,235 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .experiments import figures
+from . import federation
+from .experiments import byzantine, chaos, churn, crowd, figures
 from .experiments.topologies import build_topology_a, build_topology_b
+from .faults import FaultPlan
+from .obs.run import RunRecorder, strip_timings
+from .workloads import WorkloadSpec
 
-__all__ = ["main"]
+__all__ = ["EXPERIMENTS", "main"]
+
+
+# ----------------------------------------------------------------------
+# The experiment table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Opt:
+    """One experiment-specific flag and the ``run_*`` keyword it feeds."""
+
+    flag: str
+    kwarg: str
+    type: Callable[[str], Any]
+    default: Any
+    help: str
+
+
+@dataclass(frozen=True)
+class Replay:
+    """An experiment's replayable input: ``--<kind> FILE`` loads it and
+    ``--save-<kind> FILE`` writes the one the run used."""
+
+    kind: str  # the flag stem and the run_* keyword: "plan" or "spec"
+    load: Callable[[Any], Any]
+    #: ``(result, loaded input or None) -> JSON document`` of the input run.
+    used: Callable[[Dict[str, Any], Any], Any]
+    help: str
+    save_help: str = "write the plan that was used to this JSON file"
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One gated experiment: everything the driver needs, as data."""
+
+    name: str
+    help: str
+    run: Callable[..., Dict[str, Any]]
+    render: Callable[[Dict[str, Any]], str]
+    duration: float
+    #: Wall-clock result keys ``--strip-timings`` removes (at any depth).
+    timing_keys: Tuple[str, ...]
+    options: Tuple[Opt, ...]
+    replay: Optional[Replay] = None
+
+
+# argparse ``type=`` converters; it names them in its error messages, and a
+# ValueError from one is an exit-2 usage error.
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def int_list(text: str) -> List[int]:
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+def float_list(text: str) -> List[float]:
+    return [float(s) for s in text.split(",") if s.strip()]
+
+
+def name_list(text: str) -> List[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+def _result_plan(result: Dict[str, Any], _loaded: Any) -> Any:
+    return result["plan"]
+
+
+def _single_point_plan(result: Dict[str, Any], _loaded: Any) -> Any:
+    points = result["points"]
+    if len(points) != 1:
+        raise ValueError("--save-plan needs exactly one --loss and one "
+                         "--windows value (a plan encodes a single point)")
+    return points[0]["plan"]
+
+
+def _smallest_crowd_spec(result: Dict[str, Any], loaded: Any) -> Any:
+    if loaded is not None:
+        return loaded.to_dict()
+    return crowd.crowd_spec_for(
+        result["sizes"][0],
+        **{k: result[k] for k in ("seed", "duration", "n_edges", "n_sessions",
+                                  "incumbents", "max_controlled")},
+    ).to_dict()
+
+
+EXPERIMENTS: Tuple[Experiment, ...] = (
+    Experiment(
+        "chaos", "replay a seeded fault storm and report per-receiver recovery",
+        chaos.run_chaos, chaos.render_chaos_report, chaos.DEFAULT_DURATION, (),
+        (
+            Opt("--receivers", "n_receivers", int, 4, "receivers"),
+            Opt("--recover-intervals", "recover_intervals", float, 3.0,
+                "recovery bound, in control intervals"),
+        ),
+        Replay("plan", FaultPlan.from_dicts, _result_plan,
+               "JSON fault plan to replay (default: the canonical storm)"),
+    ),
+    Experiment(
+        "byzantine",
+        "lying receivers vs the report guard, judged against a same-seed "
+        "no-attack baseline",
+        byzantine.run_byzantine, byzantine.render_byzantine_report,
+        byzantine.DEFAULT_DURATION, (),
+        (
+            Opt("--attack-start", "attack_start", float, 30.0,
+                "simulated time the liars switch on"),
+            Opt("--quarantine-intervals", "quarantine_intervals", float, 5.0,
+                "quarantine deadline, in control intervals"),
+            Opt("--divergence-budget", "divergence_budget", float, 1.0,
+                "allowed honest-receiver level divergence vs baseline, in layers"),
+        ),
+    ),
+    Experiment(
+        "churn",
+        "sweep the tree-builder backends through a seeded membership-churn "
+        "+ link-failure storm",
+        churn.run_churn, churn.render_churn_report, churn.DEFAULT_DURATION,
+        ("repair_ms",),
+        (
+            Opt("--receivers", "n_receivers", int, 6, "receivers"),
+            Opt("--backends", "backends", name_list, None,
+                "comma-separated backend names (default: spt,degree,protected)"),
+            Opt("--recover-intervals", "recover_intervals", float, 4.0,
+                "recovery bound, in control intervals"),
+        ),
+        Replay("plan", FaultPlan.from_dicts, _result_plan,
+               "JSON fault plan to replay (default: seeded churn + link cuts)"),
+    ),
+    Experiment(
+        "crowd",
+        "sweep flash-crowd sizes x wireless loss rates through the "
+        "declarative workload engine and gate replay determinism, loss "
+        "attribution and control-plane scaling",
+        crowd.run_crowd, crowd.render_crowd_report, crowd.DEFAULT_DURATION,
+        ("wall_s",),
+        (
+            Opt("--sizes", "sizes", int_list, "64,10000",
+                "comma-separated flash-crowd sizes"),
+            Opt("--loss", "loss_rates", float_list, "0,0.15",
+                "comma-separated wireless channel loss rates"),
+            Opt("--edges", "n_edges", int, 8, "wireless edge nodes"),
+            Opt("--sessions", "n_sessions", int, 2,
+                "concurrent sessions for the Zipf demand"),
+            Opt("--incumbents", "incumbents", int, 4,
+                "always-on controlled receivers probing stability"),
+            Opt("--max-controlled", "max_controlled", int,
+                crowd.DEFAULT_MAX_CONTROLLED,
+                "largest crowd that joins fully controlled; bigger crowds "
+                "join static"),
+            Opt("--control-bound", "control_bound", float,
+                crowd.CONTROL_BYTES_PER_LIVE_BOUND,
+                "declared control-byte bound, bytes/s per live receiver"),
+            Opt("--federated-crowd", "federated_crowd", int, 32,
+                "per-domain crowd on the federated plane (0 skips it)"),
+        ),
+        Replay("spec", WorkloadSpec.from_dict, _smallest_crowd_spec,
+               "JSON workload spec to replay (requires a single --sizes entry)",
+               "write the smallest sweep point's workload spec to this "
+               "JSON file"),
+    ),
+    Experiment(
+        "federate",
+        "sweep domain count at fixed total receivers through the federated "
+        "control plane and gate its scaling claims",
+        federation.run_federate, federation.render_federate_report,
+        federation.DEFAULT_DURATION, ("wall_s", "shard_wall_ms"),
+        (
+            Opt("--receivers", "total_receivers", int, 1024,
+                "total receivers, split evenly across domains"),
+            Opt("--domains", "domain_counts", int_list, "2,4,8",
+                "comma-separated domain counts to sweep"),
+            Opt("--cadence", "cadence", float, 4.0,
+                "summary-exchange cadence, simulated seconds"),
+            Opt("--tolerance", "tolerance", float, 0.15,
+                "allowed control-bytes-per-receiver spread across the sweep"),
+        ),
+    ),
+    Experiment(
+        "fedchaos",
+        "sweep inter-domain loss and partition windows with a coordinator "
+        "crash/failover and gate partition tolerance",
+        federation.run_fedchaos, federation.render_fedchaos_report,
+        federation.DEFAULT_CHAOS_DURATION, ("wall_s",),
+        (
+            Opt("--domains", "n_domains", int, 3,
+                "number of administrative domains"),
+            Opt("--receivers", "receivers_per_domain", int, 8,
+                "receivers per domain"),
+            Opt("--cadence", "cadence", float, 4.0,
+                "summary-exchange cadence, simulated seconds"),
+            Opt("--loss", "loss_rates", float_list, "0.05,0.2",
+                "comma-separated channel loss rates to sweep"),
+            Opt("--windows", "partition_rounds", int_list, "3,4",
+                "comma-separated partition windows, in lockstep rounds"),
+            Opt("--partition-domain", "partition_domain", str, "d2",
+                "domain cut off during the window"),
+            Opt("--staleness-budget", "staleness_budget", int, 2,
+                "advice age (rounds) tolerated before the ceiling decays"),
+            Opt("--retries", "retry_limit", int, 3,
+                "summary send attempts per round"),
+            Opt("--recovery-rounds", "recovery_rounds", int, 3,
+                "rounds allowed for post-failover recovery"),
+        ),
+        Replay("plan", FaultPlan.from_dicts, _single_point_plan,
+               "JSON fault plan replacing the built-in storm (collapses the "
+               "sweep to one point)",
+               "write the plan that was used to this JSON file (needs a "
+               "single --loss and --windows value)"),
+    ),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
 
 def _print_rows(rows: List[Dict[str, Any]], as_json: bool) -> None:
@@ -61,44 +291,29 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def _make_recorder(args, experiment: str):
+def _make_recorder(args, experiment: str) -> Optional[RunRecorder]:
     """A RunRecorder for this invocation, or None with ``--no-artifacts``."""
-    if getattr(args, "no_artifacts", False):
+    if args.no_artifacts:
         return None
-    from .obs.run import RunRecorder
-
     cli_args = {
         k: v for k, v in vars(args).items()
-        if k not in ("fn", "command") and not callable(v)
+        if k != "command" and not callable(v)
     }
-    return RunRecorder(experiment, seed=getattr(args, "seed", None), args=cli_args)
+    return RunRecorder(experiment, seed=args.seed, args=cli_args)
 
 
-def _cmd_fig6(args) -> None:
-    _print_rows(
-        figures.fig6_stability_topology_a(duration=args.duration, seed=args.seed),
-        args.json,
-    )
+def _cmd_rows(rows, args, _error) -> int:
+    _print_rows(rows(duration=args.duration, seed=args.seed), args.json)
+    return 0
 
 
-def _cmd_fig7(args) -> None:
-    _print_rows(
-        figures.fig7_stability_topology_b(duration=args.duration, seed=args.seed),
-        args.json,
-    )
-
-
-def _cmd_fig8(args) -> None:
-    _print_rows(figures.fig8_fairness(duration=args.duration, seed=args.seed), args.json)
-
-
-def _cmd_fig9(args) -> None:
+def _cmd_fig9(args, _error) -> int:
     data = figures.fig9_timeseries(duration=args.duration, seed=args.seed)
     if args.json:
         print(json.dumps(data, indent=2, default=str))
-        return
+        return 0
     print(f"Figure 9: {data['n_sessions']} competing VBR sessions, {data['duration']:.0f}s")
-    if getattr(args, "plot", False):
+    if args.plot:
         from .metrics.ascii_plot import render_level_timeline
         from .simnet.tracing import StepTrace
 
@@ -110,7 +325,7 @@ def _cmd_fig9(args) -> None:
             for t, v in s["subscription"]:
                 trace.record(t, v)
             print(" ", render_level_timeline(trace, 0.0, t1, width=72, label=f"{rid:>5} "))
-        return
+        return 0
     for rid, s in data["sessions"].items():
         print(
             f"  {rid}: mean level {s['mean_level']:.2f}, max {s['max_level']}, "
@@ -118,263 +333,45 @@ def _cmd_fig9(args) -> None:
         )
         tail = s["subscription"][-8:]
         print("    recent subscription changes:", [(round(t, 1), int(v)) for t, v in tail])
+    return 0
 
 
-def _cmd_fig10(args) -> None:
-    _print_rows(figures.fig10_staleness(duration=args.duration, seed=args.seed), args.json)
-
-
-def _cmd_table1(args) -> None:
-    _print_rows(figures.table1_rows(), args.json)
-
-
-def _cmd_chaos(args) -> None:
-    from .experiments.chaos import (
-        DEFAULT_DURATION,
-        render_chaos_report,
-        run_chaos,
-    )
-    from .faults import FaultPlan
-
-    plan = None
-    if args.plan:
-        try:
-            with open(args.plan) as fh:
-                plan = FaultPlan.from_dicts(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            sys.exit(f"chaos: cannot load fault plan {args.plan!r}: {exc}")
-    recorder = _make_recorder(args, "chaos")
-    result = run_chaos(
-        seed=args.seed,
-        duration=args.duration or DEFAULT_DURATION,
-        n_receivers=args.receivers,
-        plan=plan,
-        recover_intervals=args.recover_intervals,
-        recorder=recorder,
-    )
-    if recorder is not None:
-        print(f"run artifacts: {recorder.finalize(result)}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-    else:
-        print(render_chaos_report(result))
-    if not result["ok"]:
-        sys.exit(1)
-
-
-def _cmd_churn(args) -> None:
-    from .experiments.churn import (
-        DEFAULT_DURATION,
-        render_churn_report,
-        run_churn,
-    )
-    from .faults import FaultPlan
-
-    plan = None
-    if args.plan:
-        try:
-            with open(args.plan) as fh:
-                plan = FaultPlan.from_dicts(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            sys.exit(f"churn: cannot load fault plan {args.plan!r}: {exc}")
-    backends = [b for b in args.backends.split(",") if b] if args.backends else None
-    recorder = _make_recorder(args, "churn")
+def _cmd_experiment(row: Experiment, args, error) -> int:
+    """Drive one :data:`EXPERIMENTS` row: load its input, run, save the
+    input, write artifacts, print; exit 1 iff a gate failed."""
+    kwargs = {o.kwarg: getattr(args, _dest(o.flag)) for o in row.options}
+    replay, loaded, save_path = row.replay, None, None
+    if replay is not None:
+        save_path = getattr(args, f"save_{replay.kind}")
+        load_path = getattr(args, replay.kind)
+        if load_path:
+            try:
+                with open(load_path) as fh:
+                    loaded = replay.load(json.load(fh))
+            except (OSError, ValueError, KeyError) as exc:
+                error(f"cannot load --{replay.kind} {load_path!r}: {exc}")
+        kwargs[replay.kind] = loaded
+    recorder = _make_recorder(args, row.name)
     try:
-        result = run_churn(
-            seed=args.seed,
-            duration=args.duration or DEFAULT_DURATION,
-            n_receivers=args.receivers,
-            backends=backends,
-            plan=plan,
-            recover_intervals=args.recover_intervals,
-            recorder=recorder,
-        )
+        result = row.run(seed=args.seed, duration=args.duration,
+                         recorder=recorder, **kwargs)
+        if save_path:
+            Path(save_path).write_text(
+                json.dumps(replay.used(result, loaded), indent=2))
+            print(f"{replay.kind}: {save_path}", file=sys.stderr)
     except ValueError as exc:
-        sys.exit(f"churn: {exc}")
+        error(str(exc))
     if recorder is not None:
         print(f"run artifacts: {recorder.finalize(result)}", file=sys.stderr)
     if args.json:
-        print(json.dumps(result, indent=2, default=str))
+        out = strip_timings(result, row.timing_keys) if args.strip_timings else result
+        print(json.dumps(out, indent=2, default=str))
     else:
-        print(render_churn_report(result))
-    if not result["ok"]:
-        sys.exit(1)
+        print(row.render(result))
+    return 0 if result["ok"] else 1
 
 
-def _cmd_crowd(args) -> None:
-    from .experiments.crowd import (
-        DEFAULT_DURATION,
-        render_crowd_report,
-        run_crowd,
-    )
-    from .workloads import WorkloadSpec
-
-    spec = None
-    if args.spec:
-        try:
-            with open(args.spec) as fh:
-                spec = WorkloadSpec.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            sys.exit(f"crowd: cannot load workload spec {args.spec!r}: {exc}")
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    loss_rates = [float(lo) for lo in args.loss.split(",") if lo]
-    recorder = _make_recorder(args, "crowd")
-    try:
-        result = run_crowd(
-            seed=args.seed,
-            duration=args.duration or DEFAULT_DURATION,
-            sizes=sizes,
-            loss_rates=loss_rates,
-            n_edges=args.edges,
-            n_sessions=args.sessions,
-            incumbents=args.incumbents,
-            max_controlled=args.max_controlled,
-            control_bound=args.control_bound,
-            federated_crowd=args.federated_crowd,
-            spec=spec,
-            recorder=recorder,
-        )
-    except ValueError as exc:
-        sys.exit(f"crowd: {exc}")
-    if args.save_spec:
-        from .experiments.crowd import (
-            build_crowd_scenario,
-            default_crowd_spec,
-            edge_node_names,
-        )
-
-        if spec is None:
-            _sc, session_ids = build_crowd_scenario(
-                seed=args.seed, n_edges=args.edges,
-                n_sessions=args.sessions, incumbents=args.incumbents,
-            )
-            size = min(sizes)
-            mode = "controlled" if size <= args.max_controlled else "static"
-            spec = default_crowd_spec(
-                size, edge_node_names(args.edges), session_ids,
-                duration=args.duration or DEFAULT_DURATION,
-                seed=args.seed, mode=mode,
-            )
-        with open(args.save_spec, "w") as fh:
-            json.dump(spec.to_dict(), fh, indent=2)
-        print(f"workload spec: {args.save_spec}", file=sys.stderr)
-    if recorder is not None:
-        print(f"run artifacts: {recorder.finalize(result)}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-    else:
-        print(render_crowd_report(result))
-    if not result["ok"]:
-        sys.exit(1)
-
-
-def _cmd_federate(args) -> None:
-    from .federation import (
-        DEFAULT_DURATION,
-        render_federate_report,
-        run_federate,
-    )
-
-    domain_counts = [int(n) for n in args.domains.split(",") if n]
-    recorder = _make_recorder(args, "federate")
-    try:
-        result = run_federate(
-            seed=args.seed,
-            duration=args.duration or DEFAULT_DURATION,
-            total_receivers=args.receivers,
-            domain_counts=domain_counts,
-            cadence=args.cadence,
-            tolerance=args.tolerance,
-            recorder=recorder,
-        )
-    except ValueError as exc:
-        sys.exit(f"federate: {exc}")
-    if recorder is not None:
-        print(f"run artifacts: {recorder.finalize(result)}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-    else:
-        print(render_federate_report(result))
-    if not result["ok"]:
-        sys.exit(1)
-
-
-def _cmd_fedchaos(args) -> None:
-    from .faults import FaultPlan
-    from .federation import (
-        DEFAULT_CHAOS_DURATION,
-        render_fedchaos_report,
-        run_fedchaos,
-    )
-
-    plan = None
-    if args.plan:
-        try:
-            with open(args.plan) as fh:
-                plan = FaultPlan.from_dicts(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            sys.exit(f"fedchaos: cannot load fault plan {args.plan!r}: {exc}")
-    loss_rates = [float(x) for x in args.loss.split(",") if x]
-    windows = [int(x) for x in args.windows.split(",") if x]
-    recorder = _make_recorder(args, "fedchaos")
-    try:
-        result = run_fedchaos(
-            seed=args.seed,
-            duration=args.duration or DEFAULT_CHAOS_DURATION,
-            cadence=args.cadence,
-            n_domains=args.domains,
-            receivers_per_domain=args.receivers,
-            loss_rates=loss_rates,
-            partition_rounds=windows,
-            partition_domain=args.partition_domain,
-            staleness_budget=args.staleness_budget,
-            retry_limit=args.retries,
-            recovery_rounds=args.recovery_rounds,
-            plan=plan,
-            recorder=recorder,
-        )
-    except ValueError as exc:
-        sys.exit(f"fedchaos: {exc}")
-    if recorder is not None:
-        print(f"run artifacts: {recorder.finalize(result)}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-    else:
-        print(render_fedchaos_report(result))
-    if not result["ok"]:
-        sys.exit(1)
-
-
-def _cmd_byzantine(args) -> None:
-    from .experiments.byzantine import (
-        DEFAULT_DURATION,
-        render_byzantine_report,
-        run_byzantine,
-    )
-
-    recorder = _make_recorder(args, "byzantine")
-    try:
-        result = run_byzantine(
-            seed=args.seed,
-            duration=args.duration or DEFAULT_DURATION,
-            attack_start=args.attack_start,
-            quarantine_intervals=args.quarantine_intervals,
-            divergence_budget=args.divergence_budget,
-            recorder=recorder,
-        )
-    except ValueError as exc:
-        sys.exit(f"byzantine: {exc}")
-    if recorder is not None:
-        print(f"run artifacts: {recorder.finalize(result)}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(result, indent=2, default=str))
-    else:
-        print(render_byzantine_report(result))
-    if not result["ok"]:
-        sys.exit(1)
-
-
-def _cmd_demo(args) -> None:
+def _cmd_demo(args, _error) -> int:
     if args.topology == "a":
         sc = build_topology_a(
             n_receivers=args.receivers, traffic=args.traffic,
@@ -396,9 +393,10 @@ def _cmd_demo(args) -> None:
     print(f"mean relative deviation: {res.mean_deviation(min(60.0, duration / 4)):.3f}")
     if recorder is not None:
         print(f"run artifacts: {recorder.finalize(sim_time=duration)}", file=sys.stderr)
+    return 0
 
 
-def _cmd_bench(args) -> None:
+def _cmd_bench(args, error) -> int:
     from .obs.bench import (
         check_against_baseline,
         render_bench_report,
@@ -406,6 +404,13 @@ def _cmd_bench(args) -> None:
         write_bench_file,
     )
 
+    baseline = None
+    if args.baseline and not args.update_baseline:
+        try:
+            with open(args.baseline) as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as exc:
+            error(f"cannot load baseline {args.baseline!r}: {exc}")
     result = run_bench(quick=args.quick)
     path = write_bench_file(result, args.out)
     if args.json:
@@ -413,19 +418,19 @@ def _cmd_bench(args) -> None:
     else:
         print(render_bench_report(result))
     print(f"wrote {path}", file=sys.stderr)
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            sys.exit(f"bench: cannot load baseline {args.baseline!r}: {exc}")
-        ok, msg = check_against_baseline(result, baseline, tolerance=args.tolerance)
-        print(("PASS: " if ok else "FAIL: ") + msg)
-        if not ok:
-            sys.exit(1)
+    if args.update_baseline:
+        target = Path(args.update_baseline)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(json.dumps(result, indent=2, sort_keys=True))
+        print(f"baseline updated: {target}", file=sys.stderr)
+    if baseline is None:
+        return 0
+    ok, msg = check_against_baseline(result, baseline, tolerance=args.tolerance)
+    print(("PASS: " if ok else "FAIL: ") + msg)
+    return 0 if ok else 1
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args, _error) -> int:
     from .analysis import LintError, run_lint
 
     try:
@@ -455,19 +460,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--duration", type=float, default=None,
-                       help="simulated seconds (default: REPRO_* env or 300)")
+    def common(p, duration: Optional[float] = None):
+        default = "REPRO_* env or 300" if duration is None else f"{duration:g}"
+        p.add_argument("--duration", type=positive_float, default=duration,
+                       help=f"simulated seconds (default: {default})")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--json", action="store_true", help="emit JSON rows")
+        p.add_argument("--json", action="store_true", help="emit JSON")
+
+    def artifacts(p):
+        p.add_argument("--no-artifacts", action="store_true",
+                       help="skip writing the run directory under runs/")
 
     for name, fn, help_ in [
-        ("fig6", _cmd_fig6, "stability in Topology A"),
-        ("fig7", _cmd_fig7, "stability in Topology B"),
-        ("fig8", _cmd_fig8, "inter-session fairness in Topology B"),
+        ("fig6", partial(_cmd_rows, figures.fig6_stability_topology_a),
+         "stability in Topology A"),
+        ("fig7", partial(_cmd_rows, figures.fig7_stability_topology_b),
+         "stability in Topology B"),
+        ("fig8", partial(_cmd_rows, figures.fig8_fairness),
+         "inter-session fairness in Topology B"),
         ("fig9", _cmd_fig9, "subscription/loss time series, 4 VBR sessions"),
-        ("fig10", _cmd_fig10, "impact of stale topology information"),
-        ("table1", _cmd_table1, "the demand decision table"),
+        ("fig10", partial(_cmd_rows, figures.fig10_staleness),
+         "impact of stale topology information"),
+        ("table1", partial(_cmd_rows, lambda duration, seed: figures.table1_rows()),
+         "the demand decision table"),
     ]:
         p = sub.add_parser(name, help=help_)
         common(p)
@@ -476,153 +491,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            help="draw an ASCII timeline instead of a summary")
         p.set_defaults(fn=fn)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="replay a seeded fault storm and report per-receiver recovery",
-    )
-    common(chaos)
-    chaos.add_argument("--receivers", type=int, default=4)
-    chaos.add_argument("--plan", type=str, default=None,
-                       help="JSON fault plan (default: the canonical storm)")
-    chaos.add_argument("--recover-intervals", type=float, default=3.0,
-                       help="recovery bound, in control intervals (default 3)")
-    chaos.add_argument("--no-artifacts", action="store_true",
-                       help="skip writing the run directory under runs/")
-    chaos.set_defaults(fn=_cmd_chaos)
-
-    churn = sub.add_parser(
-        "churn",
-        help="sweep the tree-builder backends through a seeded "
-             "membership-churn + link-failure storm",
-    )
-    common(churn)
-    churn.add_argument("--receivers", type=int, default=6)
-    churn.add_argument("--backends", type=str, default=None,
-                       help="comma-separated backend names "
-                            "(default: spt,degree,protected)")
-    churn.add_argument("--plan", type=str, default=None,
-                       help="JSON fault plan (default: seeded churn + link cuts)")
-    churn.add_argument("--recover-intervals", type=float, default=4.0,
-                       help="recovery bound, in control intervals (default 4)")
-    churn.add_argument("--no-artifacts", action="store_true",
-                       help="skip writing the run directory under runs/")
-    churn.set_defaults(fn=_cmd_churn)
-
-    crowd = sub.add_parser(
-        "crowd",
-        help="sweep flash-crowd sizes x wireless loss rates through the "
-             "declarative workload engine and gate replay determinism, "
-             "loss attribution and control-plane scaling",
-    )
-    common(crowd)
-    crowd.add_argument("--sizes", type=str, default="64,10000",
-                       help="comma-separated flash-crowd sizes "
-                            "(default 64,10000)")
-    crowd.add_argument("--loss", type=str, default="0,0.15",
-                       help="comma-separated wireless channel loss rates "
-                            "(default 0,0.15)")
-    crowd.add_argument("--edges", type=int, default=8,
-                       help="wireless edge nodes (default 8)")
-    crowd.add_argument("--sessions", type=int, default=2,
-                       help="concurrent sessions for the Zipf demand "
-                            "(default 2)")
-    crowd.add_argument("--incumbents", type=int, default=4,
-                       help="always-on controlled receivers probing "
-                            "stability (default 4)")
-    crowd.add_argument("--max-controlled", type=int, default=512,
-                       help="largest crowd that joins fully controlled; "
-                            "bigger crowds join static (default 512)")
-    crowd.add_argument("--control-bound", type=float, default=512.0,
-                       help="declared control-byte bound, bytes/s per "
-                            "live receiver (default 512)")
-    crowd.add_argument("--federated-crowd", type=int, default=32,
-                       help="per-domain crowd on the federated plane "
-                            "(0 skips it; default 32)")
-    crowd.add_argument("--spec", type=str, default=None,
-                       help="JSON workload spec to replay (requires a "
-                            "single --sizes entry)")
-    crowd.add_argument("--save-spec", type=str, default=None,
-                       help="write the smallest sweep point's workload "
-                            "spec to this JSON file")
-    crowd.add_argument("--no-artifacts", action="store_true",
-                       help="skip writing the run directory under runs/")
-    crowd.set_defaults(fn=_cmd_crowd)
-
-    fed = sub.add_parser(
-        "federate",
-        help="sweep domain count at fixed total receivers through the "
-             "federated control plane and gate its scaling claims",
-    )
-    common(fed)
-    fed.add_argument("--receivers", type=int, default=1024,
-                     help="total receivers, split evenly across domains "
-                          "(default 1024)")
-    fed.add_argument("--domains", type=str, default="2,4,8",
-                     help="comma-separated domain counts to sweep "
-                          "(default 2,4,8)")
-    fed.add_argument("--cadence", type=float, default=4.0,
-                     help="summary-exchange cadence, simulated seconds "
-                          "(default 4)")
-    fed.add_argument("--tolerance", type=float, default=0.15,
-                     help="allowed control-bytes-per-receiver spread "
-                          "across the sweep (default 0.15)")
-    fed.add_argument("--no-artifacts", action="store_true",
-                     help="skip writing the run directory under runs/")
-    fed.set_defaults(fn=_cmd_federate)
-
-    fedchaos = sub.add_parser(
-        "fedchaos",
-        help="sweep inter-domain loss and partition windows with a "
-             "coordinator crash/failover and gate partition tolerance",
-    )
-    common(fedchaos)
-    fedchaos.add_argument("--domains", type=int, default=3,
-                          help="number of administrative domains (default 3)")
-    fedchaos.add_argument("--receivers", type=int, default=8,
-                          help="receivers per domain (default 8)")
-    fedchaos.add_argument("--cadence", type=float, default=4.0,
-                          help="summary-exchange cadence, simulated seconds "
-                               "(default 4)")
-    fedchaos.add_argument("--loss", type=str, default="0.05,0.2",
-                          help="comma-separated channel loss rates to sweep "
-                               "(default 0.05,0.2)")
-    fedchaos.add_argument("--windows", type=str, default="3,4",
-                          help="comma-separated partition windows, in "
-                               "lockstep rounds (default 3,4)")
-    fedchaos.add_argument("--partition-domain", type=str, default="d2",
-                          help="domain cut off during the window "
-                               "(default d2)")
-    fedchaos.add_argument("--staleness-budget", type=int, default=2,
-                          help="advice age (rounds) tolerated before the "
-                               "ceiling decays (default 2)")
-    fedchaos.add_argument("--retries", type=int, default=3,
-                          help="summary send attempts per round (default 3)")
-    fedchaos.add_argument("--recovery-rounds", type=int, default=3,
-                          help="rounds allowed for post-failover recovery "
-                               "(default 3)")
-    fedchaos.add_argument("--plan", type=str, default=None,
-                          help="JSON fault plan replacing the built-in "
-                               "storm (collapses the sweep to one point)")
-    fedchaos.add_argument("--no-artifacts", action="store_true",
-                          help="skip writing the run directory under runs/")
-    fedchaos.set_defaults(fn=_cmd_fedchaos)
-
-    byz = sub.add_parser(
-        "byzantine",
-        help="lying receivers vs the report guard, judged against a "
-             "same-seed no-attack baseline",
-    )
-    common(byz)
-    byz.add_argument("--attack-start", type=float, default=30.0,
-                     help="simulated time the liars switch on (default 30)")
-    byz.add_argument("--quarantine-intervals", type=float, default=5.0,
-                     help="quarantine deadline, in control intervals (default 5)")
-    byz.add_argument("--divergence-budget", type=float, default=1.0,
-                     help="allowed honest-receiver level divergence vs "
-                          "baseline (default 1 layer)")
-    byz.add_argument("--no-artifacts", action="store_true",
-                     help="skip writing the run directory under runs/")
-    byz.set_defaults(fn=_cmd_byzantine)
+    for row in EXPERIMENTS:
+        p = sub.add_parser(row.name, help=row.help)
+        common(p, row.duration)
+        for o in row.options:
+            default = "" if o.default is None else f" (default {o.default})"
+            p.add_argument(o.flag, type=o.type, default=o.default,
+                           help=o.help + default)
+        if row.replay is not None:
+            p.add_argument(f"--{row.replay.kind}", type=str, default=None,
+                           help=row.replay.help)
+            p.add_argument(f"--save-{row.replay.kind}", type=str, default=None,
+                           help=row.replay.save_help)
+        p.add_argument("--strip-timings", action="store_true",
+                       help="with --json: drop wall-clock fields so two "
+                            "same-input runs diff clean")
+        artifacts(p)
+        p.set_defaults(fn=partial(_cmd_experiment, row))
 
     demo = sub.add_parser("demo", help="run one scenario and print a summary")
     common(demo)
@@ -632,8 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     demo.add_argument("--traffic", choices=["cbr", "vbr"], default="cbr")
     demo.add_argument("--peak", type=float, default=3.0, help="VBR peak-to-mean ratio")
     demo.add_argument("--staleness", type=float, default=0.0)
-    demo.add_argument("--no-artifacts", action="store_true",
-                      help="skip writing the run directory under runs/")
+    artifacts(demo)
     demo.set_defaults(fn=_cmd_demo)
 
     bench = sub.add_parser(
@@ -650,6 +534,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="baseline BENCH_*.json to gate events/sec against")
     bench.add_argument("--tolerance", type=float, default=0.30,
                        help="allowed events/sec regression fraction (default 0.30)")
+    bench.add_argument("--update-baseline", type=str, default=None,
+                       help="write the fresh result to this path and exit 0")
     bench.set_defaults(fn=_cmd_bench)
 
     lint = sub.add_parser(
@@ -665,8 +551,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lint.set_defaults(fn=_cmd_lint)
 
     args = parser.parse_args(argv)
-    rc = args.fn(args)
-    return rc if isinstance(rc, int) else 0
+    return args.fn(args, sub.choices[args.command].error)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.config import TopoSenseConfig
 from ..metrics.attribution import loss_attribution
 from ..metrics.stability import worst_receiver_stability
+from ..obs.run import strip_timings
 from ..simnet.wireless import WirelessEdgeLink
 from ..workloads import WorkloadRunner, WorkloadSpec
 from .scenario import Scenario
@@ -50,6 +51,7 @@ __all__ = [
     "CONTROL_BYTES_PER_LIVE_BOUND",
     "build_crowd_scenario",
     "crowd_receiver_ids",
+    "crowd_spec_for",
     "default_crowd_spec",
     "render_crowd_report",
     "run_crowd",
@@ -176,6 +178,30 @@ def default_crowd_spec(
     return spec
 
 
+def crowd_spec_for(
+    size: int,
+    seed: int = 1,
+    duration: float = DEFAULT_DURATION,
+    n_edges: int = 8,
+    n_sessions: int = 2,
+    incumbents: int = 4,
+    max_controlled: int = DEFAULT_MAX_CONTROLLED,
+) -> WorkloadSpec:
+    """The spec :func:`run_crowd` drives a ``size`` crowd with when given none.
+
+    Session ids are assigned by the scenario builder, so they come from a
+    throwaway build; crowds beyond ``max_controlled`` join static.
+    """
+    _probe, session_ids = build_crowd_scenario(
+        seed=seed, n_edges=n_edges, n_sessions=n_sessions, incumbents=incumbents,
+    )
+    mode = "controlled" if size <= max_controlled else "static"
+    return default_crowd_spec(
+        size, edge_node_names(n_edges), session_ids, duration=duration,
+        seed=seed, mode=mode,
+    )
+
+
 # ----------------------------------------------------------------------
 # Sweep internals
 # ----------------------------------------------------------------------
@@ -255,13 +281,6 @@ def _run_point(
         },
         "wall_s": round(perf_counter() - t0, 3),
     }
-
-
-def _comparable(point: Dict[str, Any]) -> Dict[str, Any]:
-    """A sweep point with wall-clock timing stripped — everything left is
-    simulation output and must replay bit-identically from the same spec."""
-    out = {k: v for k, v in point.items() if k != "wall_s"}
-    return json.loads(json.dumps(out, default=str))
 
 
 def _run_federated(
@@ -375,23 +394,14 @@ def run_crowd(
     if spec is not None and len(sizes) != 1:
         raise ValueError("an explicit spec drives exactly one size")
 
-    edge_nodes = edge_node_names(n_edges)
-    # Session ids are assigned by the scenario builder; derive them once
-    # from a throwaway build so specs can be authored without a scenario.
-    probe_sc, session_ids = build_crowd_scenario(
-        seed=seed, n_edges=n_edges, n_sessions=n_sessions,
-        incumbents=incumbents, interval=interval,
-    )
-    del probe_sc
-
-    def spec_for(size: int) -> WorkloadSpec:
-        if spec is not None:
-            return spec
-        mode = "controlled" if size <= max_controlled else "static"
-        return default_crowd_spec(
-            size, edge_nodes, session_ids, duration=duration,
-            seed=seed, mode=mode,
+    specs = {
+        size: spec if spec is not None else crowd_spec_for(
+            size, seed=seed, duration=duration, n_edges=n_edges,
+            n_sessions=n_sessions, incumbents=incumbents,
+            max_controlled=max_controlled,
         )
+        for size in sizes
+    }
 
     baselines = [
         _run_baseline(seed, duration, lo, n_edges, n_sessions,
@@ -404,7 +414,7 @@ def run_crowd(
     for size in sorted(sizes):
         for lo in loss_rates:
             points.append(_run_point(
-                seed, duration, size, lo, spec_for(size),
+                seed, duration, size, lo, specs[size],
                 n_edges, n_sessions, incumbents, interval,
                 sample_interval, control_bound,
                 recorder=recorder if first else None,
@@ -414,14 +424,17 @@ def run_crowd(
     # Gate (a): JSON round-trip replay of the smallest point.
     smallest = min(points, key=lambda p: (p["size"], p["loss_rate"]))
     rt_spec = WorkloadSpec.from_dict(
-        json.loads(json.dumps(spec_for(smallest["size"]).to_dict()))
+        json.loads(json.dumps(specs[smallest["size"]].to_dict()))
     )
     replay_point = _run_point(
         seed, duration, smallest["size"], smallest["loss_rate"], rt_spec,
         n_edges, n_sessions, incumbents, interval,
         sample_interval, control_bound,
     )
-    replay_identical = _comparable(smallest) == _comparable(replay_point)
+    replay_identical = (
+        strip_timings(smallest, ("wall_s",))
+        == strip_timings(replay_point, ("wall_s",))
+    )
 
     # Gate (b): lossy points must show ground-truth misattribution.
     lossy = [p for p in points if p["loss_rate"] > 0.0]
@@ -462,15 +475,6 @@ def run_crowd(
         "ok": replay_identical and attribution_ok and control_ok
               and federated_ok,
     }
-
-
-def strip_timings(result: Dict[str, Any]) -> Dict[str, Any]:
-    """A :func:`run_crowd` result with wall-clock timing removed — the
-    projection two same-spec runs must agree on bit-for-bit."""
-    out = json.loads(json.dumps(result, default=str))
-    for p in out.get("points", ()):
-        p.pop("wall_s", None)
-    return out
 
 
 def render_crowd_report(result: Dict[str, Any]) -> str:

@@ -9,7 +9,8 @@ identically — determinism comes from the discrete-event scheduler, exactly
 as for traffic.
 
 Plans round-trip through plain dicts (:meth:`to_dicts` / :meth:`from_dicts`)
-so chaos runs can be stored as JSON and replayed by ``tools/run_chaos.py``.
+so chaos runs can be stored as JSON and replayed by
+``python -m repro chaos --save-plan`` / ``--plan``.
 """
 
 from __future__ import annotations

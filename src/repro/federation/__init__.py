@@ -15,13 +15,12 @@ real sharded subsystem:
   per-receiver report;
 * :class:`FederatedSession` drives the lockstep rounds, and
   :func:`run_federate` sweeps domain count at fixed receiver population
-  (``python -m repro federate`` / ``tools/run_federate.py``);
+  (``python -m repro federate``);
 * :class:`InterDomainChannel` makes the exchange fault-injectable (seeded
   loss/delay/duplication, partitions), the coordinator fails over with
   epoch fencing, shards retry/timeout and decay ceilings past the
   bounded-staleness budget, and :func:`run_fedchaos` gates it all
-  (``python -m repro fedchaos`` / ``tools/run_fedchaos.py``; DESIGN.md
-  §14).
+  (``python -m repro fedchaos``; DESIGN.md §14).
 """
 
 from .channel import ChannelImpairment, InterDomainChannel, channel_seed

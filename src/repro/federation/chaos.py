@@ -12,14 +12,13 @@ coordinator crash -> failover) and gates the partition-tolerance claims:
   exceed the ceiling the same-seed *fault-free* run advised at the same
   round: a dark domain degrades conservatively, it never over-subscribes.
 
-Plans round-trip through JSON (``tools/run_fedchaos.py --save-plan`` /
+Plans round-trip through JSON (``python -m repro fedchaos --save-plan`` /
 ``--plan``) and the whole result is deterministic modulo wall-clock
 fields, so CI replays it diff-clean with ``--strip-timings``.
 """
 
 from __future__ import annotations
 
-import json
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +34,6 @@ __all__ = [
     "DEFAULT_PARTITION_ROUNDS",
     "default_fedchaos_plan",
     "run_fedchaos",
-    "strip_timings",
     "render_fedchaos_report",
 ]
 
@@ -161,16 +159,6 @@ def _run_one(
         "shards": shards,
         "ceilings": ceilings,
     }
-
-
-def strip_timings(result: Dict[str, Any]) -> Dict[str, Any]:
-    """A :func:`run_fedchaos` result with wall-clock timing removed — the
-    projection two same-plan runs must agree on bit-for-bit."""
-    out = json.loads(json.dumps(result, default=str))
-    out.get("baseline", {}).pop("wall_s", None)
-    for p in out.get("points", ()):
-        p.get("faulted", {}).pop("wall_s", None)
-    return out
 
 
 def _check_recovery(

@@ -18,7 +18,6 @@ federation that is cheap but wrong cannot pass.
 
 from __future__ import annotations
 
-import json
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -32,7 +31,6 @@ __all__ = [
     "DEFAULT_DOMAIN_COUNTS",
     "build_federated_views",
     "run_federate",
-    "strip_timings",
     "render_federate_report",
 ]
 
@@ -145,16 +143,6 @@ def _run_point(
             for key, rec in sorted(shard_ms.items())
         },
     }
-
-
-def strip_timings(result: Dict[str, Any]) -> Dict[str, Any]:
-    """A :func:`run_federate` result with wall-clock timing removed — the
-    projection two same-seed runs must agree on bit-for-bit."""
-    out = json.loads(json.dumps(result, default=str))
-    for p in out.get("points", ()):
-        p.pop("wall_s", None)
-        p.pop("shard_wall_ms", None)
-    return out
 
 
 def run_federate(

@@ -13,7 +13,7 @@ trajectory (``python -m repro bench`` -> ``BENCH_<rev>.json``).
 from .bus import BusEvent, EventBus
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, sample_links
 from .profile import Profiler
-from .run import RunRecorder, fault_log_entries, git_rev
+from .run import RunRecorder, fault_log_entries, git_rev, strip_timings
 
 __all__ = [
     "BusEvent",
@@ -27,4 +27,5 @@ __all__ = [
     "fault_log_entries",
     "git_rev",
     "sample_links",
+    "strip_timings",
 ]

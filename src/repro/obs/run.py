@@ -34,7 +34,13 @@ from .bus import BusEvent, EventBus, default_record_patterns
 from .metrics import MetricsRegistry, sample_links
 from .profile import Profiler
 
-__all__ = ["DEFAULT_TOPICS", "RunRecorder", "fault_log_entries", "git_rev"]
+__all__ = [
+    "DEFAULT_TOPICS",
+    "RunRecorder",
+    "fault_log_entries",
+    "git_rev",
+    "strip_timings",
+]
 
 #: Topic patterns a recorder logs by default: everything except the
 #: per-scheduler-event ``sched.dispatch`` firehose.  Derived from the
@@ -64,6 +70,21 @@ def fault_log_entries(log: Iterable[Tuple[float, str, str]]) -> List[Dict[str, A
     field (previously copy-pasted in chaos.py and byzantine.py).
     """
     return [{"time": t, "kind": kind, "detail": detail} for (t, kind, detail) in log]
+
+
+def strip_timings(result: Dict[str, Any], keys: Iterable[str]) -> Dict[str, Any]:
+    """``result`` after a JSON round-trip, minus every ``keys`` entry at any depth.
+
+    The one projection two same-input runs must agree on bit-for-bit:
+    ``keys`` names an experiment's wall-clock fields (``wall_s``,
+    ``shard_wall_ms``, ``repair_ms``); everything left is simulation output.
+    """
+    drop = frozenset(keys)
+    stripped: Dict[str, Any] = json.loads(
+        json.dumps(result, default=str),
+        object_hook=lambda d: {k: v for k, v in d.items() if k not in drop},
+    )
+    return stripped
 
 
 class RunRecorder:

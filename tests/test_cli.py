@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXPERIMENTS, main
 from repro.experiments import figures
 
 
@@ -130,10 +130,27 @@ class TestCli:
         monkeypatch.setattr(bench_mod, "BENCH_SUITE", short)
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"totals": {"events_per_sec": 1e12}}))
-        with pytest.raises(SystemExit):
-            main(["bench", "--quick", "--out", str(tmp_path),
-                  "--baseline", str(baseline)])
+        assert main(["bench", "--quick", "--out", str(tmp_path),
+                     "--baseline", str(baseline)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_bench_update_baseline_writes_file(self, capsys, tmp_path, monkeypatch):
+        from repro.obs import bench as bench_mod
+
+        short = tuple((n, b, f, 6.0) for (n, b, f, _q) in bench_mod.BENCH_SUITE)
+        monkeypatch.setattr(bench_mod, "BENCH_SUITE", short)
+        target = tmp_path / "sub" / "baseline.json"
+        assert main(["bench", "--quick", "--out", str(tmp_path),
+                     "--update-baseline", str(target)]) == 0
+        assert json.loads(target.read_text())["totals"]["events"] > 0
+        assert "baseline updated" in capsys.readouterr().err
+
+    def test_bench_missing_baseline_is_a_usage_error(self, capsys, tmp_path):
+        _assert_usage_error(
+            ["bench", "--quick", "--out", str(tmp_path),
+             "--baseline", str(tmp_path / "missing.json")],
+            capsys, "repro bench: error: cannot load baseline",
+        )
 
     def test_federate_json(self, capsys):
         assert main(["federate", "--receivers", "16", "--domains", "2,4",
@@ -170,6 +187,118 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+
+def _assert_usage_error(argv, capsys, message):
+    """Exit 2, no traceback, and a last stderr line carrying ``message``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err.strip().splitlines()[-1]
+
+
+#: Per experiment: a sub-second passing invocation, one flag set that makes
+#: ``run_*`` raise ValueError, and one that fails a gate.
+SMALL = {
+    "chaos": (
+        ["--duration", "60", "--receivers", "2"],
+        ["--receivers", "0"],
+        ["--recover-intervals", "0.5"],
+    ),
+    "byzantine": (
+        ["--duration", "60"],
+        ["--attack-start", "500"],
+        ["--quarantine-intervals", "0.5"],
+    ),
+    "churn": (
+        ["--duration", "60", "--receivers", "4"],
+        ["--backends", "bogus"],
+        ["--recover-intervals", "0.01"],
+    ),
+    "crowd": (
+        ["--seed", "2", "--duration", "40", "--sizes", "12", "--loss", "0,0.25",
+         "--edges", "3", "--incumbents", "2", "--federated-crowd", "6"],
+        ["--edges", "0"],
+        ["--control-bound", "0.01"],
+    ),
+    "federate": (
+        ["--receivers", "16", "--domains", "2,4", "--duration", "20"],
+        ["--receivers", "10", "--domains", "3"],
+        ["--tolerance", "0.001"],
+    ),
+    "fedchaos": (
+        ["--receivers", "4", "--loss", "0.2", "--windows", "3"],
+        ["--partition-domain", "d9"],
+        ["--duration", "24"],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", EXPERIMENTS, ids=lambda row: row.name)
+class TestExperimentTable:
+    """Every :data:`repro.cli.EXPERIMENTS` row through the one driver."""
+
+    @staticmethod
+    def _json_run(row, capsys, *extra):
+        rc = main([row.name, *SMALL[row.name][0], "--no-artifacts", "--json",
+                   "--strip-timings", *extra])
+        return rc, capsys.readouterr().out
+
+    def test_stripped_json_is_byte_equal_across_runs(self, row, capsys):
+        rc, one = self._json_run(row, capsys)
+        assert rc == 0
+        assert (rc, one) == self._json_run(row, capsys)
+        assert not any(f'"{key}"' in one for key in row.timing_keys)
+
+    def test_unusable_input_exits_two(self, row, capsys, tmp_path):
+        _assert_usage_error([row.name, "--no-artifacts", *SMALL[row.name][1]],
+                            capsys, f"repro {row.name}: error: ")
+        _assert_usage_error([row.name, "--duration", "0"], capsys,
+                            "argument --duration: must be positive")
+        if row.replay is not None:
+            _assert_usage_error(
+                [row.name, f"--{row.replay.kind}", str(tmp_path / "missing.json")],
+                capsys, f"cannot load --{row.replay.kind}",
+            )
+
+    def test_gate_failure_exits_one(self, row, capsys):
+        small, _bad, failing = SMALL[row.name]
+        assert main([row.name, *small, "--no-artifacts", *failing]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row", [r for r in EXPERIMENTS if r.replay], ids=lambda row: row.name
+)
+def test_saved_input_replays_byte_equal(row, capsys, tmp_path):
+    saved = tmp_path / "input.json"
+    kind = row.replay.kind
+    run = TestExperimentTable._json_run
+    assert run(row, capsys, f"--save-{kind}", str(saved)) \
+        == run(row, capsys, f"--{kind}", str(saved))
+    assert json.loads(saved.read_text())
+
+
+def test_crowd_spec_with_several_sizes_is_a_usage_error(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    small = SMALL["crowd"][0]
+    assert main(["crowd", *small, "--no-artifacts", "--save-spec", str(spec)]) == 0
+    capsys.readouterr()
+    _assert_usage_error(
+        ["crowd", "--no-artifacts", "--sizes", "8,16", "--spec", str(spec)],
+        capsys, "an explicit spec drives exactly one size",
+    )
+
+
+def test_fedchaos_save_plan_needs_a_single_point(capsys, tmp_path):
+    _assert_usage_error(
+        ["fedchaos", "--receivers", "4", "--no-artifacts",
+         "--save-plan", str(tmp_path / "plan.json")],
+        capsys, "--save-plan needs exactly one --loss and one --windows value",
+    )
+    assert not (tmp_path / "plan.json").exists()
 
 
 class TestLintExitCodes:

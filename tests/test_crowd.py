@@ -10,8 +10,8 @@ from repro.experiments.crowd import (
     edge_node_names,
     render_crowd_report,
     run_crowd,
-    strip_timings,
 )
+from repro.obs.run import strip_timings
 from repro.workloads import WorkloadSpec
 
 
@@ -22,6 +22,10 @@ def _small_sweep(**kw):
     )
     defaults.update(kw)
     return run_crowd(**defaults)
+
+
+def _stripped(**kw):
+    return strip_timings(_small_sweep(**kw), ("wall_s",))
 
 
 def test_crowd_sweep_passes_all_gates():
@@ -47,8 +51,8 @@ def test_crowd_sweep_passes_all_gates():
 
 
 def test_crowd_result_is_reproducible_and_json_safe():
-    one = strip_timings(_small_sweep(federated_crowd=0))
-    two = strip_timings(_small_sweep(federated_crowd=0))
+    one = _stripped(federated_crowd=0)
+    two = _stripped(federated_crowd=0)
     assert one == two
     json.dumps(one)  # fully serialisable
     assert all("wall_s" not in p for p in one["points"])
@@ -59,8 +63,8 @@ def test_crowd_explicit_spec_replays_and_rejects_multi_size():
     spec = default_crowd_spec(12, edge_node_names(3), session_ids,
                               duration=40.0, seed=2)
     loaded = WorkloadSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-    fresh = strip_timings(_small_sweep(federated_crowd=0))
-    replayed = strip_timings(_small_sweep(federated_crowd=0, spec=loaded))
+    fresh = _stripped(federated_crowd=0)
+    replayed = _stripped(federated_crowd=0, spec=loaded)
     assert fresh == replayed
     with pytest.raises(ValueError, match="exactly one size"):
         _small_sweep(sizes=(4, 8), spec=loaded)

@@ -8,8 +8,9 @@ markdown table between the ``<!-- topic-table:begin -->`` /
     python tools/make_event_taxonomy.py            # rewrite DESIGN.md
     python tools/make_event_taxonomy.py --check    # exit 1 if stale
 
-``python -m repro lint`` rule R004 enforces the same freshness in CI, so
-run this after any registry change.
+Like ``python -m repro``, it needs the package importable (``PYTHONPATH=src``
+or an installed checkout).  ``python -m repro lint`` rule R004 enforces the
+same freshness in CI, so run this after any registry change.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+from repro.analysis.contracts import TABLE_BEGIN, TABLE_END
+from repro.obs.bus import render_topic_table
 
-from repro.analysis.contracts import TABLE_BEGIN, TABLE_END  # noqa: E402
-from repro.obs.bus import render_topic_table  # noqa: E402
-
-DESIGN = ROOT / "DESIGN.md"
+DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
 
 
 def main() -> int:
