@@ -531,9 +531,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bench.add_argument("--json", action="store_true",
                        help="emit the raw result JSON instead of the report")
     bench.add_argument("--baseline", type=str, default=None,
-                       help="baseline BENCH_*.json to gate events/sec against")
+                       help="baseline BENCH_*.json to gate the sim/wall ratio against")
     bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed events/sec regression fraction (default 0.30)")
+                       help="allowed sim/wall regression fraction (default 0.30)")
     bench.add_argument("--update-baseline", type=str, default=None,
                        help="write the fresh result to this path and exit 0")
     bench.set_defaults(fn=_cmd_bench)

@@ -14,11 +14,48 @@ Traffic models (paper §IV):
   packets where ``n = 1`` with probability ``1 - 1/P`` and
   ``n = P*A + 1 - P`` with probability ``1/P`` (``P`` = peak-to-mean ratio;
   the paper evaluates P=3 and P=6).  E[n] = A for any A.
+
+Parked trains
+-------------
+"Transmits every layer all the time" is what the source *does*, not what the
+simulator must schedule.  At each slot boundary the source draws ``n`` for
+every layer (same order, same RNG stream, heard or not).  A layer whose
+group has a forwarding entry or a local handler at the source node — or
+whose node is dead, which charges ``dropped_dead`` per packet — gets its
+``n`` emit events as before.  A layer nobody hears gets **none**: the train
+``(t0, n, spacing, offset)`` is recorded on the sender and the sender is
+*parked*.  Its packets are unobservable except through the sender's
+counters, so they are counted rather than simulated:
+
+* **wake** — the group gains its first listener on the node
+  (:meth:`Node.set_forwarding`, :meth:`Node.add_group_handler`) or the node
+  crashes (both call the waker registered with
+  :meth:`Node.add_group_waker`): emits already due are added to the counters
+  as sent-unheard, the rest are scheduled through ``Scheduler.at`` at the
+  float times ``t0 + (offset + i*spacing)`` an unparked train would have
+  used, and take the sequence numbers they would have had;
+* **settle** — what is left of a parked train at the next slot boundary, or
+  the part of it already due at :meth:`LayeredSource.stop`, goes into the
+  counters; ``next_seq`` / ``packets_sent`` / ``bytes_sent`` read at any
+  instant include the parked emits due by then (settle-on-read).
+
+**Tie rule.**  For a parked train an emit is *already due* when its time is
+strictly before ``now``.  An emit due at exactly the instant its group
+becomes heard is scheduled, and therefore heard; a counter read at exactly
+an emit's instant does not include it yet.
+
+A layer pruned *mid-slot* keeps the emit events it already has until the
+slot ends; ``_emit`` returns early for those (at most one slot of no-ops).
+:meth:`LayeredSource.stop` retires the slot's trains for good: scheduled
+emits carry the generation they were made in and do nothing once it is
+stale, parked trains are settled up to ``now`` and dropped — a source
+restarted mid-slot sends the new train only.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,24 +72,61 @@ VBR = "vbr"
 
 
 class _LayerSender:
-    """Per-layer transmit state (sequence counter and emission counters)."""
+    """Per-layer transmit state: one emission counter, and the parked train.
 
-    __slots__ = ("layer", "group", "rate", "next_seq", "packets_sent", "bytes_sent", "phase")
+    Every emit takes the next sequence number and sends one packet of the
+    source's fixed size, so ``next_seq``, ``packets_sent`` and ``bytes_sent``
+    are one number, read through properties that add the parked emits
+    already due (strictly before ``now``) without settling them.
+    """
 
-    def __init__(self, layer: int, group: int, rate: float, phase: float = 0.0):
+    __slots__ = ("layer", "group", "rate", "phase", "sent", "parked", "_source")
+
+    def __init__(self, source: "LayeredSource", layer: int, group: int, rate: float,
+                 phase: float = 0.0):
+        self._source = source
         self.layer = layer
         self.group = group
         self.rate = rate
-        self.next_seq = 0
-        self.packets_sent = 0
-        self.bytes_sent = 0
         #: Fraction of the inter-packet spacing this layer's train is offset
         #: by within each slot (decorrelates concurrent sources).
         self.phase = phase
+        #: Emits settled so far (fired, or counted off a parked train).
+        self.sent = 0
+        #: ``(t0, n, spacing, offset)`` of this slot's train while nobody
+        #: hears the layer, else ``None``.
+        self.parked: Optional[Tuple[float, int, float, float]] = None
+
+    def due(self) -> int:
+        """Emits of the parked train due strictly before ``now``."""
+        if self.parked is None:
+            return 0
+        t0, n, spacing, offset = self.parked
+        now = self._source.sched.now
+        i = 0
+        while i < n and t0 + (offset + i * spacing) < now:
+            i += 1
+        return i
+
+    @property
+    def packets_sent(self) -> int:
+        return self.sent + self.due()
+
+    next_seq = packets_sent
+
+    @property
+    def bytes_sent(self) -> int:
+        return self.packets_sent * self._source.packet_size
 
 
 class LayeredSource:
     """Application that multicasts a layered session from a node.
+
+    Layers nobody hears at the source node hold no heap entries: their
+    trains are parked and counted, and woken phase-exact when the group
+    gains a listener or the node crashes (module docstring, "Parked
+    trains").  Per-layer counters are on :attr:`senders` and are exact at
+    any instant.
 
     Parameters
     ----------
@@ -120,6 +194,7 @@ class LayeredSource:
         self.slot = slot
         self.senders: List[_LayerSender] = [
             _LayerSender(
+                self,
                 i + 1,
                 g,
                 schedule.rate(i + 1),
@@ -129,6 +204,11 @@ class LayeredSource:
         ]
         self._running = False
         self._slot_event = None
+        #: Bumped by :meth:`stop`; an emit event made in an older generation
+        #: belongs to a retired train and does nothing.
+        self._gen = 0
+        for sender in self.senders:
+            node.add_group_waker(sender.group, partial(self._wake, sender))
 
     # ------------------------------------------------------------------
     def start(self, at: Optional[float] = None) -> None:
@@ -140,11 +220,17 @@ class LayeredSource:
         self._slot_event = self.sched.at(when, self._run_slot)
 
     def stop(self) -> None:
-        """Stop transmitting (pending slot events are cancelled)."""
+        """Stop transmitting: the pending slot event is cancelled and the
+        current slot's trains are retired — scheduled emits go stale, parked
+        trains are settled up to ``now`` and never woken."""
         self._running = False
+        self._gen += 1
         if self._slot_event is not None:
             self._slot_event.cancel()
             self._slot_event = None
+        for sender in self.senders:
+            sender.sent += sender.due()
+            sender.parked = None
 
     @property
     def running(self) -> bool:
@@ -153,22 +239,47 @@ class LayeredSource:
 
     # ------------------------------------------------------------------
     def _run_slot(self) -> None:
-        """Emit one slot's worth of packets for every layer, then reschedule."""
+        """Settle last slot's parked trains, draw this slot's ``n`` for every
+        layer, schedule the heard layers' emits and park the rest."""
         if not self._running:
             return
         bits_per_packet = self.packet_size * 8.0
         sched = self.sched
-        at, now, emit = sched.at, sched.now, self._emit
+        at, now, emit, gen = sched.at, sched.now, self._emit, self._gen
+        node = self.node
+        # A dead node charges ``dropped_dead`` per packet: nothing parks.
+        parkable = node.alive
+        fwd, handlers = node.mcast_fwd, node.group_handlers
         for sender in self.senders:
+            if sender.parked is not None:
+                sender.sent += sender.parked[1]
+                sender.parked = None
             mean_packets = sender.rate * self.slot / bits_per_packet
             n = self._draw_packets(mean_packets)
             if n <= 0:
                 continue
             spacing = self.slot / n
             offset = sender.phase * spacing
+            group = sender.group
+            if parkable and group not in fwd and group not in handlers:
+                sender.parked = (now, n, spacing, offset)
+                continue
             for i in range(n):
-                at(now + (offset + i * spacing), emit, sender)
+                at(now + (offset + i * spacing), emit, sender, gen)
         self._slot_event = at(now + self.slot, self._run_slot)
+
+    def _wake(self, sender: _LayerSender) -> None:
+        """The sender's group gained a listener (or the node crashed): count
+        the parked emits already due, schedule the rest where they belong."""
+        if sender.parked is None:
+            return
+        due = sender.due()
+        t0, n, spacing, offset = sender.parked
+        sender.parked = None
+        sender.sent += due
+        at, emit, gen = self.sched.at, self._emit, self._gen
+        for i in range(due, n):
+            at(t0 + (offset + i * spacing), emit, sender, gen)
 
     def _draw_packets(self, mean_packets: float) -> int:
         """Number of packets this slot for a layer with mean ``mean_packets``."""
@@ -180,19 +291,17 @@ class LayeredSource:
             return max(int(round(burst)), 1)
         return 1
 
-    def _emit(self, sender: _LayerSender) -> None:
-        if not self._running:
+    def _emit(self, sender: _LayerSender, gen: int) -> None:
+        if gen != self._gen:  # the train was retired by stop()
             return
         node = self.node
         group = sender.group
-        seq = sender.next_seq
-        sender.next_seq = seq + 1
-        sender.packets_sent += 1
-        sender.bytes_sent += self.packet_size
-        # The source transmits every layer, but a packet for a group with no
-        # forwarding entry and no local handler dies inside ``Node.send``
-        # without touching a counter: don't build it.  A dead node still
-        # gets the packet so ``dropped_dead`` is charged.
+        seq = sender.sent
+        sender.sent = seq + 1
+        # A layer pruned after its emits were scheduled: a packet for a
+        # group with no forwarding entry and no local handler dies inside
+        # ``Node.send`` without touching a counter, so don't build it.  A
+        # dead node still gets the packet so ``dropped_dead`` is charged.
         if node.alive and group not in node.mcast_fwd and group not in node.group_handlers:
             return
         node.send(Packet(

@@ -540,12 +540,7 @@ class MulticastManager:
         for u, v in new_edges:
             children.setdefault(u, set()).add(v)
         for name in old_nodes | set(children):
-            node = self.network.nodes[name]
-            out = children.get(name)
-            if out:
-                node.mcast_fwd[state.group] = out
-            else:
-                node.mcast_fwd.pop(state.group, None)
+            self.network.nodes[name].set_forwarding(state.group, children.get(name))
         self._record_snapshot(state)
 
     def _track_coverage(self, state: GroupState, new_edges: Set[Edge]) -> None:

@@ -10,6 +10,14 @@ A :class:`Node` is a router and/or host.  It holds
 * application handlers: per-port unicast handlers and per-group multicast
   handlers.
 
+**Forwarding entries have one write path**, :meth:`Node.set_forwarding`;
+nothing else assigns into or deletes from ``mcast_fwd``.  Together with
+:meth:`Node.add_group_handler` it is where a group gains its first listener
+on a node, and that moment (like :meth:`Node.crash`) is announced to the
+callbacks registered with :meth:`Node.add_group_waker` — a
+:class:`~repro.media.source.LayeredSource` keeps no heap entries for a layer
+nobody hears and relies on being told when that ends.
+
 Routers in the paper's architecture do **no** congestion-control computation;
 accordingly the node only forwards.  All intelligence lives in application
 objects attached to nodes (sources, receivers, the controller agent).
@@ -53,6 +61,7 @@ class Node:
         self.next_hop: Dict[Any, Any] = {}  # unicast dst -> neighbor name
         self.mcast_fwd: Dict[int, Set[Any]] = {}  # group -> downstream neighbors
         self.group_handlers: Dict[int, List[Handler]] = {}
+        self.group_wakers: Dict[int, List[Callable[[], None]]] = {}
         self.port_handlers: Dict[str, Handler] = {}
         self.stats = NodeStats()
         self.alive = True
@@ -72,7 +81,13 @@ class Node:
 
     def add_group_handler(self, group: int, handler: Handler) -> None:
         """Deliver local copies of packets for ``group`` to ``handler``."""
-        self.group_handlers.setdefault(group, []).append(handler)
+        handlers = self.group_handlers.get(group)
+        if handlers is not None:
+            handlers.append(handler)
+            return
+        self.group_handlers[group] = [handler]
+        if group not in self.mcast_fwd:
+            self._wake(group)
 
     def remove_group_handler(self, group: int, handler: Handler) -> None:
         """Stop delivering ``group`` packets to ``handler``."""
@@ -81,6 +96,28 @@ class Node:
             handlers.remove(handler)
             if not handlers:
                 del self.group_handlers[group]
+
+    def set_forwarding(self, group: int, neighbors: Optional[Set[Any]]) -> None:
+        """Forward ``group`` to ``neighbors``; empty or ``None`` removes the
+        entry.  The one place ``mcast_fwd`` is written."""
+        if not neighbors:
+            self.mcast_fwd.pop(group, None)
+            return
+        heard = group in self.mcast_fwd or group in self.group_handlers
+        self.mcast_fwd[group] = neighbors
+        if not heard:
+            self._wake(group)
+
+    def add_group_waker(self, group: int, waker: Callable[[], None]) -> None:
+        """Call ``waker()`` whenever ``group`` gains its first listener here
+        (a forwarding entry or a local handler where there was neither) and
+        when the node crashes.  Registrations outlive a crash: they belong
+        to whoever transmits *into* the node, not to its forwarding state."""
+        self.group_wakers.setdefault(group, []).append(waker)
+
+    def _wake(self, group: int) -> None:
+        for waker in self.group_wakers.get(group, ()):
+            waker()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -98,6 +135,10 @@ class Node:
         self.group_handlers.clear()
         self.mcast_fwd.clear()
         self.next_hop.clear()
+        # A dead node is charged ``dropped_dead`` for every packet handed to
+        # it, so whoever was holding packets back must hand them over again.
+        for group in self.group_wakers:
+            self._wake(group)
 
     def recover(self) -> None:
         """Bring the node back up with empty application/forwarding state.

@@ -132,7 +132,7 @@ def test_unilateral_drop_when_controller_silent():
     controller._send_to = lambda *a, **k: None
     # Starve the receiver of data too so it sees loss (silence detection).
     for g in desc.groups:
-        net.node("src").mcast_fwd.pop(g, None)
+        net.node("src").set_forwarding(g, None)
     sched.run(until=20.0)
     assert agent.unilateral_drops >= 1
     assert receiver.level < 2

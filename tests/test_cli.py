@@ -129,7 +129,7 @@ class TestCli:
         short = tuple((n, b, f, 6.0) for (n, b, f, _q) in bench_mod.BENCH_SUITE)
         monkeypatch.setattr(bench_mod, "BENCH_SUITE", short)
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"totals": {"events_per_sec": 1e12}}))
+        baseline.write_text(json.dumps({"totals": {"sim_wall_ratio": 1e12}}))
         assert main(["bench", "--quick", "--out", str(tmp_path),
                      "--baseline", str(baseline)]) == 1
         assert "FAIL" in capsys.readouterr().out

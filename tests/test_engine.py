@@ -402,9 +402,9 @@ def test_nothing_is_scheduled_behind_at():
     )
     schedule = LayerSchedule(n_layers=3, base_rate=32_000)
     groups = [1, 2, 3]
-    for g in groups[:2]:  # layer 3 stays unheard: the source's fast path
-        net.node("src").mcast_fwd[g] = {"hub"}
-        net.node("hub").mcast_fwd[g] = {"wired", "radio"}
+    for g in groups[:2]:  # layer 3 stays unheard: parked, never scheduled
+        net.node("src").set_forwarding(g, {"hub"})
+        net.node("hub").set_forwarding(g, {"wired", "radio"})
     source = LayeredSource(net.node("src"), 1, groups, schedule, model=VBR,
                            rng=np.random.default_rng(9), phase_jitter=True)
     source.start()

@@ -1,5 +1,8 @@
 """Unit tests for layered CBR/VBR sources."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ def two_node_setup(n_layers=2, bandwidth=10e6):
     groups = list(range(1, n_layers + 1))
     # Static forwarding: everything flows to dst.
     for g in groups:
-        net.node("src").mcast_fwd[g] = {"dst"}
+        net.node("src").set_forwarding(g, {"dst"})
     return sched, net, schedule, groups
 
 
@@ -242,9 +245,12 @@ def pinned_scenario():
 def test_counters_match_values_pinned_before_the_emit_fast_path():
     """Pinned at commit d2f36b9, where every emit built a Packet and went
     through ``Node.send``; NodeStats order is received, forwarded, delivered,
-    no_route, dropped_dead."""
+    no_route, dropped_dead.  ``events`` alone was re-pinned (3193 before
+    unheard layers were parked): 614 emits nobody heard are no longer heap
+    entries.  The source crashes at 12.0 with layers 3-4 parked, and
+    ``dropped_dead`` is still 228."""
     assert pinned_scenario() == {
-        "events": 3193,
+        "events": 2579,
         "senders": [[69, 69, 69000], [99, 99, 99000], [240, 240, 240000], [945, 945, 945000]],
         "nodes": {
             "src": [0, 511, 0, 0, 228],
@@ -280,13 +286,107 @@ def test_join_mid_slot_gets_the_next_packet_with_its_sequence_number():
     assert (stats.forwarded, stats.delivered, stats.dropped_dead) == (0, 0, 0)
     got = []
     net.node("dst").add_group_handler(7, got.append)
-    net.node("src").mcast_fwd[7] = {"dst"}  # grafted in the middle of slot 1
+    net.node("src").set_forwarding(7, {"dst"})  # grafted in the middle of slot 1
     sched.run(until=1.8)
     assert [(p.seq, p.created_at) for p in got] == [(7, 1.75)]
     # A local handler alone (no forwarding entry) is heard as well.
-    del net.node("src").mcast_fwd[7]
+    net.node("src").set_forwarding(7, None)
     local = []
     net.node("src").add_group_handler(7, local.append)
     sched.run(until=2.1)
     assert [p.seq for p in local] == [8]
     assert [p.seq for p in got] == [7]
+
+
+def test_tie_an_emit_due_at_the_graft_instant_is_heard():
+    """DESIGN §7: for a parked train an emit is already due when its time is
+    strictly before ``now``.  CBR without jitter puts emits on 0, .25, ...:
+    a graft at exactly 0.5 hears the 0.5 emit, a read at 0.5 does not count
+    it yet."""
+    sched = Scheduler()
+    net = Network(sched)
+    net.add_node("src")
+    schedule = LayerSchedule(n_layers=1, base_rate=32_000)
+    src = LayeredSource(net.node("src"), 1, [7], schedule, model=CBR)
+    src.start()
+    sched.run(until=0.5)
+    sender = src.senders[0]
+    assert sender.packets_sent == 2  # 0 and .25; the .5 emit is not due yet
+    local = []
+    net.node("src").add_group_handler(7, local.append)
+    assert sender.packets_sent == 2  # woken: .5 and .75 are heap entries now
+    sched.run(until=0.5)
+    assert [(p.seq, p.created_at) for p in local] == [(2, 0.5)]
+    sched.run(until=0.99)
+    assert [(p.seq, p.created_at) for p in local] == [(2, 0.5), (3, 0.75)]
+    assert (sender.next_seq, sender.packets_sent, sender.bytes_sent) == (4, 4, 4000)
+
+
+def test_a_source_nobody_hears_costs_one_event_per_slot():
+    sched = Scheduler()
+    net = Network(sched)
+    net.add_node("src")
+    schedule = LayerSchedule(n_layers=4, base_rate=32_000)  # 4, 8, 16, 32 pkt/s
+    src = LayeredSource(net.node("src"), 1, [1, 2, 3, 4], schedule, model=CBR)
+    src.start()
+    sched.run(until=99.999)  # 100 whole slots; slot 101 starts at 100.0
+    assert sched.events_processed == 100
+    assert sched.pending == 1  # the next slot boundary, and not one emit
+    assert [s.packets_sent for s in src.senders] == [400, 800, 1600, 3200]
+    assert [s.next_seq for s in src.senders] == [400, 800, 1600, 3200]
+    assert [s.bytes_sent for s in src.senders] == [400_000, 800_000, 1_600_000, 3_200_000]
+    # Mid-slot reads settle nothing: the same question twice, the same answer.
+    sched.run(until=100.6)
+    assert [s.packets_sent for s in src.senders] == [403, 805, 1610, 3220]
+    assert [s.packets_sent for s in src.senders] == [403, 805, 1610, 3220]
+    assert sched.events_processed == 101
+
+
+def test_restart_mid_slot_sends_only_the_new_train():
+    """``stop()`` used to cancel the slot event only: the slot's emits
+    survived, ``start()`` made them live again, and the rest of the slot went
+    out at double rate (seq 0-7 at 0, .1, .25, .35, .5, .6, .75, .85)."""
+    sched, net, schedule, groups = two_node_setup(n_layers=1)
+    got = collect(net, groups)
+    src = LayeredSource(net.node("src"), 1, groups, schedule, model=CBR)
+    src.start()
+    sched.run(until=0.1)
+    src.stop()
+    src.start()
+    sched.run(until=1.09)
+    assert [(p.seq, p.created_at) for p in got[1]] == [
+        (0, 0.0), (1, 0.1), (2, 0.35), (3, 0.6), (4, 0.85)]
+    assert src.senders[0].packets_sent == 5
+
+
+def test_stop_settles_a_parked_train_and_it_is_never_woken():
+    sched = Scheduler()
+    net = Network(sched)
+    net.add_node("src")
+    schedule = LayerSchedule(n_layers=1, base_rate=32_000)
+    src = LayeredSource(net.node("src"), 1, [7], schedule, model=CBR)
+    src.start()
+    sched.run(until=0.6)
+    src.stop()
+    sender = src.senders[0]
+    assert sender.packets_sent == 3  # 0, .25, .5
+    local = []
+    net.node("src").add_group_handler(7, local.append)
+    sched.run(until=5.0)
+    assert local == [] and sender.packets_sent == 3
+    assert sched.pending == 0
+
+
+def test_forwarding_entries_are_written_only_in_node_py():
+    """A parked layer is woken by ``Node.set_forwarding``; a forwarding entry
+    written any other way under src/repro would leave it asleep."""
+    src_root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    write = re.compile(r"mcast_fwd(\[.*\]\s*=[^=]|\.(pop|clear|update|setdefault)\()|del .*mcast_fwd")
+    offenders = [
+        f"{path.relative_to(src_root)}:{lineno}"
+        for path in sorted(src_root.rglob("*.py"))
+        if path.relative_to(src_root).as_posix() != "simnet/node.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if write.search(line)
+    ]
+    assert offenders == []
