@@ -1,16 +1,14 @@
 """Static analysis: ``repro lint``.
 
 ``python -m repro lint`` walks ``src/``, ``tools/`` and ``tests/`` and
-enforces the repo-specific rule catalogue R001-R008 (DESIGN.md §11 and
-§16) — the per-file determinism rules, the
-cross-file contract checkers, and the interprocedural whole-program
-rules R006 (shard isolation) / R007 (RNG provenance) built on the
-call-graph + effect summaries in :mod:`repro.analysis.callgraph` and
-:mod:`repro.analysis.effects`.  Exit codes are CLI-conventional: 0
-clean, 1 findings, 2 internal error.
+enforces the repo-specific rule catalogue R001-R005, R007 and R008
+(DESIGN.md §11): the per-file determinism rules, among them R007 (RNG
+provenance), and the cross-file contract checkers.  There is no
+whole-program rule; shard isolation is checked dynamically by
+``test_shards_advance_as_if_alone`` and the same-seed replay tests.  Exit
+codes are CLI-conventional: 0 clean, 1 findings, 2 internal error.
 """
 
-from .callgraph import CallGraph, build_callgraph, get_callgraph
 from .contracts import MessageSchemaRule, TopicContractRule
 from .engine import (
     FileContext,
@@ -24,11 +22,14 @@ from .engine import (
     load_project,
     run_lint,
 )
-from .flow import RngProvenanceRule, ShardIsolationRule
-from .rules import NoFloatEqualityRule, NoSetIterationRule, NoWallClockRule
+from .rules import (
+    NoFloatEqualityRule,
+    NoSetIterationRule,
+    NoWallClockRule,
+    RngProvenanceRule,
+)
 
 __all__ = [
-    "CallGraph",
     "FileContext",
     "Finding",
     "LintError",
@@ -40,12 +41,9 @@ __all__ = [
     "Project",
     "RngProvenanceRule",
     "Rule",
-    "ShardIsolationRule",
     "TopicContractRule",
     "UNUSED_SUPPRESSION_CODE",
-    "build_callgraph",
     "default_rules",
-    "get_callgraph",
     "load_project",
     "run_lint",
 ]

@@ -8,7 +8,7 @@ once, parses each file to an AST, and applies pluggable :class:`Rule`
 objects:
 
 * **file rules** (``check_file``) see one :class:`FileContext` at a time —
-  the determinism rules R001-R003 live here;
+  the determinism rules R001-R003 and R007 live here;
 * **project rules** (``check_project``) see the whole :class:`Project` —
   the cross-file contract checkers R004-R005 live here.
 
@@ -119,11 +119,6 @@ class Project:
         self.docs: Dict[str, str] = dict(docs or {})
         self.root = root
         self._by_path = {ctx.rel_path: ctx for ctx in self.files}
-        #: Shared per-run analysis cache.  Expensive whole-program artifacts
-        #: (the interprocedural call graph) are built once here and reused
-        #: by every rule that needs them — the ASTs themselves are already
-        #: shared via :class:`FileContext`.
-        self.cache: Dict[str, object] = {}
 
     def file(self, rel_path: str) -> Optional[FileContext]:
         return self._by_path.get(rel_path)
@@ -191,10 +186,14 @@ class LintResult:
 
 
 def default_rules() -> List[Rule]:
-    """The repo's rule catalogue, R001-R007 (DESIGN.md §11, §16)."""
+    """The repo's rule catalogue, R001-R005 and R007 (DESIGN.md §11)."""
     from .contracts import MessageSchemaRule, TopicContractRule
-    from .flow import RngProvenanceRule, ShardIsolationRule
-    from .rules import NoFloatEqualityRule, NoSetIterationRule, NoWallClockRule
+    from .rules import (
+        NoFloatEqualityRule,
+        NoSetIterationRule,
+        NoWallClockRule,
+        RngProvenanceRule,
+    )
 
     return [
         NoWallClockRule(),
@@ -202,7 +201,6 @@ def default_rules() -> List[Rule]:
         NoSetIterationRule(),
         TopicContractRule(),
         MessageSchemaRule(),
-        ShardIsolationRule(),
         RngProvenanceRule(),
     ]
 
@@ -258,7 +256,7 @@ def run_lint(
     rules: Optional[Sequence[Rule]] = None,
     project: Optional[Project] = None,
 ) -> LintResult:
-    """Apply ``rules`` (default: the R001-R007 catalogue) and collect findings.
+    """Apply ``rules`` (default: :func:`default_rules`) and collect findings.
 
     ``# repro: noqa[RXXX]`` on a finding's line suppresses it, for file and
     project rules alike.  A suppression for an active rule that suppresses

@@ -1,4 +1,4 @@
-"""Determinism rules R001-R003: per-file AST checks.
+"""Determinism rules R001-R003 and R007: per-file AST checks.
 
 Each rule targets a reproducibility hazard specific to this repo (see
 DESIGN.md §11 for the catalogue and the policy on suppressions):
@@ -18,6 +18,15 @@ R003
     order is insertion-and-hash dependent, so any behaviour fed from a
     bare set walk is an ordering hazard for determinism.  Wrap in
     ``sorted(...)``.
+R007
+    RNG provenance inside ``src/repro/``: a ``default_rng`` seeded with a
+    constant anywhere but ``simnet/rng.py`` (home of the sanctioned
+    ``fallback_rng()``), one constructed with a constant or no seed inside
+    a loop, a module-level RNG singleton, and any draw from such a
+    singleton.  Derived-seed construction (``default_rng(seed)``,
+    hash-derived streams) is the repo's sanctioned pattern and passes.
+    This is the one check that fires on *newly written* code: a replay
+    pin is captured after the bug, and a per-seed test may not exist.
 """
 
 from __future__ import annotations
@@ -27,7 +36,12 @@ from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from .engine import FileContext, Finding, Rule
 
-__all__ = ["NoFloatEqualityRule", "NoSetIterationRule", "NoWallClockRule"]
+__all__ = [
+    "NoFloatEqualityRule",
+    "NoSetIterationRule",
+    "NoWallClockRule",
+    "RngProvenanceRule",
+]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -198,3 +212,88 @@ def _is_set_expr(node: ast.AST) -> bool:
             and node.func.id in ("set", "frozenset")):
         return True
     return False
+
+
+class RngProvenanceRule(Rule):
+    """R007: every RNG in simulation code is seeded from its caller's seed."""
+
+    code = "R007"
+    name = "rng-provenance"
+    paths = ("src/repro/",)
+
+    #: The one file allowed to constant-seed: it *defines* the sanctioned
+    #: ``fallback_rng()`` shim.
+    RNG_HOME = "src/repro/simnet/rng.py"
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        if "default_rng" not in ctx.source:
+            return ()
+        findings: List[Finding] = []
+        singletons: Set[str] = set()
+        singleton_calls: Set[int] = set()
+        for stmt in ast.iter_child_nodes(ctx.tree):
+            if not (isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    and _is_default_rng(stmt.value)):
+                continue
+            singleton_calls.add(id(stmt.value))
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for name in [t.id for t in targets if isinstance(t, ast.Name)]:
+                singletons.add(name)
+                findings.append(Finding(
+                    ctx.rel_path, stmt.lineno, self.code,
+                    f"module-level RNG singleton '{name}': its stream is "
+                    "shared by every caller and every shard — fork a named "
+                    "stream from RngRegistry instead",
+                ))
+        for call, in_loop in _default_rng_calls(ctx.tree):
+            if id(call) in singleton_calls:
+                continue
+            seed = call.args[0] if call.args else next(
+                (kw.value for kw in call.keywords if kw.arg == "seed"), None)
+            constant = isinstance(seed, ast.Constant) or (
+                isinstance(seed, ast.UnaryOp)
+                and isinstance(seed.operand, ast.Constant))
+            if constant and ctx.rel_path != self.RNG_HOME:
+                findings.append(Finding(
+                    ctx.rel_path, call.lineno, self.code,
+                    "constant-seeded RNG construction: the stream is "
+                    "identical on every call — derive the seed from the "
+                    "caller's, fork a named stream from RngRegistry, or use "
+                    "simnet.rng.fallback_rng() for a registry-less default",
+                ))
+            if in_loop and (constant or seed is None):
+                findings.append(Finding(
+                    ctx.rel_path, call.lineno, self.code,
+                    "RNG constructed inside a loop: re-seeding per iteration "
+                    "replays the same stream — hoist the construction (or "
+                    "fork a per-iteration derived stream)",
+                ))
+        for node in ast.walk(ctx.tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in singletons):
+                findings.append(Finding(
+                    ctx.rel_path, node.lineno, self.code,
+                    f"draw '.{node.func.attr}()' from module-global RNG "
+                    f"'{node.func.value.id}' — stream order depends on global "
+                    "call order; fork a named stream from RngRegistry",
+                ))
+        return findings
+
+
+def _is_default_rng(node: Optional[ast.AST]) -> bool:
+    name = dotted_name(node.func) if isinstance(node, ast.Call) else None
+    return name is not None and name.rsplit(".", 1)[-1] == "default_rng"
+
+
+def _default_rng_calls(node: ast.AST, in_loop: bool = False) -> Iterator[Tuple[ast.Call, bool]]:
+    """``(call, inside a loop?)`` for every ``default_rng(...)`` under ``node``;
+    a nested ``def`` or ``lambda`` body runs when called, not per iteration."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _default_rng_calls(child)
+            continue
+        if isinstance(child, ast.Call) and _is_default_rng(child):
+            yield child, in_loop
+        yield from _default_rng_calls(
+            child, in_loop or isinstance(child, (ast.For, ast.AsyncFor, ast.While)))

@@ -11,7 +11,6 @@ Usage::
     python -m repro crowd --seed 1 [--sizes 64,10000] [--loss 0,0.15] [--json]
     python -m repro federate --seed 1 [--domains 2,4,8] [--json]
     python -m repro fedchaos --seed 1 [--loss 0.05,0.2] [--windows 3,4] [--json]
-    python -m repro bench [--quick] [--baseline BENCH_x.json]
     python -m repro lint [--json] [--root DIR]
 
 The six gated experiments are rows of :data:`EXPERIMENTS` driven by one
@@ -21,9 +20,8 @@ runs must agree on byte for byte) and, where its input is replayable,
 
 Every subcommand exits 0 when its gates hold, 1 when one fails (or lint
 has findings) and 2 with a one-line message on input it cannot use.
-``lint`` runs the determinism & contract linter (rules R001-R008 — incl.
-the interprocedural shard-isolation/RNG-provenance rules, DESIGN.md §11
-and §16).
+``lint`` runs the determinism & contract linter (rules R001-R005, R007 and
+R008, DESIGN.md §11).
 
 ``REPRO_FULL=1`` switches every figure to the paper's 1200 s horizon.
 ``demo``, ``chaos``, ``byzantine``, ``churn``, ``crowd``, ``federate`` and
@@ -396,40 +394,6 @@ def _cmd_demo(args, _error) -> int:
     return 0
 
 
-def _cmd_bench(args, error) -> int:
-    from .obs.bench import (
-        check_against_baseline,
-        render_bench_report,
-        run_bench,
-        write_bench_file,
-    )
-
-    baseline = None
-    if args.baseline and not args.update_baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            error(f"cannot load baseline {args.baseline!r}: {exc}")
-    result = run_bench(quick=args.quick)
-    path = write_bench_file(result, args.out)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(render_bench_report(result))
-    print(f"wrote {path}", file=sys.stderr)
-    if args.update_baseline:
-        target = Path(args.update_baseline)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(result, indent=2, sort_keys=True))
-        print(f"baseline updated: {target}", file=sys.stderr)
-    if baseline is None:
-        return 0
-    ok, msg = check_against_baseline(result, baseline, tolerance=args.tolerance)
-    print(("PASS: " if ok else "FAIL: ") + msg)
-    return 0 if ok else 1
-
-
 def _cmd_lint(args, _error) -> int:
     from .analysis import LintError, run_lint
 
@@ -520,28 +484,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     artifacts(demo)
     demo.set_defaults(fn=_cmd_demo)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the seeded perf suite and write BENCH_<rev>.json",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="short horizons for CI smoke use")
-    bench.add_argument("--out", type=str, default=".",
-                       help="directory for BENCH_<rev>.json (default: .)")
-    bench.add_argument("--json", action="store_true",
-                       help="emit the raw result JSON instead of the report")
-    bench.add_argument("--baseline", type=str, default=None,
-                       help="baseline BENCH_*.json to gate the sim/wall ratio against")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed sim/wall regression fraction (default 0.30)")
-    bench.add_argument("--update-baseline", type=str, default=None,
-                       help="write the fresh result to this path and exit 0")
-    bench.set_defaults(fn=_cmd_bench)
-
     lint = sub.add_parser(
         "lint",
-        help="run the determinism & contract linter (rules R001-R008, "
-             "incl. interprocedural R006/R007)",
+        help="run the determinism & contract linter (rules R001-R005, "
+             "R007, R008)",
     )
     lint.add_argument("--json", action="store_true",
                       help="emit the machine-readable findings document "

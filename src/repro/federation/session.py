@@ -25,8 +25,9 @@ simulated seconds:
    controller's session ceiling.
 
 Determinism model: there is one execution path.  Shards share no mutable
-state (lint rule R006 proves it statically) and draw from seeds derived per
-domain name, so each shard's trajectory up to a barrier is a pure function
+state (``test_shards_advance_as_if_alone`` runs each shard alone and
+compares) and draw from seeds derived per domain name, so each shard's
+trajectory up to a barrier is a pure function
 of ``(federation seed, its view, cadence schedule, advice delivered so
 far)`` — running a shard alone gives the trajectory it has inside the
 federation.  All cross-shard work (steps 1, 3–5) happens after the barrier

@@ -156,7 +156,7 @@ class MulticastManager:
         self.allocator = GroupAllocator()
         #: Optional :class:`~repro.obs.profile.Profiler`; when set, tree
         #: construction charges ``tree.build`` and local repairs charge
-        #: ``tree.repair`` (surfaced by ``python -m repro bench``).
+        #: ``tree.repair``.
         self.profiler: Optional[Any] = None
         #: Bumped whenever a topology change modifies at least one tree;
         #: the control plane reads it (via discovery) to notice repairs.

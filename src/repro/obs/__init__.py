@@ -5,9 +5,8 @@ onto an :class:`EventBus` (attached to the scheduler; zero overhead when
 absent), accumulate counters/gauges/histograms in a :class:`MetricsRegistry`,
 and record wall-clock stage timings in a :class:`Profiler`.
 :class:`RunRecorder` ties the three together into an on-disk run directory
-(manifest + JSONL event log + metrics summary) for every CLI experiment run,
-and :mod:`repro.obs.bench` turns the profiling hooks into the repo's perf
-trajectory (``python -m repro bench`` -> ``BENCH_<rev>.json``).
+(manifest + JSONL event log + metrics summary) for every CLI experiment run.
+Nothing here times a run against a baseline: that is ``bench/``'s job.
 """
 
 from .bus import BusEvent, EventBus

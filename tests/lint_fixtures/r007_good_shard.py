@@ -1,9 +1,11 @@
-"""Known-good R006/R007: a well-behaved shard.
+"""Known-good R007: a well-behaved shard.
 
-All writes are shard-local (``self`` attributes of the shard and its
-own objects, locals), and randomness is forked from the registry and
-passed down through parameters.  Zero findings under both rules.
+Randomness is forked from the registry, every construction derives its
+seed from the caller's (also the per-iteration one inside the loop), and
+generators are passed down through parameters.  Zero findings.
 """
+
+from numpy.random import default_rng
 
 
 class RngRegistry:
@@ -11,7 +13,7 @@ class RngRegistry:
         self.seed = seed
 
     def fork(self, name):
-        return object()
+        return default_rng([self.seed, len(name)])
 
 
 def advance(state, rng):
@@ -23,6 +25,9 @@ class DomainShard:
         self.domain = domain
         self.registry = RngRegistry(seed)
         self.rng = self.registry.fork("shard")
+        self.link_rngs = []
+        for i in range(2):
+            self.link_rngs.append(default_rng(seed + i))
         self.state = {"clock": 0.0}
 
     def run_to(self, target):

@@ -107,51 +107,6 @@ class TestCli:
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
 
-    def test_bench_quick(self, capsys, tmp_path, monkeypatch):
-        from repro.obs import bench as bench_mod
-
-        # Shrink horizons so the CLI smoke stays fast; scenario set unchanged.
-        short = tuple((n, b, f, 6.0) for (n, b, f, _q) in bench_mod.BENCH_SUITE)
-        monkeypatch.setattr(bench_mod, "BENCH_SUITE", short)
-        assert main(["bench", "--quick", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "TOTAL" in out
-        (bench_file,) = tmp_path.glob("BENCH_*.json")
-        result = json.loads(bench_file.read_text())
-        assert result["quick"] is True
-        assert result["totals"]["events"] > 0
-
-    def test_bench_baseline_gate_failure_exits_nonzero(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from repro.obs import bench as bench_mod
-
-        short = tuple((n, b, f, 6.0) for (n, b, f, _q) in bench_mod.BENCH_SUITE)
-        monkeypatch.setattr(bench_mod, "BENCH_SUITE", short)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"totals": {"sim_wall_ratio": 1e12}}))
-        assert main(["bench", "--quick", "--out", str(tmp_path),
-                     "--baseline", str(baseline)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_bench_update_baseline_writes_file(self, capsys, tmp_path, monkeypatch):
-        from repro.obs import bench as bench_mod
-
-        short = tuple((n, b, f, 6.0) for (n, b, f, _q) in bench_mod.BENCH_SUITE)
-        monkeypatch.setattr(bench_mod, "BENCH_SUITE", short)
-        target = tmp_path / "sub" / "baseline.json"
-        assert main(["bench", "--quick", "--out", str(tmp_path),
-                     "--update-baseline", str(target)]) == 0
-        assert json.loads(target.read_text())["totals"]["events"] > 0
-        assert "baseline updated" in capsys.readouterr().err
-
-    def test_bench_missing_baseline_is_a_usage_error(self, capsys, tmp_path):
-        _assert_usage_error(
-            ["bench", "--quick", "--out", str(tmp_path),
-             "--baseline", str(tmp_path / "missing.json")],
-            capsys, "repro bench: error: cannot load baseline",
-        )
-
     def test_federate_json(self, capsys):
         assert main(["federate", "--receivers", "16", "--domains", "2,4",
                      "--duration", "20", "--no-artifacts", "--json"]) == 0

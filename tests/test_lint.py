@@ -1,4 +1,4 @@
-"""The determinism & contract linter: rules R001-R005, engine, CLI.
+"""The determinism & contract linter: rules R001-R005 and R007, engine, CLI.
 
 Each rule is exercised against known-good and known-bad fixture files
 under ``tests/lint_fixtures/`` (that directory is excluded from the
@@ -20,6 +20,7 @@ from repro.analysis import (
     NoSetIterationRule,
     NoWallClockRule,
     Project,
+    RngProvenanceRule,
     TopicContractRule,
     run_lint,
 )
@@ -101,6 +102,46 @@ class TestR003SetIteration:
     def test_good_fixture_clean(self):
         assert run_file_rule(
             NoSetIterationRule(), "r003_good.py", "src/repro/control/fixture.py"
+        ) == []
+
+
+class TestR007RngProvenance:
+    @pytest.mark.parametrize("name,expected", [
+        ("r007_bad_loop_reseed.py", 1),
+        ("r007_bad_global_rng.py", 2),
+        ("r007_bad_constant_seed.py", 1),
+    ])
+    def test_bad_fixture_fires(self, name, expected):
+        findings = run_file_rule(
+            RngProvenanceRule(), name, "src/repro/control/fixture.py"
+        )
+        assert len(findings) == expected, [f.message for f in findings]
+        assert {f.code for f in findings} == {"R007"}
+
+    def test_global_singleton_flags_both_definition_and_draw(self):
+        findings = run_file_rule(
+            RngProvenanceRule(), "r007_bad_global_rng.py",
+            "src/repro/control/fixture.py",
+        )
+        messages = "\n".join(f.message for f in findings)
+        assert "module-level RNG singleton" in messages
+        assert "module-global" in messages
+
+    def test_good_fixture_clean(self):
+        assert run_file_rule(
+            RngProvenanceRule(), "r007_good_shard.py",
+            "src/repro/federation/fixture.py",
+        ) == []
+
+    def test_out_of_scope_path_ignored(self):
+        assert run_file_rule(
+            RngProvenanceRule(), "r007_bad_constant_seed.py", "tools/fixture.py"
+        ) == []
+
+    def test_rng_home_may_constant_seed(self):
+        assert run_file_rule(
+            RngProvenanceRule(), "r007_bad_constant_seed.py",
+            "src/repro/simnet/rng.py",
         ) == []
 
 
@@ -232,15 +273,14 @@ class TestEngineAndCli:
         assert result.findings == []
         assert result.files_scanned > 100
         assert result.rules == (
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R001", "R002", "R003", "R004", "R005", "R007", "R008",
         )
 
     def test_repo_lint_reports_per_rule_timings(self):
         result = run_lint(root=str(REPO_ROOT))
         assert set(result.timings_ms) == set(result.rules)
         assert all(t >= 0.0 for t in result.timings_ms.values())
-        # the perf satellite's budget: whole-repo lint, interprocedural
-        # rules included, stays well under ~5 s
+        # the budget: whole-repo lint stays well under ~5 s
         assert sum(result.timings_ms.values()) < 5000.0
 
     def test_fixture_dir_is_excluded_from_walk(self):

@@ -407,94 +407,6 @@ class TestRunRecorder:
         rec.finalize()
 
 
-class TestBench:
-    def test_quick_smoke_and_baseline_gate(self, tmp_path):
-        from repro.obs.bench import (
-            check_against_baseline,
-            render_bench_report,
-            run_bench,
-            write_bench_file,
-        )
-
-        result = run_bench(duration_override=6.0)
-        assert set(result["scenarios"]) == {
-            "topo_a_cbr_8rx",
-            "topo_b_vbr_4sess",
-            "chaos_storm",
-            "crowd_flash_256rx",
-        }
-        totals = result["totals"]
-        assert totals["events"] > 0
-        assert totals["events_per_sec"] > 0
-        for s in result["scenarios"].values():
-            assert s["control_bytes_per_receiver"] > 0
-            assert "ctrl.tick" in s["stage_ms"]
-            assert any(k.startswith("toposense.") for k in s["stage_ms"])
-
-        path = write_bench_file(result, str(tmp_path))
-        assert path.name == f"BENCH_{result['rev']}.json"
-        assert json.loads(path.read_text())["totals"] == totals
-
-        ok, _ = check_against_baseline(result, result)
-        assert ok
-        fast = {"totals": {"sim_wall_ratio": totals["sim_wall_ratio"] * 10}}
-        ok, msg = check_against_baseline(result, fast)
-        assert not ok and "sim/wall" in msg
-        # Time is gated, not heap pops: more events/sec at the same wall passes
-        # nothing, fewer events at the same wall costs nothing.
-        noisy = {"totals": dict(totals, events_per_sec=totals["events_per_sec"] * 10)}
-        ok, _ = check_against_baseline(result, noisy)
-        assert ok
-        ok, _ = check_against_baseline(result, {"totals": {"sim_wall_ratio": 0}})
-        assert ok  # empty baseline skips the gate
-        with pytest.raises(ValueError):
-            check_against_baseline(result, result, tolerance=1.5)
-
-        report = render_bench_report(result)
-        assert "TOTAL" in report and "chaos_storm" in report
-
-    def test_scenarios_record_domain_count(self):
-        from repro.obs.bench import _n_domains
-
-        class Sc:
-            controllers = {"d1": None, "d2": None, "d3": None}
-
-        assert _n_domains(Sc()) == 3
-        assert _n_domains(object()) == 1  # controller-less scenario
-
-    def test_control_bytes_counts_federation_tiers(self):
-        """_control_bytes must see coordinator/aggregator senders and the
-        shards' summary uplinks, not just controllers and receiver agents."""
-        from repro.obs.bench import _control_bytes
-
-        class Ctrl:
-            control_bytes_sent = 100
-
-        class Agent:
-            control_bytes_sent = 10
-
-        class Handle:
-            agent = Agent()
-
-        class Coord:
-            control_bytes_sent = 7
-
-        class Shard:
-            summary_bytes_sent = 5
-
-        class Sc:
-            controllers = {"d1": Ctrl()}
-            receivers = [Handle(), Handle()]
-
-        assert _control_bytes(Sc()) == 120.0
-
-        class Fed(Sc):
-            coordinator = Coord()
-            shards = {"d1": Shard(), "d2": Shard()}
-
-        assert _control_bytes(Fed()) == 120.0 + 7 + 5 + 5
-
-
 class TestSchedulerObservability:
     def test_dispatch_events_emitted_when_subscribed(self):
         sched = Scheduler()
