@@ -56,8 +56,9 @@ turns honest accrues a clean streak and is released after
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from statistics import median
+from heapq import nsmallest
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 __all__ = ["GUARDED_FIELDS", "GUARD_EXEMPT_FIELDS", "GuardConfig", "ReportGuard"]
@@ -167,6 +168,20 @@ class _ReceiverRecord:
 
 def _finite_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _median_without(ordered: List[int], skip: Optional[int]) -> float:
+    """``statistics.median`` of the sorted ``ordered`` with the element at
+    index ``skip`` left out (``None``: nothing left out): the middle element,
+    or the mean of the two middle ones for an even count."""
+    n = len(ordered) if skip is None else len(ordered) - 1
+    gap = n if skip is None else skip  # from here on, indices shift by one
+
+    def at(j: int) -> int:
+        return ordered[j if j < gap else j + 1]
+
+    half = n // 2
+    return at(half) if n % 2 else (at(half - 1) + at(half)) / 2
 
 
 class ReportGuard:
@@ -362,19 +377,32 @@ class ReportGuard:
         self._settle(now)
 
     def _audit_siblings(self, siblings: List[Tuple[Key, Any]], now: float) -> None:
+        """Strike each sibling that under-reports against the *other*
+        unquarantined siblings (keys are distinct: one report per receiver).
+
+        One summary of the unquarantined set — its two smallest losses and
+        its sorted levels — yields every sibling's leave-one-out minimum and
+        median, so the pass is O(k log k) rather than a rebuilt list per
+        sibling.  A strike that quarantines a sibling mid-pass changes what
+        the later ones are compared against, so the summary is redone then.
+        """
         cfg = self.config
+        current = False
         for key, rep in siblings:
-            others = [
-                r for k2, r in siblings
-                if k2 != key and not self.is_quarantined(k2)
-            ]
-            if len(others) < cfg.min_siblings:
+            if not current:
+                active = [r for k, r in siblings if not self.is_quarantined(k)]
+                losses = nsmallest(2, (r.loss_rate for r in active))
+                levels = sorted(r.level for r in active)
+                current = True
+            own = not self.is_quarantined(key)  # is ``rep`` one of ``active``?
+            n_others = len(levels) - own
+            if n_others < cfg.min_siblings:
                 continue
             # Minimum, not median: a lie-high sibling can inflate an average
             # and frame honest zero-loss receivers, but cannot raise the
             # minimum past another honest sibling.
-            floor_loss = min(r.loss_rate for r in others)
-            med_level = median(r.level for r in others)
+            floor_loss = losses[1] if own and rep.loss_rate == losses[0] else losses[0]
+            med_level = _median_without(levels, bisect_left(levels, rep.level) if own else None)
             # Level gate: subscribing fewer layers than the siblings is a
             # legitimate reason to see less loss than they do.  The claim
             # must also be near-zero in its own right — honest loss ratios
@@ -386,6 +414,8 @@ class ReportGuard:
                 and floor_loss - rep.loss_rate > cfg.outlier_margin
             ):
                 self._strike(key, "under_report", now)
+                if own and self.is_quarantined(key):
+                    current = False
 
     def _settle(self, now: float) -> None:
         """Decay clean receivers and release rehabilitated ones."""

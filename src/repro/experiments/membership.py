@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple
 
+from ..simnet.rng import zipf_weights
+
 __all__ = [
-    "zipf_weights",
     "churn_events",
     "leave_receiver",
     "join_receiver",
@@ -35,23 +36,6 @@ __all__ = [
 
 #: (kind, time, receiver_id) rows emitted by :func:`churn_events`.
 ChurnEvent = Tuple[str, float, Any]
-
-
-def zipf_weights(n: int, s: float):
-    """Normalised Zipf(``s``) weights over ranks ``1..n`` (index order).
-
-    Rank ``k`` (0-based index) gets mass proportional to ``1/(k+1)**s`` —
-    the first few entries dominate, modelling popularity skew.
-    """
-    import numpy as np
-
-    if n < 1:
-        raise ValueError("need at least one rank for Zipf weights")
-    if s <= 0:
-        raise ValueError("zipf_s must be positive")
-    weights = np.array([1.0 / (k + 1) ** s for k in range(n)])
-    weights /= weights.sum()
-    return weights
 
 
 def churn_events(

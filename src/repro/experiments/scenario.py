@@ -105,7 +105,6 @@ class Scenario:
         self._session_counter = 0
         self._receiver_counter = 0
         self._rejoin_counts: Dict[Any, int] = {}
-        self._routes_built = False
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -364,7 +363,7 @@ class Scenario:
     # Execution
     # ------------------------------------------------------------------
     def run(self, duration: float) -> "ScenarioResult":
-        """Build routes, start pending agents, simulate for ``duration`` s.
+        """Start pending agents, simulate for ``duration`` s.
 
         Receivers added between :meth:`run` calls get their agents started
         on the next call, so dynamic-membership experiments can interleave
@@ -372,9 +371,6 @@ class Scenario:
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
-        if not self._routes_built:
-            self.network.build_routes()
-            self._routes_built = True
         for handle in self.receivers:
             if handle.agent is not None or handle.mode == "static" or handle.parked:
                 continue

@@ -46,21 +46,17 @@ class LinkFault:
         # (a, b) -> original bandwidth, for restore() after degrade().
         self._original_bw = {}
 
-    def _topology_changed(self, removed=(), added=()) -> None:
-        self.network.build_routes()
-        self.mcast.on_topology_change(removed_edges=removed, added_edges=added)
-
     def down(self, a: Any, b: Any, bidirectional: bool = True) -> None:
         """Fail the link: queued packets dropped, trees repaired around it
         (locally patched by protecting builders, torn down entirely when no
         alternate path exists)."""
         removed = self.network.set_link_up(a, b, False, bidirectional=bidirectional)
-        self._topology_changed(removed=removed)
+        self.mcast.on_topology_change(removed_edges=removed)
 
     def up(self, a: Any, b: Any, bidirectional: bool = True) -> None:
         """Repair the link and regraft severed branches through it."""
         added = self.network.set_link_up(a, b, True, bidirectional=bidirectional)
-        self._topology_changed(added=added)
+        self.mcast.on_topology_change(added_edges=added)
 
     def degrade(self, a: Any, b: Any, factor: float, bidirectional: bool = True) -> None:
         """Scale the link's capacity by ``factor`` (e.g. 0.25 = quarter rate)."""
@@ -90,14 +86,12 @@ class NodeFault:
         """Fail the node: bound ports, forwarding state and all incident
         links (with their queued packets) are lost."""
         removed = self.network.set_node_up(name, False)
-        self.network.build_routes()
         self.mcast.on_topology_change(removed_edges=removed)
 
     def recover(self, name: Any) -> None:
         """Bring the node back; multicast branches through it regraft, and
         surviving applications re-bind ports via their re-register paths."""
         added = self.network.set_node_up(name, True)
-        self.network.build_routes()
         self.mcast.on_topology_change(added_edges=added)
 
 

@@ -143,9 +143,7 @@ class DegreeBoundedBuilder(TreeBuilder):
             path = network.shortest_path_or_none(source, member)
             if path is None:
                 continue
-            delay = sum(
-                network.graph.edges[u, v]["delay"] for u, v in zip(path, path[1:])
-            )
+            delay = sum(network.edge_delay(u, v) for u, v in zip(path, path[1:]))
             reachable.append((delay, str(member), member))
         edges: Set[Edge] = set()
         tree_nodes: Set[Any] = {source}
@@ -160,9 +158,7 @@ class DegreeBoundedBuilder(TreeBuilder):
                 path = network.shortest_path_or_none(attach, member)
                 if path is None:
                     continue
-                delay = sum(
-                    network.graph.edges[u, v]["delay"] for u, v in zip(path, path[1:])
-                )
+                delay = sum(network.edge_delay(u, v) for u, v in zip(path, path[1:]))
                 candidate = (delay, str(attach), path)
                 if best is None or candidate < best:
                     best = candidate
@@ -215,10 +211,9 @@ class ProtectedTreeBuilder(TreeBuilder):
         :meth:`Network.shortest_path_avoiding` — memoised per topology epoch
         — and this pass is one lookup per edge.  The avoided link is hidden
         from the search rather than removed from and re-added to the shared
-        routing graph; besides keeping the graph (and the path cache) intact,
-        that drops an accidental permutation of networkx adjacency order the
-        remove/re-add used to leave behind.  The order can only matter on
-        equal-delay ties, and every golden and bench fingerprint is unchanged.
+        routing graph, which keeps the graph, its successor order (a re-added
+        edge moves to the back, and equal-delay ties follow that order) and
+        the path cache intact.
         """
         backups: Dict[Edge, Tuple[Any, ...]] = {}
         for u, v in state.edges:
@@ -303,7 +298,7 @@ class ProtectedTreeBuilder(TreeBuilder):
         source, acyclic by construction of the splice).
         """
         for a, b in patch.added:
-            if not network.graph.has_edge(a, b):
+            if not network.has_edge(a, b):
                 return False
         edges = patch.apply(state.edges)
         indeg: Dict[Any, int] = {}

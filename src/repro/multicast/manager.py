@@ -257,7 +257,7 @@ class MulticastManager:
                 members_below[node] = members_below.get(node, 0) + 1
         for i in range(len(path) - 1, 0, -1):
             parent = path[i - 1]
-            delay += self.network.graph.edges[parent, path[i]]["delay"]
+            delay += self.network.edge_delay(parent, path[i])
             if members_below.get(parent, 0) > 0 or parent == state.source:
                 break
         return delay
@@ -316,8 +316,8 @@ class MulticastManager:
         """React to links/nodes changing; returns groups whose tree changed.
 
         Fault injectors call this after :meth:`Network.set_link_up` /
-        :meth:`Network.set_node_up` + ``build_routes()``, passing the edges
-        those calls actually removed/restored; membership intent
+        :meth:`Network.set_node_up`, passing the edges those calls actually
+        removed/restored; membership intent
         (``desired``/``members``) is deliberately preserved so recovery is
         automatic.
 
@@ -500,7 +500,7 @@ class MulticastManager:
         delay = self.igmp_report_delay
         for i in range(len(path) - 1, 0, -1):
             node = path[i - 1]
-            delay += self.network.graph.edges[path[i - 1], path[i]]["delay"]
+            delay += self.network.edge_delay(path[i - 1], path[i])
             if node in tree_nodes:
                 break
         return delay

@@ -13,7 +13,7 @@ from .node import Node, NodeStats
 from .packet import CONTROL, DATA, DEFAULT_PACKET_SIZE, Packet
 from .queues import DropTailQueue, QueueStats, REDQueue
 from .rng import RngRegistry
-from .topology import Network
+from .topology import Network, NoPathError
 from .tracing import SeriesTrace, StepTrace
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "QueueStats",
     "RngRegistry",
     "Network",
+    "NoPathError",
     "StepTrace",
     "SeriesTrace",
 ]

@@ -3,8 +3,10 @@
 A :class:`Node` is a router and/or host.  It holds
 
 * outgoing :class:`~repro.simnet.link.Link` objects keyed by neighbor name,
-* a unicast next-hop table (filled in by
-  :meth:`repro.simnet.topology.Network.build_routes`),
+* a unicast next-hop table, filled by the owning
+  :class:`~repro.simnet.topology.Network` from one shortest-path search the
+  first time the node originates or forwards unicast, and emptied by it when
+  the routing graph changes (so it is filled again on the next use),
 * a multicast forwarding table ``group -> set of downstream neighbor names``
   (maintained by :class:`repro.multicast.manager.MulticastManager`), and
 * application handlers: per-port unicast handlers and per-group multicast
@@ -59,6 +61,11 @@ class Node:
         self.name = name
         self.links: Dict[Any, "Link"] = {}  # neighbor name -> outgoing link
         self.next_hop: Dict[Any, Any] = {}  # unicast dst -> neighbor name
+        #: Set by the owning Network for as long as ``next_hop`` is empty
+        #: because the routing graph changed since it was filled (or it never
+        #: was): ``fill_routes(node)`` fills it.  ``None`` while the table is
+        #: current — always, on a bare node, which keeps what it is given.
+        self.fill_routes: Optional[Callable[["Node"], None]] = None
         self.mcast_fwd: Dict[int, Set[Any]] = {}  # group -> downstream neighbors
         self.group_handlers: Dict[int, List[Handler]] = {}
         self.group_wakers: Dict[int, List[Callable[[], None]]] = {}
@@ -134,7 +141,6 @@ class Node:
         self.port_handlers.clear()
         self.group_handlers.clear()
         self.mcast_fwd.clear()
-        self.next_hop.clear()
         # A dead node is charged ``dropped_dead`` for every packet handed to
         # it, so whoever was holding packets back must hand them over again.
         for group in self.group_wakers:
@@ -206,6 +212,11 @@ class Node:
                 self.stats.no_route += 1
             return
         hop = self.next_hop.get(pkt.dst)
+        if hop is None and self.fill_routes is not None:
+            # First unicast since the routing graph changed: one search fills
+            # the table; a destination it does not reach stays a miss.
+            self.fill_routes(self)
+            hop = self.next_hop.get(pkt.dst)
         if hop is None:
             self.stats.no_route += 1
             return

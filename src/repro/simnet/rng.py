@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["RngRegistry", "fallback_rng"]
+__all__ = ["RngRegistry", "fallback_rng", "zipf_weights"]
 
 
 def fallback_rng() -> np.random.Generator:
@@ -31,6 +31,24 @@ def fallback_rng() -> np.random.Generator:
     do not interleave draws on one stream.
     """
     return np.random.default_rng(0)
+
+
+def zipf_weights(n: int, s: float) -> np.ndarray:
+    """Normalised Zipf(``s``) weights over ranks ``1..n`` (index order).
+
+    Rank ``k`` (0-based index) gets mass proportional to ``1/(k+1)**s`` —
+    the first few entries dominate, modelling popularity skew.  Lives here,
+    below both its users (:mod:`repro.experiments.membership` and
+    :mod:`repro.workloads.builders`), so neither package imports the other
+    for it.
+    """
+    if n < 1:
+        raise ValueError("need at least one rank for Zipf weights")
+    if s <= 0:
+        raise ValueError("zipf_s must be positive")
+    weights = np.array([1.0 / (k + 1) ** s for k in range(n)])
+    weights /= weights.sum()
+    return weights
 
 
 class RngRegistry:

@@ -1,30 +1,43 @@
 """Network construction and unicast routing.
 
-:class:`Network` owns the node and link objects and computes static
-shortest-path unicast routes (Dijkstra, weighted by propagation delay).  The
+:class:`Network` owns the node and link objects, the routing graph and every
+shortest path computed on it (Dijkstra, weighted by propagation delay).  The
 paper's topologies are small trees, but the implementation is general graphs.
 
-:class:`Network` is also the single owner of shortest-path state.  One
-single-source Dijkstra result is kept per queried source for as long as the
-routing graph's *structure* stands; every structural mutation (``add_node``,
-``add_link``, ``set_link_up``, ``set_node_up``) bumps
-:attr:`Network.topology_epoch` and drops the maps.  Nothing outside this
-module may add or remove nodes or edges of :attr:`Network.graph` — that is
-the one invalidation point (pinned by ``tests/test_path_cache.py``).
+The routing graph is a private adjacency ``{node: {neighbour: delay}}``
+holding exactly the live directed edges, each node's successors in the order
+their edges were inserted — a link taken down and restored moves to the back.
+:meth:`Network._search` is the one search over it; its tie rule (below) is
+what every tree, detour and next hop in the repo is a function of.
+
+One single-source result is kept per queried source for as long as the
+graph's *structure* stands, and a node's unicast next hops are filled from
+one search the first time it originates or forwards unicast.  Every
+structural mutation (``add_node``, ``add_link``, ``set_link_up``,
+``set_node_up``) funnels through :meth:`Network._topology_changed`, which
+bumps :attr:`Network.topology_epoch`, drops the maps and empties the tables
+that were filled — nobody has to ask for routes to be rebuilt.  Nothing
+outside this module can add or remove nodes or edges of the adjacency: that
+is the one invalidation point (pinned by ``tests/test_path_cache.py``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count, islice
+from typing import Any, Collection, Dict, KeysView, List, Optional, Tuple
 
 from .engine import Scheduler
 from .link import Link
 from .node import Node
 from .queues import DropTailQueue
 
-__all__ = ["Network"]
+__all__ = ["Network", "NoPathError"]
+
+
+class NoPathError(Exception):
+    """The routing graph as it stands has no path between two nodes (or
+    does not contain the node the search starts from)."""
 
 
 class Network:
@@ -36,7 +49,11 @@ class Network:
     >>> net = Network(Scheduler())
     >>> _ = net.add_node("a"); _ = net.add_node("b")
     >>> _ = net.add_link("a", "b", bandwidth=1e6, delay=0.2)
-    >>> net.build_routes()
+    >>> net.shortest_path("a", "b"), net.path_delay("a", "b")
+    (['a', 'b'], 0.2)
+    >>> net.node("a").next_hop  # filled when "a" first sends unicast ...
+    {}
+    >>> net.build_routes()      # ... or, for every node at once, here
     >>> net.node("a").next_hop["b"]
     'b'
     """
@@ -45,7 +62,9 @@ class Network:
         self.sched = sched
         self.nodes: Dict[Any, Node] = {}
         self.links: Dict[Tuple[Any, Any], Link] = {}
-        self.graph = nx.DiGraph()
+        #: The routing graph: node -> {successor: delay}, live edges only,
+        #: successors in edge-insertion order.
+        self._adj: Dict[Any, Dict[Any, float]] = {}
         #: Bumped by every structural change of the routing graph; cached
         #: shortest paths are valid for exactly one epoch.
         self.topology_epoch = 0
@@ -53,6 +72,8 @@ class Network:
         self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, list]]] = {}
         #: (a, b, u, v) -> shortest a->b path avoiding link u<->v, this epoch.
         self._detours: Dict[Tuple[Any, Any, Any, Any], Optional[Tuple[Any, ...]]] = {}
+        #: Nodes whose ``next_hop`` table was filled this epoch.
+        self._routed: List[Node] = []
 
     # ------------------------------------------------------------------
     # Construction
@@ -62,8 +83,9 @@ class Network:
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name!r}")
         node = Node(self.sched, name)
+        node.fill_routes = self._fill_routes
         self.nodes[name] = node
-        self.graph.add_node(name)
+        self._adj[name] = {}
         self._topology_changed()
         return node
 
@@ -104,12 +126,12 @@ class Network:
         fwd = make_link(self.sched, self.nodes[a], self.nodes[b], bandwidth, delay, make_queue())
         self.links[(a, b)] = fwd
         self.nodes[a].links[b] = fwd
-        self.graph.add_edge(a, b, delay=delay, bandwidth=bandwidth)
+        self._adj[a][b] = fwd.delay
         if bidirectional:
             rev = make_link(self.sched, self.nodes[b], self.nodes[a], bandwidth, delay, make_queue())
             self.links[(b, a)] = rev
             self.nodes[b].links[a] = rev
-            self.graph.add_edge(b, a, delay=delay, bandwidth=bandwidth)
+            self._adj[b][a] = rev.delay
         self._topology_changed()
         return fwd
 
@@ -124,9 +146,20 @@ class Network:
         """Return the directed link ``a -> b`` (KeyError if unknown)."""
         return self.links[(a, b)]
 
-    def neighbors(self, name: Any) -> Iterable[Any]:
-        """Names of nodes directly reachable from ``name``."""
-        return self.graph.successors(name)
+    def neighbors(self, name: Any) -> KeysView[Any]:
+        """Names of the nodes ``name`` has a live edge to, in the order the
+        search visits them (read-only view)."""
+        return self._adj[name].keys()
+
+    def has_edge(self, a: Any, b: Any) -> bool:
+        """Whether the directed edge ``a -> b`` is in the routing graph
+        (the link exists and is up)."""
+        return b in self._adj.get(a, ())
+
+    def edge_delay(self, a: Any, b: Any) -> float:
+        """Propagation delay of the live edge ``a -> b`` (KeyError if the
+        routing graph has no such edge)."""
+        return self._adj[a][b]
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -137,11 +170,11 @@ class Network:
         """Take the link ``a -> b`` (and ``b -> a``) down or bring it up.
 
         Besides flipping the :class:`Link` transmit state, the corresponding
-        edge is removed from (or restored to) the routing graph so that
-        :meth:`build_routes` and :meth:`shortest_path` route around the
-        failure.  Returns the directed edges actually removed from (or
-        restored to) the routing graph, so callers can follow up with
-        ``build_routes()`` and an *incremental*
+        edge is removed from (or restored to) the routing graph, so unicast
+        next hops and :meth:`shortest_path` route around the failure from
+        the next packet or query on.  Returns the directed edges actually
+        removed from (or restored to) the routing graph, so callers can
+        follow up with an *incremental*
         :meth:`repro.multicast.manager.MulticastManager.on_topology_change`
         — the fault injectors in :mod:`repro.faults` do exactly that.
         """
@@ -151,16 +184,17 @@ class Network:
             link = self.links.get((u, v))
             if link is None:
                 raise KeyError(f"unknown link {u!r}->{v!r}")
+            successors = self._adj[u]
             if up:
                 link.set_up()
-                if not self.graph.has_edge(u, v):
-                    self.graph.add_edge(u, v, delay=link.delay, bandwidth=link.bandwidth)
+                if v not in successors:
+                    successors[v] = link.delay
                     self._topology_changed()
                     changed.append((u, v))
             else:
                 link.set_down()
-                if self.graph.has_edge(u, v):
-                    self.graph.remove_edge(u, v)
+                if v in successors:
+                    del successors[v]
                     self._topology_changed()
                     changed.append((u, v))
         return changed
@@ -183,63 +217,116 @@ class Network:
 
     def set_link_bandwidth(self, a: Any, b: Any, bandwidth: float,
                            bidirectional: bool = True) -> None:
-        """Change a link's capacity (degradation fault), in both the link
-        object and the routing graph's edge attributes.
+        """Change a link's capacity (degradation fault).
 
-        Paths are weighted by delay alone, so this is not a structural
-        change: :attr:`topology_epoch` and the cached paths stand."""
-        pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
-        for u, v in pairs:
-            self.links[(u, v)].set_bandwidth(bandwidth)
-            if self.graph.has_edge(u, v):
-                self.graph.edges[u, v]["bandwidth"] = float(bandwidth)
+        Paths are weighted by delay alone, so the routing graph does not
+        hear of it: :attr:`topology_epoch` and the cached paths stand."""
+        self.links[(a, b)].set_bandwidth(bandwidth)
+        if bidirectional:
+            self.links[(b, a)].set_bandwidth(bandwidth)
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def build_routes(self) -> None:
-        """(Re)compute all-pairs shortest-path next hops, weighted by delay.
+        """Fill every node's next-hop table now.
 
-        Must be called after topology construction and before traffic starts;
-        ties are broken deterministically by neighbor sort order.
+        Never required: a node fills its own table the first time it
+        originates or forwards unicast after a structural change.
         """
-        for src_name, node in self.nodes.items():
-            node.next_hop.clear()
-            # Dijkstra from src to everywhere; paths[dst] is the node list.
-            paths = nx.single_source_dijkstra_path(self.graph, src_name, weight="delay")
-            for dst_name, path in paths.items():
-                if dst_name == src_name or len(path) < 2:
-                    continue
-                node.next_hop[dst_name] = path[1]
+        for node in self.nodes.values():
+            if node.fill_routes is not None:
+                self._fill_routes(node)
+
+    def _fill_routes(self, node: Node) -> None:
+        """Write ``node``'s next hop towards every node it can reach, from
+        one search rooted at it (the second node of each shortest path)."""
+        source = node.name
+        dist, pred = self._search(source)
+        hops = node.next_hop
+        for target in islice(dist, 1, None):  # settle order: parents first
+            parent = pred[target]
+            hops[target] = target if parent == source else hops[parent]
+        node.fill_routes = None
+        self._routed.append(node)
 
     def _topology_changed(self) -> None:
         """The routing graph gained or lost a node or edge: start a new
-        epoch and forget every path computed on the old structure."""
+        epoch, forget every path computed on the old structure and empty
+        the next-hop tables filled from it."""
         self.topology_epoch += 1
         self._spt.clear()
         self._detours.clear()
+        for node in self._routed:
+            node.next_hop.clear()
+            node.fill_routes = self._fill_routes
+        self._routed.clear()
+
+    def _search(
+        self, source: Any, target: Any = None, hidden: Collection[Tuple[Any, Any]] = ()
+    ) -> Tuple[Dict[Any, float], Dict[Any, Any]]:
+        """Dijkstra from ``source`` over the live edges not in ``hidden``:
+        ``(distance, predecessor)`` per reached node, distances in the order
+        nodes were settled.  Stops once ``target`` is settled.
+
+        **Tie rule.**  Among equal-delay alternatives the winner is decided
+        by three things, each the same as in networkx's
+        ``_dijkstra_multisource`` (which this replaced, and which
+        ``tests/test_routing_core.py`` holds it to, dict order included):
+        the fringe pops by ``(distance, push counter)``; a node's
+        predecessor changes only on a *strictly* shorter distance; and a
+        node's successors are tried in edge-insertion order.
+        """
+        adj = self._adj
+        if source not in adj:
+            raise NoPathError(f"Node {source!r} is not in the routing graph.")
+        dist: Dict[Any, float] = {}
+        pred: Dict[Any, Any] = {}
+        seen: Dict[Any, float] = {source: 0}
+        pushes = count()
+        fringe: List[Tuple[float, int, Any]] = [(0, next(pushes), source)]
+        while fringe:
+            d, _, v = heappop(fringe)
+            if v in dist:
+                continue  # a longer, superseded entry of a settled node
+            dist[v] = d
+            if v == target:
+                break
+            for u, delay in adj[v].items():
+                if u in dist or (hidden and (v, u) in hidden):
+                    continue
+                via_v = d + delay
+                if u not in seen or via_v < seen[u]:
+                    seen[u] = via_v
+                    pred[u] = v
+                    heappush(fringe, (via_v, next(pushes), u))
+        return dist, pred
 
     def _paths_from(self, source: Any) -> Tuple[Dict[Any, float], Dict[Any, list]]:
         """This epoch's ``(distances, paths)`` from ``source`` to every
-        reachable node, computed on first use.
+        reachable node, computed on first use (:class:`NoPathError` when
+        ``source`` is not in the graph).
 
-        A full single-source run settles nodes in the same order as the
-        early-stopping per-target run, so each target's node list — ties
-        included — is the one ``nx.dijkstra_path`` would return.
+        A full single-source run settles nodes in the same order as a run
+        that stops at one target, so each target's node list — ties
+        included — is the one a per-target search would return.
         """
         entry = self._spt.get(source)
         if entry is None:
-            entry = self._spt[source] = nx.single_source_dijkstra(
-                self.graph, source, weight="delay"
-            )
+            dist, pred = self._search(source)
+            paths = {source: [source]}
+            for node in islice(dist, 1, None):  # settle order: parents first
+                paths[node] = paths[pred[node]] + [node]
+            entry = self._spt[source] = (dist, paths)
         return entry
 
     def shortest_path(self, a: Any, b: Any) -> list:
         """Delay-weighted shortest path from ``a`` to ``b`` as a node list
-        (a fresh copy: callers may mutate it)."""
+        (a fresh copy: callers may mutate it); :class:`NoPathError` when
+        there is none."""
         path = self._paths_from(a)[1].get(b)
         if path is None:
-            raise nx.NetworkXNoPath(f"No path to {b}.")
+            raise NoPathError(f"No path from {a!r} to {b!r}.")
         return list(path)
 
     def shortest_path_or_none(self, a: Any, b: Any) -> Optional[list]:
@@ -247,7 +334,7 @@ class Network:
         (partitioned network after link/node failures)."""
         try:
             path = self._paths_from(a)[1].get(b)
-        except nx.NodeNotFound:
+        except NoPathError:
             return None
         return None if path is None else list(path)
 
@@ -255,7 +342,7 @@ class Network:
         """Sum of propagation delays along the shortest path ``a -> b``."""
         delay = self._paths_from(a)[0].get(b)
         if delay is None:
-            raise nx.NetworkXNoPath(f"No path to {b}.")
+            raise NoPathError(f"No path from {a!r} to {b!r}.")
         return delay
 
     def shortest_path_avoiding(self, a: Any, b: Any, u: Any, v: Any) -> Optional[Tuple[Any, ...]]:
@@ -270,17 +357,14 @@ class Network:
         key = (a, b, u, v)
         if key in self._detours:
             return self._detours[key]
-
-        def weight(x: Any, y: Any, data: Dict[str, Any]) -> Optional[float]:
-            if (x == u and y == v) or (x == v and y == u):
-                return None
-            return data["delay"]
-
-        detour: Optional[Tuple[Any, ...]]
-        try:
-            detour = tuple(nx.dijkstra_path(self.graph, a, b, weight=weight))
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            detour = None
+        detour: Optional[Tuple[Any, ...]] = None
+        if a in self._adj:
+            dist, pred = self._search(a, target=b, hidden=((u, v), (v, u)))
+            if b in dist:
+                back = [b]
+                while back[-1] != a:
+                    back.append(pred[back[-1]])
+                detour = tuple(reversed(back))
         self._detours[key] = detour
         return detour
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Any, List, Sequence, Tuple
 
-from ..experiments.membership import zipf_weights
+from ..simnet.rng import zipf_weights
 
 __all__ = [
     "RAMP_SHAPES",

@@ -262,8 +262,7 @@ def test_protected_repair_refuses_dead_splice_edge():
     b.precompute(state, net)
     # The precomputed backup for core--a splices over a--b; kill that link
     # too (stale backup) and the patch must be rejected, not installed.
-    net.graph.remove_edge("a", "b")
-    net.graph.remove_edge("b", "a")
+    net.set_link_up("a", "b", False)
     assert b.repair(state, [("core", "a")], net) is None
 
 

@@ -1,0 +1,61 @@
+"""What a fresh interpreter sees: import order and runtime dependencies.
+
+Every other test runs in a process that has already imported most of
+``repro`` (and networkx, which the test suite uses as an oracle), so two
+properties can only be checked from outside:
+
+* each subpackage imports cleanly as the *first* import of a process — a
+  cycle between two packages is otherwise masked by whichever of them the
+  process happened to import first;
+* a real run never imports networkx: it is a test dependency only
+  (``pyproject.toml``), and ``Network`` searches its own adjacency.
+"""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent.parent
+
+SUBPACKAGES = sorted(m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg)
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that finds ``repro`` and nothing
+    this process has imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES + ["workloads.runner", "cli"])
+def test_imports_cleanly_as_the_first_import_of_a_process(name):
+    done = run_fresh(f"import repro.{name}")
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_real_run_never_imports_networkx():
+    done = run_fresh("""
+import contextlib, io, sys
+from repro.cli import main
+from repro.experiments.topologies import build_topology_a
+from repro.faults import FaultPlan
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(["fig6", "--json", "--duration", "4"]) == 0
+assert out.getvalue().lstrip().startswith(("{", "["))
+
+sc = build_topology_a(n_receivers=2, seed=1)
+FaultPlan().link_flap(2.0, "core", "agg_a", down_for=1.0, times=2).apply(sc)
+sc.run(8.0)
+assert sc.network.topology_epoch > 0
+
+assert "networkx" not in sys.modules, "networkx imported at run time"
+""")
+    assert done.returncode == 0, done.stderr

@@ -6,6 +6,10 @@ tree builders rely on: a cached answer is always the answer a fresh search
 would give, callers cannot corrupt it, and ``simnet/topology.py`` is the only
 place the graph's structure is ever mutated (so it is the only place that has
 to invalidate).
+
+networkx is the from-scratch reference here and nowhere under ``src/``: the
+reference searches run on a ``DiGraph`` rebuilt from ``Network``'s read-only
+view of its adjacency (``neighbors`` in stored order, ``edge_delay``).
 """
 
 import re
@@ -18,11 +22,21 @@ from hypothesis import strategies as st
 
 from repro.faults.injectors import LinkFault, NodeFault
 from repro.multicast.manager import MulticastManager
-from repro.simnet import topology
 from repro.simnet.engine import Scheduler
-from repro.simnet.topology import Network
+from repro.simnet.topology import Network, NoPathError
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def routing_graph(net):
+    """The routing graph as it stands, as a ``DiGraph`` whose adjacency
+    order is the one ``Network`` searches in."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(net.nodes)
+    for u in net.nodes:
+        for v in net.neighbors(u):
+            graph.add_edge(u, v, delay=net.edge_delay(u, v))
+    return graph
 
 
 def _fresh_path(graph, a, b):
@@ -46,16 +60,16 @@ class UncachedNetwork(Network):
     """Reference implementation: every query is a fresh search."""
 
     def shortest_path(self, a, b):
-        return nx.dijkstra_path(self.graph, a, b, weight="delay")
+        return nx.dijkstra_path(routing_graph(self), a, b, weight="delay")
 
     def shortest_path_or_none(self, a, b):
-        return _fresh_path(self.graph, a, b)
+        return _fresh_path(routing_graph(self), a, b)
 
     def path_delay(self, a, b):
-        return nx.dijkstra_path_length(self.graph, a, b, weight="delay")
+        return nx.dijkstra_path_length(routing_graph(self), a, b, weight="delay")
 
     def shortest_path_avoiding(self, a, b, u, v):
-        return _fresh_path_avoiding(self.graph, a, b, u, v)
+        return _fresh_path_avoiding(routing_graph(self), a, b, u, v)
 
 
 def square_network():
@@ -80,28 +94,29 @@ def test_cached_paths_cannot_be_corrupted_by_callers():
     first[0] = "junk"
     maybe = net.shortest_path_or_none("a", "d")
     maybe.clear()
-    assert net.shortest_path("a", "d") == _fresh_path(net.graph, "a", "d")
-    assert net.shortest_path_or_none("a", "d") == _fresh_path(net.graph, "a", "d")
+    graph = routing_graph(net)
+    assert net.shortest_path("a", "d") == _fresh_path(graph, "a", "d")
+    assert net.shortest_path_or_none("a", "d") == _fresh_path(graph, "a", "d")
     detour = net.shortest_path_avoiding("a", "d", "b", "d")
     assert isinstance(detour, tuple)  # immutable, so the memo can be shared
-    assert detour == _fresh_path_avoiding(net.graph, "a", "d", "b", "d")
+    assert detour == _fresh_path_avoiding(graph, "a", "d", "b", "d")
 
 
 def test_set_link_bandwidth_keeps_epoch_and_cached_paths(monkeypatch):
     net = square_network()
     searches = []
-    real = topology.nx.single_source_dijkstra
+    real = Network._search
 
-    def counting(graph, source, **kwargs):
+    def counting(self, source, *args, **kwargs):
         searches.append(source)
-        return real(graph, source, **kwargs)
+        return real(self, source, *args, **kwargs)
 
-    monkeypatch.setattr(topology.nx, "single_source_dijkstra", counting)
+    monkeypatch.setattr(Network, "_search", counting)
     before = net.shortest_path("a", "d")
     epoch = net.topology_epoch
     net.set_link_bandwidth("a", "b", 5e5)
     assert net.topology_epoch == epoch
-    assert net.graph.edges["a", "b"]["bandwidth"] == 5e5
+    assert net.link("a", "b").bandwidth == net.link("b", "a").bandwidth == 5e5
     assert net.shortest_path("a", "d") == before
     assert net.path_delay("a", "d") == pytest.approx(0.2)
     assert searches == ["a"], "a capacity change must not cost a new search"
@@ -124,16 +139,21 @@ def test_structural_changes_start_a_new_epoch_and_refresh_paths():
     assert net.shortest_path("a", "d") == ["a", "d"]
     assert net.path_delay("a", "d") == pytest.approx(0.5)
     assert net.shortest_path_avoiding("a", "d", "a", "d") is None
-    with pytest.raises(nx.NetworkXNoPath):
+    with pytest.raises(NoPathError):
         net.shortest_path("a", other)
+    with pytest.raises(NoPathError):
+        net.path_delay("a", other)
+    with pytest.raises(NoPathError):
+        net.shortest_path("nowhere", "a")
     assert net.shortest_path_or_none("a", other) is None
     assert net.shortest_path_or_none("nowhere", "a") is None
 
     net.set_node_up(other, True)
     net.set_link_up("a", via, True)
+    graph = routing_graph(net)
     for x in "abcd":
         for y in "abcd":
-            assert net.shortest_path_or_none(x, y) == _fresh_path(net.graph, x, y)
+            assert net.shortest_path_or_none(x, y) == _fresh_path(graph, x, y)
 
     epoch = net.topology_epoch
     net.add_node("e")
@@ -144,9 +164,11 @@ def test_structural_changes_start_a_new_epoch_and_refresh_paths():
 
 
 def test_routing_graph_structure_is_mutated_only_in_topology_py():
-    """The single invalidation point: nothing else under src/repro may add or
-    remove nodes or edges of a graph (the path cache would never hear)."""
-    mutation = re.compile(r"graph\.(add|remove|clear)\w*\(")
+    """The single invalidation point: the adjacency is private to
+    ``Network``, so nothing else under src/repro may so much as name it (a
+    mutation there the path cache and the next-hop tables would never hear
+    of)."""
+    mutation = re.compile(r"\b_adj\b")
     offenders = [
         f"{path.relative_to(SRC_ROOT)}:{lineno}"
         for path in sorted(SRC_ROOT.rglob("*.py"))
@@ -257,7 +279,7 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
         before = cached.trees()
         cached.apply(op)
         reference.apply(op)
-        graph = cached.net.graph
+        graph = routing_graph(cached.net)
         for a in range(n):
             for b in range(n):
                 assert cached.net.shortest_path_or_none(a, b) == _fresh_path(graph, a, b)

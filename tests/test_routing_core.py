@@ -1,0 +1,286 @@
+"""Differential oracle and contract tests for ``Network``'s routing core.
+
+``Network`` searches its own insertion-ordered adjacency with its own
+Dijkstra; every tree, detour and unicast next hop in the repo follows its
+choice among equal-delay paths.  The oracle here is what it replaced:
+networkx searches on a ``DiGraph`` that :class:`Shadow` maintains the way
+``Network`` maintained its graph then (``add_edge`` on add and on restore,
+``remove_edge`` on failure — so a restored edge moves to the back of its
+node's successors), plus the all-pairs ``build_routes`` body, verbatim.
+
+One generated script — links with tie-rich delays, one- and two-way, some
+added mid-script; links and nodes taken down and brought up through the
+public mutators — drives both, and after every step they must agree on the
+successor order of every node, on ``(distances, paths)`` from every source
+*including dict order*, on detours around a hidden link, and on every next
+hop of every table that was filled (tables fill when a node sends unicast;
+the script says which nodes do, so filled and stale tables coexist).
+"""
+
+import networkx as nx
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.scenario import Scenario
+from repro.simnet.engine import Scheduler
+from repro.simnet.node import Node
+from repro.simnet.packet import Packet
+from repro.simnet.topology import Network
+
+DELAYS = [0.05, 0.1, 0.2, 0.2, 0.2, 0.3]  # ties are the norm
+
+
+class Shadow:
+    """The routing graph as ``Network`` kept it while it was a ``DiGraph``."""
+
+    def __init__(self):
+        self.graph = nx.DiGraph()
+        self.links = {}  # directed pair -> delay, in creation order
+
+    def add_link(self, a, b, delay, bidirectional):
+        for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
+            self.links[(u, v)] = delay
+            self.graph.add_edge(u, v, delay=delay)
+
+    def set_link_up(self, a, b, up, bidirectional=True):
+        changed = []
+        for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
+            if up and not self.graph.has_edge(u, v):
+                self.graph.add_edge(u, v, delay=self.links[(u, v)])
+                changed.append((u, v))
+            elif not up and self.graph.has_edge(u, v):
+                self.graph.remove_edge(u, v)
+                changed.append((u, v))
+        return changed
+
+    def set_node_up(self, name, up):
+        changed = []
+        for u, v in self.links:
+            if u == name or v == name:
+                changed.extend(self.set_link_up(u, v, up, bidirectional=False))
+        return changed
+
+    def next_hops(self):
+        """``Network.build_routes`` as it was: all-pairs, eager."""
+        tables = {}
+        for src_name in self.graph.nodes:
+            next_hop = tables[src_name] = {}
+            paths = nx.single_source_dijkstra_path(self.graph, src_name, weight="delay")
+            for dst_name, path in paths.items():
+                if dst_name == src_name or len(path) < 2:
+                    continue
+                next_hop[dst_name] = path[1]
+        return tables
+
+    def path_avoiding(self, a, b, u, v):
+        """``Network.shortest_path_avoiding`` as it was: the weight callable
+        hides the pair from ``nx.dijkstra_path``."""
+
+        def weight(x, y, data):
+            if (x == u and y == v) or (x == v and y == u):
+                return None
+            return data["delay"]
+
+        try:
+            return tuple(nx.dijkstra_path(self.graph, a, b, weight=weight))
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return None
+
+
+class Rig:
+    """A ``Network`` and its shadow, driven by one script."""
+
+    def __init__(self, n, links, n_initial):
+        self.net = Network(Scheduler())
+        self.shadow = Shadow()
+        for i in range(n):
+            self.net.add_node(i)
+            self.shadow.graph.add_node(i)
+        self.added = []
+        self.spare = list(links[n_initial:])
+        for link in links[:n_initial]:
+            self.add(link)
+
+    def add(self, link):
+        a, b, delay, two_way = link
+        self.net.add_link(a, b, bandwidth=1e6, delay=delay, bidirectional=two_way)
+        self.shadow.add_link(a, b, delay, two_way)
+        self.added.append(link)
+
+    def apply(self, op):
+        if op[0] == "link":
+            _, index, up, both = op
+            a, b, _delay, two_way = self.added[index % len(self.added)]
+            both = both and two_way
+            assert self.net.set_link_up(a, b, up, bidirectional=both) == (
+                self.shadow.set_link_up(a, b, up, bidirectional=both))
+        elif op[0] == "node":
+            _, name, up = op
+            assert self.net.set_node_up(name, up) == self.shadow.set_node_up(name, up)
+        elif self.spare:
+            self.add(self.spare.pop(0))
+
+    def send_from(self, names):
+        """Originate one unicast packet at each named node (to nobody: the
+        point is the table it fills on the way to ``no_route``)."""
+        for name in names:
+            self.net.node(name).send(Packet(src=name, dst="nobody", port="x"))
+
+    def check(self, queries):
+        net, graph = self.net, self.shadow.graph
+        eager = self.shadow.next_hops()
+        for source, node in net.nodes.items():
+            assert list(net.neighbors(source)) == list(graph.successors(source))
+            dist, paths = nx.single_source_dijkstra(graph, source, weight="delay")
+            got_dist, got_paths = net._paths_from(source)
+            assert list(got_dist.items()) == list(dist.items())
+            assert list(got_paths.items()) == list(paths.items())
+            for target in net.nodes:
+                assert net.shortest_path_or_none(source, target) == paths.get(target)
+            # A table is either current or empty and marked to be refilled.
+            expected = eager[source] if node.fill_routes is None else {}
+            assert list(node.next_hop.items()) == list(expected.items())
+        for a, b, index in queries:
+            u, v = self.added[index % len(self.added)][:2]
+            assert net.shortest_path_avoiding(a, b, u, v) == self.shadow.path_avoiding(a, b, u, v)
+
+
+@st.composite
+def flap_scripts(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links = []
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True)):
+        if draw(st.booleans()):
+            a, b = b, a
+        links.append((a, b, draw(st.sampled_from(DELAYS)), draw(st.booleans())))
+    n_initial = draw(st.integers(min_value=1, max_value=len(links)))
+    node = st.integers(min_value=0, max_value=n - 1)
+    link = st.integers(min_value=0, max_value=len(links) - 1)
+    op = st.one_of(
+        st.tuples(st.just("link"), link, st.booleans(), st.booleans()),
+        st.tuples(st.just("node"), node, st.booleans()),
+        st.tuples(st.just("add")),
+    )
+    steps = draw(st.lists(st.tuples(op, st.sets(node)), min_size=1, max_size=10))
+    queries = draw(st.lists(st.tuples(node, node, link), max_size=6))
+    return n, links, n_initial, steps, queries
+
+
+SQUARE = [(0, 1, 0.1, True), (0, 2, 0.1, True), (1, 3, 0.1, True), (2, 3, 0.1, True)]
+
+
+# Remove/re-add on a tie: 0->3 goes via 1 until link 0-1 flaps, via 2 after.
+@example((4, SQUARE, 4,
+          [(("link", 0, False, True), {0, 3}), (("link", 0, True, True), {0}),
+           (("node", 2, False), {0, 1}), (("node", 2, True), set())],
+          [(0, 3, 0), (0, 3, 1), (3, 0, 2)]))
+# One direction of a two-way link down, a one-way chord added mid-script.
+@example((4, SQUARE + [(3, 0, 0.2, False)], 4,
+          [(("link", 2, False, False), {1}), (("add",), {3}), (("link", 4, False, True), {3})],
+          [(3, 0, 4), (1, 3, 2)]))
+@given(flap_scripts())
+@settings(deadline=None)
+def test_routing_core_equals_networkx_after_every_step(script):
+    n, links, n_initial, steps, queries = script
+    rig = Rig(n, links, n_initial)
+    rig.send_from(range(n))
+    rig.check(queries)
+    for op, senders in steps:
+        rig.apply(op)
+        rig.send_from(senders)
+        rig.check(queries)
+    rig.net.build_routes()  # "fill every table now" leaves none stale
+    assert all(node.fill_routes is None for node in rig.net.nodes.values())
+    rig.check(queries)
+
+
+def test_a_restored_link_moves_to_the_back_of_its_tie():
+    """What the first ``@example`` above turns on."""
+    rig = Rig(4, SQUARE, 4)
+    assert rig.net.shortest_path(0, 3) == [0, 1, 3]
+    rig.apply(("link", 0, False, True))
+    rig.apply(("link", 0, True, True))
+    assert list(rig.net.neighbors(0)) == [2, 1]
+    assert rig.net.shortest_path(0, 3) == [0, 2, 3]
+    rig.send_from([0])
+    assert rig.net.node(0).next_hop[3] == 2
+
+
+# ----------------------------------------------------------------------
+# Contract: next hops are resolved on first use
+# ----------------------------------------------------------------------
+def line_abc():
+    sched = Scheduler()
+    net = Network(sched)
+    for name in "abc":
+        net.add_node(name)
+    net.add_link("a", "b", bandwidth=1e6, delay=0.01)
+    net.add_link("b", "c", bandwidth=1e6, delay=0.01)
+    return sched, net
+
+
+def test_cut_off_destination_costs_one_search_then_only_no_route(monkeypatch):
+    sched, net = line_abc()
+    searches = []
+    real = Network._search
+
+    def counting(self, source, *args, **kwargs):
+        searches.append(source)
+        return real(self, source, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "_search", counting)
+    got = []
+    net.node("c").bind_port("app", got.append)
+    a = net.node("a")
+    a.send(Packet(src="a", dst="c", port="app"))
+    sched.run(until=1.0)
+    assert len(got) == 1
+    assert searches == ["a", "b"]  # each forwarding node, once; "c" only delivers
+
+    net.set_link_up("b", "c", False)  # no build_routes(): nobody has to ask
+    assert a.next_hop == {} and net.node("b").next_hop == {}
+    del searches[:]
+    for _ in range(3):
+        a.send(Packet(src="a", dst="c", port="app"))
+    sched.run(until=2.0)
+    assert len(got) == 1
+    assert a.stats.no_route == 3
+    assert searches == ["a"]  # the misses after the first cost nothing
+    assert a.next_hop == {"b": "b"}
+
+    net.set_link_up("b", "c", True)
+    a.send(Packet(src="a", dst="c", port="app"))
+    sched.run(until=3.0)
+    assert len(got) == 2
+
+
+def test_tables_of_nodes_that_never_send_are_never_filled():
+    sched, net = line_abc()
+    net.node("a").send(Packet(src="a", dst="b", port="none"))
+    sched.run(until=1.0)
+    assert net.node("a").next_hop == {"b": "b", "c": "b"}
+    assert net.node("b").next_hop == {} and net.node("c").next_hop == {}
+
+
+def test_node_added_after_the_first_run_receives_unicast():
+    sc = Scenario(seed=1)
+    sc.add_node("s")
+    sc.add_node("m")
+    sc.add_link("s", "m", bandwidth=10e6, delay=0.05)
+    sc.run(1.0)
+    sc.add_node("late")
+    sc.add_link("m", "late", bandwidth=10e6, delay=0.05)
+    got = []
+    sc.network.node("late").bind_port("app", got.append)
+    sc.network.node("s").send(Packet(src="s", dst="late", port="app"))
+    sc.run(1.0)
+    assert len(got) == 1 and got[0].hops == 2
+
+
+def test_bare_node_keeps_the_table_it_is_given():
+    """A ``Node`` no ``Network`` owns has nobody to ask: a miss is a miss."""
+    node = Node(Scheduler(), "solo")
+    assert node.fill_routes is None
+    node.send(Packet(src="solo", dst="elsewhere", port="x"))
+    assert node.stats.no_route == 1 and node.next_hop == {}

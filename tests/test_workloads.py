@@ -6,11 +6,12 @@ import json
 
 import pytest
 
-from repro.experiments.membership import churn_events, zipf_weights
+from repro.experiments.membership import churn_events
 from repro.experiments.scenario import Scenario
 from repro.faults import FaultPlan
 from repro.obs.bus import EventBus
 from repro.simnet.link import DROP_REASONS, DROP_WIRELESS
+from repro.simnet.rng import zipf_weights
 from repro.simnet.wireless import WirelessEdgeLink
 from repro.workloads import (
     ReceiverSpec,
