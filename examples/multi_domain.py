@@ -12,7 +12,6 @@ capacity", congestion control decomposes cleanly per domain.
 Run:  python examples/multi_domain.py
 """
 
-from repro.control.accounting import BillingLedger
 from repro.experiments.domains import build_two_domain_topology
 
 
@@ -21,13 +20,6 @@ def main() -> None:
     print(sc.network.describe())
     print("\ndomain 1 (500 Kb/s last mile, controller at gw1): optimal 4 layers")
     print("domain 2 (100 Kb/s last mile, controller at gw2): optimal 2 layers")
-
-    # Bonus from the paper: the controller's report stream doubles as a
-    # billing feed ("controller agents can also be very useful for billing").
-    ledgers = {}
-    for name, controller in sc.controllers.items():
-        ledgers[name] = BillingLedger(price_per_mb=0.02, price_per_layer_hour=0.50)
-        controller.attach_ledger(ledgers[name])
 
     print("\nsimulating 300 s ...\n")
     result = sc.run(300.0)
@@ -47,14 +39,6 @@ def main() -> None:
         )
         print(f"  discovered subtree: root={tree.root!r}, "
               f"{len(tree.nodes)} nodes (domain-clipped)")
-
-    print("\nbilling (per domain):")
-    for name, ledger in ledgers.items():
-        for (sid, rid), charge in sorted(ledger.invoice().items(), key=str):
-            usage = ledger.usage(sid, rid)
-            print(f"  {name} {rid}: {usage.megabytes:6.1f} MB, "
-                  f"mean level {usage.mean_level:.2f} -> ${charge:.2f}")
-    print(f"\ntotal revenue: ${sum(l.total_revenue() for l in ledgers.values()):.2f}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Usage::
 
-    python -m repro fig6 [--duration 600] [--seed 1]
-    python -m repro fig7 | fig8 | fig9 | fig10 | table1
+    python -m repro fig6 [--duration 1200] [--seed 1] [--json] [--out FILE]
+    python -m repro fig7 | fig8 | fig9 [--plot] | fig10 | table1
+    python -m repro ablation_backoff | ... | control_traffic | hierarchy_tiered
     python -m repro demo --topology a --receivers 4 --traffic vbr --peak 3
     python -m repro chaos --seed 1 [--save-plan f.json | --plan f.json] [--json]
     python -m repro byzantine --seed 1 [--attack-start 30] [--json]
@@ -13,6 +14,11 @@ Usage::
     python -m repro fedchaos --seed 1 [--loss 0.05,0.2] [--windows 3,4] [--json]
     python -m repro lint [--json] [--root DIR]
 
+Every figure, the table and every ablation is a row of :data:`FIGURES`,
+named after its ``benchmarks/results/<name>.json`` file and driven by one
+function: its default ``--duration`` is the horizon that file was made at
+(``--duration 1200`` is the paper's), ``--out FILE`` writes the document
+``--json`` prints, and each shape check its gate fails goes to stderr.
 The six gated experiments are rows of :data:`EXPERIMENTS` driven by one
 function; every one takes ``--json --strip-timings`` (output two same-input
 runs must agree on byte for byte) and, where its input is replayable,
@@ -23,7 +29,6 @@ has findings) and 2 with a one-line message on input it cannot use.
 ``lint`` runs the determinism & contract linter (rules R001-R005, R007 and
 R008, DESIGN.md §11).
 
-``REPRO_FULL=1`` switches every figure to the paper's 1200 s horizon.
 ``demo``, ``chaos``, ``byzantine``, ``churn``, ``crowd``, ``federate`` and
 ``fedchaos`` write run artifacts (manifest, JSONL event log, metrics)
 under ``runs/`` — move the root with ``REPRO_RUNS_DIR`` or disable with
@@ -47,7 +52,66 @@ from .faults import FaultPlan
 from .obs.run import RunRecorder, strip_timings
 from .workloads import WorkloadSpec
 
-__all__ = ["EXPERIMENTS", "main"]
+__all__ = ["EXPERIMENTS", "FIGURES", "main"]
+
+
+# ----------------------------------------------------------------------
+# The figure table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Figure:
+    """One committed result file: its driver, horizon and shape gate."""
+
+    name: str  # the benchmarks/results/<name>.json stem
+    help: str
+    #: ``(duration=, [seed=]) -> JSON document``; without ``seed`` the
+    #: driver uses the one its committed file was made with.
+    run: Callable[..., Any]
+    #: The horizon the committed file was made at (None: nothing simulated).
+    duration: Optional[float]
+    #: ``(document, duration) -> failed checks``; never raises.
+    gate: Callable[[Any, Optional[float]], List[str]]
+
+
+FIGURES: Tuple[Figure, ...] = (
+    Figure("fig6", "stability in Topology A",
+           figures.fig6_stability_topology_a, 200.0, figures.fig6_gate),
+    Figure("fig7", "stability in Topology B",
+           figures.fig7_stability_topology_b, 200.0, figures.fig7_gate),
+    Figure("fig8", "inter-session fairness in Topology B",
+           figures.fig8_fairness, 300.0, figures.fig8_gate),
+    Figure("fig9", "subscription/loss time series, 4 VBR sessions",
+           figures.fig9_timeseries, 300.0, figures.fig9_gate),
+    Figure("fig10", "impact of stale topology information",
+           figures.fig10_staleness, 200.0, figures.fig10_gate),
+    Figure("table1", "the demand decision table",
+           figures.table1_rows, None, figures.table1_gate),
+    Figure("ablation_backoff", "back-off interval vs stability",
+           figures.ablation_backoff, 300.0, figures.ablation_backoff_gate),
+    Figure("ablation_baselines", "oracle vs TopoSense vs RLM vs static",
+           figures.ablation_baselines, 200.0, figures.ablation_baselines_gate),
+    Figure("ablation_expedited_leave", "standard vs expedited group leaves",
+           figures.ablation_expedited_leave, 200.0,
+           figures.ablation_expedited_leave_gate),
+    Figure("ablation_granularity", "6 doubling vs 11 finer layers",
+           figures.ablation_granularity, 300.0, figures.ablation_granularity_gate),
+    Figure("ablation_interval", "control interval size sweep",
+           figures.ablation_interval, 300.0, figures.ablation_interval_gate),
+    Figure("ablation_leave_latency", "IGMP leave latency sweep",
+           figures.ablation_leave_latency, 300.0, figures.ablation_leave_latency_gate),
+    Figure("ablation_loss_smoothing", "raw vs EWMA-smoothed loss under VBR",
+           figures.ablation_loss_smoothing, 300.0, figures.ablation_loss_smoothing_gate),
+    Figure("ablation_red", "drop-tail vs RED queues under VBR",
+           figures.ablation_red, 300.0, figures.ablation_red_gate),
+    Figure("ablation_reset_period", "capacity-estimate reset period sweep",
+           figures.ablation_reset_period, 300.0, figures.ablation_reset_period_gate),
+    Figure("control_traffic", "control packets per interval vs receivers",
+           figures.control_traffic, 120.0, figures.control_traffic_gate),
+    Figure("hierarchy_domains", "two domains, two independent controllers",
+           figures.hierarchy_domains, 200.0, figures.hierarchy_domains_gate),
+    Figure("hierarchy_tiered", "a random tiered ISP topology",
+           figures.hierarchy_tiered, 200.0, figures.hierarchy_tiered_gate),
+)
 
 
 # ----------------------------------------------------------------------
@@ -266,10 +330,31 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def _print_rows(rows: List[Dict[str, Any]], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(rows, indent=2, default=str))
-        return
+def _flat(row: Dict[str, Any], prefix: str = "") -> Dict[str, Any]:
+    """``row`` with nested dicts as dotted columns and series left out."""
+    out: Dict[str, Any] = {}
+    for key, value in row.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        elif not isinstance(value, list):
+            out[prefix + key] = value
+    return out
+
+
+def _table(doc: Any) -> List[Dict[str, Any]]:
+    """The rows a figure document prints as: a list row for row, fig9 one
+    row per session (its series are for ``--json`` and ``--plot``), any
+    other document as one row."""
+    if isinstance(doc, list):
+        rows = doc
+    elif "sessions" in doc:
+        rows = [dict(session=rid, **s) for rid, s in doc["sessions"].items()]
+    else:
+        rows = [doc]
+    return [_flat(r) for r in rows]
+
+
+def _print_rows(rows: List[Dict[str, Any]]) -> None:
     if not rows:
         print("(no rows)")
         return
@@ -300,38 +385,41 @@ def _make_recorder(args, experiment: str) -> Optional[RunRecorder]:
     return RunRecorder(experiment, seed=args.seed, args=cli_args)
 
 
-def _cmd_rows(rows, args, _error) -> int:
-    _print_rows(rows(duration=args.duration, seed=args.seed), args.json)
-    return 0
+def _plot_fig9(data: Dict[str, Any]) -> None:
+    from .metrics.ascii_plot import render_level_timeline
+    from .simnet.tracing import StepTrace
 
-
-def _cmd_fig9(args, _error) -> int:
-    data = figures.fig9_timeseries(duration=args.duration, seed=args.seed)
-    if args.json:
-        print(json.dumps(data, indent=2, default=str))
-        return 0
-    print(f"Figure 9: {data['n_sessions']} competing VBR sessions, {data['duration']:.0f}s")
-    if args.plot:
-        from .metrics.ascii_plot import render_level_timeline
-        from .simnet.tracing import StepTrace
-
-        t1 = data["duration"]
-        print(f"subscription level per session, 0..{t1:.0f}s "
-              f"(one digit per {t1 / 72:.1f}s bucket):")
-        for rid, s in data["sessions"].items():
-            trace = StepTrace(0.0, 0)
-            for t, v in s["subscription"]:
-                trace.record(t, v)
-            print(" ", render_level_timeline(trace, 0.0, t1, width=72, label=f"{rid:>5} "))
-        return 0
+    t1 = data["duration"]
+    print(f"subscription level per session, 0..{t1:.0f}s "
+          f"(one digit per {t1 / 72:.1f}s bucket):")
     for rid, s in data["sessions"].items():
-        print(
-            f"  {rid}: mean level {s['mean_level']:.2f}, max {s['max_level']}, "
-            f"over-subscribed: {s['over_subscribed']}"
-        )
-        tail = s["subscription"][-8:]
-        print("    recent subscription changes:", [(round(t, 1), int(v)) for t, v in tail])
-    return 0
+        trace = StepTrace(0.0, 0)
+        for t, v in s["subscription"]:
+            trace.record(t, v)
+        print(" ", render_level_timeline(trace, 0.0, t1, width=72, label=f"{rid:>5} "))
+
+
+def _cmd_figure(row: Figure, args, error) -> int:
+    """Drive one :data:`FIGURES` row: run, print, write ``--out``; exit 1
+    iff its gate failed, each failed check on stderr."""
+    seed = {} if args.seed is None else {"seed": args.seed}
+    doc = row.run(duration=args.duration, **seed)
+    text = json.dumps(doc, indent=2, default=str)
+    if args.out:
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            error(f"cannot write --out {args.out!r}: {exc}")
+    if args.json:
+        print(text)
+    elif getattr(args, "plot", False):
+        _plot_fig9(doc)
+    else:
+        _print_rows(_table(doc))
+    failed = row.gate(doc, args.duration)
+    for check in failed:
+        print(f"repro {row.name}: gate failed: {check}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_experiment(row: Experiment, args, error) -> int:
@@ -380,7 +468,7 @@ def _cmd_demo(args, _error) -> int:
             n_sessions=args.receivers, traffic=args.traffic,
             peak_to_mean=args.peak, seed=args.seed, staleness=args.staleness,
         )
-    duration = args.duration or figures.default_duration()
+    duration = args.duration
     recorder = _make_recorder(args, "demo")
     if recorder is not None:
         recorder.attach(sc, sample_interval=5.0)
@@ -424,36 +512,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, duration: Optional[float] = None):
-        default = "REPRO_* env or 300" if duration is None else f"{duration:g}"
+    def common(p, duration: Optional[float], seed: Optional[int] = 1):
+        default = "none, nothing is simulated" if duration is None else f"{duration:g}"
         p.add_argument("--duration", type=positive_float, default=duration,
                        help=f"simulated seconds (default: {default})")
-        p.add_argument("--seed", type=int, default=1)
+        seeded = "the one its results file was made with" if seed is None else seed
+        p.add_argument("--seed", type=int, default=seed, help=f"(default: {seeded})")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     def artifacts(p):
         p.add_argument("--no-artifacts", action="store_true",
                        help="skip writing the run directory under runs/")
 
-    for name, fn, help_ in [
-        ("fig6", partial(_cmd_rows, figures.fig6_stability_topology_a),
-         "stability in Topology A"),
-        ("fig7", partial(_cmd_rows, figures.fig7_stability_topology_b),
-         "stability in Topology B"),
-        ("fig8", partial(_cmd_rows, figures.fig8_fairness),
-         "inter-session fairness in Topology B"),
-        ("fig9", _cmd_fig9, "subscription/loss time series, 4 VBR sessions"),
-        ("fig10", partial(_cmd_rows, figures.fig10_staleness),
-         "impact of stale topology information"),
-        ("table1", partial(_cmd_rows, lambda duration, seed: figures.table1_rows()),
-         "the demand decision table"),
-    ]:
-        p = sub.add_parser(name, help=help_)
-        common(p)
-        if name == "fig9":
+    for fig in FIGURES:
+        p = sub.add_parser(fig.name, help=fig.help)
+        common(p, fig.duration, seed=None)
+        p.add_argument("--out", metavar="FILE",
+                       help="also write the --json document to FILE")
+        if fig.name == "fig9":
             p.add_argument("--plot", action="store_true",
                            help="draw an ASCII timeline instead of a summary")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=partial(_cmd_figure, fig))
 
     for row in EXPERIMENTS:
         p = sub.add_parser(row.name, help=row.help)
@@ -474,7 +553,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.set_defaults(fn=partial(_cmd_experiment, row))
 
     demo = sub.add_parser("demo", help="run one scenario and print a summary")
-    common(demo)
+    common(demo, 300.0)
     demo.add_argument("--topology", choices=["a", "b"], default="a")
     demo.add_argument("--receivers", type=int, default=4,
                       help="receivers (topology a) or sessions (topology b)")

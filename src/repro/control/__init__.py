@@ -3,7 +3,6 @@ topology discovery (with staleness), the controller/receiver agents, and the
 report-validation/quarantine guard.
 """
 
-from .accounting import BillingLedger, UsageRecord
 from .agent import ControllerAgent, ReceiverAgent
 from .discovery import TopologyDiscovery
 from .guard import GuardConfig, ReportGuard
@@ -20,8 +19,6 @@ from .messages import (
 from .session import SessionDescriptor
 
 __all__ = [
-    "BillingLedger",
-    "UsageRecord",
     "ControllerAgent",
     "ReceiverAgent",
     "TopologyDiscovery",

@@ -489,8 +489,6 @@ class ControllerAgent:
         #: tick charges its wall time to the ``"ctrl.tick"`` span.
         self.profiler: Optional[Any] = None
         self.last_suggestions: Optional[SuggestionSet] = None
-        #: Optional usage/billing ledger fed with every incoming report.
-        self.ledger: Optional[Any] = None
         #: Optional tree-level quarantine hook (see :meth:`attach_enforcer`).
         self._enforcer: Optional[Enforcer] = None
         self._started = False
@@ -570,10 +568,6 @@ class ControllerAgent:
         """Register an additional session to manage."""
         self.sessions[descriptor.session_id] = descriptor
 
-    def attach_ledger(self, ledger: Any) -> None:
-        """Feed every incoming report into ``ledger`` (billing, paper §II)."""
-        self.ledger = ledger
-
     def attach_enforcer(self, enforcer: Optional[Enforcer]) -> None:
         """Install the tree-level quarantine hook.
 
@@ -633,8 +627,6 @@ class ControllerAgent:
                     receiver=msg.receiver_id, session=msg.session_id,
                     loss=msg.loss_rate, level=msg.level,
                 )
-            if self.ledger is not None:
-                self.ledger.record(msg)
             history = self._report_history.setdefault(key, [])
             history.append((self.sched.now, msg))
             # Bound memory: keep enough to cover any plausible staleness.

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import EXPERIMENTS, FIGURES, main
 from repro.experiments import figures
 
 
@@ -53,15 +53,6 @@ class TestFigureDrivers:
     def test_table1_complete(self):
         rows = figures.table1_rows()
         assert len(rows) == 48
-
-    def test_default_duration_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        monkeypatch.delenv("REPRO_DURATION", raising=False)
-        assert figures.default_duration(123.0) == 123.0
-        monkeypatch.setenv("REPRO_DURATION", "77")
-        assert figures.default_duration() == 77.0
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert figures.default_duration() == 1200.0
 
 
 class TestCli:
@@ -132,7 +123,8 @@ class TestCli:
     def test_fig9_summary_output(self, capsys):
         assert main(["fig9", "--duration", "40"]) == 0
         out = capsys.readouterr().out
-        assert "mean level" in out
+        assert "mean_level" in out and "over_subscribed" in out
+        assert "subscription" not in out  # the series are for --json / --plot
 
     def test_fig10_json(self, capsys):
         assert main(["fig10", "--duration", "30", "--json"]) == 0
@@ -142,6 +134,52 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+#: The rows whose gate a 1 s horizon fails.  The others assert orderings
+#: ("no more drops than", "no worse than") that hold trivially while
+#: nothing has happened yet.
+FAILS_AT_ONE_SECOND = {
+    "fig6", "fig7", "fig8", "fig9", "ablation_baselines", "ablation_granularity",
+    "ablation_interval", "ablation_leave_latency", "control_traffic",
+    "hierarchy_domains", "hierarchy_tiered",
+}
+
+
+@pytest.mark.parametrize("row", FIGURES, ids=lambda row: row.name)
+class TestFigureTable:
+    """Every :data:`repro.cli.FIGURES` row through the one driver."""
+
+    def test_committed_result_passes_its_gate(self, row):
+        doc = json.loads((RESULTS / f"{row.name}.json").read_text())
+        assert row.gate(doc, row.duration) == []
+
+    def test_too_short_horizon_reports_and_never_raises(self, row, capsys):
+        rc = main([row.name, "--duration", "1", "--json"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        json.loads(out)  # the document is printed whatever the gate says
+        lines = err.splitlines()
+        assert all(line.startswith(f"repro {row.name}: gate failed: ") for line in lines)
+        assert rc == (1 if row.name in FAILS_AT_ONE_SECOND else 0) == (1 if lines else 0)
+
+
+def test_out_writes_what_json_prints(capsys, tmp_path):
+    out = tmp_path / "red.json"
+    assert main(["ablation_red", "--duration", "30", "--out", str(out)]) == 0
+    table = capsys.readouterr().out
+    assert table.startswith("queue") and "RED" in table
+    assert main(["ablation_red", "--duration", "30", "--json"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    _assert_usage_error(["table1", "--out", str(tmp_path / "no-dir" / "t.json")],
+                        capsys, "cannot write --out")
+
+
+def test_default_arguments_reproduce_the_committed_file(capsys):
+    assert main(["hierarchy_domains", "--json"]) == 0
+    assert capsys.readouterr().out == (RESULTS / "hierarchy_domains.json").read_text()
 
 
 def _assert_usage_error(argv, capsys, message):
@@ -191,18 +229,33 @@ SMALL = {
 }
 
 
+def small_json_argv(row):
+    return [row.name, *SMALL[row.name][0], "--no-artifacts", "--json", "--strip-timings"]
+
+
+_FIRST_RUNS = {}
+
+
+def first_small_json_run(row, capsys):
+    """``(exit code, stdout)`` of the first :func:`small_json_argv` run of
+    ``row``; tests/test_goldens.py pins the same output without a run of
+    its own."""
+    if row.name not in _FIRST_RUNS:
+        _FIRST_RUNS[row.name] = TestExperimentTable._json_run(row, capsys)
+    return _FIRST_RUNS[row.name]
+
+
 @pytest.mark.parametrize("row", EXPERIMENTS, ids=lambda row: row.name)
 class TestExperimentTable:
     """Every :data:`repro.cli.EXPERIMENTS` row through the one driver."""
 
     @staticmethod
     def _json_run(row, capsys, *extra):
-        rc = main([row.name, *SMALL[row.name][0], "--no-artifacts", "--json",
-                   "--strip-timings", *extra])
+        rc = main([*small_json_argv(row), *extra])
         return rc, capsys.readouterr().out
 
     def test_stripped_json_is_byte_equal_across_runs(self, row, capsys):
-        rc, one = self._json_run(row, capsys)
+        rc, one = first_small_json_run(row, capsys)
         assert rc == 0
         assert (rc, one) == self._json_run(row, capsys)
         assert not any(f'"{key}"' in one for key in row.timing_keys)

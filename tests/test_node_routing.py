@@ -77,6 +77,16 @@ def test_unicast_end_to_end_delivery():
     assert got[0][0] == pytest.approx(3 * (0.008 + 0.1))
     assert got[0][1].hops == 3
 
+    # A sustained stream at 80 % of line rate crosses the same 3 hops whole.
+    sched, net = line_network(4, bandwidth=100e6, delay=0.001)
+    got = []
+    net.node("n3").bind_port("sink", got.append)
+    for i in range(20_000):
+        sched.at(i * 1e-4, net.node("n0").send,
+                 Packet(src="n0", dst="n3", port="sink", size=1000))
+    sched.run(until=10.0)
+    assert len(got) == 20_000 and {p.hops for p in got} == {3}
+
 
 def test_unicast_to_unknown_destination_counts_no_route():
     sched, net = line_network(2)

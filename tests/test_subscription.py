@@ -244,6 +244,20 @@ class TestInternalDemand:
         assert res.demand["mid"] == S.cumulative(5)
         assert res.demand["root"] == S.cumulative(5)
 
+        # A depth-6 binary tree: one demand for each of its 127 nodes.
+        edges = [(n, 2 * n + c) for n in range(1, 64) for c in (0, 1)]
+        leaves = {n: f"r{n}" for n in range(64, 128)}
+        big = SessionTree("s", 1, edges, leaves)
+        reports = {
+            leaf: ReceiverReport(receiver_id=rid, loss_rate=0.0, bytes=120_000.0, level=3)
+            for leaf, rid in leaves.items()
+        }
+        res, _ = run_demand(
+            big, reports, {n: 0.0 for n in big.nodes}, {n: False for n in big.nodes},
+            {n: 120_000.0 for n in big.nodes},
+        )
+        assert set(res.demand) == set(big.nodes) and len(big.nodes) == 127
+
     def test_parent_congested_child_defers(self):
         t = fork_tree()
         state = ControllerState()
