@@ -713,8 +713,8 @@ def _red_scenario(seed: int, red: bool) -> Scenario:
 
     def factory() -> REDQueue:
         # One stream per queue: on a shared one, the order in which a node
-        # fans a packet out to its children (a set walk, so it follows the
-        # string hash seed) would decide which queue gets which draw.
+        # fans a packet out to its children would decide which queue gets
+        # which draw.
         rng = np.random.default_rng([seed + 1, next(queues)])
         return REDQueue(capacity=31, min_th=4, max_th=16, max_p=0.1, rng=rng)
 

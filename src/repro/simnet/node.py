@@ -7,7 +7,7 @@ A :class:`Node` is a router and/or host.  It holds
   :class:`~repro.simnet.topology.Network` from one shortest-path search the
   first time the node originates or forwards unicast, and emptied by it when
   the routing graph changes (so it is filled again on the next use),
-* a multicast forwarding table ``group -> set of downstream neighbor names``
+* a multicast forwarding table ``group -> tuple of downstream neighbor names``
   (maintained by :class:`repro.multicast.manager.MulticastManager`), and
 * application handlers: per-port unicast handlers and per-group multicast
   handlers.
@@ -27,7 +27,7 @@ objects attached to nodes (sources, receivers, the controller agent).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from .packet import Packet
 
@@ -66,7 +66,8 @@ class Node:
         #: was): ``fill_routes(node)`` fills it.  ``None`` while the table is
         #: current — always, on a bare node, which keeps what it is given.
         self.fill_routes: Optional[Callable[["Node"], None]] = None
-        self.mcast_fwd: Dict[int, Set[Any]] = {}  # group -> downstream neighbors
+        #: group -> downstream neighbours, in ``links`` insertion order
+        self.mcast_fwd: Dict[int, Tuple[Any, ...]] = {}
         self.group_handlers: Dict[int, List[Handler]] = {}
         self.group_wakers: Dict[int, List[Callable[[], None]]] = {}
         self.port_handlers: Dict[str, Handler] = {}
@@ -106,12 +107,16 @@ class Node:
 
     def set_forwarding(self, group: int, neighbors: Optional[Set[Any]]) -> None:
         """Forward ``group`` to ``neighbors``; empty or ``None`` removes the
-        entry.  The one place ``mcast_fwd`` is written."""
+        entry.  The one place ``mcast_fwd`` is written.
+
+        The entry is a tuple of the neighbours that have a link, in the order
+        the links were added, so a packet is copied onto its child links in
+        an order that does not depend on string hashing."""
         if not neighbors:
             self.mcast_fwd.pop(group, None)
             return
         heard = group in self.mcast_fwd or group in self.group_handlers
-        self.mcast_fwd[group] = neighbors
+        self.mcast_fwd[group] = tuple(n for n in self.links if n in neighbors)
         if not heard:
             self._wake(group)
 
@@ -195,12 +200,9 @@ class Node:
         incoming = from_link.src.name if from_link is not None else None
         links = self.links
         for neighbor in out:
-            if neighbor == incoming:
-                continue
-            link = links.get(neighbor)
-            if link is not None:
+            if neighbor != incoming:
                 self.stats.forwarded += 1
-                link.send(pkt)
+                links[neighbor].send(pkt)
 
     def _handle_unicast(self, pkt: Packet) -> None:
         if pkt.dst == self.name:
