@@ -10,15 +10,28 @@ creates one in each direction.  The transmit path models store-and-forward:
 * after serialization the packet propagates for ``delay`` seconds and is
   delivered to the destination node.
 
-This is the simulator's hot loop; it does no per-packet allocation beyond the
-two scheduler events, and schedules both with ``sched.at(sched.now + delay)``
-directly (``delay`` is non-negative by construction, so ``after``'s check
-would be a second Python call for nothing).
+A FIFO link of fixed bandwidth is a deterministic function of its offer
+times, so nothing is simulated between an offer and its arrival: ``send``
+computes when the packet's serialization ends (the previous accepted
+packet's end, or now, plus its own serialization time — the float sums an
+event per serialization would make) and books **one** scheduler event, the
+arrival at ``end + delay``.  Packets not yet settled wait in a FIFO; the
+transmit counters, ``busy_time`` and the queue are brought up to ``now``
+whenever link state is read (``send`` itself, :attr:`Link.stats`,
+:attr:`Link.queue`, :attr:`Link.busy`).  A serialization that ends at ``t``
+has completed before anything else the link does at ``t``.
+
+This is the simulator's hot loop; it allocates one FIFO entry and one
+scheduler event per accepted packet, and books the arrival with
+``sched.at(end + delay)`` directly (``delay`` is non-negative by
+construction, so ``after``'s check would be a second Python call for
+nothing).
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from collections import deque
+from typing import Any, Deque, List, Optional, TYPE_CHECKING
 
 from .packet import Packet
 from .queues import DropTailQueue
@@ -78,7 +91,7 @@ class Link:
         Queue discipline instance; defaults to a 64-packet drop-tail queue.
     """
 
-    __slots__ = ("sched", "src", "dst", "bandwidth", "delay", "queue", "busy", "stats", "up")
+    __slots__ = ("sched", "src", "dst", "bandwidth", "delay", "up", "_queue", "_stats", "_fifo")
 
     def __init__(
         self,
@@ -98,10 +111,56 @@ class Link:
         self.dst = dst
         self.bandwidth = float(bandwidth)
         self.delay = float(delay)
-        self.queue = queue if queue is not None else DropTailQueue()
-        self.busy = False
-        self.stats = LinkStats()
         self.up = True
+        self._queue = queue if queue is not None else DropTailQueue()
+        self._stats = LinkStats()
+        #: Accepted packets not yet settled, oldest first, as ``[end, pkt,
+        #: tx_time, arrival event]``.  The head is on the wire (or finished
+        #: and not yet settled); the rest are in ``_queue``, in this order.
+        self._fifo: Deque[List[Any]] = deque()
+
+    # ------------------------------------------------------------------
+    # Settle-on-read views
+    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> LinkStats:
+        """Transmit counters, settled to ``now``."""
+        self._settle()
+        return self._stats
+
+    @property
+    def queue(self) -> DropTailQueue:
+        """The queue discipline, holding exactly the packets waiting at ``now``."""
+        self._settle()
+        return self._queue
+
+    @property
+    def busy(self) -> bool:
+        """Whether a packet is serializing at ``now``."""
+        self._settle()
+        return bool(self._fifo)
+
+    def _settle(self) -> None:
+        """Complete every serialization that ended at or before ``now``: its
+        packet is counted as transmitted at its end, and the next packet
+        leaves the queue and is charged its airtime as it starts."""
+        fifo = self._fifo
+        now = self.sched.now
+        if not fifo or fifo[0][0] > now:
+            return
+        stats = self._stats
+        while True:
+            entry = fifo.popleft()
+            stats.tx_packets += 1
+            stats.tx_bytes += entry[1].size
+            stats.last_tx_end = entry[0]
+            if not fifo:
+                return
+            self._queue.pop()
+            nxt = fifo[0]
+            stats.busy_time += nxt[2]
+            if nxt[0] > now:
+                return
 
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
@@ -111,61 +170,62 @@ class Link:
         queued) and False if it was dropped.  A downed link silently drops.
         """
         if not self.up:
-            self.queue.stats.dropped += 1
-            self.queue.stats.bytes_dropped += pkt.size
+            self._queue.stats.dropped += 1
+            self._queue.stats.bytes_dropped += pkt.size
             self._emit_drop(pkt, DROP_LINK_DOWN)
             return False
-        if self.busy:
-            accepted = self.queue.push(pkt)
-            if not accepted:
+        fifo = self._fifo
+        now = self.sched.now
+        if fifo and fifo[0][0] <= now:
+            if len(fifo) == 1:
+                # The common case: the one packet on the wire has finished.
+                done = fifo.popleft()
+                stats = self._stats
+                stats.tx_packets += 1
+                stats.tx_bytes += done[1].size
+                stats.last_tx_end = done[0]
+            else:
+                self._settle()
+        tx_time = pkt.size * 8.0 / self.bandwidth
+        if fifo:
+            if not self._queue.push(pkt):
                 self._emit_drop(pkt, DROP_QUEUE_FULL)
-            return accepted
-        self._start_transmit(pkt)
+                return False
+            end = fifo[-1][0] + tx_time
+        else:
+            self._stats.busy_time += tx_time
+            end = now + tx_time
+        fifo.append(self._book(end, pkt, tx_time))
         return True
 
-    def _emit_drop(self, pkt: Packet, reason: str) -> None:
+    def _book(self, end: float, pkt: Packet, tx_time: float) -> List[Any]:
+        """The FIFO entry of a packet whose serialization ends at ``end``,
+        with its arrival booked: the receiver sees the packet ``delay``
+        seconds after the last bit leaves the transmitter."""
+        return [end, pkt, tx_time, self.sched.at(end + self.delay, self.dst.receive, pkt, self)]
+
+    def _emit_drop(self, pkt: Packet, reason: str, time: Optional[float] = None) -> None:
         bus = self.sched.bus
         if bus is not None:
             bus.emit(
-                "link.drop", self.sched.now,
+                "link.drop", self.sched.now if time is None else time,
                 link=f"{self.src.name}->{self.dst.name}",
                 reason=reason, kind=pkt.kind, size=pkt.size,
             )
 
-    def _start_transmit(self, pkt: Packet) -> None:
-        self.busy = True
-        tx_time = pkt.size * 8.0 / self.bandwidth
-        self.stats.busy_time += tx_time
-        sched = self.sched
-        sched.at(sched.now + tx_time, self._tx_done, pkt)
-
-    def _tx_done(self, pkt: Packet, lost: bool = False) -> None:
-        """Serialization finished; ``lost`` = the medium ate the packet
-        (wireless), so the airtime is charged but nothing propagates."""
-        sched = self.sched
-        now = sched.now
-        stats = self.stats
-        stats.tx_packets += 1
-        stats.tx_bytes += pkt.size
-        stats.last_tx_end = now
-        if not lost:
-            # Propagation: the receiver sees the packet ``delay`` seconds
-            # after the last bit leaves the transmitter.
-            sched.at(now + self.delay, self.dst.receive, pkt, self)
-        nxt = self.queue.pop()
-        if nxt is not None:
-            self._start_transmit(nxt)
-        else:
-            self.busy = False
-
     # ------------------------------------------------------------------
     def set_down(self) -> None:
-        """Take the link down: queued and future packets are dropped."""
+        """Take the link down: queued and future packets are dropped.  The
+        packet already serializing is still delivered."""
         self.up = False
-        stats = self.queue.stats
+        self._settle()
+        fifo = self._fifo
+        while len(fifo) > 1:
+            fifo.pop()[3].cancel()
+        stats = self._queue.stats
         flushed = 0
         while True:
-            pkt = self.queue.pop()
+            pkt = self._queue.pop()
             if pkt is None:
                 break
             # Flushed packets were accepted earlier but never transmitted;
@@ -196,11 +256,20 @@ class Link:
         """Change the link capacity (fault injection: degradation/restore).
 
         Takes effect for the next packet to start serializing; the packet
-        currently on the wire finishes at the old rate.
+        currently on the wire finishes at the old rate.  The packets queued
+        behind it are re-timed and their arrivals booked again.
         """
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        self._settle()
         self.bandwidth = float(bandwidth)
+        fifo = self._fifo
+        for i in range(1, len(fifo)):
+            entry = fifo[i]
+            entry[3].cancel()
+            pkt = entry[1]
+            tx_time = pkt.size * 8.0 / self.bandwidth
+            fifo[i] = self._book(fifo[i - 1][0] + tx_time, pkt, tx_time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,6 +19,12 @@ lives in ``queue.stats`` exactly as before, which is what lets experiments
 measure how often the control plane misattributes channel loss to
 congestion (see :func:`repro.metrics.attribution.loss_attribution`).
 
+The channel is drawn once per packet, in FIFO order, from the link's own
+stream, when the packet finishes serializing — that is, when the link is
+settled past the packet's end (see :mod:`repro.simnet.link`).  A packet
+the channel eats is marked in its FIFO entry; its arrival, the one
+scheduler event a packet gets, settles the link first and then drops it.
+
 Everything else — serialization, propagation, queueing, up/down faults —
 is inherited unchanged from :class:`~repro.simnet.link.Link`, so wireless
 edges compose with every existing injector and metric.
@@ -26,7 +32,7 @@ edges compose with every existing injector and metric.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from .link import DROP_WIRELESS, Link
 from .packet import Packet
@@ -59,7 +65,7 @@ class WirelessEdgeLink(Link):
 
     __slots__ = (
         "loss_rate", "burst_loss", "fade_in", "fade_out", "fading",
-        "rng", "wireless_drops", "wireless_bytes_dropped",
+        "rng", "_wireless_drops", "_wireless_bytes_dropped",
     )
 
     def __init__(
@@ -94,8 +100,20 @@ class WirelessEdgeLink(Link):
         self.fade_out = float(fade_out)
         self.fading = False
         self.rng = rng
-        self.wireless_drops = 0
-        self.wireless_bytes_dropped = 0
+        self._wireless_drops = 0
+        self._wireless_bytes_dropped = 0
+
+    @property
+    def wireless_drops(self) -> int:
+        """Packets the channel ate, settled to ``now``."""
+        self._settle()
+        return self._wireless_drops
+
+    @property
+    def wireless_bytes_dropped(self) -> int:
+        """Bytes the channel ate, settled to ``now``."""
+        self._settle()
+        return self._wireless_bytes_dropped
 
     # ------------------------------------------------------------------
     def _channel_lost(self) -> bool:
@@ -111,16 +129,38 @@ class WirelessEdgeLink(Link):
             return False
         return bool(rng.random() < p)
 
-    def _tx_done(self, pkt: Packet, lost: bool = False) -> None:
-        # The channel claims the packet after serialization: the transmitter
+    def _settle(self) -> None:
+        # The channel claims a packet after serialization: the transmitter
         # paid the airtime either way, so utilization and the queue are
         # charged exactly as on a wired link — by the wired link's own code.
-        if self.rng is not None and self._channel_lost():
-            lost = True
-            self.wireless_drops += 1
-            self.wireless_bytes_dropped += pkt.size
-            self._emit_drop(pkt, DROP_WIRELESS)
-        Link._tx_done(self, pkt, lost)
+        if self.rng is not None:
+            now = self.sched.now
+            for entry in self._fifo:
+                if entry[0] > now:
+                    break
+                if self._channel_lost():
+                    pkt = entry[1]
+                    entry[4] = True
+                    self._wireless_drops += 1
+                    self._wireless_bytes_dropped += pkt.size
+                    self._emit_drop(pkt, DROP_WIRELESS, entry[0])
+        Link._settle(self)
+
+    def send(self, pkt: Packet) -> bool:
+        # Link.send settles a finished packet inline, without the channel.
+        self._settle()
+        return Link.send(self, pkt)
+
+    def _book(self, end: float, pkt: Packet, tx_time: float) -> List[Any]:
+        # ``entry[4]`` is the channel's verdict: True = lost on the air.
+        entry = [end, pkt, tx_time, None, False]
+        entry[3] = self.sched.at(end + self.delay, self._arrive, entry)
+        return entry
+
+    def _arrive(self, entry: List[Any]) -> None:
+        self._settle()  # the channel draw for this packet happens first
+        if not entry[4]:
+            self.dst.receive(entry[1], self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fading" if self.fading else "good"

@@ -245,12 +245,14 @@ def pinned_scenario():
 def test_counters_match_values_pinned_before_the_emit_fast_path():
     """Pinned at commit d2f36b9, where every emit built a Packet and went
     through ``Node.send``; NodeStats order is received, forwarded, delivered,
-    no_route, dropped_dead.  ``events`` alone was re-pinned (3193 before
-    unheard layers were parked): 614 emits nobody heard are no longer heap
-    entries.  The source crashes at 12.0 with layers 3-4 parked, and
-    ``dropped_dead`` is still 228."""
+    no_route, dropped_dead.  ``events`` alone was re-pinned twice: 3193 →
+    2579 when unheard layers were parked (614 emits nobody heard are no
+    longer heap entries), and 2579 → 1675 when links stopped scheduling an
+    event per serialization end (904 packets crossed a link).  The source
+    crashes at 12.0 with layers 3-4 parked, and ``dropped_dead`` is still
+    228."""
     assert pinned_scenario() == {
-        "events": 2579,
+        "events": 1675,
         "senders": [[69, 69, 69000], [99, 99, 99000], [240, 240, 240000], [945, 945, 945000]],
         "nodes": {
             "src": [0, 511, 0, 0, 228],
