@@ -12,7 +12,6 @@ Usage::
     python -m repro crowd --seed 1 [--sizes 64,10000] [--loss 0,0.15] [--json]
     python -m repro federate --seed 1 [--domains 2,4,8] [--json]
     python -m repro fedchaos --seed 1 [--loss 0.05,0.2] [--windows 3,4] [--json]
-    python -m repro lint [--json] [--root DIR]
 
 Every figure, the table and every ablation is a row of :data:`FIGURES`,
 named after its ``benchmarks/results/<name>.json`` file and driven by one
@@ -24,10 +23,8 @@ function; every one takes ``--json --strip-timings`` (output two same-input
 runs must agree on byte for byte) and, where its input is replayable,
 ``--save-plan``/``--plan`` or ``--save-spec``/``--spec``.
 
-Every subcommand exits 0 when its gates hold, 1 when one fails (or lint
-has findings) and 2 with a one-line message on input it cannot use.
-``lint`` runs the determinism & contract linter (rules R001-R005, R007 and
-R008, DESIGN.md §11).
+Every subcommand exits 0 when its gates hold, 1 when one fails and 2 with a
+one-line message on input it cannot use.
 
 ``demo``, ``chaos``, ``byzantine``, ``churn``, ``crowd``, ``federate`` and
 ``fedchaos`` write run artifacts (manifest, JSONL event log, metrics)
@@ -482,28 +479,6 @@ def _cmd_demo(args, _error) -> int:
     return 0
 
 
-def _cmd_lint(args, _error) -> int:
-    from .analysis import LintError, run_lint
-
-    try:
-        result = run_lint(root=args.root)
-    except LintError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # defensive: a linter crash must exit 2, not 1
-        print(f"lint: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(result.to_json(), indent=2))
-    else:
-        for finding in result.findings:
-            print(finding.render())
-        status = "clean" if result.clean else f"{len(result.findings)} finding(s)"
-        print(f"lint: {result.files_scanned} files scanned, {status}",
-              file=sys.stderr)
-    return 0 if result.clean else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro`` / the ``repro`` console script."""
     parser = argparse.ArgumentParser(
@@ -562,18 +537,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     demo.add_argument("--staleness", type=float, default=0.0)
     artifacts(demo)
     demo.set_defaults(fn=_cmd_demo)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run the determinism & contract linter (rules R001-R005, "
-             "R007, R008)",
-    )
-    lint.add_argument("--json", action="store_true",
-                      help="emit the machine-readable findings document "
-                           "(version 2: includes per-rule timings_ms)")
-    lint.add_argument("--root", type=str, default=".",
-                      help="repo root to scan (default: .)")
-    lint.set_defaults(fn=_cmd_lint)
 
     args = parser.parse_args(argv)
     return args.fn(args, sub.choices[args.command].error)

@@ -66,12 +66,11 @@ __all__ = ["GUARDED_FIELDS", "GUARD_EXEMPT_FIELDS", "GuardConfig", "ReportGuard"
 Key = Tuple[Any, Any]  # (session_id, receiver_id)
 
 #: Inbound message type -> fields this guard's admission pipeline validates
-#: or scores.  ``python -m repro lint`` rule R005 cross-checks this against
-#: the dataclasses in ``control/messages.py``: a field added to a message
+#: or scores.  ``tests/test_source_rules.py`` cross-checks this against the
+#: dataclasses in ``control/messages.py``: a field added to a message
 #: without either a guard rule here or an explicit exemption below fails
-#: the build, and a field listed here must actually be read as
-#: ``msg.<field>`` somewhere in this module.  Plain literals: the linter
-#: reads them from the AST without importing.
+#: the suite, and a field listed here must actually be read as
+#: ``msg.<field>`` somewhere in this module.
 GUARDED_FIELDS: Dict[str, Set[str]] = {
     "Register": {"receiver_id", "port", "seq"},
     "Report": {"loss_rate", "bytes", "level", "t0", "t1", "seq"},

@@ -14,7 +14,7 @@ topic and cached, so a busy topic costs one dict lookup per emit.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 __all__ = [
     "BusEvent",
@@ -42,11 +42,10 @@ class TopicSpec(NamedTuple):
     payload: str
 
 
-#: The canonical event taxonomy.  Every ``bus.emit``/``log_event`` topic in
-#: the tree must resolve to an entry here, every subscription pattern must
-#: match at least one entry, and the DESIGN.md §10 table is generated from
-#: it (``tools/make_event_taxonomy.py``) — all three enforced by
-#: ``python -m repro lint`` rule R004.
+#: The canonical event taxonomy.  Every ``bus.emit``/``log_event`` topic and
+#: literal subscription pattern in the tree must resolve to an entry here,
+#: every entry must be emitted, and the DESIGN.md §10 table must equal
+#: :func:`render_topic_table` — all held by ``tests/test_source_rules.py``.
 TOPIC_REGISTRY: Tuple[TopicSpec, ...] = (
     TopicSpec("sched.dispatch", "simnet/engine.py",
               "`seq`, `fn` — one per scheduler event (firehose; off by default)"),
@@ -126,21 +125,19 @@ TOPIC_REGISTRY: Tuple[TopicSpec, ...] = (
 )
 
 
-def topic_names(registry: Optional[Iterable[TopicSpec]] = None) -> Tuple[str, ...]:
+def topic_names() -> Tuple[str, ...]:
     """All canonical topic names (wildcard families included), in order."""
-    specs = TOPIC_REGISTRY if registry is None else tuple(registry)
-    return tuple(s.name for s in specs)
+    return tuple(s.name for s in TOPIC_REGISTRY)
 
 
-def topic_is_known(topic: str, names: Optional[Iterable[str]] = None) -> bool:
+def topic_is_known(topic: str) -> bool:
     """True if ``topic`` resolves against the canonical registry.
 
     ``topic`` may itself be a dynamic-family prefix ending in ``.`` (the
     literal head of an f-string emit site): it is known when at least one
     registry name starts with that prefix.
     """
-    known = topic_names() if names is None else tuple(names)
-    for name in known:
+    for name in topic_names():
         if name.endswith(".*"):
             if topic == name or topic.startswith(name[:-1]):
                 return True
@@ -149,26 +146,21 @@ def topic_is_known(topic: str, names: Optional[Iterable[str]] = None) -> bool:
     return False
 
 
-def default_record_patterns(
-    names: Optional[Iterable[str]] = None,
-    exclude: Tuple[str, ...] = ("sched",),
-) -> Tuple[str, ...]:
+def default_record_patterns() -> Tuple[str, ...]:
     """Subscription patterns covering every registered topic family.
 
     One ``"<prefix>.*"`` per distinct first topic segment, sorted, minus
-    ``exclude`` — the derivation behind ``RunRecorder.DEFAULT_TOPICS``
+    ``sched`` — the derivation behind ``RunRecorder.DEFAULT_TOPICS``
     (everything except the per-event ``sched.dispatch`` firehose).
     """
-    source = topic_names() if names is None else tuple(names)
-    prefixes = {n.split(".", 1)[0] for n in source}
-    return tuple(f"{p}.*" for p in sorted(prefixes - set(exclude)))
+    prefixes = {n.split(".", 1)[0] for n in topic_names()}
+    return tuple(f"{p}.*" for p in sorted(prefixes - {"sched"}))
 
 
-def render_topic_table(registry: Optional[Iterable[TopicSpec]] = None) -> str:
+def render_topic_table() -> str:
     """The DESIGN.md §10 taxonomy table, one markdown row per topic."""
-    specs = TOPIC_REGISTRY if registry is None else tuple(registry)
     lines = ["| topic | emitted by | payload |", "|---|---|---|"]
-    for s in specs:
+    for s in TOPIC_REGISTRY:
         lines.append(f"| `{s.name}` | {s.emitted_by} | {s.payload} |")
     return "\n".join(lines)
 

@@ -110,7 +110,7 @@ class RunRecorder:
         root_path = Path(root if root is not None else os.environ.get("REPRO_RUNS_DIR", "runs"))
         # Run directories are keyed by wall-clock on purpose: the stamp
         # names the artifact, it never feeds the simulation.
-        stamp = time.strftime("%Y%m%d-%H%M%S")  # repro: noqa[R001]
+        stamp = time.strftime("%Y%m%d-%H%M%S")
         base = f"{experiment}" + (f"-s{seed}" if seed is not None else "") + f"-{stamp}"
         run_dir = root_path / base
         n = 2
@@ -193,10 +193,10 @@ class RunRecorder:
             "args": self.args,
             "git_rev": git_rev(),
             "python": sys.version.split()[0],
+            # Manifest provenance is wall-clock by design; it never feeds
+            # the simulation.
             "started_utc": time.strftime(
-                # Manifest provenance is wall-clock by design (R001 guards
-                # simulation logic, not artifact metadata).
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time() - wall)  # repro: noqa[R001]
+                "%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time() - wall)
             ),
             "wall_seconds": wall,
             "sim_seconds": sim_time,

@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 #: Closed set of ``link.drop`` reasons.  Every ``_emit_drop`` call site must
-#: pass one of these (enforced by lint rule R004); free-form reason strings
-#: would silently fragment downstream loss attribution.
+#: pass one of these (held by ``tests/test_source_rules.py``); free-form
+#: reason strings would silently fragment downstream loss attribution.
 DROP_LINK_DOWN = "link_down"
 DROP_QUEUE_FULL = "queue_full"
 DROP_WIRELESS = "wireless"

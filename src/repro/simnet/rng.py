@@ -24,9 +24,10 @@ def fallback_rng() -> np.random.Generator:
     Components accept an optional ``rng`` and most callers pass a
     registry-forked stream; the unit-test convenience path that passes
     nothing still needs *a* deterministic generator.  Centralising the
-    fallback here keeps the constant seed in exactly one module — lint
-    rule R007 flags it in any other file under ``src/repro/`` — and
-    makes the fallback searchable when hunting accidental stream sharing.
+    fallback here keeps the constant seed in exactly one module —
+    ``tests/test_source_rules.py`` flags it in any other file under
+    ``src/repro/`` — and makes the fallback searchable when hunting
+    accidental stream sharing.
     Each call returns a fresh generator, so two components falling back
     do not interleave draws on one stream.
     """

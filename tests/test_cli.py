@@ -307,28 +307,3 @@ def test_fedchaos_save_plan_needs_a_single_point(capsys, tmp_path):
         capsys, "--save-plan needs exactly one --loss and one --windows value",
     )
     assert not (tmp_path / "plan.json").exists()
-
-
-class TestLintExitCodes:
-    """``repro lint`` exit codes are CLI-conventional: 0 / 1 / 2."""
-
-    REPO_ROOT = Path(__file__).resolve().parent.parent
-
-    def test_clean_repo_exits_zero(self, capsys):
-        assert main(["lint", "--root", str(self.REPO_ROOT)]) == 0
-        assert "clean" in capsys.readouterr().err
-
-    def test_findings_exit_one(self, tmp_path, capsys):
-        target = tmp_path / "src" / "repro" / "simnet"
-        target.mkdir(parents=True)
-        (target / "clock.py").write_text(
-            "import time\n\ndef now():\n    return time.time()\n"
-        )
-        assert main(["lint", "--root", str(tmp_path)]) == 1
-        assert "R001" in capsys.readouterr().out
-
-    def test_internal_error_exits_two(self, tmp_path, capsys):
-        (tmp_path / "src").mkdir()
-        (tmp_path / "src" / "oops.py").write_text("this is not python (\n")
-        assert main(["lint", "--root", str(tmp_path)]) == 2
-        assert "lint:" in capsys.readouterr().err

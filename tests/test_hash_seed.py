@@ -5,14 +5,16 @@ of node names can visit them in a different order on the next run.  Where
 that order reaches the simulation — which child link a multicast packet is
 copied onto first, when two links draw from one stream — a replay with the
 same seed stops being a replay.  This test runs a few cheap figure rows and
-one experiment in two interpreters with different hash salts and requires
-byte-equal output.
+the small runs of four experiments in two interpreters with different hash
+salts and requires byte-equal output.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_cli import SMALL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -21,12 +23,17 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: a tiered ISP topology, and churn over all three tree builders.  With one
 #: stream shared by both RED queues and the fan-out walking a set of names,
 #: ``ablation_red`` differs between these two salts from about 60 s on.
+#: The other experiments reach state no earlier row does: ``byzantine``
+#: quarantines liars into the set ``GroupState.blocked``, ``crowd`` joins
+#: co-located receivers through ``GroupState.refcount``, and ``federate``
+#: drives the domain partition's ``member_set`` and the coordinator's
+#: ``_latest`` map.  Each runs with its small arguments from ``test_cli``.
 RUNS = (
     ["fig7", "--duration", "30", "--json"],
     ["ablation_red", "--duration", "60", "--json"],
     ["hierarchy_tiered", "--duration", "30", "--json"],
-    ["churn", "--duration", "60", "--receivers", "4", "--no-artifacts", "--json",
-     "--strip-timings"],
+    *([name, *SMALL[name][0], "--no-artifacts", "--json", "--strip-timings"]
+      for name in ("churn", "byzantine", "crowd", "federate")),
 )
 
 _SCRIPT = """

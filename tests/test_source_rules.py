@@ -1,0 +1,256 @@
+"""Determinism and contract rules that same-seed replay cannot catch.
+
+A bug that makes two runs with one seed differ fails the replay tests or
+``tests/test_hash_seed.py``.  These checks hold what replays identically
+and is still wrong (DESIGN.md §11 has the trial that chose them):
+
+* ``constant_seeds`` — an RNG seeded with a constant ignores the run's seed;
+* ``float_equality`` — ``==``/``!=`` against a float in ``core/`` and
+  ``metrics/`` math;
+* ``topic_contract`` — emit sites, subscriptions, ``link.drop`` reasons and
+  the DESIGN.md §10 table agree with ``TOPIC_REGISTRY``;
+* ``guard_coverage`` — every field of a guarded control message has a guard
+  rule or an explicit exemption.
+
+Each check takes parsed sources keyed by their path under ``src/repro/`` and
+returns ``path:line message`` strings.  An exemption is a path in
+``EXEMPT``; it must still excuse at least one hit.
+"""
+
+import ast
+import dataclasses
+import re
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from repro.control import guard, messages
+from repro.obs.bus import TOPIC_REGISTRY, render_topic_table, topic_is_known
+from repro.simnet import link
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+
+#: The message dataclasses, name -> field names.
+MESSAGE_FIELDS = {
+    name: {f.name for f in dataclasses.fields(cls)}
+    for name, cls in vars(messages).items()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+}
+
+
+@lru_cache(maxsize=None)
+def sources():
+    return {p.relative_to(SRC).as_posix(): ast.parse(p.read_text())
+            for p in sorted(SRC.rglob("*.py"))}
+
+
+def parse(snippets):
+    return {path: ast.parse(text) for path, text in snippets.items()}
+
+
+def calls(trees):
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                yield path, node
+
+
+def callee(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def line_of(tree, name):
+    """Line of the module-level ``name: T = ...`` (1 if absent)."""
+    return next((n.lineno for n in tree.body if isinstance(n, ast.AnnAssign)
+                 and getattr(n.target, "id", None) == name), 1)
+
+
+RNG_CONSTRUCTORS = {"default_rng", "RandomState", "Random", "seed"}
+
+
+def _constant_seed(call):
+    seed = call.args[0] if call.args else next(
+        (k.value for k in call.keywords if k.arg == "seed"), None)
+    try:
+        return seed is not None and ast.literal_eval(seed) is not None
+    except (ValueError, TypeError):
+        return False
+
+
+def constant_seeds(trees):
+    return [f"{path}:{call.lineno} `{callee(call)}` seeded with a constant ignores "
+            "the run's seed — derive the seed or fork a stream from RngRegistry"
+            for path, call in calls(trees)
+            if callee(call) in RNG_CONSTRUCTORS and _constant_seed(call)]
+
+
+def _floatish(node):
+    if isinstance(node, ast.UnaryOp):
+        return _floatish(node.operand)
+    return ((isinstance(node, ast.Constant) and isinstance(node.value, float))
+            or (isinstance(node, ast.Call) and callee(node) == "float"))
+
+
+def float_equality(trees):
+    return [f"{path}:{node.lineno} float `==`/`!=` — compare with a tolerance"
+            for path, tree in trees.items() if path.startswith(("core/", "metrics/"))
+            for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for op, a, b in zip(node.ops, [node.left, *node.comparators], node.comparators)
+            if isinstance(op, (ast.Eq, ast.NotEq)) and (_floatish(a) or _floatish(b))]
+
+
+def _literal_topics(node):
+    """``(text, is_prefix)`` for the literal topics an argument can carry;
+    an f-string contributes its literal head as a family prefix."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [(node.value, False)]
+    if isinstance(node, ast.IfExp):
+        return _literal_topics(node.body) + _literal_topics(node.orelse)
+    if isinstance(node, ast.JoinedStr) and node.values:
+        head = node.values[0]
+        if isinstance(head, ast.Constant) and isinstance(head.value, str):
+            return [(head.value, True)]
+    return []
+
+
+def topic_contract(trees, design=None):
+    hits, emitted = [], []
+    for path, call in calls(trees):
+        name, args = callee(call), call.args
+        if name == "_emit_drop" and len(args) >= 2:
+            reason = args[1]
+            value = (reason.value if isinstance(reason, ast.Constant)
+                     else getattr(link, getattr(reason, "id", ""), None))
+            if value not in link.DROP_REASONS:
+                hits.append(f"{path}:{call.lineno} link drop reason "
+                            f"`{ast.unparse(reason)}` is not in DROP_REASONS")
+            continue
+        index = {"emit": 0, "subscribe": 0, "log_event": 1}.get(name)
+        if index is None or len(args) <= index:
+            continue
+        for topic, is_prefix in _literal_topics(args[index]):
+            if name == "subscribe":
+                if topic == "*":
+                    continue
+                topic = topic[:-1] if topic.endswith(".*") else topic
+            else:
+                emitted.append((topic, is_prefix))
+            if not topic_is_known(topic):
+                hits.append(f"{path}:{call.lineno} topic `{topic}` is not in "
+                            "TOPIC_REGISTRY (obs/bus.py)")
+    registry_line = line_of(sources()["obs/bus.py"], "TOPIC_REGISTRY")
+    for spec in TOPIC_REGISTRY:
+        stem = spec.name[:-1] if spec.name.endswith(".*") else None
+        if not any((spec.name.startswith(t) if prefix else t == spec.name)
+                   or (stem and t.startswith(stem)) for t, prefix in emitted):
+            hits.append(f"obs/bus.py:{registry_line} registry topic "
+                        f"`{spec.name}` is never emitted")
+    design = (ROOT / "DESIGN.md").read_text() if design is None else design
+    table = re.search(r"<!-- topic-table:begin -->\n(.*?)\n<!-- topic-table:end -->",
+                      design, re.S)
+    if table is None or table.group(1) != render_topic_table():
+        line = design[:table.start()].count("\n") + 1 if table else 1
+        hits.append(f"DESIGN.md:{line} the §10 topic table differs from "
+                    "TOPIC_REGISTRY; put this between the topic-table markers:\n"
+                    + render_topic_table())
+    return hits
+
+
+def guard_coverage(trees, classes=MESSAGE_FIELDS, guarded=guard.GUARDED_FIELDS,
+                   exempt=guard.GUARD_EXEMPT_FIELDS):
+    tree = trees["control/guard.py"]
+    where = f"control/guard.py:{line_of(tree, 'GUARDED_FIELDS')}"
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and getattr(node.value, "id", None) == "msg"}
+    hits = []
+    for cls in sorted(guarded.keys() | exempt.keys()):
+        if cls not in classes:
+            hits.append(f"{where} `{cls}` is not a dataclass in control/messages.py")
+            continue
+        g, e, fields = guarded.get(cls, set()), exempt.get(cls, set()), classes[cls]
+        hits += [f"{where} `{cls}.{f}` is both guarded and exempt" for f in sorted(g & e)]
+        hits += [f"{where} `{cls}.{f}` is declared but is not a field"
+                 for f in sorted((g | e) - fields)]
+        hits += [f"{where} `{cls}.{f}` has no guard rule — add it to GUARDED_FIELDS "
+                 "or GUARD_EXEMPT_FIELDS" for f in sorted(fields - g - e)]
+        hits += [f"{where} `{cls}.{f}` is guarded but never read as `msg.{f}`"
+                 for f in sorted(g - reads)]
+    return hits
+
+
+CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage)
+
+#: Check -> paths under src/repro/ whose hits are sanctioned.
+EXEMPT = {
+    # fallback_rng(), the one registry-less default generator
+    constant_seeds: {"simnet/rng.py"},
+}
+
+
+def unexcused(hits, exempt):
+    """Hits outside ``exempt``, plus one line per exemption that excuses none."""
+    hit_paths = {h.split(":", 1)[0] for h in hits}
+    return ([h for h in hits if h.split(":", 1)[0] not in exempt]
+            + [f"{p}: exemption excuses nothing — remove it"
+               for p in sorted(exempt - hit_paths)])
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+def test_the_source_obeys_the_rule(check):
+    assert unexcused(check(sources()), EXEMPT.get(check, set())) == []
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+def test_an_exemption_that_excuses_nothing_fails(check):
+    exempt = EXEMPT.get(check, set()) | {"media/source.py"}
+    assert unexcused(check(sources()), exempt) == [
+        "media/source.py: exemption excuses nothing — remove it"]
+
+
+BAD = {
+    constant_seeds: (
+        {"control/a.py": "rng = np.random.default_rng(7)\n"
+                         "for i in range(3):\n    r = default_rng(seed=-1)\n"
+                         "r = np.random.RandomState(7)\nnp.random.seed(3)\n"
+                         "r = random.Random((1, 2))\n"}, {},
+        ["a.py:1 `default_rng`", "a.py:3 `default_rng`", "a.py:4 `RandomState`",
+         "a.py:5 `seed`", "a.py:6 `Random`"]),
+    float_equality: (
+        {"core/a.py": "stop = loss == 0.0\nok = share == float(n)\n",
+         "metrics/a.py": "ok = 1 < x != -1.5\n"}, {},
+        ["core/a.py:1 ", "core/a.py:2 ", "metrics/a.py:1 "]),
+    topic_contract: (
+        {"simnet/a.py": "bus.emit('link.dorp', now)\n"
+                        "rec.log_event(now, f'mystery.{k}', {})\n"
+                        "bus.subscribe('recv.leaves', fn)\nbus.subscribe('nothing.*', fn)\n"
+                        "self._emit_drop(pkt, 'overflow')\nself._emit_drop(pkt, DROP_LATE)\n"},
+        {"design": "no topic-table markers"},
+        ["a.py:1 topic `link.dorp`", "a.py:2 topic `mystery.`", "a.py:3 topic `recv.leaves`",
+         "a.py:4 topic `nothing.`", "a.py:5 link drop reason `'overflow'`",
+         "a.py:6 link drop reason `DROP_LATE`", "`workload.sample` is never emitted",
+         "DESIGN.md:1 the §10 topic table differs", "| `ctrl.tick.end` |"]),
+    guard_coverage: (
+        {"control/guard.py": "def admit(msg):\n    return msg.loss_rate, msg.level\n"},
+        {"classes": {"Report": {"loss_rate", "level", "t1", "priority"}},
+         "guarded": {"Report": {"loss_rate", "level", "t1", "qos"}},
+         "exempt": {"Report": {"level"}, "Rumour": {"x"}}},
+        ["`Report.priority` has no guard rule", "`Report.qos` is declared but is not a field",
+         "`Report.t1` is guarded but never read", "`Report.level` is both guarded and exempt",
+         "`Rumour` is not a dataclass"]),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+def test_the_rule_fires_on_a_bad_snippet(check):
+    snippets, kwargs, expected = BAD[check]
+    hits = check(parse(snippets), **kwargs)
+    assert [e for e in expected if not any(e in h for h in hits)] == [], hits
+    assert all(re.match(r"[\w/.]+:\d+ ", h) for h in hits), hits
+
+
+def test_float_equality_is_scoped_to_core_and_metrics():
+    assert float_equality(parse({"simnet/a.py": "stop = loss == 0.0"})) == []
