@@ -227,8 +227,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "churn",
         "sweep the tree-builder backends through a seeded membership-churn "
         "+ link-failure storm",
-        churn.run_churn, churn.render_churn_report, churn.DEFAULT_DURATION,
-        ("repair_ms",),
+        churn.run_churn, churn.render_churn_report, churn.DEFAULT_DURATION, (),
         (
             Opt("--receivers", "n_receivers", int, 6, "receivers"),
             Opt("--backends", "backends", name_list, None,

@@ -10,10 +10,7 @@ compares how each one rides it out:
   patches vs full rebuilds, with the tree edges each one removed and added:
   a precomputed backup branch must heal a failure without disturbing more
   of the tree than the SPT backend's full rebuild of the same group at the
-  same instant (the deterministic gate).  The wall-clock cost of each
-  repair is reported too, but gates nothing: since shortest paths are
-  served from :class:`~repro.simnet.topology.Network`'s per-epoch map a
-  rebuild is a walk over cached paths, as cheap as a patch (~0.03 ms);
+  same instant (the deterministic gate);
 * **convergence** — time from the last link-clear (or the receiver's own
   last rejoin, whichever is later) to the next controller suggestion;
 * **disruption** — member-seconds of lost tree coverage and total tree-edge
@@ -151,18 +148,6 @@ def build_churn_scenario(
     return sc
 
 
-def _timing_stats(rows: List[Dict[str, Any]]) -> Dict[str, float]:
-    """count / mean / max (milliseconds) over repair-timing rows."""
-    if not rows:
-        return {"count": 0, "mean_ms": 0.0, "max_ms": 0.0}
-    walls = [r["wall_s"] for r in rows]
-    return {
-        "count": len(rows),
-        "mean_ms": round(sum(walls) / len(walls) * 1e3, 4),
-        "max_ms": round(max(walls) * 1e3, 4),
-    }
-
-
 def _repair_locality(
     protected: List[Dict[str, Any]], spt: List[Dict[str, Any]]
 ) -> Dict[str, Any]:
@@ -201,7 +186,7 @@ def _run_one_backend(
     within: float,
     recorder: Optional[Any],
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """One backend's JSON-friendly summary plus its raw ``repair_timings``."""
+    """One backend's JSON-friendly summary plus its raw ``repair_log``."""
     sc = build_churn_scenario(
         seed=seed, n_receivers=n_receivers, interval=interval, builder=backend
     )
@@ -213,8 +198,6 @@ def _run_one_backend(
         recorder.record_fault_log(injector.log)
 
     mcast = sc.mcast
-    local = [r for r in mcast.repair_timings if r["kind"] == "local"]
-    rebuild = [r for r in mcast.repair_timings if r["kind"] == "rebuild"]
     link_clears = sorted(
         ev.time for ev in plan if ev.kind == "link_up" if ev.time < duration
     )
@@ -264,9 +247,8 @@ def _run_one_backend(
         "rebuild_repairs": mcast.rebuild_repairs,
         "groups_skipped": mcast.groups_skipped,
         "repair_epoch": mcast.repair_epoch,
-        "repair_ms": {"local": _timing_stats(local), "rebuild": _timing_stats(rebuild)},
         "tree_edges_churned": sum(
-            r["edges_removed"] + r["edges_added"] for r in mcast.repair_timings
+            r["edges_removed"] + r["edges_added"] for r in mcast.repair_log
         ),
         "orphan_member_seconds": round(orphan_s, 3),
         "convergence_s": round(convergence, 3),
@@ -276,7 +258,7 @@ def _run_one_backend(
         "recovered_all": recovered_all,
         "fault_log": fault_log_entries(injector.log),
     }
-    return summary, mcast.repair_timings
+    return summary, mcast.repair_log
 
 
 def run_churn(
@@ -302,8 +284,7 @@ def run_churn(
     * no local patch removed + added more tree edges than the SPT backend's
       rebuild of the same group at the same simulated instant (when both
       backends ran; ``result["repair_locality"]`` carries the matched
-      totals).  Deterministic — the wall-clock ``repair_ms`` blocks are
-      report-only.
+      totals).
 
     A :class:`~repro.obs.run.RunRecorder` passed as ``recorder`` records the
     **last** backend in the sweep (``protected`` in the default order).
@@ -357,11 +338,9 @@ def render_churn_report(result: Dict[str, Any]) -> str:
     ]
     for name in result["backends"]:
         b = result["per_backend"][name]
-        loc, reb = b["repair_ms"]["local"], b["repair_ms"]["rebuild"]
         lines.append(
-            f"  {name:<10} repairs: {b['local_repairs']} local "
-            f"(mean {loc['mean_ms']:.3f} ms), {b['rebuild_repairs']} rebuild "
-            f"(mean {reb['mean_ms']:.3f} ms), {b['groups_skipped']} groups skipped"
+            f"  {name:<10} repairs: {b['local_repairs']} local, "
+            f"{b['rebuild_repairs']} rebuild, {b['groups_skipped']} groups skipped"
         )
         lines.append(
             f"  {'':<10} orphan {b['orphan_member_seconds']:.1f} member-s, "

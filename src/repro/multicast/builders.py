@@ -58,7 +58,7 @@ class TreePatch:
         self.added: FrozenSet[Edge] = frozenset(added)
 
     def apply(self, edges: Set[Edge]) -> Set[Edge]:
-        """The patched edge set (input is not mutated)."""
+        """The edge set with the patch applied (input is not mutated)."""
         return (set(edges) - self.removed) | self.added
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -293,8 +293,8 @@ class ProtectedTreeBuilder(TreeBuilder):
     def _valid(state, patch: TreePatch, network) -> bool:
         """Reject patches the current topology cannot carry.
 
-        Every spliced edge must be alive, and the patched edge set must
-        still be a tree under the source (in-degree <= 1, no parent for the
+        Every spliced edge must be alive, and the edge set with the patch
+        applied must still be a tree under the source (in-degree <= 1, no parent for the
         source, acyclic by construction of the splice).
         """
         for a, b in patch.added:

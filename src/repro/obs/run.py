@@ -77,7 +77,7 @@ def strip_timings(result: Dict[str, Any], keys: Iterable[str]) -> Dict[str, Any]
 
     The one projection two same-input runs must agree on bit-for-bit:
     ``keys`` names an experiment's wall-clock fields (``wall_s``,
-    ``shard_wall_ms``, ``repair_ms``); everything left is simulation output.
+    ``shard_wall_ms``); everything left is simulation output.
     """
     drop = frozenset(keys)
     stripped: Dict[str, Any] = json.loads(

@@ -200,15 +200,20 @@ class Network:
         return changed
 
     def set_node_up(self, name: Any, up: bool) -> List[Tuple[Any, Any]]:
-        """Crash or recover a node together with all its incident links.
+        """Crash or recover a node together with its incident links.
 
+        Recovery restores only the links whose far end is alive: a link to
+        a node that is still crashed stays down until that node recovers.
         Returns the directed routing-graph edges removed/restored, as
         :meth:`set_link_up` does."""
         node = self.nodes[name]
         changed: List[Tuple[Any, Any]] = []
-        for (u, v), _link in self.links.items():
-            if u == name or v == name:
-                changed.extend(self.set_link_up(u, v, up, bidirectional=False))
+        for u, v in self.links:
+            if name not in (u, v):
+                continue
+            if up and not self.nodes[v if u == name else u].alive:
+                continue
+            changed.extend(self.set_link_up(u, v, up, bidirectional=False))
         if up:
             node.recover()
         else:

@@ -159,7 +159,7 @@ def test_run_churn_smoke_all_backends():
 
     # SPT never patches locally; protected must have, and no patch may
     # disturb more of the tree than SPT's rebuild of the same group at the
-    # same instant.  Deterministic: wall-clock repair_ms gates nothing.
+    # same instant.
     assert spt["local_repairs"] == 0
     assert prot["local_repairs"] >= 1
     assert prot["rebuild_repairs"] < spt["rebuild_repairs"]
@@ -181,3 +181,12 @@ def test_run_churn_smoke_all_backends():
         # Nobody lies under pure churn; the guard must stay silent.
         assert b["guard"]["precision"] == 1.0 and b["guard"]["recall"] == 1.0
         assert math.isfinite(b["convergence_s"])
+
+
+def test_run_churn_seed_6_layers_agree_after_the_outage():
+    """Seed 6 rejoins A0 while ``core—agg_b`` is down, so the layer groups
+    A0 joins are rebuilt with agg_b reached through agg_a.  They must
+    revert with their sibling layers when the link returns; otherwise
+    agg_b has two parents in the session tree and the controller tick
+    raises at t = 85.5 s."""
+    assert run_churn(seed=6)["ok"]

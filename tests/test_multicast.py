@@ -298,7 +298,8 @@ def test_incremental_change_skips_unaffected_groups():
     assert len(m.groups[g2].history) == hist_g2_before  # g2 untouched
     assert m.tree_edges(g2) == frozenset({("src", "core"), ("core", "b")})
 
-    # Restoring the link touches only the group with an orphan to regraft.
+    # Restoring the link reinstalls only the group whose tree it changes:
+    # g2's build on the restored graph is the tree it already has.
     added = net.set_link_up("core", "a", True)
     net.build_routes()
     assert m.on_topology_change(added_edges=added) == 1
@@ -307,16 +308,28 @@ def test_incremental_change_skips_unaffected_groups():
     assert m.tree_edges(g1) == frozenset({("src", "core"), ("core", "a")})
 
 
-def test_legacy_topology_change_still_examines_every_group():
-    sched, net = star_network()
+def test_restore_reverts_a_group_built_during_the_outage():
+    """Two layer groups of one session: g1's tree lost the failed link and
+    was rebuilt, g2 gained its member during the outage, so its tree was
+    built on the degraded graph and the failure never touched it.  At
+    restore both must end on the canonical tree, or the session's layers
+    give r1's branch two different parents."""
+    sched, net = diamond_network()
     m = MulticastManager(net, igmp_report_delay=0.0)
-    g = m.create_group("src")
-    m.join(g, "a")
+    g1 = m.create_group("src")
+    g2 = m.create_group("src")
+    m.join(g1, "r1")
     sched.run(until=1.0)
-    net.set_link_up("core", "a", False)
-    net.build_routes()
-    assert m.on_topology_change() == 1  # no-argument form: full sweep
-    assert m.tree_edges(g) == frozenset()
+
+    m.on_topology_change(removed_edges=net.set_link_up("core", "a", False))
+    m.join(g2, "r1")
+    sched.run(until=2.0)
+    detour = frozenset({("src", "core"), ("core", "b"), ("b", "a"), ("a", "r1")})
+    assert m.tree_edges(g1) == m.tree_edges(g2) == detour
+
+    assert m.on_topology_change(added_edges=net.set_link_up("core", "a", True)) == 2
+    canonical = frozenset({("src", "core"), ("core", "a"), ("a", "r1")})
+    assert m.tree_edges(g1) == m.tree_edges(g2) == canonical
 
 
 def test_rapid_join_leave_keeps_snapshot_history_consistent():
@@ -376,7 +389,7 @@ def test_prune_delay_stops_at_live_branch_point():
 
 def test_set_blocked_on_mid_repair_tree():
     """Quarantining a member while the tree runs on a repair patch must keep
-    the patched route for the survivors, and the later link restore must
+    the backup route for the survivors, and the later link restore must
     still revert the group to its canonical tree."""
     from repro.multicast.builders import ProtectedTreeBuilder
 
@@ -391,11 +404,10 @@ def test_set_blocked_on_mid_repair_tree():
     net.build_routes()
     m.on_topology_change(removed_edges=removed)
     assert m.local_repairs == 1
-    assert m.groups[g].patched
     assert ("b", "a") in m.tree_edges(g)  # running on the backup branch
 
-    # Quarantine r2 mid-repair: its branch is torn down, r1 keeps the
-    # (still necessary) backup route, and the group remains marked patched.
+    # Quarantine r2 mid-repair: its branch is torn down and r1 keeps the
+    # (still necessary) backup route.
     m.set_blocked(g, "r2", True)
     sched.run(until=2.0)
     assert m.members(g) == frozenset({"r1"})
@@ -403,11 +415,10 @@ def test_set_blocked_on_mid_repair_tree():
     assert {("core", "b"), ("b", "a"), ("a", "r1")} <= m.tree_edges(g)
     assert g not in net.node("b").mcast_fwd or "r2" not in net.node("b").mcast_fwd[g]
 
-    # Link restore reverts the patched group to the canonical build.
+    # Link restore reverts the group to the canonical build.
     added = net.set_link_up("core", "a", True)
     net.build_routes()
-    m.on_topology_change(added_edges=added)
-    assert not m.groups[g].patched
+    assert m.on_topology_change(added_edges=added) == 1
     assert m.tree_edges(g) == frozenset(
         {("src", "core"), ("core", "a"), ("a", "r1")}
     )

@@ -16,7 +16,11 @@ serialization end and the tie rule of DESIGN §6 became exact (a packet
 offered at the instant a serialization ends starts at once instead of
 passing through the queue): only ``enqueued``/``dequeued``/``bytes_enqueued``
 of a few links changed, and an event-per-serialization link with that tie
-rule reproduces the new pins.
+rule reproduces the new pins.  The ``churn_repair`` seed-2 pin moved again
+when a link restore began reverting every group to its canonical tree: at
+the t = 18.0 ``core``–``agg_a`` restore, group 3, built while that link was
+down, drops ``(agg_b, agg_a)`` for ``(core, agg_a)`` instead of keeping the
+detour until its next membership change.
 """
 
 import hashlib
@@ -141,7 +145,7 @@ PINNED = {
     (join_ramp, 1): "fd1859168654c547",
     (join_ramp, 2): "caa2c02815e043fb",
     (churn_repair, 1): "2076ada5f9143abb",
-    (churn_repair, 2): "6b7112cdaac36954",
+    (churn_repair, 2): "f8407a27f9bc3ca2",
     (fed_crowd, 1): "32ebbf5c592ddd0f",
     (fed_crowd, 2): "43ae177428c0744c",
 }

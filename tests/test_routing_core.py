@@ -36,6 +36,7 @@ class Shadow:
     def __init__(self):
         self.graph = nx.DiGraph()
         self.links = {}  # directed pair -> delay, in creation order
+        self.crashed = set()
 
     def add_link(self, a, b, delay, bidirectional):
         for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
@@ -54,9 +55,12 @@ class Shadow:
         return changed
 
     def set_node_up(self, name, up):
+        """Incident links fail with the node; recovery restores only those
+        whose far end is not crashed too."""
+        (self.crashed.discard if up else self.crashed.add)(name)
         changed = []
         for u, v in self.links:
-            if u == name or v == name:
+            if name in (u, v) and not (up and {u, v} & self.crashed):
                 changed.extend(self.set_link_up(u, v, up, bidirectional=False))
         return changed
 
