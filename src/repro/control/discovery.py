@@ -158,12 +158,6 @@ class TopologyDiscovery:
     # ------------------------------------------------------------------
     # Repair-awareness (used when the controller fences repair windows)
     # ------------------------------------------------------------------
-    def repair_epoch(self) -> int:
-        """The manager's repair epoch: bumped once per topology change that
-        modified at least one tree.  Lets the controller notice that trees
-        moved between ticks without diffing them."""
-        return self.mcast.repair_epoch
-
     def disrupted_during(
         self, descriptor: SessionDescriptor, node: Any, t0: float, t1: float
     ) -> bool:

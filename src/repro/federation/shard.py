@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional
 
 from ..control.messages import SUMMARY_SIZE, FederationAdvice, SubtreeSummary
 from ..experiments.scenario import Scenario
+from ..workloads.runner import control_bytes
 from .partition import DomainView
 
 __all__ = ["BORDER_NODE", "DomainShard", "shard_seed"]
@@ -319,12 +320,7 @@ class DomainShard:
     # ------------------------------------------------------------------
     def control_bytes_intra(self) -> int:
         """Receiver-tier control bytes: receiver agents <-> domain controller."""
-        sc = self.scenario
-        total = sum(c.control_bytes_sent for c in sc.controllers.values())
-        for h in sc.receivers:
-            if h.agent is not None:
-                total += getattr(h.agent, "control_bytes_sent", 0)
-        return int(total)
+        return int(control_bytes(self.scenario))
 
 
 def _key(pair: Any) -> Any:

@@ -11,7 +11,6 @@ from .builders import (
     ProtectedTreeBuilder,
     SPTBuilder,
     TreeBuilder,
-    TreePatch,
     make_builder,
 )
 from .manager import GroupState, MulticastManager, TreeSnapshot
@@ -25,7 +24,6 @@ __all__ = [
     "ProtectedTreeBuilder",
     "SPTBuilder",
     "TreeBuilder",
-    "TreePatch",
     "TreeSnapshot",
     "make_builder",
 ]

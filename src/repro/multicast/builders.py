@@ -5,8 +5,11 @@ shape, whatever built it.  The related SDN-multicast line (Cho & Breen's
 dynamic low-delay routing; per-link protected trees) treats construction and
 repair as replaceable strategies.  This module makes that explicit: a
 :class:`TreeBuilder` turns ``(source, members, network)`` into a directed
-edge set, and optionally heals a damaged tree with a *local*
-:class:`TreePatch` instead of a global rebuild.
+edge set, and optionally heals a damaged tree *locally* — returning the
+healed edge set — instead of a global rebuild.  Builders see a source, a
+member set or a tree, and the network: the manager builds one tree per
+source over the members of all its groups and cuts each group's tree from
+it, so builders know nothing of groups.
 
 Three backends ship:
 
@@ -33,7 +36,7 @@ Builders are selected by name through :func:`make_builder` (the knob behind
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "BUILDER_NAMES",
@@ -41,40 +44,22 @@ __all__ = [
     "ProtectedTreeBuilder",
     "SPTBuilder",
     "TreeBuilder",
-    "TreePatch",
     "make_builder",
 ]
 
 Edge = Tuple[Any, Any]
 
 
-class TreePatch:
-    """A local tree repair: edges to remove and edges to splice in."""
-
-    __slots__ = ("removed", "added")
-
-    def __init__(self, removed: Iterable[Edge], added: Iterable[Edge]):
-        self.removed: FrozenSet[Edge] = frozenset(removed)
-        self.added: FrozenSet[Edge] = frozenset(added)
-
-    def apply(self, edges: Set[Edge]) -> Set[Edge]:
-        """The edge set with the patch applied (input is not mutated)."""
-        return (set(edges) - self.removed) | self.added
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TreePatch -{sorted(map(str, self.removed))} +{sorted(map(str, self.added))}>"
-
-
 class TreeBuilder:
     """Strategy protocol for building and repairing distribution trees.
 
     ``build(source, members, network) -> edges`` returns the directed edge
-    set of the tree; ``repair(state, failed_edges, network) -> patch``
-    returns a :class:`TreePatch` healing the loss of ``failed_edges`` from
-    ``state``'s tree, or ``None`` when only a full rebuild can (the manager
-    then falls back to :meth:`build`).  ``precompute(state, network)`` is an
-    optional hook the manager calls after installing a fresh tree, for
-    backends that prepare repair material ahead of failures.
+    set of the tree; ``repair(source, tree, failed, network) -> healed``
+    returns ``tree`` healed of the loss of ``failed`` as a new edge set, or
+    ``None`` when only a full rebuild can (the manager then falls back to
+    :meth:`build`).  ``precompute(source, tree, network)`` is an optional
+    hook the manager calls whenever a source's tree changes, for backends
+    that prepare repair material ahead of failures.
     """
 
     name = "abstract"
@@ -82,22 +67,33 @@ class TreeBuilder:
     def build(self, source: Any, members: Iterable[Any], network) -> Set[Edge]:
         raise NotImplementedError
 
-    def repair(self, state, failed_edges: Iterable[Edge], network) -> Optional[TreePatch]:
+    def repair(self, source: Any, tree: Set[Edge], failed: Iterable[Edge],
+               network) -> Optional[Set[Edge]]:
         return None
 
-    def precompute(self, state, network) -> None:  # noqa: B027 - optional hook
+    def precompute(self, source: Any, tree: Set[Edge], network) -> None:  # noqa: B027
         pass
 
 
 def _spt_edges(source: Any, members: Iterable[Any], network) -> Set[Edge]:
-    """Union of delay-weighted shortest paths source -> each member."""
+    """Union of delay-weighted shortest paths source -> each member.
+
+    Every path comes from the one shortest-path map of ``source``, so a
+    node already on the tree brings its whole path with it: each member's
+    path is walked from the member up and the walk stops there.
+    """
     edges: Set[Edge] = set()
+    on_tree = {source}
     for member in members:
-        path = network.shortest_path_or_none(source, member)
+        path = network.cached_path(source, member)
         if path is None:
             continue
-        for u, v in zip(path, path[1:]):
-            edges.add((u, v))
+        for i in range(len(path) - 1, 0, -1):
+            node = path[i]
+            if node in on_tree:
+                break
+            on_tree.add(node)
+            edges.add((path[i - 1], node))
     return edges
 
 
@@ -185,28 +181,28 @@ class DegreeBoundedBuilder(TreeBuilder):
 class ProtectedTreeBuilder(TreeBuilder):
     """SPT plus precomputed per-link backup branches for local repair.
 
-    After every (re)build, :meth:`precompute` stores — for each tree edge
-    ``(u, v)`` — the cheapest path from the source to ``v`` that avoids the
-    edge in both directions.  When a single tree link later fails,
-    :meth:`repair` splices that stored branch in at the deepest surviving
-    tree node and regrafts only the orphaned subtree (re-rooting it when the
-    backup enters the subtree somewhere other than its old root), leaving the
-    rest of the tree — and its receivers — untouched.
+    Whenever a source's tree changes, :meth:`precompute` stores — for each
+    tree edge ``(u, v)`` — the cheapest path from the source to ``v`` that
+    avoids the edge in both directions.  When a single tree link later
+    fails, :meth:`repair` splices that stored branch in at the deepest
+    surviving tree node and regrafts only the orphaned subtree (re-rooting
+    it when the backup enters the subtree somewhere other than its old
+    root), leaving the rest of the tree — and its receivers — untouched.
     """
 
     name = "protected"
 
     def __init__(self) -> None:
-        # group -> {tree edge -> backup path (node list, source..v)}
-        self._backups: Dict[int, Dict[Edge, Tuple[Any, ...]]] = {}
+        # source -> {tree edge -> backup path (node tuple, source..v)}
+        self._backups: Dict[Any, Dict[Edge, Tuple[Any, ...]]] = {}
 
     def build(self, source: Any, members: Iterable[Any], network) -> Set[Edge]:
         return _spt_edges(source, members, network)
 
-    def precompute(self, state, network) -> None:
+    def precompute(self, source: Any, tree: Set[Edge], network) -> None:
         """Store, per tree edge ``(u, v)``, the backup path source -> ``v``.
 
-        A backup depends on the graph, not on the tree, and churn re-installs
+        A backup depends on the graph, not on the tree, and churn rebuilds
         the same edges over and over, so the search itself is
         :meth:`Network.shortest_path_avoiding` — memoised per topology epoch
         — and this pass is one lookup per edge.  The avoided link is hidden
@@ -216,26 +212,27 @@ class ProtectedTreeBuilder(TreeBuilder):
         the path cache intact.
         """
         backups: Dict[Edge, Tuple[Any, ...]] = {}
-        for u, v in state.edges:
-            path = network.shortest_path_avoiding(state.source, v, u, v)
+        for u, v in tree:
+            path = network.shortest_path_avoiding(source, v, u, v)
             if path is not None:
                 backups[(u, v)] = path
-        self._backups[state.group] = backups
+        self._backups[source] = backups
 
     # ------------------------------------------------------------------
-    def repair(self, state, failed_edges: Iterable[Edge], network) -> Optional[TreePatch]:
-        failed = {e for e in failed_edges if e in state.edges}
-        if len(failed) != 1:
+    def repair(self, source: Any, tree: Set[Edge], failed: Iterable[Edge],
+               network) -> Optional[Set[Edge]]:
+        lost = {e for e in failed if e in tree}
+        if len(lost) != 1:
             return None  # only single-failure protection is precomputed
-        (u, v) = next(iter(failed))
-        backup = self._backups.get(state.group, {}).get((u, v))
+        (u, v) = next(iter(lost))
+        backup = self._backups.get(source, {}).get((u, v))
         if backup is None:
             return None
         children: Dict[Any, List[Any]] = {}
-        for a, b in state.edges:
+        for a, b in tree:
             children.setdefault(a, []).append(b)
         orphan_nodes = self._subtree_nodes(v, children)
-        remaining = (state.tree_nodes() - orphan_nodes) - {x for _, x in failed}
+        remaining = {source}.union(*tree) - orphan_nodes
         # Splice from the deepest backup-path node that survived in the main
         # tree, stopping at the first node inside the orphaned subtree.
         start = None
@@ -251,20 +248,19 @@ class ProtectedTreeBuilder(TreeBuilder):
             return None
         entry = backup[entry_idx]
         added = set(zip(backup[start:entry_idx], backup[start + 1:entry_idx + 1]))
-        removed = set(failed)
-        if entry != v:
-            # Re-root the orphaned subtree at the entry point: reverse the
-            # old v -> ... -> entry chain.
-            chain = self._tree_path(v, entry, children)
-            if chain is None:
-                return None
-            for a, b in zip(chain, chain[1:]):
-                removed.add((a, b))
-                added.add((b, a))
-        patch = TreePatch(removed, added)
-        if not self._valid(state, patch, network):
+        removed = set(lost)
+        # Re-root the orphaned subtree at the entry point: reverse the old
+        # v -> ... -> entry chain (entry is below v, so the walk ends there).
+        parent = {b: a for a, b in tree}
+        node = entry
+        while node != v:
+            removed.add((parent[node], node))
+            added.add((node, parent[node]))
+            node = parent[node]
+        healed = (tree - removed) | added
+        if not self._valid(source, tree, healed, network):
             return None
-        return patch
+        return healed
 
     @staticmethod
     def _subtree_nodes(root: Any, children: Dict[Any, List[Any]]) -> Set[Any]:
@@ -279,32 +275,21 @@ class ProtectedTreeBuilder(TreeBuilder):
         return nodes
 
     @staticmethod
-    def _tree_path(root: Any, target: Any, children: Dict[Any, List[Any]]) -> Optional[list]:
-        stack = [[root]]
-        while stack:
-            path = stack.pop()
-            if path[-1] == target:
-                return path
-            for child in children.get(path[-1], ()):
-                stack.append(path + [child])
-        return None
+    def _valid(source: Any, tree: Set[Edge], healed: Set[Edge], network) -> bool:
+        """Reject a healed tree the current topology cannot carry.
 
-    @staticmethod
-    def _valid(state, patch: TreePatch, network) -> bool:
-        """Reject patches the current topology cannot carry.
-
-        Every spliced edge must be alive, and the edge set with the patch
-        applied must still be a tree under the source (in-degree <= 1, no parent for the
-        source, acyclic by construction of the splice).
+        Every spliced edge (in ``healed`` but not in ``tree``) must be
+        alive, and ``healed`` must still be a tree under the source
+        (in-degree <= 1, no parent for the source, acyclic by construction
+        of the splice).
         """
-        for a, b in patch.added:
+        for a, b in healed - tree:
             if not network.has_edge(a, b):
                 return False
-        edges = patch.apply(state.edges)
         indeg: Dict[Any, int] = {}
-        for a, b in edges:
+        for a, b in healed:
             indeg[b] = indeg.get(b, 0) + 1
-            if indeg[b] > 1 or b == state.source:
+            if indeg[b] > 1 or b == source:
                 return False
         return True
 
@@ -313,15 +298,15 @@ class ProtectedTreeBuilder(TreeBuilder):
 BUILDER_NAMES = ("spt", "degree", "protected")
 
 
-def make_builder(spec: Any = "spt", **kwargs: Any) -> TreeBuilder:
+def make_builder(spec: Any = "spt") -> TreeBuilder:
     """Resolve a builder from a name (``"spt"``, ``"degree"``,
     ``"protected"``) or pass an instance straight through."""
     if isinstance(spec, TreeBuilder):
         return spec
     if spec == "spt" or spec is None:
-        return SPTBuilder(**kwargs)
+        return SPTBuilder()
     if spec == "degree":
-        return DegreeBoundedBuilder(**kwargs)
+        return DegreeBoundedBuilder()
     if spec == "protected":
-        return ProtectedTreeBuilder(**kwargs)
+        return ProtectedTreeBuilder()
     raise ValueError(f"unknown tree builder {spec!r} (choose from {BUILDER_NAMES})")

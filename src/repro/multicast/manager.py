@@ -3,12 +3,15 @@
 The manager models the pieces of IP multicast the paper's evaluation depends
 on, without simulating a routing protocol packet-by-packet:
 
-* **Pluggable distribution trees** — tree construction is a strategy object
-  (:mod:`repro.multicast.builders`).  The default :class:`~repro.multicast.
-  builders.SPTBuilder` is the union of delay-weighted shortest paths from the
-  source to each member, which is what DVMRP/PIM-SM(SSM) converge to in
-  ns-2; alternative backends bound node fan-out or precompute per-link
-  backup branches for fast local repair.
+* **One distribution tree per source** — tree construction is a strategy
+  object (:mod:`repro.multicast.builders`) run over the members of all the
+  groups rooted at a source; each group's tree is that tree *cut* to the
+  group's own members (each member's path up to the source).  The layer
+  groups of a session thus give every node one parent by construction.  The
+  default :class:`~repro.multicast.builders.SPTBuilder` is the union of
+  delay-weighted shortest paths from the source to each member, which is
+  what DVMRP/PIM-SM(SSM) converge to in ns-2; alternative backends bound
+  node fan-out or precompute per-link backup branches for fast local repair.
 * **Graft latency** — a join becomes effective after the time a graft message
   needs to travel from the joining host up to the nearest on-tree router
   (plus a small IGMP report delay).
@@ -21,22 +24,11 @@ group.  The topology-discovery tool (:mod:`repro.control.discovery`) serves
 stale snapshots out of this history, which is how the paper's Fig. 10
 staleness experiment is reproduced.
 
-Fault injectors pass the concrete edges a link/node change removed or
-restored to :meth:`MulticastManager.on_topology_change`, which applies one
-rule.  When edges are removed, only the groups whose tree lost one are
-touched: a builder that can heals the loss with a local
-:class:`~repro.multicast.builders.TreePatch`, otherwise the group is rebuilt.
-When edges are restored, every group's tree is rebuilt on the graph as it now
-stands and reinstalled where it differs from the installed one.  Between
-restores a tree healed by a patch is not the builder's tree, so after a
-repair or a membership change the groups sharing a source are checked for a
-node with two parents; if there is one, all of them take the builder's
-tree.  With a
-shortest-path builder the layer groups of a session thus stay on one tree
-after every event, however each came by its current tree.  The manager
-tracks per-member *disruption windows* (orphaned intervals) and a
-monotonically increasing :attr:`~MulticastManager.repair_epoch` so the
-control plane can fence reports measured across a repair.
+A source's tree changes only on a change of the source's member set or of
+the topology (:meth:`MulticastManager.on_topology_change` states the rule),
+and then only the groups whose cut can differ are re-cut.  The manager
+tracks per-member *disruption windows* (orphaned intervals), which the
+control plane reads to fence reports measured across a repair.
 """
 
 from __future__ import annotations
@@ -151,20 +143,23 @@ class MulticastManager:
         self.expedited_leave = expedited_leave
         self.builder: TreeBuilder = make_builder(builder)
         self.groups: Dict[int, GroupState] = {}
+        #: source -> its distribution tree as ``{node: parent}``, built over
+        #: the members of all the source's groups.
+        self._trees: Dict[Any, Dict[Any, Any]] = {}
         self.allocator = GroupAllocator()
         #: Optional :class:`~repro.obs.profile.Profiler`; when set, tree
         #: construction charges ``tree.build`` and local repairs charge
         #: ``tree.repair``.
         self.profiler: Optional[Any] = None
-        #: Bumped whenever a topology change modifies at least one tree;
-        #: the control plane reads it (via discovery) to notice repairs.
+        #: Topology changes that modified at least one group's tree.
         self.repair_epoch = 0
-        #: Trees installed from a full build (membership changes + rebuild
-        #: repairs); a restore's build that matches the installed tree is
-        #: a skip, not a build.
+        #: Group re-cuts that were neither a local repair nor a skip: one
+        #: per group a membership change re-cuts, one per group a rebuild
+        #: repair or a restore changed.
         self.builds = 0
-        #: Topology-change repairs served by a local patch vs a full rebuild.
+        #: Groups a topology change moved onto a locally repaired tree.
         self.local_repairs = 0
+        #: Groups a topology change moved onto a rebuilt tree.
         self.rebuild_repairs = 0
         #: Groups a :meth:`on_topology_change` call left as they were.
         self.groups_skipped = 0
@@ -185,6 +180,7 @@ class MulticastManager:
             raise ValueError(f"group {group} already exists")
         state = GroupState(group, source)
         self.groups[group] = state
+        self._trees.setdefault(source, {})
         self._record_snapshot(state)
         return group
 
@@ -292,7 +288,9 @@ class MulticastManager:
 
         Join/leave races resolve to whatever was requested most recently
         because each apply event re-reads ``desired`` (and the deny-list) at
-        its fire time.
+        its fire time.  A node's first join or last leave across the
+        source's groups rebuilds the source's tree; any other join or leave
+        leaves the tree as it is.  Either way the group is re-cut.
         """
         want = state.desired.get(member, False) and member not in state.blocked
         have = member in state.members
@@ -302,8 +300,14 @@ class MulticastManager:
             state.members.add(member)
         else:
             state.members.discard(member)
-        self._rebuild(state, self._build(state))
-        self._merge_layers(state.source)
+        siblings = [s for s in self.groups.values() if s.source == state.source]
+        recut = [state]
+        if not any(member in s.members for s in siblings if s is not state):
+            lost = self._build_tree(state.source)
+            recut = [s for s in siblings if s is state or self._stale(s, lost)]
+        for s in recut:
+            self.builds += 1
+            self._recut(s)
 
     # ------------------------------------------------------------------
     # Fault reaction
@@ -318,44 +322,58 @@ class MulticastManager:
         Fault injectors call this after :meth:`Network.set_link_up` /
         :meth:`Network.set_node_up`, passing the edges those calls actually
         removed/restored; membership intent (``desired``/``members``) is
-        deliberately preserved so recovery is automatic.  Two cases:
+        deliberately preserved so recovery is automatic.  A source's tree
+        changes in three cases and no others:
 
-        * **Edges restored:** every group builds its tree on the graph as it
-          now stands and reinstalls it where it differs from the installed
-          edges.  That reverts repair detours, trees built during the outage
-          and orphaned members alike, so the layer groups of a session never
-          disagree about a node's parent once the graph is whole again.
-        * **Edges removed:** a group whose tree lost one of them is healed by
-          the builder's local :meth:`~repro.multicast.builders.TreeBuilder.
-          repair` when it can, a full rebuild otherwise.  A patch keeps the
-          surviving branches, so the repaired groups' sources then go
-          through :meth:`_merge_layers`.
+        * **Its member set changed** (:meth:`_apply`): rebuilt.
+        * **Edges restored:** every source's tree is rebuilt on the graph as
+          it now stands.  That reverts repair detours, trees built during
+          the outage and orphaned members alike.
+        * **Edges removed:** a source's tree that lost one of them is healed
+          by the builder's local :meth:`~repro.multicast.builders.
+          TreeBuilder.repair` when it can, rebuilt otherwise.
 
-        Every other group is skipped: no install, no snapshot.
+        Then each group of a changed tree that lost an edge of the old tree
+        or has an orphaned member is re-cut.  Every other group is skipped:
+        no install, no snapshot.
         """
         removed = set(removed_edges)
         restored = bool(set(added_edges))
+        kinds: Dict[Any, str] = {}
+        lost: Dict[Any, Set[Edge]] = {}
+        for source, parent in self._trees.items():
+            hit = {(u, v) for u, v in removed if parent.get(v) == u}
+            if not restored and not hit:
+                continue
+            wall0 = perf_counter()
+            healed = None if restored else self.builder.repair(
+                source, {(u, v) for v, u in parent.items()}, hit, self.network)
+            if healed is None:
+                kinds[source] = "rebuild"
+                lost[source] = self._build_tree(source)
+            else:
+                prof = self.profiler
+                if prof is not None:
+                    prof.add("tree.repair", perf_counter() - wall0)
+                kinds[source] = "local"
+                lost[source] = self._set_tree(source, healed)
         now = self.sched.now
         changed = 0
-        repaired: Dict[Any, None] = {}  # sources, in group order
         for state in self.groups.values():
+            kind = kinds.get(state.source)
+            if kind is None or not self._stale(state, lost[state.source]):
+                self.groups_skipped += 1
+                continue
             before = frozenset(state.edges)
-            if restored:
-                new_edges = self._build(state)
-                if new_edges == state.edges:
-                    self.groups_skipped += 1
-                    continue
-                self._rebuild(state, new_edges)
-                self.rebuild_repairs += 1
-                kind = "rebuild"
-            else:
-                lost = removed & state.edges
-                if not lost:
-                    self.groups_skipped += 1
-                    continue
-                kind = self._repair(state, lost)
-                repaired[state.source] = None
+            if not self._recut(state, local=kind == "local"):
+                self.groups_skipped += 1
+                continue
             changed += 1
+            if kind == "local":
+                self.local_repairs += 1
+            else:
+                self.rebuild_repairs += 1
+                self.builds += 1
             after = frozenset(state.edges)
             self.repair_log.append({
                 "time": now,
@@ -374,53 +392,9 @@ class MulticastManager:
                     edges_added=len(after - before),
                     orphans=len(state.orphan_since),
                 )
-        for source in repaired:
-            self._merge_layers(source)
         if changed:
             self.repair_epoch += 1
         return changed
-
-    def _merge_layers(self, source: Any) -> None:
-        """Keep the groups rooted at ``source`` on one tree.
-
-        A local patch keeps a tree's surviving branches, so it can give a
-        node another parent than a sibling group has, whether that sibling
-        was built on the degraded graph or healed from other branches.  When
-        the groups disagree on any node's parent, each of them takes the
-        builder's tree on the graph as it stands.  Those agree for the
-        shortest-path builders, whose trees are all cut from the one
-        shortest-path map of the source; the degree-bounded builder's need not.
-        """
-        siblings = [s for s in self.groups.values() if s.source == source]
-        parent: Dict[Any, Any] = {}
-        if all(parent.setdefault(v, u) == u for s in siblings for u, v in s.edges):
-            return
-        for state in siblings:
-            new_edges = self._build(state)
-            if new_edges != state.edges:
-                self._rebuild(state, new_edges)
-
-    def _repair(self, state: GroupState, lost: Set[Edge]) -> str:
-        """Heal a tree that lost ``lost``; returns ``"local"`` or ``"rebuild"``.
-
-        The builder's local patch comes first; a loss it cannot patch falls
-        back to a full rebuild on the graph as it stands.
-        """
-        wall0 = perf_counter()
-        patch = self.builder.repair(state, lost, self.network)
-        if patch is None:
-            self._rebuild(state, self._build(state))
-            self.rebuild_repairs += 1
-            return "rebuild"
-        self._install(state, patch.apply(state.edges))
-        prof = self.profiler
-        if prof is not None:
-            prof.add("tree.repair", perf_counter() - wall0)
-        # Refreshing backup branches is preparation for the *next*
-        # failure — background work, not part of this repair's latency.
-        self.builder.precompute(state, self.network)
-        self.local_repairs += 1
-        return "local"
 
     # ------------------------------------------------------------------
     # Queries
@@ -453,17 +427,6 @@ class MulticastManager:
             return TreeSnapshot(at_time, frozenset(), frozenset())
         i = bisect_right(state.history_times, at_time) - 1
         return state.history[max(i, 0)]
-
-    def disruption_windows(self, group: int) -> List[Tuple[Any, float, float]]:
-        """Closed disruption windows ``(member, lost_at, restored_at)`` plus
-        one open-ended entry ``(member, lost_at, now)`` per still-orphaned
-        member."""
-        state = self._state(group)
-        now = self.sched.now
-        out = list(state.disruptions)
-        for member in sorted(state.orphan_since, key=str):
-            out.append((member, state.orphan_since[member], now))
-        return out
 
     def node_disrupted_during(self, group: int, node: Any, t0: float, t1: float) -> bool:
         """True when ``node`` was orphaned from ``group`` at any point of
@@ -518,34 +481,65 @@ class MulticastManager:
                 break
         return delay
 
-    def _build(self, state: GroupState) -> Set[Edge]:
-        """The builder's tree for the group on the graph as it stands.
+    def _build_tree(self, source: Any) -> Set[Edge]:
+        """Rebuild ``source``'s tree over its members on the graph as it
+        stands; returns the edges the old tree had and the new one lacks.
 
         Members with no path from the source (dead link or node on the way)
-        simply contribute no branch: their subtree is torn down now and
-        regrafted by :meth:`on_topology_change` once connectivity returns.
+        simply contribute no branch: they are orphaned until a restore
+        rebuilds the tree.
         """
+        members = set().union(*(s.members for s in self.groups.values() if s.source == source))
         wall0 = perf_counter()
-        new_edges = self.builder.build(state.source, state.members, self.network)
+        edges = self.builder.build(source, members, self.network)
         prof = self.profiler
         if prof is not None:
             prof.add("tree.build", perf_counter() - wall0)
-        return new_edges
+        return self._set_tree(source, edges)
 
-    def _rebuild(self, state: GroupState, new_edges: Set[Edge]) -> None:
-        """(Re)install forwarding for ``new_edges``, a fresh :meth:`_build`."""
-        self.builds += 1
-        if new_edges == state.edges:
-            self._track_coverage(state, new_edges)  # membership may have moved
-            return
-        self._install(state, new_edges)
-        self.builder.precompute(state, self.network)
+    def _set_tree(self, source: Any, edges: Set[Edge]) -> Set[Edge]:
+        """Make ``edges`` the source's tree; returns the edges the old tree
+        had and the new one lacks."""
+        old = self._trees[source]
+        tree = self._trees[source] = {v: u for u, v in edges}
+        # Refreshing backup branches is preparation for the *next*
+        # failure — background work, not part of a repair's latency.
+        self.builder.precompute(source, edges, self.network)
+        return {(u, v) for v, u in old.items() if tree.get(v) != u}
+
+    @staticmethod
+    def _stale(state: GroupState, lost: Set[Edge]) -> bool:
+        """Whether the group's cut can differ after its source's tree lost
+        ``lost``: it used one of those edges or has an orphaned member.
+        Any other group's edges are all still on the tree, so its cut is
+        the tree it has."""
+        return bool(state.orphan_since) or not state.edges.isdisjoint(lost)
+
+    def _recut(self, state: GroupState, local: bool = False) -> bool:
+        """Install the group's cut of its source's tree — each member's
+        path up to the source — and return whether the edges moved.  A
+        member the tree does not reach adds nothing: it is orphaned.
+        ``tree.build`` announces every move but a local repair's."""
+        parent = self._trees[state.source]
+        edges: Set[Edge] = set()
+        reached = {state.source}
+        for member in state.members:
+            node = member
+            while node not in reached and node in parent:
+                reached.add(node)
+                edges.add((parent[node], node))
+                node = parent[node]
+        if edges == state.edges:
+            self._track_coverage(state, edges)  # membership may have moved
+            return False
+        self._install(state, edges)
         bus = self.sched.bus
-        if bus is not None and bus.wants("tree.build"):
+        if not local and bus is not None and bus.wants("tree.build"):
             bus.emit(
                 "tree.build", self.sched.now,
-                group=state.group, edges=len(new_edges), members=len(state.members),
+                group=state.group, edges=len(edges), members=len(state.members),
             )
+        return True
 
     def _install(self, state: GroupState, new_edges: Set[Edge]) -> None:
         """Swap the tree's forwarding entries to ``new_edges`` + snapshot."""

@@ -78,10 +78,11 @@ TOPIC_REGISTRY: Tuple[TopicSpec, ...] = (
     TopicSpec("guard.release", "control/guard.py",
               "`receiver`, `session`, `reason`, `strikes`"),
     TopicSpec("tree.build", "multicast/manager.py",
-              "full (re)build of one group's tree (`group`, `edges`, `members`)"),
+              "one group re-cut onto new edges, not by a local repair "
+              "(`group`, `edges`, `members`)"),
     TopicSpec("tree.repair.local", "multicast/manager.py",
-              "backup-branch patch healed the tree (`group`, `edges_removed`, "
-              "`edges_added`, `orphans`)"),
+              "backup-branch patch healed the source's tree (`group`, "
+              "`edges_removed`, `edges_added`, `orphans`)"),
     TopicSpec("tree.repair.rebuild", "multicast/manager.py",
               "repair fell back to a full rebuild (`group`, `edges_removed`, "
               "`edges_added`, `orphans`)"),

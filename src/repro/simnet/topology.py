@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count, islice
-from typing import Any, Collection, Dict, KeysView, List, Optional, Tuple
+from typing import Any, Collection, Dict, KeysView, List, Optional, Set, Tuple
 
 from .engine import Scheduler
 from .link import Link
@@ -68,12 +68,15 @@ class Network:
         #: Bumped by every structural change of the routing graph; cached
         #: shortest paths are valid for exactly one epoch.
         self.topology_epoch = 0
-        #: source -> (distance per target, node list per target), this epoch.
-        self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, list]]] = {}
+        #: source -> (distance per target, node tuple per target), this epoch.
+        self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, Tuple[Any, ...]]]] = {}
         #: (a, b, u, v) -> shortest a->b path avoiding link u<->v, this epoch.
         self._detours: Dict[Tuple[Any, Any, Any, Any], Optional[Tuple[Any, ...]]] = {}
         #: Nodes whose ``next_hop`` table was filled this epoch.
         self._routed: List[Node] = []
+        #: Directed links :meth:`set_link_up` took down: node recovery
+        #: leaves them down.
+        self._held_down: Set[Tuple[Any, Any]] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -177,8 +180,18 @@ class Network:
         follow up with an *incremental*
         :meth:`repro.multicast.manager.MulticastManager.on_topology_change`
         — the fault injectors in :mod:`repro.faults` do exactly that.
+
+        A link this call takes down stays down through any crash or
+        recovery of its endpoints, until this call brings it up again.
         """
         pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
+        changed = self._set_edges(pairs, up)
+        (self._held_down.difference_update if up else self._held_down.update)(pairs)
+        return changed
+
+    def _set_edges(self, pairs: List[Tuple[Any, Any]], up: bool) -> List[Tuple[Any, Any]]:
+        """Flip the directed links ``pairs`` and their routing-graph edges;
+        returns the edges actually removed or restored."""
         changed: List[Tuple[Any, Any]] = []
         for u, v in pairs:
             link = self.links.get((u, v))
@@ -202,18 +215,18 @@ class Network:
     def set_node_up(self, name: Any, up: bool) -> List[Tuple[Any, Any]]:
         """Crash or recover a node together with its incident links.
 
-        Recovery restores only the links whose far end is alive: a link to
-        a node that is still crashed stays down until that node recovers.
-        Returns the directed routing-graph edges removed/restored, as
-        :meth:`set_link_up` does."""
+        Recovery restores only the links whose far end is alive and that no
+        :meth:`set_link_up` call holds down: a link to a node that is still
+        crashed stays down until that node recovers.  Returns the directed
+        routing-graph edges removed/restored, as :meth:`set_link_up` does."""
         node = self.nodes[name]
-        changed: List[Tuple[Any, Any]] = []
-        for u, v in self.links:
-            if name not in (u, v):
-                continue
-            if up and not self.nodes[v if u == name else u].alive:
-                continue
-            changed.extend(self.set_link_up(u, v, up, bidirectional=False))
+        pairs = [
+            (u, v) for u, v in self.links
+            if name in (u, v) and not (up and (
+                (u, v) in self._held_down
+                or not self.nodes[v if u == name else u].alive))
+        ]
+        changed = self._set_edges(pairs, up)
         if up:
             node.recover()
         else:
@@ -307,21 +320,21 @@ class Network:
                     heappush(fringe, (via_v, next(pushes), u))
         return dist, pred
 
-    def _paths_from(self, source: Any) -> Tuple[Dict[Any, float], Dict[Any, list]]:
+    def _paths_from(self, source: Any) -> Tuple[Dict[Any, float], Dict[Any, Tuple[Any, ...]]]:
         """This epoch's ``(distances, paths)`` from ``source`` to every
         reachable node, computed on first use (:class:`NoPathError` when
         ``source`` is not in the graph).
 
         A full single-source run settles nodes in the same order as a run
-        that stops at one target, so each target's node list — ties
+        that stops at one target, so each target's node tuple — ties
         included — is the one a per-target search would return.
         """
         entry = self._spt.get(source)
         if entry is None:
             dist, pred = self._search(source)
-            paths = {source: [source]}
+            paths = {source: (source,)}
             for node in islice(dist, 1, None):  # settle order: parents first
-                paths[node] = paths[pred[node]] + [node]
+                paths[node] = paths[pred[node]] + (node,)
             entry = self._spt[source] = (dist, paths)
         return entry
 
@@ -337,11 +350,18 @@ class Network:
     def shortest_path_or_none(self, a: Any, b: Any) -> Optional[list]:
         """Like :meth:`shortest_path` but ``None`` when no path exists
         (partitioned network after link/node failures)."""
+        path = self.cached_path(a, b)
+        return None if path is None else list(path)
+
+    def cached_path(self, a: Any, b: Any) -> Optional[Tuple[Any, ...]]:
+        """Like :meth:`shortest_path_or_none`, but the path this epoch's map
+        holds, not a copy: an immutable tuple, so every caller can share it.
+        All of one source's paths come from one search, so the path to any
+        node on it is a prefix of it."""
         try:
-            path = self._paths_from(a)[1].get(b)
+            return self._paths_from(a)[1].get(b)
         except NoPathError:
             return None
-        return None if path is None else list(path)
 
     def path_delay(self, a: Any, b: Any) -> float:
         """Sum of propagation delays along the shortest path ``a -> b``."""

@@ -8,10 +8,9 @@ from repro.multicast.builders import (
     ProtectedTreeBuilder,
     SPTBuilder,
     TreeBuilder,
-    TreePatch,
     make_builder,
 )
-from repro.multicast.manager import GroupState, MulticastManager
+from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network
 
@@ -67,12 +66,6 @@ def chain_with_detour():
     )
 
 
-def _state(source, edges, group=1):
-    st = GroupState(group, source)
-    st.edges = set(edges)
-    return st
-
-
 def _spt_union(net, source, members):
     edges = set()
     for m in members:
@@ -109,17 +102,6 @@ def _covers(edges, source, members):
                 seen.add(child)
                 stack.append(child)
     return set(members) <= seen
-
-
-# ----------------------------------------------------------------------
-# TreePatch
-# ----------------------------------------------------------------------
-def test_tree_patch_apply_does_not_mutate_input():
-    patch = TreePatch(removed=[("a", "b")], added=[("c", "b")])
-    edges = {("s", "a"), ("a", "b")}
-    patched = patch.apply(edges)
-    assert patched == {("s", "a"), ("c", "b")}
-    assert edges == {("s", "a"), ("a", "b")}
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +187,9 @@ def test_degree_builder_skips_unreachable_and_rejects_bad_bound():
 def test_protected_precomputes_backup_for_every_tree_edge():
     _sched, net = diamond_network()
     b = ProtectedTreeBuilder()
-    state = _state("src", b.build("src", ["r1", "r2"], net))
-    b.precompute(state, net)
-    backups = b._backups[state.group]
+    tree = b.build("src", ["r1", "r2"], net)
+    b.precompute("src", tree, net)
+    backups = b._backups["src"]
     # src--core and the leaf access links have no alternative path; both
     # aggregation hops are protected by the cross link.
     assert set(backups) == {("core", "a"), ("core", "b")}
@@ -217,14 +199,14 @@ def test_protected_precomputes_backup_for_every_tree_edge():
 def test_protected_local_repair_splices_backup_branch():
     _sched, net = diamond_network()
     b = ProtectedTreeBuilder()
-    state = _state("src", b.build("src", ["r1", "r2"], net))
-    state.members = {"r1", "r2"}
-    b.precompute(state, net)
-    patch = b.repair(state, [("core", "a")], net)
-    assert patch is not None
-    assert patch.removed == frozenset({("core", "a")})
-    assert patch.added == frozenset({("b", "a")})
-    healed = patch.apply(state.edges)
+    tree = b.build("src", ["r1", "r2"], net)
+    frozen = frozenset(tree)
+    b.precompute("src", tree, net)
+    healed = b.repair("src", tree, [("core", "a")], net)
+    assert healed is not None
+    assert tree == frozen  # the input tree is not mutated
+    assert tree - healed == {("core", "a")}
+    assert healed - tree == {("b", "a")}
     assert _covers(healed, "src", ["r1", "r2"])
     # The b branch never moved: repair was local to the orphaned subtree.
     assert {("core", "b"), ("b", "r2")} <= healed
@@ -233,12 +215,11 @@ def test_protected_local_repair_splices_backup_branch():
 def test_protected_repair_reroots_subtree_at_backup_entry():
     _sched, net = chain_with_detour()
     b = ProtectedTreeBuilder()
-    state = _state("src", b.build("src", ["a", "m"], net))
-    assert state.edges == {("src", "core"), ("core", "a"), ("a", "b"), ("b", "m")}
-    b.precompute(state, net)
-    patch = b.repair(state, [("core", "a")], net)
-    assert patch is not None
-    healed = patch.apply(state.edges)
+    tree = b.build("src", ["a", "m"], net)
+    assert tree == {("src", "core"), ("core", "a"), ("a", "b"), ("b", "m")}
+    b.precompute("src", tree, net)
+    healed = b.repair("src", tree, [("core", "a")], net)
+    assert healed is not None
     # The backup enters the orphaned subtree at b, so the a--b hop reverses.
     assert healed == {
         ("src", "core"), ("core", "alt"), ("alt", "b"), ("b", "m"), ("b", "a"),
@@ -250,30 +231,30 @@ def test_protected_repair_reroots_subtree_at_backup_entry():
 def test_protected_repair_refuses_multi_edge_loss():
     _sched, net = diamond_network()
     b = ProtectedTreeBuilder()
-    state = _state("src", b.build("src", ["r1", "r2"], net))
-    b.precompute(state, net)
-    assert b.repair(state, [("core", "a"), ("core", "b")], net) is None
+    tree = b.build("src", ["r1", "r2"], net)
+    b.precompute("src", tree, net)
+    assert b.repair("src", tree, [("core", "a"), ("core", "b")], net) is None
 
 
 def test_protected_repair_refuses_dead_splice_edge():
     _sched, net = diamond_network()
     b = ProtectedTreeBuilder()
-    state = _state("src", b.build("src", ["r1", "r2"], net))
-    b.precompute(state, net)
+    tree = b.build("src", ["r1", "r2"], net)
+    b.precompute("src", tree, net)
     # The precomputed backup for core--a splices over a--b; kill that link
-    # too (stale backup) and the patch must be rejected, not installed.
+    # too (stale backup) and the repair must be rejected, not installed.
     net.set_link_up("a", "b", False)
-    assert b.repair(state, [("core", "a")], net) is None
+    assert b.repair("src", tree, [("core", "a")], net) is None
 
 
 def test_protected_repair_without_precompute_or_backup_is_none():
     _sched, net = diamond_network()
     b = ProtectedTreeBuilder()
-    state = _state("src", b.build("src", ["r1", "r2"], net))
-    assert b.repair(state, [("core", "a")], net) is None  # nothing precomputed
-    b.precompute(state, net)
-    assert b.repair(state, [("src", "core")], net) is None  # no backup exists
-    assert b.repair(state, [("ghost", "edge")], net) is None  # not a tree edge
+    tree = b.build("src", ["r1", "r2"], net)
+    assert b.repair("src", tree, [("core", "a")], net) is None  # nothing precomputed
+    b.precompute("src", tree, net)
+    assert b.repair("src", tree, [("src", "core")], net) is None  # no backup exists
+    assert b.repair("src", tree, [("ghost", "edge")], net) is None  # not a tree edge
 
 
 # ----------------------------------------------------------------------
@@ -284,9 +265,8 @@ def test_make_builder_resolves_names_and_instances():
     assert isinstance(make_builder("spt"), SPTBuilder)
     assert isinstance(make_builder(None), SPTBuilder)
     assert isinstance(make_builder("protected"), ProtectedTreeBuilder)
-    degree = make_builder("degree", max_degree=2)
-    assert isinstance(degree, DegreeBoundedBuilder) and degree.max_degree == 2
-    instance = SPTBuilder()
+    assert isinstance(make_builder("degree"), DegreeBoundedBuilder)
+    instance = DegreeBoundedBuilder(max_degree=2)
     assert make_builder(instance) is instance
     assert isinstance(make_builder("spt"), TreeBuilder)
     with pytest.raises(ValueError):

@@ -72,6 +72,10 @@ class UncachedNetwork(Network):
     def shortest_path_avoiding(self, a, b, u, v):
         return _fresh_path_avoiding(routing_graph(self), a, b, u, v)
 
+    def cached_path(self, a, b):
+        path = _fresh_path(routing_graph(self), a, b)
+        return None if path is None else tuple(path)
+
 
 def square_network():
     """a-b-d and a-c-d with equal delays, plus a slow direct a-d chord."""
@@ -182,6 +186,25 @@ def test_node_recovery_keeps_links_to_crashed_neighbours_down():
     assert net.shortest_path("a", "c") == ["a", "b", "c"]
 
 
+def test_node_recovery_keeps_a_link_fault_down():
+    """A link a link fault took down stays down through a crash and
+    recovery of its endpoint; only bringing the link up restores it."""
+    net = Network(Scheduler())
+    for name in "abc":
+        net.add_node(name)
+    for x, y, delay in [("a", "b", 0.1), ("a", "c", 0.3), ("c", "b", 0.1)]:
+        net.add_link(x, y, bandwidth=1e6, delay=delay)
+    net.set_link_up("a", "b", False)
+    net.set_node_up("b", False)
+
+    assert net.set_node_up("b", True) == [("c", "b"), ("b", "c")]
+    assert not net.has_edge("a", "b") and not net.link("a", "b").up
+    assert net.shortest_path("a", "b") == ["a", "c", "b"]
+
+    assert net.set_link_up("a", "b", True) == [("a", "b"), ("b", "a")]
+    assert net.shortest_path("a", "b") == ["a", "b"]
+
+
 def test_routing_graph_structure_is_mutated_only_in_topology_py():
     """The single invalidation point: the adjacency is private to
     ``Network``, so nothing else under src/repro may so much as name it (a
@@ -227,7 +250,7 @@ def tie_rich_scenarios(draw):
         st.tuples(st.just("node"), node, st.booleans()),
         st.tuples(st.just("precompute"), group),
     )
-    return n, links, draw(st.sampled_from(["spt", "protected"])), draw(
+    return n, links, draw(st.sampled_from(["spt", "protected", "degree"])), draw(
         st.lists(op, min_size=1, max_size=14)
     )
 
@@ -262,17 +285,39 @@ class _Run:
             (self.link_fault.up if op[2] else self.link_fault.down)(a, b)
         elif kind == "node":
             (self.node_fault.recover if op[2] else self.node_fault.crash)(op[1])
-        else:
-            state = self.mcast.groups[self.groups[op[1]]]
-            self.mcast.builder.precompute(state, self.net)
+        else:  # an explicit pass over the source's tree, all groups' edges
+            source = self.mcast.source_of(self.groups[op[1]])
+            self.mcast.builder.precompute(source, self.union_edges(source), self.net)
         self.sched.run(until=self.sched.now + 5.0)  # let grafts/prunes apply
 
     def trees(self):
         return {g: (frozenset(s.members), frozenset(s.edges))
                 for g, s in self.mcast.groups.items()}
 
+    def source_groups(self, source):
+        return [s for s in self.mcast.groups.values() if s.source == source]
+
+    def union_members(self, source):
+        return frozenset().union(*(s.members for s in self.source_groups(source)))
+
+    def union_edges(self, source):
+        return set().union(*(s.edges for s in self.source_groups(source)))
+
     def backups(self):
         return dict(getattr(self.mcast.builder, "_backups", {}))
+
+
+def _cut(tree, source, members):
+    """``tree`` cut to ``members``: each member's path up to ``source``."""
+    parent = {v: u for u, v in tree}
+    assert len(parent) == len(tree), "the builder's tree gives a node two parents"
+    edges = set()
+    for member in members:
+        node = member
+        while node != source and node in parent:
+            edges.add((parent[node], node))
+            node = parent[node]
+    return edges
 
 
 @given(tie_rich_scenarios())
@@ -285,6 +330,10 @@ class _Run:
         ((0, 5), 0.2), ((2, 5), 0.2)], "protected",
     [("join", 0, 3), ("link", 1, False), ("join", 2, 3)],
 ))
+@example((  # degree: members {2, 3} attach 2 below 3, member {2} alone at 0
+    4, [((0, 1), 0.1), ((0, 2), 0.3), ((1, 3), 0.1), ((2, 3), 0.1)], "degree",
+    [("join", 0, 2), ("join", 0, 3), ("join", 2, 2)],
+))
 @settings(max_examples=40, deadline=None)
 def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
     """The "incremental == from-scratch" oracle (ROADMAP item 5).
@@ -296,20 +345,22 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
     stored backup equals the path found with the edge pair removed from a
     copy of the graph (what the reference run's precompute stores).
 
-    Two invariants hold against the graph itself.  Groups 0 and 2 share a
-    source, so their trees must merge into one session tree (one parent
-    per node) after every step, an outage included: a group built on the
-    degraded graph next to a patched sibling makes both take the builder's
-    tree.  And a group's tree is the union of shortest paths on the graph
-    as it stands after every membership change and every step that
-    restored edges; only a removal may leave a tree that differs from it,
-    since a local patch keeps the surviving branches.
+    Three invariants hold against the graph itself, for every builder.
+    Groups 0 and 2 share a source, so their trees must merge into one
+    session tree (one parent per node) after every step, an outage
+    included.  After every step that changed a source's member set (the
+    union of its groups' members) or restored edges, each group of that
+    source is the builder's tree over the union, cut to the group's own
+    members; only a removal may leave a tree that differs from it, since a
+    local patch keeps the surviving branches.  And for the shortest-path
+    builders that cut is the union of fresh per-member shortest paths.
     """
     n, links, builder, ops = scenario
     cached = _Run(Network, n, links, builder)
     reference = _Run(UncachedNetwork, n, links, builder)
+    sources = sorted({s.source for s in cached.mcast.groups.values()})
     for op in ops:
-        before = cached.trees()
+        before = {source: cached.union_members(source) for source in sources}
         edges_before = set(routing_graph(cached.net).edges)
         cached.apply(op)
         reference.apply(op)
@@ -322,10 +373,16 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
         layers = [cached.mcast.groups[cached.groups[i]].edges for i in (0, 2)]
         SessionTree.from_layer_snapshots("s", 0, layers, {})
         restored = bool(set(graph.edges) - edges_before)
-        for group, state in cached.mcast.groups.items():
-            if restored or frozenset(state.members) != before[group][0]:
-                union = set()
-                for member in sorted(state.members):
-                    path = _fresh_path(graph, state.source, member) or ()
-                    union.update(zip(path, path[1:]))
-                assert state.edges == union
+        for source in sources:
+            union = cached.union_members(source)
+            if not restored and union == before[source]:
+                continue
+            tree = cached.mcast.builder.build(source, sorted(union), cached.net)
+            for state in cached.source_groups(source):
+                assert state.edges == _cut(tree, source, state.members)
+                if builder != "degree":
+                    spt = set()
+                    for member in sorted(state.members):
+                        path = _fresh_path(graph, source, member) or ()
+                        spt.update(zip(path, path[1:]))
+                    assert state.edges == spt

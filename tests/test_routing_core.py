@@ -37,6 +37,7 @@ class Shadow:
         self.graph = nx.DiGraph()
         self.links = {}  # directed pair -> delay, in creation order
         self.crashed = set()
+        self.held_down = set()  # directed pairs a link fault took down
 
     def add_link(self, a, b, delay, bidirectional):
         for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
@@ -44,8 +45,13 @@ class Shadow:
             self.graph.add_edge(u, v, delay=delay)
 
     def set_link_up(self, a, b, up, bidirectional=True):
+        pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
+        (self.held_down.difference_update if up else self.held_down.update)(pairs)
+        return self._flip(pairs, up)
+
+    def _flip(self, pairs, up):
         changed = []
-        for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
+        for u, v in pairs:
             if up and not self.graph.has_edge(u, v):
                 self.graph.add_edge(u, v, delay=self.links[(u, v)])
                 changed.append((u, v))
@@ -56,13 +62,14 @@ class Shadow:
 
     def set_node_up(self, name, up):
         """Incident links fail with the node; recovery restores only those
-        whose far end is not crashed too."""
+        whose far end is not crashed too and that no link fault holds
+        down."""
         (self.crashed.discard if up else self.crashed.add)(name)
-        changed = []
-        for u, v in self.links:
-            if name in (u, v) and not (up and {u, v} & self.crashed):
-                changed.extend(self.set_link_up(u, v, up, bidirectional=False))
-        return changed
+        return self._flip([
+            (u, v) for u, v in self.links
+            if name in (u, v)
+            and not (up and ({u, v} & self.crashed or (u, v) in self.held_down))
+        ], up)
 
     def next_hops(self):
         """``Network.build_routes`` as it was: all-pairs, eager."""
@@ -138,7 +145,7 @@ class Rig:
             dist, paths = nx.single_source_dijkstra(graph, source, weight="delay")
             got_dist, got_paths = net._paths_from(source)
             assert list(got_dist.items()) == list(dist.items())
-            assert list(got_paths.items()) == list(paths.items())
+            assert [(k, list(p)) for k, p in got_paths.items()] == list(paths.items())
             for target in net.nodes:
                 assert net.shortest_path_or_none(source, target) == paths.get(target)
             # A table is either current or empty and marked to be refilled.
