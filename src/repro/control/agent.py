@@ -136,7 +136,7 @@ class ReceiverAgent:
         self.stale_suggestions_rejected = 0
         self.invalid_suggestions_rejected = 0
         #: Active byzantine behaviour (None = honest).  Set by the
-        #: ByzantineReceiverFault injector via :meth:`set_byzantine`.
+        #: ``byzantine_start``/``byzantine_stop`` faults via :meth:`set_byzantine`.
         self.byzantine_mode: Optional[str] = None
         self.lies_told = 0
         self.active = True

@@ -14,7 +14,7 @@ uses as the baseline.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional, Tuple
 
 from ..core.session_topology import SessionTree
 from ..multicast.manager import MulticastManager
@@ -104,22 +104,17 @@ class TopologyDiscovery:
             )
         at = max(now - self.staleness, 0.0)
         layer_edges = []
-        tree_nodes = {descriptor.source}
         for group in descriptor.groups:
             # A group with no snapshot history at ``at`` (e.g. created by a
             # failed-over controller's registration before the source ran)
             # contributes an empty layer rather than raising.
-            snap = self.mcast.snapshot_at(group, at)
-            edges = snap.edges
+            edges = self.mcast.snapshot_at(group, at).edges
             if self.domain is not None:
                 edges = frozenset(
                     (u, v) for u, v in edges
                     if u in self.domain and v in self.domain
                 )
             layer_edges.append(edges)
-            for u, v in edges:
-                tree_nodes.add(u)
-                tree_nodes.add(v)
         root = descriptor.source
         if self.domain is not None and root not in self.domain:
             root = self._entry_node(layer_edges)
@@ -130,22 +125,17 @@ class TopologyDiscovery:
             # domain covering several disjoint subtrees yields several
             # candidate entries; this controller manages one of them).
             layer_edges = [self._reachable_from(root, edges) for edges in layer_edges]
-            tree_nodes = {root}
-            for edges in layer_edges:
-                for u, v in edges:
-                    tree_nodes.add(u)
-                    tree_nodes.add(v)
         if self.fault_mode == "truncate":
             self.failed_queries += 1
             layer_edges = [
                 self._clip_depth(root, edges, self.truncate_depth)
                 for edges in layer_edges
             ]
-            tree_nodes = {root}
-            for edges in layer_edges:
-                for u, v in edges:
-                    tree_nodes.add(u)
-                    tree_nodes.add(v)
+        tree_nodes = {root}
+        for edges in layer_edges:
+            for u, v in edges:
+                tree_nodes.add(u)
+                tree_nodes.add(v)
         visible = {
             node: rid for rid, node in receivers.items() if node in tree_nodes
         }

@@ -35,9 +35,6 @@ class SessionTree:
         Leaves without receivers are allowed (they are routers whose
         downstream hosts sit outside the discovered region) but contribute
         no loss information.
-    layers_on_edge:
-        Optional mapping edge -> highest layer index traversing that edge
-        (from the per-layer tree overlay).  Defaults to "all layers".
     """
 
     def __init__(
@@ -46,7 +43,6 @@ class SessionTree:
         root: Any,
         edges: Iterable[Edge],
         receivers: Mapping[Any, Any],
-        layers_on_edge: Optional[Mapping[Edge, int]] = None,
     ) -> None:
         self.session_id = session_id
         self.root = root
@@ -88,13 +84,6 @@ class SessionTree:
         if bad:
             raise ValueError(f"receivers on unknown nodes: {bad}")
         self.receivers: Dict[Any, Any] = dict(receivers)
-        if layers_on_edge is None:
-            self.layers_on_edge: Dict[Edge, int] = {}
-        else:
-            extra = set(layers_on_edge) - set(self.edges)
-            if extra:
-                raise ValueError(f"layers_on_edge has unknown edges: {sorted(map(str, extra))}")
-            self.layers_on_edge = dict(layers_on_edge)
 
     # ------------------------------------------------------------------
     # Traversal
@@ -155,16 +144,10 @@ class SessionTree:
 
         ``layer_edges[i]`` is the edge set of layer ``i+1``'s tree.  Because
         layers are cumulative, layer 1's tree spans every other layer's tree,
-        and the overlay equals layer 1's tree; ``layers_on_edge`` records the
-        highest layer flowing over each edge.
+        and the overlay (the union of the layers' edges) equals layer 1's
+        tree.
         """
-        all_edges: set = set()
-        layers_on_edge: Dict[Edge, int] = {}
-        for i, edges in enumerate(layer_edges, start=1):
-            for e in edges:
-                all_edges.add(e)
-                layers_on_edge[e] = max(layers_on_edge.get(e, 0), i)
-        return cls(session_id, root, all_edges, receivers, layers_on_edge)
+        return cls(session_id, root, {e for edges in layer_edges for e in edges}, receivers)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

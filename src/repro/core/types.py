@@ -5,7 +5,7 @@ TopoSense core.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, Tuple
 
 from ..media.layers import LayerSchedule
 from .session_topology import SessionTree

@@ -69,7 +69,7 @@ def default_attack_plan(attack_start: float = 30.0) -> FaultPlan:
     """Both liars switch on at ``attack_start`` (after convergence)."""
     plan = FaultPlan()
     for receiver_id, mode in LIARS.items():
-        plan.byzantine(attack_start, receiver_id, mode)
+        plan.add(attack_start, "byzantine_start", receiver_id, mode)
     return plan
 
 

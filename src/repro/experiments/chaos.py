@@ -44,8 +44,8 @@ def default_chaos_plan() -> FaultPlan:
     """The canonical storm: controller crash + failover, link flap,
     discovery blackout (see module docstring for the timeline)."""
     plan = FaultPlan()
-    plan.crash_controller(20.0)
-    plan.failover_controller(22.0)
+    plan.add(20.0, "controller_kill", name="default")
+    plan.add(22.0, "controller_failover", name="default", cold=True)
     plan.link_flap(40.0, "core", "agg_a", down_for=3.0, times=2, period=6.0)
     plan.discovery_outage(60.0, 80.0)
     return plan

@@ -90,7 +90,8 @@ def churn_events(
 
 
 # ----------------------------------------------------------------------
-# Scenario-side mechanics (shared by MembershipFault and WorkloadRunner)
+# Scenario-side mechanics (shared by the receiver_leave/receiver_join
+# faults and WorkloadRunner)
 # ----------------------------------------------------------------------
 def is_present(handle: Any) -> bool:
     """Whether the receiver is currently a member.

@@ -266,7 +266,7 @@ class Scenario:
         then pick their controller via ``add_receiver(..., controller=)``.
 
         ``standby_node`` names a node a failed controller can fail over to
-        (see :class:`~repro.faults.injectors.ControllerFault`); receivers
+        (see :meth:`~repro.faults.injectors.FaultInjector.controller_failover`); receivers
         are given both addresses as registration candidates.
 
         ``guard`` / ``registration_ttl_intervals`` / ``quarantine_level``
@@ -374,31 +374,7 @@ class Scenario:
         for handle in self.receivers:
             if handle.agent is not None or handle.mode == "static" or handle.parked:
                 continue
-            if handle.mode == "controlled":
-                controller = self.controllers.get(handle.controller_name)
-                if controller is None:
-                    raise ValueError(
-                        f"receiver {handle.receiver_id!r} needs controller "
-                        f"{handle.controller_name!r}: attach_controller() first"
-                    )
-                candidates = [self._controller_nodes[handle.controller_name]]
-                standby = self._standby_nodes.get(handle.controller_name)
-                if standby is not None:
-                    candidates.append(standby)
-                handle.agent = ReceiverAgent(
-                    handle.receiver,
-                    candidates[0],
-                    interval=controller.interval,
-                    rng=self.rngs.fork(f"rcvagent/{handle.receiver_id}"),
-                    controller_candidates=candidates,
-                    **(handle.agent_kwargs or {}),
-                )
-                handle.agent.start()
-            elif handle.mode == "rlm":
-                handle.agent = RLMReceiver(
-                    handle.receiver, rng=self.rngs.fork(f"rlm/{handle.receiver_id}")
-                )
-                handle.agent.start()
+            self._start_agent(handle)
         for controller in self.controllers.values():
             controller.start()  # idempotent
         self._ran = True
@@ -430,6 +406,13 @@ class Scenario:
             handle.receiver.set_level(1)
         n = self._rejoin_counts.get(handle.receiver_id, 0) + 1
         self._rejoin_counts[handle.receiver_id] = n
+        self._start_agent(handle, f"/rejoin{n}")
+
+    def _start_agent(self, handle: ReceiverHandle, stream: str = "") -> None:
+        """Build and start ``handle``'s control agent: a
+        :class:`ReceiverAgent` on RNG stream ``rcvagent/<id><stream>`` for
+        a controlled receiver, an :class:`RLMReceiver` on ``rlm/<id><stream>``
+        for an RLM one; other modes get none."""
         if handle.mode == "controlled":
             controller = self.controllers.get(handle.controller_name)
             if controller is None:
@@ -445,17 +428,17 @@ class Scenario:
                 handle.receiver,
                 candidates[0],
                 interval=controller.interval,
-                rng=self.rngs.fork(f"rcvagent/{handle.receiver_id}/rejoin{n}"),
+                rng=self.rngs.fork(f"rcvagent/{handle.receiver_id}{stream}"),
                 controller_candidates=candidates,
                 **(handle.agent_kwargs or {}),
             )
-            handle.agent.start()
         elif handle.mode == "rlm":
             handle.agent = RLMReceiver(
-                handle.receiver,
-                rng=self.rngs.fork(f"rlm/{handle.receiver_id}/rejoin{n}"),
+                handle.receiver, rng=self.rngs.fork(f"rlm/{handle.receiver_id}{stream}")
             )
-            handle.agent.start()
+        else:
+            return
+        handle.agent.start()
 
 
 class ScenarioResult:

@@ -8,44 +8,31 @@ those degradation paths from latent code into exercised behaviour:
 * :class:`~repro.faults.plan.FaultPlan` — a declarative list of timed fault
   events, serialisable to/from plain dicts for replayable chaos runs;
 * :class:`~repro.faults.injectors.FaultInjector` — binds a plan to a
-  :class:`~repro.experiments.scenario.Scenario` and executes events through
-  per-subsystem injectors (:class:`LinkFault`, :class:`NodeFault`,
-  :class:`ControllerFault`, :class:`DiscoveryFault`,
-  :class:`ByzantineReceiverFault`, :class:`PacketCorruptionFault`).
+  :class:`~repro.experiments.scenario.Scenario` and executes each event by
+  calling its method named after the event's kind (``link_down``,
+  ``controller_kill``, ``byzantine_start``, …; the ``fed_*`` kinds belong to
+  :class:`~repro.faults.injectors.FederationInjector`).  ``plan.KINDS``
+  lists them all.
 
 Typical use::
 
     plan = FaultPlan()
-    plan.crash_controller(20.0)
-    plan.failover_controller(22.0)
+    plan.add(20.0, "controller_kill", name="default")
+    plan.add(22.0, "controller_failover", name="default", cold=True)
     plan.link_flap(40.0, "core", "agg_a", down_for=3.0, times=2, period=6.0)
     plan.discovery_outage(60.0, 80.0)
-    plan.byzantine(90.0, "r3", "lie_low+disobey")
-    plan.corrupt_control(100.0, "r2", mode="duplicate", rate=0.5)
+    plan.add(90.0, "byzantine_start", "r3", "lie_low+disobey")
+    plan.add(100.0, "control_corrupt", "r2", mode="duplicate", rate=0.5)
     injector = plan.apply(scenario)
     scenario.run(120.0)
     print(injector.log)        # [(time, kind, detail), ...]
 """
 
-from .injectors import (
-    ByzantineReceiverFault,
-    ControllerFault,
-    DiscoveryFault,
-    FaultInjector,
-    LinkFault,
-    NodeFault,
-    PacketCorruptionFault,
-)
+from .injectors import FaultInjector
 from .plan import FaultEvent, FaultPlan
 
 __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",
-    "LinkFault",
-    "NodeFault",
-    "ControllerFault",
-    "DiscoveryFault",
-    "ByzantineReceiverFault",
-    "PacketCorruptionFault",
 ]

@@ -18,43 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .injectors import FaultInjector, FederationInjector, kinds_of
+
 __all__ = ["FaultEvent", "FaultPlan"]
 
-#: Event kinds understood by :class:`~repro.faults.injectors.FaultInjector`.
-KINDS = (
-    "link_down",
-    "link_up",
-    "link_degrade",
-    "link_restore",
-    "node_crash",
-    "node_recover",
-    "controller_kill",
-    "controller_restart",
-    "controller_failover",
-    "discovery_blackout",
-    "discovery_truncate",
-    "discovery_restore",
-    "byzantine_start",
-    "byzantine_stop",
-    "control_corrupt",
-    "control_restore",
-    "receiver_leave",
-    "receiver_join",
-    # Federation-tier faults, executed by a FederationInjector bound to a
-    # FederatedSession at round barriers (not by the scenario-level
-    # FaultInjector).
-    "fed_link_degrade",
-    "fed_link_restore",
-    "fed_partition",
-    "fed_heal",
-    "fed_coordinator_kill",
-    "fed_coordinator_failover",
-)
+#: Every fault kind: one injector method each (see :func:`kinds_of`).
+KINDS = kinds_of(FaultInjector) + kinds_of(FederationInjector)
 
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One timed fault action (``kind`` names an injector operation)."""
+    """One timed fault action: ``kind`` names the injector method that runs
+    it, ``args``/``kwargs`` are that method's arguments."""
 
     time: float
     kind: str
@@ -69,7 +44,11 @@ class FaultEvent:
 
 
 class FaultPlan:
-    """An ordered collection of fault events with builder conveniences."""
+    """An ordered collection of fault events.
+
+    :meth:`add` appends one event of any kind; the builders below expand
+    into several (a flap, an outage window, a churn storm, a partition).
+    """
 
     def __init__(self, events: Optional[Iterable[FaultEvent]] = None):
         self.events: List[FaultEvent] = sorted(
@@ -84,13 +63,6 @@ class FaultPlan:
         self.events.append(FaultEvent(time, kind, tuple(args), dict(kwargs)))
         self.events.sort(key=lambda e: (e.time, e.kind))
         return self
-
-    # -- links ----------------------------------------------------------
-    def link_down(self, time: float, a: Any, b: Any) -> "FaultPlan":
-        return self.add(time, "link_down", a, b)
-
-    def link_up(self, time: float, a: Any, b: Any) -> "FaultPlan":
-        return self.add(time, "link_up", a, b)
 
     def link_flap(
         self,
@@ -113,36 +85,10 @@ class FaultPlan:
             raise ValueError("period must cover the down time")
         for i in range(times):
             t0 = time + i * period
-            self.link_down(t0, a, b)
-            self.link_up(t0 + down_for, a, b)
+            self.add(t0, "link_down", a, b)
+            self.add(t0 + down_for, "link_up", a, b)
         return self
 
-    def degrade_link(self, time: float, a: Any, b: Any, factor: float) -> "FaultPlan":
-        return self.add(time, "link_degrade", a, b, factor)
-
-    def restore_link(self, time: float, a: Any, b: Any) -> "FaultPlan":
-        return self.add(time, "link_restore", a, b)
-
-    # -- nodes ----------------------------------------------------------
-    def crash_node(self, time: float, name: Any) -> "FaultPlan":
-        return self.add(time, "node_crash", name)
-
-    def recover_node(self, time: float, name: Any) -> "FaultPlan":
-        return self.add(time, "node_recover", name)
-
-    # -- controller -----------------------------------------------------
-    def crash_controller(self, time: float, name: str = "default") -> "FaultPlan":
-        return self.add(time, "controller_kill", name=name)
-
-    def restart_controller(self, time: float, name: str = "default") -> "FaultPlan":
-        return self.add(time, "controller_restart", name=name)
-
-    def failover_controller(
-        self, time: float, name: str = "default", cold: bool = True
-    ) -> "FaultPlan":
-        return self.add(time, "controller_failover", name=name, cold=cold)
-
-    # -- discovery ------------------------------------------------------
     def discovery_outage(
         self,
         start: float,
@@ -162,15 +108,6 @@ class FaultPlan:
         else:
             raise ValueError(f"unknown discovery outage mode {mode!r}")
         return self.add(end, "discovery_restore", name=name)
-
-    # -- membership -----------------------------------------------------
-    def leave_receiver(self, time: float, receiver_id: Any) -> "FaultPlan":
-        """The receiver departs (agent stops, subscription drops to 0)."""
-        return self.add(time, "receiver_leave", receiver_id)
-
-    def join_receiver(self, time: float, receiver_id: Any) -> "FaultPlan":
-        """The receiver (re)arrives with a fresh control agent."""
-        return self.add(time, "receiver_join", receiver_id)
 
     def membership_churn(
         self,
@@ -205,71 +142,8 @@ class FaultPlan:
             receivers, start, end, rate=rate, burst=burst,
             off_time=off_time, zipf_s=zipf_s, seed=seed,
         ):
-            if kind == "leave":
-                self.leave_receiver(t, rid)
-            else:
-                self.join_receiver(t, rid)
+            self.add(t, f"receiver_{kind}", rid)
         return self
-
-    # -- adversaries ----------------------------------------------------
-    def byzantine(self, time: float, receiver_id: Any, mode: str) -> "FaultPlan":
-        """Turn the receiver byzantine: ``mode`` is ``lie_high``,
-        ``lie_low``, ``disobey`` or a ``+``-joined combination."""
-        return self.add(time, "byzantine_start", receiver_id, mode)
-
-    def stop_byzantine(self, time: float, receiver_id: Any) -> "FaultPlan":
-        """Restore the receiver to honest behaviour."""
-        return self.add(time, "byzantine_stop", receiver_id)
-
-    def corrupt_control(
-        self, time: float, node: Any, mode: str = "garble", rate: float = 1.0
-    ) -> "FaultPlan":
-        """Corrupt CONTROL packets originated at ``node``: ``mode`` is
-        ``duplicate``, ``reorder`` or ``garble``; ``rate`` is the per-packet
-        corruption probability."""
-        return self.add(time, "control_corrupt", node, mode=mode, rate=rate)
-
-    def restore_control(self, time: float, node: Any) -> "FaultPlan":
-        """Stop corrupting CONTROL packets originated at ``node``."""
-        return self.add(time, "control_restore", node)
-
-    # -- federation tier ------------------------------------------------
-    def degrade_federation(
-        self,
-        time: float,
-        loss: float = 0.0,
-        duplicate: float = 0.0,
-        delay_rounds: int = 0,
-        domain: Optional[Any] = None,
-    ) -> "FaultPlan":
-        """Impair the inter-domain channel (all domains, or just one):
-        per-message loss/duplication probabilities and a maximum in-flight
-        delay in lockstep rounds.  Takes effect at the first round barrier
-        reaching ``time``."""
-        if not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1), got {loss}")
-        if not 0.0 <= duplicate <= 1.0:
-            raise ValueError(f"duplicate must be in [0, 1], got {duplicate}")
-        if delay_rounds < 0:
-            raise ValueError(f"delay_rounds must be >= 0, got {delay_rounds}")
-        return self.add(
-            time, "fed_link_degrade", loss=loss, duplicate=duplicate,
-            delay_rounds=delay_rounds, domain=domain,
-        )
-
-    def restore_federation(
-        self, time: float, domain: Optional[Any] = None
-    ) -> "FaultPlan":
-        """Undo :meth:`degrade_federation` for one domain (or the mesh)."""
-        return self.add(time, "fed_link_restore", domain=domain)
-
-    def partition_domain(self, time: float, domain: Any) -> "FaultPlan":
-        """Cut the domain off from the federation in both directions."""
-        return self.add(time, "fed_partition", domain)
-
-    def heal_domain(self, time: float, domain: Any) -> "FaultPlan":
-        """Reconnect a partitioned domain."""
-        return self.add(time, "fed_heal", domain)
 
     def partition_window(
         self, start: float, end: float, domain: Any
@@ -277,16 +151,7 @@ class FaultPlan:
         """Partition the domain over ``[start, end)``."""
         if end <= start:
             raise ValueError("need end > start")
-        return self.partition_domain(start, domain).heal_domain(end, domain)
-
-    def kill_coordinator(self, time: float) -> "FaultPlan":
-        """Crash the federation coordinator (no merges, no acks)."""
-        return self.add(time, "fed_coordinator_kill")
-
-    def failover_coordinator(self, time: float) -> "FaultPlan":
-        """Promote the standby coordinator (bumped epoch, warm summary
-        store) — clears a preceding :meth:`kill_coordinator`."""
-        return self.add(time, "fed_coordinator_failover")
+        return self.add(start, "fed_partition", domain).add(end, "fed_heal", domain)
 
     # ------------------------------------------------------------------
     # Application
@@ -299,8 +164,6 @@ class FaultPlan:
         the past relative to the scenario clock are rejected — apply the
         plan before running.
         """
-        from .injectors import FaultInjector  # local import: avoid cycle
-
         if injector is None:
             injector = FaultInjector(scenario)
         now = scenario.sched.now

@@ -73,17 +73,17 @@ def default_fedchaos_plan(
     if partition_rounds < 1:
         raise ValueError("partition_rounds must be >= 1")
     plan = FaultPlan()
-    plan.degrade_federation(
-        degrade_round * cadence, loss=loss, duplicate=duplicate,
-        delay_rounds=delay_rounds,
+    plan.add(
+        degrade_round * cadence, "fed_link_degrade", loss=loss,
+        duplicate=duplicate, delay_rounds=delay_rounds, domain=None,
     )
     plan.partition_window(
         partition_start_round * cadence,
         (partition_start_round + partition_rounds) * cadence,
         domain,
     )
-    plan.kill_coordinator(kill_round * cadence)
-    plan.failover_coordinator(failover_round * cadence)
+    plan.add(kill_round * cadence, "fed_coordinator_kill")
+    plan.add(failover_round * cadence, "fed_coordinator_failover")
     return plan
 
 

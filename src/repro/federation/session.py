@@ -108,12 +108,12 @@ class FederatedSession:
         self._plan_events: List[Any] = []
         self._next_event = 0
         if plan is not None:
-            from ..faults.injectors import FederationInjector
+            from ..faults.injectors import FederationInjector, kinds_of
 
             self._injector = FederationInjector(self)
             self._plan_events = list(plan.events)
             for ev in self._plan_events:
-                if not ev.kind.startswith("fed_"):
+                if ev.kind not in kinds_of(FederationInjector):
                     raise ValueError(
                         f"FederatedSession plans accept fed_* kinds only, "
                         f"got {ev.kind!r} (apply scenario-level faults "

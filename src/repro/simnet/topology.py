@@ -183,9 +183,13 @@ class Network:
 
         A link this call takes down stays down through any crash or
         recovery of its endpoints, until this call brings it up again.
+        Bringing it up restores only the directions whose two endpoints are
+        alive; the rest return when the crashed node recovers.
         """
         pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
-        changed = self._set_edges(pairs, up)
+        live = [(u, v) for u, v in pairs
+                if not up or (self.nodes[u].alive and self.nodes[v].alive)]
+        changed = self._set_edges(live, up)
         (self._held_down.difference_update if up else self._held_down.update)(pairs)
         return changed
 

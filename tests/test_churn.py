@@ -77,14 +77,14 @@ def test_membership_fault_leave_and_rejoin_are_idempotent():
     assert first_agent.active
     assert handle.receiver.level >= 1
 
-    injector.membership.leave("A0")
-    injector.membership.leave("A0")  # no-op, not an error
+    injector.receiver_leave("A0")
+    injector.receiver_leave("A0")  # no-op, not an error
     sc.run(20.0)
     assert not first_agent.active
     assert handle.receiver.level == 0
 
-    injector.membership.join("A0")
-    injector.membership.join("A0")  # no-op, not an error
+    injector.receiver_join("A0")
+    injector.receiver_join("A0")  # no-op, not an error
     rejoined = handle.agent
     assert rejoined is not first_agent  # fresh agent, fresh RNG stream
     assert rejoined.active
@@ -98,7 +98,7 @@ def test_reattach_unknown_receiver_raises():
     sc = build_churn_scenario(seed=2, n_receivers=2)
     injector = FaultInjector(sc)
     with pytest.raises(KeyError):
-        injector.membership.leave("nope")
+        injector.receiver_leave("nope")
 
 
 # ----------------------------------------------------------------------

@@ -68,19 +68,6 @@ def test_staleness_window_moves_forward():
     assert disc.session_tree(desc, {"rcv1": "r1"}).receivers == {"r1": "rcv1"}
 
 
-def test_layer_overlay_from_multiple_groups():
-    sched, net, mcast, desc = setup(n_layers=2)
-    disc = TopologyDiscovery(mcast, staleness=0.0)
-    mcast.join(desc.groups[0], "r1")
-    mcast.join(desc.groups[0], "r2")
-    mcast.join(desc.groups[1], "r2")  # only r2 takes layer 2
-    sched.run(until=1.0)
-    tree = disc.session_tree(desc, {"rcv1": "r1", "rcv2": "r2"})
-    assert tree.layers_on_edge[("mid", "r2")] == 2
-    assert tree.layers_on_edge[("mid", "r1")] == 1
-    assert tree.layers_on_edge[("src", "mid")] == 2
-
-
 def test_receiver_not_in_tree_omitted():
     sched, net, mcast, desc = setup()
     disc = TopologyDiscovery(mcast, staleness=0.0)

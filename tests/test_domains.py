@@ -62,15 +62,6 @@ class TestDomainDiscovery:
         assert tree.edges == frozenset()
         assert tree.receivers == {}
 
-    def test_layer_overlay_respected_in_domain(self):
-        sched, net, mcast, desc = setup_net()
-        disc = TopologyDiscovery(mcast, domain={"gw1", "r1"})
-        mcast.join(desc.groups[0], "r1")
-        mcast.join(desc.groups[1], "r1")
-        sched.run(until=1.0)
-        tree = disc.session_tree(desc, {"A": "r1"})
-        assert tree.layers_on_edge[("gw1", "r1")] == 2
-
 
 class TestTwoDomainScenario:
     def test_structure(self):

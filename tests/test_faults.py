@@ -6,6 +6,7 @@ must end with every receiver back under controller guidance within three
 control intervals of each fault clearing.
 """
 
+import inspect
 import json
 
 import pytest
@@ -17,6 +18,8 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.scenario import Scenario
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults.injectors import FederationInjector, kinds_of
+from repro.faults.plan import KINDS
 from repro.metrics.recovery import (
     max_suggestion_gap,
     suggestion_gaps,
@@ -30,8 +33,8 @@ from repro.metrics.recovery import (
 class TestFaultPlan:
     def test_events_kept_time_sorted(self):
         plan = FaultPlan()
-        plan.link_down(10.0, "a", "b")
-        plan.crash_controller(5.0)
+        plan.add(10.0, "link_down", "a", "b")
+        plan.add(5.0, "controller_kill")
         assert [e.time for e in plan] == [5.0, 10.0]
 
     def test_negative_time_rejected(self):
@@ -78,17 +81,17 @@ class TestFaultPlan:
     def test_apply_rejects_past_events(self):
         sc = _line_scenario()
         sc.run(5.0)
-        plan = FaultPlan().link_down(1.0, "src", "mid")
+        plan = FaultPlan().add(1.0, "link_down", "src", "mid")
         with pytest.raises(ValueError):
             plan.apply(sc)
 
     def test_adversarial_kinds_round_trip(self):
         plan = (
             FaultPlan()
-            .byzantine(10.0, "XL", "lie_low+disobey")
-            .stop_byzantine(40.0, "XL")
-            .corrupt_control(20.0, "rcv", mode="duplicate", rate=0.5)
-            .restore_control(50.0, "rcv")
+            .add(10.0, "byzantine_start", "XL", "lie_low+disobey")
+            .add(40.0, "byzantine_stop", "XL")
+            .add(20.0, "control_corrupt", "rcv", mode="duplicate", rate=0.5)
+            .add(50.0, "control_restore", "rcv")
         )
         rows = json.loads(json.dumps(plan.to_dicts()))
         rebuilt = FaultPlan.from_dicts(rows)
@@ -101,12 +104,12 @@ class TestFaultPlan:
     def test_adversarial_clear_times(self):
         plan = (
             FaultPlan()
-            .byzantine(10.0, "XL", "lie_low")
-            .stop_byzantine(20.0, "XL")
-            .byzantine(25.0, "XL", "lie_high")   # re-broken: 20 not a clear
-            .stop_byzantine(35.0, "XL")
-            .corrupt_control(30.0, "rcv")
-            .restore_control(45.0, "rcv")
+            .add(10.0, "byzantine_start", "XL", "lie_low")
+            .add(20.0, "byzantine_stop", "XL")
+            .add(25.0, "byzantine_start", "XL", "lie_high")  # re-broken: 20 not a clear
+            .add(35.0, "byzantine_stop", "XL")
+            .add(30.0, "control_corrupt", "rcv")
+            .add(45.0, "control_restore", "rcv")
         )
         assert plan.clear_times() == [35.0, 45.0]
         assert 20.0 in plan.clear_times(final_only=False)
@@ -128,10 +131,24 @@ def _line_scenario(seed=1, access_bw=500e3):
     return sc
 
 
+def _standby_scenario(**agent_kwargs):
+    """:func:`_line_scenario` plus a standby controller node off ``mid``."""
+    sc = Scenario(seed=1)
+    for n in ("src", "mid", "standby", "rcv"):
+        sc.add_node(n)
+    sc.add_link("src", "mid", bandwidth=10e6)
+    sc.add_link("standby", "mid", bandwidth=10e6)
+    sc.add_link("mid", "rcv", bandwidth=500e3)
+    sess = sc.add_session("src", traffic="cbr")
+    sc.attach_controller("src", standby_node="standby")
+    sc.add_receiver(sess.session_id, "rcv", receiver_id="R", agent_kwargs=agent_kwargs)
+    return sc
+
+
 class TestLinkFault:
     def test_down_stops_traffic_and_tears_branch(self):
         sc = _line_scenario()
-        plan = FaultPlan().link_down(10.0, "mid", "rcv")
+        plan = FaultPlan().add(10.0, "link_down", "mid", "rcv")
         plan.apply(sc)
         sc.run(20.0)
         handle = sc.receivers[0]
@@ -145,7 +162,8 @@ class TestLinkFault:
 
     def test_up_regrafts_and_traffic_resumes(self):
         sc = _line_scenario()
-        plan = FaultPlan().link_down(10.0, "mid", "rcv").link_up(15.0, "mid", "rcv")
+        plan = (FaultPlan().add(10.0, "link_down", "mid", "rcv")
+                .add(15.0, "link_up", "mid", "rcv"))
         plan.apply(sc)
         sc.run(30.0)
         handle = sc.receivers[0]
@@ -160,22 +178,23 @@ class TestLinkFault:
         sc = _line_scenario()
         injector = FaultInjector(sc)
         original = sc.network.link("mid", "rcv").bandwidth
-        injector.links.degrade("mid", "rcv", 0.25)
+        injector.link_degrade("mid", "rcv", 0.25)
         assert sc.network.link("mid", "rcv").bandwidth == pytest.approx(original / 4)
-        injector.links.restore("mid", "rcv")
+        injector.link_restore("mid", "rcv")
         assert sc.network.link("mid", "rcv").bandwidth == pytest.approx(original)
 
     def test_degrade_rejects_nonpositive_factor(self):
         sc = _line_scenario()
         injector = FaultInjector(sc)
         with pytest.raises(ValueError):
-            injector.links.degrade("mid", "rcv", 0.0)
+            injector.link_degrade("mid", "rcv", 0.0)
 
 
 class TestNodeFault:
     def test_crash_kills_forwarding_and_recover_restores(self):
         sc = _line_scenario()
-        plan = FaultPlan().crash_node(10.0, "mid").recover_node(15.0, "mid")
+        plan = (FaultPlan().add(10.0, "node_crash", "mid")
+                .add(15.0, "node_recover", "mid"))
         plan.apply(sc)
         sc.run(12.0)
         assert not sc.network.node("mid").alive
@@ -193,7 +212,8 @@ class TestControllerFault:
         sc = _line_scenario()
         # Tight silence deadline so the watchdog fires quickly.
         sc.receivers[0].agent_kwargs = {"reregister_after": 3.0}
-        plan = FaultPlan().crash_controller(10.0).restart_controller(16.0)
+        plan = (FaultPlan().add(10.0, "controller_kill")
+                .add(16.0, "controller_restart"))
         plan.apply(sc)
         sc.run(30.0)
         agent = sc.receivers[0].agent
@@ -203,18 +223,11 @@ class TestControllerFault:
         assert time_to_suggestion(agent.suggestion_times, 16.0) < 10.0
 
     def test_failover_promotes_standby(self):
-        sc = Scenario(seed=1)
-        for n in ("src", "mid", "standby", "rcv"):
-            sc.add_node(n)
-        sc.add_link("src", "mid", bandwidth=10e6)
-        sc.add_link("standby", "mid", bandwidth=10e6)
-        sc.add_link("mid", "rcv", bandwidth=500e3)
-        sess = sc.add_session("src", traffic="cbr")
-        sc.attach_controller("src", standby_node="standby")
-        sc.add_receiver(sess.session_id, "rcv", receiver_id="R",
-                        agent_kwargs={"reregister_after": 3.0})
+        sc = _standby_scenario(reregister_after=3.0)
+        sess = sc.sessions[0]
         primary = sc.controller
-        plan = FaultPlan().crash_controller(10.0).failover_controller(12.0)
+        plan = (FaultPlan().add(10.0, "controller_kill")
+                .add(12.0, "controller_failover"))
         plan.apply(sc)
         sc.run(30.0)
         standby = sc.controller
@@ -231,7 +244,7 @@ class TestControllerFault:
         sc = _line_scenario()
         injector = FaultInjector(sc)
         with pytest.raises(ValueError):
-            injector.controllers.failover()
+            injector.controller_failover()
 
 
 class TestDiscoveryFault:
@@ -257,6 +270,65 @@ class TestDiscoveryFault:
 
 
 # ----------------------------------------------------------------------
+# Every kind: one method, fired once end to end
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_is_exactly_one_injector_method(kind):
+    owners = [cls for cls in (FaultInjector, FederationInjector) if kind in kinds_of(cls)]
+    assert len(owners) == 1
+    assert inspect.isfunction(vars(owners[0])[kind])
+    assert not hasattr(FaultPlan, kind)  # add() is the one way to plan it
+
+
+def test_every_scenario_kind_fires_once_from_a_replayed_plan():
+    plan = (
+        FaultPlan()
+        .add(5.0, "link_degrade", "mid", "rcv", 0.5)
+        .add(8.0, "link_restore", "mid", "rcv")
+        .add(10.0, "link_down", "mid", "rcv")
+        .add(12.0, "link_up", "mid", "rcv")
+        .add(14.0, "node_crash", "mid")
+        .add(16.0, "node_recover", "mid")
+        .add(20.0, "discovery_blackout")
+        .add(22.0, "discovery_truncate", depth=1)
+        .add(24.0, "discovery_restore")
+        .add(28.0, "controller_kill", name="default")
+        .add(30.0, "controller_restart", name="default")
+        .add(32.0, "controller_failover", name="default", cold=True)
+        .add(36.0, "byzantine_start", "R", "lie_high")
+        .add(40.0, "byzantine_stop", "R")
+        .add(42.0, "control_corrupt", "rcv", mode="duplicate", rate=0.5)
+        .add(46.0, "control_restore", "rcv")
+        .add(50.0, "receiver_leave", "R")
+        .add(54.0, "receiver_join", "R")
+    )
+    assert sorted(e.kind for e in plan) == sorted(kinds_of(FaultInjector))
+    replayed = FaultPlan.from_dicts(json.loads(json.dumps(plan.to_dicts())))
+    assert replayed.to_dicts() == plan.to_dicts()
+
+    sc = _standby_scenario(reregister_after=3.0)
+    bandwidth = sc.network.link("mid", "rcv").bandwidth
+    injector = replayed.apply(sc)
+    sc.run(6.0)
+    assert sc.network.link("mid", "rcv").bandwidth == pytest.approx(bandwidth / 2)
+    sc.run(9.0)  # t = 15
+    assert not sc.network.node("mid").alive
+    sc.run(8.0)  # t = 23
+    assert sc.discovery.fault_mode == "truncate"
+    sc.run(60.0 - sc.sched.now)
+
+    assert [(t, k) for t, k, _ in injector.log] == [(e.time, e.kind) for e in plan]
+    assert sc.network.link("mid", "rcv").bandwidth == pytest.approx(bandwidth)
+    assert sc.network.link("mid", "rcv").up and sc.network.node("mid").alive
+    assert sc.discovery.fault_mode is None
+    assert sc.controller.node.name == "standby"
+    assert "send" not in vars(sc.network.node("rcv"))  # corruption shim removed
+    agent = sc.receivers[0].agent
+    assert agent.active and agent.byzantine_mode is None
+    assert sc.receivers[0].receiver.level >= 1
+
+
+# ----------------------------------------------------------------------
 # Registration backoff
 # ----------------------------------------------------------------------
 class TestRegisterBackoff:
@@ -264,7 +336,7 @@ class TestRegisterBackoff:
         sc = _line_scenario()
         # Kill the controller the instant it starts: nobody ever listens,
         # so the agent keeps retrying forever.
-        FaultPlan().crash_controller(0.0).apply(sc)
+        FaultPlan().add(0.0, "controller_kill").apply(sc)
         sc.run(40.0)
         agent = sc.receivers[0].agent
         assert not agent.registered

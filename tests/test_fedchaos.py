@@ -13,7 +13,7 @@ import pytest
 
 from repro.control.messages import FederationAdvice, Report, SubtreeSummary
 from repro.faults import FaultPlan
-from repro.faults.injectors import FederationInjector
+from repro.faults.injectors import FederationInjector, kinds_of
 from repro.federation import (
     ChannelImpairment,
     DomainShard,
@@ -315,23 +315,26 @@ class TestFederatedSessionFaults:
         assert totals["epoch"] == standby.epoch
 
     def test_plan_rejects_non_federation_kinds(self):
-        plan = FaultPlan().crash_node(4.0, "gw1")
+        plan = FaultPlan().add(4.0, "node_crash", "gw1")
         with pytest.raises(ValueError, match="fed_"):
             FederatedSession(_views(), seed=1, plan=plan)
 
     def test_plan_driven_faults_fire_at_round_barriers(self):
         plan = (FaultPlan()
-                .degrade_federation(4.0, loss=0.9)
-                .restore_federation(8.0)
-                .kill_coordinator(12.0)
-                .failover_coordinator(16.0))
+                .add(4.0, "fed_link_degrade", loss=0.9)
+                .add(8.0, "fed_link_restore")
+                .add(8.0, "fed_partition", "d2")
+                .add(12.0, "fed_heal", "d2")
+                .add(12.0, "fed_coordinator_kill")
+                .add(16.0, "fed_coordinator_failover"))
         fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0,
                                plan=plan)
         assert fed.channel is not None  # plan auto-attaches a channel
         fed.run(20.0)
         kinds = [kind for (_t, kind, _d) in fed.fault_log]
-        assert kinds == ["fed_link_degrade", "fed_link_restore",
-                         "fed_coordinator_kill", "fed_coordinator_failover"]
+        assert kinds == ["fed_link_degrade", "fed_link_restore", "fed_partition",
+                         "fed_coordinator_kill", "fed_heal", "fed_coordinator_failover"]
+        assert sorted(kinds) == sorted(kinds_of(FederationInjector))  # each once
         assert fed.failover_rounds == [4]
         assert fed.coordinator.epoch == 2
 
@@ -380,14 +383,17 @@ class TestFedFaultPlan:
             FaultPlan().partition_window(8.0, 8.0, "d2")
 
     def test_degrade_validates_rates(self):
-        with pytest.raises(ValueError):
-            FaultPlan().degrade_federation(4.0, loss=1.5)
+        # The channel checks the rates when the event fires.
+        plan = FaultPlan().add(4.0, "fed_link_degrade", loss=1.5)
+        fed = FederatedSession(_views(), seed=1, cadence=4.0, plan=plan)
+        with pytest.raises(ValueError, match="loss"):
+            fed.run(8.0)
 
     def test_clear_times_pair_fed_breakers(self):
         plan = (FaultPlan()
                 .partition_window(4.0, 12.0, "d2")
-                .kill_coordinator(8.0)
-                .failover_coordinator(16.0))
+                .add(8.0, "fed_coordinator_kill")
+                .add(16.0, "fed_coordinator_failover"))
         assert plan.clear_times() == [12.0, 16.0]
 
     def test_default_plan_validates_ordering(self):

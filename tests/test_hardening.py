@@ -151,9 +151,9 @@ class TestEpochFencing:
         primary = sc.controller
         plan = (
             FaultPlan()
-            .crash_controller(10.0)
-            .failover_controller(12.0)
-            .restart_controller(18.0)  # deposed primary comes back, warm
+            .add(10.0, "controller_kill")
+            .add(12.0, "controller_failover")
+            .add(18.0, "controller_restart")  # deposed primary comes back, warm
         )
         plan.apply(sc)
         sc.run(35.0)
@@ -339,8 +339,8 @@ class TestByzantineReceiver:
         sc = _line_scenario()
         plan = (
             FaultPlan()
-            .byzantine(5.0, "R", "lie_high")
-            .stop_byzantine(10.0, "R")
+            .add(5.0, "byzantine_start", "R", "lie_high")
+            .add(10.0, "byzantine_stop", "R")
         )
         injector = plan.apply(sc)
         sc.run(12.0)
@@ -355,7 +355,7 @@ class TestByzantineReceiver:
         sc = _line_scenario()
         injector = FaultInjector(sc)
         with pytest.raises(KeyError):
-            injector.byzantine.start("NOBODY", "lie_high")
+            injector.byzantine_start("NOBODY", "lie_high")
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +405,7 @@ class TestQuarantineEnforcement:
         # receiver is physically cut from every group above quarantine_level
         # even though it ignores all suggestions.
         sc = _line_scenario(access_bw=1.5e6)
-        FaultPlan().byzantine(10.0, "R", "lie_low+disobey").apply(sc)
+        FaultPlan().add(10.0, "byzantine_start", "R", "lie_low+disobey").apply(sc)
         sc.run(60.0)
         controller = sc.controller
         assert controller.guard.is_quarantined((0, "R"))
@@ -430,8 +430,8 @@ class TestPacketCorruption:
         sc = _line_scenario()
         plan = (
             FaultPlan()
-            .corrupt_control(0.0, "rcv", mode="garble")
-            .restore_control(15.0, "rcv")
+            .add(0.0, "control_corrupt", "rcv", mode="garble")
+            .add(15.0, "control_restore", "rcv")
         )
         plan.apply(sc)
         sc.run(14.0)
@@ -445,12 +445,12 @@ class TestPacketCorruption:
         assert controller.reports_received > 0
 
     def test_garble_drives_each_message_type_out_of_range(self):
-        from repro.faults.injectors import PacketCorruptionFault
+        from repro.faults.injectors import _garble
 
         def garbled(payload):
             pkt = Packet(src="a", dst="b", size=64, kind=CONTROL,
                          port=CONTROL_PORT, payload=payload, created_at=0.0)
-            return PacketCorruptionFault._garble(pkt).payload
+            return _garble(pkt).payload
 
         rep = garbled(Report("R", 0, 0.1, 4000.0, 1, 0.0, 1.0, seq=3))
         assert rep.loss_rate < 0.0 and rep.bytes < 0.0
@@ -462,7 +462,7 @@ class TestPacketCorruption:
 
     def test_duplicates_deduplicated_by_seq(self):
         sc = _line_scenario()
-        FaultPlan().corrupt_control(0.0, "rcv", mode="duplicate").apply(sc)
+        FaultPlan().add(0.0, "control_corrupt", "rcv", mode="duplicate").apply(sc)
         sc.run(20.0)
         controller = sc.controller
         agent = sc.receivers[0].agent
@@ -474,7 +474,7 @@ class TestPacketCorruption:
 
     def test_reordering_rejected_by_seq(self):
         sc = _line_scenario()
-        FaultPlan().corrupt_control(2.0, "rcv", mode="reorder").apply(sc)
+        FaultPlan().add(2.0, "control_corrupt", "rcv", mode="reorder").apply(sc)
         sc.run(30.0)
         controller = sc.controller
         # Swapped pairs: the held-back earlier message arrives after its
@@ -486,15 +486,15 @@ class TestPacketCorruption:
         sc = _line_scenario()
         injector = FaultInjector(sc)
         sc.run(5.0)
-        injector.wire.corrupt("rcv", mode="reorder", rate=1.0)
+        injector.control_corrupt("rcv", mode="reorder", rate=1.0)
         node = sc.network.node("rcv")
         pkt = Packet(src="rcv", dst="src", size=64, kind=CONTROL,
                      port=CONTROL_PORT, payload="held-probe",
                      created_at=sc.sched.now)
         node.send(pkt)
-        assert injector.wire._active["rcv"]["held"] is pkt
+        assert injector._corrupting["rcv"]["held"] is pkt
         before = sc.controller.guard.rejections.get("unknown_payload", 0)
-        injector.wire.restore("rcv")
+        injector.control_restore("rcv")
         sc.run(6.0)
         # The flushed probe reached the controller (counted as malformed).
         assert sc.controller.guard.rejections["unknown_payload"] == before + 1
@@ -503,14 +503,14 @@ class TestPacketCorruption:
         sc = _line_scenario()
         injector = FaultInjector(sc)
         with pytest.raises(ValueError):
-            injector.wire.corrupt("rcv", mode="mangle")
+            injector.control_corrupt("rcv", mode="mangle")
         with pytest.raises(ValueError):
-            injector.wire.corrupt("rcv", rate=0.0)
-        injector.wire.corrupt("rcv", mode="garble", rate=0.5)
+            injector.control_corrupt("rcv", rate=0.0)
+        injector.control_corrupt("rcv", mode="garble", rate=0.5)
         with pytest.raises(ValueError):
-            injector.wire.corrupt("rcv")  # already corrupting
-        injector.wire.restore("rcv")
-        injector.wire.restore("rcv")  # second restore is a no-op
+            injector.control_corrupt("rcv")  # already corrupting
+        injector.control_restore("rcv")
+        injector.control_restore("rcv")  # second restore is a no-op
 
 
 # ----------------------------------------------------------------------

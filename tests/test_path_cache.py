@@ -21,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.session_topology import SessionTree
-from repro.faults.injectors import LinkFault, NodeFault
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network, NoPathError
@@ -205,6 +204,26 @@ def test_node_recovery_keeps_a_link_fault_down():
     assert net.shortest_path("a", "b") == ["a", "b"]
 
 
+def test_link_up_keeps_the_link_to_a_crashed_node_down():
+    """Bringing a link up releases its hold but revives no direction with
+    a crashed endpoint; the node's recovery brings those back."""
+    net = Network(Scheduler())
+    for name in "abc":
+        net.add_node(name)
+    for x, y, delay in [("a", "b", 0.1), ("a", "c", 0.3), ("c", "b", 0.1)]:
+        net.add_link(x, y, bandwidth=1e6, delay=delay)
+    net.set_node_up("b", False)
+
+    assert net.set_link_up("a", "b", True) == []
+    assert not net.has_edge("a", "b") and not net.link("a", "b").up
+    assert net.shortest_path_or_none("a", "b") is None
+
+    net.set_link_up("a", "b", False)
+    assert net.set_link_up("a", "b", True) == []  # the hold is released ...
+    assert net.set_node_up("b", True) == [("a", "b"), ("b", "a"), ("c", "b"), ("b", "c")]
+    assert net.shortest_path("a", "b") == ["a", "b"]  # ... so recovery restores it
+
+
 def test_routing_graph_structure_is_mutated_only_in_topology_py():
     """The single invalidation point: the adjacency is private to
     ``Network``, so nothing else under src/repro may so much as name it (a
@@ -271,8 +290,6 @@ class _Run:
         # Groups 0 and 2 share source 0, like two layers of one session.
         self.groups = [self.mcast.create_group(0), self.mcast.create_group(n - 1),
                        self.mcast.create_group(0)]
-        self.link_fault = LinkFault(self.net, self.mcast)
-        self.node_fault = NodeFault(self.net, self.mcast)
 
     def apply(self, op):
         kind = op[0]
@@ -280,11 +297,12 @@ class _Run:
             self.mcast.join(self.groups[op[1]], op[2])
         elif kind == "leave":
             self.mcast.leave(self.groups[op[1]], op[2])
-        elif kind == "link":
-            a, b = self.links[op[1]]
-            (self.link_fault.up if op[2] else self.link_fault.down)(a, b)
-        elif kind == "node":
-            (self.node_fault.recover if op[2] else self.node_fault.crash)(op[1])
+        elif kind in ("link", "node"):
+            up = op[2]
+            changed = (self.net.set_link_up(*self.links[op[1]], up) if kind == "link"
+                       else self.net.set_node_up(op[1], up))
+            self.mcast.on_topology_change(
+                **{"added_edges" if up else "removed_edges": changed})
         else:  # an explicit pass over the source's tree, all groups' edges
             source = self.mcast.source_of(self.groups[op[1]])
             self.mcast.builder.precompute(source, self.union_edges(source), self.net)

@@ -47,7 +47,8 @@ class Shadow:
     def set_link_up(self, a, b, up, bidirectional=True):
         pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
         (self.held_down.difference_update if up else self.held_down.update)(pairs)
-        return self._flip(pairs, up)
+        # Bringing a link up leaves a direction to a crashed node down.
+        return self._flip([p for p in pairs if not (up and set(p) & self.crashed)], up)
 
     def _flip(self, pairs, up):
         changed = []

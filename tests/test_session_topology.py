@@ -110,14 +110,6 @@ def test_from_layer_snapshots_overlay():
     l2 = [(1, 2), (2, 4)]
     t = SessionTree.from_layer_snapshots("s", 1, [l1, l2], {3: "r3", 4: "r4"})
     assert t.edges == frozenset(l1)
-    assert t.layers_on_edge[(2, 4)] == 2
-    assert t.layers_on_edge[(2, 3)] == 1
-    assert t.layers_on_edge[(1, 2)] == 2
-
-
-def test_layers_on_edge_unknown_edges_rejected():
-    with pytest.raises(ValueError, match="unknown edges"):
-        SessionTree("s", 1, [(1, 2)], {}, layers_on_edge={(9, 9): 1})
 
 
 def test_children_order_deterministic():

@@ -10,7 +10,10 @@ and is still wrong (DESIGN.md §11 has the trial that chose them):
 * ``topic_contract`` — emit sites, subscriptions, ``link.drop`` reasons and
   the DESIGN.md §10 table agree with ``TOPIC_REGISTRY``;
 * ``guard_coverage`` — every field of a guarded control message has a guard
-  rule or an explicit exemption.
+  rule or an explicit exemption;
+* ``annotation_names`` — every name an annotation uses is bound in its
+  module (``typing.get_type_hints`` raises ``NameError`` on one that is not;
+  with postponed annotations nothing else ever evaluates them).
 
 Each check takes parsed sources keyed by their path under ``src/repro/`` and
 returns ``path:line message`` strings.  An exemption is a path in
@@ -18,6 +21,7 @@ returns ``path:line message`` strings.  An exemption is a path in
 """
 
 import ast
+import builtins
 import dataclasses
 import re
 from functools import lru_cache
@@ -182,7 +186,62 @@ def guard_coverage(trees, classes=MESSAGE_FIELDS, guarded=guard.GUARDED_FIELDS,
     return hits
 
 
-CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage)
+def _module_names(tree):
+    """Names bound at module level — imports (those under ``if
+    TYPE_CHECKING:`` too), defs, classes, assignment targets — plus builtins."""
+    names, todo = set(dir(builtins)), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names.update(n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+            todo += [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.stmt)]
+            todo += [c for h in getattr(node, "handlers", ()) for c in h.body]
+    return names
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            yield from (arg.annotation for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                                   a.vararg, a.kwarg]
+                        if arg is not None and arg.annotation is not None)
+            if node.returns is not None:
+                yield node.returns
+
+
+def _annotation_names(annotation):
+    """``(line, name)`` for each name in ``annotation``, quoted ones too."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from ((node.lineno, n.id) for n in ast.walk(quoted)
+                        if isinstance(n, ast.Name))
+
+
+def annotation_names(trees):
+    hits = []
+    for path, tree in trees.items():
+        bound = _module_names(tree)
+        hits += [f"{path}:{line} `{name}` in an annotation is not bound in the "
+                 "module — import it" for annotation in _annotations(tree)
+                 for line, name in _annotation_names(annotation) if name not in bound]
+    return sorted(set(hits))
+
+
+CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage, annotation_names)
 
 #: Check -> paths under src/repro/ whose hits are sanctioned.
 EXEMPT = {
@@ -241,6 +300,14 @@ BAD = {
         ["`Report.priority` has no guard rule", "`Report.qos` is declared but is not a field",
          "`Report.t1` is guarded but never read", "`Report.level` is both guarded and exempt",
          "`Rumour` is not a dataclass"]),
+    annotation_names: (
+        {"control/a.py": "from typing import Any, TYPE_CHECKING\n"
+                         "if TYPE_CHECKING:\n    from .b import Node\n"
+                         "def f(x: Iterable[Any], n: Node) -> 'Tuple[int]':\n"
+                         "    from typing import Set\n"
+                         "    def g(s: Set) -> None: ...\n"
+                         "class C:\n    y: Deque[int]\n"}, {},
+        ["a.py:4 `Iterable`", "a.py:4 `Tuple`", "a.py:6 `Set`", "a.py:8 `Deque`"]),
 }
 
 
@@ -250,6 +317,14 @@ def test_the_rule_fires_on_a_bad_snippet(check):
     hits = check(parse(snippets), **kwargs)
     assert [e for e in expected if not any(e in h for h in hits)] == [], hits
     assert all(re.match(r"[\w/.]+:\d+ ", h) for h in hits), hits
+
+
+def test_annotation_names_count_type_checking_imports_and_builtins():
+    snippet = ("from typing import TYPE_CHECKING\n"
+               "if TYPE_CHECKING:\n    from .node import Node\n"
+               "else:\n    Deque = list\n"
+               "def f(n: Node, d: Deque, k: int) -> 'Node': ...\n")
+    assert annotation_names(parse({"simnet/a.py": snippet})) == []
 
 
 def test_float_equality_is_scoped_to_core_and_metrics():
