@@ -8,7 +8,7 @@ Usage::
     python -m repro demo --topology a --receivers 4 --traffic vbr --peak 3
     python -m repro chaos --seed 1 [--save-plan f.json | --plan f.json] [--json]
     python -m repro byzantine --seed 1 [--attack-start 30] [--json]
-    python -m repro churn --seed 1 [--backends spt,protected] [--json]
+    python -m repro churn --seed 1 [--save-plan f.json | --plan f.json] [--json]
     python -m repro crowd --seed 1 [--sizes 64,10000] [--loss 0,0.15] [--json]
     python -m repro federate --seed 1 [--domains 2,4,8] [--json]
     python -m repro fedchaos --seed 1 [--loss 0.05,0.2] [--windows 3,4] [--json]
@@ -170,10 +170,6 @@ def float_list(text: str) -> List[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
 
-def name_list(text: str) -> List[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
-
-
 def _result_plan(result: Dict[str, Any], _loaded: Any) -> Any:
     return result["plan"]
 
@@ -225,13 +221,11 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "churn",
-        "sweep the tree-builder backends through a seeded membership-churn "
-        "+ link-failure storm",
+        "compare the spt and protected tree builders under a seeded "
+        "membership-churn + link-failure storm",
         churn.run_churn, churn.render_churn_report, churn.DEFAULT_DURATION, (),
         (
             Opt("--receivers", "n_receivers", int, 6, "receivers"),
-            Opt("--backends", "backends", name_list, None,
-                "comma-separated backend names (default: spt,degree,protected)"),
             Opt("--recover-intervals", "recover_intervals", float, 4.0,
                 "recovery bound, in control intervals"),
         ),

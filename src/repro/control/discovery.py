@@ -108,7 +108,7 @@ class TopologyDiscovery:
             # A group with no snapshot history at ``at`` (e.g. created by a
             # failed-over controller's registration before the source ran)
             # contributes an empty layer rather than raising.
-            edges = self.mcast.snapshot_at(group, at).edges
+            edges = self.mcast.snapshot_at(group, at)
             if self.domain is not None:
                 edges = frozenset(
                     (u, v) for u, v in edges

@@ -3,8 +3,8 @@
 Runs the *same* seeded scenario — membership churn waves (seeded Poisson
 leave/rejoin with a Zipf bias, see :meth:`~repro.faults.plan.FaultPlan.
 membership_churn`) combined with link failures on both aggregation links —
-once per tree-builder backend (``spt``, ``degree``, ``protected``) and
-compares how each one rides it out:
+once per tree-builder backend (``spt``, ``protected``) and compares how
+each one rides it out:
 
 * **repair locality** — every topology-change repair, split into local
   patches vs full rebuilds, with the tree edges each one removed and added:
@@ -213,7 +213,7 @@ def _run_one_backend(
     convergence = 0.0
     for h in sc.receivers:
         agent = h.agent
-        active = agent is not None and getattr(agent, "active", False)
+        active = agent is not None and agent.active
         ref = max(last_clear, last_join.get(h.receiver_id, 0.0))
         scored = active and ref + within <= duration
         dt = time_to_suggestion(agent.suggestion_times, ref) if agent else math.inf
@@ -266,33 +266,29 @@ def run_churn(
     duration: float = DEFAULT_DURATION,
     n_receivers: int = 6,
     interval: float = 2.0,
-    backends: Optional[Sequence[str]] = None,
     plan: Optional[FaultPlan] = None,
     recover_intervals: float = 4.0,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Run the churn scenario once per backend and score the sweep.
+    """Run the churn scenario with ``spt`` and then ``protected`` and
+    score the pair.
 
-    Every backend replays the *identical* ``(seed, plan)`` pair.  The
+    Both backends replay the *identical* ``(seed, plan)`` pair.  The
     returned dict is JSON-friendly; ``result["ok"]`` is True when
 
-    * every scored receiver of every backend got a controller suggestion
+    * every scored receiver of both backends got a controller suggestion
       within ``recover_intervals`` control intervals of the later of the
       last link-clear and its own last rejoin,
     * the protected builder healed at least one failure with a local patch,
       and
     * no local patch removed + added more tree edges than the SPT backend's
-      rebuild of the same group at the same simulated instant (when both
-      backends ran; ``result["repair_locality"]`` carries the matched
-      totals).
+      rebuild of the same group at the same simulated instant
+      (``result["repair_locality"]`` carries the matched totals).
 
     A :class:`~repro.obs.run.RunRecorder` passed as ``recorder`` records the
-    **last** backend in the sweep (``protected`` in the default order).
+    ``protected`` run.
     """
-    names = list(backends) if backends else list(BUILDER_NAMES)
-    for name in names:
-        if name not in BUILDER_NAMES:
-            raise ValueError(f"unknown backend {name!r} (choose from {BUILDER_NAMES})")
+    names = list(BUILDER_NAMES)
     if plan is None:
         plan = default_churn_plan(
             churn_receiver_ids(n_receivers), duration=duration, seed=seed
@@ -306,15 +302,12 @@ def run_churn(
             recorder if name == names[-1] else None,
         )
 
-    ok = all(b["recovered_all"] for b in per_backend.values())
-    prot = per_backend.get("protected")
-    spt = per_backend.get("spt")
-    locality: Optional[Dict[str, Any]] = None
-    if prot is not None:
-        ok = ok and prot["local_repairs"] >= 1
-        if spt is not None:
-            locality = _repair_locality(repairs["protected"], repairs["spt"])
-            ok = ok and locality["ok"]
+    locality = _repair_locality(repairs["protected"], repairs["spt"])
+    ok = (
+        all(b["recovered_all"] for b in per_backend.values())
+        and per_backend["protected"]["local_repairs"] >= 1
+        and locality["ok"]
+    )
     return {
         "seed": seed,
         "duration": duration,
@@ -351,16 +344,15 @@ def render_churn_report(result: Dict[str, Any]) -> str:
             f"recall {b['guard']['recall']:.2f} "
             f"{'OK' if b['recovered_all'] else 'FAILED'}"
         )
-    locality = result.get("repair_locality")
-    if locality is not None:
-        lines.append(
-            f"  locality: {locality['matched_repairs']} local repairs matched to "
-            f"SPT rebuilds, {locality['protected_local_edges']} vs "
-            f"{locality['spt_rebuild_edges']} tree edges disturbed "
-            f"{'OK' if locality['ok'] else 'FAILED'}"
-        )
+    locality = result["repair_locality"]
+    lines.append(
+        f"  locality: {locality['matched_repairs']} local repairs matched to "
+        f"SPT rebuilds, {locality['protected_local_edges']} vs "
+        f"{locality['spt_rebuild_edges']} tree edges disturbed "
+        f"{'OK' if locality['ok'] else 'FAILED'}"
+    )
     lines.append("RESULT: " + (
-        "OK — all backends recovered; protected repaired locally, "
+        "OK — both backends recovered; protected repaired locally, "
         "disturbing no more of the tree than SPT's rebuilds"
         if result["ok"] else "FAILED — see per-backend lines above"
     ))

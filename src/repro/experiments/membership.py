@@ -101,13 +101,13 @@ def is_present(handle: Any) -> bool:
     workload receivers that have never joined).
     """
     if handle.agent is not None:
-        return bool(getattr(handle.agent, "active", handle.receiver.level > 0))
+        return handle.agent.active
     return handle.receiver.level > 0
 
 
 def leave_receiver(scenario: Any, handle: Any) -> bool:
     """Idempotent departure; returns True when a departure actually fired."""
-    if handle.agent is not None and not getattr(handle.agent, "active", True):
+    if handle.agent is not None and not handle.agent.active:
         return False  # already departed
     if handle.agent is None and handle.receiver.level == 0:
         return False  # parked/static receiver already absent
@@ -117,7 +117,7 @@ def leave_receiver(scenario: Any, handle: Any) -> bool:
 
 def join_receiver(scenario: Any, handle: Any) -> bool:
     """Idempotent (re)arrival; returns True when an arrival actually fired."""
-    if handle.agent is not None and getattr(handle.agent, "active", False):
+    if handle.agent is not None and handle.agent.active:
         return False  # already present
     if handle.agent is None and handle.mode == "static" and handle.receiver.level > 0:
         return False  # static receiver already subscribed

@@ -388,7 +388,7 @@ class Scenario:
         plan keeps the receiver, so compute post-departure optima yourself
         when mixing departures with :meth:`ScenarioResult.optimal_levels`.
         """
-        if handle.agent is not None and hasattr(handle.agent, "stop"):
+        if handle.agent is not None:
             handle.agent.stop()
         if handle.receiver.level > 0:
             handle.receiver.set_level(0)

@@ -277,9 +277,7 @@ def run_fedchaos(
         raise ValueError(
             f"partition_domain {partition_domain!r} not in {domain_names}"
         )
-    bus = None
-    if recorder is not None:
-        bus = recorder.bus if hasattr(recorder, "bus") else None
+    bus = recorder.bus if recorder is not None else None
 
     combos: List[Tuple[float, int, FaultPlan]]
     if plan is not None:

@@ -171,9 +171,7 @@ def run_federate(
                 f"total_receivers={total_receivers} does not divide evenly "
                 f"into {n} domains"
             )
-    bus = None
-    if recorder is not None:
-        bus = recorder.bus if hasattr(recorder, "bus") else None
+    bus = recorder.bus if recorder is not None else None
 
     points: List[Dict[str, Any]] = []
     for n in counts:

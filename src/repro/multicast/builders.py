@@ -1,28 +1,21 @@
-"""Pluggable distribution-tree construction strategies.
+"""Distribution-tree construction and local repair.
 
-The paper treats the multicast tree as *given* — the controller exploits its
-shape, whatever built it.  The related SDN-multicast line (Cho & Breen's
-dynamic low-delay routing; per-link protected trees) treats construction and
-repair as replaceable strategies.  This module makes that explicit: a
-:class:`TreeBuilder` turns ``(source, members, network)`` into a directed
+The paper treats the multicast tree as *given*: the shortest-path tree
+DVMRP/PIM converge to, which the controller exploits whatever its shape.
+The related SDN-multicast line (per-link protected trees) adds local repair.
+A :class:`TreeBuilder` turns ``(source, members, network)`` into a directed
 edge set, and optionally heals a damaged tree *locally* — returning the
 healed edge set — instead of a global rebuild.  Builders see a source, a
 member set or a tree, and the network: the manager builds one tree per
 source over the members of all its groups and cuts each group's tree from
 it, so builders know nothing of groups.
 
-Three backends ship:
+Both backends build the same tree:
 
 * :class:`SPTBuilder` (``"spt"``, the default) — the union of delay-weighted
-  shortest paths from the source to each member.  Bit-for-bit identical to
-  the tree the manager historically built inline; every repair is a full
+  shortest paths from the source to each member.  Every repair is a full
   rebuild.
-* :class:`DegreeBoundedBuilder` (``"degree"``) — a greedy low-delay Steiner
-  heuristic that caps each node's fan-out.  Members attach to the nearest
-  on-tree node with spare out-degree; the exact degree-bounded minimum-delay
-  tree is NP-hard, so the bound is best-effort (a member with no eligible
-  attach point falls back to its plain shortest path).
-* :class:`ProtectedTreeBuilder` (``"protected"``) — an SPT whose
+* :class:`ProtectedTreeBuilder` (``"protected"``) — the same SPT, whose
   :meth:`~ProtectedTreeBuilder.precompute` pass stores a backup branch for
   every tree link (the shortest path that avoids it).  A single link or
   leaf-node failure is then healed by splicing the precomputed branch and
@@ -30,8 +23,8 @@ Three backends ship:
   degrades to a full rebuild.
 
 Builders are selected by name through :func:`make_builder` (the knob behind
-``MulticastManager(builder=...)``, ``Scenario(builder=...)`` and
-``python -m repro churn --backends``).
+``MulticastManager(builder=...)`` and ``Scenario(builder=...)``);
+``python -m repro churn`` compares the two.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "BUILDER_NAMES",
-    "DegreeBoundedBuilder",
     "ProtectedTreeBuilder",
     "SPTBuilder",
     "TreeBuilder",
@@ -112,73 +104,7 @@ class SPTBuilder(TreeBuilder):
         return _spt_edges(source, members, network)
 
 
-class DegreeBoundedBuilder(TreeBuilder):
-    """Greedy degree-bounded low-delay tree (Cho & Breen style).
-
-    Members are processed nearest-first (delay from the source, ties broken
-    by name).  Each attaches via the cheapest path from an on-tree node that
-    still has spare out-degree; the walk stops at the deepest node already
-    on the tree, so shared prefixes are reused exactly like a graft.  The
-    bound is best-effort: when no node with capacity can reach a member, the
-    member takes its plain shortest path from the source (reachability wins
-    over fan-out).
-    """
-
-    name = "degree"
-
-    def __init__(self, max_degree: int = 4):
-        if max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
-        self.max_degree = max_degree
-
-    def build(self, source: Any, members: Iterable[Any], network) -> Set[Edge]:
-        reachable: List[Tuple[float, str, Any]] = []
-        for member in members:
-            if member == source:
-                continue
-            path = network.shortest_path_or_none(source, member)
-            if path is None:
-                continue
-            delay = sum(network.edge_delay(u, v) for u, v in zip(path, path[1:]))
-            reachable.append((delay, str(member), member))
-        edges: Set[Edge] = set()
-        tree_nodes: Set[Any] = {source}
-        fanout: Dict[Any, int] = {}
-        for _, _, member in sorted(reachable):
-            if member in tree_nodes:
-                continue
-            best: Optional[Tuple[float, str, list]] = None
-            for attach in tree_nodes:
-                if fanout.get(attach, 0) >= self.max_degree:
-                    continue
-                path = network.shortest_path_or_none(attach, member)
-                if path is None:
-                    continue
-                delay = sum(network.edge_delay(u, v) for u, v in zip(path, path[1:]))
-                candidate = (delay, str(attach), path)
-                if best is None or candidate < best:
-                    best = candidate
-            if best is None:
-                path = network.shortest_path_or_none(source, member)
-                if path is None:
-                    continue
-            else:
-                path = best[2]
-            # Only graft below the deepest node already on the tree, so the
-            # chosen path cannot give an on-tree node a second parent.
-            start = 0
-            for i, node in enumerate(path):
-                if node in tree_nodes:
-                    start = i
-            for u, v in zip(path[start:], path[start + 1:]):
-                edges.add((u, v))
-                fanout[u] = fanout.get(u, 0) + 1
-                tree_nodes.add(u)
-                tree_nodes.add(v)
-        return edges
-
-
-class ProtectedTreeBuilder(TreeBuilder):
+class ProtectedTreeBuilder(SPTBuilder):
     """SPT plus precomputed per-link backup branches for local repair.
 
     Whenever a source's tree changes, :meth:`precompute` stores — for each
@@ -195,9 +121,6 @@ class ProtectedTreeBuilder(TreeBuilder):
     def __init__(self) -> None:
         # source -> {tree edge -> backup path (node tuple, source..v)}
         self._backups: Dict[Any, Dict[Edge, Tuple[Any, ...]]] = {}
-
-    def build(self, source: Any, members: Iterable[Any], network) -> Set[Edge]:
-        return _spt_edges(source, members, network)
 
     def precompute(self, source: Any, tree: Set[Edge], network) -> None:
         """Store, per tree edge ``(u, v)``, the backup path source -> ``v``.
@@ -295,18 +218,16 @@ class ProtectedTreeBuilder(TreeBuilder):
 
 
 #: Registered backend names, in the order experiments sweep them.
-BUILDER_NAMES = ("spt", "degree", "protected")
+BUILDER_NAMES = ("spt", "protected")
 
 
 def make_builder(spec: Any = "spt") -> TreeBuilder:
-    """Resolve a builder from a name (``"spt"``, ``"degree"``,
-    ``"protected"``) or pass an instance straight through."""
+    """Resolve a builder from a name (``"spt"``, ``"protected"``) or pass an
+    instance straight through."""
     if isinstance(spec, TreeBuilder):
         return spec
     if spec == "spt" or spec is None:
         return SPTBuilder()
-    if spec == "degree":
-        return DegreeBoundedBuilder()
     if spec == "protected":
         return ProtectedTreeBuilder()
     raise ValueError(f"unknown tree builder {spec!r} (choose from {BUILDER_NAMES})")

@@ -10,8 +10,9 @@ on, without simulating a routing protocol packet-by-packet:
   groups of a session thus give every node one parent by construction.  The
   default :class:`~repro.multicast.builders.SPTBuilder` is the union of
   delay-weighted shortest paths from the source to each member, which is
-  what DVMRP/PIM-SM(SSM) converge to in ns-2; alternative backends bound
-  node fan-out or precompute per-link backup branches for fast local repair.
+  what DVMRP/PIM-SM(SSM) converge to in ns-2; the ``protected`` backend
+  builds the same tree and precomputes per-link backup branches for fast
+  local repair.
 * **Graft latency** — a join becomes effective after the time a graft message
   needs to travel from the joining host up to the nearest on-tree router
   (plus a small IGMP report delay).
@@ -19,10 +20,11 @@ on, without simulating a routing protocol packet-by-packet:
   ``leave_latency`` seconds, modelling the IGMP last-member query timeout the
   paper calls out in §V ("Group-leave latency and layer granularity").
 
-The manager records a **snapshot history** of ``(time, members, edges)`` per
-group.  The topology-discovery tool (:mod:`repro.control.discovery`) serves
-stale snapshots out of this history, which is how the paper's Fig. 10
-staleness experiment is reproduced.
+The manager records a **snapshot history** of each group's installed edge
+set and the time it was installed.  The topology-discovery tool
+(:mod:`repro.control.discovery`) serves stale snapshots out of this
+history, which is how the paper's Fig. 10 staleness experiment is
+reproduced.
 
 A source's tree changes only on a change of the source's member set or of
 the topology (:meth:`MulticastManager.on_topology_change` states the rule),
@@ -41,26 +43,12 @@ from ..simnet.topology import Network
 from .addressing import GroupAllocator
 from .builders import TreeBuilder, make_builder
 
-__all__ = ["GroupState", "MulticastManager", "TreeSnapshot"]
+__all__ = ["GroupState", "MulticastManager"]
 
 Edge = Tuple[Any, Any]
 
 #: Closed disruption windows retained per group (oldest dropped beyond this).
 MAX_DISRUPTIONS = 256
-
-
-class TreeSnapshot:
-    """Immutable record of a group's state at a point in time."""
-
-    __slots__ = ("time", "members", "edges")
-
-    def __init__(self, time: float, members: FrozenSet[Any], edges: FrozenSet[Edge]):
-        self.time = time
-        self.members = members
-        self.edges = edges
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<TreeSnapshot t={self.time:.2f} members={sorted(map(str, self.members))}>"
 
 
 class GroupState:
@@ -80,9 +68,10 @@ class GroupState:
         #: ``desired and not blocked`` (receiver-quarantine enforcement).
         self.blocked: Set[Any] = set()
         self.edges: Set[Edge] = set()
-        self.history: List[TreeSnapshot] = []
-        #: ``history[i].time`` for every ``i``, kept alongside so
-        #: :meth:`MulticastManager.snapshot_at` can bisect without a scan.
+        #: Every edge set the group has had installed, oldest first, and
+        #: the time each was installed: :meth:`MulticastManager.snapshot_at`
+        #: bisects the times.
+        self.history: List[FrozenSet[Edge]] = []
         self.history_times: List[float] = []
         #: member -> time it lost coverage (open disruption windows): the
         #: members the current tree does not reach.
@@ -122,8 +111,8 @@ class MulticastManager:
     builder:
         Tree-construction backend: a :class:`~repro.multicast.builders.
         TreeBuilder` instance or one of the registered names (``"spt"``,
-        ``"degree"``, ``"protected"``).  Defaults to the shortest-path tree
-        the manager has always built.
+        ``"protected"``).  Defaults to the shortest-path tree the manager
+        has always built.
     """
 
     def __init__(
@@ -411,20 +400,19 @@ class MulticastManager:
         """The source node the group's tree is rooted at."""
         return self._state(group).source
 
-    def snapshot_at(self, group: int, at_time: float) -> TreeSnapshot:
-        """The most recent snapshot with ``time <= at_time``.
+    def snapshot_at(self, group: int, at_time: float) -> FrozenSet[Edge]:
+        """The group's tree edges as installed at ``at_time``.
 
         This is the primitive the (possibly stale) topology-discovery tool is
         built on.  Requesting a time before the group existed returns the
-        empty initial snapshot.  A group with no snapshot history (or an
-        unknown group — e.g. a session registered with a failed-over
-        controller before its source started) yields an empty snapshot
-        rather than raising, so the control plane degrades instead of
-        crashing.
+        empty initial tree.  An unknown group (e.g. a session registered
+        with a failed-over controller before its source started) yields an
+        empty tree rather than raising, so the control plane degrades
+        instead of crashing.
         """
         state = self.groups.get(group)
-        if state is None or not state.history:
-            return TreeSnapshot(at_time, frozenset(), frozenset())
+        if state is None:
+            return frozenset()
         i = bisect_right(state.history_times, at_time) - 1
         return state.history[max(i, 0)]
 
@@ -577,9 +565,5 @@ class MulticastManager:
             del state.disruptions[: len(state.disruptions) - MAX_DISRUPTIONS]
 
     def _record_snapshot(self, state: GroupState) -> None:
-        state.history.append(
-            TreeSnapshot(
-                self.sched.now, frozenset(state.members), frozenset(state.edges)
-            )
-        )
+        state.history.append(frozenset(state.edges))
         state.history_times.append(self.sched.now)

@@ -2,7 +2,7 @@
 
 The simulator, control plane and experiments emit typed, timestamped events
 onto an :class:`EventBus` (attached to the scheduler; zero overhead when
-absent), accumulate counters/gauges/histograms in a :class:`MetricsRegistry`,
+absent), accumulate counters in a :class:`MetricsRegistry`,
 and record wall-clock stage timings in a :class:`Profiler`.
 :class:`RunRecorder` ties the three together into an on-disk run directory
 (manifest + JSONL event log + metrics summary) for every CLI experiment run.
@@ -10,7 +10,7 @@ Nothing here times a run against a baseline: that is ``bench/``'s job.
 """
 
 from .bus import BusEvent, EventBus
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, sample_links
+from .metrics import Counter, MetricsRegistry, sample_links
 from .profile import Profiler
 from .run import RunRecorder, fault_log_entries, git_rev, strip_timings
 
@@ -18,8 +18,6 @@ __all__ = [
     "BusEvent",
     "EventBus",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Profiler",
     "RunRecorder",

@@ -1,22 +1,21 @@
-"""Counters, gauges and fixed-bucket histograms, with interval snapshots.
+"""Counters with interval snapshots.
 
-A :class:`MetricsRegistry` is a flat name -> instrument namespace.  Names
-are dot-separated like bus topics (``"ctrl.reports"``, ``"link.drops"``).
-Instruments are created on first use and are cheap enough to update from
+A :class:`MetricsRegistry` is a flat name -> counter namespace.  Names are
+dot-separated like bus topics (``"ctrl.reports"``, ``"link.drops"``).
+Counters are created on first use and are cheap enough to update from
 simulation callbacks (one float add).
 
 :meth:`MetricsRegistry.mark_interval` snapshots the registry once per
 controller interval: each snapshot carries the *delta* of every counter
-since the previous mark plus current gauge values, which is exactly the
-per-interval telemetry the paper evaluates control cost with (§IV).
+since the previous mark, which is exactly the per-interval telemetry the
+paper evaluates control cost with (§IV).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "sample_links"]
+__all__ = ["Counter", "MetricsRegistry", "sample_links"]
 
 
 class Counter:
@@ -33,69 +32,11 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """A value that can move both ways (queue depth, current level)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, v: float) -> None:
-        self.value = float(v)
-
-    def add(self, n: float = 1.0) -> None:
-        self.value += n
-
-
-class Histogram:
-    """Fixed-bucket histogram: counts of observations per bucket.
-
-    ``bounds`` are the upper edges of the buckets; one overflow bucket
-    collects everything above the last edge (Prometheus-style ``+Inf``).
-    """
-
-    __slots__ = ("bounds", "counts", "count", "total")
-
-    def __init__(self, bounds: Sequence[float]) -> None:
-        if len(bounds) < 1:
-            raise ValueError("need at least one bucket bound")
-        bl = [float(b) for b in bounds]
-        if bl != sorted(bl) or len(set(bl)) != len(bl):
-            raise ValueError(f"bucket bounds must be strictly increasing, got {bounds}")
-        self.bounds = tuple(bl)
-        self.counts = [0] * (len(bl) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, v: float) -> None:
-        # bisect_left makes each bound an *inclusive* upper edge
-        # (Prometheus ``le`` semantics): observe(b) lands in b's bucket.
-        self.counts[bisect_left(self.bounds, v)] += 1
-        self.count += 1
-        self.total += v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-        }
-
-
 class MetricsRegistry:
-    """Name -> instrument registry with per-interval delta snapshots."""
+    """Name -> counter registry with per-interval delta snapshots."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         #: One entry per :meth:`mark_interval` call.
         self.intervals: List[Dict[str, Any]] = []
         self._last_counts: Dict[str, float] = {}
@@ -105,55 +46,25 @@ class MetricsRegistry:
         """Get or create the counter ``name``."""
         c = self._counters.get(name)
         if c is None:
-            self._check_free(name, self._counters)
             c = self._counters[name] = Counter()
         return c
 
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
-        g = self._gauges.get(name)
-        if g is None:
-            self._check_free(name, self._gauges)
-            g = self._gauges[name] = Gauge()
-        return g
-
-    def histogram(self, name: str, bounds: Optional[Sequence[float]] = None) -> Histogram:
-        """Get or create the histogram ``name`` (``bounds`` needed on create)."""
-        h = self._histograms.get(name)
-        if h is None:
-            if bounds is None:
-                raise ValueError(f"histogram {name!r} does not exist; pass bounds to create")
-            self._check_free(name, self._histograms)
-            h = self._histograms[name] = Histogram(bounds)
-        return h
-
-    def _check_free(self, name: str, own: Dict[str, Any]) -> None:
-        for kind in (self._counters, self._gauges, self._histograms):
-            if kind is not own and name in kind:
-                raise ValueError(f"metric {name!r} already registered with another type")
-
     # ------------------------------------------------------------------
     def mark_interval(self, now: float) -> Dict[str, Any]:
-        """Snapshot counter deltas since the last mark, plus gauge values."""
+        """Snapshot counter deltas since the last mark."""
         deltas = {}
         for name, c in self._counters.items():
             prev = self._last_counts.get(name, 0.0)
             deltas[name] = c.value - prev
             self._last_counts[name] = c.value
-        snap = {
-            "t": now,
-            "deltas": deltas,
-            "gauges": {name: g.value for name, g in self._gauges.items()},
-        }
+        snap = {"t": now, "deltas": deltas}
         self.intervals.append(snap)
         return snap
 
     def snapshot(self) -> Dict[str, Any]:
-        """Cumulative state of every instrument (JSON-friendly)."""
+        """Cumulative value of every counter (JSON-friendly)."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {n: h.to_dict() for n, h in sorted(self._histograms.items())},
             "n_intervals": len(self.intervals),
         }
 

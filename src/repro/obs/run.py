@@ -159,8 +159,7 @@ class RunRecorder:
             controller.profiler = self.profiler
             if hasattr(controller.algorithm, "profiler"):
                 controller.algorithm.profiler = self.profiler
-        if hasattr(scenario, "mcast"):
-            scenario.mcast.profiler = self.profiler
+        scenario.mcast.profiler = self.profiler
         if sample_interval is not None:
             if sample_interval <= 0:
                 raise ValueError("sample_interval must be positive")

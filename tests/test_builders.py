@@ -4,7 +4,6 @@ import pytest
 
 from repro.multicast.builders import (
     BUILDER_NAMES,
-    DegreeBoundedBuilder,
     ProtectedTreeBuilder,
     SPTBuilder,
     TreeBuilder,
@@ -75,13 +74,6 @@ def _spt_union(net, source, members):
     return edges
 
 
-def _out_degree(edges):
-    deg = {}
-    for u, _v in edges:
-        deg[u] = deg.get(u, 0) + 1
-    return deg
-
-
 def _in_degree(edges):
     deg = {}
     for _u, v in edges:
@@ -131,54 +123,6 @@ def test_spt_is_manager_default_and_identical_to_inline_tree():
 def test_spt_skips_unreachable_members():
     _sched, net = _network(["src", "a", "island"], [("src", "a", 0.1)])
     assert SPTBuilder().build("src", ["a", "island"], net) == {("src", "a")}
-
-
-# ----------------------------------------------------------------------
-# Degree-bounded backend
-# ----------------------------------------------------------------------
-def test_degree_bound_respected_when_detour_exists():
-    # hub fans out to r1..r4, but the receivers are also chained together,
-    # so a degree-2 tree can daisy-chain instead of star-ing off the hub.
-    _sched, net = _network(
-        ["src", "hub", "r1", "r2", "r3", "r4"],
-        [
-            ("src", "hub", 0.1),
-            ("hub", "r1", 0.10),
-            ("hub", "r2", 0.12),
-            ("hub", "r3", 0.14),
-            ("hub", "r4", 0.16),
-            ("r1", "r2", 0.05),
-            ("r2", "r3", 0.05),
-            ("r3", "r4", 0.05),
-        ],
-    )
-    members = ["r1", "r2", "r3", "r4"]
-    spt = SPTBuilder().build("src", members, net)
-    assert _out_degree(spt)["hub"] == 4  # the shape the bound is meant to avoid
-    edges = DegreeBoundedBuilder(max_degree=2).build("src", members, net)
-    assert _covers(edges, "src", members)
-    assert max(_out_degree(edges).values()) <= 2
-    assert max(_in_degree(edges).values()) <= 1  # still a tree
-
-
-def test_degree_bound_falls_back_to_shortest_path_when_unsatisfiable():
-    # Pure star: every attach path runs through the hub, so the bound is
-    # unsatisfiable; reachability must win over fan-out.
-    members = ["r1", "r2", "r3"]
-    _sched, net = _network(
-        ["src", "hub"] + members,
-        [("src", "hub", 0.1)] + [("hub", r, 0.1) for r in members],
-    )
-    edges = DegreeBoundedBuilder(max_degree=1).build("src", members, net)
-    assert _covers(edges, "src", members)
-
-
-def test_degree_builder_skips_unreachable_and_rejects_bad_bound():
-    _sched, net = _network(["src", "a", "island"], [("src", "a", 0.1)])
-    edges = DegreeBoundedBuilder().build("src", ["a", "island"], net)
-    assert edges == {("src", "a")}
-    with pytest.raises(ValueError):
-        DegreeBoundedBuilder(max_degree=0)
 
 
 # ----------------------------------------------------------------------
@@ -261,12 +205,11 @@ def test_protected_repair_without_precompute_or_backup_is_none():
 # make_builder
 # ----------------------------------------------------------------------
 def test_make_builder_resolves_names_and_instances():
-    assert set(BUILDER_NAMES) == {"spt", "degree", "protected"}
+    assert set(BUILDER_NAMES) == {"spt", "protected"}
     assert isinstance(make_builder("spt"), SPTBuilder)
     assert isinstance(make_builder(None), SPTBuilder)
     assert isinstance(make_builder("protected"), ProtectedTreeBuilder)
-    assert isinstance(make_builder("degree"), DegreeBoundedBuilder)
-    instance = DegreeBoundedBuilder(max_degree=2)
+    instance = ProtectedTreeBuilder()
     assert make_builder(instance) is instance
     assert isinstance(make_builder("spt"), TreeBuilder)
     with pytest.raises(ValueError):

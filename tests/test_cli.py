@@ -207,7 +207,7 @@ SMALL = {
     ),
     "churn": (
         ["--duration", "60", "--receivers", "4"],
-        ["--backends", "bogus"],
+        ["--receivers", "0"],
         ["--recover-intervals", "0.01"],
     ),
     "crowd": (

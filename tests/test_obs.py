@@ -8,8 +8,6 @@ from repro.obs import (
     BusEvent,
     Counter,
     EventBus,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     Profiler,
     RunRecorder,
@@ -142,58 +140,15 @@ class TestMetrics:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_gauge_moves_both_ways(self):
-        g = Gauge()
-        g.set(4.0)
-        g.add(-1.5)
-        assert g.value == 2.5
-
-    def test_histogram_buckets(self):
-        h = Histogram([1.0, 2.0, 5.0])
-        for v in (0.5, 1.0, 1.5, 4.0, 100.0):
-            h.observe(v)
-        # bucket edges are inclusive upper bounds; 100 lands in overflow
-        assert h.counts == [2, 1, 1, 1]
-        assert h.count == 5
-        assert h.mean == pytest.approx(107.0 / 5)
-        d = h.to_dict()
-        assert d["bounds"] == [1.0, 2.0, 5.0]
-        assert d["counts"] == [2, 1, 1, 1]
-
-    def test_histogram_empty_mean_is_zero(self):
-        assert Histogram([1.0]).mean == 0.0
-
-    def test_histogram_bounds_validation(self):
-        with pytest.raises(ValueError):
-            Histogram([])
-        with pytest.raises(ValueError):
-            Histogram([2.0, 1.0])
-        with pytest.raises(ValueError):
-            Histogram([1.0, 1.0])
-
     def test_registry_get_or_create(self):
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
-        assert reg.gauge("g") is reg.gauge("g")
-        h = reg.histogram("h", bounds=[1.0])
-        assert reg.histogram("h") is h
-        with pytest.raises(ValueError):
-            reg.histogram("never-created")
-
-    def test_registry_rejects_cross_type_reuse(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-        with pytest.raises(ValueError):
-            reg.histogram("x", bounds=[1.0])
 
     def test_mark_interval_deltas(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
-        reg.gauge("g").set(7.0)
         snap1 = reg.mark_interval(10.0)
-        assert snap1 == {"t": 10.0, "deltas": {"c": 3.0}, "gauges": {"g": 7.0}}
+        assert snap1 == {"t": 10.0, "deltas": {"c": 3.0}}
         reg.counter("c").inc(2)
         snap2 = reg.mark_interval(20.0)
         assert snap2["deltas"] == {"c": 2.0}
