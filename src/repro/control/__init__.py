@@ -8,7 +8,6 @@ from .discovery import TopologyDiscovery
 from .guard import GuardConfig, ReportGuard
 from .messages import (
     CONTROL_PORT,
-    FEDERATION_PORT,
     FederationAdvice,
     Register,
     RegisterAck,
@@ -30,7 +29,6 @@ __all__ = [
     "SubtreeSummary",
     "FederationAdvice",
     "CONTROL_PORT",
-    "FEDERATION_PORT",
     "GuardConfig",
     "ReportGuard",
 ]

@@ -343,13 +343,8 @@ class ReceiverAgent:
             self.controller_node = node
 
     def _admit_epoch(self, epoch: int) -> bool:
-        """Fence out messages from a deposed controller.
-
-        ``epoch == 0`` marks an unfenced (legacy/hand-built) message and is
-        always admitted; otherwise anything below the highest epoch seen is
-        stale and rejected."""
-        if epoch == 0:
-            return True
+        """Fence out messages from a deposed controller: anything below the
+        highest epoch seen is stale and rejected."""
         if epoch < self.controller_epoch:
             self.stale_suggestions_rejected += 1
             return False

@@ -14,9 +14,9 @@ its algorithm.  Every inbound report passes three gates:
    (``loss_rate`` in [0, 1], ``bytes`` >= 0, ``level`` within the session's
    layer schedule, ``t0 <= t1``) and the sender must be registered.  This is
    the checksum stand-in: garbled control packets fail here.
-2. **Sequencing** — per-receiver sequence numbers; duplicates and reordered
-   stragglers (``seq <= last seen``) are rejected.  ``seq == 0`` means the
-   sender does not sequence (legacy/tests) and skips the check.
+2. **Sequencing** — per-receiver sequence numbers, starting at 1; anything
+   below 1 is malformed (``bad_seq``), and duplicates and reordered
+   stragglers (``seq <= last seen``) are rejected.
 3. **Behavioural scoring** — accepted reports accrue *strikes* when they are
    internally inconsistent, disobedient, or persistent outliers against
    sibling-subtree loss statistics (see below).  Enough strikes quarantine
@@ -278,10 +278,8 @@ class ReportGuard:
         return None
 
     def _check_seq(self, key: Key, seq: Any) -> Optional[str]:
-        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 1:
             return "bad_seq"
-        if seq == 0:  # unsequenced sender
-            return None
         last = self._last_seq.get(key, 0)
         if seq <= last:
             return "stale_seq"

@@ -8,18 +8,22 @@ to the same drop-tail queues as the media traffic.
 Sizes are nominal on-the-wire sizes in bytes (headers included) used for the
 packets carrying each message.
 
-Hardening fields (all default to 0, meaning "absent" for legacy senders):
+Every field is required, so every message is sequenced or fenced.  The
+sequencing and fencing fields:
 
 * ``seq`` on :class:`Register`/:class:`Report` — a per-receiver sequence
-  number shared by both message types, strictly increasing per control
-  message sent.  The controller rejects duplicates and reordered stragglers
-  (``seq <= last seen``); ``seq == 0`` disables the check so hand-built
-  messages in tests and tools keep working.
+  number shared by both message types, starting at 1 and strictly
+  increasing per control message sent.  The controller rejects duplicates
+  and reordered stragglers (``seq <= last seen``) and anything below 1.
 * ``epoch`` on :class:`RegisterAck`/:class:`Suggestion` — the controller's
   fencing token, bumped on every (re)start and advanced past the old
   primary's on failover.  Receivers reject messages carrying an epoch lower
   than the highest they have seen, so a deposed controller that comes back
   cannot steer receivers with stale suggestions.
+* ``epoch``/``round`` on the federation tier's :class:`SubtreeSummary` and
+  :class:`FederationAdvice` — the coordinator's fencing token and the
+  lockstep round a message was built at; both ends drop anything not
+  newer than what they already hold.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "SubtreeSummary",
     "FederationAdvice",
     "CONTROL_PORT",
-    "FEDERATION_PORT",
     "REGISTER_SIZE",
     "REPORT_SIZE",
     "SUGGESTION_SIZE",
@@ -45,9 +48,6 @@ __all__ = [
 
 #: Well-known port the controller agent listens on.
 CONTROL_PORT = "toposense-ctrl"
-
-#: Well-known port of the inter-domain federation tier.
-FEDERATION_PORT = "toposense-fed"
 
 REGISTER_SIZE = 64
 REPORT_SIZE = 96
@@ -68,7 +68,7 @@ class Register:
     session_id: Any
     node: Any
     port: str  # where suggestions should be sent back
-    seq: int = 0  # per-receiver control sequence number (0 = unsequenced)
+    seq: int  # per-receiver control sequence number, from 1
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class RegisterAck:
 
     receiver_id: Any
     session_id: Any
-    epoch: int = 0  # controller epoch (fencing token)
+    epoch: int  # controller epoch (fencing token)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class Report:
     level: int
     t0: float
     t1: float
-    seq: int = 0  # per-receiver control sequence number (0 = unsequenced)
+    seq: int  # per-receiver control sequence number, from 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class Suggestion:
     session_id: Any
     level: int
     issued_at: float
-    epoch: int = 0  # controller epoch (fencing token)
+    epoch: int  # controller epoch (fencing token)
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,8 @@ class SubtreeSummary:
     #: Lockstep round the summary was built at.  The coordinator keeps the
     #: highest round per (session, domain) and drops older arrivals, which
     #: absorbs the duplicates that retries and in-flight delays create on a
-    #: lossy inter-domain channel (0 = unsequenced legacy sender, never
-    #: fenced).
-    round: int = 0
+    #: lossy inter-domain channel.
+    round: int
 
 
 @dataclass(frozen=True)
@@ -165,5 +164,5 @@ class FederationAdvice:
     receiver_count: int  # session-wide receiver total, from summary counts
     bottleneck_bps: float  # worst bottleneck estimate across all domains
     issued_at: float
-    epoch: int = 0  # coordinator fencing token, bumped on failover
-    round: int = 0  # lockstep round the merge ran at (advice-age reference)
+    epoch: int  # coordinator fencing token, bumped on failover
+    round: int  # lockstep round the merge ran at (advice-age reference)

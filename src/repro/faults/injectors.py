@@ -357,15 +357,6 @@ class FederationInjector(_Injector):
     def _now(self) -> float:
         return self.clock
 
-    def _channel(self):
-        channel = self.fed.channel
-        if channel is None:
-            raise ValueError(
-                "federation channel faults need a FederatedSession built "
-                "with a channel (pass plan= or channel=)"
-            )
-        return channel
-
     def fed_link_degrade(
         self, loss: float = 0.0, duplicate: float = 0.0, delay_rounds: int = 0,
         domain: Any = None,
@@ -373,22 +364,22 @@ class FederationInjector(_Injector):
         """Impair the inter-domain channel (all domains, or just one):
         per-message loss/duplication probabilities and a maximum in-flight
         delay in lockstep rounds."""
-        self._channel().set_impairment(
+        self.fed.channel.set_impairment(
             loss=loss, duplicate=duplicate, delay_rounds=delay_rounds,
             domain=domain,
         )
 
     def fed_link_restore(self, domain: Any = None) -> None:
         """Undo :meth:`fed_link_degrade` for one domain (or the mesh)."""
-        self._channel().clear_impairment(domain)
+        self.fed.channel.clear_impairment(domain)
 
     def fed_partition(self, domain: Any) -> None:
         """Cut the domain off from the federation in both directions."""
-        self._channel().partition(domain)
+        self.fed.channel.partition(domain)
 
     def fed_heal(self, domain: Any) -> None:
         """Reconnect a partitioned domain."""
-        self._channel().heal(domain)
+        self.fed.channel.heal(domain)
 
     def fed_coordinator_kill(self) -> None:
         """Crash the federation coordinator (no merges, no acks)."""

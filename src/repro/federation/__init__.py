@@ -16,14 +16,15 @@ real sharded subsystem:
 * :class:`FederatedSession` drives the lockstep rounds, and
   :func:`run_federate` sweeps domain count at fixed receiver population
   (``python -m repro federate``);
-* :class:`InterDomainChannel` makes the exchange fault-injectable (seeded
-  loss/delay/duplication, partitions), the coordinator fails over with
+* :class:`InterDomainChannel` is the one wire every summary and advice
+  crosses, and makes the exchange fault-injectable (seeded
+  loss/delay/duplication, partitions); the coordinator fails over with
   epoch fencing, shards retry/timeout and decay ceilings past the
   bounded-staleness budget, and :func:`run_fedchaos` gates it all
   (``python -m repro fedchaos``; DESIGN.md §14).
 """
 
-from .channel import ChannelImpairment, InterDomainChannel, channel_seed
+from .channel import ChannelImpairment, InterDomainChannel
 from .chaos import (
     DEFAULT_CHAOS_DURATION,
     DEFAULT_LOSS_RATES,
@@ -49,7 +50,7 @@ from .partition import (
     gateways_for_tier,
 )
 from .session import FederatedSession
-from .shard import BORDER_NODE, DomainShard, shard_seed
+from .shard import BORDER_NODE, DomainShard
 
 __all__ = [
     "BORDER_NODE",
@@ -69,12 +70,10 @@ __all__ = [
     "FederationCoordinator",
     "InterDomainChannel",
     "build_federated_views",
-    "channel_seed",
     "default_fedchaos_plan",
     "gateways_for_tier",
     "render_fedchaos_report",
     "render_federate_report",
     "run_fedchaos",
     "run_federate",
-    "shard_seed",
 ]

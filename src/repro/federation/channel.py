@@ -1,40 +1,31 @@
-"""Fault-injectable inter-domain channel for the federation exchange.
+"""The inter-domain wire of the federation exchange.
 
-PR 7's exchange handed :class:`~repro.control.messages.SubtreeSummary` and
-:class:`~repro.control.messages.FederationAdvice` objects across domains by
-direct method call — a perfectly reliable, zero-latency wire.  The
-:class:`InterDomainChannel` replaces that wire with one that can be
-impaired: every send draws from a seeded per-``(domain, direction)`` RNG
-stream and either delivers immediately, drops the message, delays it by a
-whole number of lockstep rounds (it then arrives late, out of order with —
-and usually fenced off by — fresher traffic), or duplicates it one round
-later.  A *partitioned* domain exchanges nothing in either direction until
-healed.
+Every :class:`~repro.control.messages.SubtreeSummary` and
+:class:`~repro.control.messages.FederationAdvice` crosses the domain
+boundary through an :class:`InterDomainChannel` — there is no other wire.
+Unimpaired, the channel draws no randomness and delivers at once.  Impaired,
+every send draws from a seeded per-``(domain, direction)`` RNG stream and
+either delivers immediately, drops the message, delays it by a whole number
+of lockstep rounds (it then arrives late, out of order with — and usually
+fenced off by — fresher traffic), or duplicates it one round later.  A
+*partitioned* domain exchanges nothing in either direction until healed.
 
-Determinism model (matches :func:`repro.federation.shard.shard_seed`): each
-``(domain, direction)`` pair owns a private ``default_rng`` rooted at
-BLAKE2(``"<seed>:fedchan/<domain>/<direction>"``), so adding or removing
-domains never perturbs a sibling's draws; all draws happen at the round
-barrier in sorted-domain order, so same-seed runs see identical channel
-behaviour.
+Determinism model: each ``(domain, direction)`` pair owns the
+:class:`~repro.simnet.rng.RngRegistry` stream
+``"fedchan/<domain>/<direction>"``, so adding or removing domains never
+perturbs a sibling's draws; all draws happen at the round barrier in
+sorted-domain order, so same-seed runs see identical channel behaviour.
 Impairments change only via :class:`~repro.faults.plan.FaultPlan` events,
 which fire at deterministic barrier times.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-__all__ = ["ChannelImpairment", "InterDomainChannel", "channel_seed"]
+from ..simnet.rng import RngRegistry
 
-
-def channel_seed(seed: int, domain: Any, direction: str) -> int:
-    """Per-(domain, direction) RNG root, independent of sibling domains."""
-    digest = hashlib.blake2b(
-        f"{int(seed)}:fedchan/{domain}/{direction}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
+__all__ = ["ChannelImpairment", "InterDomainChannel"]
 
 
 class ChannelImpairment:
@@ -75,11 +66,8 @@ class InterDomainChannel:
     budget.
     """
 
-    DIRECTIONS = ("up", "down")
-
     def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self._rngs: Dict[Tuple[str, str], Any] = {}
+        self._rngs = RngRegistry(seed)
         #: Domains currently cut off in both directions.
         self.partitioned: Set[str] = set()
         self._global = ChannelImpairment()
@@ -134,18 +122,6 @@ class InterDomainChannel:
     # ------------------------------------------------------------------
     # Wire
     # ------------------------------------------------------------------
-    def _rng(self, domain: str, direction: str) -> Any:
-        import numpy as np
-
-        key = (domain, direction)
-        rng = self._rngs.get(key)
-        if rng is None:
-            rng = np.random.default_rng(
-                channel_seed(self.seed, domain, direction)
-            )
-            self._rngs[key] = rng
-        return rng
-
     def _send(self, direction: str, domain: Any, msg: Any, round_no: int) -> str:
         name = str(domain)
         self.stats[f"{direction}_sent"] += 1
@@ -156,7 +132,7 @@ class InterDomainChannel:
         if imp.perfect:
             self.stats[f"{direction}_delivered"] += 1
             return "delivered"
-        rng = self._rng(name, direction)
+        rng = self._rngs.fork(f"fedchan/{name}/{direction}")
         if imp.loss > 0.0 and float(rng.random()) < imp.loss:
             self.stats[f"{direction}_lost"] += 1
             return "lost"

@@ -23,8 +23,6 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
-from ..obs.profile import Profiler
-from .channel import InterDomainChannel
 from .experiment import build_federated_views
 from .session import FederatedSession
 
@@ -107,7 +105,6 @@ def _run_one(
     )
     fed = FederatedSession(
         views, seed=seed, cadence=cadence, bus=bus,
-        profiler=Profiler(), channel=InterDomainChannel(seed=seed),
         plan=plan, retry_limit=retry_limit,
         staleness_budget=staleness_budget, decay_floor=decay_floor,
     )
@@ -143,14 +140,13 @@ def _run_one(
         ceilings[name] = list(shard.ceiling_log)
 
     tiers = fed.control_bytes_by_tier()
-    channel = fed.channel.summary() if fed.channel is not None else {}
     return {
         "rounds": fed.rounds_completed,
         "events": fed.events_processed,
         "wall_s": round(wall, 4),
         "control_bytes": {**tiers, "total": sum(tiers.values())},
         "coordinator": fed.coordinator_totals(),
-        "channel": channel,
+        "channel": fed.channel.summary(),
         "failover_rounds": list(fed.failover_rounds),
         "fault_log": [
             {"time": t, "kind": kind, "detail": detail}

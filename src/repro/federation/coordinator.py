@@ -64,12 +64,6 @@ class FederationCoordinator:
         self.control_bytes_sent = 0
 
     # ------------------------------------------------------------------
-    @property
-    def rejected_messages(self) -> int:
-        """All rejections (type + stale) — kept for older callers."""
-        return self.type_rejected + self.stale_rejected
-
-    # ------------------------------------------------------------------
     def receive(self, msg: Any) -> bool:
         """Ingest one subtree summary (the only message type allowed up).
 
@@ -85,7 +79,7 @@ class FederationCoordinator:
             )
         key = (str(msg.session_id), str(msg.domain))
         prev = self._latest.get(key)
-        if msg.round and prev is not None and prev.round >= msg.round:
+        if prev is not None and prev.round >= msg.round:
             self.stale_rejected += 1
             if self.bus is not None:
                 self.bus.emit(
@@ -112,7 +106,7 @@ class FederationCoordinator:
         return True
 
     # ------------------------------------------------------------------
-    def merge(self, now: float, round_no: int = 0) -> List[FederationAdvice]:
+    def merge(self, now: float, round_no: int) -> List[FederationAdvice]:
         """Fold the latest summaries into per-session layer advice.
 
         Domains currently holding no registered receivers contribute their

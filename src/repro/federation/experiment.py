@@ -131,7 +131,7 @@ def _run_point(
         if n_receivers else 0.0,
         "coordinator": {
             "summaries_received": fed.coordinator.summaries_received,
-            "rejected_messages": fed.coordinator.rejected_messages,
+            "rejected_messages": fed.coordinator.type_rejected,
             "peak_tracked": fed.coordinator.peak_tracked,
             "state_bytes": fed.coordinator.state_bytes(),
             "merges": fed.coordinator.merges,

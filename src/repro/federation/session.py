@@ -12,11 +12,11 @@ simulated seconds:
    after another in sorted-domain order (``_advance_shards`` — the single
    seam an out-of-process backend would plug into);
 3. at the barrier each shard publishes one
-   :class:`~repro.control.messages.SubtreeSummary` per session — over the
-   :class:`~repro.federation.channel.InterDomainChannel` when one is
-   attached, with up to ``retry_limit`` attempts per summary (every
-   attempt is charged to the summary byte tier; exhaustion counts as an
-   exchange timeout);
+   :class:`~repro.control.messages.SubtreeSummary` per session over the
+   session's :class:`~repro.federation.channel.InterDomainChannel` — the
+   one wire in both directions, perfect unless impaired — with up to
+   ``retry_limit`` attempts per summary (every attempt is charged to the
+   summary byte tier; exhaustion counts as an exchange timeout);
 4. the coordinator (if alive) merges them (sorted order) into per-session
    :class:`~repro.control.messages.FederationAdvice` fanned back out to
    every shard, fenced by epoch/round on arrival;
@@ -50,6 +50,10 @@ from .shard import DomainShard
 
 __all__ = ["FederatedSession"]
 
+#: Notional backoff before the first summary retry, doubling per attempt
+#: (reported on ``federation.retry``; the lockstep exchange does not wait).
+RETRY_BACKOFF_S = 0.1
+
 
 class FederatedSession:
     """Run a set of domain views as a federated control plane."""
@@ -59,14 +63,10 @@ class FederatedSession:
         views: Sequence[DomainView],
         seed: int = 0,
         cadence: float = 4.0,
-        config: Optional[Any] = None,
-        interval: Optional[float] = None,
         bus: Optional[Any] = None,
         profiler: Optional[Any] = None,
-        channel: Optional[InterDomainChannel] = None,
         plan: Optional[Any] = None,
         retry_limit: int = 3,
-        backoff_base: float = 0.1,
         staleness_budget: int = 2,
         decay_floor: int = 1,
     ):
@@ -84,10 +84,9 @@ class FederatedSession:
         self.bus = bus
         self.profiler = profiler
         self.retry_limit = int(retry_limit)
-        self.backoff_base = float(backoff_base)
         self.shards: Dict[str, DomainShard] = {
             str(v.domain): DomainShard(
-                v, seed=seed, config=config, interval=interval,
+                v, seed=seed,
                 staleness_budget=staleness_budget, decay_floor=decay_floor,
             )
             for v in ordered
@@ -96,14 +95,12 @@ class FederatedSession:
         #: Deposed coordinators (kept so cross-generation counters and the
         #: advice byte tier survive a failover).
         self._retired: List[FederationCoordinator] = []
-        self.coordinator_failovers = 0
         #: Round numbers at which a failover fired (the recovery gate's
         #: reference points).
         self.failover_rounds: List[int] = []
-        # A fault plan needs a channel to act on; default to a perfect one.
-        if channel is None and plan is not None:
-            channel = InterDomainChannel(seed=seed)
-        self.channel = channel
+        #: The one wire between shards and coordinator; perfect until a
+        #: plan event (or a caller) impairs it.
+        self.channel = InterDomainChannel(seed=seed)
         self._injector: Optional[Any] = None
         self._plan_events: List[Any] = []
         self._next_event = 0
@@ -126,11 +123,6 @@ class FederatedSession:
     @property
     def n_domains(self) -> int:
         return len(self.shards)
-
-    @property
-    def controllers(self) -> Dict[str, Any]:
-        """Domain-name -> controller map (bench-harness compatible)."""
-        return {name: shard.controller for name, shard in self.shards.items()}
 
     @property
     def receivers(self) -> List[Any]:
@@ -205,19 +197,18 @@ class FederatedSession:
         """Barrier-time summary/advice exchange, in sorted-domain order."""
         t0 = perf_counter()
         ch = self.channel
-        if ch is not None:
-            # Delayed copies from earlier rounds arrive first; epoch/round
-            # fencing decides whether they still carry news.
-            for direction, domain, msg in ch.due(round_no):
-                if direction == "up":
-                    if self.coordinator.alive:
-                        self.coordinator.receive(msg)
-                    else:
-                        ch.stats["dead_coordinator_drops"] += 1
+        # Delayed copies from earlier rounds arrive first; epoch/round
+        # fencing decides whether they still carry news.
+        for direction, domain, msg in ch.due(round_no):
+            if direction == "up":
+                if self.coordinator.alive:
+                    self.coordinator.receive(msg)
                 else:
-                    shard = self.shards.get(domain)
-                    if shard is not None:
-                        shard.deliver_advice(msg, now=now, bus=self.bus)
+                    ch.stats["dead_coordinator_drops"] += 1
+            else:
+                shard = self.shards.get(domain)
+                if shard is not None:
+                    shard.deliver_advice(msg, now=now, bus=self.bus)
         for name in sorted(self.shards):
             shard = self.shards[name]
             for summary in shard.summaries(now, round_no=round_no):
@@ -227,11 +218,7 @@ class FederatedSession:
             for advice in advices:
                 for name in sorted(self.shards):
                     self.coordinator.control_bytes_sent += ADVICE_SIZE
-                    if ch is None:
-                        self.shards[name].deliver_advice(
-                            advice, now=now, bus=self.bus
-                        )
-                    elif ch.send_down(name, advice, round_no) == "delivered":
+                    if ch.send_down(name, advice, round_no) == "delivered":
                         self.shards[name].deliver_advice(
                             advice, now=now, bus=self.bus
                         )
@@ -253,9 +240,6 @@ class FederatedSession:
         in-flight delay, a partition or a dead coordinator all look the
         same to the sender: silence, then retry, then timeout.
         """
-        if self.channel is None:
-            self.coordinator.receive(summary)
-            return
         domain = str(shard.domain)
         for attempt in range(1, self.retry_limit + 1):
             if attempt > 1:
@@ -266,7 +250,7 @@ class FederatedSession:
                         "federation.retry", now,
                         domain=shard.domain, session=summary.session_id,
                         attempt=attempt,
-                        backoff_s=self.backoff_base * 2 ** (attempt - 2),
+                        backoff_s=RETRY_BACKOFF_S * 2 ** (attempt - 2),
                     )
             outcome = self.channel.send_up(domain, summary, round_no)
             if outcome == "delivered":
@@ -303,7 +287,6 @@ class FederatedSession:
         standby.resume_from(old.replicated_summaries())
         self._retired.append(old)
         self.coordinator = standby
-        self.coordinator_failovers += 1
         self.failover_rounds.append(self.rounds_completed + 1)
         if self.bus is not None:
             self.bus.emit(

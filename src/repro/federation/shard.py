@@ -10,42 +10,28 @@ tree upstream of the border: intra-domain bottlenecks, queues and loss are
 simulated exactly as in the global topology.
 
 Shards share **no** mutable state (the layer schedule is immutable config),
-so a federation run can advance them from worker threads.  Determinism
-comes from seeding, not scheduling: each shard derives its own RNG root
-from ``(federation seed, domain name)`` with the same BLAKE2 construction
-:class:`~repro.simnet.rng.RngRegistry` uses for streams, so per-shard draws
-are independent of domain count, sibling domains and executor interleaving.
+and each shard's root seed is the :func:`~repro.simnet.rng.stream_seed` of
+``"fed/<domain>"`` under the federation seed, so a shard's draws depend on
+its own domain name only — never on domain count, sibling domains or the
+order shards advance in.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional
 
 from ..control.messages import SUMMARY_SIZE, FederationAdvice, SubtreeSummary
 from ..experiments.scenario import Scenario
+from ..simnet.rng import stream_seed
 from ..workloads.runner import control_bytes
 from .partition import DomainView
 
-__all__ = ["BORDER_NODE", "DomainShard", "shard_seed"]
+__all__ = ["BORDER_NODE", "DomainShard"]
 
 #: Name of the synthetic border-ingress node every shard adds; the real
 #: source lives outside the domain, this node replays its traffic into the
 #: domain through the captured border uplink.
 BORDER_NODE = "__border__"
-
-
-def shard_seed(seed: int, domain: Any) -> int:
-    """Deterministic per-shard root seed, independent of sibling domains.
-
-    Same derivation shape as :meth:`repro.simnet.rng.RngRegistry.fork`:
-    BLAKE2 over ``"<seed>:fed/<domain>"``.  Adding or removing domains
-    never perturbs another shard's draws.
-    """
-    digest = hashlib.blake2b(
-        f"{int(seed)}:fed/{domain}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
 
 
 class DomainShard:
@@ -55,8 +41,6 @@ class DomainShard:
         self,
         view: DomainView,
         seed: int = 0,
-        config: Optional[Any] = None,
-        interval: Optional[float] = None,
         staleness_budget: int = 2,
         decay_floor: int = 1,
     ):
@@ -69,7 +53,7 @@ class DomainShard:
             raise ValueError("decay_floor must be >= 0")
         self.view = view
         self.domain = view.domain
-        self.seed = shard_seed(seed, view.domain)
+        self.seed = stream_seed(seed, f"fed/{view.domain}")
         self.advice: Dict[Any, FederationAdvice] = {}
         self.advice_received = 0
         #: SubtreeSummary bytes this shard sent upward (federation tier),
@@ -96,10 +80,10 @@ class DomainShard:
         #: the advice age, epoch and effective ceiling (None = fresh, no
         #: clamp).  The fedchaos overshoot/recovery gates read this.
         self.ceiling_log: List[Dict[str, Any]] = []
-        self.scenario = self._build(config, interval)
+        self.scenario = self._build()
 
     # ------------------------------------------------------------------
-    def _build(self, config: Optional[Any], interval: Optional[float]) -> Scenario:
+    def _build(self) -> Scenario:
         view = self.view
         sc = Scenario(seed=self.seed)
         sc.add_node(BORDER_NODE)
@@ -127,8 +111,6 @@ class DomainShard:
             view.gateway,
             name=str(view.domain),
             domain=set(view.nodes),
-            config=config,
-            interval=interval,
         )
         for r in view.receivers:
             sc.add_receiver(
@@ -154,7 +136,7 @@ class DomainShard:
             self.scenario.run(remaining)
 
     # ------------------------------------------------------------------
-    def summaries(self, now: float, round_no: int = 0) -> List[SubtreeSummary]:
+    def summaries(self, now: float, round_no: int) -> List[SubtreeSummary]:
         """One :class:`SubtreeSummary` per session, from controller state.
 
         Aggregates only: receiver identities, registrations and raw reports
@@ -218,8 +200,16 @@ class DomainShard:
         ]
 
     # ------------------------------------------------------------------
-    def apply_advice(self, advice: FederationAdvice) -> None:
-        """Record session-level advice from the coordinator (unfenced).
+    def deliver_advice(
+        self, advice: FederationAdvice, now: float = 0.0,
+        bus: Optional[Any] = None,
+    ) -> bool:
+        """The one way session-level advice enters the shard, fenced.
+
+        Rejects advice from a deposed coordinator (epoch below the highest
+        seen) and late/duplicate copies (round not newer than the applied
+        advice at the same epoch); both are counted in ``stale_rejected``.
+        Returns True when the advice was recorded.
 
         The domain controller keeps full authority inside its domain (the
         paper's domain isolation); the recorded ceiling only binds when the
@@ -231,33 +221,13 @@ class DomainShard:
                 f"shards accept FederationAdvice only, got "
                 f"{type(advice).__name__}"
             )
-        self.advice[advice.session_id] = advice
-        self.advice_received += 1
-
-    def deliver_advice(
-        self, advice: FederationAdvice, now: float = 0.0,
-        bus: Optional[Any] = None,
-    ) -> bool:
-        """Fenced advice ingestion for an unreliable channel.
-
-        Rejects advice from a deposed coordinator (epoch below the highest
-        seen) and late/duplicate copies (round not newer than the applied
-        advice at the same epoch); both are counted in ``stale_rejected``.
-        Unsequenced legacy advice (epoch and round both 0) passes through
-        unfenced.  Returns True when the advice was applied.
-        """
-        if not isinstance(advice, FederationAdvice):
-            raise TypeError(
-                f"shards accept FederationAdvice only, got "
-                f"{type(advice).__name__}"
-            )
         reason = None
-        if advice.epoch and advice.epoch < self.advice_epoch:
+        if advice.epoch < self.advice_epoch:
             reason = "stale_epoch"
         else:
             prev = self.advice.get(advice.session_id)
             if (
-                prev is not None and advice.round
+                prev is not None
                 and advice.epoch == prev.epoch and advice.round <= prev.round
             ):
                 reason = "stale_round"
@@ -272,7 +242,8 @@ class DomainShard:
                 )
             return False
         self.advice_epoch = max(self.advice_epoch, advice.epoch)
-        self.apply_advice(advice)
+        self.advice[advice.session_id] = advice
+        self.advice_received += 1
         return True
 
     # ------------------------------------------------------------------
@@ -292,7 +263,7 @@ class DomainShard:
         controller = self.controller
         for sid in sorted(self.advice, key=str):
             advice = self.advice[sid]
-            age = (round_no - advice.round) if advice.round else 0
+            age = round_no - advice.round
             effective = None
             if age > self.staleness_budget:
                 decay = age - self.staleness_budget

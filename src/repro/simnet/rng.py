@@ -15,7 +15,20 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["RngRegistry", "fallback_rng", "zipf_weights"]
+__all__ = ["RngRegistry", "fallback_rng", "stream_seed", "zipf_weights"]
+
+
+def stream_seed(seed: int, name: str) -> int:
+    """The integer seed of stream ``name`` under experiment ``seed``.
+
+    BLAKE2 over ``"<seed>:<name>"``: distinct names give statistically
+    independent streams, and a stream's seed depends on nothing but its own
+    name — adding a stream (or a federation domain) never perturbs another.
+    """
+    digest = hashlib.blake2b(
+        f"{int(seed)}:{name}".encode(), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "little")
 
 
 def fallback_rng() -> np.random.Generator:
@@ -71,16 +84,12 @@ class RngRegistry:
     def fork(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically.
 
-        The stream seed is derived from ``(experiment seed, name)`` via
-        BLAKE2, so distinct names give statistically independent streams and
-        the same name always yields the same stream for a given seed.
+        The stream is seeded with :func:`stream_seed`, so the same name
+        always yields the same stream for a given experiment seed.
         """
         gen = self._streams.get(name)
         if gen is None:
-            digest = hashlib.blake2b(
-                f"{self.seed}:{name}".encode(), digest_size=8
-            ).digest()
-            gen = np.random.default_rng(int.from_bytes(digest, "little"))
+            gen = np.random.default_rng(stream_seed(self.seed, name))
             self._streams[name] = gen
         return gen
 

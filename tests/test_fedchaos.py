@@ -21,17 +21,17 @@ from repro.federation import (
     FederationCoordinator,
     InterDomainChannel,
     build_federated_views,
-    channel_seed,
     default_fedchaos_plan,
     run_fedchaos,
 )
+from repro.simnet.rng import RngRegistry
 
 
 def _views(n_domains=2, receivers_per_domain=2, seed=0):
     return build_federated_views(n_domains, receivers_per_domain, seed=seed)
 
 
-def _summary(domain="d1", session_id="s0", round_no=0, now=4.0):
+def _summary(domain="d1", session_id="s0", round_no=1, now=4.0):
     return SubtreeSummary(
         domain=domain, session_id=session_id, gateway=f"gw-{domain}",
         receiver_count=2, mean_loss=0.01, max_loss=0.05,
@@ -40,7 +40,7 @@ def _summary(domain="d1", session_id="s0", round_no=0, now=4.0):
     )
 
 
-def _advice(session_id="s0", ceiling=4, epoch=0, round_no=0):
+def _advice(session_id="s0", ceiling=4, epoch=1, round_no=1):
     return FederationAdvice(
         session_id=session_id, ceiling=ceiling, floor=1, receiver_count=4,
         bottleneck_bps=1e5, issued_at=4.0, epoch=epoch, round=round_no,
@@ -54,10 +54,21 @@ def _advice(session_id="s0", ceiling=4, epoch=0, round_no=0):
 
 class TestChannel:
     def test_seed_stable_and_per_domain_direction(self):
-        assert channel_seed(1, "d1", "up") == channel_seed(1, "d1", "up")
-        assert channel_seed(1, "d1", "up") != channel_seed(1, "d2", "up")
-        assert channel_seed(1, "d1", "up") != channel_seed(1, "d1", "down")
-        assert channel_seed(1, "d1", "up") != channel_seed(2, "d1", "up")
+        # Each send draws exactly one loss roll from the registry stream
+        # "fedchan/<domain>/<direction>" of the channel's seed.
+        for seed, domain, direction in (
+            (3, "d1", "up"), (3, "d2", "up"), (3, "d1", "down"),
+            (4, "d1", "up"),
+        ):
+            ch = InterDomainChannel(seed=seed)
+            ch.set_impairment(loss=0.5)
+            send = ch.send_up if direction == "up" else ch.send_down
+            outcomes = [send(domain, _summary(), r) for r in range(20)]
+            stream = RngRegistry(seed).fork(f"fedchan/{domain}/{direction}")
+            assert outcomes == [
+                "lost" if stream.random() < 0.5 else "delivered"
+                for _ in range(20)
+            ]
 
     def test_impairment_validation(self):
         with pytest.raises(ValueError, match="loss"):
@@ -156,15 +167,16 @@ class TestCoordinatorFencing:
         with pytest.raises(TypeError):
             coord.receive(Report(receiver_id="R0", session_id="s0",
                                  loss_rate=0.1, bytes=1e4, level=2,
-                                 t0=0.0, t1=4.0))
+                                 t0=0.0, t1=4.0, seq=1))
         assert coord.type_rejected == 1
-        assert coord.rejected_messages == 3  # legacy aggregate view
+        assert coord.stale_rejected == 2
 
-    def test_unsequenced_legacy_summaries_never_fenced(self):
+    def test_round_zero_summaries_are_fenced_too(self):
         coord = FederationCoordinator()
-        for _ in range(3):
-            assert coord.receive(_summary(round_no=0)) is True
-        assert coord.stale_rejected == 0
+        assert coord.receive(_summary(round_no=0)) is True
+        for _ in range(2):
+            assert coord.receive(_summary(round_no=0)) is False
+        assert coord.stale_rejected == 2
 
     def test_merge_stamps_epoch_and_round(self):
         coord = FederationCoordinator(epoch=4)
@@ -221,11 +233,15 @@ class TestShardStaleness:
         assert shard.deliver_advice(_advice(epoch=3, round_no=1)) is True
         assert shard.stale_rejected == 3
 
-    def test_legacy_unsequenced_advice_unfenced(self):
+    def test_epoch_and_round_zero_advice_fenced(self):
         shard = self._shard()
         assert shard.deliver_advice(_advice(epoch=0, round_no=0)) is True
-        assert shard.deliver_advice(_advice(epoch=0, round_no=0)) is True
-        assert shard.stale_rejected == 0
+        # a repeated round 0 is a duplicate like any other
+        assert shard.deliver_advice(_advice(epoch=0, round_no=0)) is False
+        assert shard.deliver_advice(_advice(epoch=1, round_no=1)) is True
+        # epoch 0 is below the epoch now held: a deposed coordinator
+        assert shard.deliver_advice(_advice(epoch=0, round_no=9)) is False
+        assert shard.stale_rejected == 2
 
     def test_roll_staleness_decays_past_budget(self):
         shard = self._shard(staleness_budget=2, decay_floor=1)
@@ -276,10 +292,10 @@ class TestShardStaleness:
 
 class TestFederatedSessionFaults:
     def test_retries_and_timeouts_on_lossy_channel(self):
-        ch = InterDomainChannel(seed=1)
-        ch.set_impairment(loss=0.6)
         fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0,
-                               channel=ch, retry_limit=3)
+                               retry_limit=3)
+        ch = fed.channel
+        ch.set_impairment(loss=0.6)
         fed.run(32.0)
         retries = sum(s.summary_retries for s in fed.shards.values())
         assert retries > 0
@@ -290,9 +306,24 @@ class TestFederatedSessionFaults:
         charged = sum(s.summary_bytes_sent for s in fed.shards.values())
         assert charged == ch.stats["up_sent"] * SUMMARY_SIZE
 
+    def test_crashed_coordinator_ingests_nothing(self):
+        # No plan: the session's perfect channel is still the only wire,
+        # so a dead coordinator acks nothing and every summary times out.
+        fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0)
+        fed.run(8.0)
+        received = fed.coordinator.summaries_received
+        assert received == 2 * 2  # 2 rounds x 2 domains x 1 session
+        fed.crash_coordinator()
+        fed.run(8.0)
+        assert fed.coordinator.summaries_received == received
+        timeouts = sum(s.summary_timeouts for s in fed.shards.values())
+        assert timeouts == 2 * 2
+        assert fed.channel.stats["dead_coordinator_drops"] == (
+            timeouts * fed.retry_limit
+        )
+
     def test_failover_bumps_epoch_and_fences_old_advice(self):
-        fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0,
-                               channel=InterDomainChannel(seed=1))
+        fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0)
         fed.run(8.0)
         old = fed.coordinator
         stored = old.tracked()
@@ -300,7 +331,7 @@ class TestFederatedSessionFaults:
         standby = fed.failover_coordinator()
         assert standby.epoch == old.epoch + 1
         assert standby.tracked() == stored  # warm start
-        assert fed.coordinator_failovers == 1
+        assert fed.failover_rounds == [3]
         fed.run(8.0)
         for shard in fed.shards.values():
             assert shard.advice_epoch == standby.epoch
@@ -329,7 +360,6 @@ class TestFederatedSessionFaults:
                 .add(16.0, "fed_coordinator_failover"))
         fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0,
                                plan=plan)
-        assert fed.channel is not None  # plan auto-attaches a channel
         fed.run(20.0)
         kinds = [kind for (_t, kind, _d) in fed.fault_log]
         assert kinds == ["fed_link_degrade", "fed_link_restore", "fed_partition",
@@ -354,8 +384,7 @@ class TestFederatedSessionFaults:
                         "federation.failover", "federation.stale"}
 
     def test_injector_rejects_foreign_kinds(self):
-        fed = FederatedSession(_views(), seed=1,
-                               channel=InterDomainChannel(seed=1))
+        fed = FederatedSession(_views(), seed=1)
         inj = FederationInjector(fed)
         with pytest.raises(ValueError, match="federation fault"):
             inj.execute("link_down", ("a", "b"), {})

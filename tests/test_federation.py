@@ -32,8 +32,8 @@ from repro.federation import (
     build_federated_views,
     gateways_for_tier,
     run_federate,
-    shard_seed,
 )
+from repro.simnet.rng import stream_seed
 
 
 def _views(n_domains=2, receivers_per_domain=2, seed=0, traffic="cbr"):
@@ -164,9 +164,14 @@ def _shard_traces(shard):
 
 class TestShard:
     def test_shard_seed_stable_and_per_domain(self):
-        assert shard_seed(1, "d1") == shard_seed(1, "d1")
-        assert shard_seed(1, "d1") != shard_seed(1, "d2")
-        assert shard_seed(1, "d1") != shard_seed(2, "d1")
+        d1, d2 = _views(n_domains=2)
+        # BLAKE2 of "1:fed/d1": pinned so every shard stream stays the same.
+        assert DomainShard(d1, seed=1).seed == 6154475561874454725
+        assert stream_seed(1, "fed/d1") == 6154475561874454725
+        assert DomainShard(d2, seed=1).seed == stream_seed(1, "fed/d2")
+        assert DomainShard(d1, seed=2).seed == stream_seed(2, "fed/d1")
+        assert len({stream_seed(s, f"fed/{d}")
+                    for s in (1, 2) for d in ("d1", "d2")}) == 4
 
     def test_rebuild_is_standalone(self):
         view = _views(n_domains=2)[0]
@@ -189,7 +194,6 @@ class TestShard:
 
     def test_seed_independent_of_sibling_domains(self):
         """A domain's shard seed never depends on how many siblings exist."""
-        assert shard_seed(5, "d1") == shard_seed(5, "d1")
         s2 = DomainShard(_views(n_domains=2, seed=0)[0], seed=5)
         s4 = DomainShard(_views(n_domains=4, seed=0)[0], seed=5)
         assert s2.seed == s4.seed
@@ -198,7 +202,7 @@ class TestShard:
         view = _views(n_domains=2)[0]
         shard = DomainShard(view, seed=1)
         shard.run_to(12.0)
-        (summary,) = shard.summaries(12.0)
+        (summary,) = shard.summaries(12.0, round_no=3)
         assert isinstance(summary, SubtreeSummary)
         assert summary.receiver_count == view.receiver_count
         assert summary.min_level <= summary.max_level
@@ -208,16 +212,17 @@ class TestShard:
         assert "receiver_id" not in fields and "node" not in fields
         assert shard.summary_bytes_sent == SUMMARY_SIZE
 
-    def test_apply_advice_type_checked(self):
+    def test_deliver_advice_type_checked(self):
         shard = DomainShard(_views()[0], seed=1)
         with pytest.raises(TypeError):
-            shard.apply_advice("not advice")
+            shard.deliver_advice("not advice")
         advice = FederationAdvice(
             session_id="s0", ceiling=4, floor=1, receiver_count=8,
-            bottleneck_bps=1e5, issued_at=4.0,
+            bottleneck_bps=1e5, issued_at=4.0, epoch=1, round=1,
         )
-        shard.apply_advice(advice)
+        assert shard.deliver_advice(advice) is True
         assert shard.advice["s0"] is advice
+        assert shard.advice_received == 1
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +231,13 @@ class TestShard:
 
 
 def _summary(domain="d1", session_id="s0", receivers=2, min_level=1,
-             max_level=3, bottleneck=2e5, now=4.0):
+             max_level=3, bottleneck=2e5, now=4.0, round_no=1):
     return SubtreeSummary(
         domain=domain, session_id=session_id, gateway=f"gw-{domain}",
         receiver_count=receivers, mean_loss=0.01, max_loss=0.05,
         min_level=min_level, max_level=max_level,
         level_sum=receivers * max_level, bottleneck_bps=bottleneck,
-        issued_at=now,
+        issued_at=now, round=round_no,
     )
 
 
@@ -240,17 +245,17 @@ class TestCoordinator:
     def test_rejects_per_receiver_reports(self):
         coord = FederationCoordinator()
         report = Report(receiver_id="R0", session_id="s0", loss_rate=0.1,
-                       bytes=1e4, level=2, t0=0.0, t1=4.0)
+                       bytes=1e4, level=2, t0=0.0, t1=4.0, seq=1)
         with pytest.raises(TypeError, match="SubtreeSummary"):
             coord.receive(report)
-        assert coord.rejected_messages == 1
+        assert coord.type_rejected == 1
         assert coord.tracked() == 0
 
     def test_merge_spans_domains(self):
         coord = FederationCoordinator()
         coord.receive(_summary("d1", min_level=2, max_level=3, bottleneck=3e5))
         coord.receive(_summary("d2", min_level=1, max_level=5, bottleneck=1e5))
-        (advice,) = coord.merge(now=8.0)
+        (advice,) = coord.merge(now=8.0, round_no=1)
         assert advice.ceiling == 5
         assert advice.floor == 1
         assert advice.receiver_count == 4
@@ -261,15 +266,15 @@ class TestCoordinator:
         coord.receive(_summary("d1", min_level=3, max_level=4))
         coord.receive(_summary("d2", receivers=0, min_level=0, max_level=0,
                                bottleneck=0.0))
-        (advice,) = coord.merge(now=8.0)
+        (advice,) = coord.merge(now=8.0, round_no=1)
         assert advice.ceiling == 4 and advice.floor == 3
         assert advice.receiver_count == 2
 
     def test_state_bounded_by_domains_times_sessions(self):
         coord = FederationCoordinator()
-        for _round in range(10):
+        for round_no in range(1, 11):
             for d in ("d1", "d2", "d3"):
-                coord.receive(_summary(d))
+                coord.receive(_summary(d, round_no=round_no))
         assert coord.tracked() == 3  # one latest per (session, domain)
         assert coord.peak_tracked == 3
         assert coord.state_bytes() == 3 * SUMMARY_SIZE

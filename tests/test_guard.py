@@ -7,6 +7,7 @@ hand-built messages; the end-to-end behaviour over the simulated network
 ``tests/test_hardening.py``.
 """
 
+import itertools
 import math
 
 import pytest
@@ -19,10 +20,14 @@ from repro.media.layers import LayerSchedule
 SCHEDULE = LayerSchedule(n_layers=3, base_rate=32_000)
 SID = 0
 KEY = (SID, "R")
+_SEQ = itertools.count(1)
 
 
-def report(loss=0.0, bytes_=None, level=2, t0=0.0, t1=1.0, seq=0, rid="R"):
-    """A Report whose bytes default to the loss-free volume for ``level``."""
+def report(loss=0.0, bytes_=None, level=2, t0=0.0, t1=1.0, seq=None, rid="R"):
+    """A Report whose bytes default to the loss-free volume for ``level``,
+    and whose ``seq`` defaults to one above every seq handed out before."""
+    if seq is None:
+        seq = next(_SEQ)
     if bytes_ is None:
         bytes_ = (1.0 - loss) * SCHEDULE.cumulative(level) * (t1 - t0) / 8.0
     return Report(
@@ -124,7 +129,7 @@ class TestRegisterValidation:
 
     def test_unknown_session(self):
         guard = ReportGuard()
-        msg = Register("R", 99, "rcv", "rcv:0:R")
+        msg = Register("R", 99, "rcv", "rcv:0:R", seq=1)
         assert guard.admit_register((99, "R"), msg, known_session=False) == "unknown_session"
 
     @pytest.mark.parametrize(
@@ -132,7 +137,7 @@ class TestRegisterValidation:
     )
     def test_malformed_register(self, rid, port):
         guard = ReportGuard()
-        msg = Register(rid, SID, "rcv", port)
+        msg = Register(rid, SID, "rcv", port, seq=1)
         assert guard.admit_register(KEY, msg, known_session=True) == "malformed_register"
 
 
@@ -153,13 +158,7 @@ class TestSequencing:
         assert admit(guard, report(seq=4)) is None
         assert guard.rejections["stale_seq"] == 2
 
-    def test_seq_zero_skips_the_check(self):
-        guard = ReportGuard()
-        assert admit(guard, report(seq=5)) is None
-        for _ in range(3):
-            assert admit(guard, report(seq=0)) is None
-
-    @pytest.mark.parametrize("seq", [-1, True, 1.0, "x", None])
+    @pytest.mark.parametrize("seq", [0, -1, True, 1.0, "x", None])
     def test_bad_seq_rejected(self, seq):
         guard = ReportGuard()
         msg = report().__class__(**{**report().__dict__, "seq": seq})

@@ -101,12 +101,13 @@ class TestEpochFencing:
         assert receiver.level == 3
         assert agent.controller_epoch == 6
 
-    def test_epoch_zero_always_admitted(self):
+    def test_epoch_zero_fenced(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         _deliver(agent, Suggestion("R", 0, level=2, issued_at=0.0, epoch=5))
         _deliver(agent, Suggestion("R", 0, level=1, issued_at=0.0, epoch=0))
-        assert receiver.level == 1  # legacy unfenced message still obeyed
-        assert agent.controller_epoch == 5  # high-water mark untouched
+        assert receiver.level == 2  # epoch 0 is just an old epoch
+        assert agent.stale_suggestions_rejected == 1
+        assert agent.controller_epoch == 5
 
     def test_stale_ack_does_not_register(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
@@ -117,11 +118,11 @@ class TestEpochFencing:
 
     def test_malformed_suggestions_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        _deliver(agent, Suggestion("OTHER", 0, level=2, issued_at=0.0))
-        _deliver(agent, Suggestion("R", 99, level=2, issued_at=0.0))
-        _deliver(agent, Suggestion("R", 0, level=-1, issued_at=0.0))
-        _deliver(agent, Suggestion("R", 0, level=99, issued_at=0.0))
-        _deliver(agent, Suggestion("R", 0, level=True, issued_at=0.0))
+        _deliver(agent, Suggestion("OTHER", 0, level=2, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("R", 99, level=2, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("R", 0, level=-1, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("R", 0, level=99, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("R", 0, level=True, issued_at=0.0, epoch=1))
         assert agent.invalid_suggestions_rejected == 5
         assert receiver.level == 1
 
@@ -204,7 +205,7 @@ class TestReportHistory:
     def test_history_pruned_to_64_entries(self):
         controller = self._controller()
         key = (0, "R")
-        controller.registrations[key] = Register("R", 0, "rcv", "rcv:0:R")
+        controller.registrations[key] = Register("R", 0, "rcv", "rcv:0:R", seq=1)
         for seq in range(1, 101):
             controller._on_packet(Packet(
                 src="rcv", dst="src", size=96, kind=CONTROL,
@@ -454,9 +455,10 @@ class TestPacketCorruption:
 
         rep = garbled(Report("R", 0, 0.1, 4000.0, 1, 0.0, 1.0, seq=3))
         assert rep.loss_rate < 0.0 and rep.bytes < 0.0
-        assert garbled(Register("R", 0, "rcv", "rcv:0:R")).port == ""
-        assert garbled(Suggestion("R", 0, level=2, issued_at=0.0)).level == -1
-        ack = garbled(RegisterAck("R", 0))
+        assert garbled(Register("R", 0, "rcv", "rcv:0:R", seq=1)).port == ""
+        suggestion = Suggestion("R", 0, level=2, issued_at=0.0, epoch=1)
+        assert garbled(suggestion).level == -1
+        ack = garbled(RegisterAck("R", 0, epoch=1))
         assert ack.receiver_id != "R"
         assert garbled("mystery") == ("garbled", "mystery")
 
