@@ -13,9 +13,9 @@ paper stations it at a source so its traffic shares the congested links).  It
 The **receiver agent** wraps a :class:`~repro.media.receiver.LayeredReceiver`:
 it registers with the controller (retrying until acknowledged), reports every
 interval, and obeys arriving suggestions.  If suggestions stop arriving for
-``unilateral_after`` seconds (lost control traffic), it makes the paper's
+:data:`UNILATERAL_AFTER` seconds (lost control traffic), it makes the paper's
 "unilateral decision": drop a layer whenever its own loss rate stays above
-threshold.
+:data:`LOSS_THRESHOLD`.
 
 Hardening (see :mod:`repro.control.guard`):
 
@@ -26,10 +26,12 @@ Hardening (see :mod:`repro.control.guard`):
   they have seen).
 * Every inbound report passes the :class:`~repro.control.guard.ReportGuard`;
   quarantined receivers are cut out of the algorithm's inputs, pinned to
-  ``quarantine_level``, and (via :meth:`ControllerAgent.attach_enforcer`)
+  :data:`QUARANTINE_LEVEL`, and (via :meth:`ControllerAgent.attach_enforcer`)
   pruned from the upper layer groups at the tree level.
 * Registrations are RTCP-style soft state: a receiver silent for
-  ``registration_ttl_intervals`` control intervals is forgotten entirely.
+  :data:`REGISTRATION_TTL_INTERVALS` control intervals is forgotten entirely.
+  Everything the controller knows about one receiver is one
+  :class:`ReceiverEntry` in ``ControllerAgent.receivers[session][receiver]``.
 
 For adversarial experiments the receiver agent can be turned byzantine
 (:meth:`ReceiverAgent.set_byzantine`): ``lie_high`` inflates reported loss,
@@ -64,13 +66,34 @@ from .messages import (
 )
 from .session import SessionDescriptor
 
-__all__ = ["ControllerAgent", "ReceiverAgent", "BYZANTINE_MODES"]
+__all__ = ["ControllerAgent", "ReceiverAgent", "ReceiverEntry", "BYZANTINE_MODES"]
 
 #: Recognised byzantine behaviours (combinable with ``+``).
 BYZANTINE_MODES = ("lie_high", "lie_low", "disobey")
 
 #: Enforcer callback: ``(session_id, node, above_level, active)``.
 Enforcer = Callable[[Any, Any, int, bool], None]
+
+#: A receiver that has heard no suggestion for this long (s) acts alone ...
+UNILATERAL_AFTER = 6.0
+#: ... dropping a layer whenever its own interval loss rate exceeds this.
+LOSS_THRESHOLD = 0.05
+#: Registration attempts per round; the first retry waits REGISTER_BACKOFF
+#: (s), doubling up to REGISTER_BACKOFF_CAP, which is also the cool-off
+#: before the next round.
+REGISTER_RETRIES = 5
+REGISTER_BACKOFF = 0.5
+REGISTER_BACKOFF_CAP = 8.0
+
+#: Level a quarantined receiver is pinned to (and pruned above).
+QUARANTINE_LEVEL = 1
+#: A receiver silent for this many control intervals is forgotten.
+REGISTRATION_TTL_INTERVALS = 10.0
+#: While discovery is unavailable, the last discovered tree is served while
+#: at most this old (s); older, the session is skipped for the tick.
+MAX_TREE_AGE = 30.0
+#: Reports kept per receiver: enough to cover any plausible staleness.
+REPORT_HISTORY = 64
 
 
 class ReceiverAgent:
@@ -82,11 +105,6 @@ class ReceiverAgent:
         controller_node: Any,
         interval: float = 2.0,
         rng: Optional[np.random.Generator] = None,
-        unilateral_after: float = 6.0,
-        loss_threshold: float = 0.05,
-        register_retries: int = 5,
-        register_backoff: float = 0.5,
-        register_backoff_cap: float = 8.0,
         reregister_after: Optional[float] = None,
         controller_candidates: Optional[List[Any]] = None,
     ) -> None:
@@ -104,18 +122,13 @@ class ReceiverAgent:
         self.controller_node = self.controller_candidates[0]
         self.interval = interval
         self.rng = rng if rng is not None else fallback_rng()
-        self.unilateral_after = unilateral_after
-        self.loss_threshold = loss_threshold
-        self.register_retries = register_retries
-        self.register_backoff = register_backoff
-        self.register_backoff_cap = register_backoff_cap
         #: Controller-silence deadline: with no ack/suggestion for this long
         #: the agent declares the controller dead, drops its registration and
         #: re-registers (rotating candidates), so a failed-over controller
         #: re-learns its receivers.  Defaults to a conservative multiple of
         #: the control interval; chaos scenarios tighten it.
         self.reregister_after = (
-            max(3 * unilateral_after, 6 * interval)
+            max(3 * UNILATERAL_AFTER, 6 * interval)
             if reregister_after is None
             else reregister_after
         )
@@ -213,16 +226,14 @@ class ReceiverAgent:
         )
         self._send(msg, REGISTER_SIZE)
         self.register_attempts += 1
-        if attempt + 1 >= self.register_retries:
+        if attempt + 1 >= REGISTER_RETRIES:
             # Round exhausted: cool off for the cap, then start over.  The
             # agent never gives up permanently — an orphaned receiver must
             # eventually find a restarted or failed-over controller.
-            delay = self.register_backoff_cap
+            delay = REGISTER_BACKOFF_CAP
             next_attempt = 0
         else:
-            delay = min(
-                self.register_backoff_cap, self.register_backoff * (2.0 ** attempt)
-            )
+            delay = min(REGISTER_BACKOFF_CAP, REGISTER_BACKOFF * (2.0 ** attempt))
             next_attempt = attempt + 1
         delay *= 1.0 + float(self.rng.uniform(-0.25, 0.25))  # jitter
         self._register_ev = self.sched.after(delay, self._register, next_attempt)
@@ -317,7 +328,7 @@ class ReceiverAgent:
 
         A receiver that has *never* heard from the controller (orphaned by a
         lost registration or a controller that was down from the start) uses
-        its own start time as the reference: after ``unilateral_after``
+        its own start time as the reference: after :data:`UNILATERAL_AFTER`
         seconds of silence it manages its subscription unilaterally rather
         than staying over-subscribed forever."""
         reference = self.last_suggestion_at
@@ -325,9 +336,9 @@ class ReceiverAgent:
             reference = self._started_at
             if reference is None:
                 return
-        if self.sched.now - reference < self.unilateral_after:
+        if self.sched.now - reference < UNILATERAL_AFTER:
             return
-        if loss_rate > self.loss_threshold and self.receiver.level > 1:
+        if loss_rate > LOSS_THRESHOLD and self.receiver.level > 1:
             self.receiver.drop_layer()
             self.unilateral_drops += 1
 
@@ -394,6 +405,35 @@ class ReceiverAgent:
                 self.receiver.set_level(msg.level)
 
 
+class ReceiverEntry:
+    """The controller's soft state for one registered receiver: its
+    registration, its recent reports and the last level suggested to it."""
+
+    __slots__ = ("register", "history", "last_heard", "last_suggested")
+
+    def __init__(self, register: Register, now: float) -> None:
+        self.register = register
+        #: ``(arrival time, Report)`` pairs, oldest first, at most
+        #: :data:`REPORT_HISTORY` of them.
+        self.history: List[Tuple[float, Report]] = []
+        #: Time of the last accepted control message.
+        self.last_heard = now
+        #: Last level suggested (the guard's disobedience reference).
+        self.last_suggested: Optional[int] = None
+
+    @property
+    def latest(self) -> Optional[Report]:
+        """The newest accepted report, if any."""
+        return self.history[-1][1] if self.history else None
+
+    def report_as_of(self, cutoff: float) -> Optional[Report]:
+        """Newest report that had arrived by ``cutoff``."""
+        for arrived, rep in reversed(self.history):
+            if arrived <= cutoff:
+                return rep
+        return None
+
+
 class ControllerAgent:
     """The per-domain controller agent running the control loop."""
 
@@ -404,49 +444,24 @@ class ControllerAgent:
         discovery: TopologyDiscovery,
         algorithm: Any,
         interval: float = 2.0,
-        info_staleness: float = 0.0,
-        max_tree_age: Optional[float] = 30.0,
-        guard: Optional[ReportGuard] = None,
         initial_epoch: int = 0,
-        registration_ttl_intervals: Optional[float] = 10.0,
-        quarantine_level: int = 1,
         fence_repairs: bool = False,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if info_staleness < 0:
-            raise ValueError("info_staleness must be >= 0")
-        if max_tree_age is not None and max_tree_age < 0:
-            raise ValueError("max_tree_age must be >= 0 (or None for unbounded)")
         if initial_epoch < 0:
             raise ValueError("initial_epoch must be >= 0")
-        if registration_ttl_intervals is not None and registration_ttl_intervals <= 0:
-            raise ValueError("registration_ttl_intervals must be positive (or None)")
-        if quarantine_level < 0:
-            raise ValueError("quarantine_level must be >= 0")
         self.node = node
         self.sched = node.sched
         self.sessions = {s.session_id: s for s in sessions}
+        #: The paper's Fig. 10 stales "topology and loss information"
+        #: together: the algorithm sees each receiver's report as of
+        #: ``discovery.staleness`` ago, the age of the discovered trees.
         self.discovery = discovery
         self.algorithm = algorithm
         self.interval = interval
-        #: Age of the loss/subscription information the algorithm acts on.
-        #: The paper's Fig. 10 stales "topology and loss information"
-        #: together; the topology half lives in the discovery tool.
-        self.info_staleness = info_staleness
-        #: When discovery is unavailable the controller serves the session's
-        #: last successfully discovered tree, but only while it is at most
-        #: this old (``None`` = serve it forever).  Sessions beyond the bound
-        #: are skipped for the tick rather than acted on blindly.
-        self.max_tree_age = max_tree_age
-        #: Report validation/quarantine layer (always present; pass a guard
-        #: with a custom :class:`~repro.control.guard.GuardConfig` to tune).
-        self.guard = guard if guard is not None else ReportGuard()
-        #: Registrations are soft state: a receiver silent for this many
-        #: control intervals is dropped entirely (None disables expiry).
-        self.registration_ttl_intervals = registration_ttl_intervals
-        #: Level quarantined receivers are pinned to (and pruned above).
-        self.quarantine_level = quarantine_level
+        #: Report validation/quarantine layer.
+        self.guard = ReportGuard()
         #: session_id -> hard layer ceiling imposed from above (federation
         #: bounded-staleness enforcement: a shard whose advice has gone
         #: stale clamps its controller here so a dark domain cannot
@@ -459,18 +474,13 @@ class ControllerAgent:
         #: discovery tool exposing ``disrupted_during``; default off so the
         #: classic experiments are unaffected.
         self.fence_repairs = fence_repairs
-        # (session_id, receiver_id) -> registration info
-        self.registrations: Dict[tuple, Register] = {}
-        # (session_id, receiver_id) -> latest Report (ignoring staleness)
-        self.latest_reports: Dict[tuple, Report] = {}
-        # (session_id, receiver_id) -> [(arrival_time, Report), ...]
-        self._report_history: Dict[tuple, List[tuple]] = {}
+        #: session_id -> receiver_id -> :class:`ReceiverEntry`, in
+        #: registration order: all per-receiver state, one record each.
+        self.receivers: Dict[Any, Dict[Any, ReceiverEntry]] = {
+            sid: {} for sid in self.sessions
+        }
         # session_id -> (discovered_at, tree): last-known-good discovery
         self._last_good_trees: Dict[Any, tuple] = {}
-        # (session_id, receiver_id) -> time of last accepted control message
-        self._last_heard: Dict[tuple, float] = {}
-        # (session_id, receiver_id) -> last suggested level (disobedience ref)
-        self._last_suggested: Dict[tuple, int] = {}
         self.reports_received = 0
         self.suggestions_sent = 0
         self.suggestions_clamped = 0
@@ -535,17 +545,14 @@ class ControllerAgent:
     def clear_state(self) -> None:
         """Forget all learned state (a cold-started replacement controller).
 
-        Clears the registration/report tables, the cached trees, the last
-        suggestion set, the guard's per-receiver records and every per-run
-        counter — a standby must neither serve nor report its predecessor's
-        state.  The epoch is *not* reset: fencing tokens only move forward.
+        Clears the receiver table, the cached trees, the last suggestion
+        set, the guard's per-receiver records and every per-run counter — a
+        standby must neither serve nor report its predecessor's state.  The
+        epoch is *not* reset: fencing tokens only move forward.
         """
-        self.registrations.clear()
-        self.latest_reports.clear()
-        self._report_history.clear()
+        for table in self.receivers.values():
+            table.clear()
         self._last_good_trees.clear()
-        self._last_heard.clear()
-        self._last_suggested.clear()
         self.guard.reset()
         self.session_ceilings.clear()
         self.last_suggestions = None
@@ -562,6 +569,7 @@ class ControllerAgent:
     def add_session(self, descriptor: SessionDescriptor) -> None:
         """Register an additional session to manage."""
         self.sessions[descriptor.session_id] = descriptor
+        self.receivers.setdefault(descriptor.session_id, {})
 
     def attach_enforcer(self, enforcer: Optional[Enforcer]) -> None:
         """Install the tree-level quarantine hook.
@@ -576,8 +584,14 @@ class ControllerAgent:
         self._enforcer = enforcer
 
     # ------------------------------------------------------------------
+    def _entry(self, key: tuple) -> Optional[ReceiverEntry]:
+        """The entry of ``(session_id, receiver_id)``, if registered."""
+        table = self.receivers.get(key[0])
+        return None if table is None else table.get(key[1])
+
     def _on_packet(self, pkt: Packet) -> None:
         msg = pkt.payload
+        now = self.sched.now
         if isinstance(msg, Register):
             key = (msg.session_id, msg.receiver_id)
             reason = self.guard.admit_register(
@@ -585,12 +599,16 @@ class ControllerAgent:
             )
             if reason is not None:
                 return
-            self.registrations[key] = msg
-            self._last_heard[key] = self.sched.now
+            entry = self._entry(key)
+            if entry is None:
+                self.receivers[msg.session_id][msg.receiver_id] = ReceiverEntry(msg, now)
+            else:
+                entry.register = msg
+                entry.last_heard = now
             bus = self.sched.bus
             if bus is not None:
                 bus.emit(
-                    "ctrl.register", self.sched.now,
+                    "ctrl.register", now,
                     receiver=msg.receiver_id, session=msg.session_id, node=msg.node,
                 )
             ack = RegisterAck(
@@ -602,31 +620,30 @@ class ControllerAgent:
         elif isinstance(msg, Report):
             key = (msg.session_id, msg.receiver_id)
             descriptor = self.sessions.get(msg.session_id)
+            entry = self._entry(key)
             reason = self.guard.admit_report(
                 key,
                 msg,
                 descriptor.schedule if descriptor is not None else None,
-                registered=key in self.registrations,
-                now=self.sched.now,
-                last_suggestion=self._last_suggested.get(key),
+                registered=entry is not None,
+                now=now,
+                last_suggestion=None if entry is None else entry.last_suggested,
             )
             if reason is not None:
                 return
-            self.latest_reports[key] = msg
-            self._last_heard[key] = self.sched.now
+            assert entry is not None  # the guard rejects unregistered senders
+            entry.history.append((now, msg))
+            if len(entry.history) > REPORT_HISTORY:
+                del entry.history[0]
+            entry.last_heard = now
             self.reports_received += 1
             bus = self.sched.bus
             if bus is not None:
                 bus.emit(
-                    "ctrl.report", self.sched.now,
+                    "ctrl.report", now,
                     receiver=msg.receiver_id, session=msg.session_id,
                     loss=msg.loss_rate, level=msg.level,
                 )
-            history = self._report_history.setdefault(key, [])
-            history.append((self.sched.now, msg))
-            # Bound memory: keep enough to cover any plausible staleness.
-            if len(history) > 64:
-                del history[: len(history) - 64]
         else:
             self.guard.note_malformed()
 
@@ -644,23 +661,13 @@ class ControllerAgent:
             )
         )
 
-    def _report_as_of(self, key: tuple, cutoff: float) -> Optional[Report]:
-        """Newest report for ``key`` that had arrived by ``cutoff``."""
-        history = self._report_history.get(key)
-        if not history:
-            return None
-        for arrived, rep in reversed(history):
-            if arrived <= cutoff:
-                return rep
-        return None
-
     def _discover_tree(
         self, descriptor: SessionDescriptor, receivers: Dict[Any, Any], now: float
     ) -> Optional[SessionTree]:
         """Discover the session tree, degrading gracefully on failure.
 
         On :class:`DiscoveryUnavailable` the last successfully discovered
-        tree is served while it is younger than :attr:`max_tree_age`;
+        tree is served while it is at most :data:`MAX_TREE_AGE` old;
         otherwise ``None`` (the caller skips the session this tick).
         """
         try:
@@ -671,7 +678,7 @@ class ControllerAgent:
             if cached is None:
                 return None
             discovered_at, tree = cached
-            if self.max_tree_age is not None and now - discovered_at > self.max_tree_age:
+            if now - discovered_at > MAX_TREE_AGE:
                 return None
             return tree
         self._last_good_trees[descriptor.session_id] = (now, tree)
@@ -679,34 +686,37 @@ class ControllerAgent:
 
     def _expire_registrations(self, now: float) -> None:
         """Drop soft state for receivers we have not heard from in a while."""
-        if self.registration_ttl_intervals is None:
-            return
-        ttl = self.registration_ttl_intervals * self.interval
-        for key in list(self.registrations):
-            last = self._last_heard.get(key)
-            if last is not None and now - last <= ttl:
-                continue
-            reg = self.registrations.pop(key)
-            self.latest_reports.pop(key, None)
-            self._report_history.pop(key, None)
-            self._last_heard.pop(key, None)
-            self._last_suggested.pop(key, None)
-            if self.guard.is_quarantined(key) and self._enforcer is not None:
-                # Lift the tree-level block: the departed receiver's node may
-                # be reused by an honest successor.
-                self._enforcer(key[0], reg.node, self.quarantine_level, False)
-            self.guard.forget(key)
-            self.registrations_expired += 1
+        ttl = REGISTRATION_TTL_INTERVALS * self.interval
+        for sid, table in self.receivers.items():
+            for rid in [r for r, e in table.items() if now - e.last_heard > ttl]:
+                entry = table.pop(rid)
+                key = (sid, rid)
+                if self.guard.is_quarantined(key) and self._enforcer is not None:
+                    # Lift the tree-level block: the departed receiver's node
+                    # may be reused by an honest successor.
+                    self._enforcer(sid, entry.register.node, QUARANTINE_LEVEL, False)
+                self.guard.forget(key)
+                self.registrations_expired += 1
 
     def _enforce_transitions(self) -> None:
         """Apply the guard's quarantine/release transitions at tree level."""
         for key, kind, _when in self.guard.drain_transitions():
             if self._enforcer is None:
                 continue
-            reg = self.registrations.get(key)
-            if reg is None:
+            entry = self._entry(key)
+            if entry is None:
                 continue
-            self._enforcer(key[0], reg.node, self.quarantine_level, kind == "quarantined")
+            self._enforcer(key[0], entry.register.node, QUARANTINE_LEVEL, kind == "quarantined")
+
+    def _suggest(self, key: tuple, entry: ReceiverEntry, level: int, now: float) -> None:
+        """Send ``level`` to the receiver and remember it as its last."""
+        entry.last_suggested = level
+        msg = Suggestion(
+            receiver_id=key[1], session_id=key[0], level=level,
+            issued_at=now, epoch=self.epoch,
+        )
+        self._send_to(entry.register.node, entry.register.port, msg, SUGGESTION_SIZE)
+        self.suggestions_sent += 1
 
     # ------------------------------------------------------------------
     def _tick(self, epoch: Optional[int] = None) -> None:
@@ -724,55 +734,42 @@ class ControllerAgent:
             bus.emit(
                 "ctrl.tick.start", now,
                 controller=self.node.name, epoch=self.epoch,
-                registrations=len(self.registrations),
+                registrations=sum(map(len, self.receivers.values())),
             )
         pre_skipped = self.sessions_skipped
         pre_disc_fail = self.discovery_failures
         pre_sent = self.suggestions_sent
         self._expire_registrations(now)
-        cutoff = now - self.info_staleness
+        cutoff = now - self.discovery.staleness
         inputs: List[SessionInput] = []
         audit_trees: Dict[Any, SessionTree] = {}
         audit_reports: Dict[Any, Dict[tuple, Tuple[Report, float]]] = {}
         for sid, descriptor in self.sessions.items():
-            receivers = {
-                rid: reg.node
-                for (s, rid), reg in self.registrations.items()
-                if s == sid
-            }
-            tree = self._discover_tree(descriptor, receivers, now)
+            table = self.receivers[sid]
+            nodes = {rid: entry.register.node for rid, entry in table.items()}
+            tree = self._discover_tree(descriptor, nodes, now)
             if tree is None:
                 self.sessions_skipped += 1
                 continue
             audit_trees[sid] = tree
+            audited: Dict[tuple, Tuple[Report, float]] = {}
+            audit_reports[sid] = audited
             reports = {}
-            for (s, rid) in self.latest_reports:
-                if s != sid:
+            for rid, entry in table.items():
+                if not entry.history:
                     continue
-                key = (s, rid)
-                history = self._report_history.get(key)
-                if history:
-                    audit_reports.setdefault(sid, {})[key] = (
-                        self.latest_reports[key],
-                        history[-1][0],
-                    )
+                key = (sid, rid)
+                arrived, latest = entry.history[-1]
+                audited[key] = (latest, arrived)
                 if self.guard.is_quarantined(key):
                     # Quarantined receivers stay in the tree (and keep being
                     # audited) but their word no longer reaches the algorithm.
                     continue
-                rep = (
-                    self.latest_reports[key]
-                    if self.info_staleness == 0.0
-                    else self._report_as_of(key, cutoff)
-                )
+                rep = entry.report_as_of(cutoff)
                 if rep is None:
                     continue
-                if (
-                    self.fence_repairs
-                    and rid in receivers
-                    and self.discovery.disrupted_during(
-                        descriptor, receivers[rid], rep.t0, rep.t1
-                    )
+                if self.fence_repairs and self.discovery.disrupted_during(
+                    descriptor, entry.register.node, rep.t0, rep.t1
                 ):
                     # The window overlaps a repair disruption at this node:
                     # the loss it reports is the detached subtree, not the
@@ -797,23 +794,18 @@ class ControllerAgent:
         want_sugg = bus is not None and bus.wants("ctrl.suggestion")
         suggested_keys = set()
         for (sid, rid), level in suggestions.items():
-            reg = self.registrations.get((sid, rid))
-            if reg is None:
+            key = (sid, rid)
+            dest = self._entry(key)
+            if dest is None:
                 continue
-            if self.guard.is_quarantined((sid, rid)):
-                level = min(level, self.quarantine_level)
+            if self.guard.is_quarantined(key):
+                level = min(level, QUARANTINE_LEVEL)
             ceiling = self.session_ceilings.get(sid)
             if ceiling is not None and level > ceiling:
                 level = ceiling
                 self.suggestions_clamped += 1
-            suggested_keys.add((sid, rid))
-            self._last_suggested[(sid, rid)] = level
-            msg = Suggestion(
-                receiver_id=rid, session_id=sid, level=level,
-                issued_at=now, epoch=self.epoch,
-            )
-            self._send_to(reg.node, reg.port, msg, SUGGESTION_SIZE)
-            self.suggestions_sent += 1
+            suggested_keys.add(key)
+            self._suggest(key, dest, level, now)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,
@@ -824,21 +816,14 @@ class ControllerAgent:
         for key in self.guard.quarantined_keys():
             if key in suggested_keys:
                 continue
-            reg = self.registrations.get(key)
-            if reg is None:
+            dest = self._entry(key)
+            if dest is None:
                 continue
-            sid, rid = key
-            self._last_suggested[key] = self.quarantine_level
-            msg = Suggestion(
-                receiver_id=rid, session_id=sid, level=self.quarantine_level,
-                issued_at=now, epoch=self.epoch,
-            )
-            self._send_to(reg.node, reg.port, msg, SUGGESTION_SIZE)
-            self.suggestions_sent += 1
+            self._suggest(key, dest, QUARANTINE_LEVEL, now)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,
-                    receiver=rid, session=sid, level=self.quarantine_level,
+                    receiver=key[1], session=key[0], level=QUARANTINE_LEVEL,
                     quarantined=True,
                 )
         if prof is not None:

@@ -10,7 +10,7 @@ This is the end-to-end exercise of the fault-injection subsystem
   class-A receivers lose traffic and control messages, multicast branches
   are torn down and regrafted on each transition.
 * **t=60–80 s** — topology discovery blacks out; the controller keeps
-  serving last-known-good trees (bounded by ``max_tree_age``) so control
+  serving last-known-good trees (bounded by ``MAX_TREE_AGE``, 30 s) so control
   continues through the outage.
 
 Everything is driven by the discrete-event scheduler from a declarative
@@ -45,7 +45,7 @@ def default_chaos_plan() -> FaultPlan:
     discovery blackout (see module docstring for the timeline)."""
     plan = FaultPlan()
     plan.add(20.0, "controller_kill", name="default")
-    plan.add(22.0, "controller_failover", name="default", cold=True)
+    plan.add(22.0, "controller_failover", name="default")
     plan.link_flap(40.0, "core", "agg_a", down_for=3.0, times=2, period=6.0)
     plan.discovery_outage(60.0, 80.0)
     return plan
@@ -58,21 +58,20 @@ def default_chaos_plan() -> FaultPlan:
 #: layers (level 3 needs 192 Kb/s) while letting control traffic through.
 CHAOS_CLASS_B_BW = 150_000.0
 
+#: Receivers' controller-silence deadline in chaos runs (s): the watchdog
+#: fires within ~2 report intervals of a controller death — what makes
+#: "recover within 3 control intervals" achievable for a cold standby.
+CHAOS_REREGISTER_AFTER = 3.0
+
 
 def build_chaos_scenario(
     seed: int = 1,
     n_receivers: int = 4,
     interval: float = 2.0,
-    reregister_after: float = 3.0,
-    max_tree_age: float = 30.0,
     class_b_bw: float = CHAOS_CLASS_B_BW,
 ) -> Scenario:
-    """Topology A plus a ``standby`` controller node hanging off the core.
-
-    Receivers are configured with a tight ``reregister_after`` so the
-    silence watchdog fires within ~2 report intervals of a controller death
-    — the knob that makes "recover within 3 control intervals" achievable
-    for a cold standby.
+    """Topology A plus a ``standby`` controller node hanging off the core;
+    receivers re-register after :data:`CHAOS_REREGISTER_AFTER` of silence.
     """
     if n_receivers < 1:
         raise ValueError("need at least one receiver")
@@ -98,16 +97,16 @@ def build_chaos_scenario(
         "src",
         config=TopoSenseConfig(interval=interval),
         standby_node="standby",
-        max_tree_age=max_tree_age,
     )
-    agent_kwargs = {"reregister_after": reregister_after}
     for i in range(n_a):
         sc.add_receiver(
-            sess.session_id, f"ra{i}", receiver_id=f"A{i}", agent_kwargs=dict(agent_kwargs)
+            sess.session_id, f"ra{i}", receiver_id=f"A{i}",
+            reregister_after=CHAOS_REREGISTER_AFTER,
         )
     for i in range(n_b):
         sc.add_receiver(
-            sess.session_id, f"rb{i}", receiver_id=f"B{i}", agent_kwargs=dict(agent_kwargs)
+            sess.session_id, f"rb{i}", receiver_id=f"B{i}",
+            reregister_after=CHAOS_REREGISTER_AFTER,
         )
     return sc
 

@@ -41,6 +41,7 @@ from ..metrics.guard import quarantine_precision_recall
 from ..metrics.recovery import time_to_suggestion
 from ..multicast.builders import BUILDER_NAMES
 from ..obs.run import fault_log_entries
+from .chaos import CHAOS_REREGISTER_AFTER
 from .scenario import Scenario
 from .topologies import BACKBONE_BW, CLASS_A_BW
 
@@ -101,7 +102,6 @@ def build_churn_scenario(
     n_receivers: int = 6,
     interval: float = 2.0,
     builder: Any = "spt",
-    reregister_after: float = 3.0,
     cross_link_delay: float = 0.5,
 ) -> Scenario:
     """A Topology-A-like network **with redundancy**: the two aggregation
@@ -134,16 +134,15 @@ def build_churn_scenario(
         config=TopoSenseConfig(interval=interval),
         fence_repairs=True,
     )
-    agent_kwargs = {"reregister_after": reregister_after}
     for i in range(n_a):
         sc.add_receiver(
             sess.session_id, f"ra{i}", receiver_id=f"A{i}",
-            agent_kwargs=dict(agent_kwargs),
+            reregister_after=CHAOS_REREGISTER_AFTER,
         )
     for i in range(n_receivers - n_a):
         sc.add_receiver(
             sess.session_id, f"rb{i}", receiver_id=f"B{i}",
-            agent_kwargs=dict(agent_kwargs),
+            reregister_after=CHAOS_REREGISTER_AFTER,
         )
     return sc
 

@@ -60,7 +60,8 @@ class ReceiverHandle:
     mode: str
     agent: Any = None  # ReceiverAgent or RLMReceiver, set at run()
     controller_name: str = "default"
-    agent_kwargs: Optional[Dict[str, Any]] = None  # extra ReceiverAgent args
+    #: The agent's controller-silence deadline (None: the agent's default).
+    reregister_after: Optional[float] = None
     #: Workload receivers start parked: subscribed to nothing, no agent
     #: auto-started at run() — they only come alive via reattach_receiver.
     parked: bool = False
@@ -189,16 +190,16 @@ class Scenario:
         initial_level: int = 1,
         mode: str = "controlled",
         controller: str = "default",
-        agent_kwargs: Optional[Dict[str, Any]] = None,
+        reregister_after: Optional[float] = None,
         parked: bool = False,
     ) -> ReceiverHandle:
         """Place a receiver for ``session_id`` at ``node``.
 
         ``controller`` names the controller agent the receiver registers
         with (only meaningful for ``mode="controlled"``; multi-domain
-        scenarios attach one controller per domain).  ``agent_kwargs`` are
-        forwarded to the :class:`ReceiverAgent` constructed at :meth:`run`
-        (e.g. ``reregister_after`` for chaos scenarios).
+        scenarios attach one controller per domain).  ``reregister_after``
+        is the :class:`ReceiverAgent`'s controller-silence deadline (chaos
+        scenarios tighten it; None keeps the agent's default).
 
         ``parked`` receivers (the workload engine's pre-created population)
         join nothing and get no agent at :meth:`run`; they first come alive
@@ -223,7 +224,7 @@ class Scenario:
         )
         handle = ReceiverHandle(
             receiver_id, session_id, node, receiver, mode,
-            controller_name=controller, agent_kwargs=agent_kwargs,
+            controller_name=controller, reregister_after=reregister_after,
             parked=parked,
         )
         self.receivers.append(handle)
@@ -243,15 +244,10 @@ class Scenario:
         node: Any,
         algorithm: Optional[Any] = None,
         config: Optional[TopoSenseConfig] = None,
-        interval: Optional[float] = None,
         staleness: float = 0.0,
         name: str = "default",
         domain: Optional[set] = None,
         standby_node: Optional[Any] = None,
-        max_tree_age: Optional[float] = 30.0,
-        guard: Optional[Any] = None,
-        registration_ttl_intervals: Optional[float] = 10.0,
-        quarantine_level: int = 1,
         fence_repairs: bool = False,
     ) -> ControllerAgent:
         """Station a controller agent at ``node``.
@@ -259,6 +255,8 @@ class Scenario:
         ``algorithm`` defaults to a fresh :class:`TopoSense`; pass an
         :class:`~repro.baselines.oracle.OracleController` or
         :class:`~repro.baselines.static.StaticController` for baselines.
+        The control interval is ``config.interval`` (the default config's
+        when ``config`` is None).
 
         Multi-domain scenarios (the paper's Fig. 3 hierarchy) attach one
         controller per domain, each with a distinct ``name`` and a
@@ -269,11 +267,10 @@ class Scenario:
         (see :meth:`~repro.faults.injectors.FaultInjector.controller_failover`); receivers
         are given both addresses as registration candidates.
 
-        ``guard`` / ``registration_ttl_intervals`` / ``quarantine_level``
-        configure the controller's report-validation layer (see
-        :mod:`repro.control.guard`); the controller's quarantine enforcer is
-        wired to this scenario's multicast manager so quarantined receivers
-        are pruned from layer groups above ``quarantine_level``.
+        The controller's quarantine enforcer (see :mod:`repro.control.guard`)
+        is wired to this scenario's multicast manager so quarantined
+        receivers are pruned from layer groups above
+        :data:`~repro.control.agent.QUARANTINE_LEVEL`.
 
         ``fence_repairs`` makes the controller discard receiver reports whose
         measurement window overlaps a tree-repair disruption at that
@@ -284,8 +281,6 @@ class Scenario:
         if name in self.controllers:
             raise ValueError(f"controller {name!r} already attached")
         cfg = config if config is not None else TopoSenseConfig()
-        if interval is None:
-            interval = cfg.interval
         if algorithm is None:
             algorithm = TopoSense(
                 config=cfg, rng=self.rngs.fork(f"toposense/backoff/{name}")
@@ -296,12 +291,7 @@ class Scenario:
             list(self.sessions.values()),
             discovery,
             algorithm,
-            interval=interval,
-            info_staleness=staleness,
-            max_tree_age=max_tree_age,
-            guard=guard,
-            registration_ttl_intervals=registration_ttl_intervals,
-            quarantine_level=quarantine_level,
+            interval=cfg.interval,
             fence_repairs=fence_repairs,
         )
         controller.attach_enforcer(self.quarantine_enforcer)
@@ -429,8 +419,8 @@ class Scenario:
                 candidates[0],
                 interval=controller.interval,
                 rng=self.rngs.fork(f"rcvagent/{handle.receiver_id}{stream}"),
+                reregister_after=handle.reregister_after,
                 controller_candidates=candidates,
-                **(handle.agent_kwargs or {}),
             )
         elif handle.mode == "rlm":
             handle.agent = RLMReceiver(

@@ -18,7 +18,7 @@ Typical use::
 
     plan = FaultPlan()
     plan.add(20.0, "controller_kill", name="default")
-    plan.add(22.0, "controller_failover", name="default", cold=True)
+    plan.add(22.0, "controller_failover", name="default")
     plan.link_flap(40.0, "core", "agg_a", down_for=3.0, times=2, period=6.0)
     plan.discovery_outage(60.0, 80.0)
     plan.add(90.0, "byzantine_start", "r3", "lie_low+disobey")

@@ -146,17 +146,16 @@ class FaultInjector(_Injector):
         controller = self._killed.pop(name, None) or self.scenario.controllers[name]
         controller.start()
 
-    def controller_failover(self, name: str = "default", cold: bool = True) -> None:
+    def controller_failover(self, name: str = "default") -> None:
         """Promote the standby node for ``name`` to be the active controller.
 
         Builds a fresh :class:`ControllerAgent` on the standby node sharing
         the primary's discovery tool and algorithm, and replaces the
         scenario's registry entry so subsequent queries see the standby
         (receivers find it through their candidate rotation; see
-        ``ReceiverAgent.controller_candidates``).  With ``cold`` (default)
-        the standby starts with empty registration state and must re-learn
-        its receivers from their re-registrations — the degradation path
-        the chaos scenario exercises.
+        ``ReceiverAgent.controller_candidates``).  The standby starts cold,
+        with an empty receiver table, and re-learns its receivers from their
+        re-registrations — the degradation path the chaos scenario exercises.
         """
         scenario = self.scenario
         primary = scenario.controllers[name]
@@ -171,19 +170,13 @@ class FaultInjector(_Injector):
             primary.discovery,
             primary.algorithm,
             interval=primary.interval,
-            info_staleness=primary.info_staleness,
-            max_tree_age=primary.max_tree_age,
             # Fencing: start() bumps the epoch once more, so the standby ends
             # strictly above anything the deposed primary can ever reach even
             # if the primary is restarted in place afterwards.
             initial_epoch=primary.epoch + 1,
-            registration_ttl_intervals=primary.registration_ttl_intervals,
-            quarantine_level=primary.quarantine_level,
             fence_repairs=primary.fence_repairs,
         )
         standby.attach_enforcer(primary._enforcer)
-        if not cold:
-            standby.registrations.update(primary.registrations)
         scenario.promote_controller(name, standby, standby_node)
         standby.start()
 

@@ -144,60 +144,40 @@ class DomainShard:
         the summary is about to cross the domain boundary.
         """
         controller = self.controller
+        suggested = controller.last_suggestions
         out: List[SubtreeSummary] = []
         for sid in sorted(controller.sessions, key=str):
-            regs = [
-                rid for (s, rid) in sorted(controller.registrations, key=_key)
-                if s == sid
-            ]
-            losses: List[float] = []
-            bottleneck = float("inf")
-            for (s, _rid), report in sorted(
-                controller.latest_reports.items(), key=lambda kv: _key(kv[0])
-            ):
-                if s != sid:
-                    continue
-                losses.append(report.loss_rate)
-                if report.t1 > report.t0:
-                    goodput = report.bytes * 8.0 / (report.t1 - report.t0)
-                    bottleneck = min(bottleneck, goodput)
-            levels = self._suggested_levels(sid)
+            table = controller.receivers[sid]
+            rids = sorted(table, key=str)
+            reports = [r for r in (table[rid].latest for rid in rids) if r is not None]
+            losses = [report.loss_rate for report in reports]
+            bottleneck = min(
+                (report.bytes * 8.0 / (report.t1 - report.t0)
+                 for report in reports if report.t1 > report.t0),
+                default=0.0,
+            )
+            # Last tick's suggested levels; before the first tick (or when it
+            # suggested nothing here), the reported subscription levels.
+            levels = [
+                suggested.levels[(sid, rid)] for rid in rids
+                if suggested is not None and (sid, rid) in suggested.levels
+            ] or [report.level for report in reports]
             out.append(SubtreeSummary(
                 domain=self.domain,
                 session_id=sid,
                 gateway=self.view.gateway,
-                receiver_count=len(regs),
+                receiver_count=len(rids),
                 mean_loss=(sum(losses) / len(losses)) if losses else 0.0,
                 max_loss=max(losses) if losses else 0.0,
                 min_level=min(levels) if levels else 0,
                 max_level=max(levels) if levels else 0,
                 level_sum=sum(levels),
-                bottleneck_bps=(
-                    bottleneck if bottleneck != float("inf") else 0.0
-                ),
+                bottleneck_bps=bottleneck,
                 issued_at=now,
                 round=round_no,
             ))
         self.summary_bytes_sent += SUMMARY_SIZE * len(out)
         return out
-
-    def _suggested_levels(self, sid: Any) -> List[int]:
-        controller = self.controller
-        suggestions = controller.last_suggestions
-        if suggestions is not None:
-            levels = [
-                lvl for (s, _rid), lvl in sorted(
-                    suggestions.items(), key=lambda kv: _key(kv[0])
-                ) if s == sid
-            ]
-            if levels:
-                return levels
-        # Before the first tick, fall back to reported subscription levels.
-        return [
-            report.level for (s, _rid), report in sorted(
-                controller.latest_reports.items(), key=lambda kv: _key(kv[0])
-            ) if s == sid
-        ]
 
     # ------------------------------------------------------------------
     def deliver_advice(
@@ -292,7 +272,3 @@ class DomainShard:
     def control_bytes_intra(self) -> int:
         """Receiver-tier control bytes: receiver agents <-> domain controller."""
         return int(control_bytes(self.scenario))
-
-
-def _key(pair: Any) -> Any:
-    return (str(pair[0]), str(pair[1]))

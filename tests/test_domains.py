@@ -92,10 +92,10 @@ class TestTwoDomainScenario:
     def test_each_controller_sees_only_its_receivers(self):
         sc = build_two_domain_topology(receivers_per_domain=2, seed=3)
         sc.run(30.0)
-        d1_regs = set(sc.controllers["d1"].registrations)
-        d2_regs = set(sc.controllers["d2"].registrations)
-        assert all(rid.startswith("D1") for _, rid in d1_regs)
-        assert all(rid.startswith("D2") for _, rid in d2_regs)
+        d1_regs = [rid for t in sc.controllers["d1"].receivers.values() for rid in t]
+        d2_regs = [rid for t in sc.controllers["d2"].receivers.values() for rid in t]
+        assert all(rid.startswith("D1") for rid in d1_regs)
+        assert all(rid.startswith("D2") for rid in d2_regs)
         assert d1_regs and d2_regs
 
     def test_duplicate_domain_name_rejected(self):

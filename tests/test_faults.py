@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.control.agent import REGISTER_BACKOFF
 from repro.experiments.chaos import (
     build_chaos_scenario,
     default_chaos_plan,
@@ -131,7 +132,7 @@ def _line_scenario(seed=1, access_bw=500e3):
     return sc
 
 
-def _standby_scenario(**agent_kwargs):
+def _standby_scenario(reregister_after=None):
     """:func:`_line_scenario` plus a standby controller node off ``mid``."""
     sc = Scenario(seed=1)
     for n in ("src", "mid", "standby", "rcv"):
@@ -141,7 +142,7 @@ def _standby_scenario(**agent_kwargs):
     sc.add_link("mid", "rcv", bandwidth=500e3)
     sess = sc.add_session("src", traffic="cbr")
     sc.attach_controller("src", standby_node="standby")
-    sc.add_receiver(sess.session_id, "rcv", receiver_id="R", agent_kwargs=agent_kwargs)
+    sc.add_receiver(sess.session_id, "rcv", receiver_id="R", reregister_after=reregister_after)
     return sc
 
 
@@ -211,7 +212,7 @@ class TestControllerFault:
     def test_crash_then_restart_receiver_reregisters(self):
         sc = _line_scenario()
         # Tight silence deadline so the watchdog fires quickly.
-        sc.receivers[0].agent_kwargs = {"reregister_after": 3.0}
+        sc.receivers[0].reregister_after = 3.0
         plan = (FaultPlan().add(10.0, "controller_kill")
                 .add(16.0, "controller_restart"))
         plan.apply(sc)
@@ -235,7 +236,7 @@ class TestControllerFault:
         assert standby.node.name == "standby"
         assert not primary.active and standby.active
         # Cold standby re-learned the receiver from its re-registration.
-        assert (sess.session_id, "R") in standby.registrations
+        assert list(standby.receivers[sess.session_id]) == ["R"]
         agent = sc.receivers[0].agent
         assert agent.controller_node == "standby"
         assert time_to_suggestion(agent.suggestion_times, 12.0) < 10.0
@@ -262,10 +263,15 @@ class TestDiscoveryFault:
 
     def test_blackout_beyond_tree_age_skips_sessions(self):
         sc = _line_scenario()
-        sc.controller.max_tree_age = 4.0
-        plan = FaultPlan().discovery_outage(10.0, 30.0)
+        plan = FaultPlan().discovery_outage(10.0, 50.0)
         plan.apply(sc)
-        sc.run(29.0)
+        # The last tree discovered before the outage (t = 9.5) is served
+        # while it is at most MAX_TREE_AGE (30 s) old ...
+        sc.run(38.0)
+        assert sc.controller.discovery_failures > 0
+        assert sc.controller.sessions_skipped == 0
+        # ... and the session is skipped once the tree is older.
+        sc.run(11.0)
         assert sc.controller.sessions_skipped > 0
 
 
@@ -294,7 +300,7 @@ def test_every_scenario_kind_fires_once_from_a_replayed_plan():
         .add(24.0, "discovery_restore")
         .add(28.0, "controller_kill", name="default")
         .add(30.0, "controller_restart", name="default")
-        .add(32.0, "controller_failover", name="default", cold=True)
+        .add(32.0, "controller_failover", name="default")
         .add(36.0, "byzantine_start", "R", "lie_high")
         .add(40.0, "byzantine_stop", "R")
         .add(42.0, "control_corrupt", "rcv", mode="duplicate", rate=0.5)
@@ -344,7 +350,7 @@ class TestRegisterBackoff:
         # A full round spans backoff * (2^5 - 1) plus the cool-off, far more
         # than retries-at-fixed-backoff would: attempts are not equally
         # spaced.  With jitter <= 25 %, attempts within 40 s stay bounded.
-        max_attempts = 40.0 / (0.75 * agent.register_backoff)
+        max_attempts = 40.0 / (0.75 * REGISTER_BACKOFF)
         assert agent.register_attempts < max_attempts
 
 

@@ -272,10 +272,10 @@ class TestShardStaleness:
         shard.run_to(24.0)
         controller = shard.controller
         assert controller.suggestions_clamped > 0
-        # _last_suggested holds what was actually sent, post-clamp
+        # last_suggested holds what was actually sent, post-clamp
         assert all(
-            lvl <= 1 for (s, _rid), lvl in controller._last_suggested.items()
-            if s == sid
+            entry.last_suggested <= 1 for entry in controller.receivers[sid].values()
+            if entry.last_suggested is not None
         )
 
     def test_budget_validation(self):

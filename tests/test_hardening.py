@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.static import StaticController
-from repro.control.agent import ControllerAgent, ReceiverAgent
+from repro.control.agent import ControllerAgent, ReceiverAgent, ReceiverEntry
 from repro.control.discovery import TopologyDiscovery
 from repro.control.messages import (
     CONTROL_PORT,
@@ -147,8 +147,7 @@ class TestEpochFencing:
         sc.add_link("mid", "rcv", bandwidth=500e3)
         sess = sc.add_session("src", traffic="cbr")
         sc.attach_controller("src", standby_node="standby")
-        sc.add_receiver(sess.session_id, "rcv", receiver_id="R",
-                        agent_kwargs={"reregister_after": 3.0})
+        sc.add_receiver(sess.session_id, "rcv", receiver_id="R", reregister_after=3.0)
         primary = sc.controller
         plan = (
             FaultPlan()
@@ -174,48 +173,54 @@ class TestEpochFencing:
         assert agent.registered
 
 
+def _to_controller(controller, msg):
+    """Hand a control message straight to the controller agent."""
+    controller._on_packet(Packet(
+        src="rcv", dst="src", size=96, kind=CONTROL,
+        port=CONTROL_PORT, payload=msg, created_at=controller.sched.now,
+    ))
+
+
+def _rep(seq, loss=0.0, session=0):
+    return Report("R", session, loss_rate=loss, bytes=4000.0, level=1,
+                  t0=0.0, t1=1.0, seq=seq)
+
+
 # ----------------------------------------------------------------------
-# Report history (_report_as_of) edge cases
+# Report history (ReceiverEntry.report_as_of) edge cases
 # ----------------------------------------------------------------------
 class TestReportHistory:
-    def _controller(self):
-        return build()[5]
-
-    def _rep(self, seq, loss=0.0):
-        return Report("R", 0, loss_rate=loss, bytes=4000.0, level=1,
-                      t0=0.0, t1=1.0, seq=seq)
+    def _entry(self):
+        return ReceiverEntry(Register("R", 0, "rcv", "rcv:0:R", seq=1), now=0.0)
 
     def test_empty_history_returns_none(self):
-        controller = self._controller()
-        assert controller._report_as_of((0, "R"), cutoff=10.0) is None
+        entry = self._entry()
+        assert entry.report_as_of(10.0) is None
+        assert entry.latest is None
 
     def test_cutoff_exactly_at_arrival_included(self):
-        controller = self._controller()
-        rep = self._rep(1)
-        controller._report_history[(0, "R")] = [(5.0, rep)]
-        assert controller._report_as_of((0, "R"), cutoff=5.0) is rep
-        assert controller._report_as_of((0, "R"), cutoff=4.999) is None
+        entry = self._entry()
+        rep = _rep(1)
+        entry.history.append((5.0, rep))
+        assert entry.report_as_of(5.0) is rep
+        assert entry.report_as_of(4.999) is None
 
     def test_newest_eligible_report_wins(self):
-        controller = self._controller()
-        a, b, c = self._rep(1), self._rep(2), self._rep(3)
-        controller._report_history[(0, "R")] = [(1.0, a), (2.0, b), (3.0, c)]
-        assert controller._report_as_of((0, "R"), cutoff=2.5) is b
+        entry = self._entry()
+        a, b, c = _rep(1), _rep(2), _rep(3)
+        entry.history.extend([(1.0, a), (2.0, b), (3.0, c)])
+        assert entry.report_as_of(2.5) is b
+        assert entry.latest is c
 
     def test_history_pruned_to_64_entries(self):
-        controller = self._controller()
-        key = (0, "R")
-        controller.registrations[key] = Register("R", 0, "rcv", "rcv:0:R", seq=1)
+        controller = build()[5]
+        controller.receivers[0]["R"] = entry = self._entry()
         for seq in range(1, 101):
-            controller._on_packet(Packet(
-                src="rcv", dst="src", size=96, kind=CONTROL,
-                port=CONTROL_PORT, payload=self._rep(seq), created_at=0.0,
-            ))
-        history = controller._report_history[key]
-        assert len(history) == 64
+            _to_controller(controller, _rep(seq))
+        assert len(entry.history) == 64
         # The oldest 36 were dropped; the newest survive in order.
-        assert [rep.seq for _, rep in history] == list(range(37, 101))
-        assert controller.latest_reports[key].seq == 100
+        assert [rep.seq for _, rep in entry.history] == list(range(37, 101))
+        assert entry.latest.seq == 100
 
 
 # ----------------------------------------------------------------------
@@ -229,14 +234,10 @@ class TestControllerState:
         sched.run(until=6.0)
         assert controller.reports_received > 0
         assert controller.last_suggestions is not None
-        assert controller._last_suggested
+        assert controller.receivers[0]["R"].last_suggested == 2
         epoch_before = controller.epoch
         controller.clear_state()
-        assert controller.registrations == {}
-        assert controller.latest_reports == {}
-        assert controller._report_history == {}
-        assert controller._last_heard == {}
-        assert controller._last_suggested == {}
+        assert controller.receivers == {0: {}}
         assert controller.last_suggestions is None
         assert controller.reports_received == 0
         assert controller.suggestions_sent == 0
@@ -252,12 +253,11 @@ class TestControllerState:
         controller.start()
         agent.start()
         sched.run(until=5.0)
-        assert (0, "R") in controller.registrations
+        assert "R" in controller.receivers[0]
         agent.stop()  # receiver departs without a goodbye
         # TTL is 10 intervals of 1 s; well past it the soft state is gone.
         sched.run(until=20.0)
-        assert (0, "R") not in controller.registrations
-        assert (0, "R") not in controller.latest_reports
+        assert controller.receivers[0] == {}
         assert controller.registrations_expired == 1
 
     def test_active_registration_never_expires(self):
@@ -265,19 +265,35 @@ class TestControllerState:
         controller.start()
         agent.start()
         sched.run(until=30.0)
-        assert (0, "R") in controller.registrations
+        assert "R" in controller.receivers[0]
         assert controller.registrations_expired == 0
 
-    def test_ttl_none_disables_expiry(self):
-        sched, net, mcast, desc, receiver, controller, agent = build(
-            registration_ttl_intervals=None
-        )
-        controller.start()
-        agent.start()
-        sched.run(until=5.0)
-        agent.stop()
-        sched.run(until=30.0)
-        assert (0, "R") in controller.registrations
+    def test_sessions_sharing_a_receiver_id_keep_separate_entries(self):
+        """State is keyed by (session, receiver): expiring or clearing one
+        session's "R" must not touch the other's entry or reports."""
+        sched, net, mcast, desc, receiver, controller, agent = build()
+        groups = tuple(mcast.create_group("src") for _ in range(3))
+        controller.add_session(SessionDescriptor(1, "src", groups, desc.schedule))
+        for sid in (0, 1):
+            _to_controller(controller, Register("R", sid, "rcv", f"rcv:{sid}:R", seq=1))
+            _to_controller(controller, _rep(2, loss=0.1 * sid, session=sid))
+        sched.run(until=8.0)
+        _to_controller(controller, _rep(3, session=0))  # session 0 stays fresh
+        # TTL is 10 intervals of 1 s: session 1's "R" (silent since t=0)
+        # expires at t=12, session 0's (heard at t=8) does not.
+        controller._expire_registrations(12.0)
+        assert controller.receivers[1] == {}
+        kept = controller.receivers[0]["R"]
+        assert [(rep.session_id, rep.seq) for _, rep in kept.history] == [(0, 2), (0, 3)]
+        assert kept.register.port == "rcv:0:R"
+        assert controller.registrations_expired == 1
+        # After a cold clear, session 1's "R" registering again brings back
+        # nothing of session 0's.
+        controller.clear_state()
+        _to_controller(controller, Register("R", 1, "rcv", "rcv:1:R", seq=1))
+        assert controller.receivers[0] == {}
+        assert controller.receivers[1]["R"].register.port == "rcv:1:R"
+        assert controller.receivers[1]["R"].latest is None
 
     def test_bad_controller_params_rejected(self):
         sched = Scheduler()
@@ -291,10 +307,6 @@ class TestControllerState:
 
         with pytest.raises(ValueError):
             make(initial_epoch=-1)
-        with pytest.raises(ValueError):
-            make(registration_ttl_intervals=0.0)
-        with pytest.raises(ValueError):
-            make(quarantine_level=-1)
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +332,7 @@ class TestByzantineReceiver:
         assert agent.lies_told > 0
         assert controller.guard.is_quarantined((0, "R"))
         assert controller.guard.strike_counts["inconsistent_loss"] >= 3
-        # Suggestions clamp to quarantine_level (1), and the honest media
+        # Suggestions clamp to QUARANTINE_LEVEL (1), and the honest media
         # path still obeys them: the receiver sits at 1, not Static's 2.
         assert receiver.level == 1
 
@@ -403,7 +415,7 @@ class TestQuarantineEnforcement:
 
     def test_disobedient_liar_pruned_from_upper_layers(self):
         # End-to-end: in a scenario (enforcer wired), a lie_low+disobey
-        # receiver is physically cut from every group above quarantine_level
+        # receiver is physically cut from every group above QUARANTINE_LEVEL
         # even though it ignores all suggestions.
         sc = _line_scenario(access_bw=1.5e6)
         FaultPlan().add(10.0, "byzantine_start", "R", "lie_low+disobey").apply(sc)

@@ -13,7 +13,10 @@ and is still wrong (DESIGN.md §11 has the trial that chose them):
   rule or an explicit exemption;
 * ``annotation_names`` — every name an annotation uses is bound in its
   module (``typing.get_type_hints`` raises ``NameError`` on one that is not;
-  with postponed annotations nothing else ever evaluates them).
+  with postponed annotations nothing else ever evaluates them);
+* ``unused_options`` — every keyword parameter of the agents' constructors
+  and of ``Scenario.attach_controller``/``add_receiver`` is passed by some
+  call under ``src/`` or ``bench/``; an option only tests set is a constant.
 
 Each check takes parsed sources keyed by their path under ``src/repro/`` and
 returns ``path:line message`` strings.  An exemption is a path in
@@ -35,6 +38,7 @@ from repro.simnet import link
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+BENCH = ROOT / "bench"
 
 #: The message dataclasses, name -> field names.
 MESSAGE_FIELDS = {
@@ -48,6 +52,11 @@ MESSAGE_FIELDS = {
 def sources():
     return {p.relative_to(SRC).as_posix(): ast.parse(p.read_text())
             for p in sorted(SRC.rglob("*.py"))}
+
+
+@lru_cache(maxsize=None)
+def bench_sources():
+    return {f"bench/{p.name}": ast.parse(p.read_text()) for p in sorted(BENCH.glob("*.py"))}
 
 
 def parse(snippets):
@@ -241,7 +250,54 @@ def annotation_names(trees):
     return sorted(set(hits))
 
 
-CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage, annotation_names)
+#: ``(path, class, method)`` whose keyword parameters must each be passed by
+#: a call somewhere; calls name a constructor by its class.
+OPTION_OWNERS = (
+    ("control/agent.py", "ControllerAgent", "__init__"),
+    ("control/agent.py", "ReceiverAgent", "__init__"),
+    ("experiments/scenario.py", "Scenario", "attach_controller"),
+    ("experiments/scenario.py", "Scenario", "add_receiver"),
+)
+
+
+def _method(tree, cls, name):
+    return next((f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls
+                 for f in c.body if isinstance(f, ast.FunctionDef) and f.name == name), None)
+
+
+def _passed(call, params):
+    """Parameter names ``call`` passes, by keyword or by position."""
+    names = {k.arg for k in call.keywords if k.arg is not None}
+    for arg, name in zip(call.args, params):
+        if isinstance(arg, ast.Starred):
+            break
+        names.add(name)
+    return names
+
+
+def unused_options(trees, callers=None, owners=OPTION_OWNERS):
+    callers = bench_sources() if callers is None else callers
+    hits = []
+    for path, cls, name in owners:
+        func = _method(trees[path], cls, name) if path in trees else None
+        if func is None:
+            hits.append(f"{path}:1 `{cls}.{name}` not found")
+            continue
+        params = [a.arg for a in func.args.args[1:]]  # without self
+        options = params[len(params) - len(func.args.defaults):]
+        options += [a.arg for a in func.args.kwonlyargs]
+        callee_name = cls if name == "__init__" else name
+        passed = set().union(*(_passed(call, params)
+                               for _, call in calls({**trees, **callers})
+                               if callee(call) == callee_name))
+        hits += [f"{path}:{func.lineno} `{cls}.{name}({option}=)` is passed by no "
+                 "call under src/ or bench/ — make it a constant"
+                 for option in options if option not in passed]
+    return hits
+
+
+CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage, annotation_names,
+          unused_options)
 
 #: Check -> paths under src/repro/ whose hits are sanctioned.
 EXEMPT = {
@@ -308,6 +364,14 @@ BAD = {
                          "    def g(s: Set) -> None: ...\n"
                          "class C:\n    y: Deque[int]\n"}, {},
         ["a.py:4 `Iterable`", "a.py:4 `Tuple`", "a.py:6 `Set`", "a.py:8 `Deque`"]),
+    unused_options: (
+        {"control/a.py": "class Agent:\n"
+                         "    def __init__(self, node, rate=1.0, *, cap=None, ttl=3):\n"
+                         "        pass\n",
+         "experiments/b.py": "Agent(n, 2.0)\nAgent(n, *args, ttl=1)\nAgent(**kw)\n"},
+        {"callers": {}, "owners": (("control/a.py", "Agent", "__init__"),
+                                   ("control/a.py", "Agent", "stop"))},
+        ["control/a.py:2 `Agent.__init__(cap=)`", "control/a.py:1 `Agent.stop` not found"]),
 }
 
 
