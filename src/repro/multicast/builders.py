@@ -10,6 +10,13 @@ member set or a tree, and the network: the manager builds one tree per
 source over the members of all its groups and cuts each group's tree from
 it, so builders know nothing of groups.
 
+There is one walk for trees, :func:`graft`: a member's cached shortest path
+walked up to the first node already on the tree, the way a DVMRP/PIM join
+grafts one branch.  A full build is that graft of every member onto the
+bare source; between full builds the manager grafts a joining node onto
+the tree in place (and prunes a leaving one), which gives the same tree
+because every path comes from the source's one shortest-path map.
+
 Both backends build the same tree:
 
 * :class:`SPTBuilder` (``"spt"``, the default) — the union of delay-weighted
@@ -36,6 +43,7 @@ __all__ = [
     "ProtectedTreeBuilder",
     "SPTBuilder",
     "TreeBuilder",
+    "graft",
     "make_builder",
 ]
 
@@ -50,8 +58,10 @@ class TreeBuilder:
     returns ``tree`` healed of the loss of ``failed`` as a new edge set, or
     ``None`` when only a full rebuild can (the manager then falls back to
     :meth:`build`).  ``precompute(source, tree, network)`` is an optional
-    hook the manager calls whenever a source's tree changes, for backends
-    that prepare repair material ahead of failures.
+    hook the manager calls whenever it replaces a source's tree, for
+    backends that prepare repair material ahead of failures, and
+    ``amend(source, added, removed, network)`` the one it calls when a
+    graft or prune changed the tree in place.
     """
 
     name = "abstract"
@@ -66,27 +76,33 @@ class TreeBuilder:
     def precompute(self, source: Any, tree: Set[Edge], network) -> None:  # noqa: B027
         pass
 
+    def amend(self, source: Any, added: Iterable[Edge], removed: Iterable[Edge],  # noqa: B027
+              network) -> None:
+        pass
 
-def _spt_edges(source: Any, members: Iterable[Any], network) -> Set[Edge]:
-    """Union of delay-weighted shortest paths source -> each member.
+
+def graft(tree: Dict[Any, Any], source: Any, members: Iterable[Any], network) -> List[Edge]:
+    """Graft each member's delay-weighted shortest path from ``source``
+    onto ``tree`` (``{node: parent}``, the source not a key); returns the
+    edges added, each branch from its branch point down.
 
     Every path comes from the one shortest-path map of ``source``, so a
     node already on the tree brings its whole path with it: each member's
-    path is walked from the member up and the walk stops there.
+    path is walked from the member up and the walk stops there.  A member
+    with no path adds nothing.
     """
-    edges: Set[Edge] = set()
-    on_tree = {source}
+    added: List[Edge] = []
     for member in members:
         path = network.cached_path(source, member)
         if path is None:
             continue
-        for i in range(len(path) - 1, 0, -1):
-            node = path[i]
-            if node in on_tree:
-                break
-            on_tree.add(node)
-            edges.add((path[i - 1], node))
-    return edges
+        top = len(path) - 1
+        while top > 0 and path[top] not in tree:
+            top -= 1
+        for i in range(top + 1, len(path)):
+            tree[path[i]] = path[i - 1]
+            added.append((path[i - 1], path[i]))
+    return added
 
 
 class SPTBuilder(TreeBuilder):
@@ -101,7 +117,7 @@ class SPTBuilder(TreeBuilder):
     name = "spt"
 
     def build(self, source: Any, members: Iterable[Any], network) -> Set[Edge]:
-        return _spt_edges(source, members, network)
+        return set(graft({}, source, members, network))
 
 
 class ProtectedTreeBuilder(SPTBuilder):
@@ -134,12 +150,21 @@ class ProtectedTreeBuilder(SPTBuilder):
         edge moves to the back, and equal-delay ties follow that order) and
         the path cache intact.
         """
-        backups: Dict[Edge, Tuple[Any, ...]] = {}
-        for u, v in tree:
+        self._backups[source] = {}
+        self.amend(source, tree, (), network)
+
+    def amend(self, source: Any, added: Iterable[Edge], removed: Iterable[Edge],
+              network) -> None:
+        """Keep the backups in step with a graft or prune: drop the pruned
+        edges' branches, store the grafted edges' (the same lookup as
+        :meth:`precompute`'s, so no stale backup outlives its edge)."""
+        backups = self._backups.setdefault(source, {})
+        for edge in removed:
+            backups.pop(edge, None)
+        for u, v in added:
             path = network.shortest_path_avoiding(source, v, u, v)
             if path is not None:
                 backups[(u, v)] = path
-        self._backups[source] = backups
 
     # ------------------------------------------------------------------
     def repair(self, source: Any, tree: Set[Edge], failed: Iterable[Edge],

@@ -28,9 +28,15 @@ reproduced.
 
 A source's tree changes only on a change of the source's member set or of
 the topology (:meth:`MulticastManager.on_topology_change` states the rule),
-and then only the groups whose cut can differ are re-cut.  The manager
-tracks per-member *disruption windows* (orphaned intervals), which the
-control plane reads to fence reports measured across a repair.
+and then only the groups whose cut can differ are re-cut.  A membership
+change costs a path, not a tree: while the tree is *canonical* — fully
+built at the current topology epoch and not locally repaired since — a
+node's first join grafts its shortest path onto the tree in place and its
+last leave prunes the branch back, exactly as a DVMRP/PIM graft or prune
+would, and the group's cut grows or shrinks along the same branch; a full
+build runs only on a tree that is not canonical.  The manager tracks
+per-member *disruption windows* (orphaned intervals), which the control
+plane reads to fence reports measured across a repair.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..simnet.topology import Network
 from .addressing import GroupAllocator
-from .builders import TreeBuilder, make_builder
+from .builders import TreeBuilder, graft, make_builder
 
 __all__ = ["GroupState", "MulticastManager"]
 
@@ -68,6 +74,9 @@ class GroupState:
         #: ``desired and not blocked`` (receiver-quarantine enforcement).
         self.blocked: Set[Any] = set()
         self.edges: Set[Edge] = set()
+        #: The same cut as ``node -> downstream neighbours``: the forwarding
+        #: entries installed for the group.
+        self.children: Dict[Any, Set[Any]] = {}
         #: Every edge set the group has had installed, oldest first, and
         #: the time each was installed: :meth:`MulticastManager.snapshot_at`
         #: bisects the times.
@@ -78,14 +87,6 @@ class GroupState:
         self.orphan_since: Dict[Any, float] = {}
         #: Closed disruption windows ``(member, t0, t1)``, oldest first.
         self.disruptions: List[Tuple[Any, float, float]] = []
-
-    def tree_nodes(self) -> Set[Any]:
-        """All nodes currently spanned by the distribution tree."""
-        nodes = {self.source}
-        for u, v in self.edges:
-            nodes.add(u)
-            nodes.add(v)
-        return nodes
 
 
 class MulticastManager:
@@ -135,6 +136,11 @@ class MulticastManager:
         #: source -> its distribution tree as ``{node: parent}``, built over
         #: the members of all the source's groups.
         self._trees: Dict[Any, Dict[Any, Any]] = {}
+        #: source -> the topology epoch its tree was last fully built at.
+        #: While it is the current epoch the tree is canonical, and grafts
+        #: and prunes edit it in place.  A local repair answers a removal,
+        #: which started a new epoch: a repaired tree is never canonical.
+        self._canonical: Dict[Any, int] = {}
         self.allocator = GroupAllocator()
         #: Optional :class:`~repro.obs.profile.Profiler`; when set, tree
         #: construction charges ``tree.build`` and local repairs charge
@@ -223,28 +229,23 @@ class MulticastManager:
         return effective
 
     def _prune_delay(self, state: GroupState, member: Any) -> float:
-        """Propagation time for an expedited prune from ``member`` up to the
-        deepest ancestor that still serves another branch."""
-        if member == state.source or member not in state.tree_nodes():
-            return self.igmp_report_delay
-        # Count downstream members below each ancestor; the prune stops at
-        # the first ancestor with another active branch (or the source).
-        path = self.network.shortest_path_or_none(state.source, member)
-        if path is None:  # partitioned: the branch is already effectively gone
-            return self.igmp_report_delay
+        """Propagation time for an expedited prune from ``member`` up the
+        group's installed tree to the deepest ancestor that still serves
+        another branch: another member downstream of ``member``, another
+        child, a member of its own, or the source."""
+        source, parent = state.source, self._trees[state.source]
         delay = self.igmp_report_delay
-        members_below: Dict[Any, int] = {}
-        for m in state.members:
-            if m == member:
-                continue
-            for node in self.network.shortest_path_or_none(state.source, m) or ():
-                members_below[node] = members_below.get(node, 0) + 1
-        for i in range(len(path) - 1, 0, -1):
-            parent = path[i - 1]
-            delay += self.network.edge_delay(parent, path[i])
-            if members_below.get(parent, 0) > 0 or parent == state.source:
-                break
-        return delay
+        if member == source or (parent.get(member), member) not in state.edges:
+            return delay  # not on the tree: the branch is already gone
+        links, children = self.network.links, state.children
+        below = member in children  # holds every ancestor's branch
+        node = member
+        while True:
+            up = parent[node]
+            delay += links[(up, node)].delay
+            if below or up == source or up in state.members or len(children[up]) > 1:
+                return delay
+            node = up
 
     def set_blocked(self, group: int, member: Any, blocked: bool) -> float:
         """Administratively block ``member`` from ``group`` (or unblock).
@@ -277,9 +278,16 @@ class MulticastManager:
 
         Join/leave races resolve to whatever was requested most recently
         because each apply event re-reads ``desired`` (and the deny-list) at
-        its fire time.  A node's first join or last leave across the
-        source's groups rebuilds the source's tree; any other join or leave
-        leaves the tree as it is.  Either way the group is re-cut.
+        its fire time.  A node's first join across the source's groups
+        grafts its path onto the source's tree, and its last leave prunes
+        the branch, upward while a node has no child and is a member of none
+        of the source's groups — both in place on a canonical tree; a tree
+        that is not canonical is rebuilt instead.  Any other join or leave
+        leaves the tree as it is.  Either way the group's cut grows or
+        shrinks along the member's branch (re-cut whole after a rebuild),
+        and a sibling group is re-cut only when its cut can differ.  Every
+        outcome — cuts, counters, events, snapshots, backups — is the one a
+        full rebuild would give.
         """
         want = state.desired.get(member, False) and member not in state.blocked
         have = member in state.members
@@ -289,14 +297,43 @@ class MulticastManager:
             state.members.add(member)
         else:
             state.members.discard(member)
-        siblings = [s for s in self.groups.values() if s.source == state.source]
-        recut = [state]
-        if not any(member in s.members for s in siblings if s is not state):
-            lost = self._build_tree(state.source)
-            recut = [s for s in siblings if s is state or self._stale(s, lost)]
-        for s in recut:
+        source = state.source
+        siblings = [s for s in self.groups.values() if s.source == source]
+        if any(member in s.members for s in siblings if s is not state):
             self.builds += 1
-            self._recut(s)
+            self._recut_member(state, member)
+            return
+        if self._canonical.get(source) != self.network.topology_epoch:
+            lost = self._build_tree(source)
+            for s in siblings:
+                if s is state or self._stale(s, lost):
+                    self.builds += 1
+                    self._recut(s)
+            return
+        tree = self._trees[source]
+        pruned: List[Edge] = []
+        if want:
+            added = graft(tree, source, (member,), self.network)
+            self.builder.amend(source, added, (), self.network)
+            self._recut_member(state, member)
+        else:
+            # The cut is pruned first: the tree's branch is its way up.
+            self._recut_member(state, member)
+            # Canonical, the tree is the union of its groups' cuts: a node
+            # keeps a child exactly while some group's cut gives it one.
+            node = member
+            while node != source and node in tree and not any(
+                    node in s.members or node in s.children for s in siblings):
+                up = tree.pop(node)
+                pruned.append((up, node))
+                node = up
+            self.builder.amend(source, (), pruned, self.network)
+        self.builds += 1
+        lost = set(pruned)
+        for s in siblings:
+            if s is not state and self._stale(s, lost):
+                self.builds += 1
+                self._recut(s)
 
     # ------------------------------------------------------------------
     # Fault reaction
@@ -314,7 +351,8 @@ class MulticastManager:
         deliberately preserved so recovery is automatic.  A source's tree
         changes in three cases and no others:
 
-        * **Its member set changed** (:meth:`_apply`): rebuilt.
+        * **Its member set changed** (:meth:`_apply`): grafted or pruned in
+          place, or rebuilt when it is not canonical.
         * **Edges restored:** every source's tree is rebuilt on the graph as
           it now stands.  That reverts repair detours, trees built during
           the outage and orphaned members alike.
@@ -449,11 +487,13 @@ class MulticastManager:
             raise KeyError(f"unknown group {group}") from None
 
     def _graft_delay(self, state: GroupState, member: Any) -> float:
-        """Propagation time for a graft from ``member`` to the on-tree point."""
-        if member == state.source:
+        """Propagation time for a graft from ``member`` along its shortest
+        path up to the first node on the group's tree."""
+        source = state.source
+        if member == source:
             return self.igmp_report_delay
-        tree_nodes = state.tree_nodes()
-        path = self.network.shortest_path_or_none(state.source, member)
+        parent, edges = self._trees[source], state.edges
+        path = self.network.shortest_path_or_none(source, member)
         if path is None:
             # Unreachable right now: the graft "completes" locally but the
             # rebuild will not find a path either; the member gets grafted
@@ -464,8 +504,10 @@ class MulticastManager:
         delay = self.igmp_report_delay
         for i in range(len(path) - 1, 0, -1):
             node = path[i - 1]
-            delay += self.network.edge_delay(path[i - 1], path[i])
-            if node in tree_nodes:
+            delay += self.network.edge_delay(node, path[i])
+            # On the group's tree: the source, or the head of a cut edge
+            # (the cut is made of tree edges, so its edge into ``node``).
+            if node == source or (parent.get(node), node) in edges:
                 break
         return delay
 
@@ -483,6 +525,7 @@ class MulticastManager:
         prof = self.profiler
         if prof is not None:
             prof.add("tree.build", perf_counter() - wall0)
+        self._canonical[source] = self.network.topology_epoch
         return self._set_tree(source, edges)
 
     def _set_tree(self, source: Any, edges: Set[Edge]) -> Set[Edge]:
@@ -517,39 +560,74 @@ class MulticastManager:
                 reached.add(node)
                 edges.add((parent[node], node))
                 node = parent[node]
+        # Membership may have moved even when the edges did not.
+        self._track_coverage(state, {m for m in state.members if m not in reached})
         if edges == state.edges:
-            self._track_coverage(state, edges)  # membership may have moved
             return False
-        self._install(state, edges)
+        # Clear old entries on nodes that had them, then install fresh ones.
+        old_nodes = set(state.children)
+        state.edges = edges
+        state.children = {}
+        for u, v in edges:
+            state.children.setdefault(u, set()).add(v)
+        self._installed(state, old_nodes | set(state.children), local)
+        return True
+
+    def _recut_member(self, state: GroupState, member: Any) -> None:
+        """:meth:`_recut` after ``member`` joined or left ``state`` alone,
+        at the cost of its branch: a joined member's path up the source's
+        tree to the cut is added, a departed member's branch is taken back
+        up to the first node that has another child or is a member.  Only
+        the member's coverage and the forwarding entries of the nodes whose
+        child set changed are touched."""
+        source = state.source
+        tree, edges, children = self._trees[source], state.edges, state.children
+        joined = member in state.members
+        branch: List[Edge] = []
+        node = member
+        if joined:
+            while node != source and node in tree and (tree[node], node) not in edges:
+                branch.append((tree[node], node))
+                node = tree[node]
+            branch.reverse()  # from the branch point down
+            for u, v in branch:
+                edges.add((u, v))
+                children.setdefault(u, set()).add(v)
+        else:
+            while (node != source and node not in children and node not in state.members
+                   and (tree.get(node), node) in edges):
+                up = tree[node]
+                branch.append((up, node))
+                edges.discard((up, node))
+                children[up].discard(node)
+                if not children[up]:
+                    del children[up]
+                node = up
+        orphaned = joined and member != source and member not in tree
+        self._track_coverage(state, {member} if orphaned else set(), {member})
+        if branch:
+            self._installed(state, [u for u, _ in branch], local=False)
+
+    def _installed(self, state: GroupState, nodes: Iterable[Any], local: bool) -> None:
+        """The group's cut moved: write the forwarding entries of ``nodes``
+        from ``state.children``, record the snapshot and — unless a local
+        repair moved it — announce ``tree.build``."""
+        for name in nodes:
+            self.network.nodes[name].set_forwarding(state.group, state.children.get(name))
+        self._record_snapshot(state)
         bus = self.sched.bus
         if not local and bus is not None and bus.wants("tree.build"):
             bus.emit(
                 "tree.build", self.sched.now,
-                group=state.group, edges=len(edges), members=len(state.members),
+                group=state.group, edges=len(state.edges), members=len(state.members),
             )
-        return True
 
-    def _install(self, state: GroupState, new_edges: Set[Edge]) -> None:
-        """Swap the tree's forwarding entries to ``new_edges`` + snapshot."""
-        self._track_coverage(state, new_edges)
-        # Clear old entries on nodes that had them, then install fresh ones.
-        old_nodes = {u for u, _ in state.edges}
-        state.edges = set(new_edges)
-        children: Dict[Any, Set[Any]] = {}
-        for u, v in new_edges:
-            children.setdefault(u, set()).add(v)
-        for name in old_nodes | set(children):
-            self.network.nodes[name].set_forwarding(state.group, children.get(name))
-        self._record_snapshot(state)
-
-    def _track_coverage(self, state: GroupState, new_edges: Set[Edge]) -> None:
-        """Open a disruption window for each member ``new_edges`` does not
-        reach and close it once the member is reached again (or has left)."""
-        covered = {state.source}
-        for u, v in new_edges:
-            covered.add(u)
-            covered.add(v)
-        orphans = {m for m in state.members if m not in covered}
+    def _track_coverage(self, state: GroupState, orphans: Set[Any],
+                        among: Optional[Set[Any]] = None) -> None:
+        """Open a disruption window for each of ``orphans`` (members the
+        group's tree does not reach) that has none, and close every open
+        window of a node that is not one of them (reached again, or left)
+        — of the nodes ``among`` only, when just those can have moved."""
         now = self.sched.now
         bus = self.sched.bus
         want = bus is not None and bus.wants("tree.orphan")
@@ -557,7 +635,8 @@ class MulticastManager:
             state.orphan_since[member] = now
             if want:
                 bus.emit("tree.orphan", now, group=state.group, node=member, lost=True)
-        for member in sorted(state.orphan_since.keys() - orphans, key=str):
+        settled = state.orphan_since.keys() if among is None else state.orphan_since.keys() & among
+        for member in sorted(settled - orphans, key=str):
             state.disruptions.append((member, state.orphan_since.pop(member), now))
             if want:
                 bus.emit("tree.orphan", now, group=state.group, node=member, lost=False)

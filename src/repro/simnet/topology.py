@@ -11,14 +11,21 @@ their edges were inserted — a link taken down and restored moves to the back.
 what every tree, detour and next hop in the repo is a function of.
 
 One single-source result is kept per queried source for as long as the
-graph's *structure* stands, and a node's unicast next hops are filled from
-one search the first time it originates or forwards unicast.  Every
+graph's *structure* stands, and a node's unicast routing is made current the
+first time it originates or forwards unicast.  A *stub* — a node with
+exactly one live successor, such as a host on its access link — keeps no
+table and runs no search: every path out of it starts with that one edge,
+so its next hop towards any destination is that neighbour, provided the
+neighbour is the destination or its own table reaches it (a neighbour that
+is itself a stub, a two-node component, makes the stub search after all).
+Any other node fills its table from one search rooted at it.  Every
 structural mutation (``add_node``, ``add_link``, ``set_link_up``,
 ``set_node_up``) funnels through :meth:`Network._topology_changed`, which
-bumps :attr:`Network.topology_epoch`, drops the maps and empties the tables
-that were filled — nobody has to ask for routes to be rebuilt.  Nothing
-outside this module can add or remove nodes or edges of the adjacency: that
-is the one invalidation point (pinned by ``tests/test_path_cache.py``).
+bumps :attr:`Network.topology_epoch`, drops the maps and resets every node
+whose routing was made current, stubs and tables alike — nobody has to ask
+for routes to be rebuilt.  Nothing outside this module can add or remove
+nodes or edges of the adjacency: that is the one invalidation point (pinned
+by ``tests/test_path_cache.py``).
 """
 
 from __future__ import annotations
@@ -47,14 +54,17 @@ class Network:
     -------
     >>> from repro.simnet.engine import Scheduler
     >>> net = Network(Scheduler())
-    >>> _ = net.add_node("a"); _ = net.add_node("b")
+    >>> for name in "abc": _ = net.add_node(name)
     >>> _ = net.add_link("a", "b", bandwidth=1e6, delay=0.2)
-    >>> net.shortest_path("a", "b"), net.path_delay("a", "b")
-    (['a', 'b'], 0.2)
-    >>> net.node("a").next_hop  # filled when "a" first sends unicast ...
-    {}
-    >>> net.build_routes()      # ... or, for every node at once, here
-    >>> net.node("a").next_hop["b"]
+    >>> _ = net.add_link("b", "c", bandwidth=1e6, delay=0.2)
+    >>> net.shortest_path("a", "c"), net.path_delay("a", "c")
+    (['a', 'b', 'c'], 0.4)
+    >>> net.node("a").route("c")   # a stub: routes through its neighbour ...
+    'b'
+    >>> net.node("a").next_hop, net.node("b").next_hop  # ... and its table
+    ({}, {'a': 'a', 'c': 'c'})
+    >>> net.build_routes()         # every node's own table, at once
+    >>> net.node("a").next_hop["c"]
     'b'
     """
 
@@ -72,7 +82,8 @@ class Network:
         self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, Tuple[Any, ...]]]] = {}
         #: (a, b, u, v) -> shortest a->b path avoiding link u<->v, this epoch.
         self._detours: Dict[Tuple[Any, Any, Any, Any], Optional[Tuple[Any, ...]]] = {}
-        #: Nodes whose ``next_hop`` table was filled this epoch.
+        #: Nodes whose routing was made current this epoch: a filled
+        #: ``next_hop`` table, or a stub's ``via``.
         self._routed: List[Node] = []
         #: Directed links :meth:`set_link_up` took down: node recovery
         #: leaves them down.
@@ -251,16 +262,33 @@ class Network:
     # Routing
     # ------------------------------------------------------------------
     def build_routes(self) -> None:
-        """Fill every node's next-hop table now.
+        """Fill every node's own next-hop table now, one search each — the
+        eager all-pairs fill, stubs included.
 
-        Never required: a node fills its own table the first time it
-        originates or forwards unicast after a structural change.
+        Never required: a node's routing is made current the first time it
+        originates or forwards unicast after a structural change, and a
+        stub then needs no table at all.
         """
         for node in self.nodes.values():
-            if node.fill_routes is not None:
-                self._fill_routes(node)
+            if node.fill_routes is not None or node.via is not None:
+                node.via = None
+                self._fill_table(node)
 
     def _fill_routes(self, node: Node) -> None:
+        """Make ``node``'s unicast routing current: a stub whose one
+        neighbour is not a stub too routes through that neighbour (no
+        table, no search); any other node fills its own table."""
+        successors = self._adj[node.name]
+        if len(successors) == 1:
+            (hop,) = successors
+            if len(self._adj[hop]) != 1:
+                node.via = self.nodes[hop]
+                node.fill_routes = None
+                self._routed.append(node)
+                return
+        self._fill_table(node)
+
+    def _fill_table(self, node: Node) -> None:
         """Write ``node``'s next hop towards every node it can reach, from
         one search rooted at it (the second node of each shortest path)."""
         source = node.name
@@ -269,18 +297,21 @@ class Network:
         for target in islice(dist, 1, None):  # settle order: parents first
             parent = pred[target]
             hops[target] = target if parent == source else hops[parent]
-        node.fill_routes = None
-        self._routed.append(node)
+        if node.fill_routes is not None:  # else: a stub, already listed
+            node.fill_routes = None
+            self._routed.append(node)
 
     def _topology_changed(self) -> None:
         """The routing graph gained or lost a node or edge: start a new
-        epoch, forget every path computed on the old structure and empty
-        the next-hop tables filled from it."""
+        epoch, forget every path computed on the old structure, empty the
+        next-hop tables filled from it and detach every stub from its
+        neighbour."""
         self.topology_epoch += 1
         self._spt.clear()
         self._detours.clear()
         for node in self._routed:
             node.next_hop.clear()
+            node.via = None
             node.fill_routes = self._fill_routes
         self._routed.clear()
 

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.session_topology import SessionTree
+from repro.multicast.builders import ProtectedTreeBuilder
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network, NoPathError
@@ -290,6 +291,29 @@ class _Run:
         # Groups 0 and 2 share source 0, like two layers of one session.
         self.groups = [self.mcast.create_group(0), self.mcast.create_group(n - 1),
                        self.mcast.create_group(0)]
+        # Every full build and every local repair, as (kind, source, epoch).
+        self.tree_log = []
+        tree_builder = self.mcast.builder
+        build, repair = tree_builder.build, tree_builder.repair
+
+        def logged_build(source, *args):
+            self.tree_log.append(("build", source, self.net.topology_epoch))
+            return build(source, *args)
+
+        def logged_repair(source, *args):
+            healed = repair(source, *args)
+            if healed is not None:
+                self.tree_log.append(("repair", source, self.net.topology_epoch))
+            return healed
+
+        tree_builder.build, tree_builder.repair = logged_build, logged_repair
+
+    def canonical(self, source):
+        """Whether the source's tree was last set by a full build at the
+        current epoch (no local repair since) — the tree a graft or prune
+        may edit in place."""
+        last = [(kind, epoch) for kind, s, epoch in self.tree_log if s == source][-1:]
+        return last == [("build", self.net.topology_epoch)]
 
     def apply(self, op):
         kind = op[0]
@@ -348,6 +372,16 @@ def _cut(tree, source, members):
         ((0, 5), 0.2), ((2, 5), 0.2)], "protected",
     [("join", 0, 3), ("link", 1, False), ("join", 2, 3)],
 ))
+@example((  # a first join right after a local repair: a graft would keep the
+    # 0-4-3-1-2 detour, the full build must move 2 onto 0-5-2
+    6, [((0, 1), 0.1), ((0, 4), 0.1), ((0, 5), 0.1), ((1, 2), 0.1), ((1, 3), 0.1),
+        ((2, 5), 0.2), ((3, 4), 0.1)], "protected",
+    [("join", 0, 2), ("join", 0, 3), ("link", 0, False), ("join", 2, 4)],
+))
+@example((  # a last leave whose branch point 1 still serves a sibling layer
+    4, [((0, 1), 0.1), ((1, 2), 0.1), ((1, 3), 0.1), ((2, 3), 0.2)], "protected",
+    [("join", 0, 3), ("join", 2, 2), ("leave", 0, 3), ("join", 0, 2)],
+))
 @settings(max_examples=40, deadline=None)
 def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
     """The "incremental == from-scratch" oracle (ROADMAP item 5).
@@ -368,6 +402,13 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
     members; only a removal may leave a tree that differs from it, since a
     local patch keeps the surviving branches.  And that cut is the union of
     fresh per-member shortest paths.
+
+    Membership changes cost a path: a join or leave on a tree fully built
+    at the current epoch (and not locally repaired since) grafts or prunes
+    it in place, with no call to ``builder.build``.  The protected
+    builder's backups follow the tree: never a backup for an edge the tree
+    no longer has, and on such a tree exactly what a fresh precompute of it
+    stores.
     """
     n, links, builder, ops = scenario
     cached = _Run(Network, n, links, builder)
@@ -376,14 +417,27 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
     for op in ops:
         before = {source: cached.union_members(source) for source in sources}
         edges_before = set(routing_graph(cached.net).edges)
+        canonical = {source for source in sources if cached.canonical(source)}
+        builds = len(cached.tree_log)
         cached.apply(op)
         reference.apply(op)
+        if op[0] in ("join", "leave"):
+            source = cached.mcast.source_of(cached.groups[op[1]])
+            assert source not in canonical or all(
+                s != source for _, s, _ in cached.tree_log[builds:])
         graph = routing_graph(cached.net)
         for a in range(n):
             for b in range(n):
                 assert cached.net.shortest_path_or_none(a, b) == _fresh_path(graph, a, b)
         assert cached.trees() == reference.trees()
         assert cached.backups() == reference.backups()
+        for source, backups in cached.backups().items():
+            tree = {(u, v) for v, u in cached.mcast._trees[source].items()}
+            assert set(backups) <= tree
+            if cached.canonical(source):
+                fresh = ProtectedTreeBuilder()
+                fresh.precompute(source, tree, cached.net)
+                assert backups == fresh._backups[source]
         layers = [cached.mcast.groups[cached.groups[i]].edges for i in (0, 2)]
         SessionTree.from_layer_snapshots("s", 0, layers, {})
         restored = bool(set(graph.edges) - edges_before)

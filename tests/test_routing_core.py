@@ -12,12 +12,15 @@ One generated script — links with tie-rich delays, one- and two-way, some
 added mid-script; links and nodes taken down and brought up through the
 public mutators — drives both, and after every step they must agree on the
 successor order of every node, on ``(distances, paths)`` from every source
-*including dict order*, on detours around a hidden link, and on every next
-hop of every table that was filled (tables fill when a node sends unicast;
-the script says which nodes do, so filled and stale tables coexist).
+*including dict order*, on detours around a hidden link, and on the next
+hop of every node whose routing was made current towards every destination,
+misses included (routing is made current when a node sends unicast; the
+script says which nodes do, so current and stale nodes coexist).  What is
+compared is the lookup, not the table: a stub answers from its neighbour's.
 """
 
 import networkx as nx
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -149,9 +152,13 @@ class Rig:
             assert [(k, list(p)) for k, p in got_paths.items()] == list(paths.items())
             for target in net.nodes:
                 assert net.shortest_path_or_none(source, target) == paths.get(target)
-            # A table is either current or empty and marked to be refilled.
-            expected = eager[source] if node.fill_routes is None else {}
-            assert list(node.next_hop.items()) == list(expected.items())
+            if node.fill_routes is not None:  # stale: emptied, to be made current
+                assert node.next_hop == {} and node.via is None
+                continue
+            # A stub keeps no table of its own; any other node's is complete.
+            assert node.next_hop == ({} if node.via is not None else eager[source])
+            for target in list(net.nodes) + ["nobody"]:
+                assert node.route(target) == eager[source].get(target)
         for a, b, index in queries:
             u, v = self.added[index % len(self.added)][:2]
             assert net.shortest_path_avoiding(a, b, u, v) == self.shadow.path_avoiding(a, b, u, v)
@@ -220,7 +227,7 @@ def test_a_restored_link_moves_to_the_back_of_its_tie():
 
 
 # ----------------------------------------------------------------------
-# Contract: next hops are resolved on first use
+# Contract: next hops are resolved on first use, a stub's by its neighbour
 # ----------------------------------------------------------------------
 def line_abc():
     sched = Scheduler()
@@ -232,34 +239,45 @@ def line_abc():
     return sched, net
 
 
-def test_cut_off_destination_costs_one_search_then_only_no_route(monkeypatch):
-    sched, net = line_abc()
-    searches = []
+@pytest.fixture
+def searches(monkeypatch):
+    """The source of every ``Network._search`` call, in call order."""
+    calls = []
     real = Network._search
 
     def counting(self, source, *args, **kwargs):
-        searches.append(source)
+        calls.append(source)
         return real(self, source, *args, **kwargs)
 
     monkeypatch.setattr(Network, "_search", counting)
+    return calls
+
+
+def test_cut_off_destination_costs_one_search_then_only_no_route(searches):
+    sched, net = line_abc()
     got = []
     net.node("c").bind_port("app", got.append)
-    a = net.node("a")
+    a, b = net.node("a"), net.node("b")
     a.send(Packet(src="a", dst="c", port="app"))
     sched.run(until=1.0)
     assert len(got) == 1
-    assert searches == ["a", "b"]  # each forwarding node, once; "c" only delivers
+    # "a" is a stub: it costs no search, its neighbour "b" costs one and
+    # forwards from the table that search filled; "c" only delivers.
+    assert searches == ["b"]
+    assert a.via is b and a.next_hop == {}
 
     net.set_link_up("b", "c", False)  # no build_routes(): nobody has to ask
-    assert a.next_hop == {} and net.node("b").next_hop == {}
+    assert a.via is None and a.next_hop == {} and b.next_hop == {}
     del searches[:]
     for _ in range(3):
         a.send(Packet(src="a", dst="c", port="app"))
     sched.run(until=2.0)
     assert len(got) == 1
     assert a.stats.no_route == 3
-    assert searches == ["a"]  # the misses after the first cost nothing
-    assert a.next_hop == {"b": "b"}
+    # "a" and "b" are now each other's one neighbour: "a" searches itself
+    # (no recursion through "b"), and the misses after the first cost nothing.
+    assert searches == ["a"]
+    assert a.via is None and a.next_hop == {"b": "b"}
 
     net.set_link_up("b", "c", True)
     a.send(Packet(src="a", dst="c", port="app"))
@@ -267,12 +285,64 @@ def test_cut_off_destination_costs_one_search_then_only_no_route(monkeypatch):
     assert len(got) == 2
 
 
-def test_tables_of_nodes_that_never_send_are_never_filled():
+def test_tables_of_nodes_that_never_send_are_never_filled(searches):
     sched, net = line_abc()
     net.node("a").send(Packet(src="a", dst="b", port="none"))
     sched.run(until=1.0)
-    assert net.node("a").next_hop == {"b": "b", "c": "b"}
-    assert net.node("b").next_hop == {} and net.node("c").next_hop == {}
+    # The stub "a" sent to its own neighbour: no table was needed at all.
+    assert searches == [] and all(not n.next_hop for n in net.nodes.values())
+    # Its first lookup further out fills its neighbour's table, nobody else's.
+    assert net.node("a").route("c") == "b" and searches == ["b"]
+    assert net.node("a").next_hop == {}
+    assert net.node("b").next_hop == {"a": "a", "c": "c"}
+    assert net.node("c").next_hop == {} and net.node("c").fill_routes is not None
+
+
+def test_two_stub_component_searches_without_recursion(searches):
+    sched = Scheduler()
+    net = Network(sched)
+    for name in "xy":
+        net.add_node(name)
+    net.add_link("x", "y", bandwidth=1e6, delay=0.01)
+    got = []
+    net.node("y").bind_port("app", got.append)
+    net.node("x").send(Packet(src="x", dst="y", port="app"))
+    net.node("x").send(Packet(src="x", dst="z", port="app"))
+    sched.run(until=1.0)
+    assert len(got) == 1 and net.node("x").stats.no_route == 1
+    assert searches == ["x"]
+    assert net.node("x").via is None and net.node("x").next_hop == {"y": "y"}
+
+
+def test_stub_whose_neighbour_crashed_has_no_route(searches):
+    sched, net = line_abc()
+    a = net.node("a")
+    assert a.route("c") == "b" and searches == ["b"]
+    net.set_node_up("b", False)  # "a" has no live successor left
+    del searches[:]
+    a.send(Packet(src="a", dst="c", port="app"))
+    a.send(Packet(src="a", dst="b", port="app"))
+    sched.run(until=1.0)
+    assert a.stats.no_route == 2 and a.stats.forwarded == 0
+    assert searches == ["a"] and a.via is None and a.next_hop == {}
+
+    net.set_node_up("b", True)  # a stub again
+    del searches[:]
+    assert a.route("c") == "b" and a.via is net.node("b") and searches == ["b"]
+
+
+def test_stub_counts_no_route_for_what_its_neighbour_cannot_reach(searches):
+    sched, net = line_abc()
+    net.add_node("d")
+    net.add_link("b", "d", bandwidth=1e6, delay=0.01)
+    net.set_link_up("b", "c", False)  # "b" keeps two successors, "a" and "d"
+    a, b = net.node("a"), net.node("b")
+    a.send(Packet(src="a", dst="c", port="app"))
+    sched.run(until=1.0)
+    assert a.via is b and searches == ["b"]
+    assert a.stats.no_route == 1 and a.stats.forwarded == 0
+    assert b.stats.received == 0 and b.stats.no_route == 0
+    assert a.route("d") == "b" and a.route("a") is None
 
 
 def test_node_added_after_the_first_run_receives_unicast():
