@@ -61,13 +61,12 @@ DROP_REASONS = (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_WIRELESS)
 class LinkStats:
     """Per-link cumulative counters (in addition to the queue's own stats)."""
 
-    __slots__ = ("tx_packets", "tx_bytes", "busy_time", "last_tx_end")
+    __slots__ = ("tx_packets", "tx_bytes", "busy_time")
 
     def __init__(self) -> None:
         self.tx_packets = 0
         self.tx_bytes = 0
         self.busy_time = 0.0
-        self.last_tx_end = 0.0
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the transmitter was busy."""
@@ -153,7 +152,6 @@ class Link:
             entry = fifo.popleft()
             stats.tx_packets += 1
             stats.tx_bytes += entry[1].size
-            stats.last_tx_end = entry[0]
             if not fifo:
                 return
             self._queue.pop()
@@ -183,7 +181,6 @@ class Link:
                 stats = self._stats
                 stats.tx_packets += 1
                 stats.tx_bytes += done[1].size
-                stats.last_tx_end = done[0]
             else:
                 self._settle()
         tx_time = pkt.size * 8.0 / self.bandwidth

@@ -3,12 +3,10 @@
 A :class:`Node` is a router and/or host.  It holds
 
 * outgoing :class:`~repro.simnet.link.Link` objects keyed by neighbor name,
-* unicast routing, made current by the owning
-  :class:`~repro.simnet.topology.Network` the first time the node originates
-  or forwards unicast and reset by it when the routing graph changes: a
-  next-hop table filled from one shortest-path search, or — on a stub, a
-  node with one live successor — just that neighbour (``via``), whose own
-  table answers for it (:meth:`Node.route`),
+* the owning :class:`~repro.simnet.topology.Network`, which answers every
+  unicast next hop from its shortest-path maps
+  (:meth:`~repro.simnet.topology.Network.next_hop`) — the node keeps no
+  routing state of its own,
 * a multicast forwarding table ``group -> tuple of downstream neighbor names``
   (maintained by :class:`repro.multicast.manager.MulticastManager`), and
 * application handlers: per-port unicast handlers and per-group multicast
@@ -36,6 +34,7 @@ from .packet import Packet
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Scheduler
     from .link import Link
+    from .topology import Network
 
 __all__ = ["Node", "NodeStats"]
 
@@ -58,20 +57,11 @@ class NodeStats:
 class Node:
     """A router/host in the simulated network."""
 
-    def __init__(self, sched: "Scheduler", name: Any):
+    def __init__(self, sched: "Scheduler", name: Any, network: "Network"):
         self.sched = sched
         self.name = name
+        self.network = network
         self.links: Dict[Any, "Link"] = {}  # neighbor name -> outgoing link
-        self.next_hop: Dict[Any, Any] = {}  # unicast dst -> neighbor name
-        #: Set by the owning Network for as long as the node's routing is
-        #: not current because the routing graph changed since it was made
-        #: so (or it never was): ``fill_routes(node)`` fills ``next_hop`` or
-        #: sets ``via``.  ``None`` while it is current — always, on a bare
-        #: node, which keeps the table it is given.
-        self.fill_routes: Optional[Callable[["Node"], None]] = None
-        #: On a stub, the one neighbour every path out of it starts with;
-        #: ``next_hop`` then stays empty and the neighbour's table answers.
-        self.via: Optional["Node"] = None
         #: group -> downstream neighbours, in ``links`` insertion order
         self.mcast_fwd: Dict[int, Tuple[Any, ...]] = {}
         self.group_handlers: Dict[int, List[Handler]] = {}
@@ -210,25 +200,6 @@ class Node:
                 self.stats.forwarded += 1
                 links[neighbor].send(pkt)
 
-    def route(self, dst: Any) -> Optional[Any]:
-        """The neighbour a unicast packet for ``dst`` leaves by, ``None``
-        when there is no route.  The first lookup since the routing graph
-        changed makes the routing current; a stub answers from its
-        neighbour's table, filling that on first use."""
-        if self.fill_routes is not None:
-            self.fill_routes(self)
-        via = self.via
-        if via is None:
-            return self.next_hop.get(dst)
-        hop = via.name
-        if dst == hop:
-            return hop
-        if dst == self.name:
-            return None
-        if via.fill_routes is not None:
-            via.fill_routes(via)
-        return hop if dst in via.next_hop else None
-
     def _handle_unicast(self, pkt: Packet) -> None:
         if pkt.dst == self.name:
             handler = self.port_handlers.get(pkt.port)
@@ -238,16 +209,12 @@ class Node:
             else:
                 self.stats.no_route += 1
             return
-        hop = self.route(pkt.dst)
+        hop = self.network.next_hop(self.name, pkt.dst)
         if hop is None:
             self.stats.no_route += 1
             return
-        link = self.links.get(hop)
-        if link is None:
-            self.stats.no_route += 1
-            return
         self.stats.forwarded += 1
-        link.send(pkt)
+        self.links[hop].send(pkt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.name!r} degree={len(self.links)}>"

@@ -10,19 +10,17 @@ their edges were inserted — a link taken down and restored moves to the back.
 :meth:`Network._search` is the one search over it; its tie rule (below) is
 what every tree, detour and next hop in the repo is a function of.
 
-One single-source result is kept per queried source for as long as the
-graph's *structure* stands, and a node's unicast routing is made current the
-first time it originates or forwards unicast.  A *stub* — a node with
-exactly one live successor, such as a host on its access link — keeps no
-table and runs no search: every path out of it starts with that one edge,
-so its next hop towards any destination is that neighbour, provided the
-neighbour is the destination or its own table reaches it (a neighbour that
-is itself a stub, a two-node component, makes the stub search after all).
-Any other node fills its table from one search rooted at it.  Every
-structural mutation (``add_node``, ``add_link``, ``set_link_up``,
+One single-source result — ``(distances, paths)`` — is kept per queried
+source for as long as the graph's *structure* stands, and it is the only
+routing state there is: trees, detours and unicast next hops
+(:meth:`Network.next_hop`, the second node of the path) all read it.  A
+*stub* — a node with exactly one live successor, such as a host on its
+access link — needs no map of its own for unicast: every path out of it
+starts with that one edge, so its next hop towards any destination is that
+neighbour, provided the neighbour is the destination or its map reaches it.
+Every structural mutation (``add_node``, ``add_link``, ``set_link_up``,
 ``set_node_up``) funnels through :meth:`Network._topology_changed`, which
-bumps :attr:`Network.topology_epoch`, drops the maps and resets every node
-whose routing was made current, stubs and tables alike — nobody has to ask
+bumps :attr:`Network.topology_epoch` and drops the maps — nobody has to ask
 for routes to be rebuilt.  Nothing outside this module can add or remove
 nodes or edges of the adjacency: that is the one invalidation point (pinned
 by ``tests/test_path_cache.py``).
@@ -59,13 +57,8 @@ class Network:
     >>> _ = net.add_link("b", "c", bandwidth=1e6, delay=0.2)
     >>> net.shortest_path("a", "c"), net.path_delay("a", "c")
     (['a', 'b', 'c'], 0.4)
-    >>> net.node("a").route("c")   # a stub: routes through its neighbour ...
-    'b'
-    >>> net.node("a").next_hop, net.node("b").next_hop  # ... and its table
-    ({}, {'a': 'a', 'c': 'c'})
-    >>> net.build_routes()         # every node's own table, at once
-    >>> net.node("a").next_hop["c"]
-    'b'
+    >>> net.next_hop("a", "c"), net.next_hop("c", "a"), net.next_hop("a", "a")
+    ('b', 'b', None)
     """
 
     def __init__(self, sched: Scheduler):
@@ -82,9 +75,6 @@ class Network:
         self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, Tuple[Any, ...]]]] = {}
         #: (a, b, u, v) -> shortest a->b path avoiding link u<->v, this epoch.
         self._detours: Dict[Tuple[Any, Any, Any, Any], Optional[Tuple[Any, ...]]] = {}
-        #: Nodes whose routing was made current this epoch: a filled
-        #: ``next_hop`` table, or a stub's ``via``.
-        self._routed: List[Node] = []
         #: Directed links :meth:`set_link_up` took down: node recovery
         #: leaves them down.
         self._held_down: Set[Tuple[Any, Any]] = set()
@@ -96,8 +86,7 @@ class Network:
         """Create a node named ``name`` (must be unique)."""
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name!r}")
-        node = Node(self.sched, name)
-        node.fill_routes = self._fill_routes
+        node = Node(self.sched, name, self)
         self.nodes[name] = node
         self._adj[name] = {}
         self._topology_changed()
@@ -128,8 +117,9 @@ class Network:
         """
         if a not in self.nodes or b not in self.nodes:
             raise KeyError(f"both endpoints must exist: {a!r}, {b!r}")
-        if (a, b) in self.links:
-            raise ValueError(f"duplicate link {a!r}->{b!r}")
+        for pair in [(a, b)] + ([(b, a)] if bidirectional else []):
+            if pair in self.links:
+                raise ValueError(f"duplicate link {pair[0]!r}->{pair[1]!r}")
 
         def make_queue():
             if queue_factory is not None:
@@ -262,58 +252,33 @@ class Network:
     # Routing
     # ------------------------------------------------------------------
     def build_routes(self) -> None:
-        """Fill every node's own next-hop table now, one search each — the
-        eager all-pairs fill, stubs included.
+        """Compute every non-stub node's shortest-path map now.
 
-        Never required: a node's routing is made current the first time it
-        originates or forwards unicast after a structural change, and a
-        stub then needs no table at all.
+        A warm-up, never required: every map is computed on first use, and
+        a stub's next hops read its neighbour's.
         """
-        for node in self.nodes.values():
-            if node.fill_routes is not None or node.via is not None:
-                node.via = None
-                self._fill_table(node)
+        for name, successors in self._adj.items():
+            if len(successors) != 1:
+                self._paths_from(name)
 
-    def _fill_routes(self, node: Node) -> None:
-        """Make ``node``'s unicast routing current: a stub whose one
-        neighbour is not a stub too routes through that neighbour (no
-        table, no search); any other node fills its own table."""
-        successors = self._adj[node.name]
+    def next_hop(self, a: Any, b: Any) -> Optional[Any]:
+        """The neighbour a unicast packet from ``a`` to ``b`` leaves ``a``
+        by, ``None`` when ``b`` is ``a`` or out of reach: the second node
+        of this epoch's shortest path.  A stub answers from its neighbour's
+        map, so it costs no search of its own."""
+        successors = self._adj[a]
         if len(successors) == 1:
             (hop,) = successors
-            if len(self._adj[hop]) != 1:
-                node.via = self.nodes[hop]
-                node.fill_routes = None
-                self._routed.append(node)
-                return
-        self._fill_table(node)
-
-    def _fill_table(self, node: Node) -> None:
-        """Write ``node``'s next hop towards every node it can reach, from
-        one search rooted at it (the second node of each shortest path)."""
-        source = node.name
-        dist, pred = self._search(source)
-        hops = node.next_hop
-        for target in islice(dist, 1, None):  # settle order: parents first
-            parent = pred[target]
-            hops[target] = target if parent == source else hops[parent]
-        if node.fill_routes is not None:  # else: a stub, already listed
-            node.fill_routes = None
-            self._routed.append(node)
+            return hop if b == hop or (b != a and b in self._paths_from(hop)[0]) else None
+        path = self._paths_from(a)[1].get(b)
+        return path[1] if path is not None and len(path) > 1 else None
 
     def _topology_changed(self) -> None:
         """The routing graph gained or lost a node or edge: start a new
-        epoch, forget every path computed on the old structure, empty the
-        next-hop tables filled from it and detach every stub from its
-        neighbour."""
+        epoch and forget every path computed on the old structure."""
         self.topology_epoch += 1
         self._spt.clear()
         self._detours.clear()
-        for node in self._routed:
-            node.next_hop.clear()
-            node.via = None
-            node.fill_routes = self._fill_routes
-        self._routed.clear()
 
     def _search(
         self, source: Any, target: Any = None, hidden: Collection[Tuple[Any, Any]] = ()

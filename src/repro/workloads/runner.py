@@ -104,9 +104,6 @@ class WorkloadRunner:
         for ev in self.spec.events:
             sc.sched.at(ev.time, self._fire, ev.kind, ev.receiver_id)
         sc.sched.every(self.sample_interval, self._sample)
-        # Tag the scenario so downstream consumers (bench records, crowd
-        # experiment reports) can find the active workload.
-        sc.workload = self
         return self
 
     def _first_packet_probe(self, receiver_id: Any) -> Callable[[float], None]:

@@ -80,7 +80,6 @@ class EagerLink(Link):
         stats = self._stats
         stats.tx_packets += 1
         stats.tx_bytes += pkt.size
-        stats.last_tx_end = now
         if not lost:
             sched.at(now + self.delay, self.dst.receive, pkt, self)
         nxt = self._queue.pop()
@@ -233,5 +232,7 @@ def test_the_oracle_scripts_hit_the_tie_and_save_events(kind):
     assert got == want
     # Packet 1 ends at step 2: the offer there finds one packet on the wire
     # (2 queued) rather than the queue full, so it is accepted.
-    assert got["reads"][0][1][4] == 4  # enqueued: 3 behind packet 1, and packet 5
+    # enqueued, the first queue counter after the link's three: 3 behind
+    # packet 1, and packet 5.
+    assert got["reads"][0][1][3] == 4
     assert real.sched.events_processed < eager.sched.events_processed

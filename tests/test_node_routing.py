@@ -42,6 +42,21 @@ def test_duplicate_link_rejected():
         net.add_link("a", "b", bandwidth=1e6)
 
 
+def test_two_way_link_over_a_one_way_link_is_rejected_whole():
+    """Either direction already linked is a duplicate, and nothing of the
+    new link is built: the one-way link keeps its queue and its delay."""
+    net = Network(Scheduler())
+    net.add_node("a")
+    net.add_node("b")
+    back = net.add_link("b", "a", bandwidth=1e6, delay=0.3, bidirectional=False)
+    epoch = net.topology_epoch
+    with pytest.raises(ValueError):
+        net.add_link("a", "b", bandwidth=1e6, delay=0.1)
+    assert net.links == {("b", "a"): back} and net.node("b").links == {"a": back}
+    assert net.node("a").links == {} and list(net.neighbors("a")) == []
+    assert net.edge_delay("b", "a") == 0.3 and net.topology_epoch == epoch
+
+
 def test_bidirectional_creates_both_directions():
     net = Network(Scheduler())
     net.add_node("a")
@@ -60,9 +75,9 @@ def test_unidirectional_link():
 
 def test_next_hop_along_chain():
     _, net = line_network(4)
-    assert net.node("n0").next_hop["n3"] == "n1"
-    assert net.node("n1").next_hop["n3"] == "n2"
-    assert net.node("n3").next_hop["n0"] == "n2"
+    assert net.next_hop("n0", "n3") == "n1"
+    assert net.next_hop("n1", "n3") == "n2"
+    assert net.next_hop("n3", "n0") == "n2"
 
 
 def test_unicast_end_to_end_delivery():
@@ -140,7 +155,7 @@ def test_routing_prefers_low_delay_path():
     net.add_link("c", "d", bandwidth=1e6, delay=0.1)
     net.add_link("d", "b", bandwidth=1e6, delay=0.1)  # fast detour
     net.build_routes()
-    assert net.node("a").next_hop["b"] == "c"
+    assert net.next_hop("a", "b") == "c"
     assert net.shortest_path("a", "b") == ["a", "c", "d", "b"]
     assert net.path_delay("a", "b") == pytest.approx(0.3)
 

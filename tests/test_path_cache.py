@@ -118,13 +118,15 @@ def test_set_link_bandwidth_keeps_epoch_and_cached_paths(monkeypatch):
 
     monkeypatch.setattr(Network, "_search", counting)
     before = net.shortest_path("a", "d")
+    assert "a" in net._spt  # warmed by build_routes()
     epoch = net.topology_epoch
     net.set_link_bandwidth("a", "b", 5e5)
     assert net.topology_epoch == epoch
     assert net.link("a", "b").bandwidth == net.link("b", "a").bandwidth == 5e5
     assert net.shortest_path("a", "d") == before
     assert net.path_delay("a", "d") == pytest.approx(0.2)
-    assert searches == ["a"], "a capacity change must not cost a new search"
+    assert net.next_hop("a", "d") == before[1]
+    assert searches == [], "a capacity change must not cost a new search"
 
 
 def test_structural_changes_start_a_new_epoch_and_refresh_paths():

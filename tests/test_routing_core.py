@@ -2,21 +2,20 @@
 
 ``Network`` searches its own insertion-ordered adjacency with its own
 Dijkstra; every tree, detour and unicast next hop in the repo follows its
-choice among equal-delay paths.  The oracle here is what it replaced:
-networkx searches on a ``DiGraph`` that :class:`Shadow` maintains the way
-``Network`` maintained its graph then (``add_edge`` on add and on restore,
-``remove_edge`` on failure — so a restored edge moves to the back of its
-node's successors), plus the all-pairs ``build_routes`` body, verbatim.
+choice among equal-delay paths, read from one shortest-path map per source.
+The oracle here is what it replaced: networkx searches on a ``DiGraph`` that
+:class:`Shadow` maintains the way ``Network`` maintained its graph then
+(``add_edge`` on add and on restore, ``remove_edge`` on failure — so a
+restored edge moves to the back of its node's successors), plus the
+all-pairs next-hop tables ``build_routes`` once filled, verbatim.
 
 One generated script — links with tie-rich delays, one- and two-way, some
 added mid-script; links and nodes taken down and brought up through the
 public mutators — drives both, and after every step they must agree on the
 successor order of every node, on ``(distances, paths)`` from every source
 *including dict order*, on detours around a hidden link, and on the next
-hop of every node whose routing was made current towards every destination,
-misses included (routing is made current when a node sends unicast; the
-script says which nodes do, so current and stale nodes coexist).  What is
-compared is the lookup, not the table: a stub answers from its neighbour's.
+hop of every node towards every destination, misses included — a stub's
+answer read from its neighbour's map.
 """
 
 import networkx as nx
@@ -26,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.scenario import Scenario
 from repro.simnet.engine import Scheduler
-from repro.simnet.node import Node
 from repro.simnet.packet import Packet
 from repro.simnet.topology import Network
 
@@ -135,16 +133,10 @@ class Rig:
         elif self.spare:
             self.add(self.spare.pop(0))
 
-    def send_from(self, names):
-        """Originate one unicast packet at each named node (to nobody: the
-        point is the table it fills on the way to ``no_route``)."""
-        for name in names:
-            self.net.node(name).send(Packet(src=name, dst="nobody", port="x"))
-
     def check(self, queries):
         net, graph = self.net, self.shadow.graph
         eager = self.shadow.next_hops()
-        for source, node in net.nodes.items():
+        for source in net.nodes:
             assert list(net.neighbors(source)) == list(graph.successors(source))
             dist, paths = nx.single_source_dijkstra(graph, source, weight="delay")
             got_dist, got_paths = net._paths_from(source)
@@ -152,13 +144,8 @@ class Rig:
             assert [(k, list(p)) for k, p in got_paths.items()] == list(paths.items())
             for target in net.nodes:
                 assert net.shortest_path_or_none(source, target) == paths.get(target)
-            if node.fill_routes is not None:  # stale: emptied, to be made current
-                assert node.next_hop == {} and node.via is None
-                continue
-            # A stub keeps no table of its own; any other node's is complete.
-            assert node.next_hop == ({} if node.via is not None else eager[source])
             for target in list(net.nodes) + ["nobody"]:
-                assert node.route(target) == eager[source].get(target)
+                assert net.next_hop(source, target) == eager[source].get(target)
         for a, b, index in queries:
             u, v = self.added[index % len(self.added)][:2]
             assert net.shortest_path_avoiding(a, b, u, v) == self.shadow.path_avoiding(a, b, u, v)
@@ -181,7 +168,7 @@ def flap_scripts(draw):
         st.tuples(st.just("node"), node, st.booleans()),
         st.tuples(st.just("add")),
     )
-    steps = draw(st.lists(st.tuples(op, st.sets(node)), min_size=1, max_size=10))
+    steps = draw(st.lists(op, min_size=1, max_size=10))
     queries = draw(st.lists(st.tuples(node, node, link), max_size=6))
     return n, links, n_initial, steps, queries
 
@@ -191,27 +178,22 @@ SQUARE = [(0, 1, 0.1, True), (0, 2, 0.1, True), (1, 3, 0.1, True), (2, 3, 0.1, T
 
 # Remove/re-add on a tie: 0->3 goes via 1 until link 0-1 flaps, via 2 after.
 @example((4, SQUARE, 4,
-          [(("link", 0, False, True), {0, 3}), (("link", 0, True, True), {0}),
-           (("node", 2, False), {0, 1}), (("node", 2, True), set())],
+          [("link", 0, False, True), ("link", 0, True, True),
+           ("node", 2, False), ("node", 2, True)],
           [(0, 3, 0), (0, 3, 1), (3, 0, 2)]))
 # One direction of a two-way link down, a one-way chord added mid-script.
 @example((4, SQUARE + [(3, 0, 0.2, False)], 4,
-          [(("link", 2, False, False), {1}), (("add",), {3}), (("link", 4, False, True), {3})],
+          [("link", 2, False, False), ("add",), ("link", 4, False, True)],
           [(3, 0, 4), (1, 3, 2)]))
 @given(flap_scripts())
 @settings(deadline=None)
 def test_routing_core_equals_networkx_after_every_step(script):
     n, links, n_initial, steps, queries = script
     rig = Rig(n, links, n_initial)
-    rig.send_from(range(n))
     rig.check(queries)
-    for op, senders in steps:
+    for op in steps:
         rig.apply(op)
-        rig.send_from(senders)
         rig.check(queries)
-    rig.net.build_routes()  # "fill every table now" leaves none stale
-    assert all(node.fill_routes is None for node in rig.net.nodes.values())
-    rig.check(queries)
 
 
 def test_a_restored_link_moves_to_the_back_of_its_tie():
@@ -222,12 +204,12 @@ def test_a_restored_link_moves_to_the_back_of_its_tie():
     rig.apply(("link", 0, True, True))
     assert list(rig.net.neighbors(0)) == [2, 1]
     assert rig.net.shortest_path(0, 3) == [0, 2, 3]
-    rig.send_from([0])
-    assert rig.net.node(0).next_hop[3] == 2
+    assert rig.net.next_hop(0, 3) == 2
 
 
 # ----------------------------------------------------------------------
-# Contract: next hops are resolved on first use, a stub's by its neighbour
+# Contract: next hops are read from the per-source maps, computed on first
+# use, a stub's from its neighbour's
 # ----------------------------------------------------------------------
 def line_abc():
     sched = Scheduler()
@@ -257,27 +239,26 @@ def test_cut_off_destination_costs_one_search_then_only_no_route(searches):
     sched, net = line_abc()
     got = []
     net.node("c").bind_port("app", got.append)
-    a, b = net.node("a"), net.node("b")
+    a = net.node("a")
     a.send(Packet(src="a", dst="c", port="app"))
     sched.run(until=1.0)
     assert len(got) == 1
     # "a" is a stub: it costs no search, its neighbour "b" costs one and
-    # forwards from the table that search filled; "c" only delivers.
+    # forwards from the map that search made; "c" only delivers.
     assert searches == ["b"]
-    assert a.via is b and a.next_hop == {}
+    assert net.next_hop("a", "c") == "b" and searches == ["b"]
 
     net.set_link_up("b", "c", False)  # no build_routes(): nobody has to ask
-    assert a.via is None and a.next_hop == {} and b.next_hop == {}
     del searches[:]
     for _ in range(3):
         a.send(Packet(src="a", dst="c", port="app"))
     sched.run(until=2.0)
     assert len(got) == 1
     assert a.stats.no_route == 3
-    # "a" and "b" are now each other's one neighbour: "a" searches itself
-    # (no recursion through "b"), and the misses after the first cost nothing.
-    assert searches == ["a"]
-    assert a.via is None and a.next_hop == {"b": "b"}
+    # "a" and "b" are now each other's one neighbour: "a" reads the map of
+    # "b", and the misses after the first cost nothing.
+    assert searches == ["b"]
+    assert net.next_hop("a", "b") == "b" and net.next_hop("a", "c") is None
 
     net.set_link_up("b", "c", True)
     a.send(Packet(src="a", dst="c", port="app"))
@@ -289,13 +270,33 @@ def test_tables_of_nodes_that_never_send_are_never_filled(searches):
     sched, net = line_abc()
     net.node("a").send(Packet(src="a", dst="b", port="none"))
     sched.run(until=1.0)
-    # The stub "a" sent to its own neighbour: no table was needed at all.
-    assert searches == [] and all(not n.next_hop for n in net.nodes.values())
-    # Its first lookup further out fills its neighbour's table, nobody else's.
-    assert net.node("a").route("c") == "b" and searches == ["b"]
-    assert net.node("a").next_hop == {}
-    assert net.node("b").next_hop == {"a": "a", "c": "c"}
-    assert net.node("c").next_hop == {} and net.node("c").fill_routes is not None
+    # The stub "a" sent to its own neighbour: no map was needed at all.
+    assert searches == [] and net._spt == {}
+    # Its first lookup further out makes its neighbour's map, nobody else's.
+    assert net.next_hop("a", "c") == "b" and searches == ["b"]
+    assert list(net._spt) == ["b"]
+    assert net.next_hop("b", "a") == "a" and net.next_hop("b", "c") == "c"
+    assert searches == ["b"]
+
+
+def test_a_tree_root_that_forwards_unicast_costs_one_search_per_epoch(searches):
+    """The map a tree reads is the map unicast reads: "b" roots a tree and
+    forwards "a"'s packets, and pays for one search per topology epoch."""
+    sched = Scheduler()
+    net = Network(sched)
+    for name in "abcd":
+        net.add_node(name)
+    for leaf in "acd":
+        net.add_link("b", leaf, bandwidth=1e6, delay=0.01)
+    got = []
+    net.node("c").bind_port("app", got.append)
+    for epoch in range(2):
+        assert net.cached_path("b", "c") == ("b", "c")
+        net.node("a").send(Packet(src="a", dst="c", port="app"))
+        sched.run(until=epoch + 1.0)
+        assert len(got) == epoch + 1
+        assert searches == ["b"] * (epoch + 1)
+        net.set_link_up("b", "d", False)  # a new epoch
 
 
 def test_two_stub_component_searches_without_recursion(searches):
@@ -310,25 +311,26 @@ def test_two_stub_component_searches_without_recursion(searches):
     net.node("x").send(Packet(src="x", dst="z", port="app"))
     sched.run(until=1.0)
     assert len(got) == 1 and net.node("x").stats.no_route == 1
-    assert searches == ["x"]
-    assert net.node("x").via is None and net.node("x").next_hop == {"y": "y"}
+    assert searches == ["y"]  # the map of "y" answers "x", once
+    assert net.next_hop("x", "y") == "y" and net.next_hop("x", "x") is None
+    assert searches == ["y"]
 
 
 def test_stub_whose_neighbour_crashed_has_no_route(searches):
     sched, net = line_abc()
     a = net.node("a")
-    assert a.route("c") == "b" and searches == ["b"]
+    assert net.next_hop("a", "c") == "b" and searches == ["b"]
     net.set_node_up("b", False)  # "a" has no live successor left
     del searches[:]
     a.send(Packet(src="a", dst="c", port="app"))
     a.send(Packet(src="a", dst="b", port="app"))
     sched.run(until=1.0)
     assert a.stats.no_route == 2 and a.stats.forwarded == 0
-    assert searches == ["a"] and a.via is None and a.next_hop == {}
+    assert searches == ["a"] and net.next_hop("a", "b") is None
 
     net.set_node_up("b", True)  # a stub again
     del searches[:]
-    assert a.route("c") == "b" and a.via is net.node("b") and searches == ["b"]
+    assert net.next_hop("a", "c") == "b" and searches == ["b"]
 
 
 def test_stub_counts_no_route_for_what_its_neighbour_cannot_reach(searches):
@@ -339,10 +341,10 @@ def test_stub_counts_no_route_for_what_its_neighbour_cannot_reach(searches):
     a, b = net.node("a"), net.node("b")
     a.send(Packet(src="a", dst="c", port="app"))
     sched.run(until=1.0)
-    assert a.via is b and searches == ["b"]
+    assert searches == ["b"]
     assert a.stats.no_route == 1 and a.stats.forwarded == 0
     assert b.stats.received == 0 and b.stats.no_route == 0
-    assert a.route("d") == "b" and a.route("a") is None
+    assert net.next_hop("a", "d") == "b" and net.next_hop("a", "a") is None
 
 
 def test_node_added_after_the_first_run_receives_unicast():
@@ -358,11 +360,3 @@ def test_node_added_after_the_first_run_receives_unicast():
     sc.network.node("s").send(Packet(src="s", dst="late", port="app"))
     sc.run(1.0)
     assert len(got) == 1 and got[0].hops == 2
-
-
-def test_bare_node_keeps_the_table_it_is_given():
-    """A ``Node`` no ``Network`` owns has nobody to ask: a miss is a miss."""
-    node = Node(Scheduler(), "solo")
-    assert node.fill_routes is None
-    node.send(Packet(src="solo", dst="elsewhere", port="x"))
-    assert node.stats.no_route == 1 and node.next_hop == {}
