@@ -92,7 +92,8 @@ REGISTRATION_TTL_INTERVALS = 10.0
 #: While discovery is unavailable, the last discovered tree is served while
 #: at most this old (s); older, the session is skipped for the tick.
 MAX_TREE_AGE = 30.0
-#: Reports kept per receiver: enough to cover any plausible staleness.
+#: Reports kept per receiver at most.  The controller keeps fewer: only
+#: those a later tick can still read (see :class:`ReceiverEntry`).
 REPORT_HISTORY = 64
 
 
@@ -407,14 +408,23 @@ class ReceiverAgent:
 
 class ReceiverEntry:
     """The controller's soft state for one registered receiver: its
-    registration, its recent reports and the last level suggested to it."""
+    registration, its recent reports and the last level suggested to it.
+
+    ``history`` holds only the reports a tick can still ask for.  A tick
+    reads :meth:`report_as_of` at ``now - staleness``, and that cutoff never
+    moves back (staleness is fixed per discovery tool), so the controller
+    drops the oldest report once the next one arrived by the current
+    cutoff.  At most :data:`REPORT_HISTORY` reports are kept either way;
+    with reports every interval the history stays near ``staleness /
+    interval`` entries however long the run.
+    """
 
     __slots__ = ("register", "history", "last_heard", "last_suggested")
 
     def __init__(self, register: Register, now: float) -> None:
         self.register = register
-        #: ``(arrival time, Report)`` pairs, oldest first, at most
-        #: :data:`REPORT_HISTORY` of them.
+        #: ``(arrival time, Report)`` pairs, oldest first: the newest, and
+        #: the ones a later tick's cutoff can still select.
         self.history: List[Tuple[float, Report]] = []
         #: Time of the last accepted control message.
         self.last_heard = now
@@ -632,9 +642,14 @@ class ControllerAgent:
             if reason is not None:
                 return
             assert entry is not None  # the guard rejects unregistered senders
-            entry.history.append((now, msg))
-            if len(entry.history) > REPORT_HISTORY:
-                del entry.history[0]
+            history = entry.history
+            history.append((now, msg))
+            # Ticks read ``report_as_of(tick - staleness)``, a cutoff that
+            # only moves forward: a report followed by one that arrived by
+            # ``now - staleness`` can never be read again.
+            reach = now - self.discovery.staleness
+            while len(history) > REPORT_HISTORY or (len(history) > 1 and history[1][0] <= reach):
+                del history[0]
             entry.last_heard = now
             self.reports_received += 1
             bus = self.sched.bus

@@ -7,9 +7,12 @@ multicast tree topology in the local domain" and deliberately abstracts *how*
 
 :class:`TopologyDiscovery` models exactly that contract: it answers "what was
 session S's tree" from the :class:`~repro.multicast.manager.MulticastManager`
-snapshot history, ``staleness`` seconds in the past.  Staleness zero is the
+edge-toggle log, ``staleness`` seconds in the past.  Staleness zero is the
 instantaneous-information premise the paper calls "clearly unrealistic" but
-uses as the baseline.
+uses as the baseline.  A tool's staleness is fixed when it is made: the
+controller stales loss reports by the same amount and keeps only the reports
+a cutoff ``now - staleness`` can still select, which holds only while the
+cutoff never moves back.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class TopologyDiscovery:
         The multicast manager holding ground-truth tree history.
     staleness:
         Age, in seconds, of the topology information returned.  The paper
-        sweeps 2..18 s in Fig. 10.
+        sweeps 2..18 s in Fig. 10.  Read-only after construction.
     domain:
         Optional set of node names this controller's domain covers (paper
         §II: "the controller agent is concerned only with the topology in
@@ -57,7 +60,7 @@ class TopologyDiscovery:
         if staleness < 0:
             raise ValueError(f"staleness must be >= 0, got {staleness}")
         self.mcast = mcast
-        self.staleness = staleness
+        self._staleness = staleness
         self.domain = frozenset(domain) if domain is not None else None
         self.queries = 0
         #: Injected fault state: ``None`` (healthy), ``"timeout"`` (queries
@@ -66,6 +69,11 @@ class TopologyDiscovery:
         self.fault_mode: Optional[str] = None
         self.truncate_depth = 1
         self.failed_queries = 0
+
+    @property
+    def staleness(self) -> float:
+        """Age, in seconds, of the information served (read-only)."""
+        return self._staleness
 
     # ------------------------------------------------------------------
     def set_fault(self, mode: Optional[str], truncate_depth: int = 1) -> None:

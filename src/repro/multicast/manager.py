@@ -20,11 +20,13 @@ on, without simulating a routing protocol packet-by-packet:
   ``leave_latency`` seconds, modelling the IGMP last-member query timeout the
   paper calls out in §V ("Group-leave latency and layer granularity").
 
-The manager records a **snapshot history** of each group's installed edge
-set and the time it was installed.  The topology-discovery tool
-(:mod:`repro.control.discovery`) serves stale snapshots out of this
-history, which is how the paper's Fig. 10 staleness experiment is
-reproduced.
+The manager keeps each group's tree history as an **edge-toggle log**: for
+every edge the group's cut has ever used, the times an install added or
+removed it.  An install logs only the edges it changes, so the log costs a
+path per join, not a tree per install.  The topology-discovery tool
+(:mod:`repro.control.discovery`) serves stale snapshots out of this log
+(:meth:`MulticastManager.snapshot_at`), which is how the paper's Fig. 10
+staleness experiment is reproduced.
 
 A source's tree changes only on a change of the source's member set or of
 the topology (:meth:`MulticastManager.on_topology_change` states the rule),
@@ -77,11 +79,11 @@ class GroupState:
         #: The same cut as ``node -> downstream neighbours``: the forwarding
         #: entries installed for the group.
         self.children: Dict[Any, Set[Any]] = {}
-        #: Every edge set the group has had installed, oldest first, and
-        #: the time each was installed: :meth:`MulticastManager.snapshot_at`
-        #: bisects the times.
-        self.history: List[FrozenSet[Edge]] = []
-        self.history_times: List[float] = []
+        #: edge -> the times installs added and removed it, alternately and
+        #: oldest first: the edge was in the cut at ``t`` exactly when an
+        #: odd number of its toggles happened at or before ``t``
+        #: (:meth:`MulticastManager.snapshot_at`).
+        self.toggles: Dict[Edge, List[float]] = {}
         #: member -> time it lost coverage (open disruption windows): the
         #: members the current tree does not reach.
         self.orphan_since: Dict[Any, float] = {}
@@ -176,7 +178,6 @@ class MulticastManager:
         state = GroupState(group, source)
         self.groups[group] = state
         self._trees.setdefault(source, {})
-        self._record_snapshot(state)
         return group
 
     # ------------------------------------------------------------------
@@ -362,7 +363,7 @@ class MulticastManager:
 
         Then each group of a changed tree that lost an edge of the old tree
         or has an orphaned member is re-cut.  Every other group is skipped:
-        no install, no snapshot.
+        no install, no toggle.
         """
         removed = set(removed_edges)
         restored = bool(set(added_edges))
@@ -451,8 +452,10 @@ class MulticastManager:
         state = self.groups.get(group)
         if state is None:
             return frozenset()
-        i = bisect_right(state.history_times, at_time) - 1
-        return state.history[max(i, 0)]
+        # Parity of the toggles up to ``at_time``: several installs at one
+        # instant resolve to the last, and no toggle means not installed.
+        return frozenset(
+            e for e, ts in state.toggles.items() if bisect_right(ts, at_time) & 1)
 
     def node_disrupted_during(self, group: int, node: Any, t0: float, t1: float) -> bool:
         """True when ``node`` was orphaned from ``group`` at any point of
@@ -564,13 +567,14 @@ class MulticastManager:
         self._track_coverage(state, {m for m in state.members if m not in reached})
         if edges == state.edges:
             return False
+        moved = edges ^ state.edges
         # Clear old entries on nodes that had them, then install fresh ones.
         old_nodes = set(state.children)
         state.edges = edges
         state.children = {}
         for u, v in edges:
             state.children.setdefault(u, set()).add(v)
-        self._installed(state, old_nodes | set(state.children), local)
+        self._installed(state, old_nodes | set(state.children), moved, local)
         return True
 
     def _recut_member(self, state: GroupState, member: Any) -> None:
@@ -606,15 +610,18 @@ class MulticastManager:
         orphaned = joined and member != source and member not in tree
         self._track_coverage(state, {member} if orphaned else set(), {member})
         if branch:
-            self._installed(state, [u for u, _ in branch], local=False)
+            self._installed(state, [u for u, _ in branch], branch, local=False)
 
-    def _installed(self, state: GroupState, nodes: Iterable[Any], local: bool) -> None:
-        """The group's cut moved: write the forwarding entries of ``nodes``
-        from ``state.children``, record the snapshot and — unless a local
-        repair moved it — announce ``tree.build``."""
+    def _installed(self, state: GroupState, nodes: Iterable[Any],
+                   moved: Iterable[Edge], local: bool) -> None:
+        """The group's cut moved by the edges ``moved``: write the
+        forwarding entries of ``nodes`` from ``state.children``, log each
+        moved edge's toggle and — unless a local repair moved it — announce
+        ``tree.build``."""
         for name in nodes:
             self.network.nodes[name].set_forwarding(state.group, state.children.get(name))
-        self._record_snapshot(state)
+        for edge in moved:
+            state.toggles.setdefault(edge, []).append(self.sched.now)
         bus = self.sched.bus
         if not local and bus is not None and bus.wants("tree.build"):
             bus.emit(
@@ -642,7 +649,3 @@ class MulticastManager:
                 bus.emit("tree.orphan", now, group=state.group, node=member, lost=False)
         if len(state.disruptions) > MAX_DISRUPTIONS:
             del state.disruptions[: len(state.disruptions) - MAX_DISRUPTIONS]
-
-    def _record_snapshot(self, state: GroupState) -> None:
-        state.history.append(frozenset(state.edges))
-        state.history_times.append(self.sched.now)

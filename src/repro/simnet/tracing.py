@@ -9,6 +9,7 @@ and supports the time-weighted statistics that the paper's metrics
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
@@ -109,11 +110,15 @@ class StepTrace:
 
 
 class SeriesTrace:
-    """An append-only ``(time, value)`` sample series (e.g. loss rates)."""
+    """An append-only ``(time, value)`` sample series (e.g. loss rates).
+
+    Samples are stored unboxed, as two ``array('d')`` columns: a receiver
+    appends one per report for the whole run.
+    """
 
     def __init__(self) -> None:
-        self.times: List[float] = []
-        self.values: List[float] = []
+        self.times = array("d")
+        self.values = array("d")
 
     def record(self, t: float, value: float) -> None:
         """Append a sample (times must be non-decreasing)."""

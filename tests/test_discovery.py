@@ -32,6 +32,17 @@ def test_negative_staleness_rejected():
         TopologyDiscovery(mcast, staleness=-1.0)
 
 
+def test_staleness_is_read_only():
+    """The controller trims report history against a cutoff that must
+    never move back, so a tool's staleness cannot change after it is
+    made."""
+    sched, net, mcast, desc = setup()
+    disc = TopologyDiscovery(mcast, staleness=4.0)
+    with pytest.raises(AttributeError):
+        disc.staleness = 2.0
+    assert disc.staleness == 4.0
+
+
 def test_fresh_discovery_sees_current_tree():
     sched, net, mcast, desc = setup()
     disc = TopologyDiscovery(mcast, staleness=0.0)

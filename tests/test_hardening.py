@@ -8,6 +8,8 @@ receiver, both are quarantined within five control intervals and every
 honest receiver stays within one layer of its same-seed no-attack baseline.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.control.messages import (
 from repro.control.session import SessionDescriptor
 from repro.experiments.byzantine import run_byzantine
 from repro.experiments.scenario import Scenario
+from repro.experiments.topologies import build_topology_b
 from repro.faults import FaultInjector, FaultPlan
 from repro.media.layers import LayerSchedule
 from repro.media.receiver import LayeredReceiver
@@ -34,7 +37,7 @@ from repro.simnet.packet import CONTROL, Packet
 from repro.simnet.topology import Network
 
 
-def build(n_layers=3, bandwidth=10e6, algorithm=None, **controller_kwargs):
+def build(n_layers=3, bandwidth=10e6, algorithm=None, staleness=0.0, **controller_kwargs):
     """src -- mid -- rcv line with a source, receiver and controller."""
     sched = Scheduler()
     net = Network(sched)
@@ -55,7 +58,7 @@ def build(n_layers=3, bandwidth=10e6, algorithm=None, **controller_kwargs):
     )
     if algorithm is None:
         algorithm = StaticController(level=2)
-    discovery = TopologyDiscovery(mcast, staleness=0.0)
+    discovery = TopologyDiscovery(mcast, staleness=staleness)
     controller = ControllerAgent(
         net.node("src"), [desc], discovery, algorithm, interval=1.0,
         **controller_kwargs,
@@ -213,7 +216,9 @@ class TestReportHistory:
         assert entry.latest is c
 
     def test_history_pruned_to_64_entries(self):
-        controller = build()[5]
+        # Staleness beyond every arrival: no report is ever out of reach,
+        # so only the REPORT_HISTORY cap trims.
+        controller = build(staleness=1000.0)[5]
         controller.receivers[0]["R"] = entry = self._entry()
         for seq in range(1, 101):
             _to_controller(controller, _rep(seq))
@@ -221,6 +226,45 @@ class TestReportHistory:
         # The oldest 36 were dropped; the newest survive in order.
         assert [rep.seq for _, rep in entry.history] == list(range(37, 101))
         assert entry.latest.seq == 100
+        # At staleness zero every tick reads the newest report: nothing
+        # older is kept.
+        controller = build()[5]
+        controller.receivers[0]["R"] = entry = self._entry()
+        for seq in range(1, 101):
+            _to_controller(controller, _rep(seq))
+        assert [rep.seq for _, rep in entry.history] == [100]
+
+    def test_history_keeps_what_a_later_cutoff_can_read(self):
+        """Reports one second apart at staleness 2.5 s: the history keeps
+        the newest report that arrived by ``now - 2.5`` and everything
+        after it, and every cutoff from then on reads what the untrimmed
+        history would."""
+        sched, net, mcast, desc, receiver, controller, agent = build(staleness=2.5)
+        controller.receivers[0]["R"] = entry = self._entry()
+        full = []
+        for seq in range(1, 11):
+            sched.run(until=float(seq))
+            _to_controller(controller, _rep(seq))
+            full.append((sched.now, entry.latest))
+        assert [t for t, _ in entry.history] == [7.0, 8.0, 9.0, 10.0]
+        for cutoff in (7.5, 8.0, 9.99, 10.0, 50.0):
+            expected = next((r for t, r in reversed(full) if t <= cutoff), None)
+            assert entry.report_as_of(cutoff) is expected
+
+    def test_retained_reports_do_not_grow_with_the_horizon(self):
+        """Topology B at staleness 6 s: the controller keeps the same
+        number of reports per receiver after 60 s and after 240 s, at most
+        the ones a 6 s old cutoff can still reach."""
+        longest = []
+        for horizon in (60.0, 240.0):
+            sc = build_topology_b(staleness=6.0, seed=1)
+            sc.run(horizon)
+            controller = sc.controller
+            longest.append(max(
+                len(entry.history)
+                for table in controller.receivers.values() for entry in table.values()))
+        assert longest[0] == longest[1]
+        assert longest[1] <= math.ceil(6.0 / controller.interval) + 2
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +315,9 @@ class TestControllerState:
     def test_sessions_sharing_a_receiver_id_keep_separate_entries(self):
         """State is keyed by (session, receiver): expiring or clearing one
         session's "R" must not touch the other's entry or reports."""
-        sched, net, mcast, desc, receiver, controller, agent = build()
+        # Staleness 10 s keeps both of session 0's reports within reach at
+        # t = 8, so its history shows exactly what arrived for it.
+        sched, net, mcast, desc, receiver, controller, agent = build(staleness=10.0)
         groups = tuple(mcast.create_group("src") for _ in range(3))
         controller.add_session(SessionDescriptor(1, "src", groups, desc.schedule))
         for sid in (0, 1):

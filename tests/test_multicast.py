@@ -274,9 +274,15 @@ def diamond_network():
     return sched, net
 
 
+def _toggle_log(m, g):
+    """A copy of group ``g``'s edge-toggle log."""
+    return {edge: list(ts) for edge, ts in m.groups[g].toggles.items()}
+
+
 def test_incremental_change_skips_unaffected_groups():
-    """A link failure must not recompute — or snapshot — groups whose trees
-    never used the failed link (the whole point of the incremental path)."""
+    """A link failure must not recompute — or log a toggle for — groups
+    whose trees never used the failed link (the whole point of the
+    incremental path)."""
     sched, net = star_network()
     m = MulticastManager(net, igmp_report_delay=0.0)
     g1 = m.create_group("src")
@@ -286,7 +292,7 @@ def test_incremental_change_skips_unaffected_groups():
     sched.run(until=1.0)
 
     builds_before = m.builds
-    hist_g2_before = len(m.groups[g2].history)
+    log_g2_before = _toggle_log(m, g2)
     removed = net.set_link_up("core", "a", False)
     net.build_routes()
     changed = m.on_topology_change(removed_edges=removed)
@@ -294,7 +300,7 @@ def test_incremental_change_skips_unaffected_groups():
     assert changed == 1  # only g1's tree used core--a
     assert m.groups_skipped == 1
     assert m.builds == builds_before + 1  # one rebuild, not one per group
-    assert len(m.groups[g2].history) == hist_g2_before  # g2 untouched
+    assert _toggle_log(m, g2) == log_g2_before  # g2 untouched
     assert m.tree_edges(g2) == frozenset({("src", "core"), ("core", "b")})
 
     # Restoring the link reinstalls only the group whose tree it changes:
@@ -303,7 +309,7 @@ def test_incremental_change_skips_unaffected_groups():
     net.build_routes()
     assert m.on_topology_change(added_edges=added) == 1
     assert m.groups_skipped == 2
-    assert len(m.groups[g2].history) == hist_g2_before
+    assert _toggle_log(m, g2) == log_g2_before
     assert m.tree_edges(g1) == frozenset({("src", "core"), ("core", "a")})
 
 
@@ -333,8 +339,9 @@ def test_restore_reverts_a_group_built_during_the_outage():
 
 def test_rapid_join_leave_keeps_snapshot_history_consistent():
     """Hammering join/leave on one member must leave snapshot_at queries
-    internally consistent: monotone times, every snapshot either a's branch
-    or empty, and each query answered by the snapshot in force then."""
+    internally consistent: the branch's edges toggle together at
+    non-decreasing times, every snapshot is either a's branch or empty, and
+    each query is answered by the install in force then."""
     sched, net = star_network()
     m = MulticastManager(net, leave_latency=0.3, igmp_report_delay=0.0)
     g = m.create_group("src")
@@ -344,17 +351,21 @@ def test_rapid_join_leave_keeps_snapshot_history_consistent():
     sched.run(until=5.0)
     assert m.members(g) == frozenset()  # last word was leave
 
-    state = m.groups[g]
-    history, times = state.history, state.history_times
-    assert len(history) == len(times) > 1, "every applied change snapshots"
-    assert times == sorted(times)
+    toggles = m.groups[g].toggles
     branch = frozenset({("src", "core"), ("core", "a")})
-    assert set(history) == {branch, frozenset()}
-    assert history[-1] == frozenset()
-    # Stale queries resolve to the snapshot in force at that instant.
+    assert set(toggles) == branch, "only a's branch was ever installed"
+    times = toggles[("src", "core")]
+    assert toggles[("core", "a")] == times, "the branch moves as one"
+    assert len(times) > 1, "every applied change toggles"
+    assert times == sorted(times)
+    assert len(times) % 2 == 0, "the last install took the branch back"
+    # Each install time alternates graft and prune; a query resolves to the
+    # install in force at that instant (empty before the first).
+    for k, t in enumerate(times):
+        assert m.snapshot_at(g, t) == (branch if k % 2 == 0 else frozenset())
     for t in [0.0, 0.45, 1.17, 2.5, 4.9]:
-        in_force = max(k for k, tk in enumerate(times) if tk <= t)
-        assert m.snapshot_at(g, t) is history[in_force]
+        in_force = sum(tk <= t for tk in times)
+        assert m.snapshot_at(g, t) == (branch if in_force % 2 else frozenset())
 
 
 def test_prune_delay_stops_at_live_branch_point():
