@@ -37,7 +37,6 @@ def allocation_feasible(
     network: Network,
     plans: Sequence[SessionPlan],
     levels: Mapping[Tuple[Any, Any], int],
-    headroom: float = 1.0,
 ) -> bool:
     """True when every link fits its multicast load under ``levels``.
 
@@ -56,7 +55,7 @@ def allocation_feasible(
         for e, lvl in per_edge_level.items():
             load[e] = load.get(e, 0.0) + plan.schedule.cumulative(lvl)
     for e, l in load.items():
-        if l > network.link(*e).bandwidth * headroom + 1e-9:
+        if l > network.link(*e).bandwidth + 1e-9:
             return False
     return True
 
@@ -64,7 +63,6 @@ def allocation_feasible(
 def lexicographic_optimal(
     network: Network,
     plans: Sequence[SessionPlan],
-    headroom: float = 1.0,
     max_receivers: int = 8,
 ) -> Dict[Tuple[Any, Any], int]:
     """Exhaustive lexicographically-optimal allocation.
@@ -88,7 +86,7 @@ def lexicographic_optimal(
     ranges = [range(1, schedules[sid].n_layers + 1) for sid, _ in keys]
     for combo in itertools.product(*ranges):
         levels = dict(zip(keys, combo))
-        if not allocation_feasible(network, plans, levels, headroom=headroom):
+        if not allocation_feasible(network, plans, levels):
             continue
         vec = tuple(sorted(combo)) + (sum(combo),)
         if best_vec is None or vec > best_vec:

@@ -18,9 +18,6 @@ For layered multicast on trees this greedy reaches the lexicographically
 maximal feasible allocation layer-by-layer, and reproduces the closed-form
 optima of the paper's Topology A (levels set by each group's bottleneck) and
 Topology B (4 layers each).
-
-``headroom`` reserves a fraction of each link for control traffic and
-burstiness (set it below 1.0 when comparing against VBR runs).
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ def _downstream_max_level(
 def optimal_levels(
     network: Network,
     plans: Sequence[SessionPlan],
-    headroom: float = 1.0,
 ) -> Dict[Tuple[Any, Any], int]:
     """Optimal subscription level per ``(session_id, receiver_id)``.
 
@@ -76,8 +72,6 @@ def optimal_levels(
     every receiver.  Capacities are read from the real network — this is the
     oracle's unfair advantage over TopoSense.
     """
-    if not 0 < headroom <= 1.0:
-        raise ValueError("headroom must be in (0, 1]")
     parents = {
         p.session_id: _session_tree_paths(network, p.source, list(p.receiver_nodes.values()))
         for p in plans
@@ -96,7 +90,7 @@ def optimal_levels(
             for e, lvl in per_edge.items():
                 load[e] = load.get(e, 0.0) + p.schedule.cumulative(lvl)
         for e, l in load.items():
-            if l > network.link(*e).bandwidth * headroom + 1e-9:
+            if l > network.link(*e).bandwidth + 1e-9:
                 return False
         return True
 
@@ -125,8 +119,8 @@ class OracleController:
     """Drop-in 'algorithm' for :class:`~repro.control.agent.ControllerAgent`
     that always suggests the precomputed optimum (upper-bound baseline)."""
 
-    def __init__(self, network: Network, plans: Sequence[SessionPlan], headroom: float = 1.0):
-        self.levels = optimal_levels(network, plans, headroom=headroom)
+    def __init__(self, network: Network, plans: Sequence[SessionPlan]):
+        self.levels = optimal_levels(network, plans)
 
     def update(self, now: float, sessions: Sequence[SessionInput]) -> SuggestionSet:
         """Return the static optimal levels for all known receivers."""

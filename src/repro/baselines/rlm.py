@@ -8,12 +8,12 @@ value of topology information (DESIGN.md ablation).
 
 Implemented state machine (per receiver):
 
-* every ``interval`` seconds the receiver samples its loss rate;
-* **loss above threshold** — drop the top layer and go deaf for
-  ``deaf_time`` (ignore loss caused by the prune latency).  If the loss hit
+* every ``INTERVAL`` seconds the receiver samples its loss rate;
+* **loss above** ``LOSS_THRESHOLD`` — drop the top layer and go deaf for
+  ``DEAF_TIME`` (ignore loss caused by the prune latency).  If the loss hit
   during a *join experiment* (a recently added layer), the experiment failed:
   the join timer for that layer doubles (exponential back-off, capped);
-* **no loss** — if the pending experiment has survived ``detection_time``,
+* **no loss** — if the pending experiment has survived ``DETECTION_TIME``,
   declare it successful and relax that layer's join timer; then, if the next
   layer's join timer has expired, add it and start a new experiment.
 
@@ -34,6 +34,18 @@ from ..simnet.rng import fallback_rng
 
 __all__ = ["RLMReceiver"]
 
+#: Seconds between loss samples.
+INTERVAL = 1.0
+#: Interval loss rate above which the top layer is dropped.
+LOSS_THRESHOLD = 0.05
+#: A join experiment that survives this long (s) succeeded.
+DETECTION_TIME = 2.0
+#: Loss is ignored for this long (s) after a drop (prune latency).
+DEAF_TIME = 3.0
+#: Initial and largest per-layer join timer (s).
+T_JOIN_INIT = 5.0
+T_JOIN_MAX = 600.0
+
 
 class RLMReceiver:
     """Attach RLM adaptation to a :class:`LayeredReceiver`."""
@@ -41,30 +53,14 @@ class RLMReceiver:
     def __init__(
         self,
         receiver: LayeredReceiver,
-        interval: float = 1.0,
-        loss_threshold: float = 0.05,
-        detection_time: float = 2.0,
-        deaf_time: float = 3.0,
-        t_join_init: float = 5.0,
-        t_join_max: float = 600.0,
         rng: Optional[np.random.Generator] = None,
     ):
-        if interval <= 0 or detection_time <= 0 or deaf_time < 0:
-            raise ValueError("timing parameters must be positive")
-        if not 0 < t_join_init <= t_join_max:
-            raise ValueError("need 0 < t_join_init <= t_join_max")
         self.receiver = receiver
         self.sched = receiver.sched
-        self.interval = interval
-        self.loss_threshold = loss_threshold
-        self.detection_time = detection_time
-        self.deaf_time = deaf_time
-        self.t_join_init = t_join_init
-        self.t_join_max = t_join_max
         self.rng = rng if rng is not None else fallback_rng()
         n = receiver.schedule.n_layers
         #: Current join-timer duration per layer (1-based index).
-        self.join_timer: Dict[int, float] = {l: t_join_init for l in range(1, n + 1)}
+        self.join_timer: Dict[int, float] = {l: T_JOIN_INIT for l in range(1, n + 1)}
         #: Earliest time each layer may next be joined.
         self.next_join_at: Dict[int, float] = {l: 0.0 for l in range(1, n + 1)}
         self.deaf_until = 0.0
@@ -82,8 +78,8 @@ class RLMReceiver:
         if self._started:
             return
         self._started = True
-        phase = float(self.rng.uniform(0.0, 0.5)) * self.interval
-        self.sched.every(self.interval, self._tick, start=self.sched.now + self.interval + phase)
+        phase = float(self.rng.uniform(0.0, 0.5)) * INTERVAL
+        self.sched.every(INTERVAL, self._tick, start=self.sched.now + INTERVAL + phase)
 
     def stop(self) -> None:
         """Cease adaptation and unsubscribe (the receiver departs)."""
@@ -101,29 +97,29 @@ class RLMReceiver:
         if now < self.deaf_until:
             return
         loss = stats.loss_rate
-        if loss > self.loss_threshold:
+        if loss > LOSS_THRESHOLD:
             self._on_congestion(now)
         else:
             self._on_clear(now)
 
     def _on_congestion(self, now: float) -> None:
         exp = self.experiment_layer
-        if exp is not None and now - self.experiment_started <= self.detection_time + self.interval:
+        if exp is not None and now - self.experiment_started <= DETECTION_TIME + INTERVAL:
             # Our own probe caused this: exponential back-off for that layer.
-            self.join_timer[exp] = min(self.join_timer[exp] * 2.0, self.t_join_max)
+            self.join_timer[exp] = min(self.join_timer[exp] * 2.0, T_JOIN_MAX)
             self.next_join_at[exp] = now + self.join_timer[exp]
             self.failed_experiments += 1
         self.experiment_layer = None
         if self.receiver.level > 1:
             self.receiver.drop_layer()
             self.drops += 1
-        self.deaf_until = now + self.deaf_time
+        self.deaf_until = now + DEAF_TIME
 
     def _on_clear(self, now: float) -> None:
         exp = self.experiment_layer
-        if exp is not None and now - self.experiment_started > self.detection_time:
+        if exp is not None and now - self.experiment_started > DETECTION_TIME:
             # Probe survived: keep the layer, relax its timer.
-            self.join_timer[exp] = max(self.join_timer[exp] / 2.0, self.t_join_init)
+            self.join_timer[exp] = max(self.join_timer[exp] / 2.0, T_JOIN_INIT)
             self.successful_experiments += 1
             self.experiment_layer = None
         if self.experiment_layer is not None:

@@ -187,8 +187,8 @@ def _smallest_crowd_spec(result: Dict[str, Any], loaded: Any) -> Any:
         return loaded.to_dict()
     return crowd.crowd_spec_for(
         result["sizes"][0],
-        **{k: result[k] for k in ("seed", "duration", "n_edges", "n_sessions",
-                                  "incumbents", "max_controlled")},
+        **{k: result[k] for k in ("seed", "duration", "n_edges", "incumbents",
+                                  "max_controlled")},
     ).to_dict()
 
 
@@ -215,8 +215,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                 "simulated time the liars switch on"),
             Opt("--quarantine-intervals", "quarantine_intervals", float, 5.0,
                 "quarantine deadline, in control intervals"),
-            Opt("--divergence-budget", "divergence_budget", float, 1.0,
-                "allowed honest-receiver level divergence vs baseline, in layers"),
         ),
     ),
     Experiment(
@@ -245,8 +243,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             Opt("--loss", "loss_rates", float_list, "0,0.15",
                 "comma-separated wireless channel loss rates"),
             Opt("--edges", "n_edges", int, 8, "wireless edge nodes"),
-            Opt("--sessions", "n_sessions", int, 2,
-                "concurrent sessions for the Zipf demand"),
             Opt("--incumbents", "incumbents", int, 4,
                 "always-on controlled receivers probing stability"),
             Opt("--max-controlled", "max_controlled", int,
@@ -302,10 +298,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                 "domain cut off during the window"),
             Opt("--staleness-budget", "staleness_budget", int, 2,
                 "advice age (rounds) tolerated before the ceiling decays"),
-            Opt("--retries", "retry_limit", int, 3,
-                "summary send attempts per round"),
-            Opt("--recovery-rounds", "recovery_rounds", int, 3,
-                "rounds allowed for post-failover recovery"),
         ),
         Replay("plan", FaultPlan.from_dicts, _single_point_plan,
                "JSON fault plan replacing the built-in storm (collapses the "

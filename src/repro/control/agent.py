@@ -552,30 +552,6 @@ class ControllerAgent:
         self.active = False
         self.node.unbind_port(CONTROL_PORT)
 
-    def clear_state(self) -> None:
-        """Forget all learned state (a cold-started replacement controller).
-
-        Clears the receiver table, the cached trees, the last suggestion
-        set, the guard's per-receiver records and every per-run counter — a
-        standby must neither serve nor report its predecessor's state.  The
-        epoch is *not* reset: fencing tokens only move forward.
-        """
-        for table in self.receivers.values():
-            table.clear()
-        self._last_good_trees.clear()
-        self.guard.reset()
-        self.session_ceilings.clear()
-        self.last_suggestions = None
-        self.reports_received = 0
-        self.suggestions_sent = 0
-        self.suggestions_clamped = 0
-        self.updates_run = 0
-        self.discovery_failures = 0
-        self.sessions_skipped = 0
-        self.registrations_expired = 0
-        self.reports_fenced = 0
-        self.control_bytes_sent = 0
-
     def add_session(self, descriptor: SessionDescriptor) -> None:
         """Register an additional session to manage."""
         self.sessions[descriptor.session_id] = descriptor

@@ -459,16 +459,6 @@ class ReportGuard:
         self._records.pop(key, None)
         self._last_seq.pop(key, None)
 
-    def reset(self) -> None:
-        """Forget every receiver (cold-started replacement controller).
-
-        Counters and the event log survive — they describe this process's
-        history, not the receivers'.
-        """
-        self._records.clear()
-        self._last_seq.clear()
-        self._pending_transitions.clear()
-
     def summary(self) -> dict:
         """JSON-friendly counters for experiment reports."""
         return {

@@ -38,9 +38,3 @@ class SessionDescriptor:
     def n_layers(self) -> int:
         """Number of layers in the session."""
         return self.schedule.n_layers
-
-    def group_for_layer(self, layer: int) -> int:
-        """Group address of layer ``layer`` (1-based)."""
-        if not 1 <= layer <= self.n_layers:
-            raise ValueError(f"layer must be in 1..{self.n_layers}, got {layer}")
-        return self.groups[layer - 1]

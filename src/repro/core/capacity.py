@@ -68,14 +68,6 @@ class LinkCapacityEstimator:
         est = self._links.get(link)
         return est.capacity if est is not None else INF
 
-    def capacities(self) -> Dict[Edge, float]:
-        """Snapshot of all finite estimates."""
-        return {
-            link: est.capacity
-            for link, est in self._links.items()
-            if est.capacity != INF
-        }
-
     # ------------------------------------------------------------------
     def update(
         self,

@@ -118,19 +118,6 @@ class SessionTree:
         path.reverse()
         return path
 
-    def subtree_leaves(self, node: Any) -> List[Any]:
-        """Leaves of the subtree rooted at ``node``."""
-        out: List[Any] = []
-        stack = [node]
-        while stack:
-            u = stack.pop()
-            kids = self.children.get(u)
-            if kids:
-                stack.extend(kids)
-            else:
-                out.append(u)
-        return out
-
     # ------------------------------------------------------------------
     @classmethod
     def from_layer_snapshots(

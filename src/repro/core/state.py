@@ -56,11 +56,6 @@ class NodeState:
             self.bytes_hist.pop(0)
 
     # -- level -----------------------------------------------------------
-    @property
-    def prev_level(self) -> Optional[int]:
-        """Subscription level reported in the previous interval, if known."""
-        return self.level_hist[-1] if self.level_hist else None
-
     def level_confirmed(self, level: int, n: int) -> bool:
         """True when the last ``n`` reports were all exactly at ``level``.
 
@@ -139,8 +134,3 @@ class ControllerState:
         dead = [k for k, expiry in self._backoffs.items() if expiry <= now]
         for k in dead:
             del self._backoffs[k]
-
-    @property
-    def active_backoffs(self) -> int:
-        """Number of timers currently stored (including expired, unpruned)."""
-        return len(self._backoffs)

@@ -60,10 +60,6 @@ class SuggestionSet:
 
     levels: Dict[tuple, int] = field(default_factory=dict)
 
-    def for_receiver(self, session_id: Any, receiver_id: Any) -> int:
-        """Suggested level, or -1 when the pair is unknown."""
-        return self.levels.get((session_id, receiver_id), -1)
-
     def items(self) -> Iterable[Tuple[tuple, int]]:
         """Iterate ``((session_id, receiver_id), level)`` pairs."""
         return self.levels.items()

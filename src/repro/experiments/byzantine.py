@@ -28,7 +28,7 @@ The run is judged against a same-seed no-attack baseline (``ok`` criteria,
 asserted in ``tests/test_hardening.py``): both liars quarantined within
 ``quarantine_intervals`` control intervals of the attack, zero honest
 receivers quarantined, and every honest receiver's subscription level
-staying within ``divergence_budget`` of its baseline trace (time-weighted,
+staying within :data:`DIVERGENCE_BUDGET` of its baseline trace (time-weighted,
 from attack start to the end of the run).
 """
 
@@ -64,6 +64,10 @@ SHARED_B_BW = 400_000.0
 #: Access bandwidth behind ``agg_b``: never the constraint on that side.
 ACCESS_B_BW = 1_500_000.0
 
+#: Largest time-weighted mean level divergence (layers) an honest receiver
+#: may show against its no-attack baseline.
+DIVERGENCE_BUDGET = 1.0
+
 
 def default_attack_plan(attack_start: float = 30.0) -> FaultPlan:
     """Both liars switch on at ``attack_start`` (after convergence)."""
@@ -76,7 +80,6 @@ def default_attack_plan(attack_start: float = 30.0) -> FaultPlan:
 def build_byzantine_scenario(
     seed: int = 1,
     interval: float = 2.0,
-    shared_b_bw: float = SHARED_B_BW,
 ) -> Scenario:
     """The two-branch tree from the module docstring, guard at defaults."""
     sc = Scenario(seed=seed)
@@ -84,7 +87,7 @@ def build_byzantine_scenario(
         sc.add_node(name)
     sc.add_link("src", "core", bandwidth=BACKBONE_BW)
     sc.add_link("core", "agg_a", bandwidth=BACKBONE_BW)
-    sc.add_link("core", "agg_b", bandwidth=shared_b_bw)
+    sc.add_link("core", "agg_b", bandwidth=SHARED_B_BW)
     for name in ("ha0", "ha1", "xhi"):
         sc.add_node(name)
         sc.add_link("agg_a", name, bandwidth=CLASS_A_BW)
@@ -118,7 +121,6 @@ def run_byzantine(
     attack_start: float = 30.0,
     plan: Optional[FaultPlan] = None,
     quarantine_intervals: float = 5.0,
-    divergence_budget: float = 1.0,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Run the attack and its same-seed baseline; return a verdict dict.
@@ -127,7 +129,7 @@ def run_byzantine(
     ``quarantine_intervals`` control intervals of ``attack_start``, no
     honest receiver was ever quarantined, and every honest receiver's
     time-weighted mean level over ``[attack_start, duration]`` diverges from
-    the baseline run by at most ``divergence_budget`` layers.
+    the baseline run by at most :data:`DIVERGENCE_BUDGET` layers.
     """
     if not 0.0 < attack_start < duration:
         raise ValueError("attack_start must fall inside the run")
@@ -184,7 +186,7 @@ def run_byzantine(
             h.trace, baseline_traces[rid], attack_start, duration
         )
         ever_quarantined = rid in first_quarantined_at
-        within = divergence <= divergence_budget and not ever_quarantined
+        within = divergence <= DIVERGENCE_BUDGET and not ever_quarantined
         honest_ok = honest_ok and within
         honest[rid] = {
             "node": h.node,
@@ -206,7 +208,7 @@ def run_byzantine(
         "interval": interval,
         "attack_start": attack_start,
         "quarantine_deadline": deadline,
-        "divergence_budget": divergence_budget,
+        "divergence_budget": DIVERGENCE_BUDGET,
         "plan": plan.to_dicts(),
         "fault_log": fault_log_entries(injector.log),
         "liars": liars,

@@ -56,6 +56,10 @@ __all__ = [
 #: Default simulated horizon: covers the default plan plus recovery slack.
 DEFAULT_DURATION = 120.0
 
+#: Delay (s) of the ``agg_a — agg_b`` cross link: longer than the primaries,
+#: so it only carries traffic as a backup path.
+CROSS_LINK_DELAY = 0.5
+
 
 def churn_receiver_ids(n_receivers: int) -> List[str]:
     """The receiver ids :func:`build_churn_scenario` creates, in order
@@ -102,11 +106,9 @@ def build_churn_scenario(
     n_receivers: int = 6,
     interval: float = 2.0,
     builder: Any = "spt",
-    cross_link_delay: float = 0.5,
 ) -> Scenario:
     """A Topology-A-like network **with redundancy**: the two aggregation
-    nodes are cross-linked (at ``cross_link_delay``, longer than the 0.2 s
-    primaries, so it only carries traffic as a backup path).  Every
+    nodes are cross-linked (at :data:`CROSS_LINK_DELAY`).  Every
     single-link failure therefore leaves the network connected, which is the
     regime where local repair beats tearing branches down.
     """
@@ -118,7 +120,7 @@ def build_churn_scenario(
     sc.add_link("src", "core", bandwidth=BACKBONE_BW)
     sc.add_link("core", "agg_a", bandwidth=BACKBONE_BW)
     sc.add_link("core", "agg_b", bandwidth=BACKBONE_BW)
-    sc.add_link("agg_a", "agg_b", bandwidth=BACKBONE_BW, delay=cross_link_delay)
+    sc.add_link("agg_a", "agg_b", bandwidth=BACKBONE_BW, delay=CROSS_LINK_DELAY)
 
     n_a = (n_receivers + 1) // 2
     for i in range(n_a):
@@ -201,6 +203,8 @@ def _run_one_backend(
         ev.time for ev in plan if ev.kind == "link_up" if ev.time < duration
     )
     last_clear = link_clears[-1] if link_clears else 0.0
+    # A run that scores no link clear has shown no recovery at all.
+    recovered_all = bool(link_clears) and last_clear + within <= duration
     last_join: Dict[Any, float] = {}
     for ev in plan:
         if ev.kind == "receiver_join":
@@ -208,7 +212,6 @@ def _run_one_backend(
             last_join[rid] = max(last_join.get(rid, 0.0), ev.time)
 
     receivers: Dict[str, Dict[str, Any]] = {}
-    recovered_all = True
     convergence = 0.0
     for h in sc.receivers:
         agent = h.agent
@@ -275,9 +278,10 @@ def run_churn(
     Both backends replay the *identical* ``(seed, plan)`` pair.  The
     returned dict is JSON-friendly; ``result["ok"]`` is True when
 
-    * every scored receiver of both backends got a controller suggestion
-      within ``recover_intervals`` control intervals of the later of the
-      last link-clear and its own last rejoin,
+    * the last link-clear leaves ``recover_intervals`` control intervals
+      before the horizon, and every scored receiver of both backends got a
+      controller suggestion within that long of the later of the last
+      link-clear and its own last rejoin,
     * the protected builder healed at least one failure with a local patch,
       and
     * no local patch removed + added more tree edges than the SPT backend's

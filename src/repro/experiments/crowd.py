@@ -69,6 +69,11 @@ DEFAULT_MAX_CONTROLLED = 512
 #: Declared control-plane scalability bound: no sample window may cost
 #: more than this many control bytes per second per live receiver.
 CONTROL_BYTES_PER_LIVE_BOUND = 512.0
+#: Concurrent sessions the Zipf demand picks from.
+CROWD_SESSIONS = 2
+#: The flash crowd joins over ``[CROWD_AT, CROWD_AT + CROWD_RAMP)`` (s).
+CROWD_AT = 10.0
+CROWD_RAMP = 5.0
 
 
 def crowd_receiver_ids(size: int) -> List[str]:
@@ -84,11 +89,10 @@ def edge_node_names(n_edges: int) -> List[str]:
 def build_crowd_scenario(
     seed: int = 1,
     n_edges: int = 8,
-    n_sessions: int = 2,
+    n_sessions: int = CROWD_SESSIONS,
     incumbents: int = 4,
     wireless_loss: float = 0.0,
     interval: float = 2.0,
-    traffic: str = "cbr",
 ) -> Tuple[Scenario, List[Any]]:
     """A star of ``n_edges`` wireless edge nodes behind one wired core.
 
@@ -131,7 +135,7 @@ def build_crowd_scenario(
             sc.add_link("core", name, bandwidth=CLASS_A_BW)
 
     session_ids = [
-        sc.add_session("src", traffic=traffic).session_id
+        sc.add_session("src", traffic="cbr").session_id
         for _ in range(n_sessions)
     ]
     sc.attach_controller("src", config=TopoSenseConfig(interval=interval))
@@ -148,26 +152,22 @@ def default_crowd_spec(
     duration: float = DEFAULT_DURATION,
     seed: int = 1,
     mode: str = "controlled",
-    at: float = 10.0,
-    ramp: float = 5.0,
-    shape: str = "exp",
-    controller: str = "default",
 ) -> WorkloadSpec:
     """The sweep's workload: Zipf session demand + flash crowd + diurnal tail.
 
     ``size`` receivers spread round-robin over ``edge_nodes`` pick sessions
-    by Zipf popularity, all join in a ``shape``-ramp flash crowd at ``at``,
-    and a post-ramp diurnal wave churns a slice of them until shortly
-    before the horizon.  Pure build-time randomness: same arguments, same
-    spec, bit for bit.
+    by Zipf popularity, all join in an exponential-ramp flash crowd over
+    ``[CROWD_AT, CROWD_AT + CROWD_RAMP)``, and a post-ramp diurnal wave
+    churns a slice of them until shortly before the horizon.  Pure
+    build-time randomness: same arguments, same spec, bit for bit.
     """
     spec = WorkloadSpec()
     spec.zipf_sessions(
         crowd_receiver_ids(size), edge_nodes, list(session_ids),
-        zipf_s=1.1, seed=seed, mode=mode, controller=controller,
+        zipf_s=1.1, seed=seed, mode=mode,
     )
-    spec.flash_crowd(at=at, size=size, ramp=ramp, shape=shape, seed=seed + 1)
-    churn_start = at + ramp + 2.0
+    spec.flash_crowd(at=CROWD_AT, size=size, ramp=CROWD_RAMP, shape="exp", seed=seed + 1)
+    churn_start = CROWD_AT + CROWD_RAMP + 2.0
     churn_end = duration - 5.0
     if churn_end > churn_start:
         spec.diurnal_churn(
@@ -183,7 +183,6 @@ def crowd_spec_for(
     seed: int = 1,
     duration: float = DEFAULT_DURATION,
     n_edges: int = 8,
-    n_sessions: int = 2,
     incumbents: int = 4,
     max_controlled: int = DEFAULT_MAX_CONTROLLED,
 ) -> WorkloadSpec:
@@ -193,7 +192,7 @@ def crowd_spec_for(
     throwaway build; crowds beyond ``max_controlled`` join static.
     """
     _probe, session_ids = build_crowd_scenario(
-        seed=seed, n_edges=n_edges, n_sessions=n_sessions, incumbents=incumbents,
+        seed=seed, n_edges=n_edges, incumbents=incumbents,
     )
     mode = "controlled" if size <= max_controlled else "static"
     return default_crowd_spec(
@@ -221,12 +220,12 @@ def _stability(sc: Scenario, duration: float) -> Dict[str, float]:
 
 def _run_baseline(
     seed: int, duration: float, loss: float,
-    n_edges: int, n_sessions: int, incumbents: int, interval: float,
+    n_edges: int, incumbents: int, interval: float,
 ) -> Dict[str, Any]:
     """Same seed, same scenario, no crowd: the static reference point."""
     sc, _sessions = build_crowd_scenario(
-        seed=seed, n_edges=n_edges, n_sessions=n_sessions,
-        incumbents=incumbents, wireless_loss=loss, interval=interval,
+        seed=seed, n_edges=n_edges, incumbents=incumbents,
+        wireless_loss=loss, interval=interval,
     )
     sc.run(duration)
     return {
@@ -243,7 +242,6 @@ def _run_point(
     loss: float,
     spec: WorkloadSpec,
     n_edges: int,
-    n_sessions: int,
     incumbents: int,
     interval: float,
     sample_interval: float,
@@ -252,8 +250,8 @@ def _run_point(
 ) -> Dict[str, Any]:
     t0 = perf_counter()
     sc, _sessions = build_crowd_scenario(
-        seed=seed, n_edges=n_edges, n_sessions=n_sessions,
-        incumbents=incumbents, wireless_loss=loss, interval=interval,
+        seed=seed, n_edges=n_edges, incumbents=incumbents,
+        wireless_loss=loss, interval=interval,
     )
     runner = WorkloadRunner(sc, spec, sample_interval=sample_interval).install()
     if recorder is not None:
@@ -355,7 +353,6 @@ def run_crowd(
     sizes: Sequence[int] = DEFAULT_SIZES,
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     n_edges: int = 8,
-    n_sessions: int = 2,
     incumbents: int = 4,
     interval: float = 2.0,
     sample_interval: float = 5.0,
@@ -397,15 +394,13 @@ def run_crowd(
     specs = {
         size: spec if spec is not None else crowd_spec_for(
             size, seed=seed, duration=duration, n_edges=n_edges,
-            n_sessions=n_sessions, incumbents=incumbents,
-            max_controlled=max_controlled,
+            incumbents=incumbents, max_controlled=max_controlled,
         )
         for size in sizes
     }
 
     baselines = [
-        _run_baseline(seed, duration, lo, n_edges, n_sessions,
-                      incumbents, interval)
+        _run_baseline(seed, duration, lo, n_edges, incumbents, interval)
         for lo in loss_rates
     ]
 
@@ -415,7 +410,7 @@ def run_crowd(
         for lo in loss_rates:
             points.append(_run_point(
                 seed, duration, size, lo, specs[size],
-                n_edges, n_sessions, incumbents, interval,
+                n_edges, incumbents, interval,
                 sample_interval, control_bound,
                 recorder=recorder if first else None,
             ))
@@ -428,7 +423,7 @@ def run_crowd(
     )
     replay_point = _run_point(
         seed, duration, smallest["size"], smallest["loss_rate"], rt_spec,
-        n_edges, n_sessions, incumbents, interval,
+        n_edges, incumbents, interval,
         sample_interval, control_bound,
     )
     replay_identical = (
@@ -458,7 +453,7 @@ def run_crowd(
         "sizes": sorted(sizes),
         "loss_rates": loss_rates,
         "n_edges": n_edges,
-        "n_sessions": n_sessions,
+        "n_sessions": CROWD_SESSIONS,
         "incumbents": incumbents,
         "max_controlled": max_controlled,
         "control_bound": control_bound,

@@ -124,25 +124,18 @@ def build_multi_domain_topology(
 def build_two_domain_topology(
     receivers_per_domain: int = 2,
     traffic: str = "cbr",
-    peak_to_mean: float = 3.0,
     seed: int = 0,
-    config: Optional[TopoSenseConfig] = None,
-    domain1_bw: float = DOMAIN1_BW,
-    domain2_bw: float = DOMAIN2_BW,
 ) -> Scenario:
     """One session, two domains, two independent controllers.
 
     Thin wrapper over :func:`build_multi_domain_topology` with
     ``n_domains=2`` — bit-identical to the historical hand-rolled builder:
-    domain 1's receivers sit behind ``domain1_bw`` access links (optimal 4
-    layers at the default), domain 2's behind ``domain2_bw`` (optimal 2).
+    domain 1's receivers sit behind :data:`DOMAIN1_BW` access links
+    (optimal 4 layers), domain 2's behind :data:`DOMAIN2_BW` (optimal 2).
     """
     return build_multi_domain_topology(
         n_domains=2,
         receivers_per_domain=receivers_per_domain,
         traffic=traffic,
-        peak_to_mean=peak_to_mean,
         seed=seed,
-        config=config,
-        domain_bws=(domain1_bw, domain2_bw),
     )

@@ -1,24 +1,24 @@
 """Shared membership plumbing: seeded churn draws and join/leave mechanics.
 
 Two consumers drive receiver membership — the fault plan's
-:meth:`~repro.faults.plan.FaultPlan.membership_churn` (PR 6) and the
-declarative workload engine (:mod:`repro.workloads`).  Both must use
-*identical* semantics on both sides of the boundary:
+``receiver_leave`` / ``receiver_join`` events and the declarative workload
+engine (:mod:`repro.workloads`):
 
-* **plan side** — :func:`churn_events` is the single implementation of the
-  seeded Poisson/Zipf churn draw.  Randomness is consumed here, at build
-  time; the output is a concrete ordered event list that round-trips
-  through JSON and replays bit-identically.
+* **plan side** — :func:`churn_events` is the seeded Poisson/Zipf churn
+  draw behind :meth:`~repro.faults.plan.FaultPlan.membership_churn`.
+  Randomness is consumed here, at build time; the output is a concrete
+  ordered event list that round-trips through JSON and replays
+  bit-identically.
 * **scenario side** — :func:`leave_receiver` / :func:`join_receiver` are
   the idempotent depart/arrive operations over
   :meth:`~repro.experiments.scenario.Scenario.detach_receiver` /
-  :meth:`~repro.experiments.scenario.Scenario.reattach_receiver`, so a
-  workload join and a fault-plan ``receiver_join`` build agents on the
-  same deterministic RNG streams (``rcvagent/<id>/rejoin<n>``).
-
-Receivers without agents (``mode="static"``, or parked workload receivers
-before their first join) are judged present by subscription level instead
-of agent liveness.
+  :meth:`~repro.experiments.scenario.Scenario.reattach_receiver`, shared by
+  both consumers, so a workload join and a fault-plan ``receiver_join``
+  build agents on the same deterministic RNG streams
+  (``rcvagent/<id>/rejoin<n>``).  Receivers without agents
+  (``mode="static"``, or parked workload receivers before their first
+  join) are judged present by subscription level instead of agent
+  liveness.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "churn_events",
     "leave_receiver",
     "join_receiver",
-    "is_present",
 ]
 
 #: (kind, time, receiver_id) rows emitted by :func:`churn_events`.
@@ -93,18 +92,6 @@ def churn_events(
 # Scenario-side mechanics (shared by the receiver_leave/receiver_join
 # faults and WorkloadRunner)
 # ----------------------------------------------------------------------
-def is_present(handle: Any) -> bool:
-    """Whether the receiver is currently a member.
-
-    Agent liveness wins when an agent exists (controlled/rlm after run);
-    otherwise the subscription level decides (static receivers, and parked
-    workload receivers that have never joined).
-    """
-    if handle.agent is not None:
-        return handle.agent.active
-    return handle.receiver.level > 0
-
-
 def leave_receiver(scenario: Any, handle: Any) -> bool:
     """Idempotent departure; returns True when a departure actually fired."""
     if handle.agent is not None and not handle.agent.active:

@@ -48,6 +48,11 @@ from ..simnet.tracing import StepTrace
 
 __all__ = ["Scenario", "ScenarioResult", "ReceiverHandle"]
 
+#: Largest queue (packets) :meth:`Scenario.add_link` sizes by default.
+DEFAULT_QUEUE_LIMIT = 32
+#: Propagation delay (s) of a link added without one.
+DEFAULT_DELAY = 0.2
+
 
 @dataclass
 class ReceiverHandle:
@@ -79,21 +84,15 @@ class Scenario:
         self,
         seed: int = 0,
         leave_latency: float = 1.0,
-        igmp_report_delay: float = 0.05,
-        default_queue_limit: int = 32,
-        default_delay: float = 0.2,
         builder: Any = "spt",
     ):
         self.sched = Scheduler()
         self.network = Network(self.sched)
         self.mcast = MulticastManager(
-            self.network, leave_latency=leave_latency,
-            igmp_report_delay=igmp_report_delay, builder=builder,
+            self.network, leave_latency=leave_latency, builder=builder
         )
         self.rngs = RngRegistry(seed)
         self.seed = seed
-        self.default_queue_limit = default_queue_limit
-        self.default_delay = default_delay
         self.sessions: Dict[Any, SessionDescriptor] = {}
         self.sources: Dict[Any, LayeredSource] = {}
         self.plans: Dict[Any, SessionPlan] = {}
@@ -120,18 +119,18 @@ class Scenario:
         """Add a (bidirectional by default) link; paper defaults applied.
 
         When ``queue_limit`` is not given it is sized to roughly half a
-        second of line rate (clamped to [8, ``default_queue_limit``]): a
+        second of line rate (clamped to [8, ``DEFAULT_QUEUE_LIMIT``]): a
         fixed deep buffer on a slow link would hide overload for several
         seconds and take as long to drain, distorting every loss signal the
         controller depends on.
         """
         if queue_limit is None:
-            queue_limit = int(min(self.default_queue_limit, max(8, bandwidth * 0.5 / 8000)))
+            queue_limit = int(min(DEFAULT_QUEUE_LIMIT, max(8, bandwidth * 0.5 / 8000)))
         return self.network.add_link(
             a,
             b,
             bandwidth=bandwidth,
-            delay=self.default_delay if delay is None else delay,
+            delay=DEFAULT_DELAY if delay is None else delay,
             queue_limit=queue_limit,
             **kw,
         )
@@ -451,20 +450,16 @@ class ScenarioResult:
                 return h.trace
         raise KeyError(receiver_id)
 
-    def optimal_levels(self, headroom: float = 1.0) -> Dict[Tuple[Any, Any], int]:
+    def optimal_levels(self) -> Dict[Tuple[Any, Any], int]:
         """Oracle optimum per (session, receiver), from true capacities."""
-        return optimal_levels(
-            self.scenario.network, list(self.scenario.plans.values()), headroom=headroom
-        )
+        return optimal_levels(self.scenario.network, list(self.scenario.plans.values()))
 
     # ------------------------------------------------------------------
-    def mean_deviation(
-        self, t0: float = 0.0, t1: Optional[float] = None, headroom: float = 1.0
-    ) -> float:
+    def mean_deviation(self, t0: float = 0.0, t1: Optional[float] = None) -> float:
         """Paper metric: mean relative deviation from optimal over [t0, t1]."""
         if t1 is None:
             t1 = self.end_time
-        optimal = self.optimal_levels(headroom=headroom)
+        optimal = self.optimal_levels()
         pairs = [
             (h.trace, float(optimal[(h.session_id, h.receiver_id)]))
             for h in self.scenario.receivers
@@ -472,13 +467,12 @@ class ScenarioResult:
         return mean_relative_deviation(pairs, t0, t1)
 
     def deviation_of(
-        self, receiver_id: Any, t0: float = 0.0, t1: Optional[float] = None,
-        headroom: float = 1.0,
+        self, receiver_id: Any, t0: float = 0.0, t1: Optional[float] = None
     ) -> float:
         """Relative deviation of one receiver."""
         if t1 is None:
             t1 = self.end_time
-        optimal = self.optimal_levels(headroom=headroom)
+        optimal = self.optimal_levels()
         for h in self.scenario.receivers:
             if h.receiver_id == receiver_id:
                 return relative_deviation(

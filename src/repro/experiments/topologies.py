@@ -105,22 +105,18 @@ def build_topology_b(
     seed: int = 0,
     staleness: float = 0.0,
     config: Optional[TopoSenseConfig] = None,
-    algorithm: Optional[Any] = None,
-    receiver_mode: str = "controlled",
-    per_session_bw: float = PER_SESSION_FAIR_BW,
-    leave_latency: float = 1.0,
 ) -> Scenario:
     """Topology B: ``n_sessions`` sessions (one receiver each) share one link
-    of capacity ``n_sessions * per_session_bw``.
+    of capacity ``n_sessions * PER_SESSION_FAIR_BW``.
 
     Optimal level: 4 layers for every session (480 of 500 Kb/s fair share).
     """
     if n_sessions < 1:
         raise ValueError("need at least one session")
-    sc = Scenario(seed=seed, leave_latency=leave_latency)
+    sc = Scenario(seed=seed)
     sc.add_node("x")
     sc.add_node("y")
-    sc.add_link("x", "y", bandwidth=n_sessions * per_session_bw)
+    sc.add_link("x", "y", bandwidth=n_sessions * PER_SESSION_FAIR_BW)
     session_ids = []
     for i in range(n_sessions):
         sc.add_node(f"s{i}")
@@ -129,11 +125,8 @@ def build_topology_b(
         sc.add_link("y", f"r{i}", bandwidth=BACKBONE_BW)
         sess = sc.add_session(f"s{i}", traffic=traffic, peak_to_mean=peak_to_mean)
         session_ids.append(sess.session_id)
-    if receiver_mode == "controlled":
-        # Controller at the first source node, as in the paper.
-        sc.attach_controller(
-            "s0", algorithm=algorithm, config=config, staleness=staleness
-        )
+    # Controller at the first source node, as in the paper.
+    sc.attach_controller("s0", config=config, staleness=staleness)
     for i, sid in enumerate(session_ids):
-        sc.add_receiver(sid, f"r{i}", receiver_id=f"rx{i}", mode=receiver_mode)
+        sc.add_receiver(sid, f"r{i}", receiver_id=f"rx{i}")
     return sc

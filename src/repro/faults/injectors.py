@@ -25,7 +25,7 @@ import dataclasses
 import inspect
 from typing import Any, Dict, List, Tuple
 
-from ..control.agent import ControllerAgent
+from ..control.agent import ControllerAgent, ReceiverAgent
 from ..control.messages import Register, RegisterAck, Report, Suggestion
 from ..simnet.packet import CONTROL, Packet
 
@@ -210,7 +210,7 @@ class FaultInjector(_Injector):
     def _agent(self, receiver_id: Any):
         for handle in self.scenario.receivers:
             if handle.receiver_id == receiver_id:
-                if handle.agent is None or not hasattr(handle.agent, "set_byzantine"):
+                if not isinstance(handle.agent, ReceiverAgent):
                     raise ValueError(
                         f"receiver {receiver_id!r} has no controllable agent "
                         "(byzantine faults need mode='controlled' and run())"

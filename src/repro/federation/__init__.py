@@ -47,7 +47,6 @@ from .partition import (
     DomainReceiver,
     DomainSession,
     DomainView,
-    gateways_for_tier,
 )
 from .session import FederatedSession
 from .shard import BORDER_NODE, DomainShard
@@ -71,7 +70,6 @@ __all__ = [
     "InterDomainChannel",
     "build_federated_views",
     "default_fedchaos_plan",
-    "gateways_for_tier",
     "render_fedchaos_report",
     "render_federate_report",
     "run_fedchaos",

@@ -6,7 +6,7 @@ coordinator crash -> failover) and gates the partition-tolerance claims:
 
 * **recovery within bounds** — after the coordinator failover every shard
   must apply fresh advice at the new fencing epoch within
-  ``recovery_rounds`` lockstep rounds;
+  :data:`RECOVERY_ROUNDS` lockstep rounds;
 * **no ceiling overshoot** — once a shard's advice age exceeds the
   staleness budget, its (decayed) effective session ceiling must never
   exceed the ceiling the same-seed *fault-free* run advised at the same
@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
 from .experiment import build_federated_views
-from .session import FederatedSession
+from .session import RETRY_LIMIT, FederatedSession
 
 __all__ = [
     "DEFAULT_CHAOS_DURATION",
@@ -45,6 +45,9 @@ DEFAULT_LOSS_RATES = (0.05, 0.2)
 
 #: Default partition-window sweep, in lockstep rounds of darkness.
 DEFAULT_PARTITION_ROUNDS = (3, 4)
+
+#: Rounds after the failover by which every shard must apply fresh advice.
+RECOVERY_ROUNDS = 3
 
 
 def default_fedchaos_plan(
@@ -92,7 +95,6 @@ def _run_one(
     duration: float,
     cadence: float,
     plan: Optional[FaultPlan],
-    retry_limit: int,
     staleness_budget: int,
     decay_floor: int,
     traffic: str,
@@ -105,8 +107,7 @@ def _run_one(
     )
     fed = FederatedSession(
         views, seed=seed, cadence=cadence, bus=bus,
-        plan=plan, retry_limit=retry_limit,
-        staleness_budget=staleness_budget, decay_floor=decay_floor,
+        plan=plan, staleness_budget=staleness_budget, decay_floor=decay_floor,
     )
     wall0 = perf_counter()
     fed.run(duration)
@@ -157,18 +158,16 @@ def _run_one(
     }
 
 
-def _check_recovery(
-    faulted: Dict[str, Any], recovery_rounds: int
-) -> Dict[str, Any]:
+def _check_recovery(faulted: Dict[str, Any]) -> Dict[str, Any]:
     """Every shard/session must apply advice at the post-failover epoch
-    within ``recovery_rounds`` rounds of the failover."""
+    within :data:`RECOVERY_ROUNDS` rounds of the failover."""
     failovers = faulted["failover_rounds"]
     if not failovers:
         return {"failover_round": None, "ok": False,
                 "reason": "no failover fired"}
     r_f = failovers[-1]
     expected_epoch = faulted["coordinator"]["epoch"]
-    bound = r_f + recovery_rounds
+    bound = r_f + RECOVERY_ROUNDS
     recovered_by: Optional[int] = None
     ok = True
     for name in sorted(faulted["ceilings"]):
@@ -246,8 +245,6 @@ def run_fedchaos(
     delay_rounds: int = 1,
     staleness_budget: int = 2,
     decay_floor: int = 1,
-    retry_limit: int = 3,
-    recovery_rounds: int = 3,
     traffic: str = "cbr",
     plan: Optional[FaultPlan] = None,
     recorder: Optional[Any] = None,
@@ -262,8 +259,6 @@ def run_fedchaos(
     """
     if n_domains < 2:
         raise ValueError("fedchaos needs at least two domains")
-    if recovery_rounds < 1:
-        raise ValueError("recovery_rounds must be >= 1")
     losses = sorted({float(loss) for loss in loss_rates})
     windows = sorted({int(w) for w in partition_rounds})
     if not losses or not windows:
@@ -291,8 +286,8 @@ def run_fedchaos(
     common = dict(
         n_domains=n_domains, receivers_per_domain=receivers_per_domain,
         seed=seed, duration=duration, cadence=cadence,
-        retry_limit=retry_limit, staleness_budget=staleness_budget,
-        decay_floor=decay_floor, traffic=traffic,
+        staleness_budget=staleness_budget, decay_floor=decay_floor,
+        traffic=traffic,
     )
     baseline = _run_one(plan=None, **common)
 
@@ -302,7 +297,7 @@ def run_fedchaos(
             plan=point_plan, bus=bus if i == len(combos) - 1 else None,
             **common,
         )
-        recovery = _check_recovery(faulted, recovery_rounds)
+        recovery = _check_recovery(faulted)
         overshoot = _check_overshoot(faulted, baseline)
         points.append({
             "loss": loss,
@@ -332,8 +327,8 @@ def run_fedchaos(
         "partition_rounds_sweep": windows,
         "staleness_budget": staleness_budget,
         "decay_floor": decay_floor,
-        "retry_limit": retry_limit,
-        "recovery_rounds": recovery_rounds,
+        "retry_limit": RETRY_LIMIT,
+        "recovery_rounds": RECOVERY_ROUNDS,
         "baseline": baseline,
         "points": points,
         "gates": gates,

@@ -15,10 +15,7 @@ another.
 Assignments can be given explicitly (node → domain mapping) or derived with
 :meth:`DomainPartitioner.by_gateways`: name one border gateway per domain
 and every node whose delay-shortest path from the session source passes
-through that gateway joins the domain (the gateway's subtree).  For the
-tiered topologies of :mod:`repro.experiments.tiered`,
-:func:`gateways_for_tier` names every ``regional<k>`` node as a gateway, so
-each regional subtree becomes one administrative domain.
+through that gateway joins the domain (the gateway's subtree).
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "DomainSession",
     "DomainView",
     "DomainPartitioner",
-    "gateways_for_tier",
 ]
 
 
@@ -85,19 +81,6 @@ class DomainView:
     @property
     def receiver_count(self) -> int:
         return len(self.receivers)
-
-
-def gateways_for_tier(scenario: Any, tier: str = "regional") -> Dict[str, Any]:
-    """Domain-name → gateway-node mapping with one domain per ``<tier>N``
-    node of a tiered topology (see :mod:`repro.experiments.tiered`)."""
-    gateways = {
-        str(name): name
-        for name in scenario.network.nodes
-        if str(name).startswith(tier) and str(name)[len(tier):].isdigit()
-    }
-    if not gateways:
-        raise ValueError(f"no {tier!r}-tier nodes found to use as gateways")
-    return gateways
 
 
 class DomainPartitioner:

@@ -15,7 +15,7 @@ simulated seconds:
    :class:`~repro.control.messages.SubtreeSummary` per session over the
    session's :class:`~repro.federation.channel.InterDomainChannel` — the
    one wire in both directions, perfect unless impaired — with up to
-   ``retry_limit`` attempts per summary (every attempt is charged to the
+   :data:`RETRY_LIMIT` attempts per summary (every attempt is charged to the
    summary byte tier; exhaustion counts as an exchange timeout);
 4. the coordinator (if alive) merges them (sorted order) into per-session
    :class:`~repro.control.messages.FederationAdvice` fanned back out to
@@ -53,6 +53,8 @@ __all__ = ["FederatedSession"]
 #: Notional backoff before the first summary retry, doubling per attempt
 #: (reported on ``federation.retry``; the lockstep exchange does not wait).
 RETRY_BACKOFF_S = 0.1
+#: Send attempts per summary per round before it counts as a timeout.
+RETRY_LIMIT = 3
 
 
 class FederatedSession:
@@ -66,7 +68,6 @@ class FederatedSession:
         bus: Optional[Any] = None,
         profiler: Optional[Any] = None,
         plan: Optional[Any] = None,
-        retry_limit: int = 3,
         staleness_budget: int = 2,
         decay_floor: int = 1,
     ):
@@ -74,8 +75,6 @@ class FederatedSession:
             raise ValueError("cadence must be positive")
         if not views:
             raise ValueError("need at least one domain view")
-        if retry_limit < 1:
-            raise ValueError("retry_limit must be >= 1")
         ordered = sorted(views, key=lambda v: str(v.domain))
         names = [str(v.domain) for v in ordered]
         if len(set(names)) != len(names):
@@ -83,7 +82,6 @@ class FederatedSession:
         self.cadence = float(cadence)
         self.bus = bus
         self.profiler = profiler
-        self.retry_limit = int(retry_limit)
         self.shards: Dict[str, DomainShard] = {
             str(v.domain): DomainShard(
                 v, seed=seed,
@@ -241,7 +239,7 @@ class FederatedSession:
         same to the sender: silence, then retry, then timeout.
         """
         domain = str(shard.domain)
-        for attempt in range(1, self.retry_limit + 1):
+        for attempt in range(1, RETRY_LIMIT + 1):
             if attempt > 1:
                 shard.summary_bytes_sent += SUMMARY_SIZE
                 shard.summary_retries += 1
@@ -263,7 +261,7 @@ class FederatedSession:
             self.bus.emit(
                 "federation.timeout", now,
                 domain=shard.domain, session=summary.session_id,
-                attempts=self.retry_limit,
+                attempts=RETRY_LIMIT,
             )
 
     # ------------------------------------------------------------------

@@ -3,7 +3,6 @@ sources, and loss-tracking layered receivers (the paper's hierarchical
 source model, §IV).
 """
 
-from .cross_traffic import OnOffSource
 from .layers import LayerSchedule, PAPER_SCHEDULE
 from .receiver import IntervalStats, LayeredReceiver
 from .source import CBR, VBR, LayeredSource
@@ -16,5 +15,4 @@ __all__ = [
     "VBR",
     "LayeredReceiver",
     "IntervalStats",
-    "OnOffSource",
 ]

@@ -24,7 +24,7 @@ from typing import Any, List, Optional, Sequence
 
 from ..multicast.manager import MulticastManager
 from ..simnet.node import Node
-from ..simnet.packet import Packet
+from ..simnet.packet import DEFAULT_PACKET_SIZE, Packet
 from ..simnet.tracing import SeriesTrace, StepTrace
 from .layers import LayerSchedule
 
@@ -86,6 +86,9 @@ class _LayerRx:
 class LayeredReceiver:
     """A receiver host application for one layered session."""
 
+    #: Bytes per data packet (paper: 1000).
+    packet_size = DEFAULT_PACKET_SIZE
+
     def __init__(
         self,
         node: Node,
@@ -94,7 +97,6 @@ class LayeredReceiver:
         schedule: LayerSchedule,
         mcast: MulticastManager,
         receiver_id: Optional[Any] = None,
-        packet_size: int = 1000,
         initial_level: int = 1,
     ):
         if len(groups) != schedule.n_layers:
@@ -107,7 +109,6 @@ class LayeredReceiver:
         self.schedule = schedule
         self.mcast = mcast
         self.receiver_id = receiver_id if receiver_id is not None else node.name
-        self.packet_size = packet_size
         self.layers: List[_LayerRx] = [_LayerRx(g) for g in groups]
         self.level = 0
         self.trace = StepTrace(t0=self.sched.now, v0=0)

@@ -69,6 +69,8 @@ __all__ = ["LayeredSource", "CBR", "VBR"]
 #: Traffic-model tags accepted by :class:`LayeredSource`.
 CBR = "cbr"
 VBR = "vbr"
+#: VBR slot length in seconds (paper: 1 s).
+SLOT = 1.0
 
 
 class _LayerSender:
@@ -116,7 +118,7 @@ class _LayerSender:
 
     @property
     def bytes_sent(self) -> int:
-        return self.packets_sent * self._source.packet_size
+        return self.packets_sent * DEFAULT_PACKET_SIZE
 
 
 class LayeredSource:
@@ -142,12 +144,8 @@ class LayeredSource:
         ``"cbr"`` or ``"vbr"``.
     peak_to_mean:
         VBR peak-to-mean ratio P (ignored for CBR).
-    packet_size:
-        Bytes per packet (paper: 1000).
     rng:
         ``numpy.random.Generator`` for the VBR draws (and phase jitter).
-    slot:
-        VBR slot length in seconds (paper: 1 s).
     phase_jitter:
         When True (requires ``rng``), each layer's packet train is offset by
         a random fixed fraction of its inter-packet spacing.  Without this,
@@ -165,9 +163,7 @@ class LayeredSource:
         schedule: LayerSchedule,
         model: str = CBR,
         peak_to_mean: float = 3.0,
-        packet_size: int = DEFAULT_PACKET_SIZE,
         rng: Optional[np.random.Generator] = None,
-        slot: float = 1.0,
         phase_jitter: bool = False,
     ):
         if len(groups) != schedule.n_layers:
@@ -189,9 +185,7 @@ class LayeredSource:
         self.schedule = schedule
         self.model = model
         self.peak_to_mean = float(peak_to_mean)
-        self.packet_size = packet_size
         self.rng = rng
-        self.slot = slot
         self.senders: List[_LayerSender] = [
             _LayerSender(
                 self,
@@ -243,7 +237,7 @@ class LayeredSource:
         layer, schedule the heard layers' emits and park the rest."""
         if not self._running:
             return
-        bits_per_packet = self.packet_size * 8.0
+        bits_per_packet = DEFAULT_PACKET_SIZE * 8.0
         sched = self.sched
         at, now, emit, gen = sched.at, sched.now, self._emit, self._gen
         node = self.node
@@ -254,11 +248,11 @@ class LayeredSource:
             if sender.parked is not None:
                 sender.sent += sender.parked[1]
                 sender.parked = None
-            mean_packets = sender.rate * self.slot / bits_per_packet
+            mean_packets = sender.rate * SLOT / bits_per_packet
             n = self._draw_packets(mean_packets)
             if n <= 0:
                 continue
-            spacing = self.slot / n
+            spacing = SLOT / n
             offset = sender.phase * spacing
             group = sender.group
             if parkable and group not in fwd and group not in handlers:
@@ -266,7 +260,7 @@ class LayeredSource:
                 continue
             for i in range(n):
                 at(now + (offset + i * spacing), emit, sender, gen)
-        self._slot_event = at(now + self.slot, self._run_slot)
+        self._slot_event = at(now + SLOT, self._run_slot)
 
     def _wake(self, sender: _LayerSender) -> None:
         """The sender's group gained a listener (or the node crashed): count
@@ -307,7 +301,7 @@ class LayeredSource:
         node.send(Packet(
             src=node.name,
             group=group,
-            size=self.packet_size,
+            size=DEFAULT_PACKET_SIZE,
             seq=seq,
             session=self.session_id,
             layer=sender.layer,

@@ -1,41 +1,31 @@
 """Evaluation metrics: the paper's relative deviation (§IV), the Fig. 6/7
 stability pair, supporting fairness indices, and fault-recovery measures."""
 
-from .ascii_plot import render_histogram, render_level_timeline, render_series
+from .ascii_plot import render_level_timeline
 from .attribution import loss_attribution
 from .deviation import mean_relative_deviation, relative_deviation
 from .fairness import bandwidth_shares, jain_index
-from .guard import (
-    max_level_divergence,
-    mean_level_divergence,
-    quarantine_precision_recall,
-)
+from .guard import mean_level_divergence, quarantine_precision_recall
 from .recovery import (
     max_suggestion_gap,
     recovery_report,
     suggestion_gaps,
-    time_to_level,
     time_to_suggestion,
 )
-from .stability import subscription_changes, worst_receiver_stability
+from .stability import worst_receiver_stability
 
 __all__ = [
     "relative_deviation",
     "mean_relative_deviation",
-    "subscription_changes",
     "worst_receiver_stability",
     "jain_index",
     "bandwidth_shares",
     "render_level_timeline",
-    "render_series",
-    "render_histogram",
     "time_to_suggestion",
-    "time_to_level",
     "suggestion_gaps",
     "max_suggestion_gap",
     "recovery_report",
     "quarantine_precision_recall",
     "mean_level_divergence",
-    "max_level_divergence",
     "loss_attribution",
 ]

@@ -3,18 +3,16 @@
 The paper's figures are line plots; in a terminal the closest useful
 rendering is a row-per-bucket timeline.  :func:`render_level_timeline` draws
 a subscription-level trace as a horizontal strip of digits (one character
-per time bucket), and :func:`render_series` draws a sampled series (e.g.
-loss rate) as a vertical bar chart.  Used by ``python -m repro fig9 --plot``
-and handy in notebooks/debug sessions.
+per time bucket).  Used by ``python -m repro fig9 --plot``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-from ..simnet.tracing import SeriesTrace, StepTrace
+from ..simnet.tracing import StepTrace
 
-__all__ = ["render_level_timeline", "render_series", "render_histogram"]
+__all__ = ["render_level_timeline"]
 
 
 def render_level_timeline(
@@ -42,61 +40,3 @@ def render_level_timeline(
         chars.append(str(level) if 0 <= level <= 9 else "#")
     line = "".join(chars)
     return f"{label}{line}" if label else line
-
-
-def render_series(
-    series: SeriesTrace,
-    t0: float,
-    t1: float,
-    width: int = 80,
-    height: int = 5,
-    max_value: Optional[float] = None,
-    label: str = "",
-) -> str:
-    """Vertical bar chart of a sampled series, bucket-averaged.
-
-    Rows print top-down; a column is filled up to its bucket mean relative
-    to ``max_value`` (default: the window maximum).
-    """
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
-    if width < 1 or height < 1:
-        raise ValueError("width and height must be >= 1")
-    dt = (t1 - t0) / width
-    buckets: List[float] = []
-    for i in range(width):
-        lo, hi = t0 + i * dt, t0 + (i + 1) * dt
-        _, vals = series.window(lo, hi)
-        buckets.append(float(vals.mean()) if vals.size else 0.0)
-    top = max_value if max_value is not None else (max(buckets) or 1.0)
-    if top <= 0:
-        top = 1.0
-    rows = []
-    for row in range(height, 0, -1):
-        threshold = top * (row - 0.5) / height
-        rows.append("".join("|" if b >= threshold else " " for b in buckets))
-    out = "\n".join(rows)
-    if label:
-        out = f"{label} (max {top:.2f})\n{out}"
-    return out
-
-
-def render_histogram(
-    values: Sequence[float], bins: Sequence[float], width: int = 40, label: str = ""
-) -> str:
-    """Horizontal histogram: one row per bin, ``#`` bars scaled to width."""
-    if len(bins) < 2:
-        raise ValueError("need at least two bin edges")
-    counts = [0] * (len(bins) - 1)
-    for v in values:
-        for i in range(len(bins) - 1):
-            if bins[i] <= v < bins[i + 1] or (i == len(bins) - 2 and v == bins[-1]):
-                counts[i] += 1
-                break
-    top = max(counts) or 1
-    rows = []
-    for i, c in enumerate(counts):
-        bar = "#" * int(round(width * c / top))
-        rows.append(f"[{bins[i]:8.2f}, {bins[i + 1]:8.2f}) {bar} {c}")
-    out = "\n".join(rows)
-    return f"{label}\n{out}" if label else out

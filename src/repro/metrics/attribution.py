@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..simnet.wireless import WirelessEdgeLink
+
 __all__ = ["loss_attribution"]
 
 
@@ -36,7 +38,8 @@ def loss_attribution(network: Any) -> Dict[str, float]:
     wireless = 0
     for link in network.links.values():
         congestive += link.queue.stats.dropped
-        wireless += getattr(link, "wireless_drops", 0)
+        if isinstance(link, WirelessEdgeLink):
+            wireless += link.wireless_drops
     total = congestive + wireless
     return {
         "congestive_drops": float(congestive),

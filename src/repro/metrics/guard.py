@@ -15,7 +15,6 @@ from ..simnet.tracing import StepTrace
 __all__ = [
     "quarantine_precision_recall",
     "mean_level_divergence",
-    "max_level_divergence",
 ]
 
 
@@ -65,13 +64,3 @@ def mean_level_divergence(a: StepTrace, b: StepTrace, t0: float, t1: float) -> f
             continue
         total += abs(a.value_at(seg_t0) - b.value_at(seg_t0)) * (seg_t1 - seg_t0)
     return total / (t1 - t0)
-
-
-def max_level_divergence(a: StepTrace, b: StepTrace, t0: float, t1: float) -> float:
-    """Largest ``|a(t) - b(t)|`` attained anywhere in ``[t0, t1]``."""
-    if t1 <= t0:
-        raise ValueError("need t1 > t0")
-    return max(
-        abs(a.value_at(t) - b.value_at(t))
-        for t in _merged_breakpoints(a, b, t0, t1)
-    )

@@ -7,20 +7,16 @@ measures:
   controller (the paper's receivers make unilateral decisions inside such
   gaps);
 * **time to recover** — how long after a fault *clears* until a receiver is
-  back under controller guidance (first suggestion) and back at a target
-  subscription level.
+  back under controller guidance (first suggestion).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
-
-from ..simnet.tracing import StepTrace
+from typing import Dict, List, Sequence
 
 __all__ = [
     "time_to_suggestion",
-    "time_to_level",
     "suggestion_gaps",
     "max_suggestion_gap",
     "recovery_report",
@@ -35,20 +31,6 @@ def time_to_suggestion(suggestion_times: Sequence[float], after: float) -> float
     """
     for t in suggestion_times:
         if t > after:
-            return t - after
-    return math.inf
-
-
-def time_to_level(trace: StepTrace, after: float, target: float) -> float:
-    """Seconds from ``after`` until the traced level first reaches ``target``.
-
-    Zero when already at/above target at ``after``; ``inf`` when the trace
-    never gets there.
-    """
-    if trace.value_at(after) >= target:
-        return 0.0
-    for t, v in zip(trace.times, trace.values):
-        if t > after and v >= target:
             return t - after
     return math.inf
 
@@ -78,16 +60,13 @@ def max_suggestion_gap(
 
 def recovery_report(
     suggestion_times: Sequence[float],
-    trace: StepTrace,
     clear_times: Sequence[float],
     within: float,
-    target: Optional[float] = None,
 ) -> Dict[str, object]:
     """Summarise recovery after each fault-clear time.
 
     Per clear time ``c`` the receiver *recovered* when it received a
-    controller suggestion within ``within`` seconds of ``c`` (and, when
-    ``target`` is given, also reached that level eventually).  Returns::
+    controller suggestion within ``within`` seconds of ``c``.  Returns::
 
         {"per_fault": [{"clear": c, "t_suggestion": dt, "recovered": bool}],
          "recovered_all": bool}
@@ -95,10 +74,7 @@ def recovery_report(
     per_fault = []
     for c in clear_times:
         dt = time_to_suggestion(suggestion_times, c)
-        entry = {"clear": c, "t_suggestion": dt, "recovered": dt <= within}
-        if target is not None:
-            entry["t_level"] = time_to_level(trace, c, target)
-        per_fault.append(entry)
+        per_fault.append({"clear": c, "t_suggestion": dt, "recovered": dt <= within})
     return {
         "per_fault": per_fault,
         "recovered_all": all(e["recovered"] for e in per_fault),

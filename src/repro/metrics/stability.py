@@ -14,12 +14,7 @@ from typing import Sequence, Tuple
 
 from ..simnet.tracing import StepTrace
 
-__all__ = ["subscription_changes", "worst_receiver_stability"]
-
-
-def subscription_changes(trace: StepTrace, t0: float, t1: float) -> int:
-    """Number of subscription-level changes in ``(t0, t1]``."""
-    return trace.num_changes(t0, t1)
+__all__ = ["worst_receiver_stability"]
 
 
 def worst_receiver_stability(

@@ -25,7 +25,3 @@ class GroupAllocator:
         g = next(self._counter)
         self.allocated.append(g)
         return g
-
-    def allocate_block(self, n: int) -> list:
-        """Allocate ``n`` consecutive addresses (one session's layers)."""
-        return [self.allocate() for _ in range(n)]

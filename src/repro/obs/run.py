@@ -6,7 +6,7 @@ bench) records itself under a run directory::
     runs/<experiment>-s<seed>-<stamp>/
         manifest.json     seed, args, git rev, wall/sim time, event count
         events.jsonl      one JSON object per bus event, in emit order
-        metrics.json      final MetricsRegistry snapshot + profiler summary
+        metrics.json      event counts per topic, per-interval deltas, profiler summary
         result.json       the experiment's own result dict (when it has one)
 
 The root defaults to ``./runs`` and can be moved with ``REPRO_RUNS_DIR``
@@ -15,9 +15,7 @@ The root defaults to ``./runs`` and can be moved with ``REPRO_RUNS_DIR``
 (:data:`DEFAULT_TOPICS` — control plane, links, receivers, guard) and
 attaches the bus to a scenario's scheduler, so the instrumented stack's
 events land in ``events.jsonl`` — this replaces the ad-hoc fault-log
-plumbing the chaos and byzantine experiments used to duplicate.  Pass
-``topics=("*",)`` for a full firehose including the per-event
-``sched.dispatch`` stream (large: one line per scheduler event).
+plumbing the chaos and byzantine experiments used to duplicate.
 """
 
 from __future__ import annotations
@@ -27,11 +25,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..core.toposense import TopoSense
 from .bus import BusEvent, EventBus, default_record_patterns
-from .metrics import MetricsRegistry, sample_links
 from .profile import Profiler
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "RunRecorder",
     "fault_log_entries",
     "git_rev",
+    "sample_links",
     "strip_timings",
 ]
 
@@ -87,6 +87,29 @@ def strip_timings(result: Dict[str, Any], keys: Iterable[str]) -> Dict[str, Any]
     return stripped
 
 
+def sample_links(network: Any, elapsed: float) -> List[Dict[str, Any]]:
+    """Per-link utilisation/drop sample over ``elapsed`` seconds of sim time.
+
+    Reads each link's cumulative :class:`~repro.simnet.link.LinkStats` and
+    queue stats; a reader diffs successive samples if it needs rates.
+    """
+    rows = []
+    for link in network.links.values():
+        q = link.queue.stats
+        rows.append(
+            {
+                "link": f"{link.src.name}->{link.dst.name}",
+                "up": link.up,
+                "utilization": link.stats.utilization(elapsed),
+                "tx_packets": link.stats.tx_packets,
+                "tx_bytes": link.stats.tx_bytes,
+                "dropped": q.dropped,
+                "queue_len": len(link.queue),
+            }
+        )
+    return rows
+
+
 class RunRecorder:
     """Owns one run directory and the observability objects feeding it."""
 
@@ -96,13 +119,17 @@ class RunRecorder:
         seed: Optional[int] = None,
         root: Optional[str] = None,
         args: Optional[Dict[str, Any]] = None,
-        topics: Tuple[str, ...] = DEFAULT_TOPICS,
     ) -> None:
         self.experiment = experiment
         self.seed = seed
         self.args = dict(args or {})
         self.bus = EventBus()
-        self.metrics = MetricsRegistry()
+        #: ``events.<topic>`` -> events logged so far.
+        self.counts: Counter[str] = Counter()
+        #: One ``{"t", "deltas"}`` entry per sampler tick: each count's
+        #: growth since the previous tick.
+        self.intervals: List[Dict[str, Any]] = []
+        self._last_counts: Dict[str, int] = {}
         self.profiler = Profiler()
         self._scenario: Any = None
         self._wall_t0 = time.perf_counter()
@@ -121,7 +148,7 @@ class RunRecorder:
         self.dir = run_dir
         self._events_fh = open(run_dir / "events.jsonl", "w")
         self.events_logged = 0
-        for pattern in topics:
+        for pattern in DEFAULT_TOPICS:
             self.bus.subscribe(pattern, self._on_event)
 
     # ------------------------------------------------------------------
@@ -135,7 +162,7 @@ class RunRecorder:
             entry.update(data)
         self._events_fh.write(json.dumps(entry, default=str) + "\n")
         self.events_logged += 1
-        self.metrics.counter(f"events.{topic}").inc()
+        self.counts[f"events.{topic}"] += 1
 
     def record_fault_log(self, log: Iterable[Tuple[float, str, str]]) -> None:
         """Mirror a fault injector's log into the event stream."""
@@ -147,7 +174,7 @@ class RunRecorder:
         """Wire this recorder into a scenario before it runs.
 
         Attaches the bus and profiler to the scheduler, the profiler to
-        every controller (and its algorithm, when it takes one), and — if
+        every controller (and its algorithm, when it is TopoSense), and — if
         ``sample_interval`` is given — a periodic link utilisation sampler
         and a per-interval metrics mark.
         """
@@ -157,7 +184,7 @@ class RunRecorder:
         sched.profiler = self.profiler
         for controller in scenario.controllers.values():
             controller.profiler = self.profiler
-            if hasattr(controller.algorithm, "profiler"):
+            if isinstance(controller.algorithm, TopoSense):
                 controller.algorithm.profiler = self.profiler
         scenario.mcast.profiler = self.profiler
         if sample_interval is not None:
@@ -168,9 +195,15 @@ class RunRecorder:
                 now = sched.now
                 for row in sample_links(scenario.network, max(now, 1e-9)):
                     self.log_event(now, "link.sample", row)
-                self.metrics.mark_interval(now)
+                self._mark_interval(now)
 
             sched.every(sample_interval, _sample)
+
+    def _mark_interval(self, now: float) -> None:
+        last = self._last_counts
+        deltas = {name: float(n - last.get(name, 0)) for name, n in self.counts.items()}
+        self._last_counts = dict(self.counts)
+        self.intervals.append({"t": now, "deltas": deltas})
 
     # ------------------------------------------------------------------
     def finalize(
@@ -205,8 +238,11 @@ class RunRecorder:
             manifest["sim_events_processed"] = self._scenario.sched.events_processed
         (self.dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
         metrics = {
-            "metrics": self.metrics.snapshot(),
-            "intervals": self.metrics.intervals,
+            "metrics": {
+                "counters": {name: float(n) for name, n in sorted(self.counts.items())},
+                "n_intervals": len(self.intervals),
+            },
+            "intervals": self.intervals,
             "profile": self.profiler.summary(),
         }
         (self.dir / "metrics.json").write_text(json.dumps(metrics, indent=2, default=str))

@@ -34,12 +34,6 @@ class QueueStats:
         """Total packets offered to the queue (accepted + dropped)."""
         return self.enqueued + self.dropped
 
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of offered packets dropped (0.0 when nothing offered)."""
-        offered = self.offered
-        return self.dropped / offered if offered else 0.0
-
 
 class DropTailQueue:
     """Bounded FIFO queue: arrivals beyond ``capacity`` packets are dropped.

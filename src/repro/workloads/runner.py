@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from ..control.agent import ReceiverAgent
 from .spec import WorkloadSpec
 
 __all__ = ["WorkloadRunner", "control_bytes", "latency_percentiles"]
@@ -38,8 +39,8 @@ def control_bytes(scenario: Any) -> float:
         c.control_bytes_sent for c in scenario.controllers.values()
     ))
     for h in scenario.receivers:
-        if h.agent is not None:
-            total += getattr(h.agent, "control_bytes_sent", 0)
+        if isinstance(h.agent, ReceiverAgent):
+            total += h.agent.control_bytes_sent
     return total
 
 

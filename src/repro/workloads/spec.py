@@ -8,10 +8,10 @@ A :class:`WorkloadSpec` is two plain lists:
   ``join``/``leave`` actions against that population.
 
 Builder methods (:meth:`WorkloadSpec.flash_crowd`,
-:meth:`WorkloadSpec.zipf_sessions`, :meth:`WorkloadSpec.diurnal_churn`,
-:meth:`WorkloadSpec.churn`) consume their randomness at build time through
-the seeded samplers in :mod:`repro.workloads.builders`, so the spec itself
-is deterministic data: it round-trips through JSON
+:meth:`WorkloadSpec.zipf_sessions`, :meth:`WorkloadSpec.diurnal_churn`)
+consume their randomness at build time through the seeded samplers in
+:mod:`repro.workloads.builders`, so the spec itself is deterministic data:
+it round-trips through JSON
 (:meth:`to_dict` / :meth:`from_dict`) and replays bit-identically when
 compiled onto a scenario by :class:`~repro.workloads.runner.WorkloadRunner`.
 """
@@ -226,32 +226,6 @@ class WorkloadSpec:
             if back < end:
                 batch.append(WorkloadEvent(round(back, 6), "join", rid))
         self._extend(batch)
-        return self
-
-    def churn(
-        self,
-        start: float,
-        end: float,
-        rate: float = 0.1,
-        burst: int = 1,
-        off_time: Tuple[float, float] = (4.0, 12.0),
-        zipf_s: float = 1.1,
-        pool: Optional[Sequence[Any]] = None,
-        seed: int = 0,
-    ) -> "WorkloadSpec":
-        """Steady-state Poisson/Zipf churn — the exact draw shared with
-        :meth:`repro.faults.plan.FaultPlan.membership_churn` (one
-        implementation: :func:`repro.experiments.membership.churn_events`).
-        """
-        from ..experiments.membership import churn_events
-
-        pool = list(pool if pool is not None else self.receiver_ids())
-        self._extend(
-            WorkloadEvent(t, kind, rid)
-            for kind, t, rid in churn_events(pool, start, end, rate=rate,
-                                             burst=burst, off_time=off_time,
-                                             zipf_s=zipf_s, seed=seed)
-        )
         return self
 
     # ------------------------------------------------------------------

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.metrics.ascii_plot import (
-    render_histogram,
-    render_level_timeline,
-    render_series,
-)
-from repro.simnet.tracing import SeriesTrace, StepTrace
+from repro.metrics.ascii_plot import render_level_timeline
+from repro.simnet.tracing import StepTrace
 
 
 class TestLevelTimeline:
@@ -46,85 +42,6 @@ class TestLevelTimeline:
         tr.record(9.0, 7)
         out = render_level_timeline(tr, 0.0, 10.0, width=10)
         assert out == "0000000007"
-
-
-class TestSeries:
-    def test_bar_heights_scale(self):
-        s = SeriesTrace()
-        for t in range(10):
-            s.record(float(t), 0.0 if t < 5 else 1.0)
-        out = render_series(s, 0.0, 10.0, width=10, height=4)
-        rows = out.splitlines()
-        assert len(rows) == 4
-        # Right half (high values) filled on every row; left half empty on top.
-        assert rows[0][:5].strip() == ""
-        assert rows[0][5:].count("|") == 5
-
-    def test_empty_buckets_render_blank(self):
-        s = SeriesTrace()
-        s.record(9.5, 1.0)
-        out = render_series(s, 0.0, 10.0, width=10, height=2)
-        assert "|" in out.splitlines()[-1]
-
-    def test_label_and_max(self):
-        s = SeriesTrace()
-        s.record(0.0, 0.5)
-        out = render_series(s, 0.0, 1.0, width=2, height=2, max_value=1.0, label="loss")
-        assert out.startswith("loss (max 1.00)")
-
-    def test_validation(self):
-        s = SeriesTrace()
-        with pytest.raises(ValueError):
-            render_series(s, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            render_series(s, 0.0, 1.0, height=0)
-
-    def test_empty_series_renders_blank_grid(self):
-        out = render_series(SeriesTrace(), 0.0, 10.0, width=8, height=3)
-        rows = out.splitlines()
-        assert len(rows) == 3
-        assert all(row == " " * 8 for row in rows)
-
-    def test_single_point_series(self):
-        s = SeriesTrace()
-        s.record(5.5, 2.0)  # mid-bucket: edge samples land in two buckets
-        out = render_series(s, 0.0, 10.0, width=10, height=2)
-        rows = out.splitlines()
-        # Exactly one column filled, and it reaches the top row.
-        assert rows[0].count("|") == 1
-        assert rows[0].index("|") == 5
-
-    def test_constant_series_fills_every_column(self):
-        s = SeriesTrace()
-        for t in range(10):
-            s.record(float(t), 3.0)
-        out = render_series(s, 0.0, 10.0, width=10, height=3)
-        rows = out.splitlines()
-        # A flat non-zero series is its own maximum: full columns everywhere.
-        assert all(row == "|" * 10 for row in rows)
-
-    def test_constant_zero_series_is_blank(self):
-        s = SeriesTrace()
-        for t in range(5):
-            s.record(float(t), 0.0)
-        out = render_series(s, 0.0, 5.0, width=5, height=2)
-        assert all(row == " " * 5 for row in out.splitlines())
-
-
-class TestHistogram:
-    def test_counts_in_bins(self):
-        out = render_histogram([0.1, 0.2, 0.8], bins=[0.0, 0.5, 1.0], width=4)
-        lines = out.splitlines()
-        assert lines[0].endswith("2")
-        assert lines[1].endswith("1")
-
-    def test_top_edge_included(self):
-        out = render_histogram([1.0], bins=[0.0, 0.5, 1.0])
-        assert out.splitlines()[1].endswith("1")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            render_histogram([1.0], bins=[0.0])
 
 
 def test_cli_fig9_plot(capsys):

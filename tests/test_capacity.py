@@ -141,22 +141,11 @@ def test_vanished_link_ages_out():
     assert est.capacity(LINK) == math.inf
 
 
-def test_capacities_snapshot_only_finite():
-    est = LinkCapacityEstimator(cfg())
-    other = ("a", "b")
-    est.update(
-        {LINK: [obs(1, 0.10, 125_000)], other: [obs(1, 0.0, 10)]}, interval=2.0
-    )
-    snap = est.capacities()
-    assert LINK in snap and other not in snap
-
-
 def test_reset_clears_everything():
     est = LinkCapacityEstimator(cfg())
     est.update({LINK: [obs(1, 0.10, 125_000)]}, interval=2.0)
     est.reset()
     assert est.capacity(LINK) == math.inf
-    assert est.capacities() == {}
 
 
 def test_invalid_interval():

@@ -277,6 +277,15 @@ class TestExperimentTable:
         assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, duration", [("chaos", "10"), ("churn", "30")])
+def test_horizon_before_the_first_clear_exits_one(name, duration, capsys):
+    """No fault clears in time to be scored: the recovery gate must not
+    pass vacuously (chaos clears first at 22 s, churn's links at 45 s)."""
+    assert main([name, "--duration", duration, "--no-artifacts", "--json"]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["ok"] is False
+
+
 @pytest.mark.parametrize(
     "row", [r for r in EXPERIMENTS if r.replay], ids=lambda row: row.name
 )

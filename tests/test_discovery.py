@@ -112,16 +112,6 @@ class TestSessionDescriptor:
         with pytest.raises(ValueError):
             SessionDescriptor("S", "src", (1, 2), schedule)
 
-    def test_group_for_layer(self):
-        schedule = LayerSchedule(n_layers=2)
-        d = SessionDescriptor("S", "src", (10, 11), schedule)
-        assert d.group_for_layer(1) == 10
-        assert d.group_for_layer(2) == 11
-        with pytest.raises(ValueError):
-            d.group_for_layer(0)
-        with pytest.raises(ValueError):
-            d.group_for_layer(3)
-
     def test_n_layers(self):
         schedule = LayerSchedule(n_layers=2)
         assert SessionDescriptor("S", "src", (1, 2), schedule).n_layers == 2

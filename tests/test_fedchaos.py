@@ -24,6 +24,7 @@ from repro.federation import (
     default_fedchaos_plan,
     run_fedchaos,
 )
+from repro.federation.session import RETRY_LIMIT
 from repro.simnet.rng import RngRegistry
 
 
@@ -292,8 +293,7 @@ class TestShardStaleness:
 
 class TestFederatedSessionFaults:
     def test_retries_and_timeouts_on_lossy_channel(self):
-        fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0,
-                               retry_limit=3)
+        fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0)
         ch = fed.channel
         ch.set_impairment(loss=0.6)
         fed.run(32.0)
@@ -319,7 +319,7 @@ class TestFederatedSessionFaults:
         timeouts = sum(s.summary_timeouts for s in fed.shards.values())
         assert timeouts == 2 * 2
         assert fed.channel.stats["dead_coordinator_drops"] == (
-            timeouts * fed.retry_limit
+            timeouts * RETRY_LIMIT
         )
 
     def test_failover_bumps_epoch_and_fences_old_advice(self):

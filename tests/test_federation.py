@@ -30,7 +30,6 @@ from repro.federation import (
     FederatedSession,
     FederationCoordinator,
     build_federated_views,
-    gateways_for_tier,
     run_federate,
 )
 from repro.simnet.rng import stream_seed
@@ -82,7 +81,9 @@ class TestPartitioner:
 
     def test_by_gateways_tiered(self):
         sc = build_tiered_topology(seed=7, max_receivers=8)
-        gateways = gateways_for_tier(sc, "regional")
+        gateways = {
+            str(n): n for n in sc.network.nodes if str(n).startswith("regional")
+        }
         views = DomainPartitioner.by_gateways(sc, gateways).partition(sc)
         assert set(views) == set(map(str, gateways))
         covered = sum(v.receiver_count for v in views.values())

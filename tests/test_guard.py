@@ -368,15 +368,6 @@ class TestDecayAndRehab:
         assert guard.strikes(KEY) == 0.0
         assert admit(guard, report(seq=1)) is None  # seq restarted
 
-    def test_reset_clears_receivers_keeps_counters(self):
-        guard = ReportGuard()
-        admit(guard, report(seq=7, level=3), last_suggestion=1)
-        admit(guard, report(seq=7))  # stale
-        guard.reset()
-        assert guard.quarantined_keys() == set()
-        assert admit(guard, report(seq=1)) is None
-        assert guard.rejections["stale_seq"] == 1  # history survives
-
     def test_summary_shape(self):
         guard = ReportGuard()
         for i in range(3):

@@ -268,30 +268,9 @@ class TestReportHistory:
 
 
 # ----------------------------------------------------------------------
-# clear_state and registration soft state
+# Registration soft state
 # ----------------------------------------------------------------------
 class TestControllerState:
-    def test_clear_state_resets_learned_state_and_counters(self):
-        sched, net, mcast, desc, receiver, controller, agent = build()
-        controller.start()
-        agent.start()
-        sched.run(until=6.0)
-        assert controller.reports_received > 0
-        assert controller.last_suggestions is not None
-        assert controller.receivers[0]["R"].last_suggested == 2
-        epoch_before = controller.epoch
-        controller.clear_state()
-        assert controller.receivers == {0: {}}
-        assert controller.last_suggestions is None
-        assert controller.reports_received == 0
-        assert controller.suggestions_sent == 0
-        assert controller.updates_run == 0
-        assert controller.discovery_failures == 0
-        assert controller.sessions_skipped == 0
-        assert controller.registrations_expired == 0
-        # Fencing tokens only move forward: the epoch survives.
-        assert controller.epoch == epoch_before
-
     def test_silent_registration_expires(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         controller.start()
@@ -313,8 +292,8 @@ class TestControllerState:
         assert controller.registrations_expired == 0
 
     def test_sessions_sharing_a_receiver_id_keep_separate_entries(self):
-        """State is keyed by (session, receiver): expiring or clearing one
-        session's "R" must not touch the other's entry or reports."""
+        """State is keyed by (session, receiver): expiring one session's
+        "R" must not touch the other's entry or reports."""
         # Staleness 10 s keeps both of session 0's reports within reach at
         # t = 8, so its history shows exactly what arrived for it.
         sched, net, mcast, desc, receiver, controller, agent = build(staleness=10.0)
@@ -333,13 +312,6 @@ class TestControllerState:
         assert [(rep.session_id, rep.seq) for _, rep in kept.history] == [(0, 2), (0, 3)]
         assert kept.register.port == "rcv:0:R"
         assert controller.registrations_expired == 1
-        # After a cold clear, session 1's "R" registering again brings back
-        # nothing of session 0's.
-        controller.clear_state()
-        _to_controller(controller, Register("R", 1, "rcv", "rcv:1:R", seq=1))
-        assert controller.receivers[0] == {}
-        assert controller.receivers[1]["R"].register.port == "rcv:1:R"
-        assert controller.receivers[1]["R"].latest is None
 
     def test_bad_controller_params_rejected(self):
         sched = Scheduler()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.metrics.deviation import mean_relative_deviation, relative_deviation
 from repro.metrics.fairness import bandwidth_shares, jain_index
-from repro.metrics.stability import subscription_changes, worst_receiver_stability
+from repro.metrics.stability import worst_receiver_stability
 from repro.simnet.tracing import StepTrace
 
 
@@ -63,8 +63,8 @@ class TestRelativeDeviation:
 class TestStability:
     def test_change_count(self):
         tr = trace([(10.0, 2), (20.0, 3), (30.0, 2)], v0=1)
-        assert subscription_changes(tr, 0.0, 100.0) == 3
-        assert subscription_changes(tr, 15.0, 100.0) == 2
+        assert tr.num_changes(0.0, 100.0) == 3
+        assert tr.num_changes(15.0, 100.0) == 2
 
     def test_worst_receiver(self):
         quiet = trace([(10.0, 2)], v0=1)

@@ -6,9 +6,7 @@ import pytest
 
 from repro.obs import (
     BusEvent,
-    Counter,
     EventBus,
-    MetricsRegistry,
     Profiler,
     RunRecorder,
     fault_log_entries,
@@ -132,29 +130,33 @@ class TestTopicRegistry:
 
 
 class TestMetrics:
-    def test_counter_monotonic(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        with pytest.raises(ValueError):
-            c.inc(-1)
+    def test_events_counted_per_topic(self, tmp_path):
+        rec = RunRecorder("demo", root=str(tmp_path))
+        rec.log_event(1.0, "ctrl.x")
+        rec.log_event(2.0, "ctrl.x")
+        rec.log_event(2.0, "link.y")
+        metrics = json.loads((rec.finalize() / "metrics.json").read_text())
+        assert metrics["metrics"] == {
+            "counters": {"events.ctrl.x": 2.0, "events.link.y": 1.0},
+            "n_intervals": 0,
+        }
 
-    def test_registry_get_or_create(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-
-    def test_mark_interval_deltas(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        snap1 = reg.mark_interval(10.0)
-        assert snap1 == {"t": 10.0, "deltas": {"c": 3.0}}
-        reg.counter("c").inc(2)
-        snap2 = reg.mark_interval(20.0)
-        assert snap2["deltas"] == {"c": 2.0}
-        assert reg.intervals == [snap1, snap2]
-        assert reg.snapshot()["counters"] == {"c": 5.0}
-        assert reg.snapshot()["n_intervals"] == 2
+    def test_mark_interval_deltas(self, tmp_path):
+        rec = RunRecorder("demo", root=str(tmp_path))
+        sc = small_scenario()
+        rec.attach(sc, sample_interval=2.0)
+        sc.run(10.0)
+        metrics = json.loads((rec.finalize() / "metrics.json").read_text())
+        intervals = metrics["intervals"]
+        assert [snap["t"] for snap in intervals] == [2.0, 4.0, 6.0, 8.0, 10.0]
+        # Each tick logs one sample per link just before it marks.
+        n_links = len(sc.network.links)
+        assert [snap["deltas"]["events.link.sample"] for snap in intervals] == [
+            float(n_links)
+        ] * 5
+        for name, total in metrics["metrics"]["counters"].items():
+            assert sum(snap["deltas"].get(name, 0.0) for snap in intervals) <= total
+        assert metrics["metrics"]["n_intervals"] == 5
 
 
 class TestProfiler:

@@ -85,25 +85,10 @@ def test_unbounded_network_reaches_top_level():
     assert levels[(0, "R")] == 6
 
 
-def test_headroom_reserves_capacity():
-    net, plan = topology_a_network(class_a_bw=500e3)
-    levels = optimal_levels(net, [plan], headroom=0.9)
-    # 480k > 450k -> only 3 layers with 10% headroom.
-    assert levels[(0, "RA")] == 3
-
-
 def test_infeasible_base_still_reports_base():
     net, plan = topology_a_network(class_b_bw=10e3)  # base 32k doesn't fit
     levels = optimal_levels(net, [plan])
     assert levels[(0, "RB")] == 1
-
-
-def test_invalid_headroom():
-    net, plan = topology_a_network()
-    with pytest.raises(ValueError):
-        optimal_levels(net, [plan], headroom=0.0)
-    with pytest.raises(ValueError):
-        optimal_levels(net, [plan], headroom=1.5)
 
 
 def test_duplicate_receiver_rejected():

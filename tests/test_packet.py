@@ -54,12 +54,6 @@ class TestGroupAllocator:
         groups = [alloc.allocate() for _ in range(100)]
         assert len(set(groups)) == 100
 
-    def test_block_allocation(self):
-        alloc = GroupAllocator()
-        block = alloc.allocate_block(6)
-        assert len(block) == 6
-        assert len(set(block)) == 6
-
     def test_custom_start(self):
         alloc = GroupAllocator(first=1000)
         assert alloc.allocate() == 1000
@@ -67,6 +61,6 @@ class TestGroupAllocator:
 
     def test_allocated_history(self):
         alloc = GroupAllocator()
-        alloc.allocate()
-        alloc.allocate_block(2)
+        for _ in range(3):
+            alloc.allocate()
         assert len(alloc.allocated) == 3

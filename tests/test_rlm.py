@@ -1,8 +1,8 @@
 """Unit tests for the RLM (receiver-driven) baseline."""
 
 import numpy as np
-import pytest
 
+from repro.baselines import rlm as rlm_module
 from repro.baselines.rlm import RLMReceiver
 from repro.media.layers import LayerSchedule
 from repro.media.receiver import LayeredReceiver
@@ -26,7 +26,7 @@ def build(bottleneck=10e6, n_layers=4):
     src = LayeredSource(net.node("s"), 0, groups, schedule, model="cbr")
     src.start()
     rcv = LayeredReceiver(net.node("r"), 0, list(groups), schedule, mcast, initial_level=1)
-    rlm = RLMReceiver(rcv, interval=1.0, rng=np.random.default_rng(0))
+    rlm = RLMReceiver(rcv, rng=np.random.default_rng(0))
     return sched, rcv, rlm
 
 
@@ -54,12 +54,12 @@ def test_failed_experiment_backs_off_exponentially():
     rlm.start()
     sched.run(until=200.0)
     # Layer 3's join timer should have grown beyond its initial value.
-    assert rlm.join_timer[3] > rlm.t_join_init
+    assert rlm.join_timer[3] > rlm_module.T_JOIN_INIT
 
 
-def test_join_timer_capped():
+def test_join_timer_capped(monkeypatch):
+    monkeypatch.setattr(rlm_module, "T_JOIN_MAX", 20.0)
     sched, rcv, rlm = build(bottleneck=100e3)
-    rlm.t_join_max = 20.0
     rlm.start()
     sched.run(until=400.0)
     assert rlm.join_timer[3] <= 20.0
@@ -79,7 +79,7 @@ def test_deaf_period_after_drop():
     rlm.start()
     sched.run(until=120.0)
     # Drops happen but not on every tick: the deaf period spaces them.
-    assert rlm.drops < 120 / (rlm.deaf_time + rlm.interval) + 5
+    assert rlm.drops < 120 / (rlm_module.DEAF_TIME + rlm_module.INTERVAL) + 5
 
 
 def test_never_drops_below_base_layer():
@@ -87,16 +87,6 @@ def test_never_drops_below_base_layer():
     rlm.start()
     sched.run(until=60.0)
     assert rcv.level == 1
-
-
-def test_parameter_validation():
-    sched, rcv, _ = build()
-    with pytest.raises(ValueError):
-        RLMReceiver(rcv, interval=0.0)
-    with pytest.raises(ValueError):
-        RLMReceiver(rcv, t_join_init=10.0, t_join_max=5.0)
-    with pytest.raises(ValueError):
-        RLMReceiver(rcv, detection_time=0.0)
 
 
 def test_start_twice_noop():

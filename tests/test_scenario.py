@@ -7,8 +7,8 @@ from repro.experiments.scenario import Scenario
 from repro.experiments.topologies import build_topology_a, build_topology_b
 
 
-def small_scenario(**kw):
-    sc = Scenario(seed=1, **kw)
+def small_scenario():
+    sc = Scenario(seed=1)
     sc.add_node("s")
     sc.add_node("m")
     sc.add_node("r")

@@ -64,13 +64,6 @@ def test_path_from_root():
     assert t.path_from_root(6) == [1, 5, 6]
 
 
-def test_subtree_leaves():
-    t = paper_tree()
-    assert set(t.subtree_leaves(2)) == {3, 4}
-    assert set(t.subtree_leaves(1)) == {3, 4, 6}
-    assert t.subtree_leaves(6) == [6]
-
-
 def test_two_parents_rejected():
     with pytest.raises(ValueError, match="two parents"):
         SessionTree("s", 1, [(1, 2), (1, 3), (3, 2)], {})

@@ -22,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.media.layers import LayerSchedule
-from repro.media.source import CBR, VBR, LayeredSource
+from repro.media.source import CBR, SLOT, VBR, LayeredSource
 from repro.simnet.engine import Scheduler
+from repro.simnet.packet import DEFAULT_PACKET_SIZE
 from repro.simnet.topology import Network
 
 GRID = 32          # script steps per simulated second
@@ -38,14 +39,14 @@ class EagerSource(LayeredSource):
             return
         at, now = self.sched.at, self.sched.now
         for sender in self.senders:
-            n = self._draw_packets(sender.rate * self.slot / (self.packet_size * 8.0))
+            n = self._draw_packets(sender.rate * SLOT / (DEFAULT_PACKET_SIZE * 8.0))
             if n <= 0:
                 continue
-            spacing = self.slot / n
+            spacing = SLOT / n
             offset = sender.phase * spacing
             for i in range(n):
                 at(now + (offset + i * spacing), self._emit, sender, self._gen)
-        self._slot_event = at(now + self.slot, self._run_slot)
+        self._slot_event = at(now + SLOT, self._run_slot)
 
 
 class Rig:

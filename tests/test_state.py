@@ -90,5 +90,5 @@ class TestControllerState:
         st.set_backoff("s", "a", 1, expiry=10.0)
         st.set_backoff("s", "b", 1, expiry=100.0)
         st.prune_backoffs(now=50.0)
-        assert st.active_backoffs == 1
+        assert not st.is_backed_off("s", ["a"], 1, now=5.0)
         assert st.is_backed_off("s", ["b"], 1, now=50.0)

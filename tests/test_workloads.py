@@ -147,19 +147,6 @@ def test_spec_builder_events_are_deterministic():
     assert _small_spec(seed=4).to_dict() != _small_spec(seed=9).to_dict()
 
 
-def test_spec_churn_matches_shared_churn_events():
-    pool = ["a", "b", "c"]
-    spec = WorkloadSpec()
-    for rid in pool:
-        spec.add_receiver(rid, "e0", "s0")
-    spec.churn(5.0, 40.0, rate=0.2, seed=7)
-    expected = sorted(
-        (round(t, 6), kind, rid)
-        for kind, t, rid in churn_events(pool, 5.0, 40.0, rate=0.2, seed=7)
-    )
-    assert [(e.time, e.kind, e.receiver_id) for e in spec] == expected
-
-
 # ----------------------------------------------------------------------
 # membership_churn refactor regression (bit-identical golden replay)
 # ----------------------------------------------------------------------
