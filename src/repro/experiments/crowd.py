@@ -299,10 +299,7 @@ def _run_federated(
     from ..federation.experiment import build_federated_views
     from ..federation.session import FederatedSession
 
-    views = build_federated_views(
-        n_domains=n_domains, receivers_per_domain=receivers_per_domain,
-        seed=seed,
-    )
+    views = build_federated_views(n_domains, receivers_per_domain)
     fed = FederatedSession(views, seed=seed, cadence=cadence)
     runners: Dict[str, WorkloadRunner] = {}
     for name in sorted(fed.shards):

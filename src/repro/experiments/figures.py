@@ -837,7 +837,7 @@ def control_traffic_gate(rows: Any, duration: Optional[float]) -> Iterator[Check
 def hierarchy_domains(*, duration: float, seed: int = 20) -> Dict[str, Any]:
     """Two domains, one controller each (Figs. 2-3): each steers its own
     receivers to its own optimum with no knowledge of the other."""
-    sc = build_two_domain_topology(receivers_per_domain=2, traffic="cbr", seed=seed)
+    sc = build_two_domain_topology(receivers_per_domain=2, seed=seed)
     result = sc.run(duration)
     warmup = min(60.0, duration / 4)
     out: Dict[str, Any] = {}

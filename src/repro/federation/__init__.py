@@ -4,9 +4,9 @@ The paper's Fig. 3 architecture — "multiple controller agents, each
 concerned with one particular administrative domain" — implemented as a
 real sharded subsystem:
 
-* :class:`DomainPartitioner` clips a global topology into per-domain
-  :class:`DomainView`\\ s;
-* :class:`DomainShard` runs one domain as a standalone controller + simnet
+* :func:`build_federated_views` describes each domain of the multi-domain
+  star as a :class:`DomainView`, straight from the layout;
+* :class:`DomainShard` runs one view as a standalone controller + simnet
   slice (seeded per-shard RNG streams, no state shared with siblings);
 * :class:`~repro.control.messages.SubtreeSummary` aggregates cross the
   domain boundary on a fixed cadence;
@@ -41,15 +41,8 @@ from .experiment import (
     render_federate_report,
     run_federate,
 )
-from .partition import (
-    DomainLink,
-    DomainPartitioner,
-    DomainReceiver,
-    DomainSession,
-    DomainView,
-)
 from .session import FederatedSession
-from .shard import BORDER_NODE, DomainShard
+from .shard import BORDER_NODE, DomainReceiver, DomainShard, DomainView
 
 __all__ = [
     "BORDER_NODE",
@@ -59,10 +52,7 @@ __all__ = [
     "DEFAULT_DURATION",
     "DEFAULT_LOSS_RATES",
     "DEFAULT_PARTITION_ROUNDS",
-    "DomainLink",
-    "DomainPartitioner",
     "DomainReceiver",
-    "DomainSession",
     "DomainShard",
     "DomainView",
     "FederatedSession",

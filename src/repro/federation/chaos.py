@@ -97,14 +97,11 @@ def _run_one(
     plan: Optional[FaultPlan],
     staleness_budget: int,
     decay_floor: int,
-    traffic: str,
     bus: Optional[Any] = None,
 ) -> Dict[str, Any]:
     from ..experiments.scenario import ScenarioResult
 
-    views = build_federated_views(
-        n_domains, receivers_per_domain, seed=seed, traffic=traffic
-    )
+    views = build_federated_views(n_domains, receivers_per_domain)
     fed = FederatedSession(
         views, seed=seed, cadence=cadence, bus=bus,
         plan=plan, staleness_budget=staleness_budget, decay_floor=decay_floor,
@@ -245,7 +242,6 @@ def run_fedchaos(
     delay_rounds: int = 1,
     staleness_budget: int = 2,
     decay_floor: int = 1,
-    traffic: str = "cbr",
     plan: Optional[FaultPlan] = None,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
@@ -287,7 +283,6 @@ def run_fedchaos(
         n_domains=n_domains, receivers_per_domain=receivers_per_domain,
         seed=seed, duration=duration, cadence=cadence,
         staleness_budget=staleness_budget, decay_floor=decay_floor,
-        traffic=traffic,
     )
     baseline = _run_one(plan=None, **common)
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..experiments.domains import build_multi_domain_topology, domain_gateways
+from ..experiments.domains import DEFAULT_DOMAIN_BWS
+from ..experiments.topologies import BACKBONE_BW
 from ..obs.profile import Profiler
-from .partition import DomainPartitioner, DomainView
 from .session import FederatedSession
+from .shard import DomainReceiver, DomainView
 
 __all__ = [
     "DEFAULT_DURATION",
@@ -46,18 +47,44 @@ def build_federated_views(
     n_domains: int,
     receivers_per_domain: int,
     seed: int = 0,
-    traffic: str = "cbr",
 ) -> List[DomainView]:
-    """Views for a multi-domain topology, one domain per gateway subtree."""
-    sc = build_multi_domain_topology(
-        n_domains=n_domains,
-        receivers_per_domain=receivers_per_domain,
-        traffic=traffic,
-        seed=seed,
-    )
-    partitioner = DomainPartitioner.by_gateways(sc, domain_gateways(n_domains))
-    views = partitioner.partition(sc)
-    return [views[d] for d in sorted(views)]
+    """One view per domain of the multi-domain star, built from its layout.
+
+    Domain ``d<d>`` (``d`` = 1 .. ``n_domains``) is gateway ``gw<d>`` behind a
+    :data:`~repro.experiments.topologies.BACKBONE_BW` uplink, with
+    ``receivers_per_domain`` access nodes ``r<d><i>`` on links of
+    ``DEFAULT_DOMAIN_BWS[(d - 1) % 2]``; node ``r<d><i>`` holds receiver
+    ``D<d>-<i>`` of the one CBR session ``0``.  Names need only be unique
+    inside a domain, since each shard is its own ``Scenario``.  Nodes and
+    links are ``str``-sorted, receivers in creation order, views sorted by
+    domain name.
+
+    ``seed`` is unused (the layout draws nothing); it stays only because
+    the bench ``fed_crowd`` workload passes it.
+    """
+    if n_domains < 1:
+        raise ValueError("need at least one domain")
+    if receivers_per_domain < 1:
+        raise ValueError("need at least one receiver per domain")
+    views: List[DomainView] = []
+    for d in range(1, n_domains + 1):
+        gateway = f"gw{d}"
+        access = [f"r{d}{i}" for i in range(receivers_per_domain)]
+        ordered = sorted(access)  # "gw<d>" sorts before every "r<d><i>"
+        bandwidth = DEFAULT_DOMAIN_BWS[(d - 1) % len(DEFAULT_DOMAIN_BWS)]
+        views.append(DomainView(
+            domain=f"d{d}",
+            nodes=(gateway, *ordered),
+            links=tuple((gateway, node, bandwidth) for node in ordered),
+            gateway=gateway,
+            uplink_bandwidth=BACKBONE_BW,
+            sessions=(0,),
+            receivers=tuple(
+                DomainReceiver(f"D{d}-{i}", 0, node)
+                for i, node in enumerate(access)
+            ),
+        ))
+    return sorted(views, key=lambda v: v.domain)
 
 
 def _run_point(
@@ -66,14 +93,11 @@ def _run_point(
     seed: int,
     duration: float,
     cadence: float,
-    traffic: str,
     bus: Optional[Any] = None,
 ) -> Dict[str, Any]:
     from ..experiments.scenario import ScenarioResult
 
-    views = build_federated_views(
-        n_domains, receivers_per_domain, seed=seed, traffic=traffic
-    )
+    views = build_federated_views(n_domains, receivers_per_domain)
     profiler = Profiler()
     fed = FederatedSession(
         views, seed=seed, cadence=cadence, bus=bus, profiler=profiler,
@@ -151,7 +175,6 @@ def run_federate(
     total_receivers: int = 1024,
     domain_counts: Sequence[int] = DEFAULT_DOMAIN_COUNTS,
     cadence: float = 4.0,
-    traffic: str = "cbr",
     tolerance: float = 0.15,
     deviation_budget: float = 0.5,
     recorder: Optional[Any] = None,
@@ -176,7 +199,7 @@ def run_federate(
     points: List[Dict[str, Any]] = []
     for n in counts:
         points.append(_run_point(
-            n, total_receivers // n, seed, duration, cadence, traffic,
+            n, total_receivers // n, seed, duration, cadence,
             bus=bus if n == counts[-1] else None,
         ))
 

@@ -45,8 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..control.messages import ADVICE_SIZE, SUMMARY_SIZE, SubtreeSummary
 from .channel import InterDomainChannel
 from .coordinator import FederationCoordinator
-from .partition import DomainView
-from .shard import DomainShard
+from .shard import DomainShard, DomainView
 
 __all__ = ["FederatedSession"]
 

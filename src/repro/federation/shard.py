@@ -1,37 +1,67 @@
 """One administrative domain as a standalone simulation slice.
 
-A :class:`DomainShard` rebuilds a :class:`~repro.federation.partition.
-DomainView` as its own :class:`~repro.experiments.scenario.Scenario` — own
-scheduler, network, multicast trees, source, receivers and one
+A :class:`DomainView` describes one domain of the multi-domain star — its
+nodes, access links, border gateway and uplink, session and receivers — and
+:class:`DomainShard` rebuilds it as its own
+:class:`~repro.experiments.scenario.Scenario`: own scheduler, network,
+multicast trees, source, receivers and one
 :class:`~repro.control.agent.ControllerAgent` at the border gateway.  The
 session's media enters the domain through a synthetic border node wired to
-the gateway with the captured uplink bandwidth/delay, standing in for the
-tree upstream of the border: intra-domain bottlenecks, queues and loss are
-simulated exactly as in the global topology.
+the gateway over the uplink, standing in for the tree upstream of the
+border: intra-domain bottlenecks, queues and loss are simulated as in one
+global topology.  Views are built straight from the layout
+(:func:`~repro.federation.experiment.build_federated_views`); delays, queue
+limits and the source model are the ``Scenario`` defaults.
 
-Shards share **no** mutable state (the layer schedule is immutable config),
-and each shard's root seed is the :func:`~repro.simnet.rng.stream_seed` of
-``"fed/<domain>"`` under the federation seed, so a shard's draws depend on
-its own domain name only — never on domain count, sibling domains or the
-order shards advance in.
+Shards share **no** mutable state, and each shard's root seed is the
+:func:`~repro.simnet.rng.stream_seed` of ``"fed/<domain>"`` under the
+federation seed, so a shard's draws depend on its own domain name only —
+never on domain count, sibling domains or the order shards advance in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..control.messages import SUMMARY_SIZE, FederationAdvice, SubtreeSummary
 from ..experiments.scenario import Scenario
 from ..simnet.rng import stream_seed
 from ..workloads.runner import control_bytes
-from .partition import DomainView
 
-__all__ = ["BORDER_NODE", "DomainShard"]
+__all__ = ["BORDER_NODE", "DomainReceiver", "DomainShard", "DomainView"]
 
 #: Name of the synthetic border-ingress node every shard adds; the real
 #: source lives outside the domain, this node replays its traffic into the
-#: domain through the captured border uplink.
+#: domain through the border uplink.
 BORDER_NODE = "__border__"
+
+
+@dataclass(frozen=True)
+class DomainReceiver:
+    """One receiver placement inside the domain, in creation order."""
+
+    receiver_id: Any
+    session_id: Any
+    node: Any
+
+
+@dataclass(frozen=True)
+class DomainView:
+    """Everything one domain shard needs to rebuild its domain."""
+
+    domain: str
+    nodes: Tuple[Any, ...]
+    #: Intra-domain links as ``(a, b, bandwidth)``, one per node pair.
+    links: Tuple[Tuple[Any, Any, float], ...]
+    gateway: Any
+    uplink_bandwidth: float
+    sessions: Tuple[Any, ...]
+    receivers: Tuple[DomainReceiver, ...]
+
+    @property
+    def receiver_count(self) -> int:
+        return len(self.receivers)
 
 
 class DomainShard:
@@ -89,24 +119,11 @@ class DomainShard:
         sc.add_node(BORDER_NODE)
         for name in view.nodes:
             sc.add_node(name)
-        sc.add_link(
-            BORDER_NODE,
-            view.gateway,
-            bandwidth=view.uplink_bandwidth,
-            delay=view.uplink_delay,
-            queue_limit=view.uplink_queue_limit,
-        )
-        for link in view.links:
-            sc.add_link(link.a, link.b, bandwidth=link.bandwidth,
-                        delay=link.delay, queue_limit=link.queue_limit)
-        for sess in view.sessions:
-            sc.add_session(
-                BORDER_NODE,
-                traffic=sess.traffic,
-                peak_to_mean=sess.peak_to_mean,
-                schedule=sess.schedule,
-                session_id=sess.session_id,
-            )
+        sc.add_link(BORDER_NODE, view.gateway, bandwidth=view.uplink_bandwidth)
+        for a, b, bandwidth in view.links:
+            sc.add_link(a, b, bandwidth=bandwidth)
+        for sid in view.sessions:
+            sc.add_session(BORDER_NODE, session_id=sid)
         sc.attach_controller(
             view.gateway,
             name=str(view.domain),
@@ -115,7 +132,6 @@ class DomainShard:
         for r in view.receivers:
             sc.add_receiver(
                 r.session_id, r.node, receiver_id=r.receiver_id,
-                initial_level=r.initial_level, mode=r.mode,
                 controller=str(view.domain),
             )
         return sc

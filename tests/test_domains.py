@@ -79,7 +79,7 @@ class TestTwoDomainScenario:
             build_two_domain_topology(receivers_per_domain=0)
 
     def test_domains_converge_independently(self):
-        sc = build_two_domain_topology(receivers_per_domain=2, traffic="cbr", seed=2)
+        sc = build_two_domain_topology(receivers_per_domain=2, seed=2)
         res = sc.run(200.0)
         d1 = [h for h in sc.receivers if h.receiver_id.startswith("D1")]
         d2 = [h for h in sc.receivers if h.receiver_id.startswith("D2")]

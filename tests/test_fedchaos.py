@@ -246,7 +246,7 @@ class TestShardStaleness:
 
     def test_roll_staleness_decays_past_budget(self):
         shard = self._shard(staleness_budget=2, decay_floor=1)
-        sid = shard.view.sessions[0].session_id
+        sid = shard.view.sessions[0]
         shard.deliver_advice(_advice(session_id=sid, ceiling=4,
                                      epoch=1, round_no=1))
         # age 2 = within budget: no clamp
@@ -268,7 +268,7 @@ class TestShardStaleness:
 
     def test_controller_honours_session_ceiling(self):
         shard = self._shard()
-        sid = shard.view.sessions[0].session_id
+        sid = shard.view.sessions[0]
         shard.controller.session_ceilings[sid] = 1
         shard.run_to(24.0)
         controller = shard.controller
@@ -337,7 +337,7 @@ class TestFederatedSessionFaults:
             assert shard.advice_epoch == standby.epoch
             # anything the deposed coordinator had in flight is rejected
             deposed = _advice(
-                session_id=shard.view.sessions[0].session_id,
+                session_id=shard.view.sessions[0],
                 epoch=old.epoch, round_no=99,
             )
             assert shard.deliver_advice(deposed) is False

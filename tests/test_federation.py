@@ -1,10 +1,10 @@
 """Tests for the federated multi-domain control plane.
 
-Covers the partitioner's clipping (explicit assignments and gateway-subtree
-derivation, on both the hand-built multi-domain topology and the random
-tiered generator), shard isolation and seeding, the coordinator's
-aggregates-only contract, same-seed replay identity, the shard-isolation
-oracle, and a small end-to-end ``run_federate`` sweep.
+Covers the domain views built from the multi-domain layout (held to the
+two-domain scenario, past the 11-domain name boundary), shard isolation
+and seeding, the coordinator's aggregates-only contract, same-seed replay
+identity, the shard-isolation oracle, and a small end-to-end
+``run_federate`` sweep.
 """
 
 import dataclasses
@@ -18,15 +18,13 @@ from repro.control.messages import (
     Report,
     SubtreeSummary,
 )
-from repro.experiments.domains import (
-    build_multi_domain_topology,
-    domain_gateways,
-)
-from repro.experiments.tiered import build_tiered_topology
+from repro.experiments.domains import build_two_domain_topology
+from repro.experiments.topologies import BACKBONE_BW
 from repro.federation import (
     BORDER_NODE,
-    DomainPartitioner,
+    DomainReceiver,
     DomainShard,
+    DomainView,
     FederatedSession,
     FederationCoordinator,
     build_federated_views,
@@ -35,119 +33,73 @@ from repro.federation import (
 from repro.simnet.rng import stream_seed
 
 
-def _views(n_domains=2, receivers_per_domain=2, seed=0, traffic="cbr"):
-    return build_federated_views(
-        n_domains, receivers_per_domain, seed=seed, traffic=traffic
-    )
+def _views(n_domains=2, receivers_per_domain=2, seed=0):
+    return build_federated_views(n_domains, receivers_per_domain, seed=seed)
 
 
 # ----------------------------------------------------------------------
-# Partitioner
+# Views
 # ----------------------------------------------------------------------
 
 
-class TestPartitioner:
-    def test_by_gateways_multi_domain(self):
-        sc = build_multi_domain_topology(n_domains=3, receivers_per_domain=2)
-        views = DomainPartitioner.by_gateways(
-            sc, domain_gateways(3)
-        ).partition(sc)
-        assert sorted(views) == ["d1", "d2", "d3"]
-        for d, view in views.items():
-            k = d[1:]
-            assert str(view.gateway) == f"gw{k}"
-            assert view.receiver_count == 2
-            # backbone stays outside every domain
-            names = set(map(str, view.nodes))
-            assert "src" not in names and "core" not in names
-            assert all(r.node in view.nodes for r in view.receivers)
+class TestViews:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_views_match_two_domain_topology(self, k):
+        """The views and the two-domain scenario describe one layout."""
+        sc = build_two_domain_topology(receivers_per_domain=k)
+        links = sc.network.links
+        views = build_federated_views(2, k)
+        assert [v.domain for v in views] == ["d1", "d2"]
+        for view in views:
+            domain = sc.discoveries[view.domain].domain
+            assert [n for n in sorted(domain) if ("core", n) in links] == [
+                view.gateway
+            ]
+            assert view.nodes == tuple(sorted(domain))
+            intra = {(a, b) for (a, b) in links if a in domain and b in domain}
+            assert len(view.links) * 2 == len(intra)
+            for a, b, bandwidth in view.links:
+                assert links[(a, b)].bandwidth == bandwidth
+            assert view.uplink_bandwidth == links[("core", view.gateway)].bandwidth
+            assert view.sessions == tuple(sc.sessions)
+            assert [(r.receiver_id, r.node, r.session_id)
+                    for r in view.receivers] == [
+                (h.receiver_id, h.node, h.session_id)
+                for h in sc.receivers if h.controller_name == view.domain
+            ]
 
-    def test_view_captures_link_attributes(self):
-        sc = build_multi_domain_topology(n_domains=2, receivers_per_domain=2)
-        (view,) = [
-            v for v in DomainPartitioner.by_gateways(
-                sc, domain_gateways(2)
-            ).partition(sc).values()
-            if v.domain == "d1"
-        ]
-        # the border uplink is core -> gw1
-        uplink = sc.network.links[("core", "gw1")]
-        assert view.uplink_bandwidth == uplink.bandwidth
-        assert view.uplink_delay == uplink.delay
-        assert view.uplink_queue_limit == uplink.queue.capacity
-        # intra links are deduplicated (one record per bidirectional pair)
-        pairs = {frozenset((str(l.a), str(l.b))) for l in view.links}
-        assert len(pairs) == len(view.links)
+    def test_three_domain_view_pinned(self):
+        d3 = build_federated_views(3, 2)[2]
+        assert d3 == DomainView(
+            domain="d3",
+            nodes=("gw3", "r30", "r31"),
+            links=(("gw3", "r30", 500_000.0), ("gw3", "r31", 500_000.0)),
+            gateway="gw3",
+            uplink_bandwidth=BACKBONE_BW,
+            sessions=(0,),
+            receivers=(
+                DomainReceiver("D3-0", 0, "r30"),
+                DomainReceiver("D3-1", 0, "r31"),
+            ),
+        )
+        assert d3.receiver_count == 2
 
-    def test_by_gateways_tiered(self):
-        sc = build_tiered_topology(seed=7, max_receivers=8)
-        gateways = {
-            str(n): n for n in sc.network.nodes if str(n).startswith("regional")
-        }
-        views = DomainPartitioner.by_gateways(sc, gateways).partition(sc)
-        assert set(views) == set(map(str, gateways))
-        covered = sum(v.receiver_count for v in views.values())
-        assert covered == len(sc.receivers)  # every receiver in some domain
-        for view in views.values():
-            assert str(view.gateway).startswith("regional")
+    def test_twelve_domains_build_and_run(self):
+        """``r1``+``10`` and ``r11``+``0`` are one name in two shards."""
+        views = {v.domain: v for v in build_federated_views(12, 12)}
+        assert list(views) == sorted(f"d{d}" for d in range(1, 13))
+        assert "r110" in views["d1"].nodes and "r110" in views["d11"].nodes
+        result = run_federate(
+            total_receivers=144, domain_counts=[2, 12], duration=20.0
+        )
+        assert result["ok"], result["gates"]
+        assert [p["n_receivers"] for p in result["points"]] == [144, 144]
 
-    def test_unknown_gateway_raises(self):
-        sc = build_multi_domain_topology()
-        with pytest.raises(KeyError):
-            DomainPartitioner.by_gateways(sc, {"dX": "nope"})
-
-    def test_source_inside_domain_raises(self):
-        sc = build_multi_domain_topology()
-        nodes = set(map(str, sc.network.nodes))
-        assignment = {n: "all" for n in sc.network.nodes}
-        assert "src" in nodes
-        with pytest.raises(ValueError, match="source"):
-            DomainPartitioner(assignment).partition(sc)
-
-    def test_multiple_border_entries_raise(self):
-        # Lump both gateways' subtrees into ONE domain: traffic then enters
-        # through two border links, which single-gateway views must reject.
-        sc = build_multi_domain_topology(n_domains=2, receivers_per_domain=2)
-        merged = {
-            node: "merged"
-            for node, _d in DomainPartitioner.by_gateways(
-                sc, domain_gateways(2)
-            ).assignment.items()
-        }
-        with pytest.raises(ValueError, match="border"):
-            DomainPartitioner(merged).partition(sc)
-
-    def test_empty_assignment_rejected(self):
+    def test_empty_layout_rejected(self):
         with pytest.raises(ValueError):
-            DomainPartitioner({})
-
-    def test_unknown_nodes_in_explicit_assignment(self):
-        sc = build_multi_domain_topology()
-        with pytest.raises(KeyError, match="unknown nodes"):
-            DomainPartitioner({"no-such-node": "d1"}).partition(sc)
-
-    def test_multi_entry_error_names_the_domain(self):
-        sc = build_multi_domain_topology(n_domains=2, receivers_per_domain=2)
-        merged = {
-            node: "merged"
-            for node in DomainPartitioner.by_gateways(
-                sc, domain_gateways(2)
-            ).assignment
-        }
-        with pytest.raises(ValueError, match="'merged'"):
-            DomainPartitioner(merged).partition(sc)
-
-    def test_unreachable_domain_error_names_the_domain(self):
-        sc = build_multi_domain_topology()
-        sc.add_node("island")  # no links: no path from any source
-        with pytest.raises(ValueError, match="'dX' unreachable"):
-            DomainPartitioner({"island": "dX"}).partition(sc)
-
-    def test_by_gateways_needs_sessions(self):
-        sc = build_multi_domain_topology()
-        sc.sessions.clear()
-        with pytest.raises(ValueError, match="no sessions"):
-            DomainPartitioner.by_gateways(sc, domain_gateways(2))
+            build_federated_views(0, 2)
+        with pytest.raises(ValueError):
+            build_federated_views(2, 0)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: The other experiments reach state no earlier row does: ``byzantine``
 #: quarantines liars into the set ``GroupState.blocked``, ``crowd`` joins
 #: co-located receivers through ``GroupState.refcount``, and ``federate``
-#: drives the domain partition's ``member_set`` and the coordinator's
+#: drives the shard controllers' domain node sets and the coordinator's
 #: ``_latest`` map.  Each runs with its small arguments from ``test_cli``.
 RUNS = (
     ["fig7", "--duration", "30", "--json"],
