@@ -23,9 +23,3 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-from .media.layers import PAPER_SCHEDULE, LayerSchedule  # noqa: F401
-from .simnet.engine import Scheduler  # noqa: F401
-from .simnet.topology import Network  # noqa: F401
-
-__all__ = ["LayerSchedule", "PAPER_SCHEDULE", "Scheduler", "Network", "__version__"]

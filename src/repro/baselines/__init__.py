@@ -1,18 +1,2 @@
 """Baselines: the oracle optimum, a static controller, and a topology-blind
 receiver-driven (RLM-style) adapter."""
-
-from .lexicographic import allocation_feasible, lexicographic_optimal
-from .oracle import OracleController, optimal_levels
-from .rlm import RLMReceiver
-from .session_plan import SessionPlan
-from .static import StaticController
-
-__all__ = [
-    "optimal_levels",
-    "OracleController",
-    "StaticController",
-    "RLMReceiver",
-    "SessionPlan",
-    "lexicographic_optimal",
-    "allocation_feasible",
-]

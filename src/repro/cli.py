@@ -42,12 +42,13 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import federation
 from .experiments import byzantine, chaos, churn, crowd, figures
 from .experiments.topologies import build_topology_a, build_topology_b
-from .faults import FaultPlan
+from .faults.plan import FaultPlan
+from .federation import chaos as fed_chaos
+from .federation import experiment as fed_experiment
 from .obs.run import RunRecorder, strip_timings
-from .workloads import WorkloadSpec
+from .workloads.spec import WorkloadSpec
 
 __all__ = ["EXPERIMENTS", "FIGURES", "main"]
 
@@ -264,8 +265,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "federate",
         "sweep domain count at fixed total receivers through the federated "
         "control plane and gate its scaling claims",
-        federation.run_federate, federation.render_federate_report,
-        federation.DEFAULT_DURATION, ("wall_s", "shard_wall_ms"),
+        fed_experiment.run_federate, fed_experiment.render_federate_report,
+        fed_experiment.DEFAULT_DURATION, ("wall_s", "shard_wall_ms"),
         (
             Opt("--receivers", "total_receivers", int, 1024,
                 "total receivers, split evenly across domains"),
@@ -281,8 +282,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "fedchaos",
         "sweep inter-domain loss and partition windows with a coordinator "
         "crash/failover and gate partition tolerance",
-        federation.run_fedchaos, federation.render_fedchaos_report,
-        federation.DEFAULT_CHAOS_DURATION, ("wall_s",),
+        fed_chaos.run_fedchaos, fed_chaos.render_fedchaos_report,
+        fed_chaos.DEFAULT_CHAOS_DURATION, ("wall_s",),
         (
             Opt("--domains", "n_domains", int, 3,
                 "number of administrative domains"),

@@ -42,7 +42,7 @@ suggestions and climbs a layer per report.  Modes combine with ``+``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -149,9 +149,9 @@ class ReceiverAgent:
         self.controller_epoch = 0
         self.stale_suggestions_rejected = 0
         self.invalid_suggestions_rejected = 0
-        #: Active byzantine behaviour (None = honest).  Set by the
+        #: Active byzantine behaviours (None = honest).  Set by the
         #: ``byzantine_start``/``byzantine_stop`` faults via :meth:`set_byzantine`.
-        self.byzantine_mode: Optional[str] = None
+        self.byzantine_mode: Optional[FrozenSet[str]] = None
         self.lies_told = 0
         self.active = True
         self._started = False
@@ -164,14 +164,14 @@ class ReceiverAgent:
     def set_byzantine(self, mode: Optional[str]) -> None:
         """Switch behaviour: ``"lie_high"``, ``"lie_low"``, ``"disobey"`` or
         ``+``-joined combinations; None restores honesty."""
-        if mode is not None:
-            for part in mode.split("+"):
-                if part not in BYZANTINE_MODES:
-                    raise ValueError(f"unknown byzantine mode {part!r}")
-        self.byzantine_mode = mode
+        parts = None if mode is None else mode.split("+")
+        for part in parts or ():
+            if part not in BYZANTINE_MODES:
+                raise ValueError(f"unknown byzantine mode {part!r}")
+        self.byzantine_mode = None if parts is None else frozenset(parts)
 
     def _is(self, mode: str) -> bool:
-        return self.byzantine_mode is not None and mode in self.byzantine_mode.split("+")
+        return self.byzantine_mode is not None and mode in self.byzantine_mode
 
     # ------------------------------------------------------------------
     def start(self) -> None:

@@ -115,7 +115,7 @@ class SubtreeSummary:
 
     Crosses the inter-domain boundary on a fixed cadence and carries only
     aggregates — the coordinator (by design, and enforced by
-    :class:`~repro.federation.FederationCoordinator`) never sees a
+    :class:`~repro.federation.coordinator.FederationCoordinator`) never sees a
     per-receiver :class:`Report`.  ``min_level``/``max_level``/``level_sum``
     summarise the domain controller's last suggestion set (the domain's
     layer fit), ``mean_loss``/``max_loss`` its latest accepted loss reports

@@ -13,51 +13,3 @@ Public surface:
   :mod:`~repro.core.sharing`, :mod:`~repro.core.decision_table`,
   :mod:`~repro.core.subscription`) for fine-grained use and testing.
 """
-
-from .bottleneck import compute_bottlenecks, compute_handleable
-from .capacity import LinkCapacityEstimator, LinkObservation
-from .config import TopoSenseConfig
-from .congestion import compute_congestion, compute_loss_rates, compute_subtree_bytes
-from .decision_table import (
-    Action,
-    BwEquality,
-    classify_bandwidth,
-    encode_history,
-    internal_action,
-    leaf_action,
-)
-from .session_topology import SessionTree
-from .sharing import compute_fair_shares, compute_max_demands, find_shared_links
-from .state import ControllerState, NodeState
-from .subscription import allocate_supply, compute_demands
-from .toposense import TopoSense
-from .types import ReceiverReport, SessionInput, SuggestionSet
-
-__all__ = [
-    "TopoSense",
-    "TopoSenseConfig",
-    "SessionTree",
-    "ReceiverReport",
-    "SessionInput",
-    "SuggestionSet",
-    "ControllerState",
-    "NodeState",
-    "LinkCapacityEstimator",
-    "LinkObservation",
-    "Action",
-    "BwEquality",
-    "leaf_action",
-    "internal_action",
-    "encode_history",
-    "classify_bandwidth",
-    "compute_loss_rates",
-    "compute_congestion",
-    "compute_subtree_bytes",
-    "compute_bottlenecks",
-    "compute_handleable",
-    "find_shared_links",
-    "compute_max_demands",
-    "compute_fair_shares",
-    "compute_demands",
-    "allocate_supply",
-]

@@ -1,34 +1,2 @@
 """Experiment scaffolding: scenario assembly, the paper's topologies, and
 per-figure experiment drivers."""
-
-from .byzantine import build_byzantine_scenario, default_attack_plan, run_byzantine
-from .chaos import build_chaos_scenario, default_chaos_plan, run_chaos
-from .churn import build_churn_scenario, default_churn_plan, run_churn
-from .crowd import build_crowd_scenario, default_crowd_spec, run_crowd
-from .domains import build_two_domain_topology
-from .scenario import ReceiverHandle, Scenario, ScenarioResult
-from .tiered import TierSpec, build_tiered_topology
-from .topologies import build_topology_a, build_topology_b
-
-__all__ = [
-    "Scenario",
-    "ScenarioResult",
-    "ReceiverHandle",
-    "build_topology_a",
-    "build_topology_b",
-    "build_two_domain_topology",
-    "build_tiered_topology",
-    "TierSpec",
-    "build_chaos_scenario",
-    "default_chaos_plan",
-    "run_chaos",
-    "build_byzantine_scenario",
-    "default_attack_plan",
-    "run_byzantine",
-    "build_churn_scenario",
-    "default_churn_plan",
-    "run_churn",
-    "build_crowd_scenario",
-    "default_crowd_spec",
-    "run_crowd",
-]

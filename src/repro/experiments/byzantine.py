@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..core.config import TopoSenseConfig
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan
 from ..metrics.guard import mean_level_divergence, quarantine_precision_recall
 from ..obs.run import fault_log_entries
 from .scenario import Scenario

@@ -14,7 +14,7 @@ This is the end-to-end exercise of the fault-injection subsystem
   continues through the outage.
 
 Everything is driven by the discrete-event scheduler from a declarative
-:class:`~repro.faults.FaultPlan`, so a given ``(seed, plan)`` pair replays
+:class:`~repro.faults.plan.FaultPlan`, so a given ``(seed, plan)`` pair replays
 identically: ``python -m repro chaos --seed 1`` prints the same report every
 time.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..core.config import TopoSenseConfig
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan
 from ..metrics.recovery import max_suggestion_gap, recovery_report
 from ..obs.run import fault_log_entries
 from .scenario import Scenario

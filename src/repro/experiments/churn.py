@@ -36,7 +36,7 @@ import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import TopoSenseConfig
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan
 from ..metrics.guard import quarantine_precision_recall
 from ..metrics.recovery import time_to_suggestion
 from ..multicast.builders import BUILDER_NAMES

@@ -43,7 +43,8 @@ from ..metrics.attribution import loss_attribution
 from ..metrics.stability import worst_receiver_stability
 from ..obs.run import strip_timings
 from ..simnet.wireless import WirelessEdgeLink
-from ..workloads import WorkloadRunner, WorkloadSpec
+from ..workloads.runner import WorkloadRunner
+from ..workloads.spec import WorkloadSpec
 from .scenario import Scenario
 from .topologies import BACKBONE_BW, CLASS_A_BW
 

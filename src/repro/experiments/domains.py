@@ -20,7 +20,7 @@ controller.
 The federated control plane (:mod:`repro.federation`) runs the same star
 with any number of domains, one shard per domain:
 :func:`~repro.federation.experiment.build_federated_views` describes each
-``gw<d>`` subtree as a :class:`~repro.federation.DomainView` straight from
+``gw<d>`` subtree as a :class:`~repro.federation.shard.DomainView` straight from
 this layout, with no global scenario.
 """
 

@@ -28,11 +28,7 @@ Typical use::
     print(injector.log)        # [(time, kind, detail), ...]
 """
 
-from .injectors import FaultInjector
-from .plan import FaultEvent, FaultPlan
+# Only for bench/, which imports it from the package (ROADMAP 3(d)).
+from .plan import FaultPlan
 
-__all__ = [
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjector",
-]
+__all__ = ["FaultPlan"]

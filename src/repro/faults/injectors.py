@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..control.agent import ControllerAgent, ReceiverAgent
 from ..control.messages import Register, RegisterAck, Report, Suggestion
+from ..experiments.membership import join_receiver, leave_receiver
 from ..simnet.packet import CONTROL, Packet
 
 __all__ = ["FaultInjector", "FederationInjector", "kinds_of"]
@@ -227,15 +228,11 @@ class FaultInjector(_Injector):
     def receiver_leave(self, receiver_id: Any) -> None:
         """Depart: stop the agent, unsubscribe from every layer group (the
         groups prune after the usual leave latency)."""
-        from ..experiments.membership import leave_receiver
-
         leave_receiver(self.scenario, self.scenario.receiver_handle(receiver_id))
 
     def receiver_join(self, receiver_id: Any) -> None:
         """(Re)arrive at the same node with a fresh control agent on its
         own deterministic RNG stream."""
-        from ..experiments.membership import join_receiver
-
         join_receiver(self.scenario, self.scenario.receiver_handle(receiver_id))
 
     # -- control-packet corruption --------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..experiments.membership import churn_events
 from .injectors import FaultInjector, FederationInjector, kinds_of
 
 __all__ = ["FaultEvent", "FaultPlan"]
@@ -135,9 +136,6 @@ class FaultPlan:
         churn_events`, shared with the workload engine so both paths use
         identical RNG semantics.
         """
-        # Local import: repro.experiments pulls in the whole scenario stack.
-        from ..experiments.membership import churn_events
-
         for kind, t, rid in churn_events(
             receivers, start, end, rate=rate, burst=burst,
             off_time=off_time, zipf_s=zipf_s, seed=seed,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..experiments.scenario import ScenarioResult
 from ..faults.plan import FaultPlan
 from .experiment import build_federated_views
 from .session import RETRY_LIMIT, FederatedSession
@@ -99,8 +100,6 @@ def _run_one(
     decay_floor: int,
     bus: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    from ..experiments.scenario import ScenarioResult
-
     views = build_federated_views(n_domains, receivers_per_domain)
     fed = FederatedSession(
         views, seed=seed, cadence=cadence, bus=bus,

@@ -22,6 +22,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.domains import DEFAULT_DOMAIN_BWS
+from ..experiments.scenario import ScenarioResult
 from ..experiments.topologies import BACKBONE_BW
 from ..obs.profile import Profiler
 from .session import FederatedSession
@@ -95,8 +96,6 @@ def _run_point(
     cadence: float,
     bus: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    from ..experiments.scenario import ScenarioResult
-
     views = build_federated_views(n_domains, receivers_per_domain)
     profiler = Profiler()
     fed = FederatedSession(

@@ -13,6 +13,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from .packet import Packet
+from .rng import fallback_rng
 
 __all__ = ["QueueStats", "DropTailQueue", "REDQueue"]
 
@@ -105,8 +106,6 @@ class REDQueue(DropTailQueue):
         self.wq = wq
         self.avg = 0.0
         if rng is None:  # pragma: no cover - exercised via explicit rng in tests
-            from .rng import fallback_rng
-
             rng = fallback_rng()
         self._rng = rng
 

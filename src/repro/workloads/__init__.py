@@ -1,29 +1,13 @@
 """Declarative workload engine: demand dynamics as replayable data.
 
-Build a :class:`WorkloadSpec` (population + seeded flash-crowd / Zipf /
-diurnal events), serialise it to JSON, and compile it onto any scenario
-with :class:`WorkloadRunner` — see DESIGN.md §15.
+Build a :class:`~repro.workloads.spec.WorkloadSpec` (population + seeded
+flash-crowd / Zipf / diurnal events), serialise it to JSON, and compile it
+onto any scenario with :class:`~repro.workloads.runner.WorkloadRunner` — see
+DESIGN.md §15.
 """
 
-from .builders import (
-    RAMP_SHAPES,
-    assign_sessions,
-    diurnal_leave_times,
-    flash_crowd_times,
-)
-from .runner import WorkloadRunner, control_bytes, latency_percentiles
-from .spec import WORKLOAD_KINDS, ReceiverSpec, WorkloadEvent, WorkloadSpec
+# Only for bench/, which imports these from the package (ROADMAP 3(d)).
+from .runner import WorkloadRunner, control_bytes
+from .spec import WorkloadSpec
 
-__all__ = [
-    "WORKLOAD_KINDS",
-    "RAMP_SHAPES",
-    "ReceiverSpec",
-    "WorkloadEvent",
-    "WorkloadSpec",
-    "WorkloadRunner",
-    "assign_sessions",
-    "control_bytes",
-    "diurnal_leave_times",
-    "flash_crowd_times",
-    "latency_percentiles",
-]
+__all__ = ["WorkloadRunner", "WorkloadSpec", "control_bytes"]

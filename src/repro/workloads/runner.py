@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..control.agent import ReceiverAgent
+from ..experiments.membership import join_receiver, leave_receiver
 from .spec import WorkloadSpec
 
 __all__ = ["WorkloadRunner", "control_bytes", "latency_percentiles"]
@@ -117,8 +118,6 @@ class WorkloadRunner:
 
     # ------------------------------------------------------------------
     def _fire(self, kind: str, receiver_id: Any) -> None:
-        from ..experiments.membership import join_receiver, leave_receiver
-
         sc = self.scenario
         handle = sc.receiver_handle(receiver_id)
         if kind == "join":

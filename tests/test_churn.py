@@ -12,7 +12,8 @@ from repro.experiments.churn import (
     default_churn_plan,
     run_churn,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injectors import FaultInjector
+from repro.faults.plan import FaultPlan
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.experiments.crowd import (
     run_crowd,
 )
 from repro.obs.run import strip_timings
-from repro.workloads import WorkloadSpec
+from repro.workloads.spec import WorkloadSpec
 
 
 def _small_sweep(**kw):

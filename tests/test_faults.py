@@ -18,9 +18,8 @@ from repro.experiments.chaos import (
     run_chaos,
 )
 from repro.experiments.scenario import Scenario
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.faults.injectors import FederationInjector, kinds_of
-from repro.faults.plan import KINDS
+from repro.faults.injectors import FaultInjector, FederationInjector, kinds_of
+from repro.faults.plan import KINDS, FaultEvent, FaultPlan
 from repro.metrics.recovery import (
     max_suggestion_gap,
     suggestion_gaps,

@@ -12,19 +12,14 @@ import json
 import pytest
 
 from repro.control.messages import FederationAdvice, Report, SubtreeSummary
-from repro.faults import FaultPlan
 from repro.faults.injectors import FederationInjector, kinds_of
-from repro.federation import (
-    ChannelImpairment,
-    DomainShard,
-    FederatedSession,
-    FederationCoordinator,
-    InterDomainChannel,
-    build_federated_views,
-    default_fedchaos_plan,
-    run_fedchaos,
-)
-from repro.federation.session import RETRY_LIMIT
+from repro.faults.plan import FaultPlan
+from repro.federation.channel import ChannelImpairment, InterDomainChannel
+from repro.federation.chaos import default_fedchaos_plan, run_fedchaos
+from repro.federation.coordinator import FederationCoordinator
+from repro.federation.experiment import build_federated_views
+from repro.federation.session import RETRY_LIMIT, FederatedSession
+from repro.federation.shard import DomainShard
 from repro.simnet.rng import RngRegistry
 
 

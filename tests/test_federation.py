@@ -20,16 +20,10 @@ from repro.control.messages import (
 )
 from repro.experiments.domains import build_two_domain_topology
 from repro.experiments.topologies import BACKBONE_BW
-from repro.federation import (
-    BORDER_NODE,
-    DomainReceiver,
-    DomainShard,
-    DomainView,
-    FederatedSession,
-    FederationCoordinator,
-    build_federated_views,
-    run_federate,
-)
+from repro.federation.coordinator import FederationCoordinator
+from repro.federation.experiment import build_federated_views, run_federate
+from repro.federation.session import FederatedSession
+from repro.federation.shard import BORDER_NODE, DomainReceiver, DomainShard, DomainView
 from repro.simnet.rng import stream_seed
 
 

@@ -27,7 +27,8 @@ from repro.control.session import SessionDescriptor
 from repro.experiments.byzantine import run_byzantine
 from repro.experiments.scenario import Scenario
 from repro.experiments.topologies import build_topology_b
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injectors import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.media.layers import LayerSchedule
 from repro.media.receiver import LayeredReceiver
 from repro.media.source import LayeredSource

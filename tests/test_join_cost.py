@@ -13,7 +13,7 @@ fully built once — every later join grafts a branch onto it in place.
 from repro.experiments.crowd import build_crowd_scenario, default_crowd_spec, edge_node_names
 from repro.multicast.builders import SPTBuilder
 from repro.simnet.topology import Network
-from repro.workloads import WorkloadRunner
+from repro.workloads.runner import WorkloadRunner
 
 N_EDGES = 512
 DURATION = 20.0

@@ -4,15 +4,9 @@ import json
 
 import pytest
 
-from repro.obs import (
-    BusEvent,
-    EventBus,
-    Profiler,
-    RunRecorder,
-    fault_log_entries,
-    git_rev,
-    sample_links,
-)
+from repro.obs.bus import BusEvent, EventBus
+from repro.obs.profile import Profiler
+from repro.obs.run import RunRecorder, fault_log_entries, git_rev, sample_links
 from repro.simnet.engine import Scheduler
 
 

@@ -38,10 +38,11 @@ from repro.experiments.crowd import (
     edge_node_names,
 )
 from repro.experiments.topologies import build_topology_b
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.federation.experiment import build_federated_views
 from repro.federation.session import FederatedSession
-from repro.workloads import WorkloadRunner, WorkloadSpec, control_bytes
+from repro.workloads.runner import WorkloadRunner, control_bytes
+from repro.workloads.spec import WorkloadSpec
 
 
 def _slots(obj):

@@ -4,9 +4,11 @@ Every other test runs in a process that has already imported most of
 ``repro`` (and networkx, which the test suite uses as an oracle), so two
 properties can only be checked from outside:
 
-* each subpackage imports cleanly as the *first* import of a process — a
-  cycle between two packages is otherwise masked by whichever of them the
+* each module imports cleanly as the *first* ``repro`` import of a process —
+  a cycle between two modules is otherwise masked by whichever of them the
   process happened to import first;
+* a run imports only the layers it runs: packages re-export nothing, so a
+  Topology B run never loads the fault, workload or artifact machinery;
 * a real run never imports networkx: it is a test dependency only
   (``pyproject.toml``), and ``Network`` searches its own adjacency.
 """
@@ -25,6 +27,11 @@ SRC = Path(repro.__file__).resolve().parent.parent
 
 SUBPACKAGES = sorted(m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg)
 
+MODULES = sorted(
+    ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+    for path in (SRC / "repro").rglob("*.py") if path.name != "__main__.py"
+)
+
 
 def run_fresh(code):
     """Run ``code`` in a new interpreter that finds ``repro`` and nothing
@@ -40,12 +47,36 @@ def test_imports_cleanly_as_the_first_import_of_a_process(name):
     assert done.returncode == 0, done.stderr
 
 
+def test_every_module_imports_cleanly_as_the_first_repro_import():
+    done = run_fresh(f"""
+import importlib, sys
+for name in {MODULES!r}:
+    for loaded in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
+        del sys.modules[loaded]
+    importlib.import_module(name)
+""")
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_topology_b_run_imports_only_the_layers_it_runs():
+    done = run_fresh("""
+import sys
+from repro.experiments.topologies import build_topology_b
+
+build_topology_b(n_sessions=2, seed=1).run(5.0)
+unused = ("repro.faults", "repro.workloads", "repro.obs.run", "repro.experiments.crowd",
+          "repro.metrics.ascii_plot", "subprocess")
+assert not [m for m in unused if m in sys.modules], [m for m in unused if m in sys.modules]
+""")
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_real_run_never_imports_networkx():
     done = run_fresh("""
 import contextlib, io, sys
 from repro.cli import main
 from repro.experiments.topologies import build_topology_a
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert main(["fig6", "--json", "--duration", "4"]) == 0

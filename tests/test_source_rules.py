@@ -16,7 +16,10 @@ and is still wrong (DESIGN.md §11 has the trial that chose them):
   with postponed annotations nothing else ever evaluates them);
 * ``unused_options`` — every keyword parameter of the agents' constructors
   and of ``Scenario.attach_controller``/``add_receiver`` is passed by some
-  call under ``src/`` or ``bench/``; an option only tests set is a constant.
+  call under ``src/`` or ``bench/``; an option only tests set is a constant;
+* ``function_level_imports`` — a function body imports no ``repro`` module:
+  modules are the namespace and import at top level, so the import graph is
+  what the module headers say; only optional paths import on use.
 
 Each check takes parsed sources keyed by their path under ``src/repro/`` and
 returns ``path:line message`` strings.  An exemption is a path in
@@ -296,13 +299,35 @@ def unused_options(trees, callers=None, owners=OPTION_OWNERS):
     return hits
 
 
+def _repro_imports(func):
+    """``(line, module)`` for each import of a ``repro`` module in ``func``."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level or name.split(".")[0] == "repro":
+                yield node.lineno, name
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names
+                        if a.name.split(".")[0] == "repro")
+
+
+def function_level_imports(trees):
+    return sorted({f"{path}:{line} function-level import of `{name}` — import it at "
+                   "module top level" for path, tree in trees.items()
+                   for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for line, name in _repro_imports(func)})
+
+
 CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage, annotation_names,
-          unused_options)
+          unused_options, function_level_imports)
 
 #: Check -> paths under src/repro/ whose hits are sanctioned.
 EXEMPT = {
     # fallback_rng(), the one registry-less default generator
     constant_seeds: {"simnet/rng.py"},
+    # optional paths: `--plot`, the federated crowd point, a plan's injector
+    function_level_imports: {"cli.py", "experiments/crowd.py", "federation/session.py"},
 }
 
 
@@ -372,6 +397,13 @@ BAD = {
         {"callers": {}, "owners": (("control/a.py", "Agent", "__init__"),
                                    ("control/a.py", "Agent", "stop"))},
         ["control/a.py:2 `Agent.__init__(cap=)`", "control/a.py:1 `Agent.stop` not found"]),
+    function_level_imports: (
+        {"faults/a.py": "def f():\n    from ..experiments.membership import join_receiver\n"
+                        "class C:\n    def g(self):\n        import repro.obs.run\n"
+                        "        def h():\n            from repro import cli\n"}, {},
+        ["a.py:2 function-level import of `..experiments.membership`",
+         "a.py:5 function-level import of `repro.obs.run`",
+         "a.py:7 function-level import of `repro`"]),
 }
 
 

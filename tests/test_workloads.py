@@ -8,20 +8,14 @@ import pytest
 
 from repro.experiments.membership import churn_events
 from repro.experiments.scenario import Scenario
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.obs.bus import EventBus
 from repro.simnet.link import DROP_REASONS, DROP_WIRELESS
 from repro.simnet.rng import zipf_weights
 from repro.simnet.wireless import WirelessEdgeLink
-from repro.workloads import (
-    ReceiverSpec,
-    WorkloadEvent,
-    WorkloadRunner,
-    WorkloadSpec,
-    assign_sessions,
-    diurnal_leave_times,
-    flash_crowd_times,
-)
+from repro.workloads.builders import assign_sessions, diurnal_leave_times, flash_crowd_times
+from repro.workloads.runner import WorkloadRunner
+from repro.workloads.spec import ReceiverSpec, WorkloadEvent, WorkloadSpec
 
 
 # ----------------------------------------------------------------------
