@@ -188,8 +188,7 @@ def _smallest_crowd_spec(result: Dict[str, Any], loaded: Any) -> Any:
         return loaded.to_dict()
     return crowd.crowd_spec_for(
         result["sizes"][0],
-        **{k: result[k] for k in ("seed", "duration", "n_edges", "incumbents",
-                                  "max_controlled")},
+        **{k: result[k] for k in ("seed", "duration", "n_edges", "max_controlled")},
     ).to_dict()
 
 
@@ -220,8 +219,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
     ),
     Experiment(
         "churn",
-        "compare the spt and protected tree builders under a seeded "
-        "membership-churn + link-failure storm",
+        "rebuild shortest-path trees through a seeded membership-churn + "
+        "link-failure storm and gate every receiver's recovery",
         churn.run_churn, churn.render_churn_report, churn.DEFAULT_DURATION, (),
         (
             Opt("--receivers", "n_receivers", int, 6, "receivers"),

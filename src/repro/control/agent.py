@@ -506,7 +506,6 @@ class ControllerAgent:
         self.last_suggestions: Optional[SuggestionSet] = None
         #: Optional tree-level quarantine hook (see :meth:`attach_enforcer`).
         self._enforcer: Optional[Enforcer] = None
-        self._started = False
         self.active = False
         #: Fencing token stamped on every RegisterAck/Suggestion, bumped on
         #: each (re)start; a standby created for failover starts above its
@@ -525,9 +524,8 @@ class ControllerAgent:
         propagation) has arrived.  Callable again after :meth:`stop` — a
         restarted controller resumes with whatever state it still holds.
         """
-        if self._started:
+        if self.active:
             return
-        self._started = True
         self.active = True
         self.epoch += 1
         if CONTROL_PORT not in self.node.port_handlers:
@@ -546,9 +544,8 @@ class ControllerAgent:
         eventually drops the registration and re-registers (possibly with a
         standby).  :meth:`start` restarts this agent in place.
         """
-        if not self._started:
+        if not self.active:
             return
-        self._started = False
         self.active = False
         self.node.unbind_port(CONTROL_PORT)
 

@@ -1,45 +1,41 @@
-"""Tree-churn resilience experiment: the tree-builder backend sweep.
+"""Tree-churn resilience experiment.
 
-Runs the *same* seeded scenario — membership churn waves (seeded Poisson
+Runs one seeded scenario — membership churn waves (seeded Poisson
 leave/rejoin with a Zipf bias, see :meth:`~repro.faults.plan.FaultPlan.
-membership_churn`) combined with link failures on both aggregation links —
-once per tree-builder backend (``spt``, ``protected``) and compares how
-each one rides it out:
+membership_churn`) combined with link failures on both aggregation links
+and one access link — and scores how the shortest-path trees, rebuilt on
+every topology change that hits them, ride it out:
 
-* **repair locality** — every topology-change repair, split into local
-  patches vs full rebuilds, with the tree edges each one removed and added:
-  a precomputed backup branch must heal a failure without disturbing more
-  of the tree than the SPT backend's full rebuild of the same group at the
-  same instant (the deterministic gate);
 * **convergence** — time from the last link-clear (or the receiver's own
-  last rejoin, whichever is later) to the next controller suggestion;
-* **disruption** — member-seconds of lost tree coverage and total tree-edge
-  churn;
+  last rejoin, whichever is later) to the next controller suggestion (the
+  gate);
+* **repairs** — groups moved onto a rebuilt tree, groups skipped, and the
+  tree edges the rebuilds removed and added;
+* **disruption** — member-seconds of lost tree coverage;
 * **guard precision/recall** — nobody lies in this experiment, so every
-  quarantine is a false positive: a backend whose repairs confuse the report
-  guard shows up as precision < 1.
+  quarantine is a false positive: repairs that confuse the report guard
+  show up as precision < 1.
 
 Controllers run with ``fence_repairs=True``: loss reports measured across a
 repair disruption window are discarded instead of being fed to the
 congestion algorithm as if they were congestion.
 
 The fault timeline (default plan): churn waves from t=10 on, ``core—agg_a``
-down at t=40 for 5 s, ``core—agg_b`` down at t=80 for 5 s.  The topology has
-a longer-delay ``agg_a—agg_b`` cross link, so every failure is locally
-repairable; the second failure hits a tree that is already running on its
-backup branch, exercising the protected builder's subtree re-rooting path.
+down at t=40 for 5 s, ``agg_a—ra1`` down at t=60 for 6 s, ``core—agg_b`` down
+at t=80 for 5 s.  The topology has a longer-delay ``agg_a—agg_b`` cross
+link, so an aggregation-link failure leaves every receiver reachable over a
+detour.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.config import TopoSenseConfig
 from ..faults.plan import FaultPlan
 from ..metrics.guard import quarantine_precision_recall
 from ..metrics.recovery import time_to_suggestion
-from ..multicast.builders import BUILDER_NAMES
 from ..obs.run import fault_log_entries
 from .chaos import CHAOS_REREGISTER_AFTER
 from .scenario import Scenario
@@ -57,7 +53,7 @@ __all__ = [
 DEFAULT_DURATION = 120.0
 
 #: Delay (s) of the ``agg_a — agg_b`` cross link: longer than the primaries,
-#: so it only carries traffic as a backup path.
+#: so it only carries traffic as a detour.
 CROSS_LINK_DELAY = 0.5
 
 
@@ -76,9 +72,8 @@ def default_churn_plan(
 ) -> FaultPlan:
     """Membership churn plus one failure per aggregation link.
 
-    The aggregation-link failures are staggered so the second one hits a
-    tree already running on its backup branch, and one receiver's *access*
-    link — which no backup path can route around — is cut for 6 s in
+    The aggregation-link failures are staggered, and one receiver's
+    *access* link — which no detour can route around — is cut for 6 s in
     between, genuinely orphaning that receiver (disruption windows open;
     its first post-restore loss report spans the outage and gets fenced).
     ``ra1`` is cut rather than ``ra0`` because the Zipf churn bias makes the
@@ -105,16 +100,19 @@ def build_churn_scenario(
     seed: int = 1,
     n_receivers: int = 6,
     interval: float = 2.0,
-    builder: Any = "spt",
+    builder: Any = None,
 ) -> Scenario:
     """A Topology-A-like network **with redundancy**: the two aggregation
-    nodes are cross-linked (at :data:`CROSS_LINK_DELAY`).  Every
-    single-link failure therefore leaves the network connected, which is the
-    regime where local repair beats tearing branches down.
+    nodes are cross-linked (at :data:`CROSS_LINK_DELAY`), so a failed
+    aggregation link leaves every receiver reachable over a detour.
+
+    ``builder`` is accepted and ignored: it is kept for ``bench/`` only,
+    which passes the name of a tree builder that no longer exists
+    (ROADMAP 2(d)).
     """
     if n_receivers < 1:
         raise ValueError("need at least one receiver")
-    sc = Scenario(seed=seed, builder=builder)
+    sc = Scenario(seed=seed)
     for name in ("src", "core", "agg_a", "agg_b"):
         sc.add_node(name)
     sc.add_link("src", "core", bandwidth=BACKBONE_BW)
@@ -149,48 +147,31 @@ def build_churn_scenario(
     return sc
 
 
-def _repair_locality(
-    protected: List[Dict[str, Any]], spt: List[Dict[str, Any]]
+def run_churn(
+    seed: int = 1,
+    duration: float = DEFAULT_DURATION,
+    n_receivers: int = 6,
+    interval: float = 2.0,
+    plan: Optional[FaultPlan] = None,
+    recover_intervals: float = 4.0,
+    recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Match protected's local repairs to SPT's rebuilds of the same group at
-    the same simulated time and compare the tree edges each disturbed.
+    """Run the churn scenario under ``plan`` (default: the seeded
+    :func:`default_churn_plan`) and score it.
 
-    Both backends replay one ``(seed, plan)``, so a failure reaches the same
-    group at the same instant in both runs.  ``ok`` needs at least one
-    matched repair and no local patch larger than its SPT counterpart.
+    The returned dict is JSON-friendly; ``result["ok"]`` is True when the
+    last link-clear leaves ``recover_intervals`` control intervals before
+    the horizon, and every scored receiver got a controller suggestion
+    within that long of the later of the last link-clear and its own last
+    rejoin.  A :class:`~repro.obs.run.RunRecorder` passed as ``recorder``
+    records the run.
     """
-    def edges_by_event(rows: List[Dict[str, Any]]) -> Dict[Any, int]:
-        out: Dict[Any, int] = {}
-        for r in rows:
-            key = (r["time"], r["group"])
-            out[key] = out.get(key, 0) + r["edges_removed"] + r["edges_added"]
-        return out
-
-    spt_edges = edges_by_event(spt)
-    local_edges = edges_by_event([r for r in protected if r["kind"] == "local"])
-    matched = [k for k in local_edges if k in spt_edges]
-    return {
-        "matched_repairs": len(matched),
-        "protected_local_edges": sum(local_edges[k] for k in matched),
-        "spt_rebuild_edges": sum(spt_edges[k] for k in matched),
-        "ok": bool(matched) and all(local_edges[k] <= spt_edges[k] for k in matched),
-    }
-
-
-def _run_one_backend(
-    backend: str,
-    seed: int,
-    duration: float,
-    n_receivers: int,
-    interval: float,
-    plan: FaultPlan,
-    within: float,
-    recorder: Optional[Any],
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """One backend's JSON-friendly summary plus its raw ``repair_log``."""
-    sc = build_churn_scenario(
-        seed=seed, n_receivers=n_receivers, interval=interval, builder=backend
-    )
+    if plan is None:
+        plan = default_churn_plan(
+            churn_receiver_ids(n_receivers), duration=duration, seed=seed
+        )
+    within = recover_intervals * interval
+    sc = build_churn_scenario(seed=seed, n_receivers=n_receivers, interval=interval)
     injector = plan.apply(sc)
     if recorder is not None:
         recorder.attach(sc, sample_interval=interval)
@@ -204,7 +185,7 @@ def _run_one_backend(
     )
     last_clear = link_clears[-1] if link_clears else 0.0
     # A run that scores no link clear has shown no recovery at all.
-    recovered_all = bool(link_clears) and last_clear + within <= duration
+    ok = bool(link_clears) and last_clear + within <= duration
     last_join: Dict[Any, float] = {}
     for ev in plan:
         if ev.kind == "receiver_join":
@@ -221,7 +202,7 @@ def _run_one_backend(
         dt = time_to_suggestion(agent.suggestion_times, ref) if agent else math.inf
         recovered = dt <= within
         if scored:
-            recovered_all = recovered_all and recovered
+            ok = ok and recovered
             convergence = max(convergence, dt)
         receivers[str(h.receiver_id)] = {
             "node": h.node,
@@ -242,10 +223,14 @@ def _run_one_backend(
     guard_pr = quarantine_precision_recall(quarantined, [])
 
     orphan_s = sum(mcast.orphan_seconds(g, until=duration) for g in sorted(mcast.groups))
-    summary = {
-        "backend": backend,
+    return {
+        "seed": seed,
+        "duration": duration,
+        "interval": interval,
+        "recover_within": within,
+        "plan": plan.to_dicts(),
+        "fault_log": fault_log_entries(injector.log),
         "builds": mcast.builds,
-        "local_repairs": mcast.local_repairs,
         "rebuild_repairs": mcast.rebuild_repairs,
         "groups_skipped": mcast.groups_skipped,
         "repair_epoch": mcast.repair_epoch,
@@ -257,106 +242,29 @@ def _run_one_backend(
         "reports_fenced": fenced,
         "guard": guard_pr,
         "receivers": receivers,
-        "recovered_all": recovered_all,
-        "fault_log": fault_log_entries(injector.log),
-    }
-    return summary, mcast.repair_log
-
-
-def run_churn(
-    seed: int = 1,
-    duration: float = DEFAULT_DURATION,
-    n_receivers: int = 6,
-    interval: float = 2.0,
-    plan: Optional[FaultPlan] = None,
-    recover_intervals: float = 4.0,
-    recorder: Optional[Any] = None,
-) -> Dict[str, Any]:
-    """Run the churn scenario with ``spt`` and then ``protected`` and
-    score the pair.
-
-    Both backends replay the *identical* ``(seed, plan)`` pair.  The
-    returned dict is JSON-friendly; ``result["ok"]`` is True when
-
-    * the last link-clear leaves ``recover_intervals`` control intervals
-      before the horizon, and every scored receiver of both backends got a
-      controller suggestion within that long of the later of the last
-      link-clear and its own last rejoin,
-    * the protected builder healed at least one failure with a local patch,
-      and
-    * no local patch removed + added more tree edges than the SPT backend's
-      rebuild of the same group at the same simulated instant
-      (``result["repair_locality"]`` carries the matched totals).
-
-    A :class:`~repro.obs.run.RunRecorder` passed as ``recorder`` records the
-    ``protected`` run.
-    """
-    names = list(BUILDER_NAMES)
-    if plan is None:
-        plan = default_churn_plan(
-            churn_receiver_ids(n_receivers), duration=duration, seed=seed
-        )
-    within = recover_intervals * interval
-    per_backend: Dict[str, Dict[str, Any]] = {}
-    repairs: Dict[str, List[Dict[str, Any]]] = {}
-    for name in names:
-        per_backend[name], repairs[name] = _run_one_backend(
-            name, seed, duration, n_receivers, interval, plan, within,
-            recorder if name == names[-1] else None,
-        )
-
-    locality = _repair_locality(repairs["protected"], repairs["spt"])
-    ok = (
-        all(b["recovered_all"] for b in per_backend.values())
-        and per_backend["protected"]["local_repairs"] >= 1
-        and locality["ok"]
-    )
-    return {
-        "seed": seed,
-        "duration": duration,
-        "interval": interval,
-        "recover_within": within,
-        "backends": names,
-        "plan": plan.to_dicts(),
-        "per_backend": per_backend,
-        "repair_locality": locality,
         "ok": ok,
     }
 
 
 def render_churn_report(result: Dict[str, Any]) -> str:
     """Human-readable rendering of a :func:`run_churn` result."""
-    lines = [
+    return "\n".join([
         f"churn seed={result['seed']} duration={result['duration']:.0f}s "
-        f"interval={result['interval']:.1f}s backends={','.join(result['backends'])} "
+        f"interval={result['interval']:.1f}s "
         f"(recover within {result['recover_within']:.1f}s)",
         f"plan: {len(result['plan'])} fault events",
-    ]
-    for name in result["backends"]:
-        b = result["per_backend"][name]
-        lines.append(
-            f"  {name:<10} repairs: {b['local_repairs']} local, "
-            f"{b['rebuild_repairs']} rebuild, {b['groups_skipped']} groups skipped"
-        )
-        lines.append(
-            f"  {'':<10} orphan {b['orphan_member_seconds']:.1f} member-s, "
-            f"{b['tree_edges_churned']} tree edges churned, "
-            f"convergence {b['convergence_s']:.1f}s, "
-            f"{b['reports_fenced']} reports fenced, "
-            f"guard precision {b['guard']['precision']:.2f} "
-            f"recall {b['guard']['recall']:.2f} "
-            f"{'OK' if b['recovered_all'] else 'FAILED'}"
-        )
-    locality = result["repair_locality"]
-    lines.append(
-        f"  locality: {locality['matched_repairs']} local repairs matched to "
-        f"SPT rebuilds, {locality['protected_local_edges']} vs "
-        f"{locality['spt_rebuild_edges']} tree edges disturbed "
-        f"{'OK' if locality['ok'] else 'FAILED'}"
-    )
-    lines.append("RESULT: " + (
-        "OK — both backends recovered; protected repaired locally, "
-        "disturbing no more of the tree than SPT's rebuilds"
-        if result["ok"] else "FAILED — see per-backend lines above"
-    ))
-    return "\n".join(lines)
+        f"  repairs: {result['rebuild_repairs']} rebuild, "
+        f"{result['groups_skipped']} groups skipped",
+        f"  orphan {result['orphan_member_seconds']:.1f} member-s, "
+        f"{result['tree_edges_churned']} tree edges churned, "
+        f"convergence {result['convergence_s']:.1f}s, "
+        f"{result['reports_fenced']} reports fenced, "
+        f"guard precision {result['guard']['precision']:.2f} "
+        f"recall {result['guard']['recall']:.2f}",
+        "RESULT: " + (
+            "OK — every scored receiver recovered"
+            if result["ok"]
+            else "FAILED — a receiver missed the recovery bound, or no link "
+            "cleared in time to score one"
+        ),
+    ])

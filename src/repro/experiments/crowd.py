@@ -87,6 +87,11 @@ def edge_node_names(n_edges: int) -> List[str]:
     return [f"e{i}" for i in range(n_edges)]
 
 
+def crowd_session_ids(n_sessions: int) -> List[int]:
+    """The session ids :func:`build_crowd_scenario` creates, in order."""
+    return list(range(n_sessions))
+
+
 def build_crowd_scenario(
     seed: int = 1,
     n_edges: int = 8,
@@ -135,10 +140,9 @@ def build_crowd_scenario(
         else:
             sc.add_link("core", name, bandwidth=CLASS_A_BW)
 
-    session_ids = [
-        sc.add_session("src", traffic="cbr").session_id
-        for _ in range(n_sessions)
-    ]
+    session_ids = crowd_session_ids(n_sessions)
+    for sid in session_ids:
+        sc.add_session("src", traffic="cbr", session_id=sid)
     sc.attach_controller("src", config=TopoSenseConfig(interval=interval))
     edges = edge_node_names(n_edges)
     for i in range(incumbents):
@@ -184,21 +188,14 @@ def crowd_spec_for(
     seed: int = 1,
     duration: float = DEFAULT_DURATION,
     n_edges: int = 8,
-    incumbents: int = 4,
     max_controlled: int = DEFAULT_MAX_CONTROLLED,
 ) -> WorkloadSpec:
-    """The spec :func:`run_crowd` drives a ``size`` crowd with when given none.
-
-    Session ids are assigned by the scenario builder, so they come from a
-    throwaway build; crowds beyond ``max_controlled`` join static.
-    """
-    _probe, session_ids = build_crowd_scenario(
-        seed=seed, n_edges=n_edges, incumbents=incumbents,
-    )
+    """The spec :func:`run_crowd` drives a ``size`` crowd with when given
+    none; crowds beyond ``max_controlled`` join static."""
     mode = "controlled" if size <= max_controlled else "static"
     return default_crowd_spec(
-        size, edge_node_names(n_edges), session_ids, duration=duration,
-        seed=seed, mode=mode,
+        size, edge_node_names(n_edges), crowd_session_ids(CROWD_SESSIONS),
+        duration=duration, seed=seed, mode=mode,
     )
 
 
@@ -392,7 +389,7 @@ def run_crowd(
     specs = {
         size: spec if spec is not None else crowd_spec_for(
             size, seed=seed, duration=duration, n_edges=n_edges,
-            incumbents=incumbents, max_controlled=max_controlled,
+            max_controlled=max_controlled,
         )
         for size in sizes
     }

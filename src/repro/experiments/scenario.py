@@ -80,17 +80,10 @@ class ReceiverHandle:
 class Scenario:
     """A complete simulation setup (network + sessions + control plane)."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        leave_latency: float = 1.0,
-        builder: Any = "spt",
-    ):
+    def __init__(self, seed: int = 0, leave_latency: float = 1.0):
         self.sched = Scheduler()
         self.network = Network(self.sched)
-        self.mcast = MulticastManager(
-            self.network, leave_latency=leave_latency, builder=builder
-        )
+        self.mcast = MulticastManager(self.network, leave_latency=leave_latency)
         self.rngs = RngRegistry(seed)
         self.seed = seed
         self.sessions: Dict[Any, SessionDescriptor] = {}
@@ -105,7 +98,6 @@ class Scenario:
         self._session_counter = 0
         self._receiver_counter = 0
         self._rejoin_counts: Dict[Any, int] = {}
-        self._ran = False
 
     # ------------------------------------------------------------------
     # Topology construction (thin delegation)
@@ -366,7 +358,6 @@ class Scenario:
             self._start_agent(handle)
         for controller in self.controllers.values():
             controller.start()  # idempotent
-        self._ran = True
         self.sched.run(until=self.sched.now + duration)
         return ScenarioResult(self, self.sched.now)
 

@@ -3,16 +3,13 @@
 The manager models the pieces of IP multicast the paper's evaluation depends
 on, without simulating a routing protocol packet-by-packet:
 
-* **One distribution tree per source** — tree construction is a strategy
-  object (:mod:`repro.multicast.builders`) run over the members of all the
+* **One distribution tree per source** — built by
+  :class:`~repro.multicast.builders.SPTBuilder` over the members of all the
   groups rooted at a source; each group's tree is that tree *cut* to the
   group's own members (each member's path up to the source).  The layer
   groups of a session thus give every node one parent by construction.  The
-  default :class:`~repro.multicast.builders.SPTBuilder` is the union of
-  delay-weighted shortest paths from the source to each member, which is
-  what DVMRP/PIM-SM(SSM) converge to in ns-2; the ``protected`` backend
-  builds the same tree and precomputes per-link backup branches for fast
-  local repair.
+  tree is the union of delay-weighted shortest paths from the source to
+  each member, which is what DVMRP/PIM-SM(SSM) converge to in ns-2.
 * **Graft latency** — a join becomes effective after the time a graft message
   needs to travel from the joining host up to the nearest on-tree router
   (plus a small IGMP report delay).
@@ -32,11 +29,11 @@ A source's tree changes only on a change of the source's member set or of
 the topology (:meth:`MulticastManager.on_topology_change` states the rule),
 and then only the groups whose cut can differ are re-cut.  A membership
 change costs a path, not a tree: while the tree is *canonical* — fully
-built at the current topology epoch and not locally repaired since — a
-node's first join grafts its shortest path onto the tree in place and its
-last leave prunes the branch back, exactly as a DVMRP/PIM graft or prune
-would, and the group's cut grows or shrinks along the same branch; a full
-build runs only on a tree that is not canonical.  The manager tracks
+built at the current topology epoch — a node's first join grafts its
+shortest path onto the tree in place and its last leave prunes the branch
+back, exactly as a DVMRP/PIM graft or prune would, and the group's cut
+grows or shrinks along the same branch; a full build runs only on a tree
+that is not canonical.  The manager tracks
 per-member *disruption windows* (orphaned intervals), which the control
 plane reads to fence reports measured across a repair.
 """
@@ -49,7 +46,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..simnet.topology import Network
 from .addressing import GroupAllocator
-from .builders import TreeBuilder, graft, make_builder
+from .builders import SPTBuilder, graft
 
 __all__ = ["GroupState", "MulticastManager"]
 
@@ -66,14 +63,14 @@ class GroupState:
         self.group = group
         self.source = source
         self.members: Set[Any] = set()
-        self.desired: Dict[Any, bool] = {}
         #: member -> number of co-located receivers subscribed through it.
         #: Multicast state is per *node*: the tree grafts on the 0->1 join
         #: and prunes on the 1->0 leave, so crowds sharing an edge node
-        #: cannot tear each other's branches down.
+        #: cannot tear each other's branches down.  A positive count is the
+        #: membership the node wants.
         self.refcount: Dict[Any, int] = {}
-        #: Administrative deny-list: effective membership is
-        #: ``desired and not blocked`` (receiver-quarantine enforcement).
+        #: Administrative deny-list: effective membership is a positive
+        #: ``refcount`` and not blocked (receiver-quarantine enforcement).
         self.blocked: Set[Any] = set()
         self.edges: Set[Edge] = set()
         #: The same cut as ``node -> downstream neighbours``: the forwarding
@@ -111,11 +108,6 @@ class MulticastManager:
         message (per-hop delay up to the branch point) instead of waiting
         the full IGMP timeout — routers already know there is no other
         downstream receiver.
-    builder:
-        Tree-construction backend: a :class:`~repro.multicast.builders.
-        TreeBuilder` instance or one of the registered names (``"spt"``,
-        ``"protected"``).  Defaults to the shortest-path tree the manager
-        has always built.
     """
 
     def __init__(
@@ -124,7 +116,6 @@ class MulticastManager:
         leave_latency: float = 2.0,
         igmp_report_delay: float = 0.05,
         expedited_leave: bool = False,
-        builder: Any = "spt",
     ):
         if leave_latency < 0 or igmp_report_delay < 0:
             raise ValueError("latencies must be non-negative")
@@ -133,35 +124,33 @@ class MulticastManager:
         self.leave_latency = leave_latency
         self.igmp_report_delay = igmp_report_delay
         self.expedited_leave = expedited_leave
-        self.builder: TreeBuilder = make_builder(builder)
+        self.builder = SPTBuilder()
         self.groups: Dict[int, GroupState] = {}
         #: source -> its distribution tree as ``{node: parent}``, built over
         #: the members of all the source's groups.
         self._trees: Dict[Any, Dict[Any, Any]] = {}
         #: source -> the topology epoch its tree was last fully built at.
         #: While it is the current epoch the tree is canonical, and grafts
-        #: and prunes edit it in place.  A local repair answers a removal,
-        #: which started a new epoch: a repaired tree is never canonical.
+        #: and prunes edit it in place.
         self._canonical: Dict[Any, int] = {}
         self.allocator = GroupAllocator()
         #: Optional :class:`~repro.obs.profile.Profiler`; when set, tree
-        #: construction charges ``tree.build`` and local repairs charge
-        #: ``tree.repair``.
+        #: construction charges ``tree.build``.
         self.profiler: Optional[Any] = None
         #: Topology changes that modified at least one group's tree.
         self.repair_epoch = 0
-        #: Group re-cuts that were neither a local repair nor a skip: one
-        #: per group a membership change re-cuts, one per group a rebuild
-        #: repair or a restore changed.
+        #: Group re-cuts: one per group a membership change re-cuts, one
+        #: per group a topology change moved onto a rebuilt tree.
         self.builds = 0
-        #: Groups a topology change moved onto a locally repaired tree.
+        #: Always 0: every repair is a rebuild.  Kept for ``bench/worker.py``
+        #: only, which reads it (ROADMAP 2(d)).
         self.local_repairs = 0
         #: Groups a topology change moved onto a rebuilt tree.
         self.rebuild_repairs = 0
         #: Groups a :meth:`on_topology_change` call left as they were.
         self.groups_skipped = 0
-        #: One row per topology-change repair: ``{"time", "group", "kind":
-        #: "local"|"rebuild", "edges_removed", "edges_added"}``.
+        #: One row per topology-change repair: ``{"time", "group",
+        #: "edges_removed", "edges_added"}``.
         self.repair_log: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
@@ -198,7 +187,6 @@ class MulticastManager:
             # A co-located receiver already gets the group on this LAN:
             # only the local report latency applies, no graft needed.
             return self.sched.now + self.igmp_report_delay
-        state.desired[member] = True
         delay = self._graft_delay(state, member)
         effective = self.sched.now + delay
         self.sched.after(delay, self._apply, state, member)
@@ -220,7 +208,6 @@ class MulticastManager:
             # Other co-located receivers still subscribe through this node:
             # the router keeps serving the group, nothing to prune.
             return self.sched.now
-        state.desired[member] = False
         if self.expedited_leave:
             delay = self._prune_delay(state, member)
         else:
@@ -253,7 +240,7 @@ class MulticastManager:
 
         This is the quarantine-enforcement primitive: the domain's routers
         refuse to serve the group to a blocked member regardless of what it
-        asks for.  Membership *intent* (``desired``) is preserved — a join
+        asks for.  Membership *intent* (``refcount``) is preserved — a join
         issued while blocked is recorded but denied, and takes effect when
         the block is lifted.  Returns the time the change becomes effective
         (a block propagates like a prune after ``igmp_report_delay``; an
@@ -278,7 +265,7 @@ class MulticastManager:
         """Reconcile ``member``'s actual membership with the desired state.
 
         Join/leave races resolve to whatever was requested most recently
-        because each apply event re-reads ``desired`` (and the deny-list) at
+        because each apply event re-reads ``refcount`` (and the deny-list) at
         its fire time.  A node's first join across the source's groups
         grafts its path onto the source's tree, and its last leave prunes
         the branch, upward while a node has no child and is a member of none
@@ -287,10 +274,10 @@ class MulticastManager:
         leaves the tree as it is.  Either way the group's cut grows or
         shrinks along the member's branch (re-cut whole after a rebuild),
         and a sibling group is re-cut only when its cut can differ.  Every
-        outcome — cuts, counters, events, snapshots, backups — is the one a
-        full rebuild would give.
+        outcome — cuts, counters, events, snapshots — is the one a full
+        rebuild would give.
         """
-        want = state.desired.get(member, False) and member not in state.blocked
+        want = state.refcount.get(member, 0) > 0 and member not in state.blocked
         have = member in state.members
         if want == have:
             return
@@ -314,8 +301,7 @@ class MulticastManager:
         tree = self._trees[source]
         pruned: List[Edge] = []
         if want:
-            added = graft(tree, source, (member,), self.network)
-            self.builder.amend(source, added, (), self.network)
+            graft(tree, source, (member,), self.network)
             self._recut_member(state, member)
         else:
             # The cut is pruned first: the tree's branch is its way up.
@@ -328,7 +314,6 @@ class MulticastManager:
                 up = tree.pop(node)
                 pruned.append((up, node))
                 node = up
-            self.builder.amend(source, (), pruned, self.network)
         self.builds += 1
         lost = set(pruned)
         for s in siblings:
@@ -348,18 +333,17 @@ class MulticastManager:
 
         Fault injectors call this after :meth:`Network.set_link_up` /
         :meth:`Network.set_node_up`, passing the edges those calls actually
-        removed/restored; membership intent (``desired``/``members``) is
+        removed/restored; membership intent (``refcount``/``members``) is
         deliberately preserved so recovery is automatic.  A source's tree
         changes in three cases and no others:
 
         * **Its member set changed** (:meth:`_apply`): grafted or pruned in
           place, or rebuilt when it is not canonical.
         * **Edges restored:** every source's tree is rebuilt on the graph as
-          it now stands.  That reverts repair detours, trees built during
-          the outage and orphaned members alike.
-        * **Edges removed:** a source's tree that lost one of them is healed
-          by the builder's local :meth:`~repro.multicast.builders.
-          TreeBuilder.repair` when it can, rebuilt otherwise.
+          it now stands.  That reverts trees built during the outage and
+          orphaned members alike.
+        * **Edges removed:** a source's tree that lost one of them is
+          rebuilt.
 
         Then each group of a changed tree that lost an edge of the old tree
         or has an orphaned member is re-cut.  Every other group is skipped:
@@ -367,53 +351,34 @@ class MulticastManager:
         """
         removed = set(removed_edges)
         restored = bool(set(added_edges))
-        kinds: Dict[Any, str] = {}
         lost: Dict[Any, Set[Edge]] = {}
         for source, parent in self._trees.items():
-            hit = {(u, v) for u, v in removed if parent.get(v) == u}
-            if not restored and not hit:
-                continue
-            wall0 = perf_counter()
-            healed = None if restored else self.builder.repair(
-                source, {(u, v) for v, u in parent.items()}, hit, self.network)
-            if healed is None:
-                kinds[source] = "rebuild"
+            if restored or any(parent.get(v) == u for u, v in removed):
                 lost[source] = self._build_tree(source)
-            else:
-                prof = self.profiler
-                if prof is not None:
-                    prof.add("tree.repair", perf_counter() - wall0)
-                kinds[source] = "local"
-                lost[source] = self._set_tree(source, healed)
         now = self.sched.now
         changed = 0
         for state in self.groups.values():
-            kind = kinds.get(state.source)
-            if kind is None or not self._stale(state, lost[state.source]):
+            if state.source not in lost or not self._stale(state, lost[state.source]):
                 self.groups_skipped += 1
                 continue
             before = frozenset(state.edges)
-            if not self._recut(state, local=kind == "local"):
+            if not self._recut(state):
                 self.groups_skipped += 1
                 continue
             changed += 1
-            if kind == "local":
-                self.local_repairs += 1
-            else:
-                self.rebuild_repairs += 1
-                self.builds += 1
+            self.rebuild_repairs += 1
+            self.builds += 1
             after = frozenset(state.edges)
             self.repair_log.append({
                 "time": now,
                 "group": state.group,
-                "kind": kind,
                 "edges_removed": len(before - after),
                 "edges_added": len(after - before),
             })
             bus = self.sched.bus
-            if bus is not None and bus.wants(f"tree.repair.{kind}"):
+            if bus is not None and bus.wants("tree.repair.rebuild"):
                 bus.emit(
-                    "tree.repair.local" if kind == "local" else "tree.repair.rebuild",
+                    "tree.repair.rebuild",
                     now,
                     group=state.group,
                     edges_removed=len(before - after),
@@ -529,16 +494,8 @@ class MulticastManager:
         if prof is not None:
             prof.add("tree.build", perf_counter() - wall0)
         self._canonical[source] = self.network.topology_epoch
-        return self._set_tree(source, edges)
-
-    def _set_tree(self, source: Any, edges: Set[Edge]) -> Set[Edge]:
-        """Make ``edges`` the source's tree; returns the edges the old tree
-        had and the new one lacks."""
         old = self._trees[source]
         tree = self._trees[source] = {v: u for u, v in edges}
-        # Refreshing backup branches is preparation for the *next*
-        # failure — background work, not part of a repair's latency.
-        self.builder.precompute(source, edges, self.network)
         return {(u, v) for v, u in old.items() if tree.get(v) != u}
 
     @staticmethod
@@ -549,11 +506,10 @@ class MulticastManager:
         the tree it has."""
         return bool(state.orphan_since) or not state.edges.isdisjoint(lost)
 
-    def _recut(self, state: GroupState, local: bool = False) -> bool:
+    def _recut(self, state: GroupState) -> bool:
         """Install the group's cut of its source's tree — each member's
         path up to the source — and return whether the edges moved.  A
-        member the tree does not reach adds nothing: it is orphaned.
-        ``tree.build`` announces every move but a local repair's."""
+        member the tree does not reach adds nothing: it is orphaned."""
         parent = self._trees[state.source]
         edges: Set[Edge] = set()
         reached = {state.source}
@@ -574,7 +530,7 @@ class MulticastManager:
         state.children = {}
         for u, v in edges:
             state.children.setdefault(u, set()).add(v)
-        self._installed(state, old_nodes | set(state.children), moved, local)
+        self._installed(state, old_nodes | set(state.children), moved)
         return True
 
     def _recut_member(self, state: GroupState, member: Any) -> None:
@@ -610,20 +566,19 @@ class MulticastManager:
         orphaned = joined and member != source and member not in tree
         self._track_coverage(state, {member} if orphaned else set(), {member})
         if branch:
-            self._installed(state, [u for u, _ in branch], branch, local=False)
+            self._installed(state, [u for u, _ in branch], branch)
 
     def _installed(self, state: GroupState, nodes: Iterable[Any],
-                   moved: Iterable[Edge], local: bool) -> None:
+                   moved: Iterable[Edge]) -> None:
         """The group's cut moved by the edges ``moved``: write the
         forwarding entries of ``nodes`` from ``state.children``, log each
-        moved edge's toggle and — unless a local repair moved it — announce
-        ``tree.build``."""
+        moved edge's toggle and announce ``tree.build``."""
         for name in nodes:
             self.network.nodes[name].set_forwarding(state.group, state.children.get(name))
         for edge in moved:
             state.toggles.setdefault(edge, []).append(self.sched.now)
         bus = self.sched.bus
-        if not local and bus is not None and bus.wants("tree.build"):
+        if bus is not None and bus.wants("tree.build"):
             bus.emit(
                 "tree.build", self.sched.now,
                 group=state.group, edges=len(state.edges), members=len(state.members),

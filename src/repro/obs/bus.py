@@ -78,14 +78,10 @@ TOPIC_REGISTRY: Tuple[TopicSpec, ...] = (
     TopicSpec("guard.release", "control/guard.py",
               "`receiver`, `session`, `reason`, `strikes`"),
     TopicSpec("tree.build", "multicast/manager.py",
-              "one group re-cut onto new edges, not by a local repair "
-              "(`group`, `edges`, `members`)"),
-    TopicSpec("tree.repair.local", "multicast/manager.py",
-              "backup-branch patch healed the source's tree (`group`, "
-              "`edges_removed`, `edges_added`, `orphans`)"),
+              "one group re-cut onto new edges (`group`, `edges`, `members`)"),
     TopicSpec("tree.repair.rebuild", "multicast/manager.py",
-              "repair fell back to a full rebuild (`group`, `edges_removed`, "
-              "`edges_added`, `orphans`)"),
+              "a topology change rebuilt the group's tree (`group`, "
+              "`edges_removed`, `edges_added`, `orphans`)"),
     TopicSpec("tree.orphan", "multicast/manager.py",
               "a member's tree connectivity changed (`group`, `node`, `lost`)"),
     TopicSpec("fault.*", "run recorder",

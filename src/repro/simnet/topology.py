@@ -8,11 +8,11 @@ The routing graph is a private adjacency ``{node: {neighbour: delay}}``
 holding exactly the live directed edges, each node's successors in the order
 their edges were inserted — a link taken down and restored moves to the back.
 :meth:`Network._search` is the one search over it; its tie rule (below) is
-what every tree, detour and next hop in the repo is a function of.
+what every tree and next hop in the repo is a function of.
 
 One single-source result — ``(distances, paths)`` — is kept per queried
 source for as long as the graph's *structure* stands, and it is the only
-routing state there is: trees, detours and unicast next hops
+routing state there is: trees and unicast next hops
 (:meth:`Network.next_hop`, the second node of the path) all read it.  A
 *stub* — a node with exactly one live successor, such as a host on its
 access link — needs no map of its own for unicast: every path out of it
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count, islice
-from typing import Any, Collection, Dict, KeysView, List, Optional, Set, Tuple
+from typing import Any, Dict, KeysView, List, Optional, Set, Tuple
 
 from .engine import Scheduler
 from .link import Link
@@ -73,8 +73,6 @@ class Network:
         self.topology_epoch = 0
         #: source -> (distance per target, node tuple per target), this epoch.
         self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, Tuple[Any, ...]]]] = {}
-        #: (a, b, u, v) -> shortest a->b path avoiding link u<->v, this epoch.
-        self._detours: Dict[Tuple[Any, Any, Any, Any], Optional[Tuple[Any, ...]]] = {}
         #: Directed links :meth:`set_link_up` took down: node recovery
         #: leaves them down.
         self._held_down: Set[Tuple[Any, Any]] = set()
@@ -278,14 +276,11 @@ class Network:
         epoch and forget every path computed on the old structure."""
         self.topology_epoch += 1
         self._spt.clear()
-        self._detours.clear()
 
-    def _search(
-        self, source: Any, target: Any = None, hidden: Collection[Tuple[Any, Any]] = ()
-    ) -> Tuple[Dict[Any, float], Dict[Any, Any]]:
-        """Dijkstra from ``source`` over the live edges not in ``hidden``:
-        ``(distance, predecessor)`` per reached node, distances in the order
-        nodes were settled.  Stops once ``target`` is settled.
+    def _search(self, source: Any) -> Tuple[Dict[Any, float], Dict[Any, Any]]:
+        """Dijkstra from ``source`` over the live edges: ``(distance,
+        predecessor)`` per reached node, distances in the order nodes were
+        settled.
 
         **Tie rule.**  Among equal-delay alternatives the winner is decided
         by three things, each the same as in networkx's
@@ -308,10 +303,8 @@ class Network:
             if v in dist:
                 continue  # a longer, superseded entry of a settled node
             dist[v] = d
-            if v == target:
-                break
             for u, delay in adj[v].items():
-                if u in dist or (hidden and (v, u) in hidden):
+                if u in dist:
                     continue
                 via_v = d + delay
                 if u not in seen or via_v < seen[u]:
@@ -369,29 +362,6 @@ class Network:
         if delay is None:
             raise NoPathError(f"No path from {a!r} to {b!r}.")
         return delay
-
-    def shortest_path_avoiding(self, a: Any, b: Any, u: Any, v: Any) -> Optional[Tuple[Any, ...]]:
-        """Shortest path ``a -> b`` that uses the link between ``u`` and
-        ``v`` in neither direction, as an immutable tuple; ``None`` when
-        every path needs it.
-
-        The link is hidden from the search, not taken out of the graph, so
-        the query leaves the routing graph and the cached paths alone.  The
-        answer depends only on the graph, so it is kept for the epoch.
-        """
-        key = (a, b, u, v)
-        if key in self._detours:
-            return self._detours[key]
-        detour: Optional[Tuple[Any, ...]] = None
-        if a in self._adj:
-            dist, pred = self._search(a, target=b, hidden=((u, v), (v, u)))
-            if b in dist:
-                back = [b]
-                while back[-1] != a:
-                    back.append(pred[back[-1]])
-                detour = tuple(reversed(back))
-        self._detours[key] = detour
-        return detour
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -250,7 +250,7 @@ class TestGracefulDegradation:
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 6: discovery maps each tree node to one receiver id, so of "
+    "ROADMAP 1(b): discovery maps each tree node to one receiver id, so of "
     "a session's receivers on one node only the last registered is suggested to"))
 def test_colocated_receivers_each_get_suggestions():
     sc = Scenario(seed=1)

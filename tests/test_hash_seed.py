@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Cheap rows that fan packets out over several child links per node:
 #: four VBR sessions on topology B, RED queues (links with a drop stream),
-#: a tiered ISP topology, and churn over all three tree builders.  With one
+#: a tiered ISP topology, and churn's tree rebuilds.  With one
 #: stream shared by both RED queues and the fan-out walking a set of names,
 #: ``ablation_red`` differs between these two salts from about 60 s on.
 #: The other experiments reach state no earlier row does: ``byzantine``

@@ -397,13 +397,11 @@ def test_prune_delay_stops_at_live_branch_point():
 
 
 def test_set_blocked_on_mid_repair_tree():
-    """Quarantining a member while the tree runs on a repair patch must keep
-    the backup route for the survivors, and the later link restore must
+    """Quarantining a member while the tree runs on a repair detour must
+    keep the detour for the survivors, and the later link restore must
     still revert the group to its canonical tree."""
-    from repro.multicast.builders import ProtectedTreeBuilder
-
     sched, net = diamond_network()
-    m = MulticastManager(net, igmp_report_delay=0.0, builder=ProtectedTreeBuilder())
+    m = MulticastManager(net, igmp_report_delay=0.0)
     g = m.create_group("src")
     m.join(g, "r1")
     m.join(g, "r2")
@@ -412,11 +410,11 @@ def test_set_blocked_on_mid_repair_tree():
     removed = net.set_link_up("core", "a", False)
     net.build_routes()
     m.on_topology_change(removed_edges=removed)
-    assert m.local_repairs == 1
-    assert ("b", "a") in m.tree_edges(g)  # running on the backup branch
+    assert m.rebuild_repairs == 1
+    assert ("b", "a") in m.tree_edges(g)  # running on the detour
 
     # Quarantine r2 mid-repair: its branch is torn down and r1 keeps the
-    # (still necessary) backup route.
+    # (still necessary) detour.
     m.set_blocked(g, "r2", True)
     sched.run(until=2.0)
     assert m.members(g) == frozenset({"r1"})

@@ -23,7 +23,9 @@ down, drops ``(agg_b, agg_a)`` for ``(core, agg_a)`` instead of keeping the
 detour until its next membership change.  Every pin moved once more, with
 no behaviour, when ``LinkStats`` lost ``last_tx_end``, a field nothing read:
 the digests of the commit before, computed with that field left out of the
-link counters, are exactly the current pins.
+link counters, are exactly the current pins.  No pin moved when the
+protected tree builder, which ``churn_repair`` had named, was deleted: its
+local repairs installed the trees the shortest-path rebuild installs.
 """
 
 import hashlib
@@ -101,7 +103,7 @@ def join_ramp(seed):
 
 def churn_repair(seed):
     n = 16
-    sc = build_churn_scenario(seed=seed, n_receivers=n, builder="protected")
+    sc = build_churn_scenario(seed=seed, n_receivers=n)
     plan = FaultPlan()
     plan.membership_churn(
         [rid for rid in churn_receiver_ids(n) if rid != "A1"],

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.session_topology import SessionTree
-from repro.multicast.builders import ProtectedTreeBuilder
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network, NoPathError
@@ -48,15 +47,6 @@ def _fresh_path(graph, a, b):
         return None
 
 
-def _fresh_path_avoiding(graph, a, b, u, v):
-    """Shortest ``a -> b`` with the ``u``/``v`` edge pair really removed —
-    from a copy, which keeps the adjacency order of everything else."""
-    pruned = graph.copy()
-    pruned.remove_edges_from([e for e in ((u, v), (v, u)) if pruned.has_edge(*e)])
-    path = _fresh_path(pruned, a, b)
-    return None if path is None else tuple(path)
-
-
 class UncachedNetwork(Network):
     """Reference implementation: every query is a fresh search."""
 
@@ -68,9 +58,6 @@ class UncachedNetwork(Network):
 
     def path_delay(self, a, b):
         return nx.dijkstra_path_length(routing_graph(self), a, b, weight="delay")
-
-    def shortest_path_avoiding(self, a, b, u, v):
-        return _fresh_path_avoiding(routing_graph(self), a, b, u, v)
 
     def cached_path(self, a, b):
         path = _fresh_path(routing_graph(self), a, b)
@@ -102,9 +89,6 @@ def test_cached_paths_cannot_be_corrupted_by_callers():
     graph = routing_graph(net)
     assert net.shortest_path("a", "d") == _fresh_path(graph, "a", "d")
     assert net.shortest_path_or_none("a", "d") == _fresh_path(graph, "a", "d")
-    detour = net.shortest_path_avoiding("a", "d", "b", "d")
-    assert isinstance(detour, tuple)  # immutable, so the memo can be shared
-    assert detour == _fresh_path_avoiding(graph, "a", "d", "b", "d")
 
 
 def test_set_link_bandwidth_keeps_epoch_and_cached_paths(monkeypatch):
@@ -145,7 +129,6 @@ def test_structural_changes_start_a_new_epoch_and_refresh_paths():
     net.set_node_up(other, False)
     assert net.shortest_path("a", "d") == ["a", "d"]
     assert net.path_delay("a", "d") == pytest.approx(0.5)
-    assert net.shortest_path_avoiding("a", "d", "a", "d") is None
     with pytest.raises(NoPathError):
         net.shortest_path("a", other)
     with pytest.raises(NoPathError):
@@ -249,8 +232,8 @@ def test_routing_graph_structure_is_mutated_only_in_topology_py():
 @st.composite
 def tie_rich_scenarios(draw):
     """A connected graph whose delays come from two values, so equal-delay
-    alternatives are the norm, plus an interleaving of membership changes,
-    link/node faults and explicit precompute passes."""
+    alternatives are the norm, plus an interleaving of membership changes
+    and link/node faults."""
     n = draw(st.integers(min_value=4, max_value=8))
     delay = st.sampled_from([0.1, 0.2])
     links = {}
@@ -270,17 +253,14 @@ def tie_rich_scenarios(draw):
         st.tuples(st.just("link"), st.integers(min_value=0, max_value=len(links) - 1),
                   st.booleans()),
         st.tuples(st.just("node"), node, st.booleans()),
-        st.tuples(st.just("precompute"), group),
     )
-    return n, links, draw(st.sampled_from(["spt", "protected"])), draw(
-        st.lists(op, min_size=1, max_size=14)
-    )
+    return n, links, draw(st.lists(op, min_size=1, max_size=14))
 
 
 class _Run:
     """One network + manager driven by the scenario's operations."""
 
-    def __init__(self, network_cls, n, links, builder):
+    def __init__(self, network_cls, n, links):
         self.sched = Scheduler()
         self.net = network_cls(self.sched)
         for i in range(n):
@@ -289,33 +269,25 @@ class _Run:
             self.net.add_link(a, b, bandwidth=1e6, delay=delay)
         self.net.build_routes()
         self.links = [edge for edge, _ in links]
-        self.mcast = MulticastManager(self.net, leave_latency=0.5, builder=builder)
+        self.mcast = MulticastManager(self.net, leave_latency=0.5)
         # Groups 0 and 2 share source 0, like two layers of one session.
         self.groups = [self.mcast.create_group(0), self.mcast.create_group(n - 1),
                        self.mcast.create_group(0)]
-        # Every full build and every local repair, as (kind, source, epoch).
+        # Every full build, as (source, epoch).
         self.tree_log = []
-        tree_builder = self.mcast.builder
-        build, repair = tree_builder.build, tree_builder.repair
+        build = self.mcast.builder.build
 
         def logged_build(source, *args):
-            self.tree_log.append(("build", source, self.net.topology_epoch))
+            self.tree_log.append((source, self.net.topology_epoch))
             return build(source, *args)
 
-        def logged_repair(source, *args):
-            healed = repair(source, *args)
-            if healed is not None:
-                self.tree_log.append(("repair", source, self.net.topology_epoch))
-            return healed
-
-        tree_builder.build, tree_builder.repair = logged_build, logged_repair
+        self.mcast.builder.build = logged_build
 
     def canonical(self, source):
-        """Whether the source's tree was last set by a full build at the
-        current epoch (no local repair since) — the tree a graft or prune
-        may edit in place."""
-        last = [(kind, epoch) for kind, s, epoch in self.tree_log if s == source][-1:]
-        return last == [("build", self.net.topology_epoch)]
+        """Whether the source's tree was last fully built at the current
+        epoch — the tree a graft or prune may edit in place."""
+        last = [epoch for s, epoch in self.tree_log if s == source][-1:]
+        return last == [self.net.topology_epoch]
 
     def apply(self, op):
         kind = op[0]
@@ -323,15 +295,12 @@ class _Run:
             self.mcast.join(self.groups[op[1]], op[2])
         elif kind == "leave":
             self.mcast.leave(self.groups[op[1]], op[2])
-        elif kind in ("link", "node"):
+        else:
             up = op[2]
             changed = (self.net.set_link_up(*self.links[op[1]], up) if kind == "link"
                        else self.net.set_node_up(op[1], up))
             self.mcast.on_topology_change(
                 **{"added_edges" if up else "removed_edges": changed})
-        else:  # an explicit pass over the source's tree, all groups' edges
-            source = self.mcast.source_of(self.groups[op[1]])
-            self.mcast.builder.precompute(source, self.union_edges(source), self.net)
         self.sched.run(until=self.sched.now + 5.0)  # let grafts/prunes apply
 
     def trees(self):
@@ -343,12 +312,6 @@ class _Run:
 
     def union_members(self, source):
         return frozenset().union(*(s.members for s in self.source_groups(source)))
-
-    def union_edges(self, source):
-        return set().union(*(s.edges for s in self.source_groups(source)))
-
-    def backups(self):
-        return dict(getattr(self.mcast.builder, "_backups", {}))
 
 
 def _cut(tree, source, members):
@@ -366,22 +329,22 @@ def _cut(tree, source, members):
 
 @given(tie_rich_scenarios())
 @example((  # a layer joined during a crash kept its detour after recovery
-    4, [((0, 1), 0.1), ((0, 2), 0.1), ((1, 3), 0.2), ((2, 3), 0.1)], "spt",
+    4, [((0, 1), 0.1), ((0, 2), 0.1), ((1, 3), 0.2), ((2, 3), 0.1)],
     [("join", 0, 3), ("node", 2, False), ("join", 2, 3), ("node", 2, True)],
 ))
-@example((  # a layer joined during an outage next to a patched sibling
+@example((  # a layer joined during an outage next to a rebuilt sibling
     6, [((0, 1), 0.1), ((1, 2), 0.1), ((2, 3), 0.1), ((0, 4), 0.2), ((3, 4), 0.2),
-        ((0, 5), 0.2), ((2, 5), 0.2)], "protected",
+        ((0, 5), 0.2), ((2, 5), 0.2)],
     [("join", 0, 3), ("link", 1, False), ("join", 2, 3)],
 ))
-@example((  # a first join right after a local repair: a graft would keep the
-    # 0-4-3-1-2 detour, the full build must move 2 onto 0-5-2
+@example((  # a first join right after a repair: the rebuild moved 2 onto
+    # 0-5-2, and the join grafts onto the rebuilt tree
     6, [((0, 1), 0.1), ((0, 4), 0.1), ((0, 5), 0.1), ((1, 2), 0.1), ((1, 3), 0.1),
-        ((2, 5), 0.2), ((3, 4), 0.1)], "protected",
+        ((2, 5), 0.2), ((3, 4), 0.1)],
     [("join", 0, 2), ("join", 0, 3), ("link", 0, False), ("join", 2, 4)],
 ))
 @example((  # a last leave whose branch point 1 still serves a sibling layer
-    4, [((0, 1), 0.1), ((1, 2), 0.1), ((1, 3), 0.1), ((2, 3), 0.2)], "protected",
+    4, [((0, 1), 0.1), ((1, 2), 0.1), ((1, 3), 0.1), ((2, 3), 0.2)],
     [("join", 0, 3), ("join", 2, 2), ("leave", 0, 3), ("join", 0, 2)],
 ))
 @settings(max_examples=40, deadline=None)
@@ -391,30 +354,24 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
     The same interleaving drives a cached :class:`Network` and the uncached
     reference above.  After every step: each cached path equals a fresh
     search on the graph as it stands, each group's members and tree equal
-    the ones the reference run built from per-member searches, and each
-    stored backup equals the path found with the edge pair removed from a
-    copy of the graph (what the reference run's precompute stores).
+    the ones the reference run built from per-member searches.
 
-    Three invariants hold against the graph itself, for every builder.
-    Groups 0 and 2 share a source, so their trees must merge into one
-    session tree (one parent per node) after every step, an outage
-    included.  After every step that changed a source's member set (the
-    union of its groups' members) or restored edges, each group of that
-    source is the builder's tree over the union, cut to the group's own
-    members; only a removal may leave a tree that differs from it, since a
-    local patch keeps the surviving branches.  And that cut is the union of
-    fresh per-member shortest paths.
+    Three invariants hold against the graph itself.  Groups 0 and 2 share a
+    source, so their trees must merge into one session tree (one parent per
+    node) after every step, an outage included.  After every step that
+    changed a source's member set (the union of its groups' members) or
+    restored edges, each group of that source is the builder's tree over
+    the union, cut to the group's own members; only a removal may leave a
+    tree that differs from it, when it misses the tree and so rebuilds
+    nothing.  And that cut is the union of fresh per-member shortest paths.
 
     Membership changes cost a path: a join or leave on a tree fully built
-    at the current epoch (and not locally repaired since) grafts or prunes
-    it in place, with no call to ``builder.build``.  The protected
-    builder's backups follow the tree: never a backup for an edge the tree
-    no longer has, and on such a tree exactly what a fresh precompute of it
-    stores.
+    at the current epoch grafts or prunes it in place, with no call to
+    ``builder.build``.
     """
-    n, links, builder, ops = scenario
-    cached = _Run(Network, n, links, builder)
-    reference = _Run(UncachedNetwork, n, links, builder)
+    n, links, ops = scenario
+    cached = _Run(Network, n, links)
+    reference = _Run(UncachedNetwork, n, links)
     sources = sorted({s.source for s in cached.mcast.groups.values()})
     for op in ops:
         before = {source: cached.union_members(source) for source in sources}
@@ -426,20 +383,12 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
         if op[0] in ("join", "leave"):
             source = cached.mcast.source_of(cached.groups[op[1]])
             assert source not in canonical or all(
-                s != source for _, s, _ in cached.tree_log[builds:])
+                s != source for s, _ in cached.tree_log[builds:])
         graph = routing_graph(cached.net)
         for a in range(n):
             for b in range(n):
                 assert cached.net.shortest_path_or_none(a, b) == _fresh_path(graph, a, b)
         assert cached.trees() == reference.trees()
-        assert cached.backups() == reference.backups()
-        for source, backups in cached.backups().items():
-            tree = {(u, v) for v, u in cached.mcast._trees[source].items()}
-            assert set(backups) <= tree
-            if cached.canonical(source):
-                fresh = ProtectedTreeBuilder()
-                fresh.precompute(source, tree, cached.net)
-                assert backups == fresh._backups[source]
         layers = [cached.mcast.groups[cached.groups[i]].edges for i in (0, 2)]
         SessionTree.from_layer_snapshots("s", 0, layers, {})
         restored = bool(set(graph.edges) - edges_before)

@@ -393,45 +393,33 @@ identical, and no operation fails.
 
     churn = load("churn")
     if churn:
-        rows = []
-        for name in churn["backends"]:
-            b = churn["per_backend"][name]
-            rows.append(dict(
-                backend=name,
-                local=b["local_repairs"],
-                rebuild=b["rebuild_repairs"],
-                edges_churned=b["tree_edges_churned"],
-                orphan_s=b["orphan_member_seconds"],
-                converge_s=b["convergence_s"],
-                fenced=b["reports_fenced"],
-            ))
-        locality = churn["repair_locality"]
-        locality_txt = (
-            f"The deterministic gate is locality: each of protected's "
-            f"{locality['matched_repairs']} local patches is matched to "
-            f"SPT's rebuild of the same group at the same instant and may "
-            f"not disturb more tree edges "
-            f"({locality['protected_local_edges']} vs "
-            f"{locality['spt_rebuild_edges']} removed + added in total).  "
+        guard = churn["guard"]
+        row = dict(
+            rebuild=churn["rebuild_repairs"],
+            skipped=churn["groups_skipped"],
+            edges_churned=churn["tree_edges_churned"],
+            orphan_s=churn["orphan_member_seconds"],
+            converge_s=churn["convergence_s"],
+            fenced=churn["reports_fenced"],
         )
-        parts.append(f"""## Tree-churn resilience — builder backend sweep
+        parts.append(f"""## Tree-churn resilience
 
-Beyond the paper: the distribution tree itself is a pluggable backend
-(DESIGN.md §12), and `python -m repro churn` replays one seeded membership
+Beyond the paper: `python -m repro churn` replays one seeded membership
 storm plus aggregation/access-link failures (seed {churn['seed']},
-{len(churn['plan'])} fault events over {churn['duration']:.0f} s) against
-every backend, controllers running with repair-report fencing on:
+{len(churn['plan'])} fault events over {churn['duration']:.0f} s) against the
+shortest-path trees, each rebuilt when a topology change hits it
+(DESIGN.md §12), with controllers fencing repair-spanning reports:
 
-{table(rows, ["backend", "local", "rebuild", "edges_churned", "orphan_s", "converge_s", "fenced"], {"orphan_s": "{:.1f}", "converge_s": "{:.1f}"})}
+{table([row], list(row), {"orphan_s": "{:.1f}", "converge_s": "{:.1f}"})}
 
-`local`/`rebuild` count repairs of each kind; `orphan_s` is
-member-seconds without tree coverage, `converge_s` the
-worst post-clear time back to a controller suggestion, `fenced` the loss
-reports discarded because they spanned a repair disruption window.
-{locality_txt}The
-protected backend turns the aggregation-link failures into local patches
-while every backend keeps guard precision/recall at 1.0 — repairs are not
-mistaken for lying receivers.  Regenerate with
+`rebuild` counts groups moved onto a rebuilt tree and `skipped` the groups
+a topology change left as they were; `edges_churned` is the tree edges
+those rebuilds removed and added, `orphan_s` member-seconds without tree
+coverage, `converge_s` the worst post-clear time back to a controller
+suggestion, `fenced` the loss reports discarded because they spanned a
+repair disruption window.  Guard precision/recall stay at
+{guard['precision']:.1f}/{guard['recall']:.1f}: repairs are not mistaken for
+lying receivers.  Regenerate with
 `python -m repro churn --no-artifacts --json > benchmarks/results/churn.json`.
 """)
 
