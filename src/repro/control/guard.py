@@ -32,13 +32,13 @@ Strike sources
   over-claim direction is scored — under-claims occur legitimately when a
   layer was joined mid-interval.
 * **Disobedience** (per report): reporting a subscription level more than
-  ``disobey_margin`` above the last suggestion sent to that receiver.
+  ``DISOBEY_MARGIN`` above the last suggestion sent to that receiver.
   Receivers climb one layer at a time, so an honest receiver can never
   legitimately exceed its suggestion by more than one.
 * **Under-reporting** (per audit): against receivers under the same parent
   node of the session tree, claiming *near-zero* loss (below
-  ``low_loss_floor``) while every sibling reports substantial loss (the
-  sibling minimum exceeds the claim by ``outlier_margin``), at or above the
+  ``LOW_LOSS_FLOOR``) while every sibling reports substantial loss (the
+  sibling minimum exceeds the claim by ``OUTLIER_MARGIN``), at or above the
   siblings' median level.  This is the self-serving lie-low/freerider
   attack.  Three guards against framing honest receivers are deliberate:
   the *minimum* (a lie-high sibling inflates any average but cannot raise
@@ -50,18 +50,17 @@ Strike sources
 
 Quarantined receivers keep reporting and keep being scored — a liar that
 turns honest accrues a clean streak and is released after
-``rehab_intervals`` consecutive clean reports.
+``REHAB_INTERVALS`` consecutive clean reports.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-__all__ = ["GUARDED_FIELDS", "GUARD_EXEMPT_FIELDS", "GuardConfig", "ReportGuard"]
+__all__ = ["GUARDED_FIELDS", "GUARD_EXEMPT_FIELDS", "ReportGuard"]
 
 Key = Tuple[Any, Any]  # (session_id, receiver_id)
 
@@ -100,57 +99,33 @@ GUARD_EXEMPT_FIELDS: Dict[str, Set[str]] = {
 }
 
 
-@dataclass
-class GuardConfig:
-    """Tunable thresholds of the report guard."""
-
-    #: Strike when ``claimed_loss - implied_loss`` exceeds this (the bytes
-    #: field contradicts the loss field in the lie-high direction).
-    consistency_tolerance: float = 0.25
-    #: Strike when the sibling minimum loss exceeds the claimed loss by more
-    #: than this (lie-low / under-reporting).
-    outlier_margin: float = 0.15
-    #: ... but only when the claim itself is below this: honest loss ratios
-    #: vary across subscription levels, honest *zero* during shared
-    #: congestion does not happen.
-    low_loss_floor: float = 0.05
-    #: Reported level may exceed the last suggestion by this much before a
-    #: disobedience strike (1 = the legitimate one-layer climb headroom).
-    disobey_margin: int = 1
-    #: Strikes at or above this quarantine the receiver.
-    strike_threshold: float = 3.0
-    #: Strikes shed per audit in which the receiver earned no strike.
-    strike_decay: float = 1.0
-    #: Strikes are capped here so rehabilitation stays reachable.
-    max_strikes: float = 6.0
-    #: Consecutive clean audits needed to release a quarantined receiver.
-    rehab_intervals: int = 8
-    #: Skip the consistency check when the interval's expected volume is
-    #: below this many bits (partial intervals carry no signal).
-    min_expected_bits: float = 8_000.0
-    #: Sibling-outlier audit needs at least this many *other* fresh,
-    #: unquarantined reports under the same parent node.
-    min_siblings: int = 1
-
-    def __post_init__(self) -> None:
-        if self.consistency_tolerance <= 0:
-            raise ValueError("consistency_tolerance must be positive")
-        if self.outlier_margin <= 0:
-            raise ValueError("outlier_margin must be positive")
-        if not 0.0 <= self.low_loss_floor <= 1.0:
-            raise ValueError("low_loss_floor must be in [0, 1]")
-        if self.disobey_margin < 0:
-            raise ValueError("disobey_margin must be >= 0")
-        if self.strike_threshold <= 0:
-            raise ValueError("strike_threshold must be positive")
-        if self.strike_decay < 0:
-            raise ValueError("strike_decay must be >= 0")
-        if self.max_strikes < self.strike_threshold:
-            raise ValueError("max_strikes must be >= strike_threshold")
-        if self.rehab_intervals < 1:
-            raise ValueError("rehab_intervals must be >= 1")
-        if self.min_siblings < 1:
-            raise ValueError("min_siblings must be >= 1")
+#: Strike when ``claimed_loss - implied_loss`` exceeds this (the bytes
+#: field contradicts the loss field in the lie-high direction).
+CONSISTENCY_TOLERANCE = 0.25
+#: Strike when the sibling minimum loss exceeds the claimed loss by more
+#: than this (lie-low / under-reporting).
+OUTLIER_MARGIN = 0.15
+#: ... but only when the claim itself is below this: honest loss ratios
+#: vary across subscription levels, honest *zero* during shared
+#: congestion does not happen.
+LOW_LOSS_FLOOR = 0.05
+#: Reported level may exceed the last suggestion by this much before a
+#: disobedience strike (1 = the legitimate one-layer climb headroom).
+DISOBEY_MARGIN = 1
+#: Strikes at or above this quarantine the receiver.
+STRIKE_THRESHOLD = 3.0
+#: Strikes shed per audit in which the receiver earned no strike.
+STRIKE_DECAY = 1.0
+#: Strikes are capped here so rehabilitation stays reachable.
+MAX_STRIKES = 6.0
+#: Consecutive clean audits needed to release a quarantined receiver.
+REHAB_INTERVALS = 8
+#: Skip the consistency check when the interval's expected volume is
+#: below this many bits (partial intervals carry no signal).
+MIN_EXPECTED_BITS = 8_000.0
+#: Sibling-outlier audit needs at least this many *other* fresh,
+#: unquarantined reports under the same parent node.
+MIN_SIBLINGS = 1
 
 
 class _ReceiverRecord:
@@ -186,8 +161,7 @@ def _median_without(ordered: List[int], skip: Optional[int]) -> float:
 class ReportGuard:
     """Validates inbound control messages and quarantines liars."""
 
-    def __init__(self, config: Optional[GuardConfig] = None) -> None:
-        self.config = config if config is not None else GuardConfig()
+    def __init__(self) -> None:
         self._records: Dict[Key, _ReceiverRecord] = {}
         self._last_seq: Dict[Key, int] = {}
         #: Rejection reason -> count (duplicates, malformed fields, ...).
@@ -299,14 +273,13 @@ class ReportGuard:
         return rec
 
     def _strike(self, key: Key, reason: str, now: float) -> None:
-        cfg = self.config
         rec = self._record(key)
-        rec.strikes = min(rec.strikes + 1.0, cfg.max_strikes)
+        rec.strikes = min(rec.strikes + 1.0, MAX_STRIKES)
         rec.struck_since_audit = True
         self.strike_counts[reason] = self.strike_counts.get(reason, 0) + 1
         self.events.append((now, "strike", key, reason))
         self._emit(now, "strike", key, reason)
-        if rec.quarantined_at is None and rec.strikes >= cfg.strike_threshold:
+        if rec.quarantined_at is None and rec.strikes >= STRIKE_THRESHOLD:
             rec.quarantined_at = now
             rec.clean_streak = 0
             self.quarantines += 1
@@ -322,14 +295,13 @@ class ReportGuard:
         now: float,
         last_suggestion: Optional[int],
     ) -> None:
-        cfg = self.config
         dt = msg.t1 - msg.t0
         expected_bits = schedule.cumulative(msg.level) * dt
-        if expected_bits >= cfg.min_expected_bits:
+        if expected_bits >= MIN_EXPECTED_BITS:
             implied = min(max(1.0 - msg.bytes * 8.0 / expected_bits, 0.0), 1.0)
-            if msg.loss_rate - implied > cfg.consistency_tolerance:
+            if msg.loss_rate - implied > CONSISTENCY_TOLERANCE:
                 self._strike(key, "inconsistent_loss", now)
-        if last_suggestion is not None and msg.level > last_suggestion + cfg.disobey_margin:
+        if last_suggestion is not None and msg.level > last_suggestion + DISOBEY_MARGIN:
             self._strike(key, "disobedience", now)
 
     # ------------------------------------------------------------------
@@ -368,7 +340,7 @@ class ReportGuard:
                     continue
                 by_parent.setdefault(parent, []).append((key, rep))
             for siblings in by_parent.values():
-                if len(siblings) <= self.config.min_siblings:
+                if len(siblings) <= MIN_SIBLINGS:
                     continue
                 self._audit_siblings(siblings, now)
         self._settle(now)
@@ -383,7 +355,6 @@ class ReportGuard:
         sibling.  A strike that quarantines a sibling mid-pass changes what
         the later ones are compared against, so the summary is redone then.
         """
-        cfg = self.config
         current = False
         for key, rep in siblings:
             if not current:
@@ -393,7 +364,7 @@ class ReportGuard:
                 current = True
             own = not self.is_quarantined(key)  # is ``rep`` one of ``active``?
             n_others = len(levels) - own
-            if n_others < cfg.min_siblings:
+            if n_others < MIN_SIBLINGS:
                 continue
             # Minimum, not median: a lie-high sibling can inflate an average
             # and frame honest zero-loss receivers, but cannot raise the
@@ -407,8 +378,8 @@ class ReportGuard:
             # congestion does not happen.
             if (
                 rep.level >= med_level
-                and rep.loss_rate < cfg.low_loss_floor
-                and floor_loss - rep.loss_rate > cfg.outlier_margin
+                and rep.loss_rate < LOW_LOSS_FLOOR
+                and floor_loss - rep.loss_rate > OUTLIER_MARGIN
             ):
                 self._strike(key, "under_report", now)
                 if own and self.is_quarantined(key):
@@ -416,15 +387,14 @@ class ReportGuard:
 
     def _settle(self, now: float) -> None:
         """Decay clean receivers and release rehabilitated ones."""
-        cfg = self.config
         for key, rec in self._records.items():
             if rec.struck_since_audit:
                 rec.struck_since_audit = False
                 rec.clean_streak = 0
                 continue
-            rec.strikes = max(0.0, rec.strikes - cfg.strike_decay)
+            rec.strikes = max(0.0, rec.strikes - STRIKE_DECAY)
             rec.clean_streak += 1
-            if rec.quarantined_at is not None and rec.clean_streak >= cfg.rehab_intervals:
+            if rec.quarantined_at is not None and rec.clean_streak >= REHAB_INTERVALS:
                 rec.quarantined_at = None
                 rec.strikes = 0.0
                 rec.clean_streak = 0

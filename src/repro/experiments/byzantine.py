@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..core.config import TopoSenseConfig
 from ..faults.plan import FaultPlan
 from ..metrics.guard import mean_level_divergence, quarantine_precision_recall
 from ..obs.run import fault_log_entries
@@ -77,10 +76,7 @@ def default_attack_plan(attack_start: float = 30.0) -> FaultPlan:
     return plan
 
 
-def build_byzantine_scenario(
-    seed: int = 1,
-    interval: float = 2.0,
-) -> Scenario:
+def build_byzantine_scenario(seed: int = 1) -> Scenario:
     """The two-branch tree from the module docstring, guard at defaults."""
     sc = Scenario(seed=seed)
     for name in ("src", "core", "agg_a", "agg_b"):
@@ -96,7 +92,7 @@ def build_byzantine_scenario(
         sc.add_link("agg_b", name, bandwidth=ACCESS_B_BW)
 
     sess = sc.add_session("src", traffic="cbr")
-    sc.attach_controller("src", config=TopoSenseConfig(interval=interval))
+    sc.attach_controller("src")
     sc.add_receiver(sess.session_id, "ha0", receiver_id="HA0")
     sc.add_receiver(sess.session_id, "ha1", receiver_id="HA1")
     sc.add_receiver(sess.session_id, "xhi", receiver_id="XH")
@@ -117,7 +113,6 @@ def _honest_traces(sc: Scenario) -> Dict[str, Any]:
 def run_byzantine(
     seed: int = 1,
     duration: float = DEFAULT_DURATION,
-    interval: float = 2.0,
     attack_start: float = 30.0,
     plan: Optional[FaultPlan] = None,
     quarantine_intervals: float = 5.0,
@@ -134,11 +129,12 @@ def run_byzantine(
     if not 0.0 < attack_start < duration:
         raise ValueError("attack_start must fall inside the run")
     # Baseline first: identical seed, topology and horizon, no attack.
-    baseline = build_byzantine_scenario(seed=seed, interval=interval)
+    baseline = build_byzantine_scenario(seed=seed)
     baseline.run(duration)
     baseline_traces = _honest_traces(baseline)
 
-    attacked = build_byzantine_scenario(seed=seed, interval=interval)
+    attacked = build_byzantine_scenario(seed=seed)
+    interval = attacked.controller.interval
     if plan is None:
         plan = default_attack_plan(attack_start)
     injector = plan.apply(attacked)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..core.config import TopoSenseConfig
 from ..faults.plan import FaultPlan
 from ..metrics.recovery import max_suggestion_gap, recovery_report
 from ..obs.run import fault_log_entries
@@ -67,7 +66,6 @@ CHAOS_REREGISTER_AFTER = 3.0
 def build_chaos_scenario(
     seed: int = 1,
     n_receivers: int = 4,
-    interval: float = 2.0,
 ) -> Scenario:
     """Topology A plus a ``standby`` controller node hanging off the core;
     receivers re-register after :data:`CHAOS_REREGISTER_AFTER` of silence.
@@ -92,11 +90,7 @@ def build_chaos_scenario(
         sc.add_link("agg_b", f"rb{i}", bandwidth=CHAOS_CLASS_B_BW)
 
     sess = sc.add_session("src", traffic="cbr")
-    sc.attach_controller(
-        "src",
-        config=TopoSenseConfig(interval=interval),
-        standby_node="standby",
-    )
+    sc.attach_controller("src", standby_node="standby")
     for i in range(n_a):
         sc.add_receiver(
             sess.session_id, f"ra{i}", receiver_id=f"A{i}",
@@ -114,7 +108,6 @@ def run_chaos(
     seed: int = 1,
     duration: float = DEFAULT_DURATION,
     n_receivers: int = 4,
-    interval: float = 2.0,
     plan: Optional[FaultPlan] = None,
     recover_intervals: float = 3.0,
     recorder: Optional[Any] = None,
@@ -128,7 +121,8 @@ def run_chaos(
     :class:`~repro.obs.run.RunRecorder` passed as ``recorder`` is attached
     before the run, so the scenario's bus events land in its artifact dir.
     """
-    sc = build_chaos_scenario(seed=seed, n_receivers=n_receivers, interval=interval)
+    sc = build_chaos_scenario(seed=seed, n_receivers=n_receivers)
+    interval = sc.controller.interval
     if plan is None:
         plan = default_chaos_plan()
     injector = plan.apply(sc)

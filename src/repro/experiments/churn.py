@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.config import TopoSenseConfig
 from ..faults.plan import FaultPlan
 from ..metrics.guard import quarantine_precision_recall
 from ..metrics.recovery import time_to_suggestion
@@ -99,7 +98,6 @@ def default_churn_plan(
 def build_churn_scenario(
     seed: int = 1,
     n_receivers: int = 6,
-    interval: float = 2.0,
     builder: Any = None,
 ) -> Scenario:
     """A Topology-A-like network **with redundancy**: the two aggregation
@@ -129,11 +127,7 @@ def build_churn_scenario(
         sc.add_link("agg_b", f"rb{i}", bandwidth=CLASS_A_BW)
 
     sess = sc.add_session("src", traffic="cbr")
-    sc.attach_controller(
-        "src",
-        config=TopoSenseConfig(interval=interval),
-        fence_repairs=True,
-    )
+    sc.attach_controller("src", fence_repairs=True)
     for i in range(n_a):
         sc.add_receiver(
             sess.session_id, f"ra{i}", receiver_id=f"A{i}",
@@ -151,7 +145,6 @@ def run_churn(
     seed: int = 1,
     duration: float = DEFAULT_DURATION,
     n_receivers: int = 6,
-    interval: float = 2.0,
     plan: Optional[FaultPlan] = None,
     recover_intervals: float = 4.0,
     recorder: Optional[Any] = None,
@@ -170,8 +163,9 @@ def run_churn(
         plan = default_churn_plan(
             churn_receiver_ids(n_receivers), duration=duration, seed=seed
         )
+    sc = build_churn_scenario(seed=seed, n_receivers=n_receivers)
+    interval = sc.controller.interval
     within = recover_intervals * interval
-    sc = build_churn_scenario(seed=seed, n_receivers=n_receivers, interval=interval)
     injector = plan.apply(sc)
     if recorder is not None:
         recorder.attach(sc, sample_interval=interval)

@@ -38,7 +38,6 @@ import json
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import TopoSenseConfig
 from ..metrics.attribution import loss_attribution
 from ..metrics.stability import worst_receiver_stability
 from ..obs.run import strip_timings
@@ -75,6 +74,11 @@ CROWD_SESSIONS = 2
 #: The flash crowd joins over ``[CROWD_AT, CROWD_AT + CROWD_RAMP)`` (s).
 CROWD_AT = 10.0
 CROWD_RAMP = 5.0
+#: The federated crowd's plane: this many domains of this many placed
+#: receivers, exchanging summaries every ``FEDERATED_CADENCE`` seconds.
+FEDERATED_DOMAINS = 2
+FEDERATED_RECEIVERS_PER_DOMAIN = 2
+FEDERATED_CADENCE = 4.0
 
 
 def crowd_receiver_ids(size: int) -> List[str]:
@@ -98,7 +102,6 @@ def build_crowd_scenario(
     n_sessions: int = CROWD_SESSIONS,
     incumbents: int = 4,
     wireless_loss: float = 0.0,
-    interval: float = 2.0,
 ) -> Tuple[Scenario, List[Any]]:
     """A star of ``n_edges`` wireless edge nodes behind one wired core.
 
@@ -143,7 +146,7 @@ def build_crowd_scenario(
     session_ids = crowd_session_ids(n_sessions)
     for sid in session_ids:
         sc.add_session("src", traffic="cbr", session_id=sid)
-    sc.attach_controller("src", config=TopoSenseConfig(interval=interval))
+    sc.attach_controller("src")
     edges = edge_node_names(n_edges)
     for i in range(incumbents):
         sc.add_receiver(session_ids[0], edges[i % n_edges], receiver_id=f"I{i}")
@@ -217,13 +220,11 @@ def _stability(sc: Scenario, duration: float) -> Dict[str, float]:
 
 
 def _run_baseline(
-    seed: int, duration: float, loss: float,
-    n_edges: int, incumbents: int, interval: float,
+    seed: int, duration: float, loss: float, n_edges: int, incumbents: int,
 ) -> Dict[str, Any]:
     """Same seed, same scenario, no crowd: the static reference point."""
     sc, _sessions = build_crowd_scenario(
-        seed=seed, n_edges=n_edges, incumbents=incumbents,
-        wireless_loss=loss, interval=interval,
+        seed=seed, n_edges=n_edges, incumbents=incumbents, wireless_loss=loss,
     )
     sc.run(duration)
     return {
@@ -241,19 +242,16 @@ def _run_point(
     spec: WorkloadSpec,
     n_edges: int,
     incumbents: int,
-    interval: float,
-    sample_interval: float,
     control_bound: float,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
     t0 = perf_counter()
     sc, _sessions = build_crowd_scenario(
-        seed=seed, n_edges=n_edges, incumbents=incumbents,
-        wireless_loss=loss, interval=interval,
+        seed=seed, n_edges=n_edges, incumbents=incumbents, wireless_loss=loss,
     )
-    runner = WorkloadRunner(sc, spec, sample_interval=sample_interval).install()
+    runner = WorkloadRunner(sc, spec).install()
     if recorder is not None:
-        recorder.attach(sc, sample_interval=interval)
+        recorder.attach(sc, sample_interval=sc.controller.interval)
     sc.run(duration)
 
     # Pre-crowd windows (n_live == 0) measure only the incumbent control
@@ -279,15 +277,7 @@ def _run_point(
     }
 
 
-def _run_federated(
-    seed: int,
-    duration: float,
-    crowd_per_domain: int,
-    n_domains: int = 2,
-    receivers_per_domain: int = 2,
-    cadence: float = 4.0,
-    sample_interval: float = 5.0,
-) -> Dict[str, Any]:
+def _run_federated(seed: int, duration: float, crowd_per_domain: int) -> Dict[str, Any]:
     """The same workload machinery on the federated control plane.
 
     One sub-spec per domain compiles onto that shard's standalone scenario
@@ -297,8 +287,8 @@ def _run_federated(
     from ..federation.experiment import build_federated_views
     from ..federation.session import FederatedSession
 
-    views = build_federated_views(n_domains, receivers_per_domain)
-    fed = FederatedSession(views, seed=seed, cadence=cadence)
+    views = build_federated_views(FEDERATED_DOMAINS, FEDERATED_RECEIVERS_PER_DOMAIN)
+    fed = FederatedSession(views, seed=seed, cadence=FEDERATED_CADENCE)
     runners: Dict[str, WorkloadRunner] = {}
     for name in sorted(fed.shards):
         shard = fed.shards[name]
@@ -313,9 +303,7 @@ def _run_federated(
         )
         sub.flash_crowd(at=10.0, size=crowd_per_domain, ramp=5.0,
                         shape="exp", seed=seed + 1)
-        runners[name] = WorkloadRunner(
-            sc, sub, sample_interval=sample_interval
-        ).install()
+        runners[name] = WorkloadRunner(sc, sub).install()
     fed.run(duration)
 
     per_domain = {
@@ -331,7 +319,7 @@ def _run_federated(
         for d in per_domain.values()
     )
     return {
-        "domains": n_domains,
+        "domains": FEDERATED_DOMAINS,
         "crowd_per_domain": crowd_per_domain,
         "rounds": fed.rounds_completed,
         "per_domain": per_domain,
@@ -349,8 +337,6 @@ def run_crowd(
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     n_edges: int = 8,
     incumbents: int = 4,
-    interval: float = 2.0,
-    sample_interval: float = 5.0,
     max_controlled: int = DEFAULT_MAX_CONTROLLED,
     control_bound: float = CONTROL_BYTES_PER_LIVE_BOUND,
     federated_crowd: int = 32,
@@ -395,7 +381,7 @@ def run_crowd(
     }
 
     baselines = [
-        _run_baseline(seed, duration, lo, n_edges, incumbents, interval)
+        _run_baseline(seed, duration, lo, n_edges, incumbents)
         for lo in loss_rates
     ]
 
@@ -405,8 +391,7 @@ def run_crowd(
         for lo in loss_rates:
             points.append(_run_point(
                 seed, duration, size, lo, specs[size],
-                n_edges, incumbents, interval,
-                sample_interval, control_bound,
+                n_edges, incumbents, control_bound,
                 recorder=recorder if first else None,
             ))
             first = False
@@ -418,8 +403,7 @@ def run_crowd(
     )
     replay_point = _run_point(
         seed, duration, smallest["size"], smallest["loss_rate"], rt_spec,
-        n_edges, incumbents, interval,
-        sample_interval, control_bound,
+        n_edges, incumbents, control_bound,
     )
     replay_identical = (
         strip_timings(smallest, ("wall_s",))
@@ -436,8 +420,7 @@ def run_crowd(
     control_ok = all(p["control"]["within_bound"] for p in points)
 
     federated = (
-        _run_federated(seed, duration, federated_crowd,
-                       sample_interval=sample_interval)
+        _run_federated(seed, duration, federated_crowd)
         if federated_crowd > 0 else None
     )
     federated_ok = federated is None or federated["ok"]

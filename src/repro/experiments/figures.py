@@ -716,7 +716,7 @@ def _red_scenario(seed: int, red: bool) -> Scenario:
         # fans a packet out to its children would decide which queue gets
         # which draw.
         rng = np.random.default_rng([seed + 1, next(queues)])
-        return REDQueue(capacity=31, min_th=4, max_th=16, max_p=0.1, rng=rng)
+        return REDQueue(rng)
 
     for i in range(2):
         sc.add_node(f"r{i}")

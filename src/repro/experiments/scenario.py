@@ -137,11 +137,10 @@ class Scenario:
         peak_to_mean: float = 3.0,
         schedule: Optional[LayerSchedule] = None,
         session_id: Optional[Any] = None,
-        start_at: Optional[float] = None,
     ) -> SessionDescriptor:
         """Create a layered session rooted at ``source`` and its source app.
 
-        ``start_at`` defaults to the current simulated time, so sessions can
+        The source starts at the current simulated time, so sessions can
         also be added between :meth:`run` calls (a competing session arriving
         mid-experiment).
         """
@@ -168,7 +167,7 @@ class Scenario:
         self.sessions[session_id] = descriptor
         self.sources[session_id] = src_app
         self.plans[session_id] = SessionPlan(session_id, source, schedule)
-        src_app.start(at=self.sched.now if start_at is None else start_at)
+        src_app.start()
         for controller in self.controllers.values():
             controller.add_session(descriptor)
         return descriptor
@@ -457,25 +456,20 @@ class ScenarioResult:
         ]
         return mean_relative_deviation(pairs, t0, t1)
 
-    def deviation_of(
-        self, receiver_id: Any, t0: float = 0.0, t1: Optional[float] = None
-    ) -> float:
-        """Relative deviation of one receiver."""
-        if t1 is None:
-            t1 = self.end_time
+    def deviation_of(self, receiver_id: Any, t0: float) -> float:
+        """Relative deviation of one receiver over ``[t0, end of run]``."""
         optimal = self.optimal_levels()
         for h in self.scenario.receivers:
             if h.receiver_id == receiver_id:
                 return relative_deviation(
-                    h.trace, float(optimal[(h.session_id, h.receiver_id)]), t0, t1
+                    h.trace, float(optimal[(h.session_id, h.receiver_id)]), t0, self.end_time
                 )
         raise KeyError(receiver_id)
 
-    def stability(self, t0: float = 0.0, t1: Optional[float] = None) -> Tuple[int, float]:
-        """(max changes by any receiver, mean gap for that receiver)."""
-        if t1 is None:
-            t1 = self.end_time
-        return worst_receiver_stability([h.trace for h in self.receivers], t0, t1)
+    def stability(self) -> Tuple[int, float]:
+        """(max changes by any receiver, mean gap for that receiver) over
+        the whole run."""
+        return worst_receiver_stability([h.trace for h in self.receivers], 0.0, self.end_time)
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

@@ -57,8 +57,6 @@ def build_topology_a(
     config: Optional[TopoSenseConfig] = None,
     algorithm: Optional[Any] = None,
     receiver_mode: str = "controlled",
-    class_a_bw: float = CLASS_A_BW,
-    class_b_bw: float = CLASS_B_BW,
     leave_latency: float = 1.0,
 ) -> Scenario:
     """Topology A: one heterogeneous session, ``n_receivers`` split between
@@ -81,10 +79,10 @@ def build_topology_a(
     n_b = n_receivers - n_a
     for i in range(n_a):
         sc.add_node(f"ra{i}")
-        sc.add_link("agg_a", f"ra{i}", bandwidth=class_a_bw)
+        sc.add_link("agg_a", f"ra{i}", bandwidth=CLASS_A_BW)
     for i in range(n_b):
         sc.add_node(f"rb{i}")
-        sc.add_link("agg_b", f"rb{i}", bandwidth=class_b_bw)
+        sc.add_link("agg_b", f"rb{i}", bandwidth=CLASS_B_BW)
 
     sess = sc.add_session("src", traffic=traffic, peak_to_mean=peak_to_mean)
     if receiver_mode == "controlled":

@@ -26,6 +26,7 @@ from ..experiments.scenario import ScenarioResult
 from ..faults.plan import FaultPlan
 from .experiment import build_federated_views
 from .session import RETRY_LIMIT, FederatedSession
+from .shard import DECAY_FLOOR
 
 __all__ = [
     "DEFAULT_CHAOS_DURATION",
@@ -50,12 +51,17 @@ DEFAULT_PARTITION_ROUNDS = (3, 4)
 #: Rounds after the failover by which every shard must apply fresh advice.
 RECOVERY_ROUNDS = 3
 
+#: The degraded mesh's per-message duplicate probability and maximum
+#: hold-back (rounds) in every sweep point's plan.
+DUPLICATE = 0.05
+DELAY_ROUNDS = 1
+
 
 def default_fedchaos_plan(
     cadence: float = 4.0,
     loss: float = 0.2,
-    duplicate: float = 0.05,
-    delay_rounds: int = 1,
+    duplicate: float = DUPLICATE,
+    delay_rounds: int = DELAY_ROUNDS,
     domain: Any = "d2",
     degrade_round: int = 3,
     partition_start_round: int = 4,
@@ -97,13 +103,12 @@ def _run_one(
     cadence: float,
     plan: Optional[FaultPlan],
     staleness_budget: int,
-    decay_floor: int,
     bus: Optional[Any] = None,
 ) -> Dict[str, Any]:
     views = build_federated_views(n_domains, receivers_per_domain)
     fed = FederatedSession(
         views, seed=seed, cadence=cadence, bus=bus,
-        plan=plan, staleness_budget=staleness_budget, decay_floor=decay_floor,
+        plan=plan, staleness_budget=staleness_budget,
     )
     wall0 = perf_counter()
     fed.run(duration)
@@ -237,10 +242,7 @@ def run_fedchaos(
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     partition_rounds: Sequence[int] = DEFAULT_PARTITION_ROUNDS,
     partition_domain: Any = "d2",
-    duplicate: float = 0.05,
-    delay_rounds: int = 1,
     staleness_budget: int = 2,
-    decay_floor: int = 1,
     plan: Optional[FaultPlan] = None,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
@@ -271,8 +273,7 @@ def run_fedchaos(
     else:
         combos = [
             (loss, window, default_fedchaos_plan(
-                cadence=cadence, loss=loss, duplicate=duplicate,
-                delay_rounds=delay_rounds, domain=partition_domain,
+                cadence=cadence, loss=loss, domain=partition_domain,
                 partition_rounds=window,
             ))
             for loss in losses for window in windows
@@ -281,7 +282,7 @@ def run_fedchaos(
     common = dict(
         n_domains=n_domains, receivers_per_domain=receivers_per_domain,
         seed=seed, duration=duration, cadence=cadence,
-        staleness_budget=staleness_budget, decay_floor=decay_floor,
+        staleness_budget=staleness_budget,
     )
     baseline = _run_one(plan=None, **common)
 
@@ -296,8 +297,8 @@ def run_fedchaos(
         points.append({
             "loss": loss,
             "partition_rounds": window,
-            "duplicate": duplicate,
-            "delay_rounds": delay_rounds,
+            "duplicate": DUPLICATE,
+            "delay_rounds": DELAY_ROUNDS,
             "plan": point_plan.to_dicts(),
             "faulted": faulted,
             "recovery": recovery,
@@ -320,7 +321,7 @@ def run_fedchaos(
         "loss_rates": losses,
         "partition_rounds_sweep": windows,
         "staleness_budget": staleness_budget,
-        "decay_floor": decay_floor,
+        "decay_floor": DECAY_FLOOR,
         "retry_limit": RETRY_LIMIT,
         "recovery_rounds": RECOVERY_ROUNDS,
         "baseline": baseline,

@@ -68,7 +68,6 @@ class FederatedSession:
         profiler: Optional[Any] = None,
         plan: Optional[Any] = None,
         staleness_budget: int = 2,
-        decay_floor: int = 1,
     ):
         if cadence <= 0:
             raise ValueError("cadence must be positive")
@@ -83,8 +82,7 @@ class FederatedSession:
         self.profiler = profiler
         self.shards: Dict[str, DomainShard] = {
             str(v.domain): DomainShard(
-                v, seed=seed,
-                staleness_budget=staleness_budget, decay_floor=decay_floor,
+                v, seed=seed, staleness_budget=staleness_budget,
             )
             for v in ordered
         }

@@ -36,6 +36,10 @@ __all__ = ["BORDER_NODE", "DomainReceiver", "DomainShard", "DomainView"]
 #: domain through the border uplink.
 BORDER_NODE = "__border__"
 
+#: Staleness decay never pushes a session's effective ceiling below this
+#: level: a dark domain keeps its base layer.
+DECAY_FLOOR = 1
+
 
 @dataclass(frozen=True)
 class DomainReceiver:
@@ -72,15 +76,12 @@ class DomainShard:
         view: DomainView,
         seed: int = 0,
         staleness_budget: int = 2,
-        decay_floor: int = 1,
     ):
         if view.gateway == BORDER_NODE or BORDER_NODE in view.nodes:
             raise ValueError(f"domain may not contain the reserved node "
                              f"{BORDER_NODE!r}")
         if staleness_budget < 0:
             raise ValueError("staleness_budget must be >= 0")
-        if decay_floor < 0:
-            raise ValueError("decay_floor must be >= 0")
         self.view = view
         self.domain = view.domain
         self.seed = stream_seed(seed, f"fed/{view.domain}")
@@ -92,8 +93,6 @@ class DomainShard:
         #: Advice age (rounds) a session may run on before the ceiling
         #: starts to decay; the bounded-staleness budget.
         self.staleness_budget = int(staleness_budget)
-        #: Decay never pushes the effective ceiling below this level.
-        self.decay_floor = int(decay_floor)
         #: Highest coordinator epoch whose advice this shard accepted.
         self.advice_epoch = 0
         #: Advice dropped by fencing (deposed-coordinator epoch, or an
@@ -252,7 +251,7 @@ class DomainShard:
         While ``age <= staleness_budget`` the domain runs unclamped on its
         last-known advice.  Beyond the budget the shard turns conservative:
         the controller's session ceiling is clamped to
-        ``max(decay_floor, ceiling - (age - budget))`` — one layer shed per
+        ``max(DECAY_FLOOR, ceiling - (age - budget))`` — one layer shed per
         additional dark round — so a partitioned domain sheds load instead
         of over-subscribing a shared bottleneck on stale information.
         """
@@ -263,7 +262,7 @@ class DomainShard:
             effective = None
             if age > self.staleness_budget:
                 decay = age - self.staleness_budget
-                effective = max(self.decay_floor, advice.ceiling - decay)
+                effective = max(DECAY_FLOOR, advice.ceiling - decay)
                 controller.session_ceilings[sid] = effective
                 self.decayed_rounds += 1
                 if bus is not None:

@@ -14,10 +14,10 @@ __all__ = ["GroupAllocator"]
 
 
 class GroupAllocator:
-    """Hands out unique group addresses, starting from ``first``."""
+    """Hands out unique group addresses: 1, 2, 3, ..."""
 
-    def __init__(self, first: int = 1):
-        self._counter = itertools.count(first)
+    def __init__(self) -> None:
+        self._counter = itertools.count(1)
         self.allocated = []
 
     def allocate(self) -> int:

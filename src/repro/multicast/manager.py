@@ -55,6 +55,10 @@ Edge = Tuple[Any, Any]
 #: Closed disruption windows retained per group (oldest dropped beyond this).
 MAX_DISRUPTIONS = 256
 
+#: Fixed local-subnet (IGMP report) latency added to every graft, and the
+#: whole delay of a join or block that needs no graft.
+IGMP_REPORT_DELAY = 0.05
+
 
 class GroupState:
     """Mutable per-group bookkeeping."""
@@ -98,32 +102,22 @@ class MulticastManager:
         forwarding entries.
     leave_latency:
         Seconds between a leave request and traffic actually stopping
-        (IGMP last-member query timeout; ns-2-like default 2 s).
-    igmp_report_delay:
-        Fixed local-subnet latency added to every graft.
-    expedited_leave:
-        Paper §V extension: "Expedited group-leaves, where routers keep
-        track of receivers downstream, may also be considered for decreasing
-        group-leave latency."  When True, a leave propagates like a prune
-        message (per-hop delay up to the branch point) instead of waiting
-        the full IGMP timeout — routers already know there is no other
-        downstream receiver.
+        (IGMP last-member query timeout).
     """
 
-    def __init__(
-        self,
-        network: Network,
-        leave_latency: float = 2.0,
-        igmp_report_delay: float = 0.05,
-        expedited_leave: bool = False,
-    ):
-        if leave_latency < 0 or igmp_report_delay < 0:
-            raise ValueError("latencies must be non-negative")
+    def __init__(self, network: Network, leave_latency: float):
+        if leave_latency < 0:
+            raise ValueError("leave_latency must be non-negative")
         self.network = network
         self.sched = network.sched
         self.leave_latency = leave_latency
-        self.igmp_report_delay = igmp_report_delay
-        self.expedited_leave = expedited_leave
+        #: Paper §V extension: "Expedited group-leaves, where routers keep
+        #: track of receivers downstream, may also be considered for
+        #: decreasing group-leave latency."  When True, a leave propagates
+        #: like a prune message (per-hop delay up to the branch point)
+        #: instead of waiting the full IGMP timeout — routers already know
+        #: there is no other downstream receiver.
+        self.expedited_leave = False
         self.builder = SPTBuilder()
         self.groups: Dict[int, GroupState] = {}
         #: source -> its distribution tree as ``{node: parent}``, built over
@@ -186,7 +180,7 @@ class MulticastManager:
         if count > 1 and member in state.members:
             # A co-located receiver already gets the group on this LAN:
             # only the local report latency applies, no graft needed.
-            return self.sched.now + self.igmp_report_delay
+            return self.sched.now + IGMP_REPORT_DELAY
         delay = self._graft_delay(state, member)
         effective = self.sched.now + delay
         self.sched.after(delay, self._apply, state, member)
@@ -222,7 +216,7 @@ class MulticastManager:
         another branch: another member downstream of ``member``, another
         child, a member of its own, or the source."""
         source, parent = state.source, self._trees[state.source]
-        delay = self.igmp_report_delay
+        delay = IGMP_REPORT_DELAY
         if member == source or (parent.get(member), member) not in state.edges:
             return delay  # not on the tree: the branch is already gone
         links, children = self.network.links, state.children
@@ -243,7 +237,7 @@ class MulticastManager:
         asks for.  Membership *intent* (``refcount``) is preserved — a join
         issued while blocked is recorded but denied, and takes effect when
         the block is lifted.  Returns the time the change becomes effective
-        (a block propagates like a prune after ``igmp_report_delay``; an
+        (a block propagates like a prune after :data:`IGMP_REPORT_DELAY`; an
         unblock like a graft).
         """
         state = self._state(group)
@@ -253,7 +247,7 @@ class MulticastManager:
             return self.sched.now
         if blocked:
             state.blocked.add(member)
-            delay = self.igmp_report_delay
+            delay = IGMP_REPORT_DELAY
         else:
             state.blocked.discard(member)
             delay = self._graft_delay(state, member)
@@ -459,17 +453,17 @@ class MulticastManager:
         path up to the first node on the group's tree."""
         source = state.source
         if member == source:
-            return self.igmp_report_delay
+            return IGMP_REPORT_DELAY
         parent, edges = self._trees[source], state.edges
         path = self.network.shortest_path_or_none(source, member)
         if path is None:
             # Unreachable right now: the graft "completes" locally but the
             # rebuild will not find a path either; the member gets grafted
             # for real when connectivity returns (on_topology_change).
-            return self.igmp_report_delay
+            return IGMP_REPORT_DELAY
         # Walk from the member up toward the source, accumulating delay until
         # we reach a router already on the tree.
-        delay = self.igmp_report_delay
+        delay = IGMP_REPORT_DELAY
         for i in range(len(path) - 1, 0, -1):
             node = path[i - 1]
             delay += self.network.edge_delay(node, path[i])

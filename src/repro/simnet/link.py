@@ -87,7 +87,7 @@ class Link:
     delay:
         One-way propagation delay in seconds (paper uses 200 ms everywhere).
     queue:
-        Queue discipline instance; defaults to a 64-packet drop-tail queue.
+        Queue discipline instance.
     """
 
     __slots__ = ("sched", "src", "dst", "bandwidth", "delay", "up", "_queue", "_stats", "_fifo")
@@ -99,7 +99,7 @@ class Link:
         dst: "Node",
         bandwidth: float,
         delay: float,
-        queue: Optional[DropTailQueue] = None,
+        queue: DropTailQueue,
     ):
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -111,7 +111,7 @@ class Link:
         self.bandwidth = float(bandwidth)
         self.delay = float(delay)
         self.up = True
-        self._queue = queue if queue is not None else DropTailQueue()
+        self._queue = queue
         self._stats = LinkStats()
         #: Accepted packets not yet settled, oldest first, as ``[end, pkt,
         #: tx_time, arrival event]``.  The head is on the wire (or finished

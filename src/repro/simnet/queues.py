@@ -13,7 +13,6 @@ from collections import deque
 from typing import Deque, Optional
 
 from .packet import Packet
-from .rng import fallback_rng
 
 __all__ = ["QueueStats", "DropTailQueue", "REDQueue"]
 
@@ -43,7 +42,7 @@ class DropTailQueue:
     used in the paper's simulations.
     """
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -79,48 +78,44 @@ class DropTailQueue:
 class REDQueue(DropTailQueue):
     """Random Early Detection queue (extension; not used by paper's runs).
 
-    Implements the gentle RED variant: below ``min_th`` (average queue
-    length) packets are always accepted; between ``min_th`` and ``max_th``
-    packets are dropped with probability rising linearly to ``max_p``;
-    above ``max_th`` the drop probability rises linearly to 1 at
-    ``2 * max_th``.  The average queue length uses an EWMA with weight ``wq``.
+    Implements the gentle RED variant: below :attr:`MIN_TH` (average queue
+    length) packets are always accepted; between :attr:`MIN_TH` and
+    :attr:`MAX_TH` packets are dropped with probability rising linearly to
+    :attr:`MAX_P`; above :attr:`MAX_TH` the drop probability rises linearly
+    to 1 at ``2 * MAX_TH``.  The average queue length uses an EWMA with
+    weight :attr:`WQ`.  The values are the ``ablation_red`` row's; its
+    capacity equals the 31 packets the drop-tail arm's 500 kb/s access
+    links get.
     """
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        min_th: float = 5.0,
-        max_th: float = 15.0,
-        max_p: float = 0.1,
-        wq: float = 0.002,
-        rng=None,
-    ):
-        super().__init__(capacity)
-        if not 0 < min_th < max_th:
-            raise ValueError("need 0 < min_th < max_th")
-        if not 0 < max_p <= 1:
-            raise ValueError("need 0 < max_p <= 1")
-        self.min_th = min_th
-        self.max_th = max_th
-        self.max_p = max_p
-        self.wq = wq
+    #: Queue capacity in packets.
+    CAPACITY = 31
+    #: Average queue length below which no packet is dropped early.
+    MIN_TH = 4.0
+    #: Average queue length where the early-drop probability reaches MAX_P.
+    MAX_TH = 16.0
+    MAX_P = 0.1
+    #: EWMA weight of the average queue length.
+    WQ = 0.002
+
+    def __init__(self, rng) -> None:
+        super().__init__(self.CAPACITY)
         self.avg = 0.0
-        if rng is None:  # pragma: no cover - exercised via explicit rng in tests
-            rng = fallback_rng()
         self._rng = rng
 
     def _drop_probability(self) -> float:
-        if self.avg < self.min_th:
+        min_th, max_th, max_p = self.MIN_TH, self.MAX_TH, self.MAX_P
+        if self.avg < min_th:
             return 0.0
-        if self.avg < self.max_th:
-            return self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)
-        if self.avg < 2 * self.max_th:
+        if self.avg < max_th:
+            return max_p * (self.avg - min_th) / (max_th - min_th)
+        if self.avg < 2 * max_th:
             # gentle region: ramp from max_p to 1
-            return self.max_p + (1 - self.max_p) * (self.avg - self.max_th) / self.max_th
+            return max_p + (1 - max_p) * (self.avg - max_th) / max_th
         return 1.0
 
     def push(self, pkt: Packet) -> bool:
-        self.avg = (1 - self.wq) * self.avg + self.wq * len(self._q)
+        self.avg = (1 - self.WQ) * self.avg + self.WQ * len(self._q)
         if len(self._q) >= self.capacity:
             self.stats.dropped += 1
             self.stats.bytes_dropped += pkt.size

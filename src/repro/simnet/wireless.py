@@ -8,8 +8,8 @@ Gilbert–Elliott channel —
 
 * **good** state: independent losses at ``loss_rate`` (non-uniform per
   link: the builder draws each edge's rate from a seeded RNG);
-* **bad** (fading) state: losses at ``burst_loss`` (default 0.9), entered
-  with probability ``fade_in`` and left with probability ``fade_out`` per
+* **bad** (fading) state: losses at :data:`BURST_LOSS`, entered with
+  probability ``fade_in`` and left with probability :data:`FADE_OUT` per
   transmitted packet, producing the bursty loss signature of deep fades.
 
 Wireless drops are accounted *separately* from queue drops
@@ -32,7 +32,7 @@ edges compose with every existing injector and metric.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, TYPE_CHECKING
+from typing import Any, List, TYPE_CHECKING
 
 from .link import DROP_WIRELESS, Link
 from .packet import Packet
@@ -44,6 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["WirelessEdgeLink"]
 
+#: Bad-state (fading) per-packet loss probability.
+BURST_LOSS = 0.9
+#: Per-packet bad→good transition probability; positive, so fades always
+#: end.
+FADE_OUT = 0.25
+
 
 class WirelessEdgeLink(Link):
     """A :class:`Link` whose delivered packets face a fading radio channel.
@@ -52,11 +58,8 @@ class WirelessEdgeLink(Link):
     ----------
     loss_rate:
         Good-state per-packet loss probability in ``[0, 1)``.
-    burst_loss:
-        Bad-state (fading) per-packet loss probability in ``[0, 1]``.
-    fade_in, fade_out:
-        Per-packet Gilbert–Elliott transition probabilities: good→bad and
-        bad→good.  ``fade_out`` must be positive so fades always end.
+    fade_in:
+        Per-packet Gilbert–Elliott good→bad transition probability.
     rng:
         Seeded generator (``numpy.random.Generator``); required whenever
         any loss or fading probability is non-zero, so channel draws come
@@ -64,7 +67,7 @@ class WirelessEdgeLink(Link):
     """
 
     __slots__ = (
-        "loss_rate", "burst_loss", "fade_in", "fade_out", "fading",
+        "loss_rate", "fade_in", "fading",
         "rng", "_wireless_drops", "_wireless_bytes_dropped",
     )
 
@@ -75,29 +78,21 @@ class WirelessEdgeLink(Link):
         dst: "Node",
         bandwidth: float,
         delay: float,
-        queue: Optional[DropTailQueue] = None,
+        queue: DropTailQueue,
         *,
         loss_rate: float = 0.0,
-        burst_loss: float = 0.9,
         fade_in: float = 0.0,
-        fade_out: float = 0.25,
         rng=None,
     ):
         super().__init__(sched, src, dst, bandwidth, delay, queue)
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        if not 0.0 <= burst_loss <= 1.0:
-            raise ValueError(f"burst_loss must be in [0, 1], got {burst_loss}")
         if not 0.0 <= fade_in <= 1.0:
             raise ValueError(f"fade_in must be in [0, 1], got {fade_in}")
-        if not 0.0 < fade_out <= 1.0:
-            raise ValueError(f"fade_out must be in (0, 1], got {fade_out}")
         if rng is None and (loss_rate > 0 or fade_in > 0):
             raise ValueError("a lossy wireless link needs a seeded rng")
         self.loss_rate = float(loss_rate)
-        self.burst_loss = float(burst_loss)
         self.fade_in = float(fade_in)
-        self.fade_out = float(fade_out)
         self.fading = False
         self.rng = rng
         self._wireless_drops = 0
@@ -120,11 +115,11 @@ class WirelessEdgeLink(Link):
         """Advance the Gilbert–Elliott channel one packet; True = lost."""
         rng = self.rng
         if self.fading:
-            if rng.random() < self.fade_out:
+            if rng.random() < FADE_OUT:
                 self.fading = False
         elif self.fade_in > 0.0 and rng.random() < self.fade_in:
             self.fading = True
-        p = self.burst_loss if self.fading else self.loss_rate
+        p = BURST_LOSS if self.fading else self.loss_rate
         if p <= 0.0:
             return False
         return bool(rng.random() < p)

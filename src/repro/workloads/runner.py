@@ -59,20 +59,16 @@ def latency_percentiles(samples_ms: List[float]) -> Dict[str, float]:
     }
 
 
+#: Seconds between the runner's live-receiver / control-byte samples.
+SAMPLE_INTERVAL = 5.0
+
+
 class WorkloadRunner:
     """Binds one spec to one scenario and tracks workload metrics."""
 
-    def __init__(
-        self,
-        scenario: Any,
-        spec: WorkloadSpec,
-        sample_interval: float = 5.0,
-    ):
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+    def __init__(self, scenario: Any, spec: WorkloadSpec):
         self.scenario = scenario
         self.spec = spec
-        self.sample_interval = sample_interval
         self.n_live = 0
         self.peak_live = 0
         self.joins_fired = 0
@@ -105,7 +101,7 @@ class WorkloadRunner:
             )
         for ev in self.spec.events:
             sc.sched.at(ev.time, self._fire, ev.kind, ev.receiver_id)
-        sc.sched.every(self.sample_interval, self._sample)
+        sc.sched.every(SAMPLE_INTERVAL, self._sample)
         return self
 
     def _first_packet_probe(self, receiver_id: Any) -> Callable[[float], None]:

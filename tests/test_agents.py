@@ -17,6 +17,8 @@ from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network
 
+pytestmark = pytest.mark.usefixtures("no_igmp_delay")
+
 
 def build(n_layers=3, bandwidth=10e6, algorithm=None):
     """src -- mid -- rcv line with a source, receiver and controller."""
@@ -27,7 +29,7 @@ def build(n_layers=3, bandwidth=10e6, algorithm=None):
     net.add_link("src", "mid", bandwidth=bandwidth, delay=0.05)
     net.add_link("mid", "rcv", bandwidth=bandwidth, delay=0.05)
     net.build_routes()
-    mcast = MulticastManager(net, leave_latency=0.5, igmp_report_delay=0.0)
+    mcast = MulticastManager(net, leave_latency=0.5)
     schedule = LayerSchedule(n_layers=n_layers, base_rate=32_000)
     groups = tuple(mcast.create_group("src") for _ in range(n_layers))
     desc = SessionDescriptor(0, "src", groups, schedule)
@@ -162,7 +164,7 @@ def test_invalid_interval_rejected():
     sched = Scheduler()
     net = Network(sched)
     net.add_node("a")
-    mcast = MulticastManager(net)
+    mcast = MulticastManager(net, leave_latency=2.0)
     disc = TopologyDiscovery(mcast)
     with pytest.raises(ValueError):
         ControllerAgent(net.node("a"), [], disc, StaticController(1), interval=0.0)

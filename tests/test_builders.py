@@ -1,5 +1,7 @@
 """Unit tests for the shortest-path tree builder."""
 
+import pytest
+
 from repro.multicast.builders import SPTBuilder
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
@@ -60,9 +62,10 @@ def test_spt_matches_shortest_path_union():
     }
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_spt_is_manager_default_and_identical_to_inline_tree():
     sched, net = diamond_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     assert isinstance(m.builder, SPTBuilder)
     g = m.create_group("src")
     m.join(g, "r1")

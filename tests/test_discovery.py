@@ -9,6 +9,8 @@ from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network
 
+pytestmark = pytest.mark.usefixtures("no_igmp_delay")
+
 
 def setup(n_layers=2):
     sched = Scheduler()
@@ -19,7 +21,7 @@ def setup(n_layers=2):
     net.add_link("mid", "r1", bandwidth=1e6, delay=0.1)
     net.add_link("mid", "r2", bandwidth=1e6, delay=0.1)
     net.build_routes()
-    mcast = MulticastManager(net, leave_latency=0.5, igmp_report_delay=0.0)
+    mcast = MulticastManager(net, leave_latency=0.5)
     schedule = LayerSchedule(n_layers=n_layers, base_rate=32_000)
     groups = tuple(mcast.create_group("src") for _ in range(n_layers))
     desc = SessionDescriptor("S", "src", groups, schedule)

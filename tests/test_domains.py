@@ -7,6 +7,7 @@ from repro.control.discovery import TopologyDiscovery
 from repro.control.session import SessionDescriptor
 from repro.experiments.domains import build_two_domain_topology
 from repro.media.layers import LayerSchedule
+from repro.multicast import manager
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network
@@ -24,13 +25,15 @@ def setup_net():
     net.add_link("gw1", "r1", bandwidth=1e6, delay=0.1)
     net.add_link("gw2", "r2", bandwidth=1e6, delay=0.1)
     net.build_routes()
-    mcast = MulticastManager(net, igmp_report_delay=0.0)
+    assert manager.IGMP_REPORT_DELAY == 0.0, "request the no_igmp_delay fixture"
+    mcast = MulticastManager(net, leave_latency=2.0)
     schedule = LayerSchedule(n_layers=2)
     groups = tuple(mcast.create_group("src") for _ in range(2))
     desc = SessionDescriptor("S", "src", groups, schedule)
     return sched, net, mcast, desc
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 class TestDomainDiscovery:
     def test_domain_clips_tree_and_reroots(self):
         sched, net, mcast, desc = setup_net()

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.multicast import manager
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network
+
+pytestmark = pytest.mark.usefixtures("no_igmp_delay")
 
 
 def network():
@@ -22,8 +25,8 @@ def network():
 
 def test_expedited_leave_is_much_faster_than_igmp():
     sched, net = network()
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.0,
-                         expedited_leave=True)
+    m = MulticastManager(net, leave_latency=2.0)
+    m.expedited_leave = True
     g = m.create_group("src")
     m.join(g, "a")
     sched.run(until=1.0)
@@ -36,8 +39,7 @@ def test_expedited_leave_is_much_faster_than_igmp():
 
 def test_standard_leave_still_waits_full_latency():
     sched, net = network()
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.0,
-                         expedited_leave=False)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     m.join(g, "a")
     sched.run(until=1.0)
@@ -47,8 +49,8 @@ def test_standard_leave_still_waits_full_latency():
 
 def test_expedited_prune_stops_at_branch_point():
     sched, net = network()
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.0,
-                         expedited_leave=True)
+    m = MulticastManager(net, leave_latency=2.0)
+    m.expedited_leave = True
     g = m.create_group("src")
     m.join(g, "a")
     m.join(g, "b")
@@ -61,10 +63,11 @@ def test_expedited_prune_stops_at_branch_point():
     assert m.tree_edges(g) == frozenset({("src", "core"), ("core", "a")})
 
 
-def test_expedited_leave_of_nonmember_is_fast_noop():
+def test_expedited_leave_of_nonmember_is_fast_noop(monkeypatch):
+    monkeypatch.setattr(manager, "IGMP_REPORT_DELAY", 0.01)
     sched, net = network()
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.01,
-                         expedited_leave=True)
+    m = MulticastManager(net, leave_latency=2.0)
+    m.expedited_leave = True
     g = m.create_group("src")
     eff = m.leave(g, "a")
     assert eff - sched.now == pytest.approx(0.01)
@@ -74,8 +77,8 @@ def test_expedited_leave_of_nonmember_is_fast_noop():
 
 def test_expedited_rejoin_race_still_resolves_to_latest():
     sched, net = network()
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.0,
-                         expedited_leave=True)
+    m = MulticastManager(net, leave_latency=2.0)
+    m.expedited_leave = True
     g = m.create_group("src")
     m.join(g, "a")
     sched.run(until=1.0)
@@ -102,8 +105,8 @@ def test_expedited_prune_travels_the_installed_detour():
     for a, b, delay in [(0, 1, 0.1), (0, 4, 0.1), (0, 5, 0.1), (1, 2, 0.1),
                         (1, 3, 0.1), (2, 5, 0.2), (3, 4, 0.1)]:
         net.add_link(a, b, bandwidth=1e6, delay=delay)
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.0,
-                         expedited_leave=True)
+    m = MulticastManager(net, leave_latency=2.0)
+    m.expedited_leave = True
     g = m.create_group(0)
     m.join(g, 2)
     m.join(g, 3)

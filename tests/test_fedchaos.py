@@ -19,7 +19,7 @@ from repro.federation.chaos import default_fedchaos_plan, run_fedchaos
 from repro.federation.coordinator import FederationCoordinator
 from repro.federation.experiment import build_federated_views
 from repro.federation.session import RETRY_LIMIT, FederatedSession
-from repro.federation.shard import DomainShard
+from repro.federation.shard import DECAY_FLOOR, DomainShard
 from repro.simnet.rng import RngRegistry
 
 
@@ -240,7 +240,7 @@ class TestShardStaleness:
         assert shard.stale_rejected == 2
 
     def test_roll_staleness_decays_past_budget(self):
-        shard = self._shard(staleness_budget=2, decay_floor=1)
+        shard = self._shard(staleness_budget=2)
         sid = shard.view.sessions[0]
         shard.deliver_advice(_advice(session_id=sid, ceiling=4,
                                      epoch=1, round_no=1))
@@ -254,7 +254,7 @@ class TestShardStaleness:
         assert shard.decayed_rounds == 1
         # deep staleness bottoms out at the decay floor
         shard.roll_staleness(round_no=50, now=200.0)
-        assert shard.controller.session_ceilings[sid] == 1
+        assert shard.controller.session_ceilings[sid] == DECAY_FLOOR == 1
         # fresh advice clears the clamp
         shard.deliver_advice(_advice(session_id=sid, ceiling=4,
                                      epoch=1, round_no=50))
@@ -277,8 +277,11 @@ class TestShardStaleness:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             self._shard(staleness_budget=-1)
-        with pytest.raises(ValueError):
-            self._shard(decay_floor=-1)
+        # The decay floor is the constant DECAY_FLOOR, settable nowhere.
+        with pytest.raises(TypeError):
+            self._shard(decay_floor=1)
+        with pytest.raises(TypeError):
+            FederatedSession(_views(), seed=1, decay_floor=1)
 
 
 # ----------------------------------------------------------------------

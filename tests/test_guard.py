@@ -12,7 +12,8 @@ import math
 
 import pytest
 
-from repro.control.guard import GuardConfig, ReportGuard
+from repro.control import guard as guard_mod
+from repro.control.guard import ReportGuard
 from repro.control.messages import Register, Report
 from repro.core.session_topology import SessionTree
 from repro.media.layers import LayerSchedule
@@ -215,7 +216,7 @@ class TestConsistencyStrikes:
         for i in range(10):
             admit(guard, report(loss=0.9, bytes_=SCHEDULE.cumulative(2) / 8.0),
                   now=float(i))
-        assert guard.strikes(KEY) == GuardConfig().max_strikes
+        assert guard.strikes(KEY) == guard_mod.MAX_STRIKES
 
 
 class TestDisobedienceStrikes:
@@ -328,9 +329,9 @@ class TestDecayAndRehab:
         audit(guard, {})
         assert guard.strikes(KEY) == 0.0
 
-    def test_striking_audit_resets_the_clean_streak(self):
-        cfg = GuardConfig(rehab_intervals=2)
-        guard = ReportGuard(cfg)
+    def test_striking_audit_resets_the_clean_streak(self, monkeypatch):
+        monkeypatch.setattr(guard_mod, "REHAB_INTERVALS", 2)
+        guard = ReportGuard()
         for i in range(3):
             admit(guard, report(loss=0.9, bytes_=SCHEDULE.cumulative(2) / 8.0),
                   now=float(i))
@@ -343,9 +344,9 @@ class TestDecayAndRehab:
         audit(guard, {})  # streak 2: released
         assert not guard.is_quarantined(KEY)
 
-    def test_rehabilitation_releases_and_resets(self):
-        cfg = GuardConfig(rehab_intervals=3)
-        guard = ReportGuard(cfg)
+    def test_rehabilitation_releases_and_resets(self, monkeypatch):
+        monkeypatch.setattr(guard_mod, "REHAB_INTERVALS", 3)
+        guard = ReportGuard()
         for i in range(3):
             admit(guard, report(loss=0.9, bytes_=SCHEDULE.cumulative(2) / 8.0),
                   now=float(i))
@@ -382,25 +383,31 @@ class TestDecayAndRehab:
 
 
 # ----------------------------------------------------------------------
-# Config validation
+# Thresholds
 # ----------------------------------------------------------------------
 class TestGuardConfig:
+    """The thresholds are module constants: no call can set one."""
+
     @pytest.mark.parametrize("kwargs", [
+        {"config": None},
         {"consistency_tolerance": 0.0},
         {"outlier_margin": -0.1},
         {"low_loss_floor": 1.5},
         {"disobey_margin": -1},
         {"strike_threshold": 0.0},
         {"strike_decay": -0.5},
-        {"max_strikes": 1.0},  # below strike_threshold
+        {"max_strikes": 1.0},
         {"rehab_intervals": 0},
-        {"min_siblings": 0},
     ])
     def test_bad_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            GuardConfig(**kwargs)
+        with pytest.raises(TypeError):
+            ReportGuard(**kwargs)
 
     def test_defaults_are_valid(self):
-        cfg = GuardConfig()
-        assert cfg.strike_threshold <= cfg.max_strikes
-        assert math.isfinite(cfg.consistency_tolerance)
+        g = guard_mod
+        assert 0.0 < g.STRIKE_THRESHOLD <= g.MAX_STRIKES
+        assert g.CONSISTENCY_TOLERANCE > 0.0 and g.OUTLIER_MARGIN > 0.0
+        assert 0.0 <= g.LOW_LOSS_FLOOR <= 1.0
+        assert g.DISOBEY_MARGIN >= 0 and g.STRIKE_DECAY >= 0.0
+        assert g.REHAB_INTERVALS >= 1 and g.MIN_SIBLINGS >= 1
+        assert math.isfinite(g.MIN_EXPECTED_BITS)

@@ -10,17 +10,21 @@ the event log and on who is quarantined.
 Losses and levels come from small pools, so duplicates (tied minima, even
 counts whose two middle levels differ) are the norm; thresholds are low
 enough that a strike quarantines its sibling in the middle of a pass, and
-``low_loss_floor`` may exceed ``outlier_margin`` — the only regime in which
-that changes what a *later* sibling of the same pass is struck for.
+``LOW_LOSS_FLOOR`` may exceed ``OUTLIER_MARGIN`` — the only regime in which
+that changes what a *later* sibling of the same pass is struck for.  The
+thresholds are :mod:`repro.control.guard` module constants; each run patches
+the ones its script draws.
 """
 
 from statistics import median
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.control.guard import GuardConfig, ReportGuard
+from repro.control import guard as guard_mod
+from repro.control.guard import ReportGuard
 
 SID = "S"
 
@@ -29,20 +33,20 @@ class QuadraticGuard(ReportGuard):
     """Reference: the O(k^2) body, verbatim (tests only)."""
 
     def _audit_siblings(self, siblings, now):
-        cfg = self.config
+        g = guard_mod
         for key, rep in siblings:
             others = [
                 r for k2, r in siblings
                 if k2 != key and not self.is_quarantined(k2)
             ]
-            if len(others) < cfg.min_siblings:
+            if len(others) < g.MIN_SIBLINGS:
                 continue
             floor_loss = min(r.loss_rate for r in others)
             med_level = median(r.level for r in others)
             if (
                 rep.level >= med_level
-                and rep.loss_rate < cfg.low_loss_floor
-                and floor_loss - rep.loss_rate > cfg.outlier_margin
+                and rep.loss_rate < g.LOW_LOSS_FLOOR
+                and floor_loss - rep.loss_rate > g.OUTLIER_MARGIN
             ):
                 self._strike(key, "under_report", now)
 
@@ -66,8 +70,15 @@ def audit_scripts(draw):
 
 
 def run(guard_cls, config, quarantined, rounds):
-    """State after each audit: strikes per key, event log, quarantined set."""
-    guard = guard_cls(GuardConfig(max_strikes=4.0, rehab_intervals=2, **config))
+    """State after each audit: strikes per key, event log, quarantined set,
+    with the guard constants ``config`` names (lower case) patched."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in dict(max_strikes=4.0, rehab_intervals=2, **config).items():
+            mp.setattr(guard_mod, name.upper(), value)
+        return _run(guard_cls(), quarantined, rounds)
+
+
+def _run(guard, quarantined, rounds):
     for i in quarantined:
         while not guard.is_quarantined((SID, i)):
             guard._strike((SID, i), "seeded", 0.0)

@@ -32,6 +32,7 @@ from repro.faults.plan import FaultPlan
 from repro.media.layers import LayerSchedule
 from repro.media.receiver import LayeredReceiver
 from repro.media.source import LayeredSource
+from repro.multicast import manager
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.packet import CONTROL, Packet
@@ -47,7 +48,8 @@ def build(n_layers=3, bandwidth=10e6, algorithm=None, staleness=0.0, **controlle
     net.add_link("src", "mid", bandwidth=bandwidth, delay=0.05)
     net.add_link("mid", "rcv", bandwidth=bandwidth, delay=0.05)
     net.build_routes()
-    mcast = MulticastManager(net, leave_latency=0.5, igmp_report_delay=0.0)
+    assert manager.IGMP_REPORT_DELAY == 0.0, "request the no_igmp_delay fixture"
+    mcast = MulticastManager(net, leave_latency=0.5)
     schedule = LayerSchedule(n_layers=n_layers, base_rate=32_000)
     groups = tuple(mcast.create_group("src") for _ in range(n_layers))
     desc = SessionDescriptor(0, "src", groups, schedule)
@@ -92,6 +94,7 @@ def _line_scenario(seed=1, access_bw=500e3):
 # Epoch fencing
 # ----------------------------------------------------------------------
 class TestEpochFencing:
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_lower_epoch_suggestion_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         agent._started_at = 0.0
@@ -105,6 +108,7 @@ class TestEpochFencing:
         assert receiver.level == 3
         assert agent.controller_epoch == 6
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_epoch_zero_fenced(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         _deliver(agent, Suggestion("R", 0, level=2, issued_at=0.0, epoch=5))
@@ -113,6 +117,7 @@ class TestEpochFencing:
         assert agent.stale_suggestions_rejected == 1
         assert agent.controller_epoch == 5
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_stale_ack_does_not_register(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         _deliver(agent, Suggestion("R", 0, level=1, issued_at=0.0, epoch=5))
@@ -120,6 +125,7 @@ class TestEpochFencing:
         assert not agent.registered
         assert agent.stale_suggestions_rejected == 1
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_malformed_suggestions_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         _deliver(agent, Suggestion("OTHER", 0, level=2, issued_at=0.0, epoch=1))
@@ -130,6 +136,7 @@ class TestEpochFencing:
         assert agent.invalid_suggestions_rejected == 5
         assert receiver.level == 1
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_start_bumps_epoch_and_stamps_messages(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         assert controller.epoch == 0
@@ -216,6 +223,7 @@ class TestReportHistory:
         assert entry.report_as_of(2.5) is b
         assert entry.latest is c
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_history_pruned_to_64_entries(self):
         # Staleness beyond every arrival: no report is ever out of reach,
         # so only the REPORT_HISTORY cap trims.
@@ -235,6 +243,7 @@ class TestReportHistory:
             _to_controller(controller, _rep(seq))
         assert [rep.seq for _, rep in entry.history] == [100]
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_history_keeps_what_a_later_cutoff_can_read(self):
         """Reports one second apart at staleness 2.5 s: the history keeps
         the newest report that arrived by ``now - 2.5`` and everything
@@ -271,6 +280,7 @@ class TestReportHistory:
 # ----------------------------------------------------------------------
 # Registration soft state
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("no_igmp_delay")
 class TestControllerState:
     def test_silent_registration_expires(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
@@ -318,7 +328,7 @@ class TestControllerState:
         sched = Scheduler()
         net = Network(sched)
         net.add_node("a")
-        mcast = MulticastManager(net)
+        mcast = MulticastManager(net, leave_latency=2.0)
         disc = TopologyDiscovery(mcast)
 
         def make(**kw):
@@ -332,6 +342,7 @@ class TestControllerState:
 # Byzantine receiver behaviour
 # ----------------------------------------------------------------------
 class TestByzantineReceiver:
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_unknown_mode_rejected(self):
         agent = build()[6]
         with pytest.raises(ValueError):
@@ -342,6 +353,7 @@ class TestByzantineReceiver:
         agent.set_byzantine(None)
         assert agent.byzantine_mode is None
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_lie_high_is_quarantined_and_pinned(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         agent.set_byzantine("lie_high")
@@ -355,6 +367,7 @@ class TestByzantineReceiver:
         # path still obeys them: the receiver sits at 1, not Static's 2.
         assert receiver.level == 1
 
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_disobedient_climber_accrues_strikes(self):
         sched, net, mcast, desc, receiver, controller, agent = build(n_layers=6)
         agent.set_byzantine("disobey")
@@ -394,6 +407,7 @@ class TestByzantineReceiver:
 # Tree-level quarantine enforcement
 # ----------------------------------------------------------------------
 class TestQuarantineEnforcement:
+    @pytest.mark.usefixtures("no_igmp_delay")
     def test_set_blocked_overrides_desire(self):
         sched = Scheduler()
         net = Network(sched)
@@ -401,7 +415,7 @@ class TestQuarantineEnforcement:
             net.add_node(n)
         net.add_link("s", "r", bandwidth=1e6)
         net.build_routes()
-        mcast = MulticastManager(net, igmp_report_delay=0.0, leave_latency=0.0)
+        mcast = MulticastManager(net, leave_latency=0.0)
         g = mcast.create_group("s")
         mcast.join(g, "r")
         sched.run(until=1.0)
@@ -425,7 +439,7 @@ class TestQuarantineEnforcement:
             net.add_node(n)
         net.add_link("s", "r", bandwidth=1e6)
         net.build_routes()
-        mcast = MulticastManager(net)
+        mcast = MulticastManager(net, leave_latency=2.0)
         g = mcast.create_group("s")
         t1 = mcast.set_blocked(g, "r", True)
         t2 = mcast.set_blocked(g, "r", True)  # no-op

@@ -18,6 +18,7 @@ Generated scripts drive both sides and every read must agree.
 
 from bisect import bisect_right
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from repro.control.discovery import TopologyDiscovery
 from repro.control.messages import CONTROL_PORT, Register, Report
 from repro.control.session import SessionDescriptor
 from repro.media.layers import LayerSchedule
+from repro.multicast import manager
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.packet import CONTROL, Packet
@@ -92,7 +94,7 @@ def _run_tree_script(leave_latency, script):
         net.add_node(n)
     for a, b, delay in LINKS:
         net.add_link(a, b, bandwidth=1e6, delay=delay)
-    m = SnapshotManager(net, leave_latency=leave_latency, igmp_report_delay=0.0)
+    m = SnapshotManager(net, leave_latency=leave_latency)
     sched.run(until=CREATED)
     # Two layer groups of source 0 and one group of source 5.
     groups = [m.create_group(0), m.create_group(0), m.create_group(5)]
@@ -113,7 +115,9 @@ def _run_tree_script(leave_latency, script):
     for gap, op in script:
         t += gap
         sched.at(t, step, op)
-    sched.run(until=t + 5.0)  # every graft and prune has applied
+    with pytest.MonkeyPatch.context() as mp:  # grafts cost their path only
+        mp.setattr(manager, "IGMP_REPORT_DELAY", 0.0)
+        sched.run(until=t + 5.0)  # every graft and prune has applied
     return sched, m, groups
 
 
@@ -154,7 +158,7 @@ def _controller(staleness):
     net.add_node("src")
     net.add_node("rcv")
     net.add_link("src", "rcv", bandwidth=1e6, delay=0.01)
-    mcast = MulticastManager(net)
+    mcast = MulticastManager(net, leave_latency=2.0)
     schedule = LayerSchedule(n_layers=1, base_rate=32_000)
     desc = SessionDescriptor(0, "src", (mcast.create_group("src"),), schedule)
     controller = ControllerAgent(

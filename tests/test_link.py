@@ -129,9 +129,9 @@ def test_link_recovers_after_set_up():
 def test_parameter_validation():
     sched = Scheduler()
     with pytest.raises(ValueError):
-        Link(sched, Stub("a"), Sink(sched), bandwidth=0, delay=0.1)
+        Link(sched, Stub("a"), Sink(sched), bandwidth=0, delay=0.1, queue=DropTailQueue(8))
     with pytest.raises(ValueError):
-        Link(sched, Stub("a"), Sink(sched), bandwidth=1e6, delay=-1)
+        Link(sched, Stub("a"), Sink(sched), bandwidth=1e6, delay=-1, queue=DropTailQueue(8))
 
 
 def test_slow_link_long_serialization():

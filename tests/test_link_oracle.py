@@ -26,6 +26,7 @@ from repro.obs.bus import EventBus
 from repro.simnet.engine import Scheduler
 from repro.simnet.link import DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_WIRELESS, Link
 from repro.simnet.packet import Packet
+from repro.simnet import wireless
 from repro.simnet.queues import DropTailQueue, REDQueue
 from repro.simnet.wireless import WirelessEdgeLink
 
@@ -147,14 +148,15 @@ class Rig:
         self.sched.bus.subscribe("link.*", self._on_bus)
         self.sink = Sink(self.sched)
         if kind == "red":
-            queue = REDQueue(capacity=qcap + 3, min_th=1, max_th=3, max_p=0.5,
-                             rng=np.random.default_rng(seed))
+            red = type("OracleRED", (REDQueue,), dict(
+                CAPACITY=qcap + 3, MIN_TH=1.0, MAX_TH=3.0, MAX_P=0.5))
+            queue = red(np.random.default_rng(seed))
         else:
             queue = DropTailQueue(qcap)
         args = (self.sched, Stub(), self.sink, BANDWIDTHS[0], delay, queue)
         if kind == "wireless":
             cls = EagerWirelessLink if eager else WirelessEdgeLink
-            self.link = cls(*args, loss_rate=0.3, fade_in=0.2, fade_out=0.4,
+            self.link = cls(*args, loss_rate=0.3, fade_in=0.2,
                             rng=np.random.default_rng(seed + 1))
         else:
             self.link = (EagerLink if eager else Link)(*args)
@@ -193,7 +195,9 @@ class Rig:
         for step, op, arg in script:
             self.sched.at(step / GRID, getattr(self, op), arg)
         self.sched.at(HORIZON / GRID, self.read, None)
-        self.sched.run(until=HORIZON / GRID)
+        with pytest.MonkeyPatch.context() as mp:  # fades shorter than the default
+            mp.setattr(wireless, "FADE_OUT", 0.4)
+            self.sched.run(until=HORIZON / GRID)
         return {
             "arrivals": self.sink.arrivals,
             "reads": self.reads,

@@ -30,7 +30,7 @@ def star_network():
 
 def test_create_group_allocates_addresses():
     sched, net = star_network()
-    m = MulticastManager(net)
+    m = MulticastManager(net, leave_latency=2.0)
     g1 = m.create_group("src")
     g2 = m.create_group("src")
     assert g1 != g2
@@ -40,20 +40,21 @@ def test_create_group_allocates_addresses():
 def test_create_group_unknown_source():
     sched, net = star_network()
     with pytest.raises(KeyError):
-        MulticastManager(net).create_group("ghost")
+        MulticastManager(net, leave_latency=2.0).create_group("ghost")
 
 
 def test_duplicate_explicit_group_rejected():
     sched, net = star_network()
-    m = MulticastManager(net)
+    m = MulticastManager(net, leave_latency=2.0)
     m.create_group("src", group=7)
     with pytest.raises(ValueError):
         m.create_group("src", group=7)
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_join_builds_tree_after_graft_delay():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     eff = m.join(g, "a")
     # graft travels a -> core -> src: 0.2 s
@@ -64,9 +65,10 @@ def test_join_builds_tree_after_graft_delay():
     assert m.tree_edges(g) == frozenset({("src", "core"), ("core", "a")})
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_second_join_grafts_at_nearest_on_tree_router():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     m.join(g, "a")
     sched.run(until=0.5)
@@ -81,15 +83,16 @@ def test_second_join_grafts_at_nearest_on_tree_router():
 
 def test_source_join_is_near_instant():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.05)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     eff = m.join(g, "src")
     assert eff == pytest.approx(0.05)
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_leave_takes_leave_latency():
     sched, net = star_network()
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     m.join(g, "a")
     sched.run(until=1.0)
@@ -102,9 +105,10 @@ def test_leave_takes_leave_latency():
     assert m.tree_edges(g) == frozenset()
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_leave_prunes_only_empty_branches():
     sched, net = star_network()
-    m = MulticastManager(net, leave_latency=0.5, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=0.5)
     g = m.create_group("src")
     m.join(g, "a")
     m.join(g, "b")
@@ -114,9 +118,10 @@ def test_leave_prunes_only_empty_branches():
     assert m.tree_edges(g) == frozenset({("src", "core"), ("core", "b")})
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_join_then_leave_race_resolves_to_latest_request():
     sched, net = star_network()
-    m = MulticastManager(net, leave_latency=0.05, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=0.05)
     g = m.create_group("src")
     m.join(g, "a")  # effective at 0.2
     m.leave(g, "a")  # effective at 0.05, before the join applies
@@ -125,9 +130,10 @@ def test_join_then_leave_race_resolves_to_latest_request():
     assert m.members(g) == frozenset()
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_leave_then_rejoin_race():
     sched, net = star_network()
-    m = MulticastManager(net, leave_latency=2.0, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     m.join(g, "a")
     sched.run(until=1.0)
@@ -138,9 +144,10 @@ def test_leave_then_rejoin_race():
     assert "a" in m.members(g)
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_forwarding_tables_installed():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     m.join(g, "a")
     m.join(g, "c")
@@ -150,9 +157,10 @@ def test_forwarding_tables_installed():
     assert g not in net.node("b").mcast_fwd
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_data_flows_only_to_members():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     got_a, got_b = [], []
     net.node("a").add_group_handler(g, got_a.append)
@@ -165,9 +173,10 @@ def test_data_flows_only_to_members():
     assert len(got_b) == 0
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_no_duplicate_delivery_on_shared_path():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     got_a, got_c = [], []
     net.node("a").add_group_handler(g, got_a.append)
@@ -184,9 +193,10 @@ def test_no_duplicate_delivery_on_shared_path():
     assert net.link("src", "core").stats.tx_packets == 5
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_snapshot_history_supports_stale_queries():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     m.join(g, "a")  # applies at 0.2
     sched.run(until=5.0)
@@ -201,7 +211,7 @@ def test_snapshot_history_supports_stale_queries():
 
 def test_snapshot_before_creation_returns_initial():
     sched, net = star_network()
-    m = MulticastManager(net)
+    m = MulticastManager(net, leave_latency=2.0)
     sched.run(until=4.0)
     g = m.create_group("src")
     assert m.snapshot_at(g, 0.0) == frozenset()
@@ -210,7 +220,7 @@ def test_snapshot_before_creation_returns_initial():
 
 def test_unknown_group_raises():
     sched, net = star_network()
-    m = MulticastManager(net)
+    m = MulticastManager(net, leave_latency=2.0)
     with pytest.raises(KeyError):
         m.join(99, "a")
     with pytest.raises(KeyError):
@@ -219,7 +229,7 @@ def test_unknown_group_raises():
 
 def test_unknown_member_raises():
     sched, net = star_network()
-    m = MulticastManager(net)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     with pytest.raises(KeyError):
         m.join(g, "ghost")
@@ -231,9 +241,10 @@ def test_negative_latency_rejected():
         MulticastManager(net, leave_latency=-1)
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_group_handler_removal():
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     got = []
 
@@ -279,12 +290,13 @@ def _toggle_log(m, g):
     return {edge: list(ts) for edge, ts in m.groups[g].toggles.items()}
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_incremental_change_skips_unaffected_groups():
     """A link failure must not recompute — or log a toggle for — groups
     whose trees never used the failed link (the whole point of the
     incremental path)."""
     sched, net = star_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g1 = m.create_group("src")
     g2 = m.create_group("src")
     m.join(g1, "a")
@@ -313,6 +325,7 @@ def test_incremental_change_skips_unaffected_groups():
     assert m.tree_edges(g1) == frozenset({("src", "core"), ("core", "a")})
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_restore_reverts_a_group_built_during_the_outage():
     """Two layer groups of one session: g1's tree lost the failed link and
     was rebuilt, g2 gained its member during the outage, so its tree was
@@ -320,7 +333,7 @@ def test_restore_reverts_a_group_built_during_the_outage():
     restore both must end on the canonical tree, or the session's layers
     give r1's branch two different parents."""
     sched, net = diamond_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g1 = m.create_group("src")
     g2 = m.create_group("src")
     m.join(g1, "r1")
@@ -337,13 +350,14 @@ def test_restore_reverts_a_group_built_during_the_outage():
     assert m.tree_edges(g1) == m.tree_edges(g2) == canonical
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_rapid_join_leave_keeps_snapshot_history_consistent():
     """Hammering join/leave on one member must leave snapshot_at queries
     internally consistent: the branch's edges toggle together at
     non-decreasing times, every snapshot is either a's branch or empty, and
     each query is answered by the install in force then."""
     sched, net = star_network()
-    m = MulticastManager(net, leave_latency=0.3, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=0.3)
     g = m.create_group("src")
     for i in range(6):
         sched.at(0.1 + 0.2 * i, m.join, g, "a")
@@ -368,11 +382,13 @@ def test_rapid_join_leave_keeps_snapshot_history_consistent():
         assert m.snapshot_at(g, t) == (branch if in_force % 2 else frozenset())
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_prune_delay_stops_at_live_branch_point():
     """Expedited prunes travel only to the deepest ancestor still serving
     another member — including under interleaved pending joins/leaves."""
     sched, net = star_network()
-    m = MulticastManager(net, expedited_leave=True, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
+    m.expedited_leave = True
     g = m.create_group("src")
     m.join(g, "a")
     m.join(g, "b")
@@ -396,12 +412,13 @@ def test_prune_delay_stops_at_live_branch_point():
     assert m._prune_delay(m.groups[g], "a") == pytest.approx(0.2)
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_set_blocked_on_mid_repair_tree():
     """Quarantining a member while the tree runs on a repair detour must
     keep the detour for the survivors, and the later link restore must
     still revert the group to its canonical tree."""
     sched, net = diamond_network()
-    m = MulticastManager(net, igmp_report_delay=0.0)
+    m = MulticastManager(net, leave_latency=2.0)
     g = m.create_group("src")
     m.join(g, "r1")
     m.join(g, "r2")

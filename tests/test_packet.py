@@ -54,10 +54,12 @@ class TestGroupAllocator:
         groups = [alloc.allocate() for _ in range(100)]
         assert len(set(groups)) == 100
 
-    def test_custom_start(self):
-        alloc = GroupAllocator(first=1000)
-        assert alloc.allocate() == 1000
-        assert alloc.allocate() == 1001
+    def test_addresses_start_at_one(self):
+        alloc = GroupAllocator()
+        assert alloc.allocate() == 1
+        assert alloc.allocate() == 2
+        with pytest.raises(TypeError):
+            GroupAllocator(first=1000)
 
     def test_allocated_history(self):
         alloc = GroupAllocator()

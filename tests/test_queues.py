@@ -21,7 +21,7 @@ class TestDropTail:
         assert q.pop() is p3
 
     def test_pop_empty_returns_none(self):
-        assert DropTailQueue().pop() is None
+        assert DropTailQueue(capacity=64).pop() is None
 
     def test_tail_drop_beyond_capacity(self):
         q = DropTailQueue(capacity=2)
@@ -57,51 +57,56 @@ class TestDropTail:
         assert q.stats.dropped == 1
 
     def test_len_and_bool(self):
-        q = DropTailQueue()
+        q = DropTailQueue(capacity=64)
         assert not q and len(q) == 0
         q.push(pkt())
         assert q and len(q) == 1
 
     def test_dequeued_counter(self):
-        q = DropTailQueue()
+        q = DropTailQueue(capacity=64)
         q.push(pkt())
         q.pop()
         q.pop()
         assert q.stats.dequeued == 1
 
 
+def red(capacity, min_th, max_th, max_p=0.1, wq=0.002, seed=0):
+    """A RED queue with other thresholds than ``REDQueue``'s constants."""
+    cls = type("ThresholdRED", (REDQueue,), dict(
+        CAPACITY=capacity, MIN_TH=min_th, MAX_TH=max_th, MAX_P=max_p, WQ=wq))
+    return cls(np.random.default_rng(seed))
+
+
 class TestRED:
     def test_accepts_below_min_threshold(self):
-        q = REDQueue(capacity=50, min_th=5, max_th=15, rng=np.random.default_rng(0))
+        q = red(capacity=50, min_th=5, max_th=15)
         for _ in range(4):
             assert q.push(pkt())
         assert q.stats.dropped == 0
 
     def test_always_drops_when_full(self):
-        q = REDQueue(capacity=3, min_th=1, max_th=2, rng=np.random.default_rng(0))
+        q = red(capacity=3, min_th=1, max_th=2)
         for _ in range(10):
             q.push(pkt())
         assert len(q) <= 3
         assert q.stats.dropped >= 7
 
     def test_probabilistic_drops_in_ramp(self):
-        rng = np.random.default_rng(42)
-        q = REDQueue(capacity=200, min_th=2, max_th=10, max_p=0.5, wq=0.5, rng=rng)
+        q = red(capacity=200, min_th=2, max_th=10, max_p=0.5, wq=0.5, seed=42)
         accepted = sum(q.push(pkt()) for _ in range(150))
         assert 0 < q.stats.dropped < 150
         assert accepted + q.stats.dropped == 150
 
-    def test_parameter_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            REDQueue(min_th=10, max_th=5, rng=rng)
-        with pytest.raises(ValueError):
-            REDQueue(max_p=0.0, rng=rng)
-        with pytest.raises(ValueError):
-            REDQueue(max_p=1.5, rng=rng)
+    def test_thresholds_are_class_constants(self):
+        assert 0 < REDQueue.MIN_TH < REDQueue.MAX_TH
+        assert 0 < REDQueue.MAX_P <= 1 and 0 < REDQueue.WQ <= 1
+        q = REDQueue(np.random.default_rng(0))
+        assert q.capacity == REDQueue.CAPACITY
+        with pytest.raises(TypeError):
+            REDQueue(capacity=64, rng=np.random.default_rng(0))
 
     def test_drop_probability_regions(self):
-        q = REDQueue(capacity=100, min_th=5, max_th=15, max_p=0.1, rng=np.random.default_rng(0))
+        q = red(capacity=100, min_th=5, max_th=15, max_p=0.1)
         q.avg = 0.0
         assert q._drop_probability() == 0.0
         q.avg = 10.0

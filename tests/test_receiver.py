@@ -9,6 +9,8 @@ from repro.simnet.engine import Scheduler
 from repro.simnet.packet import Packet
 from repro.simnet.topology import Network
 
+pytestmark = pytest.mark.usefixtures("no_igmp_delay")
+
 
 def setup(n_layers=3, initial_level=0):
     sched = Scheduler()
@@ -17,7 +19,7 @@ def setup(n_layers=3, initial_level=0):
     net.add_node("rcv")
     net.add_link("src", "rcv", bandwidth=10e6, delay=0.01)
     net.build_routes()
-    mcast = MulticastManager(net, leave_latency=0.1, igmp_report_delay=0.0)
+    mcast = MulticastManager(net, leave_latency=0.1)
     schedule = LayerSchedule(n_layers=n_layers, base_rate=32_000)
     groups = [mcast.create_group("src") for _ in range(n_layers)]
     rcv = LayeredReceiver(
@@ -209,7 +211,7 @@ def test_group_count_mismatch_rejected():
     sched = Scheduler()
     net = Network(sched)
     net.add_node("rcv")
-    mcast = MulticastManager(net)
+    mcast = MulticastManager(net, leave_latency=2.0)
     schedule = LayerSchedule(n_layers=3)
     with pytest.raises(ValueError):
         LayeredReceiver(net.node("rcv"), 1, [1, 2], schedule, mcast)
@@ -219,7 +221,7 @@ def test_initial_level_out_of_range():
     sched = Scheduler()
     net = Network(sched)
     net.add_node("rcv")
-    mcast = MulticastManager(net)
+    mcast = MulticastManager(net, leave_latency=2.0)
     schedule = LayerSchedule(n_layers=2)
     groups = [mcast.create_group("rcv"), mcast.create_group("rcv")]
     with pytest.raises(ValueError):

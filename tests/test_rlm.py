@@ -1,6 +1,7 @@
 """Unit tests for the RLM (receiver-driven) baseline."""
 
 import numpy as np
+import pytest
 
 from repro.baselines import rlm as rlm_module
 from repro.baselines.rlm import RLMReceiver
@@ -11,6 +12,8 @@ from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
 from repro.simnet.topology import Network
 
+pytestmark = pytest.mark.usefixtures("no_igmp_delay")
+
 
 def build(bottleneck=10e6, n_layers=4):
     sched = Scheduler()
@@ -20,7 +23,7 @@ def build(bottleneck=10e6, n_layers=4):
     net.add_link("s", "m", bandwidth=10e6, delay=0.05)
     net.add_link("m", "r", bandwidth=bottleneck, delay=0.05, queue_limit=8)
     net.build_routes()
-    mcast = MulticastManager(net, leave_latency=0.5, igmp_report_delay=0.0)
+    mcast = MulticastManager(net, leave_latency=0.5)
     schedule = LayerSchedule(n_layers=n_layers, base_rate=32_000)
     groups = tuple(mcast.create_group("s") for _ in range(n_layers))
     src = LayeredSource(net.node("s"), 0, groups, schedule, model="cbr")

@@ -98,7 +98,7 @@ class TestScenario:
         assert res.mean_deviation(5.0) >= 0.0
         assert res.deviation_of(h.receiver_id, 5.0) >= 0.0
         with pytest.raises(KeyError):
-            res.deviation_of("ghost")
+            res.deviation_of("ghost", 0.0)
         count, gap = res.stability()
         assert count >= 0 and gap > 0
         assert "session" in res.summary()

@@ -49,6 +49,7 @@ def test_fifo_ordering_survives_congestion():
     assert seqs == sorted(seqs)  # drops create gaps but never reordering
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_multicast_fanout_duplicates_only_at_branch():
     """A 2-receiver tree sends each packet once on the shared link and once
     per branch below the fork."""
@@ -60,7 +61,7 @@ def test_multicast_fanout_duplicates_only_at_branch():
     net.add_link("f", "r1", bandwidth=10e6, delay=0.01)
     net.add_link("f", "r2", bandwidth=10e6, delay=0.01)
     net.build_routes()
-    mcast = MulticastManager(net, igmp_report_delay=0.0)
+    mcast = MulticastManager(net, leave_latency=2.0)
     schedule = LayerSchedule(n_layers=1, base_rate=32_000)
     g = mcast.create_group("s")
     src = LayeredSource(net.node("s"), 0, [g], schedule, model="cbr")
@@ -95,6 +96,7 @@ def test_busy_time_never_exceeds_elapsed():
     assert link.stats.utilization(20.0) <= 1.0
 
 
+@pytest.mark.usefixtures("no_igmp_delay")
 def test_receiver_loss_matches_link_drops():
     """The receiver's gap count equals the upstream queue's drop count (one
     flow, one bottleneck)."""
@@ -104,7 +106,7 @@ def test_receiver_loss_matches_link_drops():
         net.add_node(n)
     net.add_link("s", "r", bandwidth=100e3, delay=0.01, queue_limit=8)
     net.build_routes()
-    mcast = MulticastManager(net, igmp_report_delay=0.0)
+    mcast = MulticastManager(net, leave_latency=2.0)
     # 2 layers = 96k on a 100k link is fine; 3 layers = 224k drops hard.
     schedule = LayerSchedule(n_layers=3, base_rate=32_000)
     groups = [mcast.create_group("s") for _ in range(3)]

@@ -206,7 +206,7 @@ def pinned_scenario():
     net.add_link("hub", "a", bandwidth=100e3, delay=0.02, queue_limit=4)
     net.add_link("hub", "b", bandwidth=1e6, delay=0.02)
     net.build_routes()
-    mcast = MulticastManager(net, leave_latency=0.5, igmp_report_delay=0.05)
+    mcast = MulticastManager(net, leave_latency=0.5)
     schedule = LayerSchedule(n_layers=4, base_rate=32_000)
     groups = [mcast.create_group("src") for _ in range(4)]
     rng = np.random.default_rng(20010903)

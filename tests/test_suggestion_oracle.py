@@ -1,16 +1,22 @@
 """Every receiver agent hears the controller within DESIGN §8's bound.
 
-The oracle of ROADMAP 1(c): on the ``join_ramp`` construction (a crowd of
-controlled receivers, one per wireless edge node, joining over a flash-crowd
-ramp), every agent that starts at ``s`` — with ``s + 3·interval`` before the
-horizon and the agent still running then — receives its first suggestion by
-``s + 3·interval``.  Three intervals is the recovery bound DESIGN §8 states.
+The oracle of ROADMAP 1(c): every agent that starts at ``s`` — with
+``s + 3·interval`` before the horizon and the agent still running then —
+receives its first suggestion by ``s + 3·interval``.  Three intervals is the
+recovery bound DESIGN §8 states.  It runs on two constructions:
 
-At 64 edge nodes the controller's fan-out tail-drops at its own uplink and
-many agents never hear a suggestion (ROADMAP 1(a)); that case is a strict
-xfail, so the fix turns it into an XPASS failure and must remove the marker.
-At 16 nodes every agent hears in time, which shows the oracle is not
-vacuous.
+* ``join_ramp``: a crowd of controlled receivers, one per wireless edge
+  node, joining over a flash-crowd ramp;
+* a two-domain federated crowd: ``fed_crowd``'s construction at two domains
+  of 16 placed receivers, each with 64 co-located crowd receivers on its
+  access nodes.
+
+At 64 and 256 edge nodes the controller's fan-out tail-drops at its own
+uplink and many agents never hear a suggestion (ROADMAP 1(a)); the
+federated crowd also has co-located receivers, of which only one per node
+is addressed (ROADMAP 1(b)).  Those cases are strict xfails, so a fix turns
+them into XPASS failures and must remove the marker.  At 16 nodes every
+agent hears in time, which shows the oracle is not vacuous.
 """
 
 import pytest
@@ -22,16 +28,19 @@ from repro.experiments.crowd import (
     default_crowd_spec,
     edge_node_names,
 )
+from repro.federation.experiment import build_federated_views
+from repro.federation.session import FederatedSession
 from repro.workloads.runner import WorkloadRunner
+from repro.workloads.spec import WorkloadSpec
 
 DURATION = 40.0
 #: DESIGN §8: a receiver hears the controller within three intervals.
 BOUND_INTERVALS = 3
 
 
-def _agent_lifetimes(monkeypatch, n_edges):
-    """Run the construction; returns ``(interval, [(agent, start, stop)])``
-    for every receiver agent started, ``stop`` None while it still runs."""
+def _record_agents(monkeypatch):
+    """``{id: [agent, start, stop]}`` for every receiver agent started from
+    now on, ``stop`` None while it still runs."""
     lifetimes = {}
     start, stop = ReceiverAgent.start, ReceiverAgent.stop
 
@@ -46,27 +55,68 @@ def _agent_lifetimes(monkeypatch, n_edges):
 
     monkeypatch.setattr(ReceiverAgent, "start", recorded_start)
     monkeypatch.setattr(ReceiverAgent, "stop", recorded_stop)
+    return lifetimes
+
+
+def _run_join_ramp(n_edges):
+    """Run ``join_ramp`` at ``n_edges`` nodes; returns the control interval."""
     sc, _ = build_crowd_scenario(seed=1, n_edges=n_edges, n_sessions=2)
     spec = default_crowd_spec(n_edges, edge_node_names(n_edges), crowd_session_ids(2),
                               duration=DURATION, seed=1, mode="controlled")
     WorkloadRunner(sc, spec).install()
     sc.run(DURATION)
-    interval = sc.controllers["default"].interval
-    return interval, [tuple(v) for v in lifetimes.values()]
+    return sc.controllers["default"].interval
+
+
+def _run_federated_crowd(crowd_per_domain=64):
+    """Run the two-domain federated crowd; returns the control interval."""
+    fed = FederatedSession(build_federated_views(2, 16), seed=1, cadence=2.0)
+    for name in sorted(fed.shards):
+        shard = fed.shards[name]
+        spec = WorkloadSpec()
+        spec.zipf_sessions(
+            [f"c{name}-{i}" for i in range(crowd_per_domain)],
+            sorted({r.node for r in shard.view.receivers}),
+            sorted(shard.scenario.sessions), zipf_s=1.1, seed=1, controller=name,
+        )
+        spec.flash_crowd(at=10.0, size=crowd_per_domain, ramp=5.0, shape="exp", seed=2)
+        WorkloadRunner(shard.scenario, spec).install()
+    fed.run(DURATION)
+    (interval,) = {shard.controller.interval for shard in fed.shards.values()}
+    return interval
+
+
+def _assert_every_agent_heard(lifetimes, interval, min_scored):
+    bound = BOUND_INTERVALS * interval
+    scored = [(agent, s) for agent, s, stopped in lifetimes.values()
+              if s + bound < DURATION and (stopped is None or stopped > s + bound)]
+    assert len(scored) > min_scored
+    late = [(agent.receiver.receiver_id, s) for agent, s in scored
+            if not agent.suggestion_times or agent.suggestion_times[0] > s + bound]
+    assert late == [], f"{len(late)} of {len(scored)} agents heard nothing in time"
+
+
+_FAN_OUT = ("ROADMAP 1(a): the controller's suggestion fan-out is tail-dropped at "
+            "its own uplink")
 
 
 @pytest.mark.parametrize("n_edges", [
     16,
     pytest.param(64, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP 1(a): the controller's suggestion fan-out is tail-dropped at "
-        "its own uplink, so at 64 nodes many agents never hear a suggestion"))),
+        _FAN_OUT + ", so at 64 nodes many agents never hear a suggestion"))),
+    pytest.param(256, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        _FAN_OUT + ": at 256 nodes 218 of 263 scored agents are late"))),
 ])
 def test_every_agent_hears_a_suggestion_within_three_intervals(monkeypatch, n_edges):
-    interval, lifetimes = _agent_lifetimes(monkeypatch, n_edges)
-    bound = BOUND_INTERVALS * interval
-    scored = [(agent, s) for agent, s, stopped in lifetimes
-              if s + bound < DURATION and (stopped is None or stopped > s + bound)]
-    assert len(scored) > n_edges // 2
-    late = [(agent.receiver.receiver_id, s) for agent, s in scored
-            if not agent.suggestion_times or agent.suggestion_times[0] > s + bound]
-    assert late == [], f"{len(late)} of {len(scored)} agents heard nothing in time"
+    lifetimes = _record_agents(monkeypatch)
+    interval = _run_join_ramp(n_edges)
+    _assert_every_agent_heard(lifetimes, interval, n_edges // 2)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    _FAN_OUT + " (1(a)), and only one receiver per node is addressed (1(b)): "
+    "67 of 160 agents are late"))
+def test_every_federated_agent_hears_a_suggestion_within_three_intervals(monkeypatch):
+    lifetimes = _record_agents(monkeypatch)
+    interval = _run_federated_crowd()
+    _assert_every_agent_heard(lifetimes, interval, 64)

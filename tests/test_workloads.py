@@ -11,9 +11,11 @@ from repro.experiments.scenario import Scenario
 from repro.faults.plan import FaultPlan
 from repro.obs.bus import EventBus
 from repro.simnet.link import DROP_REASONS, DROP_WIRELESS
+from repro.simnet.queues import DropTailQueue
 from repro.simnet.rng import zipf_weights
 from repro.simnet.wireless import WirelessEdgeLink
 from repro.workloads.builders import assign_sessions, diurnal_leave_times, flash_crowd_times
+from repro.workloads import runner as runner_mod
 from repro.workloads.runner import WorkloadRunner
 from repro.workloads.spec import ReceiverSpec, WorkloadEvent, WorkloadSpec
 
@@ -204,15 +206,15 @@ def test_wireless_link_validation():
     sched = sc.sched
     a, b = sc.network.node("a"), sc.network.node("b")
     with pytest.raises(ValueError):
-        WirelessEdgeLink(sched, a, b, 1e6, 0.1, loss_rate=1.0,
+        WirelessEdgeLink(sched, a, b, 1e6, 0.1, DropTailQueue(8), loss_rate=1.0,
                          rng=sc.rngs.fork("w"))
     with pytest.raises(ValueError):
-        WirelessEdgeLink(sched, a, b, 1e6, 0.1, loss_rate=-0.1,
+        WirelessEdgeLink(sched, a, b, 1e6, 0.1, DropTailQueue(8), loss_rate=-0.1,
                          rng=sc.rngs.fork("w2"))
     with pytest.raises(ValueError, match="seeded rng"):
-        WirelessEdgeLink(sched, a, b, 1e6, 0.1, loss_rate=0.5)
+        WirelessEdgeLink(sched, a, b, 1e6, 0.1, DropTailQueue(8), loss_rate=0.5)
     # Lossless needs no rng at all.
-    WirelessEdgeLink(sched, a, b, 1e6, 0.1)
+    WirelessEdgeLink(sched, a, b, 1e6, 0.1, DropTailQueue(8))
 
 
 def _wireless_scenario(loss, seed=3):
@@ -284,9 +286,16 @@ def _runner_scenario(size=10, seed=2, mode="controlled"):
     return sc, spec
 
 
+@pytest.fixture
+def two_second_samples(monkeypatch):
+    """The runner samples every 2 s instead of every 5 s."""
+    monkeypatch.setattr(runner_mod, "SAMPLE_INTERVAL", 2.0)
+
+
+@pytest.mark.usefixtures("two_second_samples")
 def test_runner_parks_population_until_joined():
     sc, spec = _runner_scenario()
-    runner = WorkloadRunner(sc, spec, sample_interval=2.0).install()
+    runner = WorkloadRunner(sc, spec).install()
     with pytest.raises(RuntimeError):
         runner.install()
     sc.run(2.0)  # before the flash crowd
@@ -300,9 +309,10 @@ def test_runner_parks_population_until_joined():
     assert len(runner.samples) > 3
 
 
+@pytest.mark.usefixtures("two_second_samples")
 def test_runner_emits_workload_topics():
     sc, spec = _runner_scenario(size=6)
-    WorkloadRunner(sc, spec, sample_interval=2.0).install()
+    WorkloadRunner(sc, spec).install()
     bus = EventBus()
     topics = []
     bus.subscribe("workload.*", lambda ev: topics.append(ev.topic))
@@ -319,6 +329,7 @@ def test_parked_receiver_requires_level_zero():
                         parked=True)
 
 
+@pytest.mark.usefixtures("two_second_samples")
 def test_flash_crowd_10k_joins_deterministically():
     """The acceptance-scale point: >= 10^4 joins, replayed bit-identically
     across two fresh builds of the same seed and spec."""
@@ -334,7 +345,7 @@ def test_flash_crowd_10k_joins_deterministically():
         spec.zipf_sessions([f"c{i}" for i in range(10_000)], edges,
                            [sess.session_id], seed=1, mode="static")
         spec.flash_crowd(at=2.0, size=10_000, ramp=3.0, shape="exp", seed=2)
-        runner = WorkloadRunner(sc, spec, sample_interval=2.0).install()
+        runner = WorkloadRunner(sc, spec).install()
         sc.run(10.0)
         return runner.summary()
 
@@ -344,6 +355,7 @@ def test_flash_crowd_10k_joins_deterministically():
     assert one == run_once()
 
 
+@pytest.mark.usefixtures("two_second_samples")
 def test_multicast_refcount_survives_co_located_crowd():
     """Two receivers sharing a node and group: the first leave must not
     tear down the branch the second still needs."""
@@ -354,7 +366,7 @@ def test_multicast_refcount_survives_co_located_crowd():
         for rs in spec.population
     ]
     spec.leave(10.0, spec.population[0].receiver_id)
-    runner = WorkloadRunner(sc, spec, sample_interval=2.0).install()
+    runner = WorkloadRunner(sc, spec).install()
     sc.run(12.0)  # the leave at t=10 has fired
     survivor = sc.receiver_handle(spec.population[1].receiver_id)
     assert runner.leaves_fired == 1
