@@ -30,7 +30,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..media.receiver import LayeredReceiver
-from ..simnet.rng import fallback_rng
 
 __all__ = ["RLMReceiver"]
 
@@ -53,11 +52,12 @@ class RLMReceiver:
     def __init__(
         self,
         receiver: LayeredReceiver,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ):
         self.receiver = receiver
         self.sched = receiver.sched
-        self.rng = rng if rng is not None else fallback_rng()
+        self.rng = rng
         n = receiver.schedule.n_layers
         #: Current join-timer duration per layer (1-based index).
         self.join_timer: Dict[int, float] = {l: T_JOIN_INIT for l in range(1, n + 1)}

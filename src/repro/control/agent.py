@@ -51,7 +51,6 @@ from ..core.types import ReceiverReport, SessionInput, SuggestionSet
 from ..media.receiver import LayeredReceiver
 from ..simnet.node import Node
 from ..simnet.packet import CONTROL, Packet
-from ..simnet.rng import fallback_rng
 from .discovery import DiscoveryUnavailable, TopologyDiscovery
 from .guard import ReportGuard
 from .messages import (
@@ -105,7 +104,8 @@ class ReceiverAgent:
         receiver: LayeredReceiver,
         controller_node: Any,
         interval: float = 2.0,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         reregister_after: Optional[float] = None,
         controller_candidates: Optional[List[Any]] = None,
     ) -> None:
@@ -122,7 +122,7 @@ class ReceiverAgent:
         self._candidate_index = 0
         self.controller_node = self.controller_candidates[0]
         self.interval = interval
-        self.rng = rng if rng is not None else fallback_rng()
+        self.rng = rng
         #: Controller-silence deadline: with no ack/suggestion for this long
         #: the agent declares the controller dead, drops its registration and
         #: re-registers (rotating candidates), so a failed-over controller
@@ -249,7 +249,6 @@ class ReceiverAgent:
                 kind=CONTROL,
                 port=CONTROL_PORT,
                 payload=msg,
-                created_at=self.sched.now,
             )
         )
 
@@ -645,7 +644,6 @@ class ControllerAgent:
                 kind=CONTROL,
                 port=port,
                 payload=msg,
-                created_at=self.sched.now,
             )
         )
 

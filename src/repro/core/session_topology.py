@@ -77,9 +77,6 @@ class SessionTree:
         if unreachable:
             raise ValueError(f"nodes not reachable from root: {sorted(map(str, unreachable))}")
         self._topdown: Tuple[Any, ...] = tuple(order)
-        self.leaves: Tuple[Any, ...] = tuple(
-            n for n in order if not self.children.get(n)
-        )
         bad = [n for n in receivers if n not in seen]
         if bad:
             raise ValueError(f"receivers on unknown nodes: {bad}")

@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..simnet.rng import fallback_rng
 from .bottleneck import compute_bottlenecks, compute_handleable
 from .capacity import LinkCapacityEstimator, LinkObservation
 from .config import TopoSenseConfig
@@ -51,17 +50,18 @@ class TopoSense:
     config:
         Algorithm knobs; defaults to :class:`TopoSenseConfig()`.
     rng:
-        Generator for the random back-off draws.  Defaults to a fixed-seed
-        generator so standalone use is reproducible.
+        Generator for the random back-off draws (a forked
+        :class:`~repro.simnet.rng.RngRegistry` stream).
     """
 
     def __init__(
         self,
         config: Optional[TopoSenseConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         self.config = config if config is not None else TopoSenseConfig()
-        self.rng = rng if rng is not None else fallback_rng()
+        self.rng = rng
         self.state = ControllerState()
         self.estimator = LinkCapacityEstimator(self.config)
         self._last_update: Optional[float] = None

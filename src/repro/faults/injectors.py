@@ -304,8 +304,7 @@ class FaultInjector(_Injector):
 def _clone(pkt: Packet) -> Packet:
     return Packet(
         src=pkt.src, dst=pkt.dst, group=pkt.group, size=pkt.size,
-        seq=pkt.seq, session=pkt.session, layer=pkt.layer, kind=pkt.kind,
-        port=pkt.port, payload=pkt.payload, created_at=pkt.created_at,
+        seq=pkt.seq, kind=pkt.kind, port=pkt.port, payload=pkt.payload,
     )
 
 

@@ -15,7 +15,9 @@ so chaos runs can be stored as JSON and replayed by
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..experiments.membership import churn_events
@@ -23,8 +25,43 @@ from .injectors import FaultInjector, FederationInjector, kinds_of
 
 __all__ = ["FaultEvent", "FaultPlan"]
 
+#: The kinds a :class:`FaultInjector` runs on a scenario.
+_SCENARIO_KINDS = kinds_of(FaultInjector)
 #: Every fault kind: one injector method each (see :func:`kinds_of`).
-KINDS = kinds_of(FaultInjector) + kinds_of(FederationInjector)
+KINDS = _SCENARIO_KINDS + kinds_of(FederationInjector)
+#: Scenario kinds that act on a node, and the parameter naming it.
+_NODE_PARAM = {"node_crash": "name", "node_recover": "name", "control_corrupt": "node"}
+
+
+@lru_cache(maxsize=None)
+def _signature(kind: str) -> inspect.Signature:
+    return inspect.signature(getattr(FaultInjector, kind))
+
+
+def _check(event: "FaultEvent", scenario: Any) -> None:
+    """Raise ValueError unless the event's arguments bind to its scenario
+    injector method and the link, node or receiver it names exists."""
+    kind = event.kind
+    if kind not in _SCENARIO_KINDS:
+        raise ValueError(f"{kind!r} is not a scenario fault kind")
+    try:
+        arguments = _signature(kind).bind(None, *event.args, **event.kwargs).arguments
+    except TypeError as exc:
+        raise ValueError(f"{kind} {list(event.args)} {event.kwargs}: {exc}") from None
+    network = scenario.network
+    if kind.startswith("link_"):
+        a, b = arguments["a"], arguments["b"]
+        if (a, b) not in network.links:
+            raise ValueError(f"{kind}: no link {a!r} -> {b!r}")
+    elif kind in _NODE_PARAM:
+        node = arguments[_NODE_PARAM[kind]]
+        if node not in network.nodes:
+            raise ValueError(f"{kind}: unknown node {node!r}")
+    elif "receiver_id" in arguments:
+        try:
+            scenario.receiver_handle(arguments["receiver_id"])
+        except KeyError as exc:
+            raise ValueError(f"{kind}: {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -160,7 +197,10 @@ class FaultPlan:
         Returns the bound :class:`~repro.faults.injectors.FaultInjector`
         (pass one in to accumulate a shared log across plans).  Events in
         the past relative to the scenario clock are rejected — apply the
-        plan before running.
+        plan before running — and so is an event whose arguments do not
+        fit its kind's injector method or that names a link, node or
+        receiver the scenario lacks, so a plan read from a file fails here
+        and not when the event fires.
         """
         if injector is None:
             injector = FaultInjector(scenario)
@@ -170,6 +210,7 @@ class FaultPlan:
                 raise ValueError(
                     f"fault event at t={ev.time} is in the past (now={now})"
                 )
+            _check(ev, scenario)
             scenario.sched.at(ev.time, injector.execute, ev.kind, ev.args, ev.kwargs)
         return injector
 
@@ -185,17 +226,27 @@ class FaultPlan:
         ]
 
     @classmethod
-    def from_dicts(cls, rows: Iterable[dict]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dicts` output."""
-        return cls(
-            FaultEvent(
+    def from_dicts(cls, rows: List[dict]) -> "FaultPlan":
+        """Rebuild a plan from :meth:`to_dicts` output; anything but a list
+        of ``{"time", "kind", "args", "kwargs"}`` objects is a ValueError."""
+        if not isinstance(rows, list):
+            raise ValueError(f"a fault plan is a list of events, got {type(rows).__name__}")
+        events = []
+        for row in rows:
+            if not (isinstance(row, dict) and "kind" in row
+                    and isinstance(row.get("time"), (int, float))
+                    and isinstance(row.get("args", []), list)
+                    and isinstance(row.get("kwargs", {}), dict)):
+                raise ValueError(
+                    "a fault event is {\"time\": number, \"kind\", \"args\": list, "
+                    f"\"kwargs\": object}}, got {row!r}")
+            events.append(FaultEvent(
                 float(row["time"]),
                 row["kind"],
                 tuple(row.get("args", ())),
                 dict(row.get("kwargs", {})),
-            )
-            for row in rows
-        )
+            ))
+        return cls(events)
 
     # ------------------------------------------------------------------
     #: clearing kind -> kinds that re-break the same target.

@@ -34,10 +34,9 @@ counters, so they are counted rather than simulated:
   as sent-unheard, the rest are scheduled through ``Scheduler.at`` at the
   float times ``t0 + (offset + i*spacing)`` an unparked train would have
   used, and take the sequence numbers they would have had;
-* **settle** — what is left of a parked train at the next slot boundary, or
-  the part of it already due at :meth:`LayeredSource.stop`, goes into the
-  counters; ``next_seq`` / ``packets_sent`` / ``bytes_sent`` read at any
-  instant include the parked emits due by then (settle-on-read).
+* **settle** — what is left of a parked train at the next slot boundary
+  goes into the counters; ``packets_sent`` read at any instant includes the
+  parked emits due by then (settle-on-read).
 
 **Tie rule.**  For a parked train an emit is *already due* when its time is
 strictly before ``now``.  An emit due at exactly the instant its group
@@ -46,10 +45,7 @@ an emit's instant does not include it yet.
 
 A layer pruned *mid-slot* keeps the emit events it already has until the
 slot ends; ``_emit`` returns early for those (at most one slot of no-ops).
-:meth:`LayeredSource.stop` retires the slot's trains for good: scheduled
-emits carry the generation they were made in and do nothing once it is
-stale, parked trains are settled up to ``now`` and dropped — a source
-restarted mid-slot sends the new train only.
+A source, once started, transmits until the run ends.
 """
 
 from __future__ import annotations
@@ -76,18 +72,15 @@ SLOT = 1.0
 class _LayerSender:
     """Per-layer transmit state: one emission counter, and the parked train.
 
-    Every emit takes the next sequence number and sends one packet of the
-    source's fixed size, so ``next_seq``, ``packets_sent`` and ``bytes_sent``
-    are one number, read through properties that add the parked emits
-    already due (strictly before ``now``) without settling them.
+    Every emit takes the next sequence number, so ``packets_sent`` is also
+    the next sequence number; it adds the parked emits already due
+    (strictly before ``now``) without settling them.
     """
 
-    __slots__ = ("layer", "group", "rate", "phase", "sent", "parked", "_source")
+    __slots__ = ("group", "rate", "phase", "sent", "parked", "_source")
 
-    def __init__(self, source: "LayeredSource", layer: int, group: int, rate: float,
-                 phase: float = 0.0):
+    def __init__(self, source: "LayeredSource", group: int, rate: float, phase: float = 0.0):
         self._source = source
-        self.layer = layer
         self.group = group
         self.rate = rate
         #: Fraction of the inter-packet spacing this layer's train is offset
@@ -114,12 +107,6 @@ class _LayerSender:
     def packets_sent(self) -> int:
         return self.sent + self.due()
 
-    next_seq = packets_sent
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.packets_sent * DEFAULT_PACKET_SIZE
-
 
 class LayeredSource:
     """Application that multicasts a layered session from a node.
@@ -135,7 +122,7 @@ class LayeredSource:
     node:
         The host node the source runs on.
     session_id:
-        Identifier of the session (appears in every packet).
+        Identifier of the session.
     groups:
         One group address per layer, index 0 = base layer.
     schedule:
@@ -189,57 +176,27 @@ class LayeredSource:
         self.senders: List[_LayerSender] = [
             _LayerSender(
                 self,
-                i + 1,
                 g,
                 schedule.rate(i + 1),
                 phase=float(rng.uniform(0.0, 1.0)) if phase_jitter else 0.0,
             )
             for i, g in enumerate(groups)
         ]
-        self._running = False
-        self._slot_event = None
-        #: Bumped by :meth:`stop`; an emit event made in an older generation
-        #: belongs to a retired train and does nothing.
-        self._gen = 0
         for sender in self.senders:
             node.add_group_waker(sender.group, partial(self._wake, sender))
 
     # ------------------------------------------------------------------
-    def start(self, at: Optional[float] = None) -> None:
-        """Begin transmitting all layers (immediately or at time ``at``)."""
-        if self._running:
-            return
-        self._running = True
-        when = self.sched.now if at is None else at
-        self._slot_event = self.sched.at(when, self._run_slot)
-
-    def stop(self) -> None:
-        """Stop transmitting: the pending slot event is cancelled and the
-        current slot's trains are retired — scheduled emits go stale, parked
-        trains are settled up to ``now`` and never woken."""
-        self._running = False
-        self._gen += 1
-        if self._slot_event is not None:
-            self._slot_event.cancel()
-            self._slot_event = None
-        for sender in self.senders:
-            sender.sent += sender.due()
-            sender.parked = None
-
-    @property
-    def running(self) -> bool:
-        """Whether the source is currently transmitting."""
-        return self._running
+    def start(self) -> None:
+        """Begin transmitting all layers now; call once."""
+        self.sched.at(self.sched.now, self._run_slot)
 
     # ------------------------------------------------------------------
     def _run_slot(self) -> None:
         """Settle last slot's parked trains, draw this slot's ``n`` for every
         layer, schedule the heard layers' emits and park the rest."""
-        if not self._running:
-            return
         bits_per_packet = DEFAULT_PACKET_SIZE * 8.0
         sched = self.sched
-        at, now, emit, gen = sched.at, sched.now, self._emit, self._gen
+        at, now, emit = sched.at, sched.now, self._emit
         node = self.node
         # A dead node charges ``dropped_dead`` per packet: nothing parks.
         parkable = node.alive
@@ -259,8 +216,8 @@ class LayeredSource:
                 sender.parked = (now, n, spacing, offset)
                 continue
             for i in range(n):
-                at(now + (offset + i * spacing), emit, sender, gen)
-        self._slot_event = at(now + SLOT, self._run_slot)
+                at(now + (offset + i * spacing), emit, sender)
+        at(now + SLOT, self._run_slot)
 
     def _wake(self, sender: _LayerSender) -> None:
         """The sender's group gained a listener (or the node crashed): count
@@ -271,9 +228,9 @@ class LayeredSource:
         t0, n, spacing, offset = sender.parked
         sender.parked = None
         sender.sent += due
-        at, emit, gen = self.sched.at, self._emit, self._gen
+        at, emit = self.sched.at, self._emit
         for i in range(due, n):
-            at(t0 + (offset + i * spacing), emit, sender, gen)
+            at(t0 + (offset + i * spacing), emit, sender)
 
     def _draw_packets(self, mean_packets: float) -> int:
         """Number of packets this slot for a layer with mean ``mean_packets``."""
@@ -285,9 +242,7 @@ class LayeredSource:
             return max(int(round(burst)), 1)
         return 1
 
-    def _emit(self, sender: _LayerSender, gen: int) -> None:
-        if gen != self._gen:  # the train was retired by stop()
-            return
+    def _emit(self, sender: _LayerSender) -> None:
         node = self.node
         group = sender.group
         seq = sender.sent
@@ -303,8 +258,5 @@ class LayeredSource:
             group=group,
             size=DEFAULT_PACKET_SIZE,
             seq=seq,
-            session=self.session_id,
-            layer=sender.layer,
             kind=DATA,
-            created_at=self.sched.now,
         ))

@@ -45,7 +45,6 @@ from time import perf_counter
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..simnet.topology import Network
-from .addressing import GroupAllocator
 from .builders import SPTBuilder, graft
 
 __all__ = ["GroupState", "MulticastManager"]
@@ -127,7 +126,6 @@ class MulticastManager:
         #: While it is the current epoch the tree is canonical, and grafts
         #: and prunes edit it in place.
         self._canonical: Dict[Any, int] = {}
-        self.allocator = GroupAllocator()
         #: Optional :class:`~repro.obs.profile.Profiler`; when set, tree
         #: construction charges ``tree.build``.
         self.profiler: Optional[Any] = None
@@ -150,14 +148,16 @@ class MulticastManager:
     # ------------------------------------------------------------------
     # Group lifecycle
     # ------------------------------------------------------------------
-    def create_group(self, source: Any, group: Optional[int] = None) -> int:
-        """Register a group rooted at ``source``; returns its address."""
+    def create_group(self, source: Any) -> int:
+        """Register a group rooted at ``source``; returns its address.
+
+        Addresses are small integers handed out 1, 2, 3, …; groups are
+        never deleted, so the next address is one past the count.  In the
+        layered model each *layer* of each *session* has its own group
+        (paper §III)."""
         if source not in self.network.nodes:
             raise KeyError(f"unknown source node {source!r}")
-        if group is None:
-            group = self.allocator.allocate()
-        if group in self.groups:
-            raise ValueError(f"group {group} already exists")
+        group = len(self.groups) + 1
         state = GroupState(group, source)
         self.groups[group] = state
         self._trees.setdefault(source, {})
@@ -482,9 +482,10 @@ class MulticastManager:
         rebuilds the tree.
         """
         members = set().union(*(s.members for s in self.groups.values() if s.source == source))
-        wall0 = perf_counter()
-        edges = self.builder.build(source, members, self.network)
         prof = self.profiler
+        if prof is not None:
+            wall0 = perf_counter()
+        edges = self.builder.build(source, members, self.network)
         if prof is not None:
             prof.add("tree.build", perf_counter() - wall0)
         self._canonical[source] = self.network.topology_epoch

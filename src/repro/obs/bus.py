@@ -184,7 +184,6 @@ class EventBus:
         self._subs: Dict[str, List[Subscriber]] = {}
         # topic -> resolved subscriber tuple (invalidated on (un)subscribe)
         self._routes: Dict[str, Tuple[Subscriber, ...]] = {}
-        self.emitted = 0
 
     # ------------------------------------------------------------------
     def subscribe(self, pattern: str, fn: Subscriber) -> Subscriber:
@@ -244,6 +243,5 @@ class EventBus:
         if not route:
             return
         ev = BusEvent(time, topic, data)
-        self.emitted += 1
         for fn in route:
             fn(ev)

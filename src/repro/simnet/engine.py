@@ -84,7 +84,6 @@ class Scheduler:
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._seq = 0
-        self._stopped = False
         #: Current simulated time in seconds.  A plain attribute because it
         #: is read on every packet hop; **read-only** for everyone but the
         #: scheduler itself.
@@ -189,7 +188,6 @@ class Scheduler:
         if until < self.now:
             raise SimulationError(f"cannot run backwards to t={until} from t={self.now}")
         heap = self._heap
-        self._stopped = False
         pop = heappop
         # Hoisted observability state: the per-event cost of an unobserved
         # run stays at zero extra work, and a bus without a dispatch
@@ -200,7 +198,7 @@ class Scheduler:
         prof = self.profiler
         if prof is not None:
             wall0 = perf_counter()
-        while heap and not self._stopped:
+        while heap:
             if heap[0][0] > until:
                 break
             time, seq, fn, args = pop(heap)
@@ -214,8 +212,7 @@ class Scheduler:
                     fn=getattr(fn, "__qualname__", repr(fn)),
                 )
             fn(*args)
-        if not self._stopped:
-            self.now = until
+        self.now = until
         if prof is not None:
             prof.add("sched.run", perf_counter() - wall0)
 
@@ -231,7 +228,3 @@ class Scheduler:
             fn(*args)
             return True
         return False
-
-    def stop(self) -> None:
-        """Abort a :meth:`run` in progress after the current event returns."""
-        self._stopped = True

@@ -227,7 +227,6 @@ class Link:
                 break
             # Flushed packets were accepted earlier but never transmitted;
             # account them as drops so loss metrics see the outage.
-            stats.dequeued -= 1
             stats.dropped += 1
             stats.bytes_dropped += pkt.size
             flushed += 1

@@ -42,14 +42,12 @@ Handler = Callable[[Packet], None]
 
 
 class NodeStats:
-    """Per-node forwarding counters."""
+    """Per-node drop tallies: packets with no route or handler, and packets
+    handed to a dead node."""
 
-    __slots__ = ("received", "forwarded", "delivered", "no_route", "dropped_dead")
+    __slots__ = ("no_route", "dropped_dead")
 
     def __init__(self) -> None:
-        self.received = 0
-        self.forwarded = 0
-        self.delivered = 0
         self.no_route = 0
         self.dropped_dead = 0
 
@@ -164,8 +162,6 @@ class Node:
         if not self.alive:
             self.stats.dropped_dead += 1
             return
-        self.stats.received += 1
-        pkt.hops += 1
         if pkt.group is not None:
             self._handle_multicast(pkt, from_link)
         else:
@@ -176,7 +172,6 @@ class Node:
         if not self.alive:
             self.stats.dropped_dead += 1
             return
-        pkt.hops = 0
         if pkt.group is not None:
             self._handle_multicast(pkt, None)
         else:
@@ -186,7 +181,6 @@ class Node:
         group = pkt.group
         handlers = self.group_handlers.get(group)
         if handlers:
-            self.stats.delivered += 1
             # Copy the list: a handler may unsubscribe during delivery.
             for handler in list(handlers):
                 handler(pkt)
@@ -197,14 +191,12 @@ class Node:
         links = self.links
         for neighbor in out:
             if neighbor != incoming:
-                self.stats.forwarded += 1
                 links[neighbor].send(pkt)
 
     def _handle_unicast(self, pkt: Packet) -> None:
         if pkt.dst == self.name:
             handler = self.port_handlers.get(pkt.port)
             if handler is not None:
-                self.stats.delivered += 1
                 handler(pkt)
             else:
                 self.stats.no_route += 1
@@ -213,7 +205,6 @@ class Node:
         if hop is None:
             self.stats.no_route += 1
             return
-        self.stats.forwarded += 1
         self.links[hop].send(pkt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

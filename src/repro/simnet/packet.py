@@ -35,8 +35,6 @@ class Packet:
         Size in bytes (headers included); defaults to the paper's 1000 B.
     seq:
         Per-flow sequence number; receivers detect losses from gaps.
-    session / layer:
-        For layered media packets, the session id and 1-based layer index.
     kind:
         ``DATA`` or ``CONTROL``.
     port:
@@ -52,13 +50,9 @@ class Packet:
         "group",
         "size",
         "seq",
-        "session",
-        "layer",
         "kind",
         "port",
         "payload",
-        "created_at",
-        "hops",
     )
 
     def __init__(
@@ -68,12 +62,9 @@ class Packet:
         group: Optional[int] = None,
         size: int = DEFAULT_PACKET_SIZE,
         seq: int = 0,
-        session: Optional[int] = None,
-        layer: int = 0,
         kind: str = DATA,
         port: Optional[str] = None,
         payload: Any = None,
-        created_at: float = 0.0,
     ):
         if (dst is None) == (group is None):
             raise ValueError("packet must have exactly one of dst (unicast) or group (multicast)")
@@ -84,22 +75,10 @@ class Packet:
         self.group = group
         self.size = size
         self.seq = seq
-        self.session = session
-        self.layer = layer
         self.kind = kind
         self.port = port
         self.payload = payload
-        self.created_at = created_at
-        self.hops = 0
-
-    @property
-    def is_multicast(self) -> bool:
-        """True when the packet is addressed to a multicast group."""
-        return self.group is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        addr = f"g{self.group}" if self.is_multicast else f"->{self.dst}"
-        return (
-            f"<Packet {self.kind} {self.src}{addr} seq={self.seq}"
-            f" sess={self.session} layer={self.layer} {self.size}B>"
-        )
+        addr = f"->{self.dst}" if self.group is None else f"g{self.group}"
+        return f"<Packet {self.kind} {self.src}{addr} seq={self.seq} {self.size}B>"

@@ -18,21 +18,14 @@ __all__ = ["QueueStats", "DropTailQueue", "REDQueue"]
 
 
 class QueueStats:
-    """Counters shared by all queue disciplines."""
+    """Drop tallies shared by all queue disciplines (tail, early and
+    link-down drops alike)."""
 
-    __slots__ = ("enqueued", "dropped", "dequeued", "bytes_enqueued", "bytes_dropped")
+    __slots__ = ("dropped", "bytes_dropped")
 
     def __init__(self) -> None:
-        self.enqueued = 0
         self.dropped = 0
-        self.dequeued = 0
-        self.bytes_enqueued = 0
         self.bytes_dropped = 0
-
-    @property
-    def offered(self) -> int:
-        """Total packets offered to the queue (accepted + dropped)."""
-        return self.enqueued + self.dropped
 
 
 class DropTailQueue:
@@ -51,21 +44,18 @@ class DropTailQueue:
 
     def push(self, pkt: Packet) -> bool:
         """Offer ``pkt``; returns True if accepted, False if tail-dropped."""
-        stats = self.stats
         if len(self._q) >= self.capacity:
+            stats = self.stats
             stats.dropped += 1
             stats.bytes_dropped += pkt.size
             return False
         self._q.append(pkt)
-        stats.enqueued += 1
-        stats.bytes_enqueued += pkt.size
         return True
 
     def pop(self) -> Optional[Packet]:
         """Remove and return the head-of-line packet, or None when empty."""
         if not self._q:
             return None
-        self.stats.dequeued += 1
         return self._q.popleft()
 
     def __len__(self) -> int:
@@ -125,6 +115,4 @@ class REDQueue(DropTailQueue):
             self.stats.bytes_dropped += pkt.size
             return False
         self._q.append(pkt)
-        self.stats.enqueued += 1
-        self.stats.bytes_enqueued += pkt.size
         return True

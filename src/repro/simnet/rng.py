@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["RngRegistry", "fallback_rng", "stream_seed", "zipf_weights"]
+__all__ = ["RngRegistry", "stream_seed", "zipf_weights"]
 
 
 def stream_seed(seed: int, name: str) -> int:
@@ -29,22 +29,6 @@ def stream_seed(seed: int, name: str) -> int:
         f"{int(seed)}:{name}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")
-
-
-def fallback_rng() -> np.random.Generator:
-    """The sanctioned registry-less default generator (seed 0).
-
-    Components accept an optional ``rng`` and most callers pass a
-    registry-forked stream; the unit-test convenience path that passes
-    nothing still needs *a* deterministic generator.  Centralising the
-    fallback here keeps the constant seed in exactly one module —
-    ``tests/test_source_rules.py`` flags it in any other file under
-    ``src/repro/`` — and makes the fallback searchable when hunting
-    accidental stream sharing.
-    Each call returns a fresh generator, so two components falling back
-    do not interleave draws on one stream.
-    """
-    return np.random.default_rng(0)
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:

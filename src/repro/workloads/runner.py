@@ -84,12 +84,20 @@ class WorkloadRunner:
     def install(self) -> "WorkloadRunner":
         """Park the population and schedule every event; idempotent-guarded.
 
-        Call after the scenario's sessions exist and before ``run()``.
+        Call after the scenario's sessions exist and before ``run()``.  A
+        population member on a node or in a session the scenario lacks is a
+        ValueError, raised before anything is installed.
         """
         if self._installed:
             raise RuntimeError("workload already installed")
-        self._installed = True
         sc = self.scenario
+        for rs in self.spec.population:
+            if rs.node not in sc.network.nodes:
+                raise ValueError(f"receiver {rs.receiver_id!r}: unknown node {rs.node!r}")
+            if rs.session_id not in sc.sessions:
+                raise ValueError(
+                    f"receiver {rs.receiver_id!r}: unknown session {rs.session_id!r}")
+        self._installed = True
         for rs in self.spec.population:
             handle = sc.add_receiver(
                 rs.session_id, rs.node, receiver_id=rs.receiver_id,

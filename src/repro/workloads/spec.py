@@ -63,6 +63,18 @@ def _event_key(e: WorkloadEvent) -> Tuple[float, str, str]:
     return (e.time, e.kind, str(e.receiver_id))
 
 
+def _rows(data: Any, key: str, fields: Tuple[str, ...]) -> List[dict]:
+    """``data[key]``, checked to be a list of objects that carry ``fields``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a workload spec is an object, got {type(data).__name__}")
+    rows = data.get(key, [])
+    if not (isinstance(rows, list)
+            and all(isinstance(r, dict) and all(f in r for f in fields) for r in rows)):
+        raise ValueError(f"a workload spec's {key!r} is a list of objects with "
+                         f"{', '.join(fields)}")
+    return rows
+
+
 class WorkloadSpec:
     """A population plus its ordered membership events."""
 
@@ -113,7 +125,7 @@ class WorkloadSpec:
         events = list(events)
         for ev in events:
             if ev.receiver_id not in self._by_id:
-                raise KeyError(
+                raise ValueError(
                     f"unknown receiver {ev.receiver_id!r} (add_receiver first)"
                 )
         self.events.extend(events)
@@ -249,22 +261,25 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(
-            population=(
-                ReceiverSpec(
-                    row["receiver_id"], row["node"], row["session_id"],
-                    row.get("mode", "controlled"),
-                    row.get("controller", "default"),
-                )
-                for row in data.get("population", ())
-            ),
-            events=(
-                WorkloadEvent(float(row["time"]), row["kind"],
-                              row["receiver_id"])
-                for row in data.get("events", ())
-            ),
+        """Rebuild a spec from :meth:`to_dict` output.  A wrong shape, or an
+        event for a receiver not in the population, is a ValueError."""
+        population = _rows(data, "population", ("receiver_id", "node", "session_id"))
+        events = _rows(data, "events", ("time", "kind", "receiver_id"))
+        if not all(isinstance(row["time"], (int, float)) for row in events):
+            raise ValueError("a workload event's time is a number")
+        spec = cls(
+            ReceiverSpec(
+                row["receiver_id"], row["node"], row["session_id"],
+                row.get("mode", "controlled"),
+                row.get("controller", "default"),
+            )
+            for row in population
         )
+        spec._extend(
+            WorkloadEvent(float(row["time"]), row["kind"], row["receiver_id"])
+            for row in events
+        )
+        return spec
 
     def __len__(self) -> int:
         return len(self.events)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXPERIMENTS, FIGURES, main
-from repro.experiments import figures
+from repro.experiments import crowd, figures
 
 
 class TestFigureDrivers:
@@ -307,6 +307,52 @@ def test_crowd_spec_with_several_sizes_is_a_usage_error(capsys, tmp_path):
         ["crowd", "--no-artifacts", "--sizes", "8,16", "--spec", str(spec)],
         capsys, "an explicit spec drives exactly one size",
     )
+
+
+def _crowd_spec(edit):
+    spec = crowd.crowd_spec_for(4, seed=2, duration=10.0, n_edges=2).to_dict()
+    edit(spec)
+    return spec
+
+
+_LINK = {"time": 5.0, "kind": "link_down", "args": ["core", "agg_a"]}
+
+#: Replay input that parses but names nothing: ``(experiment, input kind,
+#: document, what the one-line error says)``.
+NAMES_NOTHING = {
+    "plan-is-an-object": ("chaos", "plan", _LINK, "a fault plan is a list of events"),
+    "plan-ghost-receiver": (
+        "chaos", "plan", [{"time": 5.0, "kind": "receiver_leave", "args": ["ghost"]}],
+        "receiver_leave: unknown receiver 'ghost'"),
+    "plan-ghost-link": (
+        "chaos", "plan", [{**_LINK, "args": ["core", "nowhere"]}],
+        "link_down: no link 'core' -> 'nowhere'"),
+    "plan-one-endpoint": (
+        "chaos", "plan", [{**_LINK, "args": ["core"]}],
+        "missing a required argument: 'b'"),
+    "spec-ghost-event": (
+        "crowd", "spec",
+        _crowd_spec(lambda d: d["events"].append(
+            {"time": 5.0, "kind": "join", "receiver_id": "ghost"})),
+        "unknown receiver 'ghost'"),
+    "spec-ghost-node": (
+        "crowd", "spec", _crowd_spec(lambda d: d["population"][0].update(node="nowhere")),
+        "unknown node 'nowhere'"),
+}
+
+
+@pytest.mark.parametrize("name, kind, doc, message", list(NAMES_NOTHING.values()),
+                         ids=list(NAMES_NOTHING))
+def test_replay_input_that_names_nothing_exits_two(name, kind, doc, message, capsys,
+                                                   tmp_path):
+    """Caught before the run, not as a KeyError or TypeError when the event
+    fires: exit 2 with one line (exit 1 would say a gate failed)."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    args = ["--sizes", "4", "--edges", "2", "--loss", "0", "--duration", "10",
+            "--federated-crowd", "0"] if name == "crowd" else []
+    _assert_usage_error([name, "--no-artifacts", *args, f"--{kind}", str(path)],
+                        capsys, message)
 
 
 def test_fedchaos_save_plan_needs_a_single_point(capsys, tmp_path):

@@ -144,20 +144,6 @@ def test_step_executes_single_event():
     assert s.step() is False
 
 
-def test_stop_aborts_run():
-    s = Scheduler()
-    hits = []
-    s.after(1.0, hits.append, "a")
-    s.after(1.5, s.stop)
-    s.after(2.0, hits.append, "b")
-    s.run(until=10.0)
-    assert hits == ["a"]
-    assert s.now == 1.5
-    # resume: remaining event still pending
-    s.run(until=10.0)
-    assert hits == ["a", "b"]
-
-
 def test_every_repeats_until_stopiteration():
     s = Scheduler()
     hits = []

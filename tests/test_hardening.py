@@ -74,7 +74,7 @@ def _deliver(agent, msg):
     """Hand a control message straight to the receiver agent."""
     agent._on_packet(Packet(
         src="src", dst="rcv", size=64, kind=CONTROL,
-        port=agent.port, payload=msg, created_at=agent.sched.now,
+        port=agent.port, payload=msg,
     ))
 
 
@@ -188,7 +188,7 @@ def _to_controller(controller, msg):
     """Hand a control message straight to the controller agent."""
     controller._on_packet(Packet(
         src="rcv", dst="src", size=96, kind=CONTROL,
-        port=CONTROL_PORT, payload=msg, created_at=controller.sched.now,
+        port=CONTROL_PORT, payload=msg,
     ))
 
 
@@ -495,7 +495,7 @@ class TestPacketCorruption:
 
         def garbled(payload):
             pkt = Packet(src="a", dst="b", size=64, kind=CONTROL,
-                         port=CONTROL_PORT, payload=payload, created_at=0.0)
+                         port=CONTROL_PORT, payload=payload)
             return _garble(pkt).payload
 
         rep = garbled(Report("R", 0, 0.1, 4000.0, 1, 0.0, 1.0, seq=3))
@@ -536,8 +536,7 @@ class TestPacketCorruption:
         injector.control_corrupt("rcv", mode="reorder", rate=1.0)
         node = sc.network.node("rcv")
         pkt = Packet(src="rcv", dst="src", size=64, kind=CONTROL,
-                     port=CONTROL_PORT, payload="held-probe",
-                     created_at=sc.sched.now)
+                     port=CONTROL_PORT, payload="held-probe")
         node.send(pkt)
         assert injector._corrupting["rcv"]["held"] is pkt
         before = sc.controller.guard.rejections.get("unknown_payload", 0)

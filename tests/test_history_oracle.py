@@ -54,8 +54,8 @@ class SnapshotManager(MulticastManager):
         super().__init__(*args, **kwargs)
         self.snapshots = {}
 
-    def create_group(self, source, group=None):
-        group = super().create_group(source, group)
+    def create_group(self, source):
+        group = super().create_group(source)
         self.snapshots[group] = ([self.sched.now], [frozenset()])
         return group
 
@@ -174,7 +174,7 @@ def _report(controller, seq):
     msg = Report("R", 0, loss_rate=0.0, bytes=4000.0, level=1, t0=0.0, t1=1.0, seq=seq)
     controller._on_packet(Packet(
         src="rcv", dst="src", size=96, kind=CONTROL,
-        port=CONTROL_PORT, payload=msg, created_at=controller.sched.now,
+        port=CONTROL_PORT, payload=msg,
     ))
 
 

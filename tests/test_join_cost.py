@@ -50,6 +50,7 @@ def test_join_ramp_costs_one_search_per_role_and_one_full_build(monkeypatch):
     edge_stubs = [node for node in stubs if node.name != "src"]
     # The receivers sent their registrations, and every edge node's next
     # hop is "core", read from the map of "core": a stub has none of its own.
-    assert sum(1 for node in edge_stubs if node.stats.forwarded) >= N_EDGES // 2
+    assert sum(1 for node in edge_stubs
+               if node.links["core"].stats.tx_packets) >= N_EDGES // 2
     assert all(net.next_hop(node.name, "src") == "core" for node in edge_stubs)
     assert sorted(searches) == sorted(net._spt) == ["core", "src"]

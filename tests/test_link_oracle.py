@@ -96,7 +96,6 @@ class EagerLink(Link):
             pkt = self._queue.pop()
             if pkt is None:
                 break
-            stats.dequeued -= 1
             stats.dropped += 1
             stats.bytes_dropped += pkt.size
             flushed += 1
@@ -235,8 +234,8 @@ def test_the_oracle_scripts_hit_the_tie_and_save_events(kind):
     want, got = eager.play(script), real.play(script)
     assert got == want
     # Packet 1 ends at step 2: the offer there finds one packet on the wire
-    # (2 queued) rather than the queue full, so it is accepted.
-    # enqueued, the first queue counter after the link's three: 3 behind
-    # packet 1, and packet 5.
-    assert got["reads"][0][1][3] == 4
+    # (2 queued) rather than the queue full, so it is accepted.  At step 5
+    # the queue counters after the link's three (dropped, bytes_dropped, then
+    # the length) show no drop and packets 4 and 5 waiting behind packet 3.
+    assert got["reads"][0][1][3:6] == [0, 0, 2]
     assert real.sched.events_processed < eager.sched.events_processed

@@ -89,13 +89,6 @@ class TestR007RngProvenance:
             "r = np.random.default_rng(int.from_bytes(digest, 'little'))\n"
             "r = random.Random(seed)\nr = np.random.RandomState(None)\n")})) == []
 
-    def test_rng_home_may_constant_seed(self):
-        bad = "r = np.random.default_rng(0)\n"
-        assert unexcused(constant_seeds(parse({"simnet/rng.py": bad})),
-                         EXEMPT[constant_seeds]) == []
-        home = constant_seeds(sources())
-        assert home and all(h.startswith("simnet/rng.py:") for h in home)
-
 
 class TestSuppression:
     def test_noqa_is_per_line_and_per_code(self):
@@ -116,7 +109,8 @@ class TestEngineAndCli:
     def test_repo_lints_clean_meta(self):
         assert [c.__name__ for c in CHECKS] == [
             "constant_seeds", "float_equality", "topic_contract", "guard_coverage",
-            "annotation_names", "unused_options", "function_level_imports"]
+            "annotation_names", "unused_options", "function_level_imports",
+            "write_only_state"]
         read = {"obs/bus.py", "control/guard.py", "simnet/rng.py", "core/state.py"}
         assert read <= set(sources())
         assert {c.__name__: unexcused(c(sources()), EXEMPT.get(c, set())) for c in CHECKS} == {

@@ -31,24 +31,17 @@ def star_network():
 def test_create_group_allocates_addresses():
     sched, net = star_network()
     m = MulticastManager(net, leave_latency=2.0)
-    g1 = m.create_group("src")
-    g2 = m.create_group("src")
-    assert g1 != g2
-    assert m.source_of(g1) == "src"
+    groups = [m.create_group("src") for _ in range(3)]
+    assert groups == [1, 2, 3]
+    assert m.source_of(groups[0]) == "src"
+    with pytest.raises(TypeError):
+        m.create_group("src", group=7)
 
 
 def test_create_group_unknown_source():
     sched, net = star_network()
     with pytest.raises(KeyError):
         MulticastManager(net, leave_latency=2.0).create_group("ghost")
-
-
-def test_duplicate_explicit_group_rejected():
-    sched, net = star_network()
-    m = MulticastManager(net, leave_latency=2.0)
-    m.create_group("src", group=7)
-    with pytest.raises(ValueError):
-        m.create_group("src", group=7)
 
 
 @pytest.mark.usefixtures("no_igmp_delay")

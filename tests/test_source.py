@@ -11,6 +11,7 @@ from repro.media.receiver import LayeredReceiver
 from repro.media.source import CBR, VBR, LayeredSource
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
+from repro.simnet.link import Link
 from repro.simnet.topology import Network
 
 
@@ -49,11 +50,11 @@ def test_cbr_rate_matches_schedule():
 
 def test_cbr_packets_evenly_spaced():
     sched, net, schedule, groups = two_node_setup(n_layers=1)
-    got = collect(net, groups)
+    times = []
+    net.node("dst").add_group_handler(groups[0], lambda p: times.append(sched.now))
     src = LayeredSource(net.node("src"), 1, groups, schedule, model=CBR)
     src.start()
     sched.run(until=3.5)
-    times = [p.created_at for p in got[1]]
     gaps = np.diff(times)
     assert gaps == pytest.approx([0.25] * (len(times) - 1))
 
@@ -76,10 +77,8 @@ def test_packet_metadata():
     src.start()
     sched.run(until=1.5)
     p = got[1][0]
-    assert p.session == 42
-    assert p.layer == 1
-    assert p.size == 1000
-    assert got[2][0].layer == 2
+    assert (p.src, p.group, p.seq, p.size) == ("src", 1, 0, 1000)
+    assert got[2][0].group == 2
 
 
 def test_vbr_mean_rate_approximates_schedule():
@@ -99,7 +98,8 @@ def test_vbr_mean_rate_approximates_schedule():
 def test_vbr_is_bursty():
     """Some slots carry the burst size P*A + 1 - P, others exactly 1 packet."""
     sched, net, schedule, groups = two_node_setup(n_layers=1)
-    got = collect(net, groups)
+    emitted = []  # a local handler at the source sees each packet as it is sent
+    net.node("src").add_group_handler(groups[0], lambda p: emitted.append(sched.now))
     rng = np.random.default_rng(7)
     src = LayeredSource(
         net.node("src"), 1, groups, schedule, model=VBR, peak_to_mean=3, rng=rng
@@ -107,9 +107,9 @@ def test_vbr_is_bursty():
     src.start()
     sched.run(until=100.5)
     per_slot = {}
-    for p in got[1]:
-        per_slot.setdefault(int(p.created_at), 0)
-        per_slot[int(p.created_at)] += 1
+    for t in emitted:
+        per_slot.setdefault(int(t), 0)
+        per_slot[int(t)] += 1
     counts = set(per_slot.values())
     # A=4, P=3: burst slots carry P*A+1-P = 10 packets, quiet slots 1.
     assert 1 in counts
@@ -157,47 +157,29 @@ def test_group_count_must_match_layers():
         LayeredSource(net.node("src"), 1, [1], schedule, model=CBR)
 
 
-def test_stop_halts_emission():
-    sched, net, schedule, groups = two_node_setup(n_layers=1)
-    got = collect(net, groups)
-    src = LayeredSource(net.node("src"), 1, groups, schedule, model=CBR)
-    src.start()
-    sched.run(until=2.5)
-    src.stop()
-    assert not src.running
-    sched.run(until=3.0)  # drain packets already on the wire
-    count = len(got[1])
-    sched.run(until=10.0)
-    assert len(got[1]) == count
-
-
-def test_start_twice_is_noop():
-    sched, net, schedule, groups = two_node_setup(n_layers=1)
-    got = collect(net, groups)
-    src = LayeredSource(net.node("src"), 1, groups, schedule, model=CBR)
-    src.start()
-    src.start()
-    sched.run(until=2.0)
-    assert len(got[1]) == 8  # not doubled
-
-
-def test_delayed_start():
-    sched, net, schedule, groups = two_node_setup(n_layers=1)
-    got = collect(net, groups)
-    src = LayeredSource(net.node("src"), 1, groups, schedule, model=CBR)
-    src.start(at=5.0)
-    sched.run(until=4.9)
-    assert len(got[1]) == 0
-    sched.run(until=7.5)
-    assert len(got[1]) > 0
-
-
 # ----------------------------------------------------------------------
 # Unheard layers: no packet is built, every counter still moves
 # ----------------------------------------------------------------------
 def pinned_scenario():
     """src -> hub -> {a (100 Kb/s, lossy), b}: layers come and go, then the
-    source node crashes.  Returns every counter the emit path can touch."""
+    source node crashes.  Returns every counter the emit path can touch, and
+    the packets each node forwarded (offers to its outgoing links, counted
+    by a wrapper of ``Link.send``)."""
+    forwarded = {}
+    send = Link.send
+
+    def counting_send(link, pkt):
+        forwarded[link.src.name] = forwarded.get(link.src.name, 0) + 1
+        return send(link, pkt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Link, "send", counting_send)
+        out = _run_pinned_scenario()
+    out["forwarded"] = forwarded
+    return out
+
+
+def _run_pinned_scenario():
     sched = Scheduler()
     net = Network(sched)
     for name in ("src", "hub", "a", "b"):
@@ -229,7 +211,7 @@ def pinned_scenario():
     sched.run(until=15.0)
     return {
         "events": sched.events_processed,
-        "senders": [[s.next_seq, s.packets_sent, s.bytes_sent] for s in source.senders],
+        "senders": [s.packets_sent for s in source.senders],
         "nodes": {
             name: [getattr(node.stats, f) for f in type(node.stats).__slots__]
             for name, node in net.nodes.items()
@@ -244,22 +226,22 @@ def pinned_scenario():
 
 def test_counters_match_values_pinned_before_the_emit_fast_path():
     """Pinned at commit d2f36b9, where every emit built a Packet and went
-    through ``Node.send``; NodeStats order is received, forwarded, delivered,
-    no_route, dropped_dead.  ``events`` alone was re-pinned twice: 3193 →
-    2579 when unheard layers were parked (614 emits nobody heard are no
-    longer heap entries), and 2579 → 1675 when links stopped scheduling an
-    event per serialization end (904 packets crossed a link).  The source
-    crashes at 12.0 with layers 3-4 parked, and ``dropped_dead`` is still
-    228."""
+    through ``Node.send``; NodeStats order is no_route, dropped_dead.
+    ``events`` alone was re-pinned twice: 3193 → 2579 when unheard layers
+    were parked (614 emits nobody heard are no longer heap entries), and
+    2579 → 1675 when links stopped scheduling an event per serialization
+    end (904 packets crossed a link).  The source crashes at 12.0 with
+    layers 3-4 parked, and ``dropped_dead`` is still 228.  The pin moved
+    once with no behaviour, when the counters only tests read went: a
+    sender's ``next_seq`` alias and ``bytes_sent`` (1000 × ``packets_sent``)
+    and NodeStats' ``received``, ``forwarded`` and ``delivered``.  The
+    pinned ``forwarded`` values are now counted at ``Link.send``; the
+    delivered ones were already ``total_bytes`` / 1000."""
     assert pinned_scenario() == {
         "events": 1675,
-        "senders": [[69, 69, 69000], [99, 99, 99000], [240, 240, 240000], [945, 945, 945000]],
-        "nodes": {
-            "src": [0, 511, 0, 0, 228],
-            "hub": [511, 597, 0, 0, 0],
-            "a": [114, 0, 113, 0, 0],
-            "b": [279, 0, 278, 0, 0],
-        },
+        "senders": [69, 99, 240, 945],
+        "nodes": {"src": [0, 228], "hub": [0, 0], "a": [0, 0], "b": [0, 0]},
+        "forwarded": {"src": 511, "hub": 597},
         "receivers_at_9s": {
             "a": [[45, 23, 21], [30, 7, 21], [234, 71, 159], [None, 0, 0]],
             "b": [[45, 45, 0], [30, 1, 0], [234, 27, 0], [657, 142, 0]],
@@ -279,18 +261,22 @@ def test_join_mid_slot_gets_the_next_packet_with_its_sequence_number():
     net.add_link("src", "dst", bandwidth=10e6, delay=0.01)
     schedule = LayerSchedule(n_layers=1, base_rate=32_000)  # 4 pkt/s: 0, .25, ...
     src = LayeredSource(net.node("src"), 1, [7], schedule, model=CBR)
+    node = net.node("src")
+    sent = []  # (seq, time) of every packet handed to the node
+    node_send = node.send
+    node.send = lambda p: (sent.append((p.seq, sched.now)), node_send(p))
     src.start()
     sched.run(until=1.6)
     sender = src.senders[0]
     # Seven emits nobody heard: counted, never handed to the node.
-    assert (sender.next_seq, sender.packets_sent, sender.bytes_sent) == (7, 7, 7000)
-    stats = net.node("src").stats
-    assert (stats.forwarded, stats.delivered, stats.dropped_dead) == (0, 0, 0)
+    assert sender.packets_sent == 7
+    assert sent == [] and node.stats.dropped_dead == 0
     got = []
     net.node("dst").add_group_handler(7, got.append)
-    net.node("src").set_forwarding(7, {"dst"})  # grafted in the middle of slot 1
+    node.set_forwarding(7, {"dst"})  # grafted in the middle of slot 1
     sched.run(until=1.8)
-    assert [(p.seq, p.created_at) for p in got] == [(7, 1.75)]
+    assert sent == [(7, 1.75)]
+    assert [p.seq for p in got] == [7]
     # A local handler alone (no forwarding entry) is heard as well.
     net.node("src").set_forwarding(7, None)
     local = []
@@ -314,14 +300,14 @@ def test_tie_an_emit_due_at_the_graft_instant_is_heard():
     sched.run(until=0.5)
     sender = src.senders[0]
     assert sender.packets_sent == 2  # 0 and .25; the .5 emit is not due yet
-    local = []
-    net.node("src").add_group_handler(7, local.append)
+    local = []  # (seq, time) of each local delivery, which is the emit
+    net.node("src").add_group_handler(7, lambda p: local.append((p.seq, sched.now)))
     assert sender.packets_sent == 2  # woken: .5 and .75 are heap entries now
     sched.run(until=0.5)
-    assert [(p.seq, p.created_at) for p in local] == [(2, 0.5)]
+    assert local == [(2, 0.5)]
     sched.run(until=0.99)
-    assert [(p.seq, p.created_at) for p in local] == [(2, 0.5), (3, 0.75)]
-    assert (sender.next_seq, sender.packets_sent, sender.bytes_sent) == (4, 4, 4000)
+    assert local == [(2, 0.5), (3, 0.75)]
+    assert sender.packets_sent == 4
 
 
 def test_a_source_nobody_hears_costs_one_event_per_slot():
@@ -335,48 +321,11 @@ def test_a_source_nobody_hears_costs_one_event_per_slot():
     assert sched.events_processed == 100
     assert sched.pending == 1  # the next slot boundary, and not one emit
     assert [s.packets_sent for s in src.senders] == [400, 800, 1600, 3200]
-    assert [s.next_seq for s in src.senders] == [400, 800, 1600, 3200]
-    assert [s.bytes_sent for s in src.senders] == [400_000, 800_000, 1_600_000, 3_200_000]
     # Mid-slot reads settle nothing: the same question twice, the same answer.
     sched.run(until=100.6)
     assert [s.packets_sent for s in src.senders] == [403, 805, 1610, 3220]
     assert [s.packets_sent for s in src.senders] == [403, 805, 1610, 3220]
     assert sched.events_processed == 101
-
-
-def test_restart_mid_slot_sends_only_the_new_train():
-    """``stop()`` used to cancel the slot event only: the slot's emits
-    survived, ``start()`` made them live again, and the rest of the slot went
-    out at double rate (seq 0-7 at 0, .1, .25, .35, .5, .6, .75, .85)."""
-    sched, net, schedule, groups = two_node_setup(n_layers=1)
-    got = collect(net, groups)
-    src = LayeredSource(net.node("src"), 1, groups, schedule, model=CBR)
-    src.start()
-    sched.run(until=0.1)
-    src.stop()
-    src.start()
-    sched.run(until=1.09)
-    assert [(p.seq, p.created_at) for p in got[1]] == [
-        (0, 0.0), (1, 0.1), (2, 0.35), (3, 0.6), (4, 0.85)]
-    assert src.senders[0].packets_sent == 5
-
-
-def test_stop_settles_a_parked_train_and_it_is_never_woken():
-    sched = Scheduler()
-    net = Network(sched)
-    net.add_node("src")
-    schedule = LayerSchedule(n_layers=1, base_rate=32_000)
-    src = LayeredSource(net.node("src"), 1, [7], schedule, model=CBR)
-    src.start()
-    sched.run(until=0.6)
-    src.stop()
-    sender = src.senders[0]
-    assert sender.packets_sent == 3  # 0, .25, .5
-    local = []
-    net.node("src").add_group_handler(7, local.append)
-    sched.run(until=5.0)
-    assert local == [] and sender.packets_sent == 3
-    assert sched.pending == 0
 
 
 def test_forwarding_entries_are_written_only_in_node_py():

@@ -19,7 +19,12 @@ and is still wrong (DESIGN.md §11 has the trial that chose them):
   call under ``src/`` or ``bench/``; an option only tests set is a constant;
 * ``function_level_imports`` — a function body imports no ``repro`` module:
   modules are the namespace and import at top level, so the import graph is
-  what the module headers say; only optional paths import on use.
+  what the module headers say; only optional paths import on use;
+* ``write_only_state`` — every attribute a class under ``simnet/`` or
+  ``media/`` assigns on ``self`` is read, by name, somewhere in ``src/``,
+  ``bench/``, ``examples/`` or ``tools/``: a counter only tests read is one
+  more store on the packet path.  ``WRITE_ONLY_EXEMPT`` names the drop
+  tallies kept for their reason; each must still excuse a write.
 
 Each check takes parsed sources keyed by their path under ``src/repro/`` and
 returns ``path:line message`` strings.  An exemption is a path in
@@ -42,6 +47,8 @@ from repro.simnet import link
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 BENCH = ROOT / "bench"
+#: Production code outside ``src/`` whose attribute reads count.
+READER_DIRS = ("bench", "examples", "tools")
 
 #: The message dataclasses, name -> field names.
 MESSAGE_FIELDS = {
@@ -60,6 +67,13 @@ def sources():
 @lru_cache(maxsize=None)
 def bench_sources():
     return {f"bench/{p.name}": ast.parse(p.read_text()) for p in sorted(BENCH.glob("*.py"))}
+
+
+@lru_cache(maxsize=None)
+def reader_sources():
+    return {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text())
+            for d in READER_DIRS for p in sorted((ROOT / d).glob("*.py"))
+            if not p.name.startswith("test_")}
 
 
 def parse(snippets):
@@ -319,13 +333,68 @@ def function_level_imports(trees):
                    for line, name in _repro_imports(func)})
 
 
+#: Attribute names ``write_only_state`` lets a ``simnet/``/``media/`` class
+#: write without a production reader, with the reason.
+WRITE_ONLY_EXEMPT = {
+    "no_route": "drop tally (NodeStats): fault evidence for the control "
+                "ledger and the conservation oracle (ROADMAP 1(c), 3(b))",
+    "dropped_dead": "drop tally (NodeStats): packets handed to a crashed node, "
+                    "the same fault evidence",
+    "bytes_dropped": "drop tally (QueueStats): the byte side of `dropped`, "
+                     "which loss attribution reads",
+}
+
+
+def _read_names(trees):
+    """Attribute names loaded anywhere in ``trees``, ``getattr(x, "name")``
+    included; a store or an augmented assignment is not a read."""
+    names = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call) and callee(node) == "getattr"
+                  and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
+
+
+def _self_writes(tree):
+    """``(line, class, name)`` for each ``self.<name>`` a class body stores."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"):
+                yield node.lineno, cls.name, node.attr
+
+
+def write_only_state(trees, readers=None, exempt=WRITE_ONLY_EXEMPT):
+    readers = reader_sources() if readers is None else readers
+    read = _read_names({**trees, **readers})
+    hits, excused = [], set()
+    for path, tree in trees.items():
+        if not path.startswith(("simnet/", "media/")):
+            continue
+        for line, cls, name in sorted(set(_self_writes(tree))):
+            if name in read:
+                continue
+            if name in exempt:
+                excused.add(name)
+                continue
+            hits.append(f"{path}:{line} `{cls}.{name}` is written but never read under "
+                        "src/, bench/, examples/ or tools/ — delete it")
+    hits += [f"tests/test_source_rules.py:1 WRITE_ONLY_EXEMPT `{name}` excuses no "
+             "write — remove it" for name in sorted(set(exempt) - excused)]
+    return hits
+
+
 CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage, annotation_names,
-          unused_options, function_level_imports)
+          unused_options, function_level_imports, write_only_state)
 
 #: Check -> paths under src/repro/ whose hits are sanctioned.
 EXEMPT = {
-    # fallback_rng(), the one registry-less default generator
-    constant_seeds: {"simnet/rng.py"},
     # optional paths: `--plot`, the federated crowd point, a plan's injector
     function_level_imports: {"cli.py", "experiments/crowd.py", "federation/session.py"},
 }
@@ -404,6 +473,16 @@ BAD = {
         ["a.py:2 function-level import of `..experiments.membership`",
          "a.py:5 function-level import of `repro.obs.run`",
          "a.py:7 function-level import of `repro`"]),
+    write_only_state: (
+        {"simnet/a.py": "class Q:\n    def __init__(self):\n        self.pushed = 0\n"
+                        "        self.dropped = 0\n        self.size = 0\n"
+                        "    def push(self, pkt):\n        self.pushed += 1\n"
+                        "        return self.size\n",
+         "core/b.py": "class C:\n    def __init__(self):\n        self.ticks = 0\n"},
+        {"readers": parse({"bench/r.py": "print(getattr(q, 'dropped'))\n"}),
+         "exempt": {"ghost": "excuses nothing"}},
+        ["simnet/a.py:3 `Q.pushed` is written but never read",
+         "simnet/a.py:7 `Q.pushed`", "`ghost` excuses no write"]),
 }
 
 

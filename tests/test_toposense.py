@@ -184,7 +184,7 @@ def test_update_with_no_sessions():
 
 
 def test_default_construction():
-    ts = TopoSense()
+    ts = TopoSense(rng=np.random.default_rng(0))
     assert ts.config.interval > 0
     out = ts.update(2.0, [chain_input(1, 0.0)])
     assert out.levels[(0, "R")] >= 1

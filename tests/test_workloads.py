@@ -120,7 +120,7 @@ def test_spec_rejects_unknown_and_duplicate_receivers():
     spec.add_receiver("c0", "e0", "s0")
     with pytest.raises(ValueError):
         spec.add_receiver("c0", "e1", "s0")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         spec.join(1.0, "ghost")
     with pytest.raises(ValueError):
         WorkloadEvent(-1.0, "join", "c0")
