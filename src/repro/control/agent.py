@@ -150,7 +150,7 @@ class ReceiverAgent:
         self.stale_suggestions_rejected = 0
         self.invalid_suggestions_rejected = 0
         #: Active byzantine behaviours (None = honest).  Set by the
-        #: ``byzantine_start``/``byzantine_stop`` faults via :meth:`set_byzantine`.
+        #: ``byzantine_start`` fault via :meth:`set_byzantine`.
         self.byzantine_mode: Optional[FrozenSet[str]] = None
         self.lies_told = 0
         self.active = True
@@ -161,14 +161,14 @@ class ReceiverAgent:
         self._seq = 0
 
     # ------------------------------------------------------------------
-    def set_byzantine(self, mode: Optional[str]) -> None:
+    def set_byzantine(self, mode: str) -> None:
         """Switch behaviour: ``"lie_high"``, ``"lie_low"``, ``"disobey"`` or
-        ``+``-joined combinations; None restores honesty."""
-        parts = None if mode is None else mode.split("+")
-        for part in parts or ():
+        ``+``-joined combinations."""
+        parts = mode.split("+")
+        for part in parts:
             if part not in BYZANTINE_MODES:
                 raise ValueError(f"unknown byzantine mode {part!r}")
-        self.byzantine_mode = None if parts is None else frozenset(parts)
+        self.byzantine_mode = frozenset(parts)
 
     def _is(self, mode: str) -> bool:
         return self.byzantine_mode is not None and mode in self.byzantine_mode
@@ -209,9 +209,6 @@ class ReceiverAgent:
     def _register(self, attempt: int) -> None:
         if self.registered or not self.active:
             return
-        # The node may have crashed and recovered since we bound the port.
-        if self.port not in self.node.port_handlers:
-            self.node.bind_port(self.port, self._on_packet)
         if attempt > 0:
             # Retrying: the previous attempt went unanswered; with standbys
             # configured, alternate targets so a dead primary does not
@@ -230,7 +227,7 @@ class ReceiverAgent:
         if attempt + 1 >= REGISTER_RETRIES:
             # Round exhausted: cool off for the cap, then start over.  The
             # agent never gives up permanently — an orphaned receiver must
-            # eventually find a restarted or failed-over controller.
+            # eventually find a failed-over controller.
             delay = REGISTER_BACKOFF_CAP
             next_attempt = 0
         else:
@@ -310,9 +307,9 @@ class ReceiverAgent:
     def _check_controller_silence(self) -> None:
         """Drop a registration the controller has stopped honouring.
 
-        A failed-over (or restarted) controller starts with an empty
-        registration table; without this, receivers would keep reporting to
-        it while never being suggested to again."""
+        A failed-over controller starts with an empty registration table;
+        without this, receivers would keep reporting to it while never being
+        suggested to again."""
         if not self.registered or self._last_contact is None:
             return
         if self.sched.now - self._last_contact <= self.reregister_after:
@@ -506,12 +503,10 @@ class ControllerAgent:
         #: Optional tree-level quarantine hook (see :meth:`attach_enforcer`).
         self._enforcer: Optional[Enforcer] = None
         self.active = False
-        #: Fencing token stamped on every RegisterAck/Suggestion, bumped on
-        #: each (re)start; a standby created for failover starts above its
+        self._started = False
+        #: Fencing token stamped on every RegisterAck/Suggestion, bumped by
+        #: :meth:`start`; a standby created for failover starts above its
         #: predecessor so receivers reject the deposed primary's messages.
-        #: Doubles as the restart generation: a stale tick chain from before
-        #: a stop()/start() cycle sees a newer epoch and dies instead of
-        #: double-ticking.
         self.epoch = initial_epoch
 
     # ------------------------------------------------------------------
@@ -520,20 +515,20 @@ class ControllerAgent:
 
         The first tick happens 1.75 intervals in, so that at least one round
         of receiver reports (sent just past each interval boundary, plus
-        propagation) has arrived.  Callable again after :meth:`stop` — a
-        restarted controller resumes with whatever state it still holds.
+        propagation) has arrived.  A controller starts at most once: a later
+        call does nothing, after :meth:`stop` too, so a killed controller
+        stays down however its run is split (a standby takes over through
+        the ``controller_failover`` fault).
         """
-        if self.active:
+        if self._started:
             return
+        self._started = True
         self.active = True
         self.epoch += 1
         if CONTROL_PORT not in self.node.port_handlers:
             self.node.bind_port(CONTROL_PORT, self._on_packet)
         self.sched.every(
-            self.interval,
-            self._tick,
-            self.epoch,
-            start=self.sched.now + 1.75 * self.interval,
+            self.interval, self._tick, start=self.sched.now + 1.75 * self.interval,
         )
 
     def stop(self) -> None:
@@ -541,7 +536,7 @@ class ControllerAgent:
 
         Receivers stop getting acks and suggestions; their silence watchdog
         eventually drops the registration and re-registers (possibly with a
-        standby).  :meth:`start` restarts this agent in place.
+        standby).  A stopped controller never starts again.
         """
         if not self.active:
             return
@@ -705,9 +700,9 @@ class ControllerAgent:
         self.suggestions_sent += 1
 
     # ------------------------------------------------------------------
-    def _tick(self, epoch: Optional[int] = None) -> None:
-        if not self.active or (epoch is not None and epoch != self.epoch):
-            raise StopIteration  # stopped (or superseded by a restart)
+    def _tick(self) -> None:
+        if not self.active:
+            raise StopIteration  # stopped
         now = self.sched.now
         bus = self.sched.bus
         # The guard has no scheduler reference of its own; hand it the bus so

@@ -63,11 +63,9 @@ class TopologyDiscovery:
         self._staleness = staleness
         self.domain = frozenset(domain) if domain is not None else None
         self.queries = 0
-        #: Injected fault state: ``None`` (healthy), ``"timeout"`` (queries
-        #: raise :class:`DiscoveryUnavailable`) or ``"truncate"`` (queries
-        #: return trees clipped to ``truncate_depth`` hops below the root).
+        #: Injected fault state: ``None`` (healthy) or ``"timeout"`` (queries
+        #: raise :class:`DiscoveryUnavailable`).
         self.fault_mode: Optional[str] = None
-        self.truncate_depth = 1
         self.failed_queries = 0
 
     @property
@@ -76,14 +74,11 @@ class TopologyDiscovery:
         return self._staleness
 
     # ------------------------------------------------------------------
-    def set_fault(self, mode: Optional[str], truncate_depth: int = 1) -> None:
+    def set_fault(self, mode: Optional[str]) -> None:
         """Inject (or with ``mode=None`` clear) a discovery fault."""
-        if mode not in (None, "timeout", "truncate"):
+        if mode not in (None, "timeout"):
             raise ValueError(f"unknown discovery fault mode {mode!r}")
-        if truncate_depth < 0:
-            raise ValueError("truncate_depth must be >= 0")
         self.fault_mode = mode
-        self.truncate_depth = truncate_depth
 
     def clear_fault(self) -> None:
         """Restore healthy discovery."""
@@ -133,12 +128,6 @@ class TopologyDiscovery:
             # domain covering several disjoint subtrees yields several
             # candidate entries; this controller manages one of them).
             layer_edges = [self._reachable_from(root, edges) for edges in layer_edges]
-        if self.fault_mode == "truncate":
-            self.failed_queries += 1
-            layer_edges = [
-                self._clip_depth(root, edges, self.truncate_depth)
-                for edges in layer_edges
-            ]
         tree_nodes = {root}
         for edges in layer_edges:
             for u, v in edges:
@@ -167,23 +156,6 @@ class TopologyDiscovery:
             self.mcast.node_disrupted_during(group, node, t0, t1)
             for group in descriptor.groups
         )
-
-    @staticmethod
-    def _clip_depth(root: Any, edges: Iterable[Tuple[Any, Any]], depth: int) -> frozenset:
-        """Edges within ``depth`` hops below ``root`` (truncated discovery)."""
-        children = {}
-        for u, v in edges:
-            children.setdefault(u, []).append(v)
-        keep = set()
-        frontier = [root]
-        for _ in range(depth):
-            nxt = []
-            for u in frontier:
-                for v in children.get(u, ()):
-                    keep.add((u, v))
-                    nxt.append(v)
-            frontier = nxt
-        return frozenset(keep)
 
     @staticmethod
     def _entry_node(layer_edges: Iterable[Iterable[Tuple[Any, Any]]]) -> Optional[Any]:

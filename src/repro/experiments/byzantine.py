@@ -143,8 +143,6 @@ def run_byzantine(
     if recorder is not None:
         recorder.attach(attacked, sample_interval=interval)
     attacked.run(duration)
-    if recorder is not None:
-        recorder.record_fault_log(injector.log)
 
     controller = attacked.controller
     guard = controller.guard

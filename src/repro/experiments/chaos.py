@@ -129,8 +129,6 @@ def run_chaos(
     if recorder is not None:
         recorder.attach(sc, sample_interval=interval)
     sc.run(duration)
-    if recorder is not None:
-        recorder.record_fault_log(injector.log)
 
     within = recover_intervals * interval
     # Only faults that clear before the end of the run (with room to see the

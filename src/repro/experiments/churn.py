@@ -170,8 +170,6 @@ def run_churn(
     if recorder is not None:
         recorder.attach(sc, sample_interval=interval)
     sc.run(duration)
-    if recorder is not None:
-        recorder.record_fault_log(injector.log)
 
     mcast = sc.mcast
     link_clears = sorted(

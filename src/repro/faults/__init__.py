@@ -22,10 +22,14 @@ Typical use::
     plan.link_flap(40.0, "core", "agg_a", down_for=3.0, times=2, period=6.0)
     plan.discovery_outage(60.0, 80.0)
     plan.add(90.0, "byzantine_start", "r3", "lie_low+disobey")
-    plan.add(100.0, "control_corrupt", "r2", mode="duplicate", rate=0.5)
+    plan.add(100.0, "receiver_leave", "r2")
     injector = plan.apply(scenario)
     scenario.run(120.0)
     print(injector.log)        # [(time, kind, detail), ...]
+
+Every kind is fired by one of the default plans (``default_chaos_plan``,
+``default_churn_plan``, ``default_attack_plan``, ``default_fedchaos_plan``);
+a kind comes only together with the plan that fires it.
 """
 
 # Only for bench/, which imports it from the package (ROADMAP 3(d)).

@@ -6,34 +6,30 @@ the ``fed_*`` kinds against a ``FederatedSession``.  Each method is the
 minimal mutation of simulator state plus the follow-up work the rest of
 the system needs to observe the fault:
 
-* link/node changes re-run unicast routing and regraft multicast trees
+* link changes re-run unicast routing and regraft multicast trees
   (:meth:`~repro.multicast.manager.MulticastManager.on_topology_change`);
-* controller kill/restart/failover manipulates
+* controller kill/failover manipulates
   :class:`~repro.control.agent.ControllerAgent` lifecycles;
 * discovery faults flip the :class:`~repro.control.discovery.TopologyDiscovery`
-  fault mode (timeout / truncated trees).
+  fault mode (queries time out).
 
 Injectors are deliberately synchronous: they mutate state at the simulated
-instant they are invoked.  Scheduling is the :class:`~repro.faults.plan.FaultPlan`'s
+instant they are invoked, and announce it as ``fault.<kind>`` on the event
+bus at that instant.  Scheduling is the :class:`~repro.faults.plan.FaultPlan`'s
 job.  :func:`kinds_of` reads the kinds off the classes, so adding a fault
-is adding one method.
+is adding one method — and a plan that fires it (``tests/test_faults.py``
+holds every kind to a default plan).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..control.agent import ControllerAgent, ReceiverAgent
-from ..control.messages import Register, RegisterAck, Report, Suggestion
 from ..experiments.membership import join_receiver, leave_receiver
-from ..simnet.packet import CONTROL, Packet
 
 __all__ = ["FaultInjector", "FederationInjector", "kinds_of"]
-
-#: Ways ``control_corrupt`` can mangle a CONTROL packet.
-CORRUPTION_MODES = ("duplicate", "reorder", "garble")
 
 
 def kinds_of(injector: type) -> Tuple[str, ...]:
@@ -50,7 +46,9 @@ class _Injector:
 
     Every executed event is appended to :attr:`log` as
     ``(time, kind, detail)`` so experiments and tests can correlate faults
-    with observed behaviour.
+    with observed behaviour, and emitted as ``fault.<kind>`` (with
+    ``detail``) on the tier's event bus, so a run's ``events.jsonl`` holds
+    it in time order.
     """
 
     #: Word naming the injector's tier in the unknown-kind error.
@@ -62,6 +60,9 @@ class _Injector:
     def _now(self) -> float:
         raise NotImplementedError
 
+    def _bus(self) -> Optional[Any]:
+        raise NotImplementedError
+
     def execute(self, kind: str, args: tuple, kwargs: dict) -> None:
         """Run one fault event now (dispatched from the scheduled plan)."""
         if kind not in kinds_of(type(self)):
@@ -70,7 +71,11 @@ class _Injector:
         detail = ", ".join(
             [str(a) for a in args] + [f"{k}={v}" for k, v in sorted(kwargs.items())]
         )
-        self.log.append((self._now(), kind, detail))
+        now = self._now()
+        self.log.append((now, kind, detail))
+        bus = self._bus()
+        if bus is not None:
+            bus.emit(f"fault.{kind}", now, detail=detail)
 
 
 class FaultInjector(_Injector):
@@ -81,71 +86,30 @@ class FaultInjector(_Injector):
     def __init__(self, scenario):
         super().__init__()
         self.scenario = scenario
-        #: (a, b) -> original bandwidth, for link_restore() after link_degrade().
-        self._original_bw: Dict[Tuple[Any, Any], float] = {}
-        #: controller name -> the killed primary (kept for controller_restart()).
-        self._killed: Dict[str, ControllerAgent] = {}
-        #: node name -> corruption state (mode, rate, rng, held packet, node).
-        self._corrupting: Dict[Any, dict] = {}
 
     def _now(self) -> float:
         return self.scenario.sched.now
 
+    def _bus(self) -> Optional[Any]:
+        return self.scenario.sched.bus
+
     # -- links ----------------------------------------------------------
     def link_down(self, a: Any, b: Any, bidirectional: bool = True) -> None:
-        """Fail the link: queued packets dropped, trees repaired around it
-        (locally patched by protecting builders, torn down entirely when no
-        alternate path exists)."""
+        """Fail the link: queued packets dropped, trees rebuilt around it
+        (torn down entirely when no alternate path exists)."""
         removed = self.scenario.network.set_link_up(a, b, False, bidirectional=bidirectional)
         self.scenario.mcast.on_topology_change(removed_edges=removed)
 
     def link_up(self, a: Any, b: Any, bidirectional: bool = True) -> None:
-        """Repair the link and regraft severed branches through it (a
-        direction with a crashed endpoint returns when that node recovers)."""
+        """Repair the link and regraft severed branches through it."""
         added = self.scenario.network.set_link_up(a, b, True, bidirectional=bidirectional)
-        self.scenario.mcast.on_topology_change(added_edges=added)
-
-    def link_degrade(self, a: Any, b: Any, factor: float, bidirectional: bool = True) -> None:
-        """Scale the link's capacity by ``factor`` (e.g. 0.25 = quarter rate)."""
-        if not 0 < factor:
-            raise ValueError(f"factor must be positive, got {factor}")
-        network = self.scenario.network
-        link = network.link(a, b)
-        self._original_bw.setdefault((a, b), link.bandwidth)
-        network.set_link_bandwidth(a, b, link.bandwidth * factor, bidirectional=bidirectional)
-
-    def link_restore(self, a: Any, b: Any, bidirectional: bool = True) -> None:
-        """Undo :meth:`link_degrade` (no-op if the link was never degraded)."""
-        original = self._original_bw.pop((a, b), None)
-        if original is not None:
-            self.scenario.network.set_link_bandwidth(a, b, original, bidirectional=bidirectional)
-
-    # -- nodes ----------------------------------------------------------
-    def node_crash(self, name: Any) -> None:
-        """Fail the node: bound ports, forwarding state and all incident
-        links (with their queued packets) are lost."""
-        removed = self.scenario.network.set_node_up(name, False)
-        self.scenario.mcast.on_topology_change(removed_edges=removed)
-
-    def node_recover(self, name: Any) -> None:
-        """Bring the node back; multicast branches through it regraft, and
-        surviving applications re-bind ports via their re-register paths."""
-        added = self.scenario.network.set_node_up(name, True)
         self.scenario.mcast.on_topology_change(added_edges=added)
 
     # -- controllers ----------------------------------------------------
     def controller_kill(self, name: str = "default") -> None:
         """Stop the named controller (process crash: port unbound, ticks end,
         learned registrations/reports retained only in the dead process)."""
-        controller = self.scenario.controllers[name]
-        controller.stop()
-        self._killed[name] = controller
-
-    def controller_restart(self, name: str = "default") -> None:
-        """Restart the previously killed controller in place (warm restart:
-        it still holds its registration table)."""
-        controller = self._killed.pop(name, None) or self.scenario.controllers[name]
-        controller.start()
+        self.scenario.controllers[name].stop()
 
     def controller_failover(self, name: str = "default") -> None:
         """Promote the standby node for ``name`` to be the active controller.
@@ -172,8 +136,8 @@ class FaultInjector(_Injector):
             primary.algorithm,
             interval=primary.interval,
             # Fencing: start() bumps the epoch once more, so the standby ends
-            # strictly above anything the deposed primary can ever reach even
-            # if the primary is restarted in place afterwards.
+            # strictly above anything the deposed primary ever stamped (a
+            # stopped controller never starts again).
             initial_epoch=primary.epoch + 1,
             fence_repairs=primary.fence_repairs,
         )
@@ -187,10 +151,6 @@ class FaultInjector(_Injector):
         or timing out)."""
         self.scenario.discoveries[name].set_fault("timeout")
 
-    def discovery_truncate(self, name: str = "default", depth: int = 1) -> None:
-        """Queries return trees clipped ``depth`` hops below the root."""
-        self.scenario.discoveries[name].set_fault("truncate", truncate_depth=depth)
-
     def discovery_restore(self, name: str = "default") -> None:
         """Discovery answers fully again."""
         self.scenario.discoveries[name].clear_fault()
@@ -203,10 +163,6 @@ class FaultInjector(_Injector):
         report (modes combine with ``+``).  The media path is untouched —
         the receiver misbehaves, the network does not."""
         self._agent(receiver_id).set_byzantine(mode)
-
-    def byzantine_stop(self, receiver_id: Any) -> None:
-        """Restore honest behaviour."""
-        self._agent(receiver_id).set_byzantine(None)
 
     def _agent(self, receiver_id: Any):
         for handle in self.scenario.receivers:
@@ -235,94 +191,6 @@ class FaultInjector(_Injector):
         own deterministic RNG stream."""
         join_receiver(self.scenario, self.scenario.receiver_handle(receiver_id))
 
-    # -- control-packet corruption --------------------------------------
-    def control_corrupt(self, node: Any, mode: str = "garble", rate: float = 1.0) -> None:
-        """Duplicate / reorder / garble CONTROL packets originated at ``node``.
-
-        Wraps the node's ``send`` with a corrupting shim (an instance
-        attribute shadowing the class method).  Only CONTROL packets are
-        touched — this models a flaky control channel, not media corruption
-        — and each is corrupted independently with probability ``rate``:
-
-        * ``duplicate`` — the packet is sent twice (a fresh copy, so per-hop
-          counters stay independent);
-        * ``reorder`` — the packet is held back and sent after the *next*
-          CONTROL packet (swapping adjacent messages, which inverts seq order);
-        * ``garble`` — the control payload's fields are driven out of range,
-          so the receiver-side validation (the checksum stand-in) must
-          reject it.
-        """
-        if mode not in CORRUPTION_MODES:
-            raise ValueError(f"unknown corruption mode {mode!r}")
-        if not 0.0 < rate <= 1.0:
-            raise ValueError(f"rate must be in (0, 1], got {rate}")
-        if node in self._corrupting:
-            raise ValueError(f"node {node!r} is already corrupting")
-        target = self.scenario.network.node(node)
-        state = {
-            "mode": mode,
-            "rate": rate,
-            "rng": self.scenario.rngs.fork(f"wirefault/{node}"),
-            "held": None,
-            "node": target,
-        }
-        self._corrupting[node] = state
-        real_send = type(target).send  # unbound: the shim survives node.crash()
-
-        def corrupted_send(pkt: Packet) -> None:
-            if pkt.kind != CONTROL or state["rng"].random() >= state["rate"]:
-                real_send(target, pkt)
-                return
-            mode_ = state["mode"]
-            if mode_ == "duplicate":
-                real_send(target, pkt)
-                real_send(target, _clone(pkt))
-            elif mode_ == "reorder":
-                held = state["held"]
-                if held is None:
-                    state["held"] = pkt  # wait for the next control packet
-                else:
-                    state["held"] = None
-                    real_send(target, pkt)
-                    real_send(target, held)
-            else:  # garble
-                real_send(target, _garble(pkt))
-
-        target.send = corrupted_send  # type: ignore[method-assign]
-
-    def control_restore(self, node: Any) -> None:
-        """Remove the shim; a held (reordered) packet is finally sent."""
-        state = self._corrupting.pop(node, None)
-        if state is None:
-            return
-        target = state["node"]
-        target.__dict__.pop("send", None)
-        if state["held"] is not None:
-            target.send(state["held"])
-
-
-def _clone(pkt: Packet) -> Packet:
-    return Packet(
-        src=pkt.src, dst=pkt.dst, group=pkt.group, size=pkt.size,
-        seq=pkt.seq, kind=pkt.kind, port=pkt.port, payload=pkt.payload,
-    )
-
-
-def _garble(pkt: Packet) -> Packet:
-    out = _clone(pkt)
-    msg = pkt.payload
-    if isinstance(msg, Report):
-        out.payload = dataclasses.replace(msg, loss_rate=-1.0, bytes=-1.0)
-    elif isinstance(msg, Register):
-        out.payload = dataclasses.replace(msg, port="")
-    elif isinstance(msg, Suggestion):
-        out.payload = dataclasses.replace(msg, level=-1)
-    elif isinstance(msg, RegisterAck):
-        out.payload = dataclasses.replace(msg, receiver_id=("garbled", msg.receiver_id))
-    else:
-        out.payload = ("garbled", msg)
-    return out
-
 
 class FederationInjector(_Injector):
     """Executes the ``fed_*`` fault kinds against a ``FederatedSession``.
@@ -346,6 +214,9 @@ class FederationInjector(_Injector):
     def _now(self) -> float:
         return self.clock
 
+    def _bus(self) -> Optional[Any]:
+        return self.fed.bus
+
     def fed_link_degrade(
         self, loss: float = 0.0, duplicate: float = 0.0, delay_rounds: int = 0,
         domain: Any = None,
@@ -357,10 +228,6 @@ class FederationInjector(_Injector):
             loss=loss, duplicate=duplicate, delay_rounds=delay_rounds,
             domain=domain,
         )
-
-    def fed_link_restore(self, domain: Any = None) -> None:
-        """Undo :meth:`fed_link_degrade` for one domain (or the mesh)."""
-        self.fed.channel.clear_impairment(domain)
 
     def fed_partition(self, domain: Any) -> None:
         """Cut the domain off from the federation in both directions."""

@@ -29,8 +29,6 @@ __all__ = ["FaultEvent", "FaultPlan"]
 _SCENARIO_KINDS = kinds_of(FaultInjector)
 #: Every fault kind: one injector method each (see :func:`kinds_of`).
 KINDS = _SCENARIO_KINDS + kinds_of(FederationInjector)
-#: Scenario kinds that act on a node, and the parameter naming it.
-_NODE_PARAM = {"node_crash": "name", "node_recover": "name", "control_corrupt": "node"}
 
 
 @lru_cache(maxsize=None)
@@ -40,7 +38,7 @@ def _signature(kind: str) -> inspect.Signature:
 
 def _check(event: "FaultEvent", scenario: Any) -> None:
     """Raise ValueError unless the event's arguments bind to its scenario
-    injector method and the link, node or receiver it names exists."""
+    injector method and the link or receiver it names exists."""
     kind = event.kind
     if kind not in _SCENARIO_KINDS:
         raise ValueError(f"{kind!r} is not a scenario fault kind")
@@ -53,10 +51,6 @@ def _check(event: "FaultEvent", scenario: Any) -> None:
         a, b = arguments["a"], arguments["b"]
         if (a, b) not in network.links:
             raise ValueError(f"{kind}: no link {a!r} -> {b!r}")
-    elif kind in _NODE_PARAM:
-        node = arguments[_NODE_PARAM[kind]]
-        if node not in network.nodes:
-            raise ValueError(f"{kind}: unknown node {node!r}")
     elif "receiver_id" in arguments:
         try:
             scenario.receiver_handle(arguments["receiver_id"])
@@ -128,24 +122,13 @@ class FaultPlan:
         return self
 
     def discovery_outage(
-        self,
-        start: float,
-        end: float,
-        name: str = "default",
-        mode: str = "timeout",
-        depth: int = 1,
+        self, start: float, end: float, name: str = "default"
     ) -> "FaultPlan":
-        """Discovery fails over ``[start, end)``: ``mode="timeout"`` makes
-        queries raise, ``mode="truncate"`` clips trees to ``depth`` hops."""
+        """Discovery queries time out over ``[start, end)``."""
         if end <= start:
             raise ValueError("need end > start")
-        if mode == "timeout":
-            self.add(start, "discovery_blackout", name=name)
-        elif mode == "truncate":
-            self.add(start, "discovery_truncate", name=name, depth=depth)
-        else:
-            raise ValueError(f"unknown discovery outage mode {mode!r}")
-        return self.add(end, "discovery_restore", name=name)
+        return self.add(start, "discovery_blackout", name=name).add(
+            end, "discovery_restore", name=name)
 
     def membership_churn(
         self,
@@ -252,57 +235,44 @@ class FaultPlan:
     #: clearing kind -> kinds that re-break the same target.
     _BREAKERS = {
         "link_up": ("link_down",),
-        "link_restore": ("link_degrade",),
-        "node_recover": ("node_crash",),
-        "controller_restart": ("controller_kill",),
         "controller_failover": ("controller_kill",),
-        "discovery_restore": ("discovery_blackout", "discovery_truncate"),
-        "byzantine_stop": ("byzantine_start",),
-        "control_restore": ("control_corrupt",),
+        "discovery_restore": ("discovery_blackout",),
         "receiver_join": ("receiver_leave",),
-        "fed_link_restore": ("fed_link_degrade",),
         "fed_heal": ("fed_partition",),
         "fed_coordinator_failover": ("fed_coordinator_kill",),
     }
 
     @staticmethod
     def _target(ev: FaultEvent):
-        """The entity an event acts on (link endpoints / node / name)."""
+        """The entity an event acts on (link endpoints / receiver / name)."""
         if ev.kind.startswith("link"):
             return tuple(ev.args[:2])
-        if ev.kind.startswith("fed_link"):
-            return ev.kwargs.get("domain")
         if ev.kind.startswith("fed_coordinator"):
             return "coordinator"
         if ev.args:
             return ev.args[0]
         return ev.kwargs.get("name", "default")
 
-    def clear_times(self, final_only: bool = True) -> List[float]:
-        """Times at which an injected fault is cleared (repair events).
+    def clear_times(self) -> List[float]:
+        """Times at which an injected fault is cleared for good.
 
         Used by recovery metrics: "recovered within N control intervals of
         the fault clearing".  A standby takeover counts as clearing the
-        controller crash; degrade/restore pairs clear at the restore.
-
-        With ``final_only`` (default) a clearing event is skipped when a
-        later event in the plan re-breaks the same target — the mid-cycle
-        ``link_up`` of a flap is not a real clear; only the last one is.
+        controller crash.  A clearing event is skipped when a later event
+        in the plan re-breaks the same target — the mid-cycle ``link_up``
+        of a flap is not a real clear; only the last one is.
         """
         times = []
         for i, ev in enumerate(self.events):
             breakers = self._BREAKERS.get(ev.kind)
             if breakers is None:
                 continue
-            if final_only:
-                target = self._target(ev)
-                rebroken = any(
-                    later.kind in breakers and self._target(later) == target
-                    for later in self.events[i + 1 :]
-                )
-                if rebroken:
-                    continue
-            times.append(ev.time)
+            target = self._target(ev)
+            if not any(
+                later.kind in breakers and self._target(later) == target
+                for later in self.events[i + 1 :]
+            ):
+                times.append(ev.time)
         return times
 
     def __len__(self) -> int:

@@ -101,14 +101,6 @@ class InterDomainChannel:
         else:
             self._per_domain[str(domain)] = imp
 
-    def clear_impairment(self, domain: Optional[Any] = None) -> None:
-        """Restore a domain override, or (``domain=None``) the whole mesh."""
-        if domain is None:
-            self._global = ChannelImpairment()
-            self._per_domain.clear()
-        else:
-            self._per_domain.pop(str(domain), None)
-
     def partition(self, domain: Any) -> None:
         """Cut the domain off entirely (both directions) until healed."""
         self.partitioned.add(str(domain))

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments.scenario import ScenarioResult
 from ..faults.plan import FaultPlan
+from ..obs.run import fault_log_entries
 from .experiment import build_federated_views
 from .session import RETRY_LIMIT, FederatedSession
 from .shard import DECAY_FLOOR
@@ -150,10 +151,7 @@ def _run_one(
         "coordinator": fed.coordinator_totals(),
         "channel": fed.channel.summary(),
         "failover_rounds": list(fed.failover_rounds),
-        "fault_log": [
-            {"time": t, "kind": kind, "detail": detail}
-            for t, kind, detail in fed.fault_log
-        ],
+        "fault_log": fault_log_entries(fed.fault_log),
         "shards": shards,
         "ceilings": ceilings,
     }

@@ -20,20 +20,19 @@ Parked trains
 "Transmits every layer all the time" is what the source *does*, not what the
 simulator must schedule.  At each slot boundary the source draws ``n`` for
 every layer (same order, same RNG stream, heard or not).  A layer whose
-group has a forwarding entry or a local handler at the source node — or
-whose node is dead, which charges ``dropped_dead`` per packet — gets its
-``n`` emit events as before.  A layer nobody hears gets **none**: the train
+group has a forwarding entry or a local handler at the source node gets its
+``n`` emit events.  A layer nobody hears gets **none**: the train
 ``(t0, n, spacing, offset)`` is recorded on the sender and the sender is
 *parked*.  Its packets are unobservable except through the sender's
 counters, so they are counted rather than simulated:
 
 * **wake** — the group gains its first listener on the node
-  (:meth:`Node.set_forwarding`, :meth:`Node.add_group_handler`) or the node
-  crashes (both call the waker registered with
-  :meth:`Node.add_group_waker`): emits already due are added to the counters
-  as sent-unheard, the rest are scheduled through ``Scheduler.at`` at the
-  float times ``t0 + (offset + i*spacing)`` an unparked train would have
-  used, and take the sequence numbers they would have had;
+  (:meth:`Node.set_forwarding` and :meth:`Node.add_group_handler` call the
+  waker registered with :meth:`Node.add_group_waker`): emits already due
+  are added to the counters as sent-unheard, the rest are scheduled
+  through ``Scheduler.at`` at the float times ``t0 + (offset + i*spacing)``
+  an unparked train would have used, and take the sequence numbers they
+  would have had;
 * **settle** — what is left of a parked train at the next slot boundary
   goes into the counters; ``packets_sent`` read at any instant includes the
   parked emits due by then (settle-on-read).
@@ -113,9 +112,8 @@ class LayeredSource:
 
     Layers nobody hears at the source node hold no heap entries: their
     trains are parked and counted, and woken phase-exact when the group
-    gains a listener or the node crashes (module docstring, "Parked
-    trains").  Per-layer counters are on :attr:`senders` and are exact at
-    any instant.
+    gains a listener (module docstring, "Parked trains").  Per-layer
+    counters are on :attr:`senders` and are exact at any instant.
 
     Parameters
     ----------
@@ -198,8 +196,6 @@ class LayeredSource:
         sched = self.sched
         at, now, emit = sched.at, sched.now, self._emit
         node = self.node
-        # A dead node charges ``dropped_dead`` per packet: nothing parks.
-        parkable = node.alive
         fwd, handlers = node.mcast_fwd, node.group_handlers
         for sender in self.senders:
             if sender.parked is not None:
@@ -212,7 +208,7 @@ class LayeredSource:
             spacing = SLOT / n
             offset = sender.phase * spacing
             group = sender.group
-            if parkable and group not in fwd and group not in handlers:
+            if group not in fwd and group not in handlers:
                 sender.parked = (now, n, spacing, offset)
                 continue
             for i in range(n):
@@ -220,8 +216,8 @@ class LayeredSource:
         at(now + SLOT, self._run_slot)
 
     def _wake(self, sender: _LayerSender) -> None:
-        """The sender's group gained a listener (or the node crashed): count
-        the parked emits already due, schedule the rest where they belong."""
+        """The sender's group gained a listener: count the parked emits
+        already due, schedule the rest where they belong."""
         if sender.parked is None:
             return
         due = sender.due()
@@ -249,9 +245,8 @@ class LayeredSource:
         sender.sent = seq + 1
         # A layer pruned after its emits were scheduled: a packet for a
         # group with no forwarding entry and no local handler dies inside
-        # ``Node.send`` without touching a counter, so don't build it.  A
-        # dead node still gets the packet so ``dropped_dead`` is charged.
-        if node.alive and group not in node.mcast_fwd and group not in node.group_handlers:
+        # ``Node.send`` without touching a counter, so don't build it.
+        if group not in node.mcast_fwd and group not in node.group_handlers:
             return
         node.send(Packet(
             src=node.name,

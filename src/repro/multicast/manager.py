@@ -323,12 +323,12 @@ class MulticastManager:
         removed_edges: Iterable[Edge] = (),
         added_edges: Iterable[Edge] = (),
     ) -> int:
-        """React to links/nodes changing; returns groups whose tree changed.
+        """React to links changing; returns groups whose tree changed.
 
-        Fault injectors call this after :meth:`Network.set_link_up` /
-        :meth:`Network.set_node_up`, passing the edges those calls actually
-        removed/restored; membership intent (``refcount``/``members``) is
-        deliberately preserved so recovery is automatic.  A source's tree
+        Fault injectors call this after :meth:`Network.set_link_up`,
+        passing the edges that call actually removed/restored; membership
+        intent (``refcount``/``members``) is deliberately preserved so
+        recovery is automatic.  A source's tree
         changes in three cases and no others:
 
         * **Its member set changed** (:meth:`_apply`): grafted or pruned in
@@ -477,7 +477,7 @@ class MulticastManager:
         """Rebuild ``source``'s tree over its members on the graph as it
         stands; returns the edges the old tree had and the new one lacks.
 
-        Members with no path from the source (dead link or node on the way)
+        Members with no path from the source (a dead link on the way)
         simply contribute no branch: they are orphaned until a restore
         rebuilds the tree.
         """

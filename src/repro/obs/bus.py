@@ -84,8 +84,8 @@ TOPIC_REGISTRY: Tuple[TopicSpec, ...] = (
               "`edges_removed`, `edges_added`, `orphans`)"),
     TopicSpec("tree.orphan", "multicast/manager.py",
               "a member's tree connectivity changed (`group`, `node`, `lost`)"),
-    TopicSpec("fault.*", "run recorder",
-              "mirrored fault-injector log entries (dynamic kind suffix)"),
+    TopicSpec("fault.*", "faults/injectors.py",
+              "a fault fired (`detail`; dynamic kind suffix)"),
     TopicSpec("federation.summary", "federation/coordinator.py",
               "one domain's aggregate reached the coordinator (`domain`, "
               "`session`, `receivers`, `mean_loss`, `min_level`, "

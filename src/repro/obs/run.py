@@ -14,8 +14,8 @@ The root defaults to ``./runs`` and can be moved with ``REPRO_RUNS_DIR``
 :class:`~repro.obs.bus.EventBus`, subscribes to a curated topic set
 (:data:`DEFAULT_TOPICS` — control plane, links, receivers, guard) and
 attaches the bus to a scenario's scheduler, so the instrumented stack's
-events land in ``events.jsonl`` — this replaces the ad-hoc fault-log
-plumbing the chaos and byzantine experiments used to duplicate.
+events — the fault injectors' ``fault.<kind>`` included — land in
+``events.jsonl`` in the order they happen.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def fault_log_entries(log: Iterable[Tuple[float, str, str]]) -> List[Dict[str, A
     """Normalise a fault injector's ``(time, kind, detail)`` log to dicts.
 
     The one shared renderer for every experiment's ``fault_log`` result
-    field (previously copy-pasted in chaos.py and byzantine.py).
+    field, the federation's included.
     """
     return [{"time": t, "kind": kind, "detail": detail} for (t, kind, detail) in log]
 
@@ -163,11 +163,6 @@ class RunRecorder:
         self._events_fh.write(json.dumps(entry, default=str) + "\n")
         self.events_logged += 1
         self.counts[f"events.{topic}"] += 1
-
-    def record_fault_log(self, log: Iterable[Tuple[float, str, str]]) -> None:
-        """Mirror a fault injector's log into the event stream."""
-        for entry in fault_log_entries(log):
-            self.log_event(entry["time"], f"fault.{entry['kind']}", {"detail": entry["detail"]})
 
     # ------------------------------------------------------------------
     def attach(self, scenario: Any, sample_interval: Optional[float] = None) -> None:

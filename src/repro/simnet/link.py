@@ -248,25 +248,6 @@ class Link:
                 utilization=self.stats.utilization(max(self.sched.now, 1e-9)),
             )
 
-    def set_bandwidth(self, bandwidth: float) -> None:
-        """Change the link capacity (fault injection: degradation/restore).
-
-        Takes effect for the next packet to start serializing; the packet
-        currently on the wire finishes at the old rate.  The packets queued
-        behind it are re-timed and their arrivals booked again.
-        """
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        self._settle()
-        self.bandwidth = float(bandwidth)
-        fifo = self._fifo
-        for i in range(1, len(fifo)):
-            entry = fifo[i]
-            entry[3].cancel()
-            pkt = entry[1]
-            tx_time = pkt.size * 8.0 / self.bandwidth
-            fifo[i] = self._book(fifo[i - 1][0] + tx_time, pkt, tx_time)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Link {self.src.name}->{self.dst.name} "

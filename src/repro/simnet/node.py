@@ -15,10 +15,10 @@ A :class:`Node` is a router and/or host.  It holds
 **Forwarding entries have one write path**, :meth:`Node.set_forwarding`;
 nothing else assigns into or deletes from ``mcast_fwd``.  Together with
 :meth:`Node.add_group_handler` it is where a group gains its first listener
-on a node, and that moment (like :meth:`Node.crash`) is announced to the
-callbacks registered with :meth:`Node.add_group_waker` — a
-:class:`~repro.media.source.LayeredSource` keeps no heap entries for a layer
-nobody hears and relies on being told when that ends.
+on a node, and that moment is announced to the callbacks registered with
+:meth:`Node.add_group_waker` — a :class:`~repro.media.source.LayeredSource`
+keeps no heap entries for a layer nobody hears and relies on being told
+when that ends.
 
 Routers in the paper's architecture do **no** congestion-control computation;
 accordingly the node only forwards.  All intelligence lives in application
@@ -42,14 +42,12 @@ Handler = Callable[[Packet], None]
 
 
 class NodeStats:
-    """Per-node drop tallies: packets with no route or handler, and packets
-    handed to a dead node."""
+    """Per-node drop tally: packets with no route or handler."""
 
-    __slots__ = ("no_route", "dropped_dead")
+    __slots__ = ("no_route",)
 
     def __init__(self) -> None:
         self.no_route = 0
-        self.dropped_dead = 0
 
 
 class Node:
@@ -66,7 +64,6 @@ class Node:
         self.group_wakers: Dict[int, List[Callable[[], None]]] = {}
         self.port_handlers: Dict[str, Handler] = {}
         self.stats = NodeStats()
-        self.alive = True
 
     # ------------------------------------------------------------------
     # Application attachment
@@ -116,9 +113,7 @@ class Node:
 
     def add_group_waker(self, group: int, waker: Callable[[], None]) -> None:
         """Call ``waker()`` whenever ``group`` gains its first listener here
-        (a forwarding entry or a local handler where there was neither) and
-        when the node crashes.  Registrations outlive a crash: they belong
-        to whoever transmits *into* the node, not to its forwarding state."""
+        (a forwarding entry or a local handler where there was neither)."""
         self.group_wakers.setdefault(group, []).append(waker)
 
     def _wake(self, group: int) -> None:
@@ -126,42 +121,10 @@ class Node:
             waker()
 
     # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def crash(self) -> None:
-        """Fail the node: bound ports, group handlers and forwarding state
-        are lost, and in-flight packets addressed here will be dropped.
-
-        Link state (this node's incident links, their queues, and the routing
-        graph) is managed by :meth:`repro.simnet.topology.Network.set_node_up`,
-        which is the entry point fault injectors use.
-        """
-        self.alive = False
-        self.port_handlers.clear()
-        self.group_handlers.clear()
-        self.mcast_fwd.clear()
-        # A dead node is charged ``dropped_dead`` for every packet handed to
-        # it, so whoever was holding packets back must hand them over again.
-        for group in self.group_wakers:
-            self._wake(group)
-
-    def recover(self) -> None:
-        """Bring the node back up with empty application/forwarding state.
-
-        Applications must re-bind their ports (the receiver agent's
-        re-registration path does this) and the multicast manager must
-        reinstall forwarding entries (``on_topology_change``).
-        """
-        self.alive = True
-
-    # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet, from_link: Optional["Link"] = None) -> None:
         """Handle a packet arriving from ``from_link`` (None = locally sent)."""
-        if not self.alive:
-            self.stats.dropped_dead += 1
-            return
         if pkt.group is not None:
             self._handle_multicast(pkt, from_link)
         else:
@@ -169,9 +132,6 @@ class Node:
 
     def send(self, pkt: Packet) -> None:
         """Originate a packet from an application on this node."""
-        if not self.alive:
-            self.stats.dropped_dead += 1
-            return
         if pkt.group is not None:
             self._handle_multicast(pkt, None)
         else:

@@ -18,8 +18,8 @@ routing state there is: trees and unicast next hops
 access link — needs no map of its own for unicast: every path out of it
 starts with that one edge, so its next hop towards any destination is that
 neighbour, provided the neighbour is the destination or its map reaches it.
-Every structural mutation (``add_node``, ``add_link``, ``set_link_up``,
-``set_node_up``) funnels through :meth:`Network._topology_changed`, which
+Every structural mutation (``add_node``, ``add_link``, ``set_link_up``)
+funnels through :meth:`Network._topology_changed`, which
 bumps :attr:`Network.topology_epoch` and drops the maps — nobody has to ask
 for routes to be rebuilt.  Nothing outside this module can add or remove
 nodes or edges of the adjacency: that is the one invalidation point (pinned
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count, islice
-from typing import Any, Dict, KeysView, List, Optional, Set, Tuple
+from typing import Any, Dict, KeysView, List, Optional, Tuple
 
 from .engine import Scheduler
 from .link import Link
@@ -73,9 +73,6 @@ class Network:
         self.topology_epoch = 0
         #: source -> (distance per target, node tuple per target), this epoch.
         self._spt: Dict[Any, Tuple[Dict[Any, float], Dict[Any, Tuple[Any, ...]]]] = {}
-        #: Directed links :meth:`set_link_up` took down: node recovery
-        #: leaves them down.
-        self._held_down: Set[Tuple[Any, Any]] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -179,24 +176,9 @@ class Network:
         follow up with an *incremental*
         :meth:`repro.multicast.manager.MulticastManager.on_topology_change`
         — the fault injectors in :mod:`repro.faults` do exactly that.
-
-        A link this call takes down stays down through any crash or
-        recovery of its endpoints, until this call brings it up again.
-        Bringing it up restores only the directions whose two endpoints are
-        alive; the rest return when the crashed node recovers.
         """
-        pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
-        live = [(u, v) for u, v in pairs
-                if not up or (self.nodes[u].alive and self.nodes[v].alive)]
-        changed = self._set_edges(live, up)
-        (self._held_down.difference_update if up else self._held_down.update)(pairs)
-        return changed
-
-    def _set_edges(self, pairs: List[Tuple[Any, Any]], up: bool) -> List[Tuple[Any, Any]]:
-        """Flip the directed links ``pairs`` and their routing-graph edges;
-        returns the edges actually removed or restored."""
         changed: List[Tuple[Any, Any]] = []
-        for u, v in pairs:
+        for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
             link = self.links.get((u, v))
             if link is None:
                 raise KeyError(f"unknown link {u!r}->{v!r}")
@@ -214,37 +196,6 @@ class Network:
                     self._topology_changed()
                     changed.append((u, v))
         return changed
-
-    def set_node_up(self, name: Any, up: bool) -> List[Tuple[Any, Any]]:
-        """Crash or recover a node together with its incident links.
-
-        Recovery restores only the links whose far end is alive and that no
-        :meth:`set_link_up` call holds down: a link to a node that is still
-        crashed stays down until that node recovers.  Returns the directed
-        routing-graph edges removed/restored, as :meth:`set_link_up` does."""
-        node = self.nodes[name]
-        pairs = [
-            (u, v) for u, v in self.links
-            if name in (u, v) and not (up and (
-                (u, v) in self._held_down
-                or not self.nodes[v if u == name else u].alive))
-        ]
-        changed = self._set_edges(pairs, up)
-        if up:
-            node.recover()
-        else:
-            node.crash()
-        return changed
-
-    def set_link_bandwidth(self, a: Any, b: Any, bandwidth: float,
-                           bidirectional: bool = True) -> None:
-        """Change a link's capacity (degradation fault).
-
-        Paths are weighted by delay alone, so the routing graph does not
-        hear of it: :attr:`topology_epoch` and the cached paths stand."""
-        self.links[(a, b)].set_bandwidth(bandwidth)
-        if bidirectional:
-            self.links[(b, a)].set_bandwidth(bandwidth)
 
     # ------------------------------------------------------------------
     # Routing

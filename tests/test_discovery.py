@@ -135,25 +135,13 @@ class TestDiscoveryFaults:
         tree = disc.session_tree(desc, {"rcv1": "r1"})
         assert tree.receivers == {"r1": "rcv1"}
 
-    def test_truncate_mode_clips_tree(self):
-        sched, net, mcast, desc = setup()
-        disc = TopologyDiscovery(mcast)
-        mcast.join(desc.groups[0], "r1")
-        sched.run(until=1.0)
-        disc.set_fault("truncate", truncate_depth=1)
-        tree = disc.session_tree(desc, {"rcv1": "r1"})
-        # Only the first hop below the root survives; r1 (2 hops) vanishes.
-        assert tree.edges == frozenset({("src", "mid")})
-        assert tree.receivers == {}
-        assert disc.failed_queries == 1
-
     def test_unknown_fault_mode_rejected(self):
         sched, net, mcast, desc = setup()
         disc = TopologyDiscovery(mcast)
         with pytest.raises(ValueError):
             disc.set_fault("gremlins")
         with pytest.raises(ValueError):
-            disc.set_fault("truncate", truncate_depth=-1)
+            disc.set_fault("truncate")
 
     def test_group_without_history_yields_empty_layer(self):
         # A group that never saw a join has no snapshots; discovery must

@@ -64,22 +64,25 @@ class TestLateJoiner:
 
 class TestCrossTrafficDisturbance:
     def test_controller_recovers_after_transient_flow(self):
-        """A transient disturbance takes most of the bottleneck for a while;
-        the receiver backs off, then re-converges after it ends."""
+        """A transient flow takes most of the bottleneck for a while; the
+        receiver backs off, then re-converges after it ends."""
         sc = Scenario(seed=9)
-        sc.add_node("src")
-        sc.add_node("isp")
-        sc.add_node("home")
+        for name in ("src", "cross", "isp", "home"):
+            sc.add_node(name)
         sc.add_link("src", "isp", bandwidth=10e6)
+        sc.add_link("cross", "isp", bandwidth=10e6)
         sc.add_link("isp", "home", bandwidth=500e3)
         sess = sc.add_session("src", traffic="cbr")
         sc.attach_controller("src")
         h = sc.add_receiver(sess.session_id, "home", receiver_id="V")
-        # Only 100 Kb/s (2 layers) of the bottleneck remain for 70 s.
-        FaultPlan().add(120.0, "link_degrade", "isp", "home", 0.2).add(
-            190.0, "link_restore", "isp", "home"
-        ).apply(sc)
-        sc.run(370.0)
+        sc.run(120.0)
+        # A static 4-layer (480 Kb/s) subscription shares the bottleneck
+        # for 70 s, then leaves.
+        flow = sc.add_session("cross", traffic="cbr")
+        sc.add_receiver(flow.session_id, "home", receiver_id="F",
+                        initial_level=4, mode="static")
+        FaultPlan().add(190.0, "receiver_leave", "F").apply(sc)
+        sc.run(250.0)
         before = h.trace.time_weighted_mean(60.0, 120.0)
         during = h.trace.time_weighted_mean(150.0, 190.0)
         after = h.trace.time_weighted_mean(270.0, 370.0)

@@ -142,8 +142,9 @@ class TestChannel:
         ch.set_impairment(domain="d1")  # d1 override: perfect
         assert ch.impairment_for("d1").perfect
         assert ch.impairment_for("d2").loss == 0.9
-        ch.clear_impairment()  # global clear wipes overrides too
+        ch.set_impairment()  # a perfect mesh clears the global loss
         assert ch.impairment_for("d2").perfect
+        assert ch.impairment_for("d1").perfect
         assert ch.summary()["partitioned"] == []
 
 
@@ -344,14 +345,13 @@ class TestFederatedSessionFaults:
         assert totals["epoch"] == standby.epoch
 
     def test_plan_rejects_non_federation_kinds(self):
-        plan = FaultPlan().add(4.0, "node_crash", "gw1")
+        plan = FaultPlan().add(4.0, "link_down", "gw1", "gw2")
         with pytest.raises(ValueError, match="fed_"):
             FederatedSession(_views(), seed=1, plan=plan)
 
     def test_plan_driven_faults_fire_at_round_barriers(self):
         plan = (FaultPlan()
                 .add(4.0, "fed_link_degrade", loss=0.9)
-                .add(8.0, "fed_link_restore")
                 .add(8.0, "fed_partition", "d2")
                 .add(12.0, "fed_heal", "d2")
                 .add(12.0, "fed_coordinator_kill")
@@ -360,7 +360,7 @@ class TestFederatedSessionFaults:
                                plan=plan)
         fed.run(20.0)
         kinds = [kind for (_t, kind, _d) in fed.fault_log]
-        assert kinds == ["fed_link_degrade", "fed_link_restore", "fed_partition",
+        assert kinds == ["fed_link_degrade", "fed_partition",
                          "fed_coordinator_kill", "fed_heal", "fed_coordinator_failover"]
         assert sorted(kinds) == sorted(kinds_of(FederationInjector))  # each once
         assert fed.failover_rounds == [4]

@@ -5,13 +5,13 @@ serialization end (``_tx_done``), which counts the packet, books its arrival
 and starts the next one — plus the tie rule the real link has by
 construction (DESIGN §6): a serialization that ends at ``t`` completes
 before anything else the link does at ``t``.  It and the real :class:`Link`
-run one generated script — sends of mixed sizes, down/up, bandwidth changes,
-counter reads — and must agree on every delivery and every counter at every
+run one generated script — sends of mixed sizes, down/up, counter reads —
+and must agree on every delivery and every counter at every
 read, drop-tail and RED, wired and lossy wireless.
 
 Script times sit on a 1/64 s grid and every serialization time is a whole
-number of grid steps (125-byte units at 64 kb/s, and dyadic bandwidth
-changes), so offers land exactly on serialization ends all the time.  Every
+number of grid steps (125-byte units at 64 kb/s), so offers land exactly on
+serialization ends all the time.  Every
 step is scheduled before the run starts and so precedes, in heap order, any
 ``_tx_done`` due at the same instant: without the tie rule the eager link
 would see those offers while still busy.
@@ -32,7 +32,7 @@ from repro.simnet.wireless import WirelessEdgeLink
 
 GRID = 64              # script steps per simulated second
 HORIZON = 3 * GRID
-BANDWIDTHS = (64_000.0, 32_000.0, 128_000.0, 16_000.0)
+BANDWIDTH = 64_000.0
 
 
 class EagerLink(Link):
@@ -104,10 +104,6 @@ class EagerLink(Link):
             bus.emit("link.down", self.sched.now,
                      link=f"{self.src.name}->{self.dst.name}", flushed=flushed)
 
-    def set_bandwidth(self, bandwidth):
-        self._settle()
-        self.bandwidth = float(bandwidth)
-
 
 class EagerWirelessLink(EagerLink, WirelessEdgeLink):
     """Reference wireless link: the channel draw happens in ``_tx_done``."""
@@ -152,7 +148,7 @@ class Rig:
             queue = red(np.random.default_rng(seed))
         else:
             queue = DropTailQueue(qcap)
-        args = (self.sched, Stub(), self.sink, BANDWIDTHS[0], delay, queue)
+        args = (self.sched, Stub(), self.sink, BANDWIDTH, delay, queue)
         if kind == "wireless":
             cls = EagerWirelessLink if eager else WirelessEdgeLink
             self.link = cls(*args, loss_rate=0.3, fade_in=0.2,
@@ -175,9 +171,6 @@ class Rig:
 
     def up(self, _):
         self.link.set_up()
-
-    def bandwidth(self, i):
-        self.link.set_bandwidth(BANDWIDTHS[i % len(BANDWIDTHS)])
 
     def read(self, _):
         self.reads.append((self.sched.now, self.counters()))
@@ -206,7 +199,7 @@ class Rig:
 
 _STEPS = st.tuples(
     st.integers(0, HORIZON - 1),
-    st.sampled_from(["send"] * 6 + ["down", "up", "bandwidth", "read", "read"]),
+    st.sampled_from(["send"] * 6 + ["down", "up", "read", "read"]),
     st.integers(1, 4),
 )
 _SCRIPTS = st.lists(_STEPS, max_size=40).map(lambda steps: sorted(steps, key=lambda s: s[0]))
@@ -227,9 +220,9 @@ def test_lazy_link_is_the_eager_link_minus_events(kind, delay, qcap, seed, scrip
 @pytest.mark.parametrize("kind", ["droptail", "wireless"])
 def test_the_oracle_scripts_hit_the_tie_and_save_events(kind):
     """Not vacuous: offers land on serialization ends, the eager link pays an
-    event per packet, and a down/bandwidth change mid-queue is exercised."""
-    script = ([(0, "send", 2)] * 4 + [(2, "send", 1), (4, "bandwidth", 1), (5, "read", 0),
-                                       (9, "down", 0), (10, "up", 0), (11, "send", 3)])
+    event per packet, and a down mid-queue is exercised."""
+    script = ([(0, "send", 2)] * 4 + [(2, "send", 1), (5, "read", 0),
+                                       (7, "down", 0), (10, "up", 0), (11, "send", 3)])
     eager, real = Rig(True, kind, 0.25, 3, 7), Rig(False, kind, 0.25, 3, 7)
     want, got = eager.play(script), real.play(script)
     assert got == want
@@ -238,4 +231,7 @@ def test_the_oracle_scripts_hit_the_tie_and_save_events(kind):
     # the queue counters after the link's three (dropped, bytes_dropped, then
     # the length) show no drop and packets 4 and 5 waiting behind packet 3.
     assert got["reads"][0][1][3:6] == [0, 0, 2]
+    # At step 7 packet 4 is on the wire and packet 5 queued: the down
+    # flushes it.
+    assert (7 / GRID, "link.down", [("flushed", 1), ("link", "src->dst")]) in got["bus"]
     assert real.sched.events_processed < eager.sched.events_processed

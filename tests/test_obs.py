@@ -361,12 +361,50 @@ class TestRunRecorder:
         assert a.dir != b.dir
 
     def test_record_fault_log(self, tmp_path):
+        from repro.faults.plan import FaultPlan
+
         rec = RunRecorder("chaos", root=str(tmp_path))
-        rec.record_fault_log([(3.0, "crash_controller", "src")])
+        sc = small_scenario()
+        FaultPlan().add(3.0, "controller_kill").apply(sc)
+        rec.attach(sc)
+        sc.run(5.0)
         run_dir = rec.finalize()
-        line = json.loads((run_dir / "events.jsonl").read_text().splitlines()[0])
-        assert line["topic"] == "fault.crash_controller"
-        assert line["t"] == 3.0
+        rows = [json.loads(line)
+                for line in (run_dir / "events.jsonl").read_text().splitlines()]
+        faults = [row for row in rows if row["topic"].startswith("fault.")]
+        assert faults == [{"t": 3.0, "topic": "fault.controller_kill", "detail": ""}]
+
+    def test_chaos_artifact_logs_faults_in_time_order(self, tmp_path):
+        from repro.experiments.chaos import run_chaos
+
+        rec = RunRecorder("chaos", seed=1, root=str(tmp_path))
+        result = run_chaos(seed=1, duration=50.0, recorder=rec)
+        run_dir = rec.finalize(result=result)
+        rows = [json.loads(line)
+                for line in (run_dir / "events.jsonl").read_text().splitlines()]
+        times = [row["t"] for row in rows]
+        assert times == sorted(times)
+        faults = [(row["t"], row["topic"], row["detail"])
+                  for row in rows if row["topic"].startswith("fault.")]
+        assert faults == [(f["time"], f"fault.{f['kind']}", f["detail"])
+                          for f in result["fault_log"]]
+        assert len(faults) == 6
+
+    def test_fedchaos_artifact_holds_its_faults(self, tmp_path):
+        from repro.federation.chaos import run_fedchaos
+
+        rec = RunRecorder("fedchaos", seed=1, root=str(tmp_path))
+        result = run_fedchaos(seed=1, n_domains=2, receivers_per_domain=4,
+                              loss_rates=(0.2,), partition_rounds=(3,), recorder=rec)
+        run_dir = rec.finalize(result=result)
+        rows = [json.loads(line)
+                for line in (run_dir / "events.jsonl").read_text().splitlines()]
+        faults = [(row["t"], row["topic"][len("fault."):], row["detail"])
+                  for row in rows if row["topic"].startswith("fault.")]
+        (point,) = result["points"]
+        assert faults == [(f["time"], f["kind"], f["detail"])
+                          for f in point["faulted"]["fault_log"]]
+        assert len(faults) == 5 and all(kind.startswith("fed_") for _, kind, _ in faults)
 
     def test_sample_interval_validated(self, tmp_path):
         rec = RunRecorder("demo", root=str(tmp_path))

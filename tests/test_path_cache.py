@@ -91,28 +91,6 @@ def test_cached_paths_cannot_be_corrupted_by_callers():
     assert net.shortest_path_or_none("a", "d") == _fresh_path(graph, "a", "d")
 
 
-def test_set_link_bandwidth_keeps_epoch_and_cached_paths(monkeypatch):
-    net = square_network()
-    searches = []
-    real = Network._search
-
-    def counting(self, source, *args, **kwargs):
-        searches.append(source)
-        return real(self, source, *args, **kwargs)
-
-    monkeypatch.setattr(Network, "_search", counting)
-    before = net.shortest_path("a", "d")
-    assert "a" in net._spt  # warmed by build_routes()
-    epoch = net.topology_epoch
-    net.set_link_bandwidth("a", "b", 5e5)
-    assert net.topology_epoch == epoch
-    assert net.link("a", "b").bandwidth == net.link("b", "a").bandwidth == 5e5
-    assert net.shortest_path("a", "d") == before
-    assert net.path_delay("a", "d") == pytest.approx(0.2)
-    assert net.next_hop("a", "d") == before[1]
-    assert searches == [], "a capacity change must not cost a new search"
-
-
 def test_structural_changes_start_a_new_epoch_and_refresh_paths():
     net = square_network()
     via = net.shortest_path("a", "d")[1]
@@ -126,7 +104,8 @@ def test_structural_changes_start_a_new_epoch_and_refresh_paths():
     assert net.set_link_up("a", via, False) == []  # already down: no change
     assert net.topology_epoch == epoch
 
-    net.set_node_up(other, False)
+    net.set_link_up("a", other, False)
+    net.set_link_up(other, "d", False)  # ``other`` is cut off
     assert net.shortest_path("a", "d") == ["a", "d"]
     assert net.path_delay("a", "d") == pytest.approx(0.5)
     with pytest.raises(NoPathError):
@@ -138,7 +117,8 @@ def test_structural_changes_start_a_new_epoch_and_refresh_paths():
     assert net.shortest_path_or_none("a", other) is None
     assert net.shortest_path_or_none("nowhere", "a") is None
 
-    net.set_node_up(other, True)
+    net.set_link_up("a", other, True)
+    net.set_link_up(other, "d", True)
     net.set_link_up("a", via, True)
     graph = routing_graph(net)
     for x in "abcd":
@@ -151,63 +131,6 @@ def test_structural_changes_start_a_new_epoch_and_refresh_paths():
     net.add_link("e", "d", bandwidth=1e6, delay=0.01)
     assert net.topology_epoch > epoch
     assert net.shortest_path("a", "d") == ["a", "e", "d"]
-
-
-def test_node_recovery_keeps_links_to_crashed_neighbours_down():
-    net = Network(Scheduler())
-    for name in "abc":
-        net.add_node(name)
-    net.add_link("a", "b", bandwidth=1e6, delay=0.1)
-    net.add_link("b", "c", bandwidth=1e6, delay=0.1)
-    net.set_node_up("b", False)
-    net.set_node_up("c", False)
-
-    assert net.set_node_up("b", True) == [("a", "b"), ("b", "a")]
-    assert not net.has_edge("b", "c") and not net.has_edge("c", "b")
-    assert not net.link("b", "c").up
-    assert net.shortest_path_or_none("a", "c") is None
-
-    assert net.set_node_up("c", True) == [("b", "c"), ("c", "b")]
-    assert net.shortest_path("a", "c") == ["a", "b", "c"]
-
-
-def test_node_recovery_keeps_a_link_fault_down():
-    """A link a link fault took down stays down through a crash and
-    recovery of its endpoint; only bringing the link up restores it."""
-    net = Network(Scheduler())
-    for name in "abc":
-        net.add_node(name)
-    for x, y, delay in [("a", "b", 0.1), ("a", "c", 0.3), ("c", "b", 0.1)]:
-        net.add_link(x, y, bandwidth=1e6, delay=delay)
-    net.set_link_up("a", "b", False)
-    net.set_node_up("b", False)
-
-    assert net.set_node_up("b", True) == [("c", "b"), ("b", "c")]
-    assert not net.has_edge("a", "b") and not net.link("a", "b").up
-    assert net.shortest_path("a", "b") == ["a", "c", "b"]
-
-    assert net.set_link_up("a", "b", True) == [("a", "b"), ("b", "a")]
-    assert net.shortest_path("a", "b") == ["a", "b"]
-
-
-def test_link_up_keeps_the_link_to_a_crashed_node_down():
-    """Bringing a link up releases its hold but revives no direction with
-    a crashed endpoint; the node's recovery brings those back."""
-    net = Network(Scheduler())
-    for name in "abc":
-        net.add_node(name)
-    for x, y, delay in [("a", "b", 0.1), ("a", "c", 0.3), ("c", "b", 0.1)]:
-        net.add_link(x, y, bandwidth=1e6, delay=delay)
-    net.set_node_up("b", False)
-
-    assert net.set_link_up("a", "b", True) == []
-    assert not net.has_edge("a", "b") and not net.link("a", "b").up
-    assert net.shortest_path_or_none("a", "b") is None
-
-    net.set_link_up("a", "b", False)
-    assert net.set_link_up("a", "b", True) == []  # the hold is released ...
-    assert net.set_node_up("b", True) == [("a", "b"), ("b", "a"), ("c", "b"), ("b", "c")]
-    assert net.shortest_path("a", "b") == ["a", "b"]  # ... so recovery restores it
 
 
 def test_routing_graph_structure_is_mutated_only_in_topology_py():
@@ -233,7 +156,7 @@ def test_routing_graph_structure_is_mutated_only_in_topology_py():
 def tie_rich_scenarios(draw):
     """A connected graph whose delays come from two values, so equal-delay
     alternatives are the norm, plus an interleaving of membership changes
-    and link/node faults."""
+    and link faults."""
     n = draw(st.integers(min_value=4, max_value=8))
     delay = st.sampled_from([0.1, 0.2])
     links = {}
@@ -252,7 +175,6 @@ def tie_rich_scenarios(draw):
         st.tuples(st.just("leave"), group, node),
         st.tuples(st.just("link"), st.integers(min_value=0, max_value=len(links) - 1),
                   st.booleans()),
-        st.tuples(st.just("node"), node, st.booleans()),
     )
     return n, links, draw(st.lists(op, min_size=1, max_size=14))
 
@@ -297,8 +219,7 @@ class _Run:
             self.mcast.leave(self.groups[op[1]], op[2])
         else:
             up = op[2]
-            changed = (self.net.set_link_up(*self.links[op[1]], up) if kind == "link"
-                       else self.net.set_node_up(op[1], up))
+            changed = self.net.set_link_up(*self.links[op[1]], up)
             self.mcast.on_topology_change(
                 **{"added_edges" if up else "removed_edges": changed})
         self.sched.run(until=self.sched.now + 5.0)  # let grafts/prunes apply
@@ -328,9 +249,11 @@ def _cut(tree, source, members):
 
 
 @given(tie_rich_scenarios())
-@example((  # a layer joined during a crash kept its detour after recovery
+@example((  # a layer joined while node 2 was cut off kept its detour after
+    # the restore
     4, [((0, 1), 0.1), ((0, 2), 0.1), ((1, 3), 0.2), ((2, 3), 0.1)],
-    [("join", 0, 3), ("node", 2, False), ("join", 2, 3), ("node", 2, True)],
+    [("join", 0, 3), ("link", 1, False), ("link", 3, False), ("join", 2, 3),
+     ("link", 1, True), ("link", 3, True)],
 ))
 @example((  # a layer joined during an outage next to a rebuilt sibling
     6, [((0, 1), 0.1), ((1, 2), 0.1), ((2, 3), 0.1), ((0, 4), 0.2), ((3, 4), 0.2),

@@ -10,8 +10,8 @@ restored edge moves to the back of its node's successors), plus the
 all-pairs next-hop tables ``build_routes`` once filled, verbatim.
 
 One generated script — links with tie-rich delays, one- and two-way, some
-added mid-script; links and nodes taken down and brought up through the
-public mutators — drives both, and after every step they must agree on the
+added mid-script; links taken down and brought up through the public
+mutator — drives both, and after every step they must agree on the
 successor order of every node, on ``(distances, paths)`` from every source
 *including dict order*, and on the next hop of every node towards every
 destination, misses included — a stub's answer read from its neighbour's
@@ -37,8 +37,6 @@ class Shadow:
     def __init__(self):
         self.graph = nx.DiGraph()
         self.links = {}  # directed pair -> delay, in creation order
-        self.crashed = set()
-        self.held_down = set()  # directed pairs a link fault took down
 
     def add_link(self, a, b, delay, bidirectional):
         for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
@@ -46,14 +44,8 @@ class Shadow:
             self.graph.add_edge(u, v, delay=delay)
 
     def set_link_up(self, a, b, up, bidirectional=True):
-        pairs = [(a, b)] + ([(b, a)] if bidirectional else [])
-        (self.held_down.difference_update if up else self.held_down.update)(pairs)
-        # Bringing a link up leaves a direction to a crashed node down.
-        return self._flip([p for p in pairs if not (up and set(p) & self.crashed)], up)
-
-    def _flip(self, pairs, up):
         changed = []
-        for u, v in pairs:
+        for u, v in [(a, b)] + ([(b, a)] if bidirectional else []):
             if up and not self.graph.has_edge(u, v):
                 self.graph.add_edge(u, v, delay=self.links[(u, v)])
                 changed.append((u, v))
@@ -61,17 +53,6 @@ class Shadow:
                 self.graph.remove_edge(u, v)
                 changed.append((u, v))
         return changed
-
-    def set_node_up(self, name, up):
-        """Incident links fail with the node; recovery restores only those
-        whose far end is not crashed too and that no link fault holds
-        down."""
-        (self.crashed.discard if up else self.crashed.add)(name)
-        return self._flip([
-            (u, v) for u, v in self.links
-            if name in (u, v)
-            and not (up and ({u, v} & self.crashed or (u, v) in self.held_down))
-        ], up)
 
     def next_hops(self):
         """``Network.build_routes`` as it was: all-pairs, eager."""
@@ -113,9 +94,6 @@ class Rig:
             both = both and two_way
             assert self.net.set_link_up(a, b, up, bidirectional=both) == (
                 self.shadow.set_link_up(a, b, up, bidirectional=both))
-        elif op[0] == "node":
-            _, name, up = op
-            assert self.net.set_node_up(name, up) == self.shadow.set_node_up(name, up)
         elif self.spare:
             self.add(self.spare.pop(0))
 
@@ -144,11 +122,9 @@ def flap_scripts(draw):
             a, b = b, a
         links.append((a, b, draw(st.sampled_from(DELAYS)), draw(st.booleans())))
     n_initial = draw(st.integers(min_value=1, max_value=len(links)))
-    node = st.integers(min_value=0, max_value=n - 1)
     link = st.integers(min_value=0, max_value=len(links) - 1)
     op = st.one_of(
         st.tuples(st.just("link"), link, st.booleans(), st.booleans()),
-        st.tuples(st.just("node"), node, st.booleans()),
         st.tuples(st.just("add")),
     )
     steps = draw(st.lists(op, min_size=1, max_size=10))
@@ -161,7 +137,7 @@ SQUARE = [(0, 1, 0.1, True), (0, 2, 0.1, True), (1, 3, 0.1, True), (2, 3, 0.1, T
 # Remove/re-add on a tie: 0->3 goes via 1 until link 0-1 flaps, via 2 after.
 @example((4, SQUARE, 4,
           [("link", 0, False, True), ("link", 0, True, True),
-           ("node", 2, False), ("node", 2, True)]))
+           ("link", 1, False, True), ("link", 1, True, True)]))
 # One direction of a two-way link down, a one-way chord added mid-script.
 @example((4, SQUARE + [(3, 0, 0.2, False)], 4,
           [("link", 2, False, False), ("add",), ("link", 4, False, True)]))
@@ -300,7 +276,7 @@ def test_stub_whose_neighbour_crashed_has_no_route(searches):
     sched, net = line_abc()
     a = net.node("a")
     assert net.next_hop("a", "c") == "b" and searches == ["b"]
-    net.set_node_up("b", False)  # "a" has no live successor left
+    net.set_link_up("a", "b", False)  # "a" has no live successor left
     del searches[:]
     a.send(Packet(src="a", dst="c", port="app"))
     a.send(Packet(src="a", dst="b", port="app"))
@@ -309,7 +285,7 @@ def test_stub_whose_neighbour_crashed_has_no_route(searches):
     assert a.stats.no_route == 2 and ab.queue.stats.dropped == ab.stats.tx_packets == 0
     assert searches == ["a"] and net.next_hop("a", "b") is None
 
-    net.set_node_up("b", True)  # a stub again
+    net.set_link_up("a", "b", True)  # a stub again
     del searches[:]
     assert net.next_hop("a", "c") == "b" and searches == ["b"]
 

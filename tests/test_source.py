@@ -161,8 +161,8 @@ def test_group_count_must_match_layers():
 # Unheard layers: no packet is built, every counter still moves
 # ----------------------------------------------------------------------
 def pinned_scenario():
-    """src -> hub -> {a (100 Kb/s, lossy), b}: layers come and go, then the
-    source node crashes.  Returns every counter the emit path can touch, and
+    """src -> hub -> {a (100 Kb/s, lossy), b}: layers come and go.  Returns
+    every counter the emit path can touch, and
     the packets each node forwarded (offers to its outgoing links, counted
     by a wrapper of ``Link.send``)."""
     forwarded = {}
@@ -207,7 +207,6 @@ def _run_pinned_scenario():
     sched.at(7.37, rx_b.set_level, 4)      # layer 4 was unheard until now
     sched.at(9.12, rx_a.set_level, 1)      # layers 2-3 stay heard through b
     sched.at(10.41, rx_b.set_level, 2)     # layers 3-4 go unheard again
-    sched.at(12.0, net.node("src").crash)  # every later emit is dropped_dead
     sched.run(until=15.0)
     return {
         "events": sched.events_processed,
@@ -226,29 +225,31 @@ def _run_pinned_scenario():
 
 def test_counters_match_values_pinned_before_the_emit_fast_path():
     """Pinned at commit d2f36b9, where every emit built a Packet and went
-    through ``Node.send``; NodeStats order is no_route, dropped_dead.
-    ``events`` alone was re-pinned twice: 3193 → 2579 when unheard layers
-    were parked (614 emits nobody heard are no longer heap entries), and
-    2579 → 1675 when links stopped scheduling an event per serialization
-    end (904 packets crossed a link).  The source crashes at 12.0 with
-    layers 3-4 parked, and ``dropped_dead`` is still 228.  The pin moved
-    once with no behaviour, when the counters only tests read went: a
-    sender's ``next_seq`` alias and ``bytes_sent`` (1000 × ``packets_sent``)
-    and NodeStats' ``received``, ``forwarded`` and ``delivered``.  The
-    pinned ``forwarded`` values are now counted at ``Link.send``; the
-    delivered ones were already ``total_bytes`` / 1000."""
+    through ``Node.send``; NodeStats holds ``no_route``.  ``events`` alone
+    was re-pinned twice: 3193 → 2579 when unheard layers were parked (614
+    emits nobody heard are no longer heap entries), and 2579 → 1675 when
+    links stopped scheduling an event per serialization end (904 packets
+    crossed a link).  The pin moved once with no behaviour, when the
+    counters only tests read went: a sender's ``next_seq`` alias and
+    ``bytes_sent`` (1000 × ``packets_sent``) and NodeStats' ``received``,
+    ``forwarded`` and ``delivered``.  The pinned ``forwarded`` values are
+    now counted at ``Link.send``; the delivered ones were already
+    ``total_bytes`` / 1000.  The scenario used to crash the source node at
+    12.0; when node death left the simulator the crash left the scenario,
+    and these are the counters the commit before gives without it (up to
+    12 s nothing moved)."""
     assert pinned_scenario() == {
-        "events": 1675,
+        "events": 1564,
         "senders": [69, 99, 240, 945],
-        "nodes": {"src": [0, 228], "hub": [0, 0], "a": [0, 0], "b": [0, 0]},
-        "forwarded": {"src": 511, "hub": 597},
+        "nodes": {"src": [0], "hub": [0], "a": [0], "b": [0]},
+        "forwarded": {"src": 547, "hub": 645},
         "receivers_at_9s": {
             "a": [[45, 23, 21], [30, 7, 21], [234, 71, 159], [None, 0, 0]],
             "b": [[45, 45, 0], [30, 1, 0], [234, 27, 0], [657, 142, 0]],
         },
         "receivers": {
-            "a": [113000, [57, 35, 21], [None, 0, 0], [None, 0, 0], [None, 0, 0]],
-            "b": [278000, [57, 57, 0], [75, 46, 0], [None, 0, 0], [None, 0, 0]],
+            "a": [124000, [68, 46, 21], [None, 0, 0], [None, 0, 0], [None, 0, 0]],
+            "b": [313000, [68, 68, 0], [99, 70, 0], [None, 0, 0], [None, 0, 0]],
         },
     }
 
@@ -270,7 +271,7 @@ def test_join_mid_slot_gets_the_next_packet_with_its_sequence_number():
     sender = src.senders[0]
     # Seven emits nobody heard: counted, never handed to the node.
     assert sender.packets_sent == 7
-    assert sent == [] and node.stats.dropped_dead == 0
+    assert sent == []
     got = []
     net.node("dst").add_group_handler(7, got.append)
     node.set_forwarding(7, {"dst"})  # grafted in the middle of slot 1

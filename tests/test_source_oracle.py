@@ -3,8 +3,7 @@
 ``EagerSource`` is the slot loop as it was before unheard layers were parked:
 every emit of every layer is a heap entry, heard or not.  It and the real
 :class:`LayeredSource` run one generated script — grafts, prunes, local
-handlers coming and going, the source node crashing and recovering,
-counter reads — on the same two-node topology, and must agree on
+handlers coming and going, counter reads — on the same two-node topology, and must agree on
 everything except how many events it took.  Each listener records the
 sequence numbers it heard, and a wrapper of the source node's ``send``
 records each packet's sequence number and emit time.
@@ -92,12 +91,6 @@ class Rig:
         g = self._group(layer)
         self.src.remove_group_handler(g, self.heard["src", g].append)
 
-    def crash(self, _):
-        self.src.crash()
-
-    def recover(self, _):
-        self.src.recover()
-
     def read(self, _):
         self.reads.append((self.sched.now, self.counters()))
 
@@ -125,7 +118,7 @@ class Rig:
 
 _STEPS = st.tuples(
     st.integers(0, HORIZON - 1),
-    st.sampled_from(["graft", "prune", "listen", "unlisten", "crash", "recover", "read"]),
+    st.sampled_from(["graft", "prune", "listen", "unlisten", "read"]),
     st.integers(0, 3),
 )
 _SCRIPTS = st.lists(_STEPS, max_size=24).map(lambda steps: sorted(steps, key=lambda s: s[0]))
@@ -146,11 +139,10 @@ def test_parked_source_is_the_eager_source_minus_events(model, jitter, n_layers,
 def test_the_oracle_scripts_do_park_and_wake():
     """The generated scripts are not vacuous: a plain one saves most events,
     and a graft in the middle of a slot is served from a woken train."""
-    script = [(GRID + 8, "graft", 0), (4 * GRID + 16, "crash", 0), (4 * GRID + 21, "read", 0)]
+    script = [(GRID + 8, "graft", 0), (4 * GRID + 16, "prune", 0), (4 * GRID + 21, "read", 0)]
     eager, real = (Rig(cls, CBR, False, 4, 0) for cls in (EagerSource, LayeredSource))
     want, got = eager.play(script), real.play(script)
     assert got == want
     # 4 in slot 0, 1 unheard in slot 1; the next is due at the graft instant.
     assert got["heard"]["dst", 1][0] == 5 and got["sent"][1][0] == (5, 1.25)
-    assert got["nodes"]["src"][1] > 0  # dropped_dead after the crash
     assert real.sched.events_processed < eager.sched.events_processed / 2

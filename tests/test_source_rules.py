@@ -338,8 +338,6 @@ def function_level_imports(trees):
 WRITE_ONLY_EXEMPT = {
     "no_route": "drop tally (NodeStats): fault evidence for the control "
                 "ledger and the conservation oracle (ROADMAP 1(c), 3(b))",
-    "dropped_dead": "drop tally (NodeStats): packets handed to a crashed node, "
-                    "the same fault evidence",
     "bytes_dropped": "drop tally (QueueStats): the byte side of `dropped`, "
                      "which loss attribution reads",
 }
