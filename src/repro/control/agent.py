@@ -202,7 +202,7 @@ class ReceiverAgent:
     def _begin_registration(self) -> None:
         """Start a fresh registration round, superseding any pending retry."""
         if self._register_ev is not None:
-            self._register_ev.cancel()
+            self.sched.cancel(self._register_ev)
             self._register_ev = None
         self._register(attempt=0)
 
@@ -260,7 +260,7 @@ class ReceiverAgent:
             return
         self.active = False
         if self._register_ev is not None:
-            self._register_ev.cancel()
+            self.sched.cancel(self._register_ev)
             self._register_ev = None
         self.receiver.set_level(0)
         self.node.unbind_port(self.port)

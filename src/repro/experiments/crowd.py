@@ -130,9 +130,9 @@ def build_crowd_scenario(
             factor = float(sc.rngs.fork(f"wireless/factor/{name}").uniform(0.5, 1.5))
             loss = min(0.9, wireless_loss * factor)
 
-            def make_wireless(sched, a, b, bw, delay, queue, _loss=loss):
+            def make_wireless(sched, a, b, bw, delay, discipline, _loss=loss):
                 return WirelessEdgeLink(
-                    sched, a, b, bw, delay, queue,
+                    sched, a, b, bw, delay, discipline,
                     loss_rate=_loss,
                     fade_in=min(0.5, _loss * 0.25),
                     rng=sc.rngs.fork(f"wireless/chan/{a.name}->{b.name}"),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,13 @@ __all__ = [
 
 #: The three traffic models every figure of the paper sweeps.
 TRAFFIC_MODELS: Tuple[Tuple[str, float], ...] = (("cbr", 0.0), ("vbr", 3.0), ("vbr", 6.0))
+
+#: The figures' sweeps, read when a driver runs (a test patches them).
+FIG6_RECEIVER_COUNTS: Tuple[int, ...] = (2, 4, 8)
+FIG7_SESSION_COUNTS: Tuple[int, ...] = (2, 4, 8)
+FIG8_SESSION_COUNTS: Tuple[int, ...] = (2, 4, 8, 16)
+FIG10_STALENESS: Tuple[float, ...] = (0.0, 2.0, 4.0, 8.0, 12.0, 18.0)
+FIG10_RECEIVER_COUNTS: Tuple[int, ...] = (2, 4, 8)
 
 #: One shape check: its name and a predicate over the document.
 Check = Tuple[str, Callable[[], Any]]
@@ -105,21 +112,15 @@ def _label(traffic: str, p: float) -> str:
 # ----------------------------------------------------------------------
 # Figure 6 — stability in Topology A
 # ----------------------------------------------------------------------
-def fig6_stability_topology_a(
-    receiver_counts: Sequence[int] = (2, 4, 8),
-    traffic_models: Sequence[Tuple[str, float]] = TRAFFIC_MODELS,
-    *,
-    duration: float,
-    seed: int = 1,
-) -> List[Dict[str, Any]]:
+def fig6_stability_topology_a(*, duration: float, seed: int = 1) -> List[Dict[str, Any]]:
     """Max subscription changes by any receiver + mean time between changes.
 
     One row per (traffic model, receiver count), mirroring the two panels of
     the paper's Fig. 6.
     """
     rows = []
-    for traffic, p in traffic_models:
-        for n in receiver_counts:
+    for traffic, p in TRAFFIC_MODELS:
+        for n in FIG6_RECEIVER_COUNTS:
             sc = build_topology_a(
                 n_receivers=n, traffic=traffic, peak_to_mean=p, seed=seed
             )
@@ -162,17 +163,11 @@ def fig6_gate(rows: Any, duration: Optional[float]) -> Iterator[Check]:
 # ----------------------------------------------------------------------
 # Figure 7 — stability in Topology B
 # ----------------------------------------------------------------------
-def fig7_stability_topology_b(
-    session_counts: Sequence[int] = (2, 4, 8),
-    traffic_models: Sequence[Tuple[str, float]] = TRAFFIC_MODELS,
-    *,
-    duration: float,
-    seed: int = 1,
-) -> List[Dict[str, Any]]:
+def fig7_stability_topology_b(*, duration: float, seed: int = 1) -> List[Dict[str, Any]]:
     """Max changes in any session + mean gap, vs number of sessions."""
     rows = []
-    for traffic, p in traffic_models:
-        for n in session_counts:
+    for traffic, p in TRAFFIC_MODELS:
+        for n in FIG7_SESSION_COUNTS:
             sc = build_topology_b(
                 n_sessions=n, traffic=traffic, peak_to_mean=p, seed=seed
             )
@@ -211,19 +206,13 @@ def fig7_gate(rows: Any, duration: Optional[float]) -> Iterator[Check]:
 # ----------------------------------------------------------------------
 # Figure 8 — inter-session fairness in Topology B
 # ----------------------------------------------------------------------
-def fig8_fairness(
-    session_counts: Sequence[int] = (2, 4, 8, 16),
-    traffic_models: Sequence[Tuple[str, float]] = TRAFFIC_MODELS,
-    *,
-    duration: float,
-    seed: int = 1,
-) -> List[Dict[str, Any]]:
+def fig8_fairness(*, duration: float, seed: int = 1) -> List[Dict[str, Any]]:
     """Mean relative deviation from the optimal 4 layers, for the first and
     second halves of the run (the paper's 0-600 s / 600-1200 s split)."""
     half = duration / 2.0
     rows = []
-    for traffic, p in traffic_models:
-        for n in session_counts:
+    for traffic, p in TRAFFIC_MODELS:
+        for n in FIG8_SESSION_COUNTS:
             sc = build_topology_b(
                 n_sessions=n, traffic=traffic, peak_to_mean=p, seed=seed
             )
@@ -328,18 +317,12 @@ def fig9_gate(data: Any, duration: Optional[float]) -> Iterator[Check]:
 # ----------------------------------------------------------------------
 # Figure 10 — impact of stale topology information (Topology A, VBR P=3)
 # ----------------------------------------------------------------------
-def fig10_staleness(
-    staleness_values: Sequence[float] = (0.0, 2.0, 4.0, 8.0, 12.0, 18.0),
-    receiver_counts: Sequence[int] = (2, 4, 8),
-    *,
-    duration: float,
-    seed: int = 1,
-) -> List[Dict[str, Any]]:
+def fig10_staleness(*, duration: float, seed: int = 1) -> List[Dict[str, Any]]:
     """Mean relative deviation vs staleness of discovery information."""
     warmup = min(60.0, duration / 4)
     rows = []
-    for n in receiver_counts:
-        for staleness in staleness_values:
+    for n in FIG10_RECEIVER_COUNTS:
+        for staleness in FIG10_STALENESS:
             sc = build_topology_a(
                 n_receivers=n, traffic="vbr", peak_to_mean=3.0,
                 seed=seed, staleness=staleness,

@@ -9,8 +9,8 @@ control plane cannot tell them apart — it *misattributes* them to
 congestion and throttles layers that the network could have carried
 (Sethu & Gerety's non-congestive-loss critique).
 
-The simulator knows the ground truth, because wireless drops are counted
-separately from queue drops.  :func:`loss_attribution` surfaces it:
+The simulator knows the ground truth, because every link counts its drops
+by reason.  :func:`loss_attribution` surfaces it:
 ``misattribution_rate`` is the fraction of all link-level losses that were
 actually channel noise — i.e. the fraction of the loss signal feeding the
 congestion inference that is a lie.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..simnet.wireless import WirelessEdgeLink
+from ..simnet.link import DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_WIRELESS
 
 __all__ = ["loss_attribution"]
 
@@ -28,18 +28,18 @@ __all__ = ["loss_attribution"]
 def loss_attribution(network: Any) -> Dict[str, float]:
     """Ground-truth drop accounting over every link in ``network``.
 
-    Returns ``congestive_drops`` (queue tail-drops plus outage flushes,
-    i.e. everything in ``queue.stats``), ``wireless_drops`` (channel
-    losses on :class:`~repro.simnet.wireless.WirelessEdgeLink` edges) and
+    Returns ``congestive_drops`` (queue drops plus outage drops),
+    ``wireless_drops`` (channel losses on
+    :class:`~repro.simnet.wireless.WirelessEdgeLink` edges) and
     ``misattribution_rate`` — wireless over total, 0.0 when nothing was
     dropped.
     """
     congestive = 0
     wireless = 0
     for link in network.links.values():
-        congestive += link.queue.stats.dropped
-        if isinstance(link, WirelessEdgeLink):
-            wireless += link.wireless_drops
+        drops = link.drops
+        congestive += drops[DROP_QUEUE_FULL] + drops[DROP_LINK_DOWN]
+        wireless += drops[DROP_WIRELESS]
     total = congestive + wireless
     return {
         "congestive_drops": float(congestive),

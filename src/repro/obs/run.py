@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.toposense import TopoSense
+from ..simnet.link import DROP_LINK_DOWN, DROP_QUEUE_FULL
 from .bus import BusEvent, EventBus, default_record_patterns
 from .profile import Profiler
 
@@ -91,11 +92,11 @@ def sample_links(network: Any, elapsed: float) -> List[Dict[str, Any]]:
     """Per-link utilisation/drop sample over ``elapsed`` seconds of sim time.
 
     Reads each link's cumulative :class:`~repro.simnet.link.LinkStats` and
-    queue stats; a reader diffs successive samples if it needs rates.
+    congestive drops; a reader diffs successive samples if it needs rates.
     """
     rows = []
     for link in network.links.values():
-        q = link.queue.stats
+        drops = link.drops
         rows.append(
             {
                 "link": f"{link.src.name}->{link.dst.name}",
@@ -103,8 +104,8 @@ def sample_links(network: Any, elapsed: float) -> List[Dict[str, Any]]:
                 "utilization": link.stats.utilization(elapsed),
                 "tx_packets": link.stats.tx_packets,
                 "tx_bytes": link.stats.tx_bytes,
-                "dropped": q.dropped,
-                "queue_len": len(link.queue),
+                "dropped": drops[DROP_QUEUE_FULL] + drops[DROP_LINK_DOWN],
+                "queue_len": link.backlog,
             }
         )
     return rows

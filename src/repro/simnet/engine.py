@@ -1,12 +1,14 @@
 """Discrete-event simulation engine.
 
 The engine is a classic calendar queue built on a binary heap.  A heap entry
-*is* the :class:`Event`: a ``list`` subclass laid out ``[time, seq, fn, args]``
-— one allocation per scheduled callback — so ``heapq`` orders entries with the
-C list comparison and never calls back into Python.  The monotonically
-increasing sequence number is unique: the comparison never reaches ``fn``, and
-the pop order is deterministic when several events share a timestamp, which in
-turn makes whole simulations reproducible from a seed.
+is a plain list ``[time, seq, fn, args]`` — one allocation per scheduled
+callback — so ``heapq`` orders entries with the C list comparison and never
+calls back into Python.  The monotonically increasing sequence number is
+unique: the comparison never reaches ``fn``, and the pop order is
+deterministic when several events share a timestamp, which in turn makes
+whole simulations reproducible from a seed.  :meth:`Scheduler.at` returns the
+entry it pushed; the holder treats it as an opaque handle and passes it back
+to :meth:`Scheduler.cancel`.
 
 This module is the innermost loop of the simulator — every packet
 transmission, arrival, timer and control decision passes through
@@ -23,11 +25,10 @@ or a subclass can override to see every callback.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
-__all__ = ["Event", "Scheduler", "SimulationError"]
+__all__ = ["Scheduler", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -35,34 +36,6 @@ class SimulationError(RuntimeError):
 
 
 _INF = float("inf")
-
-
-class Event(list):
-    """A scheduled callback, laid out as ``[time, seq, fn, args]``.
-
-    Events are returned by :meth:`Scheduler.at` / :meth:`Scheduler.after` and
-    may be cancelled with :meth:`cancel`, which clears ``fn``.  Cancelled
-    events stay in the heap but are skipped when popped (lazy deletion),
-    which is O(1) instead of the O(n) cost of removing an arbitrary heap
-    element.  Treat an event as an opaque handle: read it through the
-    properties below and never mutate it as a list.
-    """
-
-    __slots__ = ()
-
-    time = property(itemgetter(0), doc="Simulated time the callback is due.")
-    seq = property(itemgetter(1), doc="Scheduling order; breaks timestamp ties.")
-    fn = property(itemgetter(2), doc="The callback, or ``None`` once cancelled.")
-    args = property(itemgetter(3), doc="Positional arguments for the callback.")
-    cancelled = property(lambda self: self[2] is None, doc="Whether :meth:`cancel` was called.")
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        self[2] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        what = "cancelled" if self[2] is None else getattr(self[2], "__qualname__", self[2])
-        return f"<Event t={self[0]:.6f} #{self[1]} {what}>"
 
 
 class Scheduler:
@@ -82,7 +55,7 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[List[Any]] = []
         self._seq = 0
         #: Current simulated time in seconds.  A plain attribute because it
         #: is read on every packet hop; **read-only** for everyone but the
@@ -116,7 +89,7 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def at(self, time: float, fn: Callable[..., Any], *args: Any) -> List[Any]:
         """Schedule ``fn(*args)`` at absolute simulated time ``time``."""
         if not self.now <= time < _INF:  # one test on the fast path; NaN fails it
             if time < self.now:
@@ -126,11 +99,11 @@ class Scheduler:
             raise SimulationError(f"event time must be finite, got {time!r}")
         seq = self._seq
         self._seq = seq + 1
-        ev = Event((time, seq, fn, args))
-        heappush(self._heap, ev)
-        return ev
+        entry = [time, seq, fn, args]
+        heappush(self._heap, entry)
+        return entry
 
-    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> List[Any]:
         """Schedule ``fn(*args)`` ``delay`` seconds from now (``delay >= 0``)."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
@@ -142,10 +115,10 @@ class Scheduler:
         fn: Callable[..., Any],
         *args: Any,
         start: Optional[float] = None,
-    ) -> Event:
+    ) -> List[Any]:
         """Schedule ``fn(*args)`` periodically every ``interval`` seconds.
 
-        The returned :class:`Event` is the *first* occurrence only:
+        The returned entry is the *first* occurrence only:
         cancelling it before it fires means the chain never starts, and it is
         a dead handle afterwards.  A running chain ends when ``fn`` returns a
         truthy value or raises ``StopIteration``; there is no other way to
@@ -175,6 +148,15 @@ class Scheduler:
                 self.at(self.now + interval, _tick, *a)
 
         return self.at(self.now + interval if start is None else start, _tick, *args)
+
+    @staticmethod
+    def cancel(entry: List[Any]) -> None:
+        """Prevent the entry :meth:`at` returned from firing.  Idempotent.
+
+        The entry stays in the heap and is skipped when popped (lazy
+        deletion), which is O(1) instead of the O(n) cost of removing an
+        arbitrary heap element."""
+        entry[2] = None
 
     # ------------------------------------------------------------------
     # Execution

@@ -1,12 +1,14 @@
 """Point-to-point links with serialization delay, propagation delay and a
-bounded queue.
+bounded FIFO.
 
 A :class:`Link` is unidirectional; :meth:`repro.simnet.topology.Network.add_link`
 creates one in each direction.  The transmit path models store-and-forward:
 
 * if the transmitter is idle, a packet starts serializing immediately
   (``size * 8 / bandwidth`` seconds);
-* otherwise it is offered to the queue, where drop-tail (or RED) applies;
+* otherwise the link's queue discipline decides, from the number of packets
+  already waiting, whether it joins the FIFO (drop-tail or RED, see
+  :mod:`repro.simnet.queues`);
 * after serialization the packet propagates for ``delay`` seconds and is
   delivered to the destination node.
 
@@ -15,11 +17,16 @@ times, so nothing is simulated between an offer and its arrival: ``send``
 computes when the packet's serialization ends (the previous accepted
 packet's end, or now, plus its own serialization time — the float sums an
 event per serialization would make) and books **one** scheduler event, the
-arrival at ``end + delay``.  Packets not yet settled wait in a FIFO; the
-transmit counters, ``busy_time`` and the queue are brought up to ``now``
-whenever link state is read (``send`` itself, :attr:`Link.stats`,
-:attr:`Link.queue`, :attr:`Link.busy`).  A serialization that ends at ``t``
-has completed before anything else the link does at ``t``.
+arrival at ``end + delay``.  Packets not yet settled wait in the link's FIFO,
+the one place a waiting packet is held; the transmit counters,
+``busy_time`` and the FIFO are brought up to ``now`` whenever link state is
+read (``send`` itself, :attr:`Link.stats`, :attr:`Link.drops`,
+:attr:`Link.backlog`, :attr:`Link.busy`).  A serialization that ends at
+``t`` has completed before anything else the link does at ``t``.
+
+Every drop is counted once, on the link, by reason (:data:`DROP_REASONS`):
+the helper that emits ``link.drop`` counts it, and a downed link counts the
+waiting packets it flushes.
 
 This is the simulator's hot loop; it allocates one FIFO entry and one
 scheduler event per accepted packet, and books the arrival with
@@ -31,7 +38,7 @@ nothing).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, Dict, List, Optional, TYPE_CHECKING
 
 from .packet import Packet
 from .queues import DropTailQueue
@@ -59,7 +66,7 @@ DROP_REASONS = (DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_WIRELESS)
 
 
 class LinkStats:
-    """Per-link cumulative counters (in addition to the queue's own stats)."""
+    """Per-link cumulative transmit counters (drops are :attr:`Link.drops`)."""
 
     __slots__ = ("tx_packets", "tx_bytes", "busy_time")
 
@@ -86,11 +93,12 @@ class Link:
         Capacity in bits per second.
     delay:
         One-way propagation delay in seconds (paper uses 200 ms everywhere).
-    queue:
-        Queue discipline instance.
+    discipline:
+        Queue discipline: admits or refuses a packet offered to a busy link.
     """
 
-    __slots__ = ("sched", "src", "dst", "bandwidth", "delay", "up", "_queue", "_stats", "_fifo")
+    __slots__ = ("sched", "src", "dst", "bandwidth", "delay", "up", "discipline",
+                 "_stats", "_drops", "_fifo")
 
     def __init__(
         self,
@@ -99,7 +107,7 @@ class Link:
         dst: "Node",
         bandwidth: float,
         delay: float,
-        queue: DropTailQueue,
+        discipline: DropTailQueue,
     ):
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -111,11 +119,13 @@ class Link:
         self.bandwidth = float(bandwidth)
         self.delay = float(delay)
         self.up = True
-        self._queue = queue
+        self.discipline = discipline
         self._stats = LinkStats()
+        #: Drops per reason in :data:`DROP_REASONS`.
+        self._drops: Dict[str, int] = dict.fromkeys(DROP_REASONS, 0)
         #: Accepted packets not yet settled, oldest first, as ``[end, pkt,
-        #: tx_time, arrival event]``.  The head is on the wire (or finished
-        #: and not yet settled); the rest are in ``_queue``, in this order.
+        #: tx_time, arrival entry]``.  The head is on the wire (or finished
+        #: and not yet settled); the rest wait behind it.
         self._fifo: Deque[List[Any]] = deque()
 
     # ------------------------------------------------------------------
@@ -128,10 +138,17 @@ class Link:
         return self._stats
 
     @property
-    def queue(self) -> DropTailQueue:
-        """The queue discipline, holding exactly the packets waiting at ``now``."""
+    def drops(self) -> Dict[str, int]:
+        """Packets dropped so far, per reason in :data:`DROP_REASONS`,
+        settled to ``now``."""
         self._settle()
-        return self._queue
+        return self._drops
+
+    @property
+    def backlog(self) -> int:
+        """Packets waiting behind the one on the wire at ``now``."""
+        self._settle()
+        return max(len(self._fifo) - 1, 0)
 
     @property
     def busy(self) -> bool:
@@ -141,8 +158,8 @@ class Link:
 
     def _settle(self) -> None:
         """Complete every serialization that ended at or before ``now``: its
-        packet is counted as transmitted at its end, and the next packet
-        leaves the queue and is charged its airtime as it starts."""
+        packet is counted as transmitted at its end, and the next packet in
+        the FIFO is charged its airtime as it starts."""
         fifo = self._fifo
         now = self.sched.now
         if not fifo or fifo[0][0] > now:
@@ -154,7 +171,6 @@ class Link:
             stats.tx_bytes += entry[1].size
             if not fifo:
                 return
-            self._queue.pop()
             nxt = fifo[0]
             stats.busy_time += nxt[2]
             if nxt[0] > now:
@@ -168,8 +184,6 @@ class Link:
         queued) and False if it was dropped.  A downed link silently drops.
         """
         if not self.up:
-            self._queue.stats.dropped += 1
-            self._queue.stats.bytes_dropped += pkt.size
             self._emit_drop(pkt, DROP_LINK_DOWN)
             return False
         fifo = self._fifo
@@ -185,7 +199,7 @@ class Link:
                 self._settle()
         tx_time = pkt.size * 8.0 / self.bandwidth
         if fifo:
-            if not self._queue.push(pkt):
+            if not self.discipline.admit(len(fifo) - 1):
                 self._emit_drop(pkt, DROP_QUEUE_FULL)
                 return False
             end = fifo[-1][0] + tx_time
@@ -202,6 +216,8 @@ class Link:
         return [end, pkt, tx_time, self.sched.at(end + self.delay, self.dst.receive, pkt, self)]
 
     def _emit_drop(self, pkt: Packet, reason: str, time: Optional[float] = None) -> None:
+        """Count a drop of ``pkt`` for ``reason`` and emit ``link.drop``."""
+        self._drops[reason] += 1
         bus = self.sched.bus
         if bus is not None:
             bus.emit(
@@ -212,24 +228,18 @@ class Link:
 
     # ------------------------------------------------------------------
     def set_down(self) -> None:
-        """Take the link down: queued and future packets are dropped.  The
+        """Take the link down: waiting and future packets are dropped.  The
         packet already serializing is still delivered."""
         self.up = False
         self._settle()
         fifo = self._fifo
-        while len(fifo) > 1:
-            fifo.pop()[3].cancel()
-        stats = self._queue.stats
         flushed = 0
-        while True:
-            pkt = self._queue.pop()
-            if pkt is None:
-                break
+        while len(fifo) > 1:
             # Flushed packets were accepted earlier but never transmitted;
-            # account them as drops so loss metrics see the outage.
-            stats.dropped += 1
-            stats.bytes_dropped += pkt.size
+            # count them as drops so loss metrics see the outage.
+            self.sched.cancel(fifo.pop()[3])
             flushed += 1
+        self._drops[DROP_LINK_DOWN] += flushed
         bus = self.sched.bus
         if bus is not None:
             bus.emit(

@@ -60,7 +60,9 @@ class Node:
         self.links: Dict[Any, "Link"] = {}  # neighbor name -> outgoing link
         #: group -> downstream neighbours, in ``links`` insertion order
         self.mcast_fwd: Dict[int, Tuple[Any, ...]] = {}
-        self.group_handlers: Dict[int, List[Handler]] = {}
+        #: group -> local handlers.  A tuple that add/remove replace, so a
+        #: delivery iterates a snapshot a handler may unsubscribe from.
+        self.group_handlers: Dict[int, Tuple[Handler, ...]] = {}
         self.group_wakers: Dict[int, List[Callable[[], None]]] = {}
         self.port_handlers: Dict[str, Handler] = {}
         self.stats = NodeStats()
@@ -82,9 +84,9 @@ class Node:
         """Deliver local copies of packets for ``group`` to ``handler``."""
         handlers = self.group_handlers.get(group)
         if handlers is not None:
-            handlers.append(handler)
+            self.group_handlers[group] = handlers + (handler,)
             return
-        self.group_handlers[group] = [handler]
+        self.group_handlers[group] = (handler,)
         if group not in self.mcast_fwd:
             self._wake(group)
 
@@ -92,8 +94,11 @@ class Node:
         """Stop delivering ``group`` packets to ``handler``."""
         handlers = self.group_handlers.get(group)
         if handlers and handler in handlers:
-            handlers.remove(handler)
-            if not handlers:
+            i = handlers.index(handler)
+            rest = handlers[:i] + handlers[i + 1:]
+            if rest:
+                self.group_handlers[group] = rest
+            else:
                 del self.group_handlers[group]
 
     def set_forwarding(self, group: int, neighbors: Optional[Set[Any]]) -> None:
@@ -141,8 +146,7 @@ class Node:
         group = pkt.group
         handlers = self.group_handlers.get(group)
         if handlers:
-            # Copy the list: a handler may unsubscribe during delivery.
-            for handler in list(handlers):
+            for handler in handlers:
                 handler(pkt)
         out = self.mcast_fwd.get(group)
         if not out:

@@ -1,35 +1,22 @@
-"""Link queues.
+"""Queue disciplines: admission rules for a link's FIFO.
 
 The paper's evaluation uses drop-tail FIFO queues at every node (section IV).
-:class:`DropTailQueue` reproduces that policy; :class:`REDQueue` is provided
-as an extension for the "dealing with bursty traffic" discussion in section V
-(random early detection absorbs bursts more gracefully and is a natural
-ablation for the capacity estimator).
+The FIFO itself is the link's (see :mod:`repro.simnet.link`); a discipline
+only decides whether a packet offered to a busy link may join it.
+:class:`DropTailQueue` reproduces the paper's policy; :class:`REDQueue` is
+provided as an extension for the "dealing with bursty traffic" discussion in
+section V (random early detection absorbs bursts more gracefully and is a
+natural ablation for the capacity estimator).  Drops are counted by the link,
+not here.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
-
-from .packet import Packet
-
-__all__ = ["QueueStats", "DropTailQueue", "REDQueue"]
-
-
-class QueueStats:
-    """Drop tallies shared by all queue disciplines (tail, early and
-    link-down drops alike)."""
-
-    __slots__ = ("dropped", "bytes_dropped")
-
-    def __init__(self) -> None:
-        self.dropped = 0
-        self.bytes_dropped = 0
+__all__ = ["DropTailQueue", "REDQueue"]
 
 
 class DropTailQueue:
-    """Bounded FIFO queue: arrivals beyond ``capacity`` packets are dropped.
+    """Bounded FIFO: arrivals beyond ``capacity`` waiting packets are dropped.
 
     ``capacity`` counts packets, matching ns-2's default DropTail behaviour
     used in the paper's simulations.
@@ -39,30 +26,11 @@ class DropTailQueue:
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._q: Deque[Packet] = deque()
-        self.stats = QueueStats()
 
-    def push(self, pkt: Packet) -> bool:
-        """Offer ``pkt``; returns True if accepted, False if tail-dropped."""
-        if len(self._q) >= self.capacity:
-            stats = self.stats
-            stats.dropped += 1
-            stats.bytes_dropped += pkt.size
-            return False
-        self._q.append(pkt)
-        return True
-
-    def pop(self) -> Optional[Packet]:
-        """Remove and return the head-of-line packet, or None when empty."""
-        if not self._q:
-            return None
-        return self._q.popleft()
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def __bool__(self) -> bool:
-        return bool(self._q)
+    def admit(self, backlog: int) -> bool:
+        """Whether a packet offered behind ``backlog`` waiting packets (the
+        one on the wire not counted) may join them."""
+        return backlog < self.capacity
 
 
 class REDQueue(DropTailQueue):
@@ -73,9 +41,9 @@ class REDQueue(DropTailQueue):
     :attr:`MAX_TH` packets are dropped with probability rising linearly to
     :attr:`MAX_P`; above :attr:`MAX_TH` the drop probability rises linearly
     to 1 at ``2 * MAX_TH``.  The average queue length uses an EWMA with
-    weight :attr:`WQ`.  The values are the ``ablation_red`` row's; its
-    capacity equals the 31 packets the drop-tail arm's 500 kb/s access
-    links get.
+    weight :attr:`WQ`, updated on every offer.  The values are the
+    ``ablation_red`` row's; its capacity equals the 31 packets the drop-tail
+    arm's 500 kb/s access links get.
     """
 
     #: Queue capacity in packets.
@@ -104,15 +72,8 @@ class REDQueue(DropTailQueue):
             return max_p + (1 - max_p) * (self.avg - max_th) / max_th
         return 1.0
 
-    def push(self, pkt: Packet) -> bool:
-        self.avg = (1 - self.WQ) * self.avg + self.WQ * len(self._q)
-        if len(self._q) >= self.capacity:
-            self.stats.dropped += 1
-            self.stats.bytes_dropped += pkt.size
+    def admit(self, backlog: int) -> bool:
+        self.avg = (1 - self.WQ) * self.avg + self.WQ * backlog
+        if backlog >= self.capacity:
             return False
-        if self._rng.random() < self._drop_probability():
-            self.stats.dropped += 1
-            self.stats.bytes_dropped += pkt.size
-            return False
-        self._q.append(pkt)
-        return True
+        return not self._rng.random() < self._drop_probability()

@@ -33,7 +33,7 @@ from itertools import count, islice
 from typing import Any, Dict, KeysView, List, Optional, Tuple
 
 from .engine import Scheduler
-from .link import Link
+from .link import DROP_LINK_DOWN, DROP_QUEUE_FULL, Link
 from .node import Node
 from .queues import DropTailQueue
 
@@ -105,7 +105,7 @@ class Network:
         queue of ``queue_limit`` packets.
 
         ``link_factory`` swaps the link implementation per direction: a
-        callable ``(sched, src, dst, bandwidth, delay, queue) -> Link``
+        callable ``(sched, src, dst, bandwidth, delay, discipline) -> Link``
         (e.g. a :class:`~repro.simnet.wireless.WirelessEdgeLink` builder).
 
         Returns the ``a -> b`` direction's :class:`Link`.
@@ -318,8 +318,10 @@ class Network:
     # Diagnostics
     # ------------------------------------------------------------------
     def total_drops(self) -> int:
-        """Total packets dropped at all queues in the network."""
-        return sum(l.queue.stats.dropped for l in self.links.values())
+        """Total congestive drops in the network: packets refused by a full
+        queue or lost to a downed link (channel losses are not counted)."""
+        return sum(l.drops[DROP_QUEUE_FULL] + l.drops[DROP_LINK_DOWN]
+                   for l in self.links.values())
 
     def describe(self) -> str:
         """Human-readable one-line-per-link summary (for examples/CLI)."""
@@ -331,6 +333,6 @@ class Network:
             seen.add((a, b))
             lines.append(
                 f"  {a} <-> {b}: {link.bandwidth / 1e3:g} Kb/s, "
-                f"{link.delay * 1e3:g} ms, q={link.queue.capacity}"
+                f"{link.delay * 1e3:g} ms, q={link.discipline.capacity}"
             )
         return "\n".join(lines)

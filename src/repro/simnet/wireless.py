@@ -12,12 +12,12 @@ Gilbert–Elliott channel —
   probability ``fade_in`` and left with probability :data:`FADE_OUT` per
   transmitted packet, producing the bursty loss signature of deep fades.
 
-Wireless drops are accounted *separately* from queue drops
-(:attr:`wireless_drops` / :attr:`wireless_bytes_dropped`, and the
-``link.drop`` bus event carries ``reason="wireless"``): congestive loss
-lives in ``queue.stats`` exactly as before, which is what lets experiments
-measure how often the control plane misattributes channel loss to
-congestion (see :func:`repro.metrics.attribution.loss_attribution`).
+Wireless drops are counted *separately* from congestive ones: the link's
+:attr:`~repro.simnet.link.Link.drops` books them under ``"wireless"`` (and
+the ``link.drop`` bus event carries ``reason="wireless"``), next to the
+``"queue_full"`` and ``"link_down"`` drops of any link, which is what lets
+experiments measure how often the control plane misattributes channel loss
+to congestion (see :func:`repro.metrics.attribution.loss_attribution`).
 
 The channel is drawn once per packet, in FIFO order, from the link's own
 stream, when the packet finishes serializing — that is, when the link is
@@ -66,10 +66,7 @@ class WirelessEdgeLink(Link):
         from a named :class:`~repro.simnet.rng.RngRegistry` stream.
     """
 
-    __slots__ = (
-        "loss_rate", "fade_in", "fading",
-        "rng", "_wireless_drops", "_wireless_bytes_dropped",
-    )
+    __slots__ = ("loss_rate", "fade_in", "fading", "rng")
 
     def __init__(
         self,
@@ -78,13 +75,13 @@ class WirelessEdgeLink(Link):
         dst: "Node",
         bandwidth: float,
         delay: float,
-        queue: DropTailQueue,
+        discipline: DropTailQueue,
         *,
         loss_rate: float = 0.0,
         fade_in: float = 0.0,
         rng=None,
     ):
-        super().__init__(sched, src, dst, bandwidth, delay, queue)
+        super().__init__(sched, src, dst, bandwidth, delay, discipline)
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if not 0.0 <= fade_in <= 1.0:
@@ -95,20 +92,6 @@ class WirelessEdgeLink(Link):
         self.fade_in = float(fade_in)
         self.fading = False
         self.rng = rng
-        self._wireless_drops = 0
-        self._wireless_bytes_dropped = 0
-
-    @property
-    def wireless_drops(self) -> int:
-        """Packets the channel ate, settled to ``now``."""
-        self._settle()
-        return self._wireless_drops
-
-    @property
-    def wireless_bytes_dropped(self) -> int:
-        """Bytes the channel ate, settled to ``now``."""
-        self._settle()
-        return self._wireless_bytes_dropped
 
     # ------------------------------------------------------------------
     def _channel_lost(self) -> bool:
@@ -126,19 +109,16 @@ class WirelessEdgeLink(Link):
 
     def _settle(self) -> None:
         # The channel claims a packet after serialization: the transmitter
-        # paid the airtime either way, so utilization and the queue are
-        # charged exactly as on a wired link — by the wired link's own code.
+        # paid the airtime either way, so utilization and the FIFO are
+        # settled exactly as on a wired link — by the wired link's own code.
         if self.rng is not None:
             now = self.sched.now
             for entry in self._fifo:
                 if entry[0] > now:
                     break
                 if self._channel_lost():
-                    pkt = entry[1]
                     entry[4] = True
-                    self._wireless_drops += 1
-                    self._wireless_bytes_dropped += pkt.size
-                    self._emit_drop(pkt, DROP_WIRELESS, entry[0])
+                    self._emit_drop(entry[1], DROP_WIRELESS, entry[0])
         Link._settle(self)
 
     def send(self, pkt: Packet) -> bool:

@@ -10,27 +10,27 @@ from repro.experiments import crowd, figures
 
 
 class TestFigureDrivers:
-    def test_fig6_rows(self):
-        rows = figures.fig6_stability_topology_a(
-            receiver_counts=(2,), traffic_models=(("cbr", 0.0),), duration=40.0
-        )
+    def test_fig6_rows(self, monkeypatch):
+        monkeypatch.setattr(figures, "FIG6_RECEIVER_COUNTS", (2,))
+        monkeypatch.setattr(figures, "TRAFFIC_MODELS", (("cbr", 0.0),))
+        rows = figures.fig6_stability_topology_a(duration=40.0)
         assert len(rows) == 1
         assert rows[0]["figure"] == "6"
         assert rows[0]["traffic"] == "CBR"
         assert rows[0]["max_changes"] >= 0
         assert rows[0]["mean_gap_s"] > 0
 
-    def test_fig7_rows(self):
-        rows = figures.fig7_stability_topology_b(
-            session_counts=(2,), traffic_models=(("vbr", 3.0),), duration=40.0
-        )
+    def test_fig7_rows(self, monkeypatch):
+        monkeypatch.setattr(figures, "FIG7_SESSION_COUNTS", (2,))
+        monkeypatch.setattr(figures, "TRAFFIC_MODELS", (("vbr", 3.0),))
+        rows = figures.fig7_stability_topology_b(duration=40.0)
         assert len(rows) == 1
         assert rows[0]["traffic"] == "VBR(P=3)"
 
-    def test_fig8_rows(self):
-        rows = figures.fig8_fairness(
-            session_counts=(2,), traffic_models=(("cbr", 0.0),), duration=60.0
-        )
+    def test_fig8_rows(self, monkeypatch):
+        monkeypatch.setattr(figures, "FIG8_SESSION_COUNTS", (2,))
+        monkeypatch.setattr(figures, "TRAFFIC_MODELS", (("cbr", 0.0),))
+        rows = figures.fig8_fairness(duration=60.0)
         assert len(rows) == 1
         assert 0 <= rows[0]["deviation_first_half"]
         assert 0 <= rows[0]["deviation_second_half"]
@@ -43,10 +43,10 @@ class TestFigureDrivers:
             assert "subscription" in s and "loss" in s
             assert s["mean_level"] > 0
 
-    def test_fig10_rows(self):
-        rows = figures.fig10_staleness(
-            staleness_values=(0.0, 4.0), receiver_counts=(2,), duration=60.0
-        )
+    def test_fig10_rows(self, monkeypatch):
+        monkeypatch.setattr(figures, "FIG10_STALENESS", (0.0, 4.0))
+        monkeypatch.setattr(figures, "FIG10_RECEIVER_COUNTS", (2,))
+        rows = figures.fig10_staleness(duration=60.0)
         assert len(rows) == 2
         assert {r["staleness_s"] for r in rows} == {0.0, 4.0}
 

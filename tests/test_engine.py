@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.media.layers import LayerSchedule
 from repro.media.source import VBR, LayeredSource
 from repro.simnet.engine import Scheduler, SimulationError
+from repro.simnet.link import DROP_QUEUE_FULL, DROP_WIRELESS
 from repro.simnet.topology import Network
 from repro.simnet.wireless import WirelessEdgeLink
 
@@ -96,7 +97,7 @@ def test_cancelled_event_does_not_fire():
     s = Scheduler()
     hits = []
     ev = s.after(1.0, hits.append, "x")
-    ev.cancel()
+    s.cancel(ev)
     s.run(until=2.0)
     assert hits == []
     assert s.events_processed == 0
@@ -105,8 +106,8 @@ def test_cancelled_event_does_not_fire():
 def test_cancel_is_idempotent():
     s = Scheduler()
     ev = s.after(1.0, lambda: None)
-    ev.cancel()
-    ev.cancel()
+    s.cancel(ev)
+    s.cancel(ev)
     s.run(until=2.0)
 
 
@@ -195,7 +196,7 @@ def test_every_first_event_cancellable():
     s = Scheduler()
     hits = []
     ev = s.every(1.0, hits.append, "x")
-    ev.cancel()
+    s.cancel(ev)
     s.run(until=5.0)
     assert hits == []
 
@@ -212,7 +213,7 @@ def test_peek_time_skips_cancelled():
     s = Scheduler()
     ev = s.after(1.0, lambda: None)
     s.after(2.0, lambda: None)
-    ev.cancel()
+    s.cancel(ev)
     assert s.peek_time() == 2.0
 
 
@@ -310,7 +311,7 @@ class _Program:
                     ident = action[1] % len(self.handles)
                     if ident not in self.fired:
                         self.cancelled.add(ident)
-                    self.handles[ident].cancel()
+                    s.cancel(self.handles[ident])
                 continue
             kind, delay, child = action
             ident = len(self.handles)
@@ -318,21 +319,21 @@ class _Program:
                 ev = s.at(s.now + delay, self.fire, ident, child)
             else:
                 ev = s.after(delay, self.fire, ident, child)
-            assert (ev.time, ev.seq) == (s.now + delay, ident)
-            assert ev.args == (ident, child) and not ev.cancelled
+            # The handle is the heap entry, ``[time, seq, fn, args]``.
+            assert ev == [s.now + delay, ident, self.fire, (ident, child)]
             self.handles.append(ev)
 
     def fire(self, ident, script):
-        assert self.sched.now == self.handles[ident].time
+        assert self.sched.now == self.handles[ident][0]
         self.fired.append(ident)
         self.perform(script)
 
     def expected_order(self):
         live = [ev for i, ev in enumerate(self.handles) if i not in self.cancelled]
-        return [ev.args[0] for ev in sorted(live, key=lambda ev: (ev.time, ev.seq))]
+        return [ev[3][0] for ev in sorted(live)]
 
     def next_live_time(self):
-        pending = [ev.time for i, ev in enumerate(self.handles)
+        pending = [ev[0] for i, ev in enumerate(self.handles)
                    if i not in self.cancelled and i not in self.fired]
         return min(pending, default=None)
 
@@ -348,7 +349,7 @@ def test_fires_in_time_seq_order_minus_cancelled(script):
             break
     assert stepped.fired == stepped.expected_order()
     assert stepped.sched.events_processed == len(stepped.fired)
-    assert all(stepped.handles[i].cancelled for i in stepped.cancelled)
+    assert all(stepped.handles[i][2] is None for i in stepped.cancelled)
 
     ran = _Program()
     ran.perform(script)
@@ -400,11 +401,11 @@ def test_nothing_is_scheduled_behind_at():
     s.run(until=20.0)
 
     radio = net.links[("hub", "radio")]
-    assert isinstance(radio, WirelessEdgeLink) and radio.wireless_drops > 0
-    assert radio.stats.tx_packets > radio.wireless_drops
-    assert net.links[("hub", "wired")].queue.stats.dropped > 0
+    assert isinstance(radio, WirelessEdgeLink) and radio.drops[DROP_WIRELESS] > 0
+    assert radio.stats.tx_packets > radio.drops[DROP_WIRELESS]
+    assert net.links[("hub", "wired")].drops[DROP_QUEUE_FULL] > 0
     assert source.senders[2].packets_sent > 0 and len(ticks) == 29
     # Nothing was cancelled, so every entry ever made is either processed or
     # still pending, and the next sequence number says how many were made.
     assert s.at_calls == s.events_processed + s.pending
-    assert s.at(s.now, print).seq == s.at_calls - 1
+    assert s.at(s.now, print)[1] == s.at_calls - 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet.engine import Scheduler
-from repro.simnet.link import Link
+from repro.simnet.link import DROP_LINK_DOWN, DROP_QUEUE_FULL, Link
 from repro.simnet.packet import Packet
 from repro.simnet.queues import DropTailQueue
 
@@ -62,7 +62,7 @@ def test_queue_overflow_drops():
     assert results == [True, True, True, False, False]
     sched.run(until=1.0)
     assert len(dst.arrivals) == 3
-    assert link.queue.stats.dropped == 2
+    assert link.drops[DROP_QUEUE_FULL] == 2
 
 
 def test_fifo_delivery_order():
@@ -106,6 +106,7 @@ def test_down_link_drops_everything():
     # The packet already serializing still completes (bits on the wire),
     # but the one sent while down is gone.
     assert len(dst.arrivals) == 1
+    assert link.drops[DROP_LINK_DOWN] == 1
 
 
 def test_set_down_flushes_queue():
@@ -113,6 +114,7 @@ def test_set_down_flushes_queue():
     for _ in range(5):
         link.send(pkt())
     link.set_down()
+    assert link.backlog == 0 and link.drops[DROP_LINK_DOWN] == 4
     sched.run(until=1.0)
     assert len(dst.arrivals) == 1  # only the in-flight one
 
@@ -129,9 +131,9 @@ def test_link_recovers_after_set_up():
 def test_parameter_validation():
     sched = Scheduler()
     with pytest.raises(ValueError):
-        Link(sched, Stub("a"), Sink(sched), bandwidth=0, delay=0.1, queue=DropTailQueue(8))
+        Link(sched, Stub("a"), Sink(sched), bandwidth=0, delay=0.1, discipline=DropTailQueue(8))
     with pytest.raises(ValueError):
-        Link(sched, Stub("a"), Sink(sched), bandwidth=1e6, delay=-1, queue=DropTailQueue(8))
+        Link(sched, Stub("a"), Sink(sched), bandwidth=1e6, delay=-1, discipline=DropTailQueue(8))
 
 
 def test_slow_link_long_serialization():
@@ -152,4 +154,4 @@ def test_sustained_overload_drop_rate():
     sched.run(until=5.0)
     delivered = len(dst.arrivals)
     assert delivered == pytest.approx(n / 2, rel=0.1)
-    assert link.queue.stats.dropped == n - delivered
+    assert link.drops[DROP_QUEUE_FULL] == n - delivered

@@ -2,7 +2,7 @@
 
 ``EagerLink`` is the link as it was before: one scheduler event per
 serialization end (``_tx_done``), which counts the packet, books its arrival
-and starts the next one — plus the tie rule the real link has by
+and starts the next one from a waiting deque of its own — plus the tie rule the real link has by
 construction (DESIGN §6): a serialization that ends at ``t`` completes
 before anything else the link does at ``t``.  It and the real :class:`Link`
 run one generated script — sends of mixed sizes, down/up, counter reads —
@@ -17,6 +17,8 @@ step is scheduled before the run starts and so precedes, in heap order, any
 would see those offers while still busy.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.obs.bus import EventBus
 from repro.simnet.engine import Scheduler
-from repro.simnet.link import DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_WIRELESS, Link
+from repro.simnet.link import (
+    DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_REASONS, DROP_WIRELESS, Link,
+)
 from repro.simnet.packet import Packet
 from repro.simnet import wireless
 from repro.simnet.queues import DropTailQueue, REDQueue
@@ -38,33 +42,41 @@ BANDWIDTH = 64_000.0
 class EagerLink(Link):
     """Reference: a scheduler event per serialization end (tests only).
 
-    ``_fifo`` holds at most one item, the pending ``_tx_done`` event, so the
-    inherited ``busy``/``stats``/``queue`` views read the same state."""
+    Waiting packets sit in its own deque, ``_waiting``, and the discipline
+    admits against that deque's length.  ``_fifo`` holds at most one item,
+    the pending ``_tx_done`` entry, so the inherited ``busy``/``stats``/
+    ``drops`` views read the same state."""
 
-    __slots__ = ()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._waiting = deque()
+
+    @property
+    def backlog(self):
+        self._settle()
+        return len(self._waiting)
 
     def _settle(self):
         # The tie rule: a serialization ending now completes first.  It is
         # still an event the eager link pays for, run ahead of heap order.
         fifo = self._fifo
-        while fifo and fifo[0].time <= self.sched.now:
+        while fifo and fifo[0][0] <= self.sched.now:
             ev = fifo[0]
-            ev.cancel()
+            self.sched.cancel(ev)
             self.sched.events_processed += 1
-            self._tx_done(*ev.args)
+            self._tx_done(*ev[3])
 
     def send(self, pkt):
         self._settle()
         if not self.up:
-            self._queue.stats.dropped += 1
-            self._queue.stats.bytes_dropped += pkt.size
             self._emit_drop(pkt, DROP_LINK_DOWN)
             return False
         if self._fifo:
-            accepted = self._queue.push(pkt)
-            if not accepted:
+            if not self.discipline.admit(len(self._waiting)):
                 self._emit_drop(pkt, DROP_QUEUE_FULL)
-            return accepted
+                return False
+            self._waiting.append(pkt)
+            return True
         self._start_transmit(pkt)
         return True
 
@@ -83,22 +95,15 @@ class EagerLink(Link):
         stats.tx_bytes += pkt.size
         if not lost:
             sched.at(now + self.delay, self.dst.receive, pkt, self)
-        nxt = self._queue.pop()
-        if nxt is not None:
-            self._start_transmit(nxt)
+        if self._waiting:
+            self._start_transmit(self._waiting.popleft())
 
     def set_down(self):
         self._settle()
         self.up = False
-        stats = self._queue.stats
-        flushed = 0
-        while True:
-            pkt = self._queue.pop()
-            if pkt is None:
-                break
-            stats.dropped += 1
-            stats.bytes_dropped += pkt.size
-            flushed += 1
+        flushed = len(self._waiting)
+        self._waiting.clear()
+        self._drops[DROP_LINK_DOWN] += flushed
         bus = self.sched.bus
         if bus is not None:
             bus.emit("link.down", self.sched.now,
@@ -108,13 +113,9 @@ class EagerLink(Link):
 class EagerWirelessLink(EagerLink, WirelessEdgeLink):
     """Reference wireless link: the channel draw happens in ``_tx_done``."""
 
-    __slots__ = ()
-
     def _tx_done(self, pkt, lost=False):
         if self.rng is not None and self._channel_lost():
             lost = True
-            self._wireless_drops += 1
-            self._wireless_bytes_dropped += pkt.size
             self._emit_drop(pkt, DROP_WIRELESS)
         EagerLink._tx_done(self, pkt, lost)
 
@@ -177,11 +178,9 @@ class Rig:
 
     def counters(self):
         link = self.link
-        stats, q = link.stats, link.queue
+        stats, drops = link.stats, link.drops
         return ([getattr(stats, f) for f in type(stats).__slots__]
-                + [getattr(q.stats, f) for f in type(q.stats).__slots__]
-                + [len(q), link.busy, getattr(link, "wireless_drops", None),
-                   getattr(link, "wireless_bytes_dropped", None)])
+                + [drops[reason] for reason in DROP_REASONS] + [link.backlog, link.busy])
 
     def play(self, script):
         for step, op, arg in script:
@@ -228,9 +227,9 @@ def test_the_oracle_scripts_hit_the_tie_and_save_events(kind):
     assert got == want
     # Packet 1 ends at step 2: the offer there finds one packet on the wire
     # (2 queued) rather than the queue full, so it is accepted.  At step 5
-    # the queue counters after the link's three (dropped, bytes_dropped, then
-    # the length) show no drop and packets 4 and 5 waiting behind packet 3.
-    assert got["reads"][0][1][3:6] == [0, 0, 2]
+    # the counters after the link's three (the drops by reason, then the
+    # backlog) show no drop and packets 4 and 5 waiting behind packet 3.
+    assert got["reads"][0][1][3:7] == [0, 0, 0, 2]
     # At step 7 packet 4 is on the wire and packet 5 queued: the down
     # flushes it.
     assert (7 / GRID, "link.down", [("flushed", 1), ("link", "src->dst")]) in got["bus"]

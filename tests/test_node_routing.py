@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.engine import Scheduler
+from repro.simnet.link import DROP_QUEUE_FULL
 from repro.simnet.packet import Packet
 from repro.simnet.topology import Network
 
@@ -167,7 +168,7 @@ def test_total_drops_aggregates_queues():
     for _ in range(200):
         link.send(Packet(src="n0", dst="n1", port="x"))
     assert net.total_drops() > 0
-    assert net.total_drops() == link.queue.stats.dropped
+    assert net.total_drops() == link.drops[DROP_QUEUE_FULL]
 
 
 def test_describe_mentions_links():
@@ -197,4 +198,4 @@ def test_queue_factory_used():
     net.add_node("b")
     net.add_link("a", "b", bandwidth=1e6, queue_factory=factory)
     assert len(made) == 2  # one per direction
-    assert net.link("a", "b").queue.capacity == 3
+    assert net.link("a", "b").discipline is made[0] and made[0].capacity == 3

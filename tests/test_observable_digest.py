@@ -2,7 +2,7 @@
 
 ``observable_digest`` covers everything an experiment, a figure or the
 benchmark reads out of a finished :class:`Scenario`: per-link transmit
-counters and queue drop tallies, every ``NodeStats`` field, each receiver's
+counters and drop tallies, every ``NodeStats`` field, each receiver's
 level trace and ``total_bytes``, the sources' per-layer packet counts and
 the control bytes.
 ``Scheduler.events_processed`` is deliberately not in it: an optimisation
@@ -36,7 +36,14 @@ digests of the commit before, computed with those fields left out, are
 exactly the current pins.  Every pin moved once more, with no behaviour,
 when node death left the simulator: ``NodeStats`` lost ``dropped_dead``,
 which no run had ever charged, and the digests of the commit before,
-computed with that slot left out, are exactly the current pins.
+computed with that slot left out, are exactly the current pins.  Every
+pin moved once more, with no behaviour, when the link's FIFO became its
+queue and drops were counted on the link by reason: ``QueueStats`` and its
+``bytes_dropped`` went, and a link now hashes its ``LinkStats`` slots, its
+congestive drops (queue-full plus link-down, what ``QueueStats.dropped``
+counted) and, on a wireless edge, its channel drops.  The digests of the
+commit before, computed with ``bytes_dropped`` left out, are exactly the
+current pins.
 """
 
 import hashlib
@@ -54,6 +61,8 @@ from repro.experiments.topologies import build_topology_b
 from repro.faults.plan import FaultPlan
 from repro.federation.experiment import build_federated_views
 from repro.federation.session import FederatedSession
+from repro.simnet.link import DROP_LINK_DOWN, DROP_QUEUE_FULL, DROP_WIRELESS
+from repro.simnet.wireless import WirelessEdgeLink
 from repro.workloads.runner import WorkloadRunner, control_bytes
 from repro.workloads.spec import WorkloadSpec
 
@@ -62,14 +71,21 @@ def _slots(obj):
     return [getattr(obj, name) for name in type(obj).__slots__]
 
 
+def _link_counters(link):
+    drops = link.drops
+    return _slots(link.stats) + [
+        drops[DROP_QUEUE_FULL] + drops[DROP_LINK_DOWN],
+        drops[DROP_WIRELESS] if isinstance(link, WirelessEdgeLink) else None,
+    ]
+
+
 def observables(scenario):
     """Every counter and trace of one scenario, as JSON-able data (floats by
     ``repr``: the digest is over exact values, not roundings)."""
     net = scenario.network
     return {
         "links": {
-            f"{u}->{v}": [repr(x) for x in _slots(link.stats) + _slots(link.queue.stats)
-                          + [getattr(link, "wireless_drops", None)]]
+            f"{u}->{v}": [repr(x) for x in _link_counters(link)]
             for (u, v), link in sorted(net.links.items(), key=lambda kv: str(kv[0]))
         },
         "nodes": {str(name): _slots(node.stats)
@@ -96,10 +112,12 @@ def observable_digest(scenarios, extra=None):
 
 
 # ----------------------------------------------------------------------
+# Each build runs one smoke-sized workload and returns ``({label: scenario},
+# extra)``, the arguments of :func:`observable_digest`.
 def pkt_steady(seed):
     sc = build_topology_b(n_sessions=4, traffic="vbr", peak_to_mean=3.0, seed=seed)
     sc.run(120.0)
-    return observable_digest({"main": sc})
+    return {"main": sc}, None
 
 
 def join_ramp(seed):
@@ -109,7 +127,7 @@ def join_ramp(seed):
                               duration=20.0, seed=seed, mode="controlled")
     WorkloadRunner(sc, spec).install()
     sc.run(20.0)
-    return observable_digest({"main": sc})
+    return {"main": sc}, None
 
 
 def churn_repair(seed):
@@ -125,7 +143,7 @@ def churn_repair(seed):
         plan.link_flap(at, a, b, down_for=down_for, times=1)
     plan.apply(sc)
     sc.run(44.0)
-    return observable_digest({"main": sc})
+    return {"main": sc}, None
 
 
 def fed_crowd(seed):
@@ -149,29 +167,29 @@ def fed_crowd(seed):
         for name in sorted(fed.shards)
         for sid, a in sorted(fed.shards[name].advice.items(), key=lambda kv: str(kv[0]))
     ]
-    return observable_digest(
+    return (
         {name: shard.scenario for name, shard in fed.shards.items()},
-        extra={"rounds": fed.rounds_completed, "advice": advice,
-               "control_bytes_by_tier": fed.control_bytes_by_tier()},
+        {"rounds": fed.rounds_completed, "advice": advice,
+         "control_bytes_by_tier": fed.control_bytes_by_tier()},
     )
 
 
 PINNED = {
-    (pkt_steady, 1): "0fc53240711f59d3",
-    (pkt_steady, 2): "7a831d83fd84e738",
-    (join_ramp, 1): "9b91b34bb811c0c3",
-    (join_ramp, 2): "64370c410c15aef6",
-    (churn_repair, 1): "6899f5e23ac3e777",
-    (churn_repair, 2): "065f429c53b02cf1",
-    (fed_crowd, 1): "fe3697b08ee62c1e",
-    (fed_crowd, 2): "15226e1a5fc0622c",
+    (pkt_steady, 1): "079ffc702764318f",
+    (pkt_steady, 2): "536e214d26f172cb",
+    (join_ramp, 1): "7af7f7bafd832773",
+    (join_ramp, 2): "859ac32d6363dd4e",
+    (churn_repair, 1): "bdb7cedb5a620efb",
+    (churn_repair, 2): "7c709f5c75b3f3c9",
+    (fed_crowd, 1): "30f6aa89b8b07fe3",
+    (fed_crowd, 2): "956e3209e0eb94ed",
 }
 
 
 @pytest.mark.parametrize(
     "build, seed", list(PINNED), ids=[f"{b.__name__}-s{s}" for b, s in PINNED])
 def test_observable_behaviour_is_where_it_was_pinned(build, seed):
-    assert build(seed) == PINNED[build, seed]
+    assert observable_digest(*build(seed)) == PINNED[build, seed]
 
 
 def test_digest_sees_a_single_counter_move():

@@ -1,74 +1,83 @@
-"""Unit tests for drop-tail and RED queues."""
+"""Unit tests for the drop-tail and RED admission rules.
+
+A discipline holds no packets: the link's FIFO does, and the discipline
+decides from the number waiting (``backlog``) whether an offer joins it.
+"""
 
 import numpy as np
 import pytest
 
+from repro.simnet.engine import Scheduler
+from repro.simnet.link import DROP_QUEUE_FULL, Link
 from repro.simnet.packet import Packet
 from repro.simnet.queues import DropTailQueue, REDQueue
+
+
+class Sink:
+    name = "sink"
+
+    def __init__(self):
+        self.got = []
+
+    def receive(self, pkt, link):
+        self.got.append(pkt)
+
+
+class Stub:
+    name = "src"
 
 
 def pkt(size=1000):
     return Packet(src="s", dst="d", size=size)
 
 
+def link_with(discipline):
+    sched = Scheduler()
+    sink = Sink()
+    return sched, Link(sched, Stub(), sink, 1e6, 0.0, discipline), sink
+
+
 class TestDropTail:
     def test_fifo_order(self):
-        q = DropTailQueue(capacity=10)
-        p1, p2, p3 = pkt(), pkt(), pkt()
-        assert q.push(p1) and q.push(p2) and q.push(p3)
-        assert q.pop() is p1
-        assert q.pop() is p2
-        assert q.pop() is p3
-
-    def test_pop_empty_returns_none(self):
-        assert DropTailQueue(capacity=64).pop() is None
+        sched, link, sink = link_with(DropTailQueue(capacity=10))
+        pkts = [pkt(), pkt(), pkt(), pkt()]
+        assert all(link.send(p) for p in pkts)
+        sched.run(until=1.0)
+        assert sink.got == pkts
 
     def test_tail_drop_beyond_capacity(self):
         q = DropTailQueue(capacity=2)
-        assert q.push(pkt())
-        assert q.push(pkt())
-        assert not q.push(pkt())
-        assert q.stats.dropped == 1
-        assert len(q) == 2
+        assert q.admit(0) and q.admit(1)
+        assert not q.admit(2) and not q.admit(5)
 
     def test_capacity_one(self):
         q = DropTailQueue(capacity=1)
-        assert q.push(pkt())
-        assert not q.push(pkt())
-        q.pop()
-        assert q.push(pkt())
+        assert q.admit(0)
+        assert not q.admit(1)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             DropTailQueue(capacity=0)
 
-    def test_byte_counters(self):
-        q = DropTailQueue(capacity=1)
-        q.push(pkt(size=500))
-        q.push(pkt(size=700))  # dropped
-        assert q.stats.bytes_dropped == 700
-        assert q.pop().size == 500 and q.pop() is None
-
     def test_drop_rate(self):
-        q = DropTailQueue(capacity=1)
-        q.push(pkt())
-        q.push(pkt())
-        # Every offer is held or counted as a drop.
-        assert len(q) + q.stats.dropped == 2
-        assert q.stats.dropped == 1
+        # One on the wire, one waiting, the third offer refused: every offer
+        # is held by the link's FIFO or counted as a drop.
+        _, link, _ = link_with(DropTailQueue(capacity=1))
+        accepted = [link.send(pkt()) for _ in range(3)]
+        assert accepted == [True, True, False]
+        assert link.busy + link.backlog + link.drops[DROP_QUEUE_FULL] == 3
+        assert link.drops[DROP_QUEUE_FULL] == 1
 
     def test_len_and_bool(self):
-        q = DropTailQueue(capacity=64)
-        assert not q and len(q) == 0
-        q.push(pkt())
-        assert q and len(q) == 1
-
-    def test_dequeued_counter(self):
-        q = DropTailQueue(capacity=64)
-        p = pkt()
-        q.push(p)
-        assert q.pop() is p and len(q) == 0
-        assert q.pop() is None
+        # ``backlog`` and ``busy`` are the link's view of the queue length.
+        sched, link, _ = link_with(DropTailQueue(capacity=64))
+        assert not link.busy and link.backlog == 0
+        link.send(pkt())
+        assert link.busy and link.backlog == 0
+        link.send(pkt())
+        assert link.backlog == 1
+        sched.run(until=1.0)
+        assert not link.busy and link.backlog == 0
 
 
 def red(capacity, min_th, max_th, max_p=0.1, wq=0.002, seed=0):
@@ -81,22 +90,18 @@ def red(capacity, min_th, max_th, max_p=0.1, wq=0.002, seed=0):
 class TestRED:
     def test_accepts_below_min_threshold(self):
         q = red(capacity=50, min_th=5, max_th=15)
-        for _ in range(4):
-            assert q.push(pkt())
-        assert q.stats.dropped == 0
+        assert all(q.admit(backlog) for backlog in range(4))
 
     def test_always_drops_when_full(self):
         q = red(capacity=3, min_th=1, max_th=2)
-        for _ in range(10):
-            q.push(pkt())
-        assert len(q) <= 3
-        assert q.stats.dropped >= 7
+        assert not any(q.admit(3) for _ in range(10))
 
     def test_probabilistic_drops_in_ramp(self):
         q = red(capacity=200, min_th=2, max_th=10, max_p=0.5, wq=0.5, seed=42)
-        accepted = sum(q.push(pkt()) for _ in range(150))
-        assert 0 < q.stats.dropped < 150
-        assert accepted + q.stats.dropped == 150
+        backlog = 0
+        for _ in range(150):
+            backlog += q.admit(backlog)
+        assert 0 < backlog < 150
 
     def test_thresholds_are_class_constants(self):
         assert 0 < REDQueue.MIN_TH < REDQueue.MAX_TH

@@ -7,6 +7,7 @@ from repro.media.receiver import LayeredReceiver
 from repro.media.source import LayeredSource
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
+from repro.simnet.link import DROP_QUEUE_FULL
 from repro.simnet.packet import Packet
 from repro.simnet.topology import Network
 
@@ -28,7 +29,7 @@ def test_packet_conservation_on_saturated_link():
                  Packet(src="a", dst="b", port="sink", size=1000))
     sched.run(until=30.0)
     link = net.link("a", "b")
-    assert len(got) + link.queue.stats.dropped == n
+    assert len(got) + link.drops[DROP_QUEUE_FULL] == n
     assert link.stats.tx_packets == len(got)
 
 
@@ -116,7 +117,7 @@ def test_receiver_loss_matches_link_drops():
     src.start()
     sched.run(until=60.0)
     stats = rcv.interval_stats()
-    drops = net.link("s", "r").queue.stats.dropped
+    drops = net.link("s", "r").drops[DROP_QUEUE_FULL]
     assert drops > 0
     # Gap detection lags the last in-flight packets; allow small slack.
     assert stats.lost == pytest.approx(drops, abs=drops * 0.1 + 20)

@@ -338,8 +338,6 @@ def function_level_imports(trees):
 WRITE_ONLY_EXEMPT = {
     "no_route": "drop tally (NodeStats): fault evidence for the control "
                 "ledger and the conservation oracle (ROADMAP 1(c), 3(b))",
-    "bytes_dropped": "drop tally (QueueStats): the byte side of `dropped`, "
-                     "which loss attribution reads",
 }
 
 

@@ -12,7 +12,7 @@ def _topology_fingerprint(sc):
     return {
         "nodes": list(map(str, sc.network.nodes)),
         "links": {
-            (str(a), str(b)): (link.bandwidth, link.delay, link.queue.capacity)
+            (str(a), str(b)): (link.bandwidth, link.delay, link.discipline.capacity)
             for (a, b), link in sc.network.links.items()
         },
         "receivers": [

@@ -222,9 +222,9 @@ def _wireless_scenario(loss, seed=3):
     for n in ("src", "edge"):
         sc.add_node(n)
 
-    def factory(sched, a, b, bw, delay, queue):
+    def factory(sched, a, b, bw, delay, discipline):
         return WirelessEdgeLink(
-            sched, a, b, bw, delay, queue, loss_rate=loss,
+            sched, a, b, bw, delay, discipline, loss_rate=loss,
             fade_in=loss * 0.25,
             rng=sc.rngs.fork(f"chan/{a.name}->{b.name}"),
         )
@@ -243,16 +243,12 @@ def test_wireless_drops_are_separate_from_queue_drops():
     bus.subscribe("link.drop", lambda ev: reasons.append(ev.data["reason"]))
     sc.sched.bus = bus
     sc.run(30.0)
-    wireless = sum(
-        getattr(link, "wireless_drops", 0)
-        for link in sc.network.links.values()
-    )
+    wireless = sum(link.drops[DROP_WIRELESS] for link in sc.network.links.values())
     assert wireless > 0
-    assert DROP_WIRELESS in reasons
+    assert wireless == reasons.count(DROP_WIRELESS)
     assert set(reasons) <= set(DROP_REASONS)
     # Channel losses must not be charged to the queues.
-    assert sum(link.queue.stats.dropped
-               for link in sc.network.links.values()) == 0
+    assert sc.network.total_drops() == 0
 
 
 def test_wireless_loss_is_deterministic_per_seed():
@@ -260,7 +256,7 @@ def test_wireless_loss_is_deterministic_per_seed():
         sc = _wireless_scenario(0.25, seed=seed)
         sc.run(20.0)
         return sorted(
-            (str(k), getattr(link, "wireless_drops", 0))
+            (str(k), link.drops[DROP_WIRELESS])
             for k, link in sc.network.links.items()
         )
 
