@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..media.receiver import LayeredReceiver
+from ..simnet.rng import Pcg64
 
 __all__ = ["RLMReceiver"]
 
@@ -53,7 +52,7 @@ class RLMReceiver:
         self,
         receiver: LayeredReceiver,
         *,
-        rng: np.random.Generator,
+        rng: Pcg64,
     ):
         self.receiver = receiver
         self.sched = receiver.sched

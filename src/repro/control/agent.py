@@ -44,13 +44,12 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.session_topology import SessionTree
 from ..core.types import ReceiverReport, SessionInput, SuggestionSet
 from ..media.receiver import LayeredReceiver
 from ..simnet.node import Node
 from ..simnet.packet import CONTROL, Packet
+from ..simnet.rng import Pcg64
 from .discovery import DiscoveryUnavailable, TopologyDiscovery
 from .guard import ReportGuard
 from .messages import (
@@ -105,7 +104,7 @@ class ReceiverAgent:
         controller_node: Any,
         interval: float = 2.0,
         *,
-        rng: np.random.Generator,
+        rng: Pcg64,
         reregister_after: Optional[float] = None,
         controller_candidates: Optional[List[Any]] = None,
     ) -> None:

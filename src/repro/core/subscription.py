@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..media.layers import LayerSchedule
+from ..simnet.rng import Pcg64
 from .config import TopoSenseConfig
 from .decision_table import (
     Action,
@@ -57,7 +56,7 @@ class DemandResult:
         self.level: Dict[Any, int] = {}
 
 
-def _draw_backoff(config: TopoSenseConfig, rng: np.random.Generator) -> float:
+def _draw_backoff(config: TopoSenseConfig, rng: Pcg64) -> float:
     return float(rng.uniform(config.backoff_min, config.backoff_max))
 
 
@@ -71,7 +70,7 @@ def compute_demands(
     state: ControllerState,
     config: TopoSenseConfig,
     now: float,
-    rng: np.random.Generator,
+    rng: Pcg64,
 ) -> DemandResult:
     """Bottom-up Table I demand computation for one session.
 
@@ -170,7 +169,7 @@ def _leaf_demand(
     state: ControllerState,
     config: TopoSenseConfig,
     now: float,
-    rng: np.random.Generator,
+    rng: Pcg64,
     node: Any,
     level: int,
     hist: int,
@@ -278,7 +277,7 @@ def _arm_backoff_for_drop(
     state: ControllerState,
     config: TopoSenseConfig,
     now: float,
-    rng: np.random.Generator,
+    rng: Pcg64,
     node: Any,
     old_level: int,
     new_demand: float,

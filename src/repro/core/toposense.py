@@ -26,8 +26,7 @@ import math
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ..simnet.rng import Pcg64
 from .bottleneck import compute_bottlenecks, compute_handleable
 from .capacity import LinkCapacityEstimator, LinkObservation
 from .config import TopoSenseConfig
@@ -58,7 +57,7 @@ class TopoSense:
         self,
         config: Optional[TopoSenseConfig] = None,
         *,
-        rng: np.random.Generator,
+        rng: Pcg64,
     ) -> None:
         self.config = config if config is not None else TopoSenseConfig()
         self.rng = rng

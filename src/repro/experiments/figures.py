@@ -22,8 +22,6 @@ import itertools
 import math
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from ..baselines.oracle import OracleController
 from ..baselines.static import StaticController
 from ..core.config import TopoSenseConfig
@@ -32,6 +30,7 @@ from ..media.layers import PAPER_SCHEDULE, LayerSchedule
 from ..metrics.deviation import mean_relative_deviation
 from ..metrics.stability import worst_receiver_stability
 from ..simnet.queues import REDQueue
+from ..simnet.rng import Pcg64, pairwise_sum
 from .domains import build_two_domain_topology
 from .scenario import Scenario
 from .tiered import build_tiered_topology
@@ -251,7 +250,8 @@ def fig8_gate(rows: Any, duration: Optional[float]) -> Iterator[Check]:
         yield f"{at}: {second} <= {first} + 0.25", lambda: r[second] <= r[first] + 0.25
 
     def mean_dev(label: str) -> float:
-        return float(np.mean([r["deviation_second_half"] for r in rows if r["traffic"] == label]))
+        devs = [r["deviation_second_half"] for r in rows if r["traffic"] == label]
+        return pairwise_sum(devs) / len(devs)
 
     yield ("CBR mean second-half deviation <= VBR(P=6)'s + 0.05",
            lambda: mean_dev("CBR") <= mean_dev("VBR(P=6)") + 0.05)
@@ -354,9 +354,9 @@ def fig10_gate(rows: Any, duration: Optional[float]) -> Iterator[Check]:
                lambda: r["deviation"] < 1.0)
     for n in (2, 4, 8):
         yield (f"n={n}: mean deviation at 2-4 s stale <= fresh + 0.20",
-               lambda: np.mean([dev[n, 2.0], dev[n, 4.0]]) <= dev[n, 0.0] + 0.20)
+               lambda: (dev[n, 2.0] + dev[n, 4.0]) / 2 <= dev[n, 0.0] + 0.20)
         yield (f"n={n}: mean deviation at 12-18 s stale >= fresh - 0.10",
-               lambda: np.mean([dev[n, 12.0], dev[n, 18.0]]) >= dev[n, 0.0] - 0.10)
+               lambda: (dev[n, 12.0] + dev[n, 18.0]) / 2 >= dev[n, 0.0] - 0.10)
 
 
 # ----------------------------------------------------------------------
@@ -698,8 +698,7 @@ def _red_scenario(seed: int, red: bool) -> Scenario:
         # One stream per queue: on a shared one, the order in which a node
         # fans a packet out to its children would decide which queue gets
         # which draw.
-        rng = np.random.default_rng([seed + 1, next(queues)])
-        return REDQueue(rng)
+        return REDQueue(Pcg64([seed + 1, next(queues)]))
 
     for i in range(2):
         sc.add_node(f"r{i}")

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.config import TopoSenseConfig
 from .scenario import Scenario
 
@@ -62,6 +60,8 @@ def build_tiered_topology(
     bottleneck, as in the paper's tiered model.  ``receiver_fraction``
     subsamples the leaves; ``max_receivers`` caps the total.
     """
+    import numpy as np  # the leaves' shuffle is numpy's, so the stream is too
+
     if not 0 < receiver_fraction <= 1:
         raise ValueError("receiver_fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)

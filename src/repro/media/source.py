@@ -52,11 +52,10 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..simnet.engine import Scheduler
 from ..simnet.node import Node
 from ..simnet.packet import DATA, DEFAULT_PACKET_SIZE, Packet
+from ..simnet.rng import Pcg64
 from .layers import LayerSchedule
 
 __all__ = ["LayeredSource", "CBR", "VBR"]
@@ -130,7 +129,8 @@ class LayeredSource:
     peak_to_mean:
         VBR peak-to-mean ratio P (ignored for CBR).
     rng:
-        ``numpy.random.Generator`` for the VBR draws (and phase jitter).
+        :class:`~repro.simnet.rng.Pcg64` stream for the VBR draws (and
+        phase jitter).
     phase_jitter:
         When True (requires ``rng``), each layer's packet train is offset by
         a random fixed fraction of its inter-packet spacing.  Without this,
@@ -148,7 +148,7 @@ class LayeredSource:
         schedule: LayerSchedule,
         model: str = CBR,
         peak_to_mean: float = 3.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Pcg64] = None,
         phase_jitter: bool = False,
     ):
         if len(groups) != schedule.n_layers:

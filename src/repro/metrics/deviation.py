@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-import numpy as np
-
+from ..simnet.rng import pairwise_sum
 from ..simnet.tracing import StepTrace
 
 __all__ = ["relative_deviation", "mean_relative_deviation"]
@@ -42,4 +41,4 @@ def mean_relative_deviation(
     vals = [relative_deviation(trace, opt, t0, t1) for trace, opt in pairs]
     if not vals:
         raise ValueError("no receivers given")
-    return float(np.mean(vals))
+    return pairwise_sum(vals) / len(vals)

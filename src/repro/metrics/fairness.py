@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["jain_index", "bandwidth_shares"]
 
@@ -15,6 +16,8 @@ def jain_index(values: Sequence[float]) -> float:
     1.0 = perfectly equal; 1/n = maximally unfair.  All-zero input returns
     1.0 (everyone equally has nothing).
     """
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("no values given")
@@ -28,6 +31,8 @@ def jain_index(values: Sequence[float]) -> float:
 
 def bandwidth_shares(values: Sequence[float]) -> np.ndarray:
     """Normalize throughputs to fractions of the total (sums to 1)."""
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     total = x.sum()
     if total <= 0:

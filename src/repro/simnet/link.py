@@ -7,7 +7,8 @@ creates one in each direction.  The transmit path models store-and-forward:
 * if the transmitter is idle, a packet starts serializing immediately
   (``size * 8 / bandwidth`` seconds);
 * otherwise the link's queue discipline decides, from the number of packets
-  already waiting, whether it joins the FIFO (drop-tail or RED, see
+  already waiting (and, for RED's average, the link's idle time so far),
+  whether it joins the FIFO (drop-tail or RED, see
   :mod:`repro.simnet.queues`);
 * after serialization the packet propagates for ``delay`` seconds and is
   delivered to the destination node.
@@ -98,7 +99,7 @@ class Link:
     """
 
     __slots__ = ("sched", "src", "dst", "bandwidth", "delay", "up", "discipline",
-                 "_stats", "_drops", "_fifo")
+                 "_stats", "_drops", "_fifo", "_idle")
 
     def __init__(
         self,
@@ -127,6 +128,10 @@ class Link:
         #: tx_time, arrival entry]``.  The head is on the wire (or finished
         #: and not yet settled); the rest wait behind it.
         self._fifo: Deque[List[Any]] = deque()
+        #: Seconds spent idle before the current busy period: set by each
+        #: offer that finds the link idle, when every charged airtime has
+        #: elapsed.
+        self._idle = 0.0
 
     # ------------------------------------------------------------------
     # Settle-on-read views
@@ -199,12 +204,14 @@ class Link:
                 self._settle()
         tx_time = pkt.size * 8.0 / self.bandwidth
         if fifo:
-            if not self.discipline.admit(len(fifo) - 1):
+            if not self.discipline.admit(len(fifo) - 1, self._idle, tx_time):
                 self._emit_drop(pkt, DROP_QUEUE_FULL)
                 return False
             end = fifo[-1][0] + tx_time
         else:
-            self._stats.busy_time += tx_time
+            stats = self._stats
+            self._idle = now - stats.busy_time
+            stats.busy_time += tx_time
             end = now + tx_time
         fifo.append(self._book(end, pkt, tx_time))
         return True

@@ -27,9 +27,12 @@ class DropTailQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
 
-    def admit(self, backlog: int) -> bool:
+    def admit(self, backlog: int, idle: float, tx_time: float) -> bool:
         """Whether a packet offered behind ``backlog`` waiting packets (the
-        one on the wire not counted) may join them."""
+        one on the wire not counted) may join them.  ``idle`` is the
+        seconds the link spent idle before its current busy period, and
+        ``tx_time`` the offered packet's serialization time; only RED's
+        average reads them."""
         return backlog < self.capacity
 
 
@@ -41,9 +44,13 @@ class REDQueue(DropTailQueue):
     :attr:`MAX_TH` packets are dropped with probability rising linearly to
     :attr:`MAX_P`; above :attr:`MAX_TH` the drop probability rises linearly
     to 1 at ``2 * MAX_TH``.  The average queue length uses an EWMA with
-    weight :attr:`WQ`, updated on every offer.  The values are the
-    ``ablation_red`` row's; its capacity equals the 31 packets the drop-tail
-    arm's 500 kb/s access links get.
+    weight :attr:`WQ`, updated on every offer to the busy link.  Idle time
+    decays it as Floyd & Jacobson prescribe ("Random Early Detection
+    Gateways for Congestion Avoidance", 1993, §4): ``avg *= (1 - WQ) ** m``
+    for the ``m`` packets (of the offered packet's size) the link could
+    have sent while idle; the link reports its idle time on each offer.
+    The values are the ``ablation_red`` row's; its capacity equals the 31
+    packets the drop-tail arm's 500 kb/s access links get.
     """
 
     #: Queue capacity in packets.
@@ -59,6 +66,8 @@ class REDQueue(DropTailQueue):
     def __init__(self, rng) -> None:
         super().__init__(self.CAPACITY)
         self.avg = 0.0
+        #: The link's ``idle`` seconds the average has decayed for.
+        self._idle_seen = 0.0
         self._rng = rng
 
     def _drop_probability(self) -> float:
@@ -72,7 +81,12 @@ class REDQueue(DropTailQueue):
             return max_p + (1 - max_p) * (self.avg - max_th) / max_th
         return 1.0
 
-    def admit(self, backlog: int) -> bool:
+    def admit(self, backlog: int, idle: float, tx_time: float) -> bool:
+        if idle > self._idle_seen:
+            # The link idled since the last offer: decay the average as if
+            # an empty queue had been sampled once per packet time.
+            self.avg *= (1 - self.WQ) ** ((idle - self._idle_seen) / tx_time)
+            self._idle_seen = idle
         self.avg = (1 - self.WQ) * self.avg + self.WQ * backlog
         if backlog >= self.capacity:
             return False

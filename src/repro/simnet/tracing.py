@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-import numpy as np
+from .rng import pairwise_sum
 
 __all__ = ["StepTrace", "SeriesTrace"]
 
@@ -76,8 +76,8 @@ class StepTrace:
         changes = self.change_times(t0, t1)
         if len(changes) < 2:
             return t1 - t0
-        diffs = np.diff(changes)
-        return float(diffs.mean())
+        diffs = [b - a for a, b in zip(changes, changes[1:])]
+        return pairwise_sum(diffs) / len(diffs)
 
     def time_weighted_mean(self, t0: float, t1: float) -> float:
         """Average of the signal over ``[t0, t1]``, weighted by holding time."""
@@ -127,17 +127,15 @@ class SeriesTrace:
         self.times.append(t)
         self.values.append(value)
 
-    def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Samples with ``t0 <= t <= t1`` as a pair of numpy arrays."""
-        t = np.asarray(self.times)
-        v = np.asarray(self.values)
-        mask = (t >= t0) & (t <= t1)
-        return t[mask], v[mask]
+    def window(self, t0: float, t1: float) -> Tuple[List[float], List[float]]:
+        """Samples with ``t0 <= t <= t1`` as a pair of lists."""
+        keep = [i for i, t in enumerate(self.times) if t0 <= t <= t1]
+        return [self.times[i] for i in keep], [self.values[i] for i in keep]
 
     def mean(self, t0: float = 0.0, t1: float = float("inf")) -> float:
         """Unweighted mean of samples in the window (nan if empty)."""
         _, v = self.window(t0, t1)
-        return float(v.mean()) if v.size else float("nan")
+        return pairwise_sum(v) / len(v) if v else float("nan")
 
     def __len__(self) -> int:
         return len(self.times)

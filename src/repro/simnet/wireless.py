@@ -61,7 +61,7 @@ class WirelessEdgeLink(Link):
     fade_in:
         Per-packet Gilbert–Elliott good→bad transition probability.
     rng:
-        Seeded generator (``numpy.random.Generator``); required whenever
+        Seeded :class:`~repro.simnet.rng.Pcg64` stream; required whenever
         any loss or fading probability is non-zero, so channel draws come
         from a named :class:`~repro.simnet.rng.RngRegistry` stream.
     """

@@ -1,7 +1,8 @@
 """Seeded samplers behind the declarative workload builders.
 
 All randomness is consumed *here*, at build time, from private
-``numpy.random.default_rng(seed)`` generators — the compiled
+``Pcg64(seed)`` streams (``numpy.random.default_rng(seed)`` where a draw
+needs numpy's ``exponential``) — the compiled
 :class:`~repro.workloads.spec.WorkloadSpec` is a concrete event list that
 round-trips through JSON and replays bit-identically (the same discipline
 as :class:`~repro.faults.plan.FaultPlan`).
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any, List, Sequence, Tuple
 
-from ..simnet.rng import zipf_weights
+from ..simnet.rng import Pcg64, zipf_weights
 
 __all__ = [
     "RAMP_SHAPES",
@@ -51,8 +52,6 @@ def flash_crowd_times(
     colliding on identical timestamps (except for ``step``, where
     simultaneity is the point).
     """
-    import numpy as np
-
     if size < 1:
         raise ValueError("flash crowd needs size >= 1")
     if ramp <= 0:
@@ -63,7 +62,7 @@ def flash_crowd_times(
         raise ValueError(f"unknown ramp shape {shape!r} (one of {RAMP_SHAPES})")
     if shape == "step" and steps < 1:
         raise ValueError("step ramp needs steps >= 1")
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     times: List[float] = []
     if shape == "step":
         for i in range(size):
@@ -77,7 +76,7 @@ def flash_crowd_times(
                 # N(t) ~ e^{kt}: the i-th arrival lands at the log of its
                 # rank, normalised into the window.
                 frac = math.log1p(i) / math.log1p(size)
-            jitter = float(rng.uniform(0.0, spacing * 0.5))
+            jitter = rng.uniform(0.0, spacing * 0.5)
             times.append(at + min(frac * ramp + jitter, ramp * (1.0 - 1e-9)))
         times.sort()
     return [round(t, 6) for t in times]
@@ -95,8 +94,6 @@ def assign_sessions(
     popularity order).  Returns ``(receiver_id, session_id)`` pairs in
     ``receiver_ids`` order.
     """
-    import numpy as np
-
     receiver_ids = list(receiver_ids)
     session_ids = list(session_ids)
     if not receiver_ids:
@@ -104,11 +101,8 @@ def assign_sessions(
     if not session_ids:
         raise ValueError("need at least one session to assign")
     weights = zipf_weights(len(session_ids), zipf_s)  # validates zipf_s > 0
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(session_ids), size=len(receiver_ids), p=weights)
-    return [
-        (rid, session_ids[int(p)]) for rid, p in zip(receiver_ids, picks)
-    ]
+    picks = Pcg64(seed).choice(len(session_ids), size=len(receiver_ids), p=weights)
+    return [(rid, session_ids[p]) for rid, p in zip(receiver_ids, picks)]
 
 
 def diurnal_leave_times(

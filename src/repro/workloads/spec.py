@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..simnet.rng import Pcg64
 from .builders import assign_sessions, diurnal_leave_times, flash_crowd_times
 
 __all__ = ["WORKLOAD_KINDS", "ReceiverSpec", "WorkloadEvent", "WorkloadSpec"]
@@ -176,8 +177,6 @@ class WorkloadSpec:
         when the crowd is smaller than the pool.  Raises when the crowd is
         larger than the pool — a spec cannot join receivers it doesn't have.
         """
-        import numpy as np
-
         pool = list(pool if pool is not None else self.receiver_ids())
         unknown = [rid for rid in pool if rid not in self._by_id]
         if unknown:
@@ -189,6 +188,8 @@ class WorkloadSpec:
         times = flash_crowd_times(size, at, ramp=ramp, shape=shape,
                                   steps=steps, seed=seed)
         if size < len(pool):
+            import numpy as np  # sampling without replacement is numpy's
+
             rng = np.random.default_rng(seed)
             picks = rng.choice(len(pool), size=size, replace=False)
             chosen = [pool[int(i)] for i in picks]
@@ -218,8 +219,6 @@ class WorkloadSpec:
         uniform ``off_time`` draw, mirroring ``membership_churn``'s
         leave/rejoin convention.
         """
-        import numpy as np
-
         pool = list(pool if pool is not None else self.receiver_ids())
         if not pool:
             raise ValueError("need at least one receiver to churn")
@@ -229,12 +228,12 @@ class WorkloadSpec:
         waves = diurnal_leave_times(start, end, period=period,
                                     peak_rate=peak_rate,
                                     trough_rate=trough_rate, seed=seed)
-        rng = np.random.default_rng(seed + 1)
+        rng = Pcg64(seed + 1)
         batch: List[WorkloadEvent] = []
         for t in waves:
-            rid = pool[int(rng.integers(len(pool)))]
+            rid = pool[rng.integers(len(pool))]
             batch.append(WorkloadEvent(t, "leave", rid))
-            back = t + float(rng.uniform(lo, hi))
+            back = t + rng.uniform(lo, hi)
             if back < end:
                 batch.append(WorkloadEvent(round(back, 6), "join", rid))
         self._extend(batch)

@@ -45,11 +45,14 @@ class EagerLink(Link):
     Waiting packets sit in its own deque, ``_waiting``, and the discipline
     admits against that deque's length.  ``_fifo`` holds at most one item,
     the pending ``_tx_done`` entry, so the inherited ``busy``/``stats``/
-    ``drops`` views read the same state."""
+    ``drops`` views read the same state.  Idle time is summed from the
+    moments ``_tx_done`` leaves the link idle to the next offer."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._waiting = deque()
+        self._went_idle = 0.0
+        self._idle_total = 0.0
 
     @property
     def backlog(self):
@@ -72,11 +75,13 @@ class EagerLink(Link):
             self._emit_drop(pkt, DROP_LINK_DOWN)
             return False
         if self._fifo:
-            if not self.discipline.admit(len(self._waiting)):
+            tx_time = pkt.size * 8.0 / self.bandwidth
+            if not self.discipline.admit(len(self._waiting), self._idle_total, tx_time):
                 self._emit_drop(pkt, DROP_QUEUE_FULL)
                 return False
             self._waiting.append(pkt)
             return True
+        self._idle_total += self.sched.now - self._went_idle
         self._start_transmit(pkt)
         return True
 
@@ -97,6 +102,8 @@ class EagerLink(Link):
             sched.at(now + self.delay, self.dst.receive, pkt, self)
         if self._waiting:
             self._start_transmit(self._waiting.popleft())
+        else:
+            self._went_idle = now
 
     def set_down(self):
         self._settle()
@@ -144,8 +151,10 @@ class Rig:
         self.sched.bus.subscribe("link.*", self._on_bus)
         self.sink = Sink(self.sched)
         if kind == "red":
+            # A heavy EWMA weight, so that a short script reaches the
+            # early-drop ramp and idle spells visibly decay the average.
             red = type("OracleRED", (REDQueue,), dict(
-                CAPACITY=qcap + 3, MIN_TH=1.0, MAX_TH=3.0, MAX_P=0.5))
+                CAPACITY=qcap + 3, MIN_TH=1.0, MAX_TH=3.0, MAX_P=0.5, WQ=0.5))
             queue = red(np.random.default_rng(seed))
         else:
             queue = DropTailQueue(qcap)
@@ -179,8 +188,9 @@ class Rig:
     def counters(self):
         link = self.link
         stats, drops = link.stats, link.drops
+        red = [link.discipline.avg] if isinstance(link.discipline, REDQueue) else []
         return ([getattr(stats, f) for f in type(stats).__slots__]
-                + [drops[reason] for reason in DROP_REASONS] + [link.backlog, link.busy])
+                + [drops[reason] for reason in DROP_REASONS] + [link.backlog, link.busy] + red)
 
     def play(self, script):
         for step, op, arg in script:

@@ -87,7 +87,8 @@ class TestR007RngProvenance:
             "rng = registry.fork('shard/0')\nr = np.random.default_rng(seed)\n"
             "r = default_rng(seed=cfg.seed + 1)\nr = np.random.default_rng()\n"
             "r = np.random.default_rng(int.from_bytes(digest, 'little'))\n"
-            "r = random.Random(seed)\nr = np.random.RandomState(None)\n")})) == []
+            "r = random.Random(seed)\nr = np.random.RandomState(None)\n"
+            "r = Pcg64(seed)\nr = Pcg64([seed + 1, next(queues)])\n")})) == []
 
 
 class TestSuppression:

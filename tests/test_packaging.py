@@ -10,7 +10,10 @@ properties can only be checked from outside:
 * a run imports only the layers it runs: packages re-export nothing, so a
   Topology B run never loads the fault, workload or artifact machinery;
 * a real run never imports networkx: it is a test dependency only
-  (``pyproject.toml``), and ``Network`` searches its own adjacency.
+  (``pyproject.toml``), and ``Network`` searches its own adjacency;
+* a simulation never imports numpy: its streams are ``Pcg64`` and its
+  means ``pairwise_sum``, so only builders that draw ``exponential`` or
+  sample without replacement, and a few scorers, load it on use.
 """
 
 import os
@@ -24,6 +27,7 @@ import pytest
 import repro
 
 SRC = Path(repro.__file__).resolve().parent.parent
+BENCH = SRC.parent / "bench"
 
 SUBPACKAGES = sorted(m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg)
 
@@ -89,4 +93,24 @@ assert sc.network.topology_epoch > 0
 
 assert "networkx" not in sys.modules, "networkx imported at run time"
 """)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("code", [
+    # pkt_steady's run, scored
+    "from repro.experiments.topologies import build_topology_b\n"
+    "sc = build_topology_b(n_sessions=4, traffic='vbr', peak_to_mean=3.0, seed=1)\n"
+    "sc.run(10.0).mean_deviation(5.0)\n",
+    # fed_crowd's construction, at the benchmark's smoke size
+    f"sys.path.insert(0, {str(BENCH)!r})\n"
+    "from workloads import WORKLOADS\n"
+    "WORKLOADS['fed_crowd'].instantiate(1, smoke=True)\n",
+    "import contextlib, io\n"
+    "from repro.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['demo', '--topology', 'b', '--duration', '10', '--no-artifacts']) == 0\n",
+], ids=["topology_b_run", "fed_crowd_build", "demo"])
+def test_a_simulation_never_imports_numpy(code):
+    done = run_fresh("import sys\n" + code
+                     + "assert 'numpy' not in sys.modules, 'numpy imported'\n")
     assert done.returncode == 0, done.stderr

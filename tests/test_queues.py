@@ -27,6 +27,10 @@ class Stub:
     name = "src"
 
 
+#: Serialization time of a 1000-byte packet at the test links' 1 Mb/s.
+TX = 0.008
+
+
 def pkt(size=1000):
     return Packet(src="s", dst="d", size=size)
 
@@ -47,13 +51,13 @@ class TestDropTail:
 
     def test_tail_drop_beyond_capacity(self):
         q = DropTailQueue(capacity=2)
-        assert q.admit(0) and q.admit(1)
-        assert not q.admit(2) and not q.admit(5)
+        assert q.admit(0, 0.0, TX) and q.admit(1, 0.0, TX)
+        assert not q.admit(2, 0.0, TX) and not q.admit(5, 0.0, TX)
 
     def test_capacity_one(self):
         q = DropTailQueue(capacity=1)
-        assert q.admit(0)
-        assert not q.admit(1)
+        assert q.admit(0, 0.0, TX)
+        assert not q.admit(1, 0.0, TX)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -90,17 +94,17 @@ def red(capacity, min_th, max_th, max_p=0.1, wq=0.002, seed=0):
 class TestRED:
     def test_accepts_below_min_threshold(self):
         q = red(capacity=50, min_th=5, max_th=15)
-        assert all(q.admit(backlog) for backlog in range(4))
+        assert all(q.admit(backlog, 0.0, TX) for backlog in range(4))
 
     def test_always_drops_when_full(self):
         q = red(capacity=3, min_th=1, max_th=2)
-        assert not any(q.admit(3) for _ in range(10))
+        assert not any(q.admit(3, 0.0, TX) for _ in range(10))
 
     def test_probabilistic_drops_in_ramp(self):
         q = red(capacity=200, min_th=2, max_th=10, max_p=0.5, wq=0.5, seed=42)
         backlog = 0
         for _ in range(150):
-            backlog += q.admit(backlog)
+            backlog += q.admit(backlog, 0.0, TX)
         assert 0 < backlog < 150
 
     def test_thresholds_are_class_constants(self):
@@ -121,3 +125,31 @@ class TestRED:
         assert 0.1 <= q._drop_probability() < 1.0
         q.avg = 40.0
         assert q._drop_probability() == 1.0
+
+    def test_average_decays_while_the_link_is_idle(self):
+        # A burst drives the average far above MAX_TH and keeps the link
+        # busy for 0.5 s; after 990 s with nothing to send, the next offer
+        # to the busy link finds it decayed (Floyd & Jacobson's idle
+        # correction) instead of early-dropping with probability ~0.5.
+        q = REDQueue(np.random.default_rng(0))
+        sched = Scheduler()
+        link = Link(sched, Stub(), Sink(), 500e3, 0.0, q)
+        for _ in range(1000):
+            link.send(pkt())
+        assert q.avg > REDQueue.MAX_TH
+        sched.run(until=990.5)
+        assert not link.busy
+        high = q.avg
+        link.send(pkt())        # to the idle link: not offered to RED
+        assert q.avg == high
+        link.send(pkt())        # behind it: RED decays, then samples 0
+        assert q.avg < REDQueue.MIN_TH
+
+    def test_idle_decay_is_per_packet_time(self):
+        q = red(capacity=50, min_th=5, max_th=15, wq=0.5)
+        q.admit(10, 0.0, TX)
+        assert q.avg == 5.0
+        q.admit(10, 0.0, TX)
+        assert q.avg == 7.5
+        q.admit(0, 2 * TX, TX)  # two packet times idle: 7.5 / 4, then halved
+        assert q.avg == 7.5 / 8

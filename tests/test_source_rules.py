@@ -98,7 +98,7 @@ def line_of(tree, name):
                  and getattr(n.target, "id", None) == name), 1)
 
 
-RNG_CONSTRUCTORS = {"default_rng", "RandomState", "Random", "seed"}
+RNG_CONSTRUCTORS = {"Pcg64", "default_rng", "RandomState", "Random", "seed"}
 
 
 def _constant_seed(call):
@@ -421,9 +421,9 @@ BAD = {
         {"control/a.py": "rng = np.random.default_rng(7)\n"
                          "for i in range(3):\n    r = default_rng(seed=-1)\n"
                          "r = np.random.RandomState(7)\nnp.random.seed(3)\n"
-                         "r = random.Random((1, 2))\n"}, {},
+                         "r = random.Random((1, 2))\nr = Pcg64(7)\n"}, {},
         ["a.py:1 `default_rng`", "a.py:3 `default_rng`", "a.py:4 `RandomState`",
-         "a.py:5 `seed`", "a.py:6 `Random`"]),
+         "a.py:5 `seed`", "a.py:6 `Random`", "a.py:7 `Pcg64`"]),
     float_equality: (
         {"core/a.py": "stop = loss == 0.0\nok = share == float(n)\n",
          "metrics/a.py": "ok = 1 < x != -1.5\n"}, {},
