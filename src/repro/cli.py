@@ -35,6 +35,7 @@ under ``runs/`` — move the root with ``REPRO_RUNS_DIR`` or disable with
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -117,12 +118,12 @@ FIGURES: Tuple[Figure, ...] = (
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Opt:
-    """One experiment-specific flag and the ``run_*`` keyword it feeds."""
+    """One experiment-specific flag and the ``run_*`` keyword it feeds; its
+    default is that keyword's default in the ``run_*`` signature."""
 
     flag: str
     kwarg: str
     type: Callable[[str], Any]
-    default: Any
     help: str
 
 
@@ -147,7 +148,6 @@ class Experiment:
     help: str
     run: Callable[..., Dict[str, Any]]
     render: Callable[[Dict[str, Any]], str]
-    duration: float
     #: Wall-clock result keys ``--strip-timings`` removes (at any depth).
     timing_keys: Tuple[str, ...]
     options: Tuple[Opt, ...]
@@ -195,10 +195,10 @@ def _smallest_crowd_spec(result: Dict[str, Any], loaded: Any) -> Any:
 EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment(
         "chaos", "replay a seeded fault storm and report per-receiver recovery",
-        chaos.run_chaos, chaos.render_chaos_report, chaos.DEFAULT_DURATION, (),
+        chaos.run_chaos, chaos.render_chaos_report, (),
         (
-            Opt("--receivers", "n_receivers", int, 4, "receivers"),
-            Opt("--recover-intervals", "recover_intervals", float, 3.0,
+            Opt("--receivers", "n_receivers", int, "receivers"),
+            Opt("--recover-intervals", "recover_intervals", float,
                 "recovery bound, in control intervals"),
         ),
         Replay("plan", FaultPlan.from_dicts, _result_plan,
@@ -208,12 +208,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "byzantine",
         "lying receivers vs the report guard, judged against a same-seed "
         "no-attack baseline",
-        byzantine.run_byzantine, byzantine.render_byzantine_report,
-        byzantine.DEFAULT_DURATION, (),
+        byzantine.run_byzantine, byzantine.render_byzantine_report, (),
         (
-            Opt("--attack-start", "attack_start", float, 30.0,
-                "simulated time the liars switch on"),
-            Opt("--quarantine-intervals", "quarantine_intervals", float, 5.0,
+            Opt("--attack-start", "attack_start", float, "simulated time the liars switch on"),
+            Opt("--quarantine-intervals", "quarantine_intervals", float,
                 "quarantine deadline, in control intervals"),
         ),
     ),
@@ -221,10 +219,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "churn",
         "rebuild shortest-path trees through a seeded membership-churn + "
         "link-failure storm and gate every receiver's recovery",
-        churn.run_churn, churn.render_churn_report, churn.DEFAULT_DURATION, (),
+        churn.run_churn, churn.render_churn_report, (),
         (
-            Opt("--receivers", "n_receivers", int, 6, "receivers"),
-            Opt("--recover-intervals", "recover_intervals", float, 4.0,
+            Opt("--receivers", "n_receivers", int, "receivers"),
+            Opt("--recover-intervals", "recover_intervals", float,
                 "recovery bound, in control intervals"),
         ),
         Replay("plan", FaultPlan.from_dicts, _result_plan,
@@ -235,24 +233,19 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "sweep flash-crowd sizes x wireless loss rates through the "
         "declarative workload engine and gate replay determinism, loss "
         "attribution and control-plane scaling",
-        crowd.run_crowd, crowd.render_crowd_report, crowd.DEFAULT_DURATION,
-        ("wall_s",),
+        crowd.run_crowd, crowd.render_crowd_report, ("wall_s",),
         (
-            Opt("--sizes", "sizes", int_list, "64,10000",
-                "comma-separated flash-crowd sizes"),
-            Opt("--loss", "loss_rates", float_list, "0,0.15",
-                "comma-separated wireless channel loss rates"),
-            Opt("--edges", "n_edges", int, 8, "wireless edge nodes"),
-            Opt("--incumbents", "incumbents", int, 4,
+            Opt("--sizes", "sizes", int_list, "comma-separated flash-crowd sizes"),
+            Opt("--loss", "loss_rates", float_list, "comma-separated wireless channel loss rates"),
+            Opt("--edges", "n_edges", int, "wireless edge nodes"),
+            Opt("--incumbents", "incumbents", int,
                 "always-on controlled receivers probing stability"),
             Opt("--max-controlled", "max_controlled", int,
-                crowd.DEFAULT_MAX_CONTROLLED,
                 "largest crowd that joins fully controlled; bigger crowds "
                 "join static"),
             Opt("--control-bound", "control_bound", float,
-                crowd.CONTROL_BYTES_PER_LIVE_BOUND,
                 "declared control-byte bound, bytes/s per live receiver"),
-            Opt("--federated-crowd", "federated_crowd", int, 32,
+            Opt("--federated-crowd", "federated_crowd", int,
                 "per-domain crowd on the federated plane (0 skips it)"),
         ),
         Replay("spec", WorkloadSpec.from_dict, _smallest_crowd_spec,
@@ -265,15 +258,13 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "sweep domain count at fixed total receivers through the federated "
         "control plane and gate its scaling claims",
         fed_experiment.run_federate, fed_experiment.render_federate_report,
-        fed_experiment.DEFAULT_DURATION, ("wall_s", "shard_wall_ms"),
+        ("wall_s", "shard_wall_ms"),
         (
-            Opt("--receivers", "total_receivers", int, 1024,
+            Opt("--receivers", "total_receivers", int,
                 "total receivers, split evenly across domains"),
-            Opt("--domains", "domain_counts", int_list, "2,4,8",
-                "comma-separated domain counts to sweep"),
-            Opt("--cadence", "cadence", float, 4.0,
-                "summary-exchange cadence, simulated seconds"),
-            Opt("--tolerance", "tolerance", float, 0.15,
+            Opt("--domains", "domain_counts", int_list, "comma-separated domain counts to sweep"),
+            Opt("--cadence", "cadence", float, "summary-exchange cadence, simulated seconds"),
+            Opt("--tolerance", "tolerance", float,
                 "allowed control-bytes-per-receiver spread across the sweep"),
         ),
     ),
@@ -281,22 +272,16 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "fedchaos",
         "sweep inter-domain loss and partition windows with a coordinator "
         "crash/failover and gate partition tolerance",
-        fed_chaos.run_fedchaos, fed_chaos.render_fedchaos_report,
-        fed_chaos.DEFAULT_CHAOS_DURATION, ("wall_s",),
+        fed_chaos.run_fedchaos, fed_chaos.render_fedchaos_report, ("wall_s",),
         (
-            Opt("--domains", "n_domains", int, 3,
-                "number of administrative domains"),
-            Opt("--receivers", "receivers_per_domain", int, 8,
-                "receivers per domain"),
-            Opt("--cadence", "cadence", float, 4.0,
-                "summary-exchange cadence, simulated seconds"),
-            Opt("--loss", "loss_rates", float_list, "0.05,0.2",
-                "comma-separated channel loss rates to sweep"),
-            Opt("--windows", "partition_rounds", int_list, "3,4",
+            Opt("--domains", "n_domains", int, "number of administrative domains"),
+            Opt("--receivers", "receivers_per_domain", int, "receivers per domain"),
+            Opt("--cadence", "cadence", float, "summary-exchange cadence, simulated seconds"),
+            Opt("--loss", "loss_rates", float_list, "comma-separated channel loss rates to sweep"),
+            Opt("--windows", "partition_rounds", int_list,
                 "comma-separated partition windows, in lockstep rounds"),
-            Opt("--partition-domain", "partition_domain", str, "d2",
-                "domain cut off during the window"),
-            Opt("--staleness-budget", "staleness_budget", int, 2,
+            Opt("--partition-domain", "partition_domain", str, "domain cut off during the window"),
+            Opt("--staleness-budget", "staleness_budget", int,
                 "advice age (rounds) tolerated before the ceiling decays"),
         ),
         Replay("plan", FaultPlan.from_dicts, _single_point_plan,
@@ -496,11 +481,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for row in EXPERIMENTS:
         p = sub.add_parser(row.name, help=row.help)
-        common(p, row.duration)
+        defaults = {k: v.default for k, v in inspect.signature(row.run).parameters.items()}
+        common(p, defaults["duration"])
         for o in row.options:
-            default = "" if o.default is None else f" (default {o.default})"
-            p.add_argument(o.flag, type=o.type, default=o.default,
-                           help=o.help + default)
+            default = defaults[o.kwarg]
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            p.add_argument(o.flag, type=o.type, default=default,
+                           help=f"{o.help} (default {shown})")
         if row.replay is not None:
             p.add_argument(f"--{row.replay.kind}", type=str, default=None,
                            help=row.replay.help)

@@ -154,7 +154,9 @@ class ReceiverAgent:
         self.lies_told = 0
         self.active = True
         self._started = False
-        self._started_at: Optional[float] = None
+        #: When :meth:`start` ran: the unilateral fallback's reference before
+        #: any suggestion, and the rejoin churn scores recovery from.
+        self.started_at: Optional[float] = None
         self._last_contact: Optional[float] = None
         self._register_ev: Optional[Any] = None
         self._seq = 0
@@ -178,7 +180,7 @@ class ReceiverAgent:
         if self._started:
             return
         self._started = True
-        self._started_at = self.sched.now
+        self.started_at = self.sched.now
         self._last_contact = self.sched.now
         self.node.bind_port(self.port, self._on_packet)
         # Jittered phase so receivers do not report in lock-step.  Drawn
@@ -329,7 +331,7 @@ class ReceiverAgent:
         than staying over-subscribed forever."""
         reference = self.last_suggestion_at
         if reference is None:
-            reference = self._started_at
+            reference = self.started_at
             if reference is None:
                 return
         if self.sched.now - reference < UNILATERAL_AFTER:

@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional
 from ..faults.plan import FaultPlan
 from ..metrics.guard import mean_level_divergence, quarantine_precision_recall
 from ..obs.run import fault_log_entries
-from .scenario import Scenario
+from .scenario import Scenario, run_plan
 from .topologies import BACKBONE_BW, CLASS_A_BW
 
 __all__ = [
@@ -137,12 +137,9 @@ def run_byzantine(
     interval = attacked.controller.interval
     if plan is None:
         plan = default_attack_plan(attack_start)
-    injector = plan.apply(attacked)
     # Only the attacked run is recorded: the baseline exists purely to be
     # compared against, and recording it would interleave two event streams.
-    if recorder is not None:
-        recorder.attach(attacked, sample_interval=interval)
-    attacked.run(duration)
+    injector = run_plan(attacked, duration, plan, recorder)
 
     controller = attacked.controller
     guard = controller.guard

@@ -28,9 +28,9 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..faults.plan import FaultPlan
-from ..metrics.recovery import max_suggestion_gap, recovery_report
+from ..metrics.recovery import RECOVERY_INTERVALS, hears_within, max_suggestion_gap
 from ..obs.run import fault_log_entries
-from .scenario import Scenario
+from .scenario import Scenario, run_plan
 from .topologies import BACKBONE_BW, CLASS_A_BW
 
 __all__ = ["build_chaos_scenario", "default_chaos_plan", "run_chaos"]
@@ -109,7 +109,7 @@ def run_chaos(
     duration: float = DEFAULT_DURATION,
     n_receivers: int = 4,
     plan: Optional[FaultPlan] = None,
-    recover_intervals: float = 3.0,
+    recover_intervals: float = RECOVERY_INTERVALS,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Run the chaos scenario and report per-receiver recovery.
@@ -125,10 +125,7 @@ def run_chaos(
     interval = sc.controller.interval
     if plan is None:
         plan = default_chaos_plan()
-    injector = plan.apply(sc)
-    if recorder is not None:
-        recorder.attach(sc, sample_interval=interval)
-    sc.run(duration)
+    injector = run_plan(sc, duration, plan, recorder)
 
     within = recover_intervals * interval
     # Only faults that clear before the end of the run (with room to see the
@@ -139,7 +136,7 @@ def run_chaos(
     ok = bool(clears)
     for h in sc.receivers:
         agent = h.agent
-        report = recovery_report(agent.suggestion_times, clears, within)
+        report = hears_within(agent.suggestion_times, clears, within)
         ok = ok and bool(report["recovered_all"])
         receivers[str(h.receiver_id)] = {
             "node": h.node,

@@ -44,7 +44,7 @@ from ..obs.run import strip_timings
 from ..simnet.wireless import WirelessEdgeLink
 from ..workloads.runner import WorkloadRunner
 from ..workloads.spec import WorkloadSpec
-from .scenario import Scenario
+from .scenario import Scenario, run_plan
 from .topologies import BACKBONE_BW, CLASS_A_BW
 
 __all__ = [
@@ -250,9 +250,7 @@ def _run_point(
         seed=seed, n_edges=n_edges, incumbents=incumbents, wireless_loss=loss,
     )
     runner = WorkloadRunner(sc, spec).install()
-    if recorder is not None:
-        recorder.attach(sc, sample_interval=sc.controller.interval)
-    sc.run(duration)
+    run_plan(sc, duration, recorder=recorder)
 
     # Pre-crowd windows (n_live == 0) measure only the incumbent control
     # plane against a clamped divisor; the scalability bound is about what

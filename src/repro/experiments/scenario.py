@@ -25,7 +25,7 @@ Receiver *modes*:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..baselines.oracle import optimal_levels
 from ..baselines.rlm import RLMReceiver
@@ -46,7 +46,11 @@ from ..simnet.rng import RngRegistry
 from ..simnet.topology import Network
 from ..simnet.tracing import StepTrace
 
-__all__ = ["Scenario", "ScenarioResult", "ReceiverHandle"]
+if TYPE_CHECKING:
+    from ..faults.injectors import FaultInjector
+    from ..faults.plan import FaultPlan
+
+__all__ = ["Scenario", "ScenarioResult", "ReceiverHandle", "run_plan"]
 
 #: Largest queue (packets) :meth:`Scenario.add_link` sizes by default.
 DEFAULT_QUEUE_LIMIT = 32
@@ -489,3 +493,25 @@ class ScenarioResult:
                 f"{h.trace.num_changes(0.0, self.end_time)} changes"
             )
         return "\n".join(lines)
+
+
+def run_plan(
+    sc: Scenario,
+    duration: float,
+    plan: Optional["FaultPlan"] = None,
+    recorder: Optional[Any] = None,
+) -> Optional["FaultInjector"]:
+    """Run ``sc`` for ``duration`` s under ``plan``: the one shape of every
+    fault experiment.
+
+    The plan is bound to the scheduler first, so a plan naming something
+    the scenario lacks fails before anything runs; a
+    :class:`~repro.obs.run.RunRecorder` then attaches, sampling once per
+    control interval.  Returns the plan's injector (its ``log`` is the
+    fired events), or None without a plan.
+    """
+    injector = None if plan is None else plan.apply(sc)
+    if recorder is not None:
+        recorder.attach(sc, sample_interval=sc.controller.interval)
+    sc.run(duration)
+    return injector

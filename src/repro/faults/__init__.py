@@ -23,8 +23,7 @@ Typical use::
     plan.discovery_outage(60.0, 80.0)
     plan.add(90.0, "byzantine_start", "r3", "lie_low+disobey")
     plan.add(100.0, "receiver_leave", "r2")
-    injector = plan.apply(scenario)
-    scenario.run(120.0)
+    injector = run_plan(scenario, 120.0, plan)   # repro.experiments.scenario
     print(injector.log)        # [(time, kind, detail), ...]
 
 Every kind is fired by one of the default plans (``default_chaos_plan``,

@@ -174,19 +174,19 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
-    def apply(self, scenario, injector=None):
+    def apply(self, scenario):
         """Schedule every event on ``scenario``'s scheduler.
 
-        Returns the bound :class:`~repro.faults.injectors.FaultInjector`
-        (pass one in to accumulate a shared log across plans).  Events in
-        the past relative to the scenario clock are rejected — apply the
-        plan before running — and so is an event whose arguments do not
-        fit its kind's injector method or that names a link, node or
-        receiver the scenario lacks, so a plan read from a file fails here
-        and not when the event fires.
+        Returns the bound :class:`~repro.faults.injectors.FaultInjector`;
+        experiments call it only through
+        :func:`~repro.experiments.scenario.run_plan`.  Events in the past
+        relative to the scenario clock are rejected — apply the plan before
+        running — and so is an event whose arguments do not fit its kind's
+        injector method or that names a link, node or receiver the scenario
+        lacks, so a plan read from a file fails here and not when the event
+        fires.
         """
-        if injector is None:
-            injector = FaultInjector(scenario)
+        injector = FaultInjector(scenario)
         now = scenario.sched.now
         for ev in self.events:
             if ev.time < now:

@@ -148,3 +148,24 @@ def test_run_churn_seed_6_layers_agree_after_the_outage():
     agg_b has two parents in the session tree and the controller tick
     raises at t = 85.5 s."""
     assert run_churn(seed=6)["ok"]
+
+
+def test_a_join_of_a_present_receiver_is_no_recovery_reference():
+    """A0 leaves twice and joins twice: the second leave and the second
+    join find it already gone or back and do nothing.  Recovery is scored
+    from the rejoin that fired (16 s), so the link clear at 25 s is A0's
+    reference, and dropping the no-op join at 30 s changes no score."""
+    def plan(*noop_joins):
+        p = (FaultPlan().add(10.0, "receiver_leave", "A0").add(12.0, "receiver_leave", "A0")
+             .add(16.0, "receiver_join", "A0")
+             .link_flap(20.0, "core", "agg_b", down_for=5.0, times=1))
+        for t in noop_joins:
+            p.add(t, "receiver_join", "A0")
+        return p
+
+    with_noop = run_churn(seed=1, duration=60.0, n_receivers=4, plan=plan(30.0))
+    without = run_churn(seed=1, duration=60.0, n_receivers=4, plan=plan())
+    assert with_noop["receivers"] == without["receivers"]
+    a0 = with_noop["receivers"]["A0"]
+    assert a0["scored"] and a0["recovered"]
+    assert with_noop["ok"]

@@ -23,11 +23,7 @@ from repro.experiments.scenario import Scenario
 from repro.faults.injectors import FaultInjector, FederationInjector, kinds_of
 from repro.faults.plan import KINDS, FaultEvent, FaultPlan
 from repro.federation.chaos import default_fedchaos_plan
-from repro.metrics.recovery import (
-    max_suggestion_gap,
-    suggestion_gaps,
-    time_to_suggestion,
-)
+from repro.metrics.recovery import hears_within, max_suggestion_gap
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +191,8 @@ class TestControllerFault:
         assert list(standby.receivers[sess.session_id]) == ["R"]
         agent = sc.receivers[0].agent
         assert agent.controller_node == "standby"
-        assert time_to_suggestion(agent.suggestion_times, 12.0) < 10.0
+        (heard,) = hears_within(agent.suggestion_times, [12.0], 10.0)["per_fault"]
+        assert heard["t_suggestion"] < 10.0
 
     def test_killed_controller_stays_down_when_the_run_is_split(self):
         # Scenario.run() starts every registered controller; a killed one
@@ -323,18 +320,23 @@ class TestRegisterBackoff:
 # Recovery metric helpers
 # ----------------------------------------------------------------------
 class TestRecoveryMetrics:
-    def test_time_to_suggestion(self):
-        assert time_to_suggestion([1.0, 5.0, 9.0], 4.0) == pytest.approx(1.0)
-        assert time_to_suggestion([1.0], 4.0) == float("inf")
+    def test_hears_within_times_the_first_suggestion_after_each_ref(self):
+        heard = hears_within([1.0, 5.0, 9.0], [4.0, 9.0], 2.0)
+        assert [e["t_suggestion"] for e in heard["per_fault"]] == [
+            pytest.approx(1.0), float("inf")]
+        assert [e["recovered"] for e in heard["per_fault"]] == [True, False]
+        assert heard["recovered_all"] is False
+        assert hears_within([1.0], [], 2.0)["recovered_all"] is True
 
-    def test_suggestion_gaps_include_edges(self):
-        gaps = suggestion_gaps([2.0, 6.0], 0.0, 10.0)
-        assert gaps == [2.0, 4.0, 4.0]
+    def test_max_suggestion_gap_includes_edges(self):
+        assert max_suggestion_gap([2.0, 6.0], 0.0, 10.0) == 4.0
+        assert max_suggestion_gap([7.0], 0.0, 10.0) == 7.0  # leading
+        assert max_suggestion_gap([3.0], 0.0, 10.0) == 7.0  # trailing
         assert max_suggestion_gap([], 0.0, 10.0) == 10.0
 
     def test_gap_window_validated(self):
         with pytest.raises(ValueError):
-            suggestion_gaps([1.0], 5.0, 5.0)
+            max_suggestion_gap([1.0], 5.0, 5.0)
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ class TestEpochFencing:
     @pytest.mark.usefixtures("no_igmp_delay")
     def test_lower_epoch_suggestion_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        agent._started_at = 0.0
+        agent.started_at = 0.0
         _deliver(agent, Suggestion("R", 0, level=2, issued_at=0.0, epoch=5))
         assert receiver.level == 2
         assert agent.controller_epoch == 5

@@ -24,7 +24,10 @@ and is still wrong (DESIGN.md §11 has the trial that chose them):
   ``media/`` assigns on ``self`` is read, by name, somewhere in ``src/``,
   ``bench/``, ``examples/`` or ``tools/``: a counter only tests read is one
   more store on the packet path.  ``WRITE_ONLY_EXEMPT`` names the drop
-  tallies kept for their reason; each must still excuse a write.
+  tallies kept for their reason; each must still excuse a write;
+* ``plan_application`` — ``FaultPlan.apply`` is called only inside
+  ``experiments/scenario.py::run_plan``, so every fault experiment has one
+  shape: apply the plan, attach the recorder, run.
 
 Each check takes parsed sources keyed by their path under ``src/repro/`` and
 returns ``path:line message`` strings.  An exemption is a path in
@@ -274,6 +277,7 @@ OPTION_OWNERS = (
     ("control/agent.py", "ReceiverAgent", "__init__"),
     ("experiments/scenario.py", "Scenario", "attach_controller"),
     ("experiments/scenario.py", "Scenario", "add_receiver"),
+    ("faults/plan.py", "FaultPlan", "apply"),
 )
 
 
@@ -386,8 +390,26 @@ def write_only_state(trees, readers=None, exempt=WRITE_ONLY_EXEMPT):
     return hits
 
 
+#: The one function that may apply a fault plan: ``(path, name)``.
+PLAN_RUNNER = ("experiments/scenario.py", "run_plan")
+
+
+def plan_application(trees):
+    hits = []
+    for path, tree in trees.items():
+        runner = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and (path, func.name) == PLAN_RUNNER
+                  for node in ast.walk(func)}
+        hits += [f"{path}:{call.lineno} `{ast.unparse(call.func)}()` applies a fault plan "
+                 "outside run_plan — run it through experiments/scenario.py::run_plan"
+                 for call in ast.walk(tree) if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Attribute) and call.func.attr == "apply"
+                 and id(call) not in runner]
+    return hits
+
+
 CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage, annotation_names,
-          unused_options, function_level_imports, write_only_state)
+          unused_options, function_level_imports, write_only_state, plan_application)
 
 #: Check -> paths under src/repro/ whose hits are sanctioned.
 EXEMPT = {
@@ -479,6 +501,16 @@ BAD = {
          "exempt": {"ghost": "excuses nothing"}},
         ["simnet/a.py:3 `Q.pushed` is written but never read",
          "simnet/a.py:7 `Q.pushed`", "`ghost` excuses no write"]),
+    plan_application: (
+        {"experiments/a.py": "def run_storm(sc, plan, duration):\n"
+                             "    injector = plan.apply(sc)\n    sc.run(duration)\n",
+         "experiments/b.py": "def run_plan(sc, plan):\n    return plan.apply(sc)\n",
+         "experiments/scenario.py": "def run_plan(sc, duration, plan):\n"
+                                    "    plan.apply(sc)\n"
+                                    "def other(sc, plan):\n    FaultPlan().apply(sc)\n"},
+        {},
+        ["experiments/a.py:2 `plan.apply()` applies a fault plan outside run_plan",
+         "experiments/b.py:2 `plan.apply()`", "experiments/scenario.py:4 `FaultPlan().apply()`"]),
 }
 
 
