@@ -42,7 +42,7 @@ suggestions and climbs a layer per report.  Modes combine with ``+``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, cast
 
 from ..core.session_topology import SessionTree
 from ..core.types import ReceiverReport, SessionInput, SuggestionSet
@@ -331,9 +331,8 @@ class ReceiverAgent:
         than staying over-subscribed forever."""
         reference = self.last_suggestion_at
         if reference is None:
-            reference = self.started_at
-            if reference is None:
-                return
+            # start() sets started_at before it schedules _report, our caller
+            reference = cast(float, self.started_at)
         if self.sched.now - reference < UNILATERAL_AFTER:
             return
         if loss_rate > LOSS_THRESHOLD and self.receiver.level > 1:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.config import TopoSenseConfig
+from ..simnet.rng import Pcg64
 from .scenario import Scenario
 
 __all__ = ["TierSpec", "build_tiered_topology", "DEFAULT_TIERS"]
@@ -60,11 +61,9 @@ def build_tiered_topology(
     bottleneck, as in the paper's tiered model.  ``receiver_fraction``
     subsamples the leaves; ``max_receivers`` caps the total.
     """
-    import numpy as np  # the leaves' shuffle is numpy's, so the stream is too
-
     if not 0 < receiver_fraction <= 1:
         raise ValueError("receiver_fraction must be in (0, 1]")
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     sc = Scenario(seed=seed)
     sc.add_node("src")
     frontier = ["src"]
@@ -72,12 +71,12 @@ def build_tiered_topology(
     for tier in tiers:
         next_frontier: List[str] = []
         for parent in frontier:
-            fanout = int(rng.integers(tier.fanout[0], tier.fanout[1] + 1))
+            fanout = rng.integers(tier.fanout[0], tier.fanout[1] + 1)
             for _ in range(fanout):
                 name = f"{tier.name}{counter}"
                 counter += 1
                 sc.add_node(name)
-                bw = float(rng.uniform(*tier.bandwidth))
+                bw = rng.uniform(*tier.bandwidth)
                 sc.add_link(parent, name, bandwidth=bw)
                 next_frontier.append(name)
         frontier = next_frontier

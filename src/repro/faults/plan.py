@@ -148,7 +148,7 @@ class FaultPlan:
         bias over ``receivers``'s order, so a few receivers churn far more
         than the rest) to depart, each rejoining after a uniform draw from
         ``off_time`` seconds.  Randomness is consumed *here*, from a private
-        ``default_rng(seed)``: the emitted plan is a concrete, ordered list
+        ``Pcg64(seed)``: the emitted plan is a concrete, ordered list
         of ``receiver_leave``/``receiver_join`` events that round-trips
         through JSON and replays identically, like every other fault kind.
 

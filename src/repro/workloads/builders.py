@@ -1,8 +1,8 @@
 """Seeded samplers behind the declarative workload builders.
 
 All randomness is consumed *here*, at build time, from private
-``Pcg64(seed)`` streams (``numpy.random.default_rng(seed)`` where a draw
-needs numpy's ``exponential``) — the compiled
+``Pcg64(seed)`` streams (no numpy: ``Pcg64`` draws ``exponential`` by
+numpy's own ziggurat) — the compiled
 :class:`~repro.workloads.spec.WorkloadSpec` is a concrete event list that
 round-trips through JSON and replays bit-identically (the same discipline
 as :class:`~repro.faults.plan.FaultPlan`).
@@ -121,23 +121,21 @@ def diurnal_leave_times(
     construction for inhomogeneous processes, so the draw count per seed is
     reproducible.
     """
-    import numpy as np
-
     if end <= start:
         raise ValueError("need end > start")
     if period <= 0:
         raise ValueError("period must be positive")
     if not 0 < trough_rate <= peak_rate:
         raise ValueError("need 0 < trough_rate <= peak_rate")
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     times: List[float] = []
-    t = start + float(rng.exponential(1.0 / peak_rate))
+    t = start + rng.exponential(1.0 / peak_rate)
     while t < end:
         phase = (t - start) / period
         rate = trough_rate + (peak_rate - trough_rate) * 0.5 * (
             1.0 - math.cos(2.0 * math.pi * phase)
         )
-        if float(rng.random()) < rate / peak_rate:
+        if rng.random() < rate / peak_rate:
             times.append(round(t, 6))
-        t += float(rng.exponential(1.0 / peak_rate))
+        t += rng.exponential(1.0 / peak_rate)
     return times

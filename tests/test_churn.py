@@ -12,8 +12,10 @@ from repro.experiments.churn import (
     default_churn_plan,
     run_churn,
 )
+from repro.experiments.membership import churn_events
 from repro.faults.injectors import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.workloads.builders import diurnal_leave_times
 
 
 # ----------------------------------------------------------------------
@@ -56,6 +58,31 @@ def test_membership_churn_events_are_well_formed():
                 4.0 <= ev.time - t0 <= 12.0 for t0 in leaves.get(rid, ())
             ), "join without a matching leave"
     assert n_joins > 0
+
+
+def test_membership_churn_golden():
+    """Churn and diurnal draws as numpy's generator made them: captured
+    while these builders still drew from ``numpy.random.default_rng``, so
+    ``Pcg64``'s ``exponential`` and weighted sampling without replacement
+    (a burst of 3 here takes a second round) must reproduce them."""
+    assert churn_events(["A", "B", "C", "D"], 5.0, 40.0, rate=0.2, seed=11) == [
+        ("leave", 6.147962, "A"), ("join", 14.959949, "A"), ("leave", 6.376947, "A"),
+        ("join", 17.802636, "A"), ("leave", 6.733982, "A"), ("join", 18.320609, "A"),
+        ("leave", 11.547683, "A"), ("join", 19.638803, "A"), ("leave", 15.622504, "A"),
+        ("join", 20.726248, "A"), ("leave", 22.97499, "B"), ("join", 31.074049, "B"),
+        ("leave", 37.710667, "B")]
+    assert churn_events(["A", "B", "C", "D", "E"], 0.0, 30.0, rate=0.2, burst=3, seed=7) == [
+        ("leave", 3.537646, "D"), ("join", 9.938977, "D"), ("leave", 3.537646, "C"),
+        ("join", 14.526074, "C"), ("leave", 3.537646, "A"), ("join", 7.579769, "A"),
+        ("leave", 17.583725, "C"), ("join", 23.81113, "C"), ("leave", 17.583725, "B"),
+        ("join", 23.622682, "B"), ("leave", 17.583725, "A"), ("join", 25.144336, "A"),
+        ("leave", 27.004975, "B"), ("leave", 27.004975, "E"), ("leave", 27.004975, "C"),
+        ("leave", 28.74684, "B"), ("leave", 28.74684, "A"), ("leave", 28.74684, "D")]
+    assert diurnal_leave_times(0.0, 60.0, period=30.0, peak_rate=0.5, trough_rate=0.05,
+                               seed=3) == [
+        4.575192, 6.577115, 7.479636, 8.012699, 10.86007, 11.438646, 13.23109, 14.538272,
+        15.717882, 15.800583, 18.629321, 40.350798, 45.110256, 46.144619, 52.402815,
+        55.334895]
 
 
 def test_membership_churn_round_trips_through_json():

@@ -111,7 +111,7 @@ class TestEngineAndCli:
         assert [c.__name__ for c in CHECKS] == [
             "constant_seeds", "float_equality", "topic_contract", "guard_coverage",
             "annotation_names", "unused_options", "function_level_imports",
-            "write_only_state", "plan_application"]
+            "write_only_state", "plan_application", "numpy_random"]
         read = {"obs/bus.py", "control/guard.py", "simnet/rng.py", "core/state.py"}
         assert read <= set(sources())
         assert {c.__name__: unexcused(c(sources()), EXEMPT.get(c, set())) for c in CHECKS} == {

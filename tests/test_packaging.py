@@ -11,9 +11,10 @@ properties can only be checked from outside:
   Topology B run never loads the fault, workload or artifact machinery;
 * a real run never imports networkx: it is a test dependency only
   (``pyproject.toml``), and ``Network`` searches its own adjacency;
-* a simulation never imports numpy: its streams are ``Pcg64`` and its
-  means ``pairwise_sum``, so only builders that draw ``exponential`` or
-  sample without replacement, and a few scorers, load it on use.
+* a simulation never imports numpy: its streams are ``Pcg64`` (every draw,
+  ``exponential``, sampling without replacement and ``shuffle`` included)
+  and its means ``pairwise_sum``, so only the percentile and fairness
+  scorers load it, on use.
 """
 
 import os
@@ -101,15 +102,20 @@ assert "networkx" not in sys.modules, "networkx imported at run time"
     "from repro.experiments.topologies import build_topology_b\n"
     "sc = build_topology_b(n_sessions=4, traffic='vbr', peak_to_mean=3.0, seed=1)\n"
     "sc.run(10.0).mean_deviation(5.0)\n",
-    # fed_crowd's construction, at the benchmark's smoke size
-    f"sys.path.insert(0, {str(BENCH)!r})\n"
-    "from workloads import WORKLOADS\n"
-    "WORKLOADS['fed_crowd'].instantiate(1, smoke=True)\n",
+    # the benchmark's constructions (join_ramp at full size: its smoke
+    # horizon is too short for the diurnal tail that draws exponentials)
+    *(f"sys.path.insert(0, {str(BENCH)!r})\n"
+      "from workloads import WORKLOADS\n"
+      f"WORKLOADS[{name!r}].instantiate(1, smoke={smoke})\n"
+      for name, smoke in (("join_ramp", False), ("churn_repair", True), ("fed_crowd", True))),
+    "from repro.experiments.tiered import build_tiered_topology\n"
+    "build_tiered_topology(seed=3, receiver_fraction=0.5).run(5.0)\n",
     "import contextlib, io\n"
     "from repro.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    assert main(['demo', '--topology', 'b', '--duration', '10', '--no-artifacts']) == 0\n",
-], ids=["topology_b_run", "fed_crowd_build", "demo"])
+], ids=["topology_b_run", "join_ramp_build", "churn_repair_build", "fed_crowd_build",
+        "tiered_run", "demo"])
 def test_a_simulation_never_imports_numpy(code):
     done = run_fresh("import sys\n" + code
                      + "assert 'numpy' not in sys.modules, 'numpy imported'\n")

@@ -27,7 +27,10 @@ and is still wrong (DESIGN.md §11 has the trial that chose them):
   tallies kept for their reason; each must still excuse a write;
 * ``plan_application`` — ``FaultPlan.apply`` is called only inside
   ``experiments/scenario.py::run_plan``, so every fault experiment has one
-  shape: apply the plan, attach the recorder, run.
+  shape: apply the plan, attach the recorder, run;
+* ``numpy_random`` — no code references ``numpy.random``/``np.random`` or
+  calls ``default_rng``: every draw is a ``Pcg64``'s, so a run's streams
+  are pinned against numpy releases and a build never loads numpy.
 
 Each check takes parsed sources keyed by their path under ``src/repro/`` and
 returns ``path:line message`` strings.  An exemption is a path in
@@ -408,8 +411,26 @@ def plan_application(trees):
     return hits
 
 
+def _numpy_random(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr == "random" and ast.unparse(node.value) in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or (
+            node.module == "numpy" and any(a.name == "random" for a in node.names))
+    return isinstance(node, ast.Call) and callee(node) == "default_rng"
+
+
+def numpy_random(trees):
+    return [f"{path}:{node.lineno} `{ast.unparse(node)}` draws from numpy.random — "
+            "draw from a Pcg64 stream"
+            for path, tree in trees.items() for node in ast.walk(tree) if _numpy_random(node)]
+
+
 CHECKS = (constant_seeds, float_equality, topic_contract, guard_coverage, annotation_names,
-          unused_options, function_level_imports, write_only_state, plan_application)
+          unused_options, function_level_imports, write_only_state, plan_application,
+          numpy_random)
 
 #: Check -> paths under src/repro/ whose hits are sanctioned.
 EXEMPT = {
@@ -511,6 +532,19 @@ BAD = {
         {},
         ["experiments/a.py:2 `plan.apply()` applies a fault plan outside run_plan",
          "experiments/b.py:2 `plan.apply()`", "experiments/scenario.py:4 `FaultPlan().apply()`"]),
+    numpy_random: (
+        {"workloads/a.py": "import numpy as np\nimport numpy.random\n"
+                           "from numpy.random import default_rng\nfrom numpy import random\n"
+                           "def f(seed):\n    \"Like ``np.random.default_rng(seed)``.\"\n"
+                           "    rng = np.random.default_rng(seed)\n"
+                           "    return default_rng(seed), numpy.random.Generator, rng.random()\n"},
+        {},
+        ["workloads/a.py:2 `import numpy.random`",
+         "workloads/a.py:3 `from numpy.random import default_rng`",
+         "workloads/a.py:4 `from numpy import random`",
+         "workloads/a.py:7 `np.random` draws from numpy.random",
+         "workloads/a.py:7 `np.random.default_rng(seed)`",
+         "workloads/a.py:8 `default_rng(seed)`", "workloads/a.py:8 `numpy.random`"]),
 }
 
 
@@ -532,3 +566,9 @@ def test_annotation_names_count_type_checking_imports_and_builtins():
 
 def test_float_equality_is_scoped_to_core_and_metrics():
     assert float_equality(parse({"simnet/a.py": "stop = loss == 0.0"})) == []
+
+
+def test_numpy_random_reads_code_not_docstrings():
+    snippet = ("def f(rng, seed):\n    \"Like ``np.random.default_rng(seed)``.\"\n"
+               "    return rng.random(), Pcg64(seed).random()\n")
+    assert numpy_random(parse({"workloads/a.py": snippet})) == []
