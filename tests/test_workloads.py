@@ -138,6 +138,21 @@ def test_flash_crowd_larger_than_pool_raises():
         spec.flash_crowd(at=1.0, size=5)
 
 
+def test_flash_crowd_smaller_than_pool_joins_a_seeded_subset():
+    spec = WorkloadSpec()
+    for i in range(40):
+        spec.add_receiver(f"c{i}", "e0", "s0")
+    spec.flash_crowd(at=1.0, size=7, pool=[f"c{i}" for i in range(30)], seed=3)
+    joined = [e.receiver_id for e in spec]
+    assert len(set(joined)) == 7
+    assert all(int(rid[1:]) < 30 for rid in joined)
+    again = WorkloadSpec()
+    for i in range(40):
+        again.add_receiver(f"c{i}", "e0", "s0")
+    again.flash_crowd(at=1.0, size=7, pool=[f"c{i}" for i in range(30)], seed=4)
+    assert [e.receiver_id for e in again] != joined
+
+
 def test_spec_builder_events_are_deterministic():
     assert _small_spec().to_dict() == _small_spec().to_dict()
     assert _small_spec(seed=4).to_dict() != _small_spec(seed=9).to_dict()
