@@ -98,6 +98,18 @@ REPORT_HISTORY = 64
 class ReceiverAgent:
     """Receiver-side control logic for one (receiver, session) pair."""
 
+    # One agent per controlled receiver: slots keep its per-instance cost
+    # to the attributes themselves, with no instance dict.
+    __slots__ = (
+        "receiver", "node", "sched", "controller_candidates", "_candidate_index",
+        "controller_node", "interval", "rng", "reregister_after", "port", "registered",
+        "last_suggestion_at", "suggestions_received", "suggestion_times", "reports_sent",
+        "control_bytes_sent", "unilateral_drops", "register_attempts", "reregistrations",
+        "controller_epoch", "stale_suggestions_rejected", "invalid_suggestions_rejected",
+        "byzantine_mode", "lies_told", "active", "_started", "started_at", "_last_contact",
+        "_register_ev", "_seq",
+    )
+
     def __init__(
         self,
         receiver: LayeredReceiver,
@@ -208,6 +220,10 @@ class ReceiverAgent:
         self._register(attempt=0)
 
     def _register(self, attempt: int) -> None:
+        # Called directly only with no retry pending, so a pending retry is
+        # this very call: drop the spent entry rather than hold it (and
+        # through it this agent) for the agent's life.
+        self._register_ev = None
         if self.registered or not self.active:
             return
         if attempt > 0:

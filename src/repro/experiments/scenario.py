@@ -24,7 +24,6 @@ Receiver *modes*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..baselines.oracle import optimal_levels
@@ -58,27 +57,48 @@ DEFAULT_QUEUE_LIMIT = 32
 DEFAULT_DELAY = 0.2
 
 
-@dataclass
 class ReceiverHandle:
     """Everything an experiment needs about one receiver."""
 
-    receiver_id: Any
-    session_id: Any
-    node: Any
-    receiver: LayeredReceiver
-    mode: str
-    agent: Any = None  # ReceiverAgent or RLMReceiver, set at run()
-    controller_name: str = "default"
-    #: The agent's controller-silence deadline (None: the agent's default).
-    reregister_after: Optional[float] = None
-    #: Workload receivers start parked: subscribed to nothing, no agent
-    #: auto-started at run() — they only come alive via reattach_receiver.
-    parked: bool = False
+    __slots__ = ("receiver_id", "session_id", "node", "receiver", "mode", "agent",
+                 "controller_name", "reregister_after", "parked")
+
+    def __init__(
+        self,
+        receiver_id: Any,
+        session_id: Any,
+        node: Any,
+        receiver: LayeredReceiver,
+        mode: str,
+        agent: Any = None,
+        controller_name: str = "default",
+        reregister_after: Optional[float] = None,
+        parked: bool = False,
+    ) -> None:
+        self.receiver_id = receiver_id
+        self.session_id = session_id
+        self.node = node
+        self.receiver = receiver
+        self.mode = mode
+        #: ReceiverAgent or RLMReceiver, set at run().
+        self.agent = agent
+        self.controller_name = controller_name
+        #: The agent's controller-silence deadline (None: the agent's default).
+        self.reregister_after = reregister_after
+        #: Workload receivers start parked: subscribed to nothing, no agent
+        #: auto-started at run() — they only come alive via reattach_receiver.
+        self.parked = parked
 
     @property
     def trace(self) -> StepTrace:
         """The receiver's subscription-level trace."""
         return self.receiver.trace
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<ReceiverHandle {self.receiver_id!r} session={self.session_id!r} "
+            f"node={self.node!r} mode={self.mode}>"
+        )
 
 
 class Scenario:
@@ -210,7 +230,7 @@ class Scenario:
         receiver = LayeredReceiver(
             self.network.node(node),
             session_id,
-            list(descriptor.groups),
+            descriptor.groups,
             descriptor.schedule,
             self.mcast,
             receiver_id=receiver_id,

@@ -64,18 +64,40 @@ class IntervalStats:
 
 
 class _LayerRx:
-    """Per-layer receive state."""
+    """Receive state of one subscribed layer, and that layer's group handler.
 
-    __slots__ = ("group", "expected", "received", "lost", "bytes", "joined_at", "handler")
+    One exists only while its layer is subscribed: joining a layer makes a
+    fresh one (so a rejoin starts from zeroed counters and no sequence
+    expectation) and leaving drops it."""
 
-    def __init__(self, group: int):
+    __slots__ = ("rx", "group", "expected", "received", "lost", "bytes", "joined_at")
+
+    def __init__(self, rx: "LayeredReceiver", group: int):
+        self.rx = rx
         self.group = group
         self.expected: Optional[int] = None
         self.received = 0
         self.lost = 0
         self.bytes = 0
-        self.joined_at: Optional[float] = None  # effective (post-graft) time
-        self.handler = None
+        self.joined_at = 0.0  # effective (post-graft) time, set on join
+
+    def __call__(self, pkt: Packet) -> None:
+        """The data path: account one packet of this layer."""
+        rx = self.rx
+        if rx._awaiting_first:
+            rx._awaiting_first = False
+            rx.on_first_packet(rx.sched.now)
+        seq = pkt.seq
+        if self.expected is None:
+            self.expected = seq + 1
+        elif seq >= self.expected:
+            self.lost += seq - self.expected
+            self.expected = seq + 1
+        # seq < expected would be a duplicate/reorder; our FIFO links cannot
+        # produce one, but tolerate it as a plain receive.
+        self.received += 1
+        self.bytes += pkt.size
+        rx.total_bytes += pkt.size
 
     def reset_counts(self) -> None:
         self.received = 0
@@ -85,6 +107,10 @@ class _LayerRx:
 
 class LayeredReceiver:
     """A receiver host application for one layered session."""
+
+    __slots__ = ("node", "sched", "session_id", "schedule", "mcast", "receiver_id",
+                 "groups", "layers", "level", "trace", "loss_series", "_interval_start",
+                 "total_bytes", "on_first_packet", "_awaiting_first")
 
     #: Bytes per data packet (paper: 1000).
     packet_size = DEFAULT_PACKET_SIZE
@@ -109,7 +135,11 @@ class LayeredReceiver:
         self.schedule = schedule
         self.mcast = mcast
         self.receiver_id = receiver_id if receiver_id is not None else node.name
-        self.layers: List[_LayerRx] = [_LayerRx(g) for g in groups]
+        #: The session's group per layer, base layer first.
+        self.groups = groups
+        #: One entry per subscribed layer, base layer first: subscription
+        #: is always a prefix, so this is a stack of ``level`` entries.
+        self.layers: List[_LayerRx] = []
         self.level = 0
         self.trace = StepTrace(t0=self.sched.now, v0=0)
         self.loss_series = SeriesTrace()
@@ -134,11 +164,11 @@ class LayeredReceiver:
             return
         previous = self.level
         if level > self.level:
-            for idx in range(self.level, level):
-                self._join_layer(idx)
+            for _ in range(self.level, level):
+                self._join_layer()
         else:
-            for idx in range(self.level - 1, level - 1, -1):
-                self._leave_layer(idx)
+            for _ in range(level, self.level):
+                self._leave_layer()
         self.level = level
         self.trace.record(self.sched.now, level)
         if previous == 0 and self.on_first_packet is not None:
@@ -167,50 +197,20 @@ class LayeredReceiver:
         self.set_level(self.level - 1)
         return True
 
-    def _join_layer(self, idx: int) -> None:
-        lr = self.layers[idx]
-        layer_no = idx + 1
-
-        def handler(pkt: Packet, _lr=lr) -> None:
-            self._on_packet(pkt, _lr)
-
-        lr.handler = handler
-        self.node.add_group_handler(lr.group, handler)
+    def _join_layer(self) -> None:
+        """Subscribe the layer above the current top one."""
+        lr = _LayerRx(self, self.groups[len(self.layers)])
+        self.node.add_group_handler(lr.group, lr)
         lr.joined_at = self.mcast.join(lr.group, self.node.name)
-        lr.expected = None
-        # A fresh subscription must not inherit counts from an earlier one.
-        lr.reset_counts()
+        self.layers.append(lr)
 
-    def _leave_layer(self, idx: int) -> None:
-        lr = self.layers[idx]
-        if lr.handler is not None:
-            self.node.remove_group_handler(lr.group, lr.handler)
-            lr.handler = None
+    def _leave_layer(self) -> None:
+        """Unsubscribe the top layer.  Its counters go with it: packets
+        counted since the last report must not leak into a later report
+        (they would read as phantom loss)."""
+        lr = self.layers.pop()
+        self.node.remove_group_handler(lr.group, lr)
         self.mcast.leave(lr.group, self.node.name)
-        lr.joined_at = None
-        lr.expected = None
-        # Discard packets counted since the last report: the layer is no
-        # longer part of the subscription, so its residual counters must not
-        # leak into a later report (they would read as phantom loss).
-        lr.reset_counts()
-
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
-    def _on_packet(self, pkt: Packet, lr: _LayerRx) -> None:
-        if self._awaiting_first:
-            self._awaiting_first = False
-            self.on_first_packet(self.sched.now)
-        if lr.expected is None:
-            lr.expected = pkt.seq + 1
-        elif pkt.seq >= lr.expected:
-            lr.lost += pkt.seq - lr.expected
-            lr.expected = pkt.seq + 1
-        # seq < expected would be a duplicate/reorder; our FIFO links cannot
-        # produce one, but tolerate it as a plain receive.
-        lr.received += 1
-        lr.bytes += pkt.size
-        self.total_bytes += pkt.size
 
     # ------------------------------------------------------------------
     # Reporting
@@ -224,16 +224,11 @@ class LayeredReceiver:
         received = 0
         lost = 0.0
         bits_per_packet = self.packet_size * 8.0
-        for idx, lr in enumerate(self.layers[: self.level]):
+        for idx, lr in enumerate(self.layers):
             bytes_ += lr.bytes
             received += lr.received
             lost += lr.lost
-            if (
-                lr.received == 0
-                and dt > 0
-                and lr.joined_at is not None
-                and lr.joined_at <= t0
-            ):
+            if lr.received == 0 and dt > 0 and lr.joined_at <= t0:
                 # Silence: subscribed the whole interval, nothing arrived.
                 lost += self.schedule.rate(idx + 1) * dt / bits_per_packet
             lr.reset_counts()

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import List, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from ..simnet.rng import pairwise_sum
 
 __all__ = ["jain_index", "bandwidth_shares"]
 
@@ -16,25 +15,21 @@ def jain_index(values: Sequence[float]) -> float:
     1.0 = perfectly equal; 1/n = maximally unfair.  All-zero input returns
     1.0 (everyone equally has nothing).
     """
-    import numpy as np
-
-    x = np.asarray(values, dtype=float)
-    if x.size == 0:
+    x = [float(v) for v in values]
+    if not x:
         raise ValueError("no values given")
-    if (x < 0).any():
+    if any(v < 0 for v in x):
         raise ValueError("values must be non-negative")
-    denom = x.size * float((x**2).sum())
+    denom = len(x) * pairwise_sum([v * v for v in x])
     if denom == 0:
         return 1.0
-    return float(x.sum()) ** 2 / denom
+    return pairwise_sum(x) ** 2 / denom
 
 
-def bandwidth_shares(values: Sequence[float]) -> np.ndarray:
+def bandwidth_shares(values: Sequence[float]) -> List[float]:
     """Normalize throughputs to fractions of the total (sums to 1)."""
-    import numpy as np
-
-    x = np.asarray(values, dtype=float)
-    total = x.sum()
+    x = [float(v) for v in values]
+    total = pairwise_sum(x)
     if total <= 0:
         raise ValueError("total bandwidth must be positive")
-    return x / total
+    return [v / total for v in x]

@@ -126,28 +126,8 @@ class Scheduler:
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
-
-        def _tick(*a: Any) -> None:
-            try:
-                stop = fn(*a)
-            except StopIteration:
-                return
-            except SimulationError:
-                raise
-            except Exception as exc:
-                # A periodic callback that raises must not just vanish from
-                # the calendar: the chain is dead and, if the caller catches
-                # the bare exception at run() level and resumes, the tick
-                # would silently never fire again.  Surface it with the
-                # scheduled time so the failure is attributable.
-                raise SimulationError(
-                    f"periodic callback {getattr(fn, '__qualname__', fn)!r} "
-                    f"raised at t={self.now:.6f}: {exc!r}"
-                ) from exc
-            if not stop:
-                self.at(self.now + interval, _tick, *a)
-
-        return self.at(self.now + interval if start is None else start, _tick, *args)
+        tick = _Periodic(self, interval, fn)
+        return self.at(self.now + interval if start is None else start, tick, *args)
 
     @staticmethod
     def cancel(entry: List[Any]) -> None:
@@ -191,7 +171,7 @@ class Scheduler:
             if dispatch:
                 bus.emit(
                     "sched.dispatch", time, seq=seq,
-                    fn=getattr(fn, "__qualname__", repr(fn)),
+                    fn=getattr(fn, "__qualname__", type(fn).__qualname__),
                 )
             fn(*args)
         self.now = until
@@ -210,3 +190,43 @@ class Scheduler:
             fn(*args)
             return True
         return False
+
+
+class _Periodic:
+    """One :meth:`Scheduler.every` chain: each call runs ``fn(*args)`` and,
+    unless ``fn`` asks to stop, books the next call ``interval`` later.
+
+    An object rather than a closure: a closure that reschedules itself
+    refers to itself through its own cell, so every chain that ended was a
+    reference cycle (holding ``fn``'s owner) until the next full collection.
+    Nothing refers to a ``_Periodic`` but its pending heap entry, so an
+    ended chain is freed at once."""
+
+    __slots__ = ("sched", "interval", "fn")
+
+    def __init__(self, sched: Scheduler, interval: float, fn: Callable[..., Any]) -> None:
+        self.sched = sched
+        self.interval = interval
+        self.fn = fn
+
+    def __call__(self, *args: Any) -> None:
+        fn = self.fn
+        try:
+            stop = fn(*args)
+        except StopIteration:
+            return
+        except SimulationError:
+            raise
+        except Exception as exc:
+            # A periodic callback that raises must not just vanish from
+            # the calendar: the chain is dead and, if the caller catches
+            # the bare exception at run() level and resumes, the tick
+            # would silently never fire again.  Surface it with the
+            # scheduled time so the failure is attributable.
+            raise SimulationError(
+                f"periodic callback {getattr(fn, '__qualname__', fn)!r} "
+                f"raised at t={self.sched.now:.6f}: {exc!r}"
+            ) from exc
+        if not stop:
+            sched = self.sched
+            sched.at(sched.now + self.interval, self, *args)

@@ -99,7 +99,7 @@ class Link:
     """
 
     __slots__ = ("sched", "src", "dst", "bandwidth", "delay", "up", "discipline",
-                 "_stats", "_drops", "_fifo", "_idle")
+                 "_receive", "_stats", "_drops", "_fifo", "_idle")
 
     def __init__(
         self,
@@ -117,6 +117,8 @@ class Link:
         self.sched = sched
         self.src = src
         self.dst = dst
+        #: ``dst.receive``, bound once rather than once per packet.
+        self._receive = dst.receive
         self.bandwidth = float(bandwidth)
         self.delay = float(delay)
         self.up = True
@@ -220,7 +222,7 @@ class Link:
         """The FIFO entry of a packet whose serialization ends at ``end``,
         with its arrival booked: the receiver sees the packet ``delay``
         seconds after the last bit leaves the transmitter."""
-        return [end, pkt, tx_time, self.sched.at(end + self.delay, self.dst.receive, pkt, self)]
+        return [end, pkt, tx_time, self.sched.at(end + self.delay, self._receive, pkt, self)]
 
     def _emit_drop(self, pkt: Packet, reason: str, time: Optional[float] = None) -> None:
         """Count a drop of ``pkt`` for ``reason`` and emit ``link.drop``."""

@@ -14,8 +14,8 @@ from ``numpy.random.default_rng(seed)`` bit for bit (held by
 process and pins seeded runs against numpy releases, which may change a
 ``Generator`` method's output (NEP 19).  Every random draw under ``src/``
 comes from it — ``exponential`` through numpy's ziggurat, whose tables
-:mod:`repro.simnet.ziggurat` holds — so numpy is left to the percentiles
-of ``workloads/runner.py`` and the array math of ``metrics/fairness.py``.
+:mod:`repro.simnet.ziggurat` holds — and nothing under ``src/`` imports
+numpy at all.
 """
 
 from __future__ import annotations

@@ -26,6 +26,8 @@ class StepTrace:
     so ``len(trace) - 1`` is the number of changes after the initial value.
     """
 
+    __slots__ = ("times", "values")
+
     def __init__(self, t0: float = 0.0, v0: float = 0.0):
         self.times: List[float] = [t0]
         self.values: List[float] = [v0]
@@ -112,25 +114,61 @@ class StepTrace:
 class SeriesTrace:
     """An append-only ``(time, value)`` sample series (e.g. loss rates).
 
-    Samples are stored unboxed, as two ``array('d')`` columns: a receiver
-    appends one per report for the whole run.
+    A receiver appends one sample per report for the whole run, so the
+    series is stored compactly.  Values are one unboxed ``array('d')``.
+    Times are runs ``(start, step, count)``, flat in another ``array('d')``:
+    a time that is exactly the previous time plus the run's step extends the
+    run and costs nothing, and any other time opens a new run.  Reports come
+    from one periodic chain, so a receiver's series is usually a single run.
+    :attr:`times` replays each run's additions, so it returns the recorded
+    floats bit for bit.
     """
 
+    __slots__ = ("values", "_runs", "_last")
+
     def __init__(self) -> None:
-        self.times = array("d")
         self.values = array("d")
+        self._runs = array("d")
+        self._last = 0.0  # the latest time recorded (meaningless while empty)
 
     def record(self, t: float, value: float) -> None:
         """Append a sample (times must be non-decreasing)."""
-        if self.times and t < self.times[-1]:
-            raise ValueError("series times must be non-decreasing")
-        self.times.append(t)
+        runs = self._runs
+        if not runs:
+            runs.extend((t, 0.0, 1.0))
+        else:
+            last = self._last
+            if t < last:
+                raise ValueError("series times must be non-decreasing")
+            count = runs[-1]
+            if count == 1.0 and last + (t - last) == t:
+                runs[-2] = t - last
+                runs[-1] = 2.0
+            elif count > 1.0 and last + runs[-2] == t:
+                runs[-1] = count + 1.0
+            else:
+                runs.extend((t, 0.0, 1.0))
+        self._last = t
         self.values.append(value)
+
+    @property
+    def times(self) -> "array[float]":
+        """Every sample time, in order (a new array on each read)."""
+        out = array("d")
+        runs = self._runs
+        for i in range(0, len(runs), 3):
+            t, step = runs[i], runs[i + 1]
+            out.append(t)
+            for _ in range(int(runs[i + 2]) - 1):
+                t += step
+                out.append(t)
+        return out
 
     def window(self, t0: float, t1: float) -> Tuple[List[float], List[float]]:
         """Samples with ``t0 <= t <= t1`` as a pair of lists."""
-        keep = [i for i, t in enumerate(self.times) if t0 <= t <= t1]
-        return [self.times[i] for i in keep], [self.values[i] for i in keep]
+        times = self.times
+        keep = [i for i, t in enumerate(times) if t0 <= t <= t1]
+        return [times[i] for i in keep], [self.values[i] for i in keep]
 
     def mean(self, t0: float = 0.0, t1: float = float("inf")) -> float:
         """Unweighted mean of samples in the window (nan if empty)."""
@@ -138,4 +176,4 @@ class SeriesTrace:
         return pairwise_sum(v) / len(v) if v else float("nan")
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.values)

@@ -135,7 +135,7 @@ class WirelessEdgeLink(Link):
     def _arrive(self, entry: List[Any]) -> None:
         self._settle()  # the channel draw for this packet happens first
         if not entry[4]:
-            self.dst.receive(entry[1], self)
+            self._receive(entry[1], self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "fading" if self.fading else "good"

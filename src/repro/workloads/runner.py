@@ -24,13 +24,14 @@ Bus topics emitted here (``workload.join`` / ``workload.leave`` /
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import math
+from typing import Any, Dict, List, Optional
 
 from ..control.agent import ReceiverAgent
 from ..experiments.membership import join_receiver, leave_receiver
 from .spec import WorkloadSpec
 
-__all__ = ["WorkloadRunner", "control_bytes", "latency_percentiles"]
+__all__ = ["WorkloadRunner", "control_bytes", "latency_percentiles", "percentile"]
 
 
 def control_bytes(scenario: Any) -> float:
@@ -45,22 +46,60 @@ def control_bytes(scenario: Any) -> float:
     return total
 
 
+def percentile(ordered: List[float], q: float) -> float:
+    """The ``q``-th percentile (``0 <= q <= 100``) of the non-empty sorted
+    ``ordered``, equal bit for bit to ``numpy.percentile`` with its default
+    ``"linear"`` method: the same virtual index and the same interpolation
+    (numpy's ``_lerp``, which anchors at the nearer end)."""
+    n = len(ordered)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        # numpy clamps both neighbours to the last sample, and its weight
+        # becomes ``virtual - (-1)``.
+        lo = hi = n - 1
+        t = virtual + 1.0
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        t = virtual - lo
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
 def latency_percentiles(samples_ms: List[float]) -> Dict[str, float]:
     """``{"p50": ..., "p99": ..., "n": ...}`` over latency samples (ms)."""
     if not samples_ms:
         return {"p50": 0.0, "p99": 0.0, "n": 0}
-    import numpy as np
-
-    arr = np.asarray(samples_ms, dtype=float)
+    ordered = sorted(float(x) for x in samples_ms)
     return {
-        "p50": float(np.percentile(arr, 50)),
-        "p99": float(np.percentile(arr, 99)),
+        "p50": percentile(ordered, 50),
+        "p99": percentile(ordered, 99),
         "n": len(samples_ms),
     }
 
 
 #: Seconds between the runner's live-receiver / control-byte samples.
 SAMPLE_INTERVAL = 5.0
+
+
+class _FirstPacketProbe:
+    """A receiver's ``on_first_packet`` probe, ``probe(now)``: books the
+    join-to-first-packet latency of the runner's pending join, if any.
+
+    A small object rather than a closure: the population holds one each."""
+
+    __slots__ = ("runner", "receiver_id")
+
+    def __init__(self, runner: "WorkloadRunner", receiver_id: Any) -> None:
+        self.runner = runner
+        self.receiver_id = receiver_id
+
+    def __call__(self, now: float) -> None:
+        runner = self.runner
+        joined = runner._pending_join.pop(self.receiver_id, None)
+        if joined is not None:
+            runner.join_latency_ms.append((now - joined) * 1000.0)
 
 
 class WorkloadRunner:
@@ -104,21 +143,11 @@ class WorkloadRunner:
                 initial_level=0, mode=rs.mode, controller=rs.controller,
                 parked=True,
             )
-            handle.receiver.on_first_packet = self._first_packet_probe(
-                rs.receiver_id
-            )
+            handle.receiver.on_first_packet = _FirstPacketProbe(self, rs.receiver_id)
         for ev in self.spec.events:
             sc.sched.at(ev.time, self._fire, ev.kind, ev.receiver_id)
         sc.sched.every(SAMPLE_INTERVAL, self._sample)
         return self
-
-    def _first_packet_probe(self, receiver_id: Any) -> Callable[[float], None]:
-        def probe(now: float) -> None:
-            joined = self._pending_join.pop(receiver_id, None)
-            if joined is not None:
-                self.join_latency_ms.append((now - joined) * 1000.0)
-
-        return probe
 
     # ------------------------------------------------------------------
     def _fire(self, kind: str, receiver_id: Any) -> None:

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event scheduler."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +255,38 @@ def test_every_simulation_error_passes_through_unwrapped():
     s.every(1.0, tick)
     with pytest.raises(SimulationError, match="^already typed$"):
         s.run(until=10.0)
+
+
+class _Owner:
+    """The owner of a periodic callback, which ends the chain at once."""
+
+    def __init__(self, ends_by):
+        self.ends_by = ends_by
+
+    def tick(self):
+        if self.ends_by == "StopIteration":
+            raise StopIteration
+        return True
+
+
+@pytest.mark.parametrize("ends_by", ["StopIteration", "truthy return"])
+def test_an_ended_chain_frees_its_owner_without_a_collection(ends_by):
+    """Nothing of a chain outlives it, not even a reference cycle that
+    keeps the callback's owner alive until the next collection."""
+    s = Scheduler()
+    owner = _Owner(ends_by)
+    s.every(1.0, owner.tick)
+    gone = weakref.ref(owner)
+    del owner
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert gone() is not None  # the pending chain holds it
+        s.run(until=2.0)
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------

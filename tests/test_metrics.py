@@ -108,7 +108,7 @@ class TestFairness:
     def test_bandwidth_shares(self):
         shares = bandwidth_shares([100.0, 300.0])
         assert shares == pytest.approx([0.25, 0.75])
-        assert shares.sum() == pytest.approx(1.0)
+        assert sum(shares) == pytest.approx(1.0)
 
     def test_bandwidth_shares_zero_total(self):
         with pytest.raises(ValueError):

@@ -12,9 +12,9 @@ properties can only be checked from outside:
 * a real run never imports networkx: it is a test dependency only
   (``pyproject.toml``), and ``Network`` searches its own adjacency;
 * a simulation never imports numpy: its streams are ``Pcg64`` (every draw,
-  ``exponential``, sampling without replacement and ``shuffle`` included)
-  and its means ``pairwise_sum``, so only the percentile and fairness
-  scorers load it, on use.
+  ``exponential``, sampling without replacement and ``shuffle`` included),
+  its means ``pairwise_sum`` and its percentiles ``percentile``; numpy is a
+  test dependency only.
 """
 
 import os
@@ -114,8 +114,15 @@ assert "networkx" not in sys.modules, "networkx imported at run time"
     "from repro.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    assert main(['demo', '--topology', 'b', '--duration', '10', '--no-artifacts']) == 0\n",
+    # a scored crowd run: join latency percentiles included
+    "import contextlib, io\n"
+    "from repro.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(['crowd', '--seed', '2', '--duration', '40', '--sizes', '12',\n"
+    "                 '--loss', '0,0.25', '--edges', '3', '--incumbents', '2',\n"
+    "                 '--federated-crowd', '6', '--no-artifacts']) == 0\n",
 ], ids=["topology_b_run", "join_ramp_build", "churn_repair_build", "fed_crowd_build",
-        "tiered_run", "demo"])
+        "tiered_run", "demo", "crowd"])
 def test_a_simulation_never_imports_numpy(code):
     done = run_fresh("import sys\n" + code
                      + "assert 'numpy' not in sys.modules, 'numpy imported'\n")

@@ -1,6 +1,8 @@
 """Unit tests for the layered receiver (loss detection, reporting)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.media.layers import LayerSchedule
 from repro.media.receiver import IntervalStats, LayeredReceiver
@@ -233,3 +235,123 @@ def test_loss_series_recorded():
     sched.run(until=2.0)
     rcv.interval_stats()
     assert len(rcv.loss_series) == 2
+
+
+# ----------------------------------------------------------------------
+# Layer state as a stack: oracle against one state per layer
+# ----------------------------------------------------------------------
+class _FixedLayersReceiver:
+    """The receiver as it was before its layer state became a stack: one
+    state per layer for the whole run, reset on every join and leave, with
+    a closure per joined layer as its group handler."""
+
+    def __init__(self, node, groups, schedule, mcast):
+        self.node, self.sched, self.schedule, self.mcast = node, node.sched, schedule, mcast
+        self.layers = [dict(group=g, expected=None, received=0, lost=0, bytes=0,
+                            joined_at=None, handler=None) for g in groups]
+        self.level = 0
+        self.interval_start = self.sched.now
+
+    def set_level(self, level):
+        for idx in range(self.level, level):
+            lr = self.layers[idx]
+
+            def handler(pkt, lr=lr):
+                self._on_packet(pkt, lr)
+
+            lr["handler"] = handler
+            self.node.add_group_handler(lr["group"], handler)
+            lr["joined_at"] = self.mcast.join(lr["group"], self.node.name)
+            lr.update(expected=None, received=0, lost=0, bytes=0)
+        for idx in range(self.level - 1, level - 1, -1):
+            lr = self.layers[idx]
+            self.node.remove_group_handler(lr["group"], lr["handler"])
+            self.mcast.leave(lr["group"], self.node.name)
+            lr.update(handler=None, joined_at=None, expected=None, received=0, lost=0, bytes=0)
+        self.level = level
+
+    def _on_packet(self, pkt, lr):
+        if lr["expected"] is None:
+            lr["expected"] = pkt.seq + 1
+        elif pkt.seq >= lr["expected"]:
+            lr["lost"] += pkt.seq - lr["expected"]
+            lr["expected"] = pkt.seq + 1
+        lr["received"] += 1
+        lr["bytes"] += pkt.size
+
+    def interval_stats(self):
+        now, t0 = self.sched.now, self.interval_start
+        dt = now - t0
+        bytes_, received, lost = 0, 0, 0.0
+        for idx, lr in enumerate(self.layers[: self.level]):
+            bytes_ += lr["bytes"]
+            received += lr["received"]
+            lost += lr["lost"]
+            if (lr["received"] == 0 and dt > 0 and lr["joined_at"] is not None
+                    and lr["joined_at"] <= t0):
+                lost += self.schedule.rate(idx + 1) * dt / (LayeredReceiver.packet_size * 8.0)
+            lr.update(received=0, lost=0, bytes=0)
+        self.interval_start = now
+        return (t0, now, bytes_, received, lost, self.level)
+
+
+#: One round of a receiver's life: a new level, a few packets a little
+#: later (each after skipping some sequence numbers, which reads as loss),
+#: time passing, and maybe a report.
+ROUNDS = st.tuples(
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0, 0, 1, 3])), max_size=6),
+    st.sampled_from([0.05, 0.3, 1.5, 4.0]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(ROUNDS, min_size=1, max_size=12))
+def test_random_level_changes_match_one_state_per_layer(rounds):
+    """Two receivers behind identical links see the same packets: the real
+    one and :class:`_FixedLayersReceiver`.  After every step the real one
+    holds state for exactly its subscribed layers, each the node's handler
+    for its group; a (re)joined layer starts from nothing; and every report,
+    silence detection included, equals the reference's."""
+    sched = Scheduler()
+    net = Network(sched)
+    for name in ("src", "rcv", "ref"):
+        net.add_node(name)
+    net.add_link("src", "rcv", bandwidth=10e6, delay=0.01)
+    net.add_link("src", "ref", bandwidth=10e6, delay=0.01)
+    net.build_routes()
+    mcast = MulticastManager(net, leave_latency=0.1)
+    schedule = LayerSchedule(n_layers=4, base_rate=32_000)
+    groups = [mcast.create_group("src") for _ in range(4)]
+    rcv = LayeredReceiver(net.node("rcv"), 1, groups, schedule, mcast, initial_level=0)
+    ref = _FixedLayersReceiver(net.node("ref"), groups, schedule, mcast)
+    handlers = net.node("rcv").group_handlers
+    next_seq = [0] * 4
+    reports = []
+
+    def check():
+        assert len(rcv.layers) == rcv.level
+        assert [handlers.get(g, ()) for g in groups] == (
+            [(lr,) for lr in rcv.layers] + [()] * (4 - rcv.level))
+
+    for level, packets, dt, report in rounds:
+        before = rcv.level
+        rcv.set_level(level)
+        ref.set_level(level)
+        for lr in rcv.layers[before:]:
+            assert (lr.expected, lr.received, lr.lost, lr.bytes) == (None, 0, 0, 0)
+        check()
+        sched.run(until=sched.now + 0.05)  # past the grafts
+        for layer, skip in packets:
+            next_seq[layer] += skip
+            send(net, groups[layer], next_seq[layer])
+            next_seq[layer] += 1
+        sched.run(until=sched.now + dt)
+        if report:
+            got = rcv.interval_stats()
+            reports.append(ref.interval_stats())
+            assert (got.t0, got.t1, got.bytes, got.received, got.lost, got.level) == reports[-1]
+        check()
+    assert len(rcv.loss_series) == len(reports)

@@ -1,7 +1,12 @@
 """Unit tests for StepTrace and SeriesTrace."""
 
-import pytest
+from array import array
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simnet.rng import pairwise_sum
 from repro.simnet.tracing import SeriesTrace, StepTrace
 
 
@@ -162,3 +167,84 @@ class TestSeriesTrace:
         assert len(s) == 0
         s.record(0.0, 0.0)
         assert len(s) == 1
+
+
+# ----------------------------------------------------------------------
+# SeriesTrace oracle: run-length times against plain lists
+# ----------------------------------------------------------------------
+class _ListSeries:
+    """The series as two plain lists: what ``SeriesTrace`` must answer."""
+
+    def __init__(self):
+        self.times, self.values = [], []
+
+    def record(self, t, value):
+        if self.times and t < self.times[-1]:
+            raise ValueError("series times must be non-decreasing")
+        self.times.append(t)
+        self.values.append(value)
+
+    def window(self, t0, t1):
+        keep = [i for i, t in enumerate(self.times) if t0 <= t <= t1]
+        return [self.times[i] for i in keep], [self.values[i] for i in keep]
+
+    def mean(self, t0=0.0, t1=float("inf")):
+        _, v = self.window(t0, t1)
+        return pairwise_sum(v) / len(v) if v else float("nan")
+
+
+#: How the next times follow the previous one: a periodic chain (each time
+#: the previous plus the step, as ``Scheduler.every`` books them), one
+#: arbitrary gap, repeats of the same time, or a step back (an error).
+SEGMENTS = st.one_of(
+    st.tuples(st.just("every"), st.sampled_from([0.1, 0.5, 2.0, 2.2]) | st.floats(1e-9, 50.0),
+              st.integers(1, 40)),
+    st.tuples(st.just("gap"), st.floats(0.0, 1e4), st.just(1)),
+    st.tuples(st.just("repeat"), st.just(0.0), st.integers(1, 4)),
+    st.tuples(st.just("back"), st.floats(1e-6, 10.0), st.just(1)),
+)
+
+
+def _bits(xs):
+    return array("d", xs).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e5), st.lists(SEGMENTS, max_size=12),
+       st.lists(st.tuples(st.floats(-10.0, 2e5), st.floats(0.0, 2e5)), max_size=4))
+def test_series_trace_matches_a_plain_list_reference(start, segments, windows):
+    series, ref = SeriesTrace(), _ListSeries()
+    t, k = start, 0
+    for kind, step, count in segments:
+        for _ in range(count):
+            if kind == "every" and ref.times:
+                t = t + step
+            elif kind == "gap":
+                t = t + step
+            elif kind == "back" and ref.times:
+                with pytest.raises(ValueError):
+                    series.record(ref.times[-1] - step, 1.0)
+                continue
+            value = (k % 7) / 7.0
+            k += 1
+            series.record(t, value)
+            ref.record(t, value)
+    assert len(series) == len(ref.times)
+    assert _bits(series.times) == _bits(ref.times)
+    assert _bits(series.values) == _bits(ref.values)
+    for a, b in windows + [(0.0, float("inf"))]:
+        got_t, got_v = series.window(a, b)
+        want_t, want_v = ref.window(a, b)
+        assert (_bits(got_t), _bits(got_v)) == (_bits(want_t), _bits(want_v))
+        got, want = series.mean(a, b), ref.mean(a, b)
+        assert got == want or (got != got and want != want)  # both nan
+
+
+def test_a_periodic_series_is_stored_as_one_run():
+    s = SeriesTrace()
+    t = 0.37
+    for i in range(200):
+        s.record(t, i / 200)
+        t += 2.0
+    assert len(s) == 200
+    assert len(s._runs) == 3  # (start, step, count)
