@@ -49,8 +49,9 @@ class TopoSense:
     config:
         Algorithm knobs; defaults to :class:`TopoSenseConfig()`.
     rng:
-        Generator for the random back-off draws (a forked
-        :class:`~repro.simnet.rng.RngRegistry` stream).
+        Generator for the random back-off draws (a
+        :class:`~repro.simnet.rng.Pcg64` stream seeded by
+        :func:`~repro.simnet.rng.stream_seed`).
     """
 
     def __init__(

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..metrics.attribution import loss_attribution
 from ..metrics.stability import worst_receiver_stability
 from ..obs.run import strip_timings
+from ..simnet.rng import Pcg64, stream_seed
 from ..simnet.wireless import WirelessEdgeLink
 from ..workloads.runner import WorkloadRunner
 from ..workloads.spec import WorkloadSpec
@@ -127,7 +128,7 @@ def build_crowd_scenario(
     for name in edge_node_names(n_edges):
         sc.add_node(name)
         if wireless_loss > 0.0:
-            factor = float(sc.rngs.fork(f"wireless/factor/{name}").uniform(0.5, 1.5))
+            factor = Pcg64(stream_seed(sc.seed, f"wireless/factor/{name}")).uniform(0.5, 1.5)
             loss = min(0.9, wireless_loss * factor)
 
             def make_wireless(sched, a, b, bw, delay, discipline, _loss=loss):
@@ -135,7 +136,7 @@ def build_crowd_scenario(
                     sched, a, b, bw, delay, discipline,
                     loss_rate=_loss,
                     fade_in=min(0.5, _loss * 0.25),
-                    rng=sc.rngs.fork(f"wireless/chan/{a.name}->{b.name}"),
+                    rng=Pcg64(stream_seed(sc.seed, f"wireless/chan/{a.name}->{b.name}")),
                 )
 
             sc.add_link("core", name, bandwidth=CLASS_A_BW,

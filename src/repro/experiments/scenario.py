@@ -41,7 +41,7 @@ from ..metrics.deviation import mean_relative_deviation, relative_deviation
 from ..metrics.stability import worst_receiver_stability
 from ..multicast.manager import MulticastManager
 from ..simnet.engine import Scheduler
-from ..simnet.rng import RngRegistry
+from ..simnet.rng import Pcg64, stream_seed
 from ..simnet.topology import Network
 from ..simnet.tracing import StepTrace
 
@@ -108,7 +108,6 @@ class Scenario:
         self.sched = Scheduler()
         self.network = Network(self.sched)
         self.mcast = MulticastManager(self.network, leave_latency=leave_latency)
-        self.rngs = RngRegistry(seed)
         self.seed = seed
         self.sessions: Dict[Any, SessionDescriptor] = {}
         self.sources: Dict[Any, LayeredSource] = {}
@@ -185,7 +184,7 @@ class Scenario:
             schedule,
             model=model,
             peak_to_mean=peak_to_mean,
-            rng=self.rngs.fork(f"vbr/{session_id}"),
+            rng=Pcg64(stream_seed(self.seed, f"vbr/{session_id}")),
             phase_jitter=True,
         )
         self.sessions[session_id] = descriptor
@@ -297,7 +296,8 @@ class Scenario:
         cfg = config if config is not None else TopoSenseConfig()
         if algorithm is None:
             algorithm = TopoSense(
-                config=cfg, rng=self.rngs.fork(f"toposense/backoff/{name}")
+                config=cfg,
+                rng=Pcg64(stream_seed(self.seed, f"toposense/backoff/{name}")),
             )
         discovery = TopologyDiscovery(self.mcast, staleness=staleness, domain=domain)
         controller = ControllerAgent(
@@ -431,13 +431,15 @@ class Scenario:
                 handle.receiver,
                 candidates[0],
                 interval=controller.interval,
-                rng=self.rngs.fork(f"rcvagent/{handle.receiver_id}{stream}"),
+                rng=Pcg64(stream_seed(
+                    self.seed, f"rcvagent/{handle.receiver_id}{stream}")),
                 reregister_after=handle.reregister_after,
                 controller_candidates=candidates,
             )
         elif handle.mode == "rlm":
             handle.agent = RLMReceiver(
-                handle.receiver, rng=self.rngs.fork(f"rlm/{handle.receiver_id}{stream}")
+                handle.receiver,
+                rng=Pcg64(stream_seed(self.seed, f"rlm/{handle.receiver_id}{stream}")),
             )
         else:
             return

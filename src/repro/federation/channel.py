@@ -10,9 +10,10 @@ of lockstep rounds (it then arrives late, out of order with — and usually
 fenced off by — fresher traffic), or duplicates it one round later.  A
 *partitioned* domain exchanges nothing in either direction until healed.
 
-Determinism model: each ``(domain, direction)`` pair owns the
-:class:`~repro.simnet.rng.RngRegistry` stream
-``"fedchan/<domain>/<direction>"``, so adding or removing domains never
+Determinism model: each ``(domain, direction)`` pair owns one
+:class:`~repro.simnet.rng.Pcg64` stream, seeded by
+:func:`~repro.simnet.rng.stream_seed` of ``"fedchan/<domain>/<direction>"``
+and kept for the channel's life, so adding or removing domains never
 perturbs a sibling's draws; all draws happen at the round barrier in
 sorted-domain order, so same-seed runs see identical channel behaviour.
 Impairments change only via :class:`~repro.faults.plan.FaultPlan` events,
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..simnet.rng import RngRegistry
+from ..simnet.rng import Pcg64, stream_seed
 
 __all__ = ["ChannelImpairment", "InterDomainChannel"]
 
@@ -67,7 +68,9 @@ class InterDomainChannel:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._rngs = RngRegistry(seed)
+        self._seed = seed
+        #: One stream per ``"fedchan/<domain>/<direction>"``, made on first use.
+        self._streams: Dict[str, Pcg64] = {}
         #: Domains currently cut off in both directions.
         self.partitioned: Set[str] = set()
         self._global = ChannelImpairment()
@@ -124,7 +127,10 @@ class InterDomainChannel:
         if imp.perfect:
             self.stats[f"{direction}_delivered"] += 1
             return "delivered"
-        rng = self._rngs.fork(f"fedchan/{name}/{direction}")
+        key = f"fedchan/{name}/{direction}"
+        rng = self._streams.get(key)
+        if rng is None:
+            rng = self._streams[key] = Pcg64(stream_seed(self._seed, key))
         if imp.loss > 0.0 and float(rng.random()) < imp.loss:
             self.stats[f"{direction}_lost"] += 1
             return "lost"

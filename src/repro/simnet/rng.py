@@ -1,11 +1,11 @@
 """Seeded random-number management.
 
 Every stochastic component in the simulator (VBR traffic draws, TopoSense
-backoff intervals, report jitter, ...) receives its own independent
-:class:`Pcg64` stream forked from a single experiment seed.  Forking by
-*name* rather than by creation order means adding a new random component does
-not perturb the draws seen by existing ones, which keeps regression baselines
-stable.
+backoff intervals, report jitter, ...) draws from its own :class:`Pcg64`
+stream, ``Pcg64(stream_seed(seed, name))``, named where it is made and
+seeded from the single experiment seed.  Seeding by *name* rather than by
+creation order means adding a new random component does not perturb the
+draws seen by existing ones, which keeps regression baselines stable.
 
 :class:`Pcg64` is PCG64 (O'Neill 2014, XSL-RR 128/64) seeded through numpy's
 ``SeedSequence``, in pure Python: each of its draws equals the same draw
@@ -24,11 +24,11 @@ import hashlib
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Any, Dict, List, MutableSequence, Optional, Sequence, Set, Union
+from typing import Any, List, MutableSequence, Optional, Sequence, Union
 
 from .ziggurat import FE, KE, R, WE
 
-__all__ = ["Pcg64", "RngRegistry", "pairwise_sum", "stream_seed", "zipf_weights"]
+__all__ = ["Pcg64", "pairwise_sum", "stream_seed", "zipf_weights"]
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -177,53 +177,26 @@ class Pcg64:
         cdf = _cdf(p)
         return [bisect_right(cdf, self.random()) for _ in range(size)]
 
-    def sample(
-        self, n: int, size: int, p: Optional[Sequence[float]] = None,
-    ) -> List[int]:
+    def sample(self, n: int, size: int, p: Sequence[float]) -> List[int]:
         """``size`` distinct indices in ``range(n)``, index ``i`` weighted
-        by ``p[i]`` (uniformly without ``p``), as numpy's
-        ``choice(..., replace=False)``.
-
-        Weighted, it works in rounds: one ``random()`` per index still
-        missing, looked up in the cumulative sum with the indices already
-        found weighted 0; each new index is kept at its first occurrence,
-        in draw order.  Uniform, it is Floyd's algorithm (draw in
-        ``[0, j]``, take ``j`` on a repeat), then Fisher-Yates shuffled by
-        :meth:`integers`.  numpy takes a sample of more than a fiftieth of
-        over 10 000 indices another way, which no draw here needs, so that
-        raises.
+        by ``p[i]``, as numpy's ``choice(..., replace=False, p=p)``: in
+        rounds, one ``random()`` per index still missing, looked up in the
+        cumulative sum with the indices already found weighted 0; each new
+        index is kept at its first occurrence, in draw order.
         """
-        if size > n:
-            raise ValueError("cannot take a larger sample than the population")
-        if p is not None:
-            if len(p) != n:
-                raise ValueError("p must have one probability per index")
-            weights = list(p)
-            if sum(w > 0 for w in weights) < size:
-                raise ValueError("fewer non-zero entries in p than size")
-            found: List[int] = []
-            while len(found) < size:
-                draws = [self.random() for _ in range(size - len(found))]
-                for i in found:
-                    weights[i] = 0.0
-                cdf = _cdf(weights)
-                found.extend(dict.fromkeys(bisect_right(cdf, x) for x in draws))
-            return found
-        if n > 10000 and size > n // 50:
-            raise ValueError("a uniform sample of more than n // 50 of over "
-                             "10 000 indices is not implemented")
-        taken: Set[int] = set()
-        picks: List[int] = []
-        for j in range(n - size, n):
-            val = self.integers(j + 1)
-            if val in taken:
-                val = j
-            taken.add(val)
-            picks.append(val)
-        for i in range(size - 1, 0, -1):
-            j = self.integers(i + 1)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
+        if len(p) != n:
+            raise ValueError("p must have one probability per index")
+        weights = list(p)
+        if sum(w > 0 for w in weights) < size:
+            raise ValueError("fewer non-zero entries in p than size")
+        found: List[int] = []
+        while len(found) < size:
+            draws = [self.random() for _ in range(size - len(found))]
+            for i in found:
+                weights[i] = 0.0
+            cdf = _cdf(weights)
+            found.extend(dict.fromkeys(bisect_right(cdf, x) for x in draws))
+        return found
 
     def shuffle(self, items: MutableSequence[Any]) -> None:
         """Shuffle ``items`` in place: Fisher-Yates from the end, each swap
@@ -282,6 +255,14 @@ def stream_seed(seed: int, name: str) -> int:
     BLAKE2 over ``"<seed>:<name>"``: distinct names give statistically
     independent streams, and a stream's seed depends on nothing but its own
     name — adding a stream (or a federation domain) never perturbs another.
+
+    Example
+    -------
+    >>> a = Pcg64(stream_seed(42, "vbr/source0"))
+    >>> a.random() == Pcg64(stream_seed(42, "vbr/source0")).random()
+    True
+    >>> stream_seed(42, "vbr/source0") == stream_seed(42, "backoff")
+    False
     """
     digest = hashlib.blake2b(
         f"{int(seed)}:{name}".encode(), digest_size=8
@@ -306,35 +287,3 @@ def zipf_weights(n: int, s: float) -> List[float]:
     total = pairwise_sum(weights)
     return [w / total for w in weights]
 
-
-class RngRegistry:
-    """Registry of named, independently seeded random generators.
-
-    Example
-    -------
-    >>> reg = RngRegistry(seed=42)
-    >>> a = reg.fork("vbr/source0")
-    >>> b = reg.fork("backoff")
-    >>> a is reg.fork("vbr/source0")
-    True
-    """
-
-    def __init__(self, seed: Optional[int] = None):
-        self.seed = 0 if seed is None else int(seed)
-        self._streams: Dict[str, Pcg64] = {}
-
-    def fork(self, name: str) -> Pcg64:
-        """Return the generator for ``name``, creating it deterministically.
-
-        The stream is seeded with :func:`stream_seed`, so the same name
-        always yields the same stream for a given experiment seed.
-        """
-        gen = self._streams.get(name)
-        if gen is None:
-            gen = Pcg64(stream_seed(self.seed, name))
-            self._streams[name] = gen
-        return gen
-
-    def names(self):
-        """Names of all streams created so far (sorted)."""
-        return sorted(self._streams)

@@ -63,7 +63,7 @@ class WirelessEdgeLink(Link):
     rng:
         Seeded :class:`~repro.simnet.rng.Pcg64` stream; required whenever
         any loss or fading probability is non-zero, so channel draws come
-        from a named :class:`~repro.simnet.rng.RngRegistry` stream.
+        from a stream named by :func:`~repro.simnet.rng.stream_seed`.
     """
 
     __slots__ = ("loss_rate", "fade_in", "fading", "rng")

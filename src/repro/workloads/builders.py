@@ -10,7 +10,7 @@ as :class:`~repro.faults.plan.FaultPlan`).
 Three demand primitives:
 
 * :func:`flash_crowd_times` — ``size`` join instants inside a ramp window,
-  with configurable ramp shape (``linear`` / ``exp`` / ``step``);
+  with configurable ramp shape (``linear`` / ``exp``);
 * :func:`assign_sessions` — Zipf-popularity session choice per receiver
   (a few sessions take most of the audience);
 * :func:`diurnal_leave_times` — sinusoidal-rate Poisson departure waves
@@ -31,7 +31,7 @@ __all__ = [
     "diurnal_leave_times",
 ]
 
-RAMP_SHAPES = ("linear", "exp", "step")
+RAMP_SHAPES = ("linear", "exp")
 
 
 def flash_crowd_times(
@@ -39,7 +39,6 @@ def flash_crowd_times(
     at: float,
     ramp: float = 2.0,
     shape: str = "linear",
-    steps: int = 4,
     seed: int = 0,
 ) -> List[float]:
     """``size`` join instants in ``[at, at + ramp)``, sorted ascending.
@@ -47,10 +46,8 @@ def flash_crowd_times(
     Shapes: ``linear`` spreads arrivals evenly; ``exp`` compresses them
     toward the *end* of the window (viral growth — the arrival count grows
     exponentially, so most of the crowd lands in the final fraction of the
-    ramp); ``step`` fires the crowd in ``steps`` simultaneous bursts.  A
-    seeded jitter of up to half the mean spacing keeps arrivals from
-    colliding on identical timestamps (except for ``step``, where
-    simultaneity is the point).
+    ramp).  A seeded jitter of up to half the mean spacing keeps arrivals
+    from colliding on identical timestamps.
     """
     if size < 1:
         raise ValueError("flash crowd needs size >= 1")
@@ -60,25 +57,18 @@ def flash_crowd_times(
         raise ValueError("crowd start must be >= 0")
     if shape not in RAMP_SHAPES:
         raise ValueError(f"unknown ramp shape {shape!r} (one of {RAMP_SHAPES})")
-    if shape == "step" and steps < 1:
-        raise ValueError("step ramp needs steps >= 1")
     rng = Pcg64(seed)
+    spacing = ramp / size
     times: List[float] = []
-    if shape == "step":
-        for i in range(size):
-            burst = i * steps // size
-            times.append(at + ramp * burst / steps)
-    else:
-        spacing = ramp / size
-        for i in range(size):
-            frac = i / size
-            if shape == "exp":
-                # N(t) ~ e^{kt}: the i-th arrival lands at the log of its
-                # rank, normalised into the window.
-                frac = math.log1p(i) / math.log1p(size)
-            jitter = rng.uniform(0.0, spacing * 0.5)
-            times.append(at + min(frac * ramp + jitter, ramp * (1.0 - 1e-9)))
-        times.sort()
+    for i in range(size):
+        frac = i / size
+        if shape == "exp":
+            # N(t) ~ e^{kt}: the i-th arrival lands at the log of its
+            # rank, normalised into the window.
+            frac = math.log1p(i) / math.log1p(size)
+        jitter = rng.uniform(0.0, spacing * 0.5)
+        times.append(at + min(frac * ramp + jitter, ramp * (1.0 - 1e-9)))
+    times.sort()
     return [round(t, 6) for t in times]
 
 

@@ -168,32 +168,20 @@ class WorkloadSpec:
         size: int,
         ramp: float = 2.0,
         shape: str = "linear",
-        steps: int = 4,
-        pool: Optional[Sequence[Any]] = None,
         seed: int = 0,
     ) -> "WorkloadSpec":
-        """``size`` joins inside ``[at, at + ramp)`` from ``pool`` (default:
-        the whole population), picked without replacement by a seeded draw
-        when the crowd is smaller than the pool.  Raises when the crowd is
-        larger than the pool — a spec cannot join receivers it doesn't have.
+        """The whole population joins inside ``[at, at + ramp)``, in
+        insertion order.  ``size`` must be the population's size: a crowd
+        of any other size raises.
         """
-        pool = list(pool if pool is not None else self.receiver_ids())
-        unknown = [rid for rid in pool if rid not in self._by_id]
-        if unknown:
-            raise KeyError(f"unknown receivers in pool: {unknown[:3]!r}...")
-        if size > len(pool):
+        pool = self.receiver_ids()
+        if size != len(pool):
             raise ValueError(
-                f"flash crowd of {size} exceeds the receiver pool ({len(pool)})"
+                f"flash crowd of {size} is not the receiver pool ({len(pool)})"
             )
-        times = flash_crowd_times(size, at, ramp=ramp, shape=shape,
-                                  steps=steps, seed=seed)
-        if size < len(pool):
-            picks = Pcg64(seed).sample(len(pool), size)
-            chosen = [pool[i] for i in picks]
-        else:
-            chosen = pool
+        times = flash_crowd_times(size, at, ramp=ramp, shape=shape, seed=seed)
         self._extend(
-            WorkloadEvent(t, "join", rid) for t, rid in zip(times, chosen)
+            WorkloadEvent(t, "join", rid) for t, rid in zip(times, pool)
         )
         return self
 
@@ -205,18 +193,17 @@ class WorkloadSpec:
         peak_rate: float = 0.5,
         trough_rate: float = 0.05,
         off_time: Tuple[float, float] = (4.0, 12.0),
-        pool: Optional[Sequence[Any]] = None,
         seed: int = 0,
     ) -> "WorkloadSpec":
         """Day/night departure waves over ``[start, end)``.
 
         Wave instants come from a sinusoidal-rate Poisson process (see
         :func:`~repro.workloads.builders.diurnal_leave_times`); each wave
-        picks one pool receiver uniformly to leave and rejoin after a
-        uniform ``off_time`` draw, mirroring ``membership_churn``'s
+        picks one receiver of the population uniformly to leave and rejoin
+        after a uniform ``off_time`` draw, mirroring ``membership_churn``'s
         leave/rejoin convention.
         """
-        pool = list(pool if pool is not None else self.receiver_ids())
+        pool = self.receiver_ids()
         if not pool:
             raise ValueError("need at least one receiver to churn")
         lo, hi = off_time

@@ -20,7 +20,7 @@ from repro.federation.coordinator import FederationCoordinator
 from repro.federation.experiment import build_federated_views
 from repro.federation.session import RETRY_LIMIT, FederatedSession
 from repro.federation.shard import DECAY_FLOOR, DomainShard
-from repro.simnet.rng import RngRegistry
+from repro.simnet.rng import Pcg64, stream_seed
 
 
 def _views(n_domains=2, receivers_per_domain=2, seed=0):
@@ -50,7 +50,7 @@ def _advice(session_id="s0", ceiling=4, epoch=1, round_no=1):
 
 class TestChannel:
     def test_seed_stable_and_per_domain_direction(self):
-        # Each send draws exactly one loss roll from the registry stream
+        # Each send draws exactly one loss roll from the stream
         # "fedchan/<domain>/<direction>" of the channel's seed.
         for seed, domain, direction in (
             (3, "d1", "up"), (3, "d2", "up"), (3, "d1", "down"),
@@ -60,7 +60,7 @@ class TestChannel:
             ch.set_impairment(loss=0.5)
             send = ch.send_up if direction == "up" else ch.send_down
             outcomes = [send(domain, _summary(), r) for r in range(20)]
-            stream = RngRegistry(seed).fork(f"fedchan/{domain}/{direction}")
+            stream = Pcg64(stream_seed(seed, f"fedchan/{domain}/{direction}"))
             assert outcomes == [
                 "lost" if stream.random() < 0.5 else "delivered"
                 for _ in range(20)

@@ -84,7 +84,7 @@ class TestR004TopicContract:
 class TestR007RngProvenance:
     def test_good_fixture_clean(self):
         assert constant_seeds(parse({"federation/a.py": (
-            "rng = registry.fork('shard/0')\nr = np.random.default_rng(seed)\n"
+            "rng = Pcg64(stream_seed(seed, 'shard/0'))\nr = np.random.default_rng(seed)\n"
             "r = default_rng(seed=cfg.seed + 1)\nr = np.random.default_rng()\n"
             "r = np.random.default_rng(int.from_bytes(digest, 'little'))\n"
             "r = random.Random(seed)\nr = np.random.RandomState(None)\n"

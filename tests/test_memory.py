@@ -9,7 +9,10 @@ Bytes per receiver bound how large a population one process can hold
   between two crowd sizes of one federated construction, so everything the
   crowd does not scale (topology, sessions, controllers) cancels out;
 * a run leaves no cyclic garbage: everything it drops is freed by reference
-  counting, so the collector never has to find it.
+  counting, so the collector never has to find it;
+* a run keeps no random stream past its holder: the live ``Pcg64`` streams
+  are those of the live agents, sources and controllers, not of the agents
+  that rejoins replaced.
 """
 
 import gc
@@ -23,6 +26,7 @@ from repro.faults import FaultPlan
 from repro.federation.experiment import build_federated_views
 from repro.federation.session import FederatedSession
 from repro.simnet.engine import Scheduler
+from repro.simnet.rng import Pcg64
 from repro.workloads import WorkloadRunner, WorkloadSpec
 
 DOMAINS = 2
@@ -115,10 +119,10 @@ def test_a_controlled_receiver_costs_at_most_the_bound():
     assert per_receiver <= MAX_BYTES_PER_RECEIVER
 
 
-def test_a_churn_run_leaves_no_cyclic_garbage(collector_off):
-    """``churn_repair``'s construction at its smoke size: receivers leave
-    and rejoin (each rejoin replaces the receiver's agent and ends the old
-    one's report chain) while three links flap."""
+def churn_run():
+    """``churn_repair``'s construction at its smoke size, run: receivers
+    leave and rejoin (each rejoin replaces the receiver's agent and ends
+    the old one's report chain) while three links flap."""
     seed, n, duration = 1, 16, 44.0
     sc = build_churn_scenario(seed=seed, n_receivers=n, builder="protected")
     t = duration / 110.0
@@ -133,4 +137,22 @@ def test_a_churn_run_leaves_no_cyclic_garbage(collector_off):
     injector = plan.apply(sc)
     sc.run(duration)
     assert [kind for _, kind, _ in injector.log].count("receiver_join") > 0
+    return sc
+
+
+def test_a_churn_run_leaves_no_cyclic_garbage(collector_off):
+    _alive = churn_run()  # collected while it is alive
     assert gc.collect() == 0
+
+
+def test_a_churn_run_keeps_no_departed_agents_stream(collector_off):
+    before = [o for o in gc.get_objects() if isinstance(o, Pcg64)]
+    sc = churn_run()
+    seen = {id(o) for o in before}
+    streams = [o for o in gc.get_objects() if isinstance(o, Pcg64) and id(o) not in seen]
+    held = ([h.agent.rng for h in sc.receivers if h.agent is not None]
+            + [src.rng for src in sc.sources.values()]
+            + [ctrl.algorithm.rng for ctrl in sc.controllers.values()])
+    assert len(held) == len(sc.receivers) + 2  # one session, one controller
+    assert len(streams) == len(held)
+    assert sorted(map(id, streams)) == sorted(map(id, held))

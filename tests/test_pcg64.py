@@ -5,9 +5,9 @@ PCG64 seeded through numpy's ``SeedSequence``.  numpy stays a test
 dependency so that this oracle can replay each generated draw sequence on
 both and demand bit-equal results: seeding from ints up to 2**128 and from
 ``[a, b]`` lists; ``random``/``uniform``/``integers``/``exponential``,
-sampling without replacement (weighted and not) and ``shuffle``
-interleaved, so the cached spare 32-bit half of a 64-bit draw meets the
-64-bit draws; weighted ``choice``; the exponential ziggurat's rare paths and
+weighted sampling without replacement and ``shuffle`` interleaved, so
+the cached spare 32-bit half of a 64-bit draw meets the 64-bit draws;
+weighted ``choice``; the exponential ziggurat's rare paths and
 its tables; and the pairwise summation behind ``zipf_weights`` and the
 metrics' means, whose form changes at 8 and 128 elements.
 """
@@ -40,11 +40,8 @@ def weighted_samples(draw):
     return ("weighted", [w / total for w in weights], size)
 
 
-#: ``(n, size)`` of a uniform sample, drawn by Floyd's algorithm.
-SAMPLES = st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
-
 #: ``(op, a, b)``: ``random``; ``uniform(a, b)``; ``integers(a, a + b)``;
-#: ``exponential(a)``; ``sample(len(a), b, p=a)``; ``sample(a, b)``;
+#: ``exponential(a)``; ``sample(len(a), b, p=a)``;
 #: ``shuffle(list(range(a)))``.  Spans
 #: reach 2**32 - 1, where Lemire's rejection threshold is largest.
 DRAWS = st.lists(st.one_of(
@@ -54,12 +51,11 @@ DRAWS = st.lists(st.one_of(
               st.one_of(st.integers(1, 40), st.integers(1, 2**32 - 1))),
     st.tuples(st.just("exponential"), st.floats(1e-3, 1e3), st.just(0)),
     weighted_samples(),
-    SAMPLES.map(lambda ns: ("sample", *ns)),
     st.tuples(st.just("shuffle"), st.integers(0, 70), st.just(0)),
 ), max_size=60)
 
 
-def sample(gen, n, size, p=None):
+def sample(gen, n, size, p):
     """``Pcg64.sample`` is numpy's ``choice(..., replace=False)``."""
     if isinstance(gen, Pcg64):
         return gen.sample(n, size, p=p)
@@ -79,8 +75,6 @@ def play(gen, draws):
             out.append(float(gen.exponential(a)))
         elif op == "weighted":
             out.append(sample(gen, len(a), b, p=a))
-        elif op == "sample":
-            out.append(sample(gen, a, b))
         else:
             items = list(range(a))
             gen.shuffle(items)
@@ -176,20 +170,6 @@ def test_exponential_equals_numpys_through_the_tail_and_the_wedges():
     assert tails > 0 and wedges > 0 and rejections > 0, (tails, wedges, rejections)
 
 
-def test_uniform_sample_equals_numpys_up_to_its_other_branch():
-    # numpy draws by Floyd's algorithm unless n > 10000 and size > n // 50.
-    for n, size in [(50, 7), (1, 1), (9, 9), (10000, 300), (10000, 10000),
-                    (10001, 200)]:
-        for seed in range(3):
-            ours, theirs = Pcg64(seed), np.random.default_rng(seed)
-            assert ours.sample(n, size) == sample(theirs, n, size), (n, size, seed)
-            assert ours.random() == theirs.random()
-    with pytest.raises(ValueError, match="not implemented"):
-        Pcg64(0).sample(10001, 201)
-    with pytest.raises(ValueError, match="larger sample"):
-        Pcg64(0).sample(3, 4)
-
-
 def test_weighted_sampling_with_zero_weights_and_every_non_zero_index():
     p = [0.0, 0.3, 0.0, 0.05, 0.6, 0.0, 0.05]
     for seed in range(50):
@@ -199,8 +179,9 @@ def test_weighted_sampling_with_zero_weights_and_every_non_zero_index():
             assert picks == sample(theirs, len(p), size, p=p)
             assert all(p[i] > 0 for i in picks) and len(set(picks)) == size
             assert ours.random() == theirs.random()
-    with pytest.raises(ValueError):
-        Pcg64(0).sample(len(p), 5, p=p)
+    for size in (5, len(p) + 1):  # more than the non-zero weights, or than n
+        with pytest.raises(ValueError):
+            Pcg64(0).sample(len(p), size, p=p)
 
 
 def test_shuffle_equals_numpys_on_every_length_up_to_1000():

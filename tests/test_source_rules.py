@@ -118,7 +118,7 @@ def _constant_seed(call):
 
 def constant_seeds(trees):
     return [f"{path}:{call.lineno} `{callee(call)}` seeded with a constant ignores "
-            "the run's seed — derive the seed or fork a stream from RngRegistry"
+            "the run's seed — derive the seed with stream_seed(seed, name)"
             for path, call in calls(trees)
             if callee(call) in RNG_CONSTRUCTORS and _constant_seed(call)]
 
