@@ -16,21 +16,13 @@ handfuls of receivers.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from ..simnet.topology import Network
+from .oracle import carried_levels, overloaded, receiver_paths
 from .session_plan import SessionPlan
 
 __all__ = ["lexicographic_optimal", "allocation_feasible"]
-
-Edge = Tuple[Any, Any]
-
-
-def _session_paths(network: Network, plan: SessionPlan) -> Dict[Any, List[Any]]:
-    return {
-        rid: network.shortest_path(plan.source, node)
-        for rid, node in plan.receiver_nodes.items()
-    }
 
 
 def allocation_feasible(
@@ -38,26 +30,11 @@ def allocation_feasible(
     plans: Sequence[SessionPlan],
     levels: Mapping[Tuple[Any, Any], int],
 ) -> bool:
-    """True when every link fits its multicast load under ``levels``.
-
-    A link's load for one session is the cumulative rate of the *highest*
-    level among that session's receivers downstream of the link.
-    """
-    load: Dict[Edge, float] = {}
-    for plan in plans:
-        paths = _session_paths(network, plan)
-        per_edge_level: Dict[Edge, int] = {}
-        for rid, path in paths.items():
-            lvl = levels[(plan.session_id, rid)]
-            for e in zip(path, path[1:]):
-                if per_edge_level.get(e, 0) < lvl:
-                    per_edge_level[e] = lvl
-        for e, lvl in per_edge_level.items():
-            load[e] = load.get(e, 0.0) + plan.schedule.cumulative(lvl)
-    for e, l in load.items():
-        if l > network.link(*e).bandwidth + 1e-9:
-            return False
-    return True
+    """True when every link fits its multicast load under ``levels``
+    (the oracle's load rule: :func:`~repro.baselines.oracle.overloaded`)."""
+    carried = carried_levels(receiver_paths(network, plans), levels)
+    schedules = {p.session_id: p.schedule for p in plans}
+    return not any(overloaded(network, e, per, schedules) for e, per in carried.items())
 
 
 def lexicographic_optimal(

@@ -11,55 +11,82 @@ water-filling with **true** link capacities (which TopoSense never sees):
 3. an increment is feasible if every link still fits its multicast load,
    where a link's load for a session is the cumulative rate of the *highest*
    level among receivers downstream of it (multicast carries the union of
-   the subtree's layers);
+   the subtree's layers).  Only the raised receiver's path is checked, and
+   that is exact: the allocation is feasible before every trial, and
+   raising receiver *r* from level *l* changes the load only of the edges
+   on *r*'s source path whose session's highest level was *l*.  Each edge
+   sums its sessions in ``plans`` order, so every comparison adds the same
+   floats a full recheck of every edge would;
 4. repeat until no increment is feasible.
 
 For layered multicast on trees this greedy reaches the lexicographically
 maximal feasible allocation layer-by-layer, and reproduces the closed-form
 optima of the paper's Topology A (levels set by each group's bottleneck) and
-Topology B (4 layers each).
+Topology B (4 layers each).  :func:`receiver_paths`, :func:`carried_levels`
+and :func:`overloaded` are the one multicast load rule; the exhaustive
+reference (`repro.baselines.lexicographic`) checks feasibility with them too.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..core.types import SessionInput, SuggestionSet
+from ..media.layers import LayerSchedule
 from ..simnet.topology import Network
 from .session_plan import SessionPlan
 
-__all__ = ["optimal_levels", "OracleController"]
+__all__ = [
+    "optimal_levels", "OracleController", "receiver_paths", "carried_levels", "overloaded",
+]
 
 Edge = Tuple[Any, Any]
 
 
-def _session_tree_paths(network: Network, source: Any, nodes: Sequence[Any]):
-    """parent map of the union of shortest paths source -> nodes."""
-    parent: Dict[Any, Any] = {}
-    for node in nodes:
-        path = network.shortest_path(source, node)
-        for u, v in zip(path, path[1:]):
-            parent[v] = u
-    return parent
+def receiver_paths(
+    network: Network, plans: Sequence[SessionPlan]
+) -> Dict[Any, Dict[Any, List[Edge]]]:
+    """Per session (in ``plans`` order), each receiver's shortest path from
+    the session source as a list of edges."""
+    paths: Dict[Any, Dict[Any, List[Edge]]] = {}
+    for p in plans:
+        paths[p.session_id] = by_receiver = {}
+        for rid, node in p.receiver_nodes.items():
+            path = network.shortest_path(p.source, node)
+            by_receiver[rid] = list(zip(path, path[1:]))
+    return paths
 
 
-def _downstream_max_level(
-    parent: Mapping[Any, Any],
-    levels: Mapping[Any, int],
-    rcv_nodes: Mapping[Any, Any],
-) -> Dict[Edge, int]:
-    """For each tree edge, the max level among receivers below it."""
-    out: Dict[Edge, int] = {}
-    for rid, node in rcv_nodes.items():
-        lvl = levels[rid]
-        v = node
-        while v in parent:
-            u = parent[v]
-            e = (u, v)
-            if out.get(e, 0) < lvl:
-                out[e] = lvl
-            v = u
-    return out
+def carried_levels(
+    paths: Mapping[Any, Mapping[Any, Sequence[Edge]]],
+    levels: Mapping[Tuple[Any, Any], int],
+) -> Dict[Edge, Dict[Any, int]]:
+    """Per edge, per session: the highest level among the session's
+    receivers downstream of the edge, sessions in ``paths`` order."""
+    carried: Dict[Edge, Dict[Any, int]] = {}
+    for sid, by_receiver in paths.items():
+        for rid, edges in by_receiver.items():
+            lvl = levels[(sid, rid)]
+            for e in edges:
+                per = carried.setdefault(e, {})
+                if per.get(sid, 0) < lvl:
+                    per[sid] = lvl
+    return carried
+
+
+def overloaded(
+    network: Network,
+    edge: Edge,
+    carried: Mapping[Any, int],
+    schedules: Mapping[Any, LayerSchedule],
+) -> bool:
+    """Whether ``edge``'s multicast load exceeds its true bandwidth: the
+    sum, over the sessions it carries, of the cumulative rate of each
+    one's highest level there."""
+    load = 0.0
+    for sid, lvl in carried.items():
+        load += schedules[sid].cumulative(lvl)
+    return load > network.link(*edge).bandwidth + 1e-9
 
 
 def optimal_levels(
@@ -72,29 +99,11 @@ def optimal_levels(
     every receiver.  Capacities are read from the real network — this is the
     oracle's unfair advantage over TopoSense.
     """
-    parents = {
-        p.session_id: _session_tree_paths(network, p.source, list(p.receiver_nodes.values()))
-        for p in plans
-    }
-    levels: Dict[Tuple[Any, Any], int] = {
-        (p.session_id, rid): min(1, p.schedule.n_layers)
-        for p in plans
-        for rid in p.receiver_nodes
-    }
-
-    def feasible() -> bool:
-        load: Dict[Edge, float] = {}
-        for p in plans:
-            lv = {rid: levels[(p.session_id, rid)] for rid in p.receiver_nodes}
-            per_edge = _downstream_max_level(parents[p.session_id], lv, p.receiver_nodes)
-            for e, lvl in per_edge.items():
-                load[e] = load.get(e, 0.0) + p.schedule.cumulative(lvl)
-        for e, l in load.items():
-            if l > network.link(*e).bandwidth + 1e-9:
-                return False
-        return True
-
-    if not feasible():
+    paths = receiver_paths(network, plans)
+    schedules = {p.session_id: p.schedule for p in plans}
+    levels = {(p.session_id, rid): 1 for p in plans for rid in p.receiver_nodes}
+    carried = carried_levels(paths, levels)
+    if any(overloaded(network, e, per, schedules) for e, per in carried.items()):
         # Even all-base overloads some link; the oracle still reports base
         # levels (the paper's premise is that the base layer always fits).
         return levels
@@ -104,14 +113,20 @@ def optimal_levels(
     while progress:
         progress = False
         for key in keys:
-            plan = next(p for p in plans if p.session_id == key[0])
-            if levels[key] >= plan.schedule.n_layers:
+            sid, rid = key
+            lvl = levels[key]
+            if lvl >= schedules[sid].n_layers:
                 continue
-            levels[key] += 1
-            if feasible():
-                progress = True
+            # The edges where this raise makes ``rid`` its session's highest.
+            raised = [(e, carried[e]) for e in paths[sid][rid] if carried[e][sid] == lvl]
+            for _, per in raised:
+                per[sid] = lvl + 1
+            if any(overloaded(network, e, per, schedules) for e, per in raised):
+                for _, per in raised:
+                    per[sid] = lvl
             else:
-                levels[key] -= 1
+                levels[key] = lvl + 1
+                progress = True
     return levels
 
 

@@ -461,10 +461,7 @@ class ScenarioResult:
 
     def trace(self, receiver_id: Any) -> StepTrace:
         """Subscription trace of one receiver."""
-        for h in self.scenario.receivers:
-            if h.receiver_id == receiver_id:
-                return h.trace
-        raise KeyError(receiver_id)
+        return self.scenario.receiver_handle(receiver_id).trace
 
     def optimal_levels(self) -> Dict[Tuple[Any, Any], int]:
         """Oracle optimum per (session, receiver), from true capacities."""
@@ -484,13 +481,9 @@ class ScenarioResult:
 
     def deviation_of(self, receiver_id: Any, t0: float) -> float:
         """Relative deviation of one receiver over ``[t0, end of run]``."""
-        optimal = self.optimal_levels()
-        for h in self.scenario.receivers:
-            if h.receiver_id == receiver_id:
-                return relative_deviation(
-                    h.trace, float(optimal[(h.session_id, h.receiver_id)]), t0, self.end_time
-                )
-        raise KeyError(receiver_id)
+        h = self.scenario.receiver_handle(receiver_id)
+        optimal = self.optimal_levels()[(h.session_id, h.receiver_id)]
+        return relative_deviation(h.trace, float(optimal), t0, self.end_time)
 
     def stability(self) -> Tuple[int, float]:
         """(max changes by any receiver, mean gap for that receiver) over

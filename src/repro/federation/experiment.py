@@ -31,6 +31,7 @@ from .shard import DomainReceiver, DomainView
 __all__ = [
     "DEFAULT_DURATION",
     "DEFAULT_DOMAIN_COUNTS",
+    "DEVIATION_BUDGET",
     "build_federated_views",
     "run_federate",
     "render_federate_report",
@@ -42,6 +43,10 @@ DEFAULT_DURATION = 40.0
 
 #: Default domain-count sweep (total receivers stays fixed).
 DEFAULT_DOMAIN_COUNTS = (2, 4, 8)
+
+#: Largest per-domain mean relative deviation from the shard oracle that
+#: still counts as converged (the ``domains_converged`` gate).
+DEVIATION_BUDGET = 0.5
 
 
 def build_federated_views(
@@ -175,7 +180,6 @@ def run_federate(
     domain_counts: Sequence[int] = DEFAULT_DOMAIN_COUNTS,
     cadence: float = 4.0,
     tolerance: float = 0.15,
-    deviation_budget: float = 0.5,
     recorder: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Sweep domain count at fixed total receivers and gate the claims.
@@ -215,7 +219,7 @@ def run_federate(
         p["coordinator"]["rejected_messages"] == 0 for p in points
     )
     converged = all(
-        rec["deviation"] <= deviation_budget
+        rec["deviation"] <= DEVIATION_BUDGET
         for p in points for rec in p["domains"].values()
     )
 
@@ -227,7 +231,7 @@ def run_federate(
         "total_receivers": total_receivers,
         "domain_counts": counts,
         "tolerance": tolerance,
-        "deviation_budget": deviation_budget,
+        "deviation_budget": DEVIATION_BUDGET,
         "points": points,
         "gates": {
             "control_bytes_flat": flat,

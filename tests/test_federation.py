@@ -259,18 +259,22 @@ class TestFederatedSession:
         assert digests[0] == digests[1]
 
     def test_shards_advance_as_if_alone(self):
-        """Shard isolation: up to the first barrier each shard inside the
-        federation is indistinguishable from the same shard run alone."""
-        views = _views(n_domains=4, receivers_per_domain=2, seed=2)
-        fed = FederatedSession(views, seed=2, cadence=4.0)
-        fed.run(4.0)
-        for view in views:
-            alone = DomainShard(view, seed=2)
-            alone.run_to(4.0)
-            inside = fed.shards[str(view.domain)]
-            assert (inside.scenario.sched.events_processed
-                    == alone.scenario.sched.events_processed)
-            assert _shard_traces(inside) == _shard_traces(alone)
+        """Shard isolation: through a whole fault-free run each shard inside
+        the federation processes the same events and traces the same
+        receivers as the same shard run alone, and no advice ceiling ever
+        clamps a suggestion."""
+        for n_domains, per_domain in ((2, 32), (4, 8), (8, 4)):
+            views = _views(n_domains, per_domain, seed=3)
+            fed = FederatedSession(views, seed=3, cadence=4.0)
+            fed.run(60.0)
+            for view in views:
+                alone = DomainShard(view, seed=3)
+                alone.run_to(60.0)
+                inside = fed.shards[str(view.domain)]
+                assert (inside.scenario.sched.events_processed
+                        == alone.scenario.sched.events_processed)
+                assert _shard_traces(inside) == _shard_traces(alone)
+                assert inside.controller.suggestions_clamped == 0
 
     def test_control_byte_tiers(self):
         fed = FederatedSession(_views(seed=1), seed=1, cadence=4.0)
