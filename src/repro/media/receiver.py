@@ -16,10 +16,16 @@ Loss accounting details:
   0 % loss.
 * Leaving a layer resets its sequence tracking, so rejoining later does not
   count the missed span as loss.
+
+A group's packets are counted once per node, by the group's only handler
+there (:class:`_GroupCounter`); each receiver on the node reads its own
+counts as offsets into that counter, exactly as if it counted every packet
+itself.
 """
 
 from __future__ import annotations
 
+from inspect import unwrap
 from typing import Any, List, Optional, Sequence
 
 from ..multicast.manager import MulticastManager
@@ -63,46 +69,146 @@ class IntervalStats:
         )
 
 
-class _LayerRx:
-    """Receive state of one subscribed layer, and that layer's group handler.
+class _GroupCounter:
+    """One group's receive counter at one node, and the group's only
+    handler there: a packet costs one call per node, however many of the
+    node's receivers subscribe to its layer.
 
-    One exists only while its layer is subscribed: joining a layer makes a
-    fresh one (so a rejoin starts from zeroed counters and no sequence
-    expectation) and leaving drops it."""
+    It counts what a receiver subscribed since the counter was made would
+    count: packets, bytes, sequence-gap loss and the next expected sequence
+    number.  Each subscribed layer of each receiver (:class:`_LayerRx`)
+    reads its own counts as differences from offsets it took, so its counts
+    are exactly those a per-receiver handler would keep:
 
-    __slots__ = ("rx", "group", "expected", "received", "lost", "bytes", "joined_at")
+    * a layer that joined waits in ``pending`` and anchors at its first
+      packet, where a receiver counts no loss (it has no expectation yet);
+    * if that packet arrived out of order at the node (its sequence number
+      below the node's expectation), the layer expects less than the node
+      does and would count gaps the node does not.  It stays in
+      ``catching``, accounted packet by packet, until its expectation
+      catches up with the node's.
 
-    def __init__(self, rx: "LayeredReceiver", group: int):
-        self.rx = rx
+    The counter is made on the group's first subscribed layer at the node
+    and dropped, with its state, when the last one leaves.
+    """
+
+    __slots__ = ("group", "count", "bytes", "lost", "expected", "layers", "pending",
+                 "catching")
+
+    def __init__(self, group: int):
         self.group = group
-        self.expected: Optional[int] = None
-        self.received = 0
-        self.lost = 0
+        self.count = 0
         self.bytes = 0
-        self.joined_at = 0.0  # effective (post-graft) time, set on join
+        self.lost = 0
+        self.expected: Optional[int] = None
+        #: Subscribed layers of this node's receivers that read this counter.
+        self.layers = 0
+        self.pending: List["_LayerRx"] = []
+        self.catching: List["_LayerRx"] = []
+
+    @staticmethod
+    def of(node: Node, group: int) -> "_GroupCounter":
+        """The counter of ``group`` at ``node``, made and installed as its
+        handler if there is none.  A profiler may have wrapped the installed
+        handler; a wrapper names what it wraps as ``__wrapped__``."""
+        for handler in node.group_handlers.get(group, ()):
+            found = unwrap(handler)
+            if type(found) is _GroupCounter:
+                return found
+        counter = _GroupCounter(group)
+        node.add_group_handler(group, counter)
+        return counter
 
     def __call__(self, pkt: Packet) -> None:
-        """The data path: account one packet of this layer."""
-        rx = self.rx
-        if rx._awaiting_first:
-            rx._awaiting_first = False
-            rx.on_first_packet(rx.sched.now)
+        """The data path: account one packet of this group at this node."""
         seq = pkt.seq
-        if self.expected is None:
+        expected = self.expected
+        if expected is None:
             self.expected = seq + 1
-        elif seq >= self.expected:
-            self.lost += seq - self.expected
+        elif seq >= expected:
+            self.lost += seq - expected
             self.expected = seq + 1
-        # seq < expected would be a duplicate/reorder; our FIFO links cannot
-        # produce one, but tolerate it as a plain receive.
-        self.received += 1
+        # seq < expected is a duplicate or a reordered packet: a plain receive.
+        self.count += 1
         self.bytes += pkt.size
-        rx.total_bytes += pkt.size
+        if self.catching:
+            self._catch_up(seq, expected)
+        if self.pending:
+            self._anchor(seq)
+
+    def _catch_up(self, seq: int, node_expected: Optional[int]) -> None:
+        """Account ``seq`` for each layer whose expectation lags the node's
+        (``node_expected``, the node's before ``seq``; never None here, as a
+        layer lags only after the counter has seen a packet): shift its loss
+        offset by what it counts minus what the node did."""
+        for lr in tuple(self.catching):
+            if seq >= lr.expected:
+                node_gap = (seq - node_expected
+                            if node_expected is not None and seq >= node_expected else 0)
+                lr.base_lost += node_gap - (seq - lr.expected)
+                lr.expected = seq + 1
+                if lr.expected == self.expected:
+                    self.catching.remove(lr)
+
+    def _anchor(self, seq: int) -> None:
+        """``seq`` is the first packet of every pending layer: it counts no
+        loss for them, and it fires their receivers' first-packet probes."""
+        pending, self.pending = self.pending, []
+        for lr in pending:
+            lr.base_lost = self.lost
+            if seq + 1 != self.expected:
+                lr.expected = seq + 1
+                self.catching.append(lr)
+            rx = lr.rx
+            if rx._awaiting_first:
+                rx._awaiting_first = False
+                rx.on_first_packet(rx.sched.now)
+
+    def add(self, lr: "_LayerRx") -> None:
+        """``lr`` joined: it waits for its first packet."""
+        self.layers += 1
+        self.pending.append(lr)
+
+    def remove(self, lr: "_LayerRx", node: Node) -> None:
+        """``lr`` left; the last layer to leave uninstalls the counter."""
+        if lr in self.pending:
+            self.pending.remove(lr)
+        elif lr in self.catching:
+            self.catching.remove(lr)
+        self.layers -= 1
+        if not self.layers:
+            node.remove_group_handler(self.group, self)
+
+
+class _LayerRx:
+    """Receive state of one subscribed layer of one receiver.
+
+    One exists only while its layer is subscribed: joining a layer makes a
+    fresh one (so a rejoin starts from zeroed counts and no sequence
+    expectation) and leaving drops it.  Its counts since the last report
+    are its node's :class:`_GroupCounter` minus the ``base_*`` offsets;
+    ``expected`` is its own sequence expectation only while it catches up
+    with the node's."""
+
+    __slots__ = ("rx", "counter", "joined_at", "base_count", "base_bytes", "base_lost",
+                 "expected")
+
+    def __init__(self, rx: "LayeredReceiver", counter: _GroupCounter):
+        self.rx = rx
+        self.counter = counter
+        self.joined_at = 0.0  # effective (post-graft) time, set on join
+        self.base_count = counter.count
+        self.base_bytes = counter.bytes
+        self.base_lost = counter.lost
+        #: Its own sequence expectation, read only while it catches up.
+        self.expected = 0
+        counter.add(self)
 
     def reset_counts(self) -> None:
-        self.received = 0
-        self.lost = 0
-        self.bytes = 0
+        counter = self.counter
+        self.base_count = counter.count
+        self.base_bytes = counter.bytes
+        self.base_lost = counter.lost
 
 
 class LayeredReceiver:
@@ -110,7 +216,7 @@ class LayeredReceiver:
 
     __slots__ = ("node", "sched", "session_id", "schedule", "mcast", "receiver_id",
                  "groups", "layers", "level", "trace", "loss_series", "_interval_start",
-                 "total_bytes", "on_first_packet", "_awaiting_first")
+                 "_settled_bytes", "on_first_packet", "_awaiting_first")
 
     #: Bytes per data packet (paper: 1000).
     packet_size = DEFAULT_PACKET_SIZE
@@ -144,7 +250,9 @@ class LayeredReceiver:
         self.trace = StepTrace(t0=self.sched.now, v0=0)
         self.loss_series = SeriesTrace()
         self._interval_start = self.sched.now
-        self.total_bytes = 0
+        #: Bytes of the intervals already reported and of the layers left
+        #: since (see :attr:`total_bytes`).
+        self._settled_bytes = 0
         #: Optional probe ``callable(sim_time)`` fired on the first packet
         #: after a 0 -> up subscription (workload join-to-first-packet
         #: latency).  Armed in :meth:`set_level`, disarmed after one shot.
@@ -199,18 +307,25 @@ class LayeredReceiver:
 
     def _join_layer(self) -> None:
         """Subscribe the layer above the current top one."""
-        lr = _LayerRx(self, self.groups[len(self.layers)])
-        self.node.add_group_handler(lr.group, lr)
-        lr.joined_at = self.mcast.join(lr.group, self.node.name)
+        group = self.groups[len(self.layers)]
+        lr = _LayerRx(self, _GroupCounter.of(self.node, group))
+        lr.joined_at = self.mcast.join(group, self.node.name)
         self.layers.append(lr)
 
     def _leave_layer(self) -> None:
-        """Unsubscribe the top layer.  Its counters go with it: packets
+        """Unsubscribe the top layer.  Its counts go with it: packets
         counted since the last report must not leak into a later report
         (they would read as phantom loss)."""
         lr = self.layers.pop()
-        self.node.remove_group_handler(lr.group, lr)
-        self.mcast.leave(lr.group, self.node.name)
+        counter = lr.counter
+        self._settled_bytes += counter.bytes - lr.base_bytes
+        counter.remove(lr, self.node)
+        self.mcast.leave(counter.group, self.node.name)
+
+    @property
+    def total_bytes(self) -> int:
+        """Bytes received over the receiver's whole life, every layer."""
+        return self._settled_bytes + sum(lr.counter.bytes - lr.base_bytes for lr in self.layers)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -225,14 +340,17 @@ class LayeredReceiver:
         lost = 0.0
         bits_per_packet = self.packet_size * 8.0
         for idx, lr in enumerate(self.layers):
-            bytes_ += lr.bytes
-            received += lr.received
-            lost += lr.lost
-            if lr.received == 0 and dt > 0 and lr.joined_at <= t0:
+            counter = lr.counter
+            layer_received = counter.count - lr.base_count
+            bytes_ += counter.bytes - lr.base_bytes
+            received += layer_received
+            lost += counter.lost - lr.base_lost
+            if layer_received == 0 and dt > 0 and lr.joined_at <= t0:
                 # Silence: subscribed the whole interval, nothing arrived.
                 lost += self.schedule.rate(idx + 1) * dt / bits_per_packet
             lr.reset_counts()
         self._interval_start = now
+        self._settled_bytes += bytes_
         stats = IntervalStats(t0, now, bytes_, received, lost, self.level)
         self.loss_series.record(now, stats.loss_rate)
         return stats

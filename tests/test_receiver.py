@@ -312,9 +312,11 @@ ROUNDS = st.tuples(
 def test_random_level_changes_match_one_state_per_layer(rounds):
     """Two receivers behind identical links see the same packets: the real
     one and :class:`_FixedLayersReceiver`.  After every step the real one
-    holds state for exactly its subscribed layers, each the node's handler
-    for its group; a (re)joined layer starts from nothing; and every report,
-    silence detection included, equals the reference's."""
+    holds state for exactly its subscribed layers, and the node's handler
+    for each subscribed group is that layer's counter and nothing else; a
+    group nobody subscribes has no handler, so a rejoined layer gets a
+    fresh counter with no expectation; and every report, silence detection
+    included, equals the reference's."""
     sched = Scheduler()
     net = Network(sched)
     for name in ("src", "rcv", "ref"):
@@ -334,14 +336,14 @@ def test_random_level_changes_match_one_state_per_layer(rounds):
     def check():
         assert len(rcv.layers) == rcv.level
         assert [handlers.get(g, ()) for g in groups] == (
-            [(lr,) for lr in rcv.layers] + [()] * (4 - rcv.level))
+            [(lr.counter,) for lr in rcv.layers] + [()] * (4 - rcv.level))
 
     for level, packets, dt, report in rounds:
         before = rcv.level
         rcv.set_level(level)
         ref.set_level(level)
         for lr in rcv.layers[before:]:
-            assert (lr.expected, lr.received, lr.lost, lr.bytes) == (None, 0, 0, 0)
+            assert (lr.counter.expected, lr.counter.count, lr.counter.lost) == (None, 0, 0)
         check()
         sched.run(until=sched.now + 0.05)  # past the grafts
         for layer, skip in packets:

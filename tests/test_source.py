@@ -199,9 +199,17 @@ def _run_pinned_scenario():
     source.start()
     mid = {}
 
-    def probe():  # before the leaves reset the per-layer loss counters
+    def counters(rx):
+        """``[expected, received, lost]`` per subscribed layer, read from the
+        node's handler for the layer's group.  Each receiver is alone on its
+        node and joined with the group's counter, so the counter's counts
+        are the receiver's."""
+        return [[c.expected, c.count, c.lost]
+                for c in (rx.node.group_handlers[g][0] for g in rx.groups[:rx.level])]
+
+    def probe():  # before the leaves drop the left layers' counters
         for name, rx in (("a", rx_a), ("b", rx_b)):
-            mid[name] = [[lr.expected, lr.received, lr.lost] for lr in rx.layers]
+            mid[name] = counters(rx)
 
     sched.at(9.0, probe)
     sched.at(7.37, rx_b.set_level, 4)      # layer 4 was unheard until now
@@ -217,7 +225,12 @@ def _run_pinned_scenario():
         },
         "receivers_at_9s": mid,
         "receivers": {
-            name: [rx.total_bytes] + [[lr.expected, lr.received, lr.lost] for lr in rx.layers]
+            name: [rx.total_bytes] + counters(rx) for name, rx in (("a", rx_a), ("b", rx_b))
+        },
+        # Nothing reported before, so one report covers every subscribed
+        # layer's counts since it joined.
+        "reports": {
+            name: [(s.received, s.lost, s.bytes) for s in [rx.interval_stats()]][0]
             for name, rx in (("a", rx_a), ("b", rx_b))
         },
     }
@@ -239,7 +252,11 @@ def test_counters_match_values_pinned_before_the_emit_fast_path():
     and these are the counters the commit before gives without it (up to
     12 s nothing moved).  A receiver keeps counters only for the layers it
     is subscribed to, so the pins list those; the unsubscribed layers'
-    ``[None, 0, 0]`` (no expectation, nothing counted) left with them."""
+    ``[None, 0, 0]`` (no expectation, nothing counted) left with them.  When
+    a group's packets came to be counted once per node, the per-layer pins
+    came to be read from the node's counter for the group (the same values:
+    each receiver is alone on its node), and ``reports`` was added: one
+    report at the end, whose counts are the sums of the last pins."""
     assert pinned_scenario() == {
         "events": 1564,
         "senders": [69, 99, 240, 945],
@@ -253,6 +270,7 @@ def test_counters_match_values_pinned_before_the_emit_fast_path():
             "a": [124000, [68, 46, 21]],
             "b": [313000, [68, 68, 0], [99, 70, 0]],
         },
+        "reports": {"a": (46, 21.0, 46000), "b": (138, 0.0, 138000)},
     }
 
 

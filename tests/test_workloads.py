@@ -364,10 +364,16 @@ def test_multicast_refcount_survives_co_located_crowd():
     runner = WorkloadRunner(sc, spec).install()
     sc.run(12.0)  # the leave at t=10 has fired
     survivor = sc.receiver_handle(spec.population[1].receiver_id)
+    rx = survivor.receiver
     assert runner.leaves_fired == 1
-    assert survivor.receiver.level > 0
-    mid = sum(lr.received for lr in survivor.receiver.layers)
-    assert mid > 0
+    assert rx.level > 0
+    # The survivor's layers still have their node's counter as the only
+    # handler, and it counts on.
+    (counter,) = rx.node.group_handlers[rx.groups[0]]
+    mid = counter.count
+    assert rx.interval_stats().received > 0
     sc.run(8.0)
     # Packets kept flowing to the survivor after the co-tenant left.
-    assert sum(lr.received for lr in survivor.receiver.layers) > mid
+    assert rx.node.group_handlers[rx.groups[0]] == (counter,)
+    assert counter.count > mid
+    assert rx.interval_stats().received > 0
