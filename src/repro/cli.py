@@ -188,7 +188,7 @@ def _smallest_crowd_spec(result: Dict[str, Any], loaded: Any) -> Any:
         return loaded.to_dict()
     return crowd.crowd_spec_for(
         result["sizes"][0],
-        **{k: result[k] for k in ("seed", "duration", "n_edges", "max_controlled")},
+        **{k: result[k] for k in ("seed", "duration", "n_edges")},
     ).to_dict()
 
 
@@ -240,9 +240,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             Opt("--edges", "n_edges", int, "wireless edge nodes"),
             Opt("--incumbents", "incumbents", int,
                 "always-on controlled receivers probing stability"),
-            Opt("--max-controlled", "max_controlled", int,
-                "largest crowd that joins fully controlled; bigger crowds "
-                "join static"),
             Opt("--control-bound", "control_bound", float,
                 "declared control-byte bound, bytes/s per live receiver"),
             Opt("--federated-crowd", "federated_crowd", int,

@@ -8,7 +8,9 @@ paper stations it at a source so its traffic shares the congested links).  It
 * runs a pluggable congestion-control algorithm (TopoSense by default, but
   any object with the same ``update(now, session_inputs)`` signature — the
   baselines reuse this agent),
-* unicasts subscription suggestions back to the receivers.
+* unicasts subscription suggestions back to the receivers, one per leaf
+  node of each session tree: every receiver of the session at that node
+  hears it (:class:`_SessionPort`).
 
 The **receiver agent** wraps a :class:`~repro.media.receiver.LayeredReceiver`:
 it registers with the controller (retrying until acknowledged), reports every
@@ -23,11 +25,14 @@ Hardening (see :mod:`repro.control.guard`):
   controller rejects duplicates and reordered stragglers.
 * The controller stamps its ``epoch`` on RegisterAck/Suggestion; receivers
   fence out messages from a deposed controller (lower epoch than the highest
-  they have seen).
+  they have seen), and take a suggestion only from one of their controller
+  candidates.
 * Every inbound report passes the :class:`~repro.control.guard.ReportGuard`;
-  quarantined receivers are cut out of the algorithm's inputs, pinned to
-  :data:`QUARANTINE_LEVEL`, and (via :meth:`ControllerAgent.attach_enforcer`)
-  pruned from the upper layer groups at the tree level.
+  quarantined receivers are cut out of the algorithm's inputs, their node
+  is pinned to :data:`QUARANTINE_LEVEL` (a suggestion reaches every
+  receiver of the session at its node), and (via
+  :meth:`ControllerAgent.attach_enforcer`) the node is pruned from the
+  upper layer groups at the tree level.
 * Registrations are RTCP-style soft state: a receiver silent for
   :data:`REGISTRATION_TTL_INTERVALS` control intervals is forgotten entirely.
   Everything the controller knows about one receiver is one
@@ -41,8 +46,9 @@ suggestions and climbs a layer per report.  Modes combine with ``+``.
 
 from __future__ import annotations
 
+from inspect import unwrap
 from time import perf_counter
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, cast
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, cast
 
 from ..core.session_topology import SessionTree
 from ..core.types import ReceiverReport, SessionInput, SuggestionSet
@@ -61,6 +67,7 @@ from .messages import (
     RegisterAck,
     Report,
     Suggestion,
+    suggestion_port,
 )
 from .session import SessionDescriptor
 
@@ -93,6 +100,44 @@ MAX_TREE_AGE = 30.0
 #: Reports kept per receiver at most.  The controller keeps fewer: only
 #: those a later tick can still read (see :class:`ReceiverEntry`).
 REPORT_HISTORY = 64
+
+
+class _SessionPort:
+    """The handler of one session's suggestion port at one node: it hands
+    each suggestion to every receiver agent of that session there, in the
+    order they started.  Agents add themselves in :meth:`ReceiverAgent.start`
+    and remove themselves in :meth:`ReceiverAgent.stop`; the port is bound
+    while any agent is on it."""
+
+    __slots__ = ("agents",)
+
+    def __init__(self) -> None:
+        self.agents: List["ReceiverAgent"] = []
+
+    # A profiler may have wrapped the bound handler; a wrapper names what it
+    # wraps as ``__wrapped__``.
+    @staticmethod
+    def add(agent: "ReceiverAgent") -> None:
+        """Put ``agent`` on its session's port at its node, binding it first."""
+        node, port = agent.node, suggestion_port(agent.receiver.session_id)
+        handler = node.port_handlers.get(port)
+        if handler is None:
+            handler = _SessionPort()
+            node.bind_port(port, handler)
+        unwrap(handler).agents.append(agent)
+
+    @staticmethod
+    def remove(agent: "ReceiverAgent") -> None:
+        """Take ``agent`` off its session's port, unbinding it when empty."""
+        node, port = agent.node, suggestion_port(agent.receiver.session_id)
+        session_port = unwrap(node.port_handlers[port])
+        session_port.agents.remove(agent)
+        if not session_port.agents:
+            node.unbind_port(port)
+
+    def __call__(self, pkt: Packet) -> None:
+        for agent in self.agents:
+            agent._on_packet(pkt)
 
 
 class ReceiverAgent:
@@ -195,6 +240,7 @@ class ReceiverAgent:
         self.started_at = self.sched.now
         self._last_contact = self.sched.now
         self.node.bind_port(self.port, self._on_packet)
+        _SessionPort.add(self)
         # Jittered phase so receivers do not report in lock-step.  Drawn
         # before registering so the phase does not depend on how many
         # backoff-jitter draws the registration path makes.
@@ -281,6 +327,8 @@ class ReceiverAgent:
             self._register_ev = None
         self.receiver.set_level(0)
         self.node.unbind_port(self.port)
+        if self._started:
+            _SessionPort.remove(self)
 
     # ------------------------------------------------------------------
     def _report(self) -> None:
@@ -391,8 +439,9 @@ class ReceiverAgent:
             self._sync_controller(pkt.src)
         elif isinstance(msg, Suggestion):
             if (
-                msg.receiver_id != self.receiver.receiver_id
+                msg.node != self.node.name
                 or msg.session_id != self.receiver.session_id
+                or pkt.src not in self.controller_candidates
                 or not isinstance(msg.level, int)
                 or isinstance(msg.level, bool)
                 or not 0 <= msg.level <= self.receiver.schedule.n_layers
@@ -705,14 +754,14 @@ class ControllerAgent:
                 continue
             self._enforcer(key[0], entry.register.node, QUARANTINE_LEVEL, kind == "quarantined")
 
-    def _suggest(self, key: tuple, entry: ReceiverEntry, level: int, now: float) -> None:
-        """Send ``level`` to the receiver and remember it as its last."""
-        entry.last_suggested = level
-        msg = Suggestion(
-            receiver_id=key[1], session_id=key[0], level=level,
-            issued_at=now, epoch=self.epoch,
-        )
-        self._send_to(entry.register.node, entry.register.port, msg, SUGGESTION_SIZE)
+    def _suggest(self, sid: Any, node: Any, entries: List[ReceiverEntry], level: int,
+                 now: float) -> None:
+        """Send ``level`` to the session's receivers at ``node`` and remember
+        it as the last suggested to each of their ``entries``."""
+        for entry in entries:
+            entry.last_suggested = level
+        msg = Suggestion(node=node, session_id=sid, level=level, issued_at=now, epoch=self.epoch)
+        self._send_to(node, suggestion_port(sid), msg, SUGGESTION_SIZE)
         self.suggestions_sent += 1
 
     # ------------------------------------------------------------------
@@ -741,9 +790,14 @@ class ControllerAgent:
         inputs: List[SessionInput] = []
         audit_trees: Dict[Any, SessionTree] = {}
         audit_reports: Dict[Any, Dict[tuple, Tuple[Report, float]]] = {}
+        # (session, node) -> the entries of the session's receivers there.
+        at_node: Dict[tuple, List[ReceiverEntry]] = {}
         for sid, descriptor in self.sessions.items():
             table = self.receivers[sid]
-            nodes = {rid: entry.register.node for rid, entry in table.items()}
+            nodes: Dict[Any, Any] = {}
+            for rid, entry in table.items():
+                nodes[rid] = node = entry.register.node
+                at_node.setdefault((sid, node), []).append(entry)
             tree = self._discover_tree(descriptor, nodes, now)
             if tree is None:
                 self.sessions_skipped += 1
@@ -789,39 +843,44 @@ class ControllerAgent:
         self.last_suggestions = suggestions
         self.updates_run += 1
         want_sugg = bus is not None and bus.wants("ctrl.suggestion")
-        suggested_keys = set()
-        for (sid, rid), level in suggestions.items():
-            key = (sid, rid)
+        # A suggestion reaches every receiver of its session at its node, so
+        # a node with a quarantined receiver is capped as a whole (the
+        # enforcer blocks the whole node above that level too).
+        quarantined: Dict[tuple, None] = {}  # (session, node), in quarantine order
+        for key in self.guard.quarantined_keys():
             dest = self._entry(key)
+            if dest is not None:
+                quarantined[(key[0], dest.register.node)] = None
+        suggested: Set[tuple] = set()
+        for (sid, rid), level in suggestions.items():
+            dest = self._entry((sid, rid))
             if dest is None:
                 continue
-            if self.guard.is_quarantined(key):
+            target = (sid, dest.register.node)
+            if target in quarantined:
                 level = min(level, QUARANTINE_LEVEL)
             ceiling = self.session_ceilings.get(sid)
             if ceiling is not None and level > ceiling:
                 level = ceiling
                 self.suggestions_clamped += 1
-            suggested_keys.add(key)
-            self._suggest(key, dest, level, now)
+            suggested.add(target)
+            self._suggest(sid, target[1], at_node[target], level, now)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,
-                    receiver=rid, session=sid, level=level, quarantined=False,
+                    node=target[1], session=sid, level=level, quarantined=False,
                 )
-        # Quarantined receivers the algorithm had nothing to say about are
-        # still pinned down explicitly every tick.
-        for key in self.guard.quarantined_keys():
-            if key in suggested_keys:
+        # Nodes with a quarantined receiver the algorithm had nothing to say
+        # about are still pinned down explicitly every tick.
+        for target in quarantined:
+            if target in suggested:
                 continue
-            dest = self._entry(key)
-            if dest is None:
-                continue
-            self._suggest(key, dest, QUARANTINE_LEVEL, now)
+            sid, node = target
+            self._suggest(sid, node, at_node[target], QUARANTINE_LEVEL, now)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,
-                    receiver=key[1], session=key[0], level=QUARANTINE_LEVEL,
-                    quarantined=True,
+                    node=node, session=sid, level=QUARANTINE_LEVEL, quarantined=True,
                 )
         if prof is not None:
             prof.add("ctrl.tick", perf_counter() - wall0)

@@ -39,6 +39,7 @@ __all__ = [
     "SubtreeSummary",
     "FederationAdvice",
     "CONTROL_PORT",
+    "suggestion_port",
     "REGISTER_SIZE",
     "REPORT_SIZE",
     "SUGGESTION_SIZE",
@@ -48,6 +49,13 @@ __all__ = [
 
 #: Well-known port the controller agent listens on.
 CONTROL_PORT = "toposense-ctrl"
+
+
+def suggestion_port(session_id: Any) -> str:
+    """The port on which every receiver of ``session_id`` at a node hears
+    the suggestions addressed to that node."""
+    return f"toposense-sugg:{session_id}"
+
 
 REGISTER_SIZE = 64
 REPORT_SIZE = 96
@@ -67,7 +75,7 @@ class Register:
     receiver_id: Any
     session_id: Any
     node: Any
-    port: str  # where suggestions should be sent back
+    port: str  # where the ack should be sent back
     seq: int  # per-receiver control sequence number, from 1
 
 
@@ -100,9 +108,15 @@ class Report:
 
 @dataclass(frozen=True)
 class Suggestion:
-    """Controller -> receiver: subscribe to this many layers."""
+    """Controller -> one node: its receivers of this session should
+    subscribe to this many layers.
 
-    receiver_id: Any
+    TopoSense computes one level per leaf of the session tree, so a
+    suggestion is addressed to the leaf node, at :func:`suggestion_port`,
+    and every receiver of the session there hears it: control bytes scale
+    with the tree's leaves, not with its receivers."""
+
+    node: Any
     session_id: Any
     level: int
     issued_at: float

@@ -23,13 +23,10 @@ a JSON round-trip of its :class:`~repro.workloads.spec.WorkloadSpec` and
 must reproduce the original point bit-for-bit once wall-clock timings are
 stripped.
 
-Crowds up to ``max_controlled`` join as fully controlled receivers (agent,
-registration, reports); beyond that they join in ``static`` mode — a
-passive audience that loads trees, queues and membership machinery at
-10^4+ scale while the incumbents remain the controlled probes.  The same
-spec machinery also drives the federated control plane: a sub-spec per
-domain is compiled onto each shard's scenario and the flash crowd rides
-the lockstep rounds.
+Every crowd joins as fully controlled receivers (agent, registration,
+reports).  The same spec machinery also drives the federated control plane:
+a sub-spec per domain is compiled onto each shard's scenario and the flash
+crowd rides the lockstep rounds.
 """
 
 from __future__ import annotations
@@ -64,9 +61,6 @@ DEFAULT_DURATION = 90.0
 DEFAULT_SIZES = (64, 10_000)
 #: Default wireless channel loss rates (0 = wired behaviour).
 DEFAULT_LOSS_RATES = (0.0, 0.15)
-#: Crowds at or below this size join as controlled receivers; larger
-#: crowds join in static mode (see module docstring).
-DEFAULT_MAX_CONTROLLED = 512
 #: Declared control-plane scalability bound: no sample window may cost
 #: more than this many control bytes per second per live receiver.
 CONTROL_BYTES_PER_LIVE_BOUND = 512.0
@@ -192,14 +186,12 @@ def crowd_spec_for(
     seed: int = 1,
     duration: float = DEFAULT_DURATION,
     n_edges: int = 8,
-    max_controlled: int = DEFAULT_MAX_CONTROLLED,
 ) -> WorkloadSpec:
     """The spec :func:`run_crowd` drives a ``size`` crowd with when given
-    none; crowds beyond ``max_controlled`` join static."""
-    mode = "controlled" if size <= max_controlled else "static"
+    none."""
     return default_crowd_spec(
         size, edge_node_names(n_edges), crowd_session_ids(CROWD_SESSIONS),
-        duration=duration, seed=seed, mode=mode,
+        duration=duration, seed=seed, mode="controlled",
     )
 
 
@@ -336,7 +328,6 @@ def run_crowd(
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     n_edges: int = 8,
     incumbents: int = 4,
-    max_controlled: int = DEFAULT_MAX_CONTROLLED,
     control_bound: float = CONTROL_BYTES_PER_LIVE_BOUND,
     federated_crowd: int = 32,
     spec: Optional[WorkloadSpec] = None,
@@ -374,7 +365,6 @@ def run_crowd(
     specs = {
         size: spec if spec is not None else crowd_spec_for(
             size, seed=seed, duration=duration, n_edges=n_edges,
-            max_controlled=max_controlled,
         )
         for size in sizes
     }
@@ -432,7 +422,6 @@ def run_crowd(
         "n_edges": n_edges,
         "n_sessions": CROWD_SESSIONS,
         "incumbents": incumbents,
-        "max_controlled": max_controlled,
         "control_bound": control_bound,
         "baselines": baselines,
         "points": points,

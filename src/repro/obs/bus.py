@@ -70,7 +70,7 @@ TOPIC_REGISTRY: Tuple[TopicSpec, ...] = (
               "per-tick deltas (`suggestions`, `sessions_skipped`, "
               "`discovery_failures`, `quarantined`)"),
     TopicSpec("ctrl.suggestion", "control/agent.py",
-              "`receiver`, `session`, `level`, `quarantined`"),
+              "`node`, `session`, `level`, `quarantined`"),
     TopicSpec("guard.strike", "control/guard.py",
               "`receiver`, `session`, `reason`, `strikes`"),
     TopicSpec("guard.quarantine", "control/guard.py",

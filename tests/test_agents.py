@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.static import StaticController
-from repro.control.agent import ControllerAgent, ReceiverAgent
+from repro.control.agent import QUARANTINE_LEVEL, ControllerAgent, ReceiverAgent
 from repro.control.discovery import TopologyDiscovery
 from repro.control.session import SessionDescriptor
 from repro.core.types import SuggestionSet
 from repro.experiments.scenario import Scenario
+from repro.faults.plan import FaultPlan
 from repro.media.layers import LayerSchedule
 from repro.media.receiver import LayeredReceiver
 from repro.media.source import LayeredSource
@@ -237,10 +238,10 @@ class TestGracefulDegradation:
         assert not controller.active and controller.epoch == 1
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP 1(b): discovery maps each tree node to one receiver id, so of "
-    "a session's receivers on one node only the last registered is suggested to"))
 def test_colocated_receivers_each_get_suggestions():
+    """Discovery maps each tree node to one receiver id, but a suggestion
+    is addressed to the node and every receiver of the session there hears
+    it (it used to reach only the last registered: ``{'A': 0, 'B': 14}``)."""
     sc = Scenario(seed=1)
     for name in ("src", "home"):
         sc.add_node(name)
@@ -251,4 +252,36 @@ def test_colocated_receivers_each_get_suggestions():
     sc.add_receiver(sess.session_id, "home", receiver_id="B")
     sc.run(30.0)
     heard = {h.receiver_id: h.agent.suggestions_received for h in sc.receivers}
-    assert all(heard.values()), heard  # today: {'A': 0, 'B': 14}
+    assert heard['A'] == heard['B'] > 0, heard
+    assert sc.controller.suggestions_sent == heard['A']
+
+
+def test_a_quarantine_caps_its_whole_node_and_no_other():
+    """A suggestion reaches every receiver of its session at its node, so a
+    liar's quarantine caps the honest receiver beside it too (the enforcer
+    blocks the whole node above that level anyway); a receiver on another
+    node keeps its level."""
+    sc = Scenario(seed=1)
+    for name in ("src", "home", "away"):
+        sc.add_node(name)
+    sc.add_link("src", "home", bandwidth=10e6)
+    sc.add_link("src", "away", bandwidth=10e6)
+    sess = sc.add_session("src", traffic="cbr")
+    sc.attach_controller("src", algorithm=StaticController(level=3))
+    for rid, node in (("honest", "home"), ("liar", "home"), ("other", "away")):
+        sc.add_receiver(sess.session_id, node, receiver_id=rid)
+    FaultPlan().add(10.0, "byzantine_start", "liar", "lie_high").apply(sc)
+    sc.run(10.0)
+    assert {h.receiver_id: h.receiver.level for h in sc.receivers} == {
+        "honest": 3, "liar": 3, "other": 3}
+    sc.run(30.0)
+    guard = sc.controller.guard
+    sid = sess.session_id
+    assert guard.is_quarantined((sid, "liar"))
+    assert not guard.is_quarantined((sid, "honest"))
+    handles = {h.receiver_id: h for h in sc.receivers}
+    assert handles["honest"].receiver.level == handles["liar"].receiver.level == QUARANTINE_LEVEL
+    assert handles["other"].receiver.level == 3
+    entries = sc.controller.receivers[sid]
+    assert entries["honest"].last_suggested == entries["liar"].last_suggested == QUARANTINE_LEVEL
+    assert entries["other"].last_suggested == 3

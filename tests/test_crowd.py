@@ -79,10 +79,3 @@ def test_crowd_argument_validation():
         build_crowd_scenario(wireless_loss=1.0)
     with pytest.raises(ValueError):
         build_crowd_scenario(n_edges=0)
-
-
-def test_crowd_static_mode_beyond_max_controlled():
-    result = _small_sweep(sizes=(20,), loss_rates=(0.0,), max_controlled=10,
-                          federated_crowd=0)
-    assert result["points"][0]["mode"] == "static"
-    assert result["points"][0]["workload"]["peak_live"] == 20

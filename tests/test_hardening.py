@@ -98,21 +98,21 @@ class TestEpochFencing:
     def test_lower_epoch_suggestion_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         agent.started_at = 0.0
-        _deliver(agent, Suggestion("R", 0, level=2, issued_at=0.0, epoch=5))
+        _deliver(agent, Suggestion("rcv", 0, level=2, issued_at=0.0, epoch=5))
         assert receiver.level == 2
         assert agent.controller_epoch == 5
-        _deliver(agent, Suggestion("R", 0, level=3, issued_at=0.0, epoch=3))
+        _deliver(agent, Suggestion("rcv", 0, level=3, issued_at=0.0, epoch=3))
         assert receiver.level == 2  # stale controller ignored
         assert agent.stale_suggestions_rejected == 1
-        _deliver(agent, Suggestion("R", 0, level=3, issued_at=0.0, epoch=6))
+        _deliver(agent, Suggestion("rcv", 0, level=3, issued_at=0.0, epoch=6))
         assert receiver.level == 3
         assert agent.controller_epoch == 6
 
     @pytest.mark.usefixtures("no_igmp_delay")
     def test_epoch_zero_fenced(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        _deliver(agent, Suggestion("R", 0, level=2, issued_at=0.0, epoch=5))
-        _deliver(agent, Suggestion("R", 0, level=1, issued_at=0.0, epoch=0))
+        _deliver(agent, Suggestion("rcv", 0, level=2, issued_at=0.0, epoch=5))
+        _deliver(agent, Suggestion("rcv", 0, level=1, issued_at=0.0, epoch=0))
         assert receiver.level == 2  # epoch 0 is just an old epoch
         assert agent.stale_suggestions_rejected == 1
         assert agent.controller_epoch == 5
@@ -120,7 +120,7 @@ class TestEpochFencing:
     @pytest.mark.usefixtures("no_igmp_delay")
     def test_stale_ack_does_not_register(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        _deliver(agent, Suggestion("R", 0, level=1, issued_at=0.0, epoch=5))
+        _deliver(agent, Suggestion("rcv", 0, level=1, issued_at=0.0, epoch=5))
         _deliver(agent, RegisterAck("R", 0, epoch=3))
         assert not agent.registered
         assert agent.stale_suggestions_rejected == 1
@@ -128,12 +128,16 @@ class TestEpochFencing:
     @pytest.mark.usefixtures("no_igmp_delay")
     def test_malformed_suggestions_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        _deliver(agent, Suggestion("OTHER", 0, level=2, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("R", 99, level=2, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("R", 0, level=-1, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("R", 0, level=99, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("R", 0, level=True, issued_at=0.0, epoch=1))
-        assert agent.invalid_suggestions_rejected == 5
+        _deliver(agent, Suggestion("elsewhere", 0, level=2, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("rcv", 99, level=2, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("rcv", 0, level=-1, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("rcv", 0, level=99, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("rcv", 0, level=True, issued_at=0.0, epoch=1))
+        # Well formed, but from a node that is none of the agent's controllers.
+        agent._on_packet(Packet(
+            src="rcv", dst="rcv", size=64, kind=CONTROL, port=agent.port,
+            payload=Suggestion("rcv", 0, level=2, issued_at=0.0, epoch=1)))
+        assert agent.invalid_suggestions_rejected == 6
         assert receiver.level == 1
 
     @pytest.mark.usefixtures("no_igmp_delay")
@@ -178,7 +182,7 @@ class TestEpochFencing:
         assert agent.registered
         level = agent.receiver.level
         rejected = agent.stale_suggestions_rejected
-        deposed = Suggestion("R", sess.session_id, level=0, issued_at=9.0,
+        deposed = Suggestion("rcv", sess.session_id, level=0, issued_at=9.0,
                              epoch=primary.epoch)
         _deliver(agent, deposed)
         assert agent.stale_suggestions_rejected == rejected + 1
@@ -498,7 +502,7 @@ class TestPacketCorruption:
         assert guard.rejections == {
             "bad_bytes": 1, "malformed_register": 1, "unknown_payload": 1}
         assert controller.reports_received == 0
-        _deliver(agent, Suggestion("R", 0, level=-1, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion("rcv", 0, level=-1, issued_at=0.0, epoch=1))
         _deliver(agent, RegisterAck(("garbled", "R"), 0, epoch=1))
         assert agent.invalid_suggestions_rejected == 2
         assert receiver.level == 1 and not agent.registered

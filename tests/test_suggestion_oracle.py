@@ -13,11 +13,13 @@ recovery bound DESIGN §8 states (``RECOVERY_INTERVALS``), scored by the same
   access nodes.
 
 At 64 and 256 edge nodes the controller's fan-out tail-drops at its own
-uplink and many agents never hear a suggestion (ROADMAP 1(a)); the
-federated crowd also has co-located receivers, of which only one per node
-is addressed (ROADMAP 1(b)).  Those cases are strict xfails, so a fix turns
-them into XPASS failures and must remove the marker.  At 16 nodes every
-agent hears in time, which shows the oracle is not vacuous.
+uplink and many agents never hear a suggestion (ROADMAP 1(a)).  The
+federated crowd's co-located receivers all hear since a suggestion is
+addressed to their node (ROADMAP 1(b), done); what is left there is tail
+drop too: the suggestions to one access node are dropped behind data in
+the controller's first-hop queue to it.  Those cases are strict xfails, so
+a fix turns them into XPASS failures and must remove the marker.  At 16
+nodes every agent hears in time, which shows the oracle is not vacuous.
 
 The test observes start and stop times itself: a rejoin replaces the agent
 on its receiver handle, so the replaced agents cannot be found after the
@@ -118,8 +120,8 @@ def test_every_agent_hears_a_suggestion_within_three_intervals(monkeypatch, n_ed
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    _FAN_OUT + " (1(a)), and only one receiver per node is addressed (1(b)): "
-    "67 of 160 agents are late"))
+    _FAN_OUT + " (1(a)): the three crowd agents on r29 are late, their first "
+    "suggestions tail-dropped behind data on the 100 Kb/s gw2->r29 link"))
 def test_every_federated_agent_hears_a_suggestion_within_three_intervals(monkeypatch):
     lifetimes = _record_agents(monkeypatch)
     interval = _run_federated_crowd()
