@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..core.types import SessionInput, SuggestionSet
+from ..core.types import LeafLevels, SessionInput
 from ..media.layers import LayerSchedule
 from ..simnet.topology import Network
 from .session_plan import SessionPlan
@@ -132,17 +132,23 @@ def optimal_levels(
 
 class OracleController:
     """Drop-in 'algorithm' for :class:`~repro.control.agent.ControllerAgent`
-    that always suggests the precomputed optimum (upper-bound baseline)."""
+    that always suggests the precomputed optimum (upper-bound baseline),
+    per ``(session_id, node)``: co-located receivers of a session share
+    their path, so the greedy gives them one level."""
 
     def __init__(self, network: Network, plans: Sequence[SessionPlan]):
-        self.levels = optimal_levels(network, plans)
+        optimum = optimal_levels(network, plans)
+        self.levels: LeafLevels = {
+            (p.session_id, node): optimum[(p.session_id, rid)]
+            for p in plans for rid, node in p.receiver_nodes.items()
+        }
 
-    def update(self, now: float, sessions: Sequence[SessionInput]) -> SuggestionSet:
-        """Return the static optimal levels for all known receivers."""
-        out = SuggestionSet()
+    def update(self, now: float, sessions: Sequence[SessionInput]) -> LeafLevels:
+        """Return the static optimal levels for every planned leaf."""
+        out: LeafLevels = {}
         for si in sessions:
-            for leaf, rid in si.tree.receivers.items():
-                key = (si.session_id, rid)
+            for leaf in si.tree.leaves:
+                key = (si.session_id, leaf)
                 if key in self.levels:
-                    out.levels[key] = self.levels[key]
+                    out[key] = self.levels[key]
         return out

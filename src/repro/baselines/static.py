@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.types import SessionInput, SuggestionSet
+from ..core.types import LeafLevels, SessionInput
 
 __all__ = ["StaticController"]
 
@@ -22,11 +22,11 @@ class StaticController:
             raise ValueError("level must be >= 0")
         self.level = level
 
-    def update(self, now: float, sessions: Sequence[SessionInput]) -> SuggestionSet:
-        """Suggest the fixed level for every receiver of every session."""
-        out = SuggestionSet()
+    def update(self, now: float, sessions: Sequence[SessionInput]) -> LeafLevels:
+        """Suggest the fixed level for every leaf of every session."""
+        out: LeafLevels = {}
         for si in sessions:
             lvl = min(self.level, si.schedule.n_layers)
-            for rid in si.tree.receivers.values():
-                out.levels[(si.session_id, rid)] = lvl
+            for leaf in si.tree.leaves:
+                out[(si.session_id, leaf)] = lvl
         return out

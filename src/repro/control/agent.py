@@ -7,7 +7,8 @@ paper stations it at a source so its traffic shares the congested links).  It
 * queries the topology-discovery tool every control interval,
 * runs a pluggable congestion-control algorithm (TopoSense by default, but
   any object with the same ``update(now, session_inputs)`` signature — the
-  baselines reuse this agent),
+  baselines reuse this agent) on leaves: the agent alone maps receivers to
+  nodes, and hands the algorithm one report per leaf (DESIGN.md §7),
 * unicasts subscription suggestions back to the receivers, one per leaf
   node of each session tree: every receiver of the session at that node
   hears it (:class:`_SessionPort`).
@@ -28,11 +29,11 @@ Hardening (see :mod:`repro.control.guard`):
   they have seen), and take a suggestion only from one of their controller
   candidates.
 * Every inbound report passes the :class:`~repro.control.guard.ReportGuard`;
-  quarantined receivers are cut out of the algorithm's inputs, their node
-  is pinned to :data:`QUARANTINE_LEVEL` (a suggestion reaches every
-  receiver of the session at its node), and (via
-  :meth:`ControllerAgent.attach_enforcer`) the node is pruned from the
-  upper layer groups at the tree level.
+  quarantined receivers are cut out of the algorithm's inputs, and while
+  any receiver of a session at a node is quarantined, the node is pinned to
+  :data:`QUARANTINE_LEVEL` (a suggestion reaches every receiver of the
+  session at its node) and (via :meth:`ControllerAgent.attach_enforcer`)
+  pruned from the upper layer groups at the tree level.
 * Registrations are RTCP-style soft state: a receiver silent for
   :data:`REGISTRATION_TTL_INTERVALS` control intervals is forgotten entirely.
   Everything the controller knows about one receiver is one
@@ -48,10 +49,10 @@ from __future__ import annotations
 
 from inspect import unwrap
 from time import perf_counter
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple, cast
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, cast
 
 from ..core.session_topology import SessionTree
-from ..core.types import ReceiverReport, SessionInput, SuggestionSet
+from ..core.types import LeafLevels, ReceiverReport, SessionInput
 from ..media.receiver import LayeredReceiver
 from ..simnet.node import Node
 from ..simnet.packet import CONTROL, Packet
@@ -564,9 +565,13 @@ class ControllerAgent:
         #: Optional :class:`~repro.obs.profile.Profiler`; when set, every
         #: tick charges its wall time to the ``"ctrl.tick"`` span.
         self.profiler: Optional[Any] = None
-        self.last_suggestions: Optional[SuggestionSet] = None
+        #: The algorithm's levels of the last tick, per ``(session, leaf)``
+        #: (before any quarantine pin or ceiling).
+        self.last_suggestions: Optional[LeafLevels] = None
         #: Optional tree-level quarantine hook (see :meth:`attach_enforcer`).
         self._enforcer: Optional[Enforcer] = None
+        #: (session, node) pairs the last tick found quarantined.
+        self._quarantined_nodes: Dict[Tuple[Any, Any], None] = {}
         self.active = False
         self._started = False
         #: Fencing token stamped on every RegisterAck/Suggestion, bumped by
@@ -616,8 +621,10 @@ class ControllerAgent:
     def attach_enforcer(self, enforcer: Optional[Enforcer]) -> None:
         """Install the tree-level quarantine hook.
 
-        Called as ``enforcer(session_id, node, above_level, active)`` when a
-        receiver's quarantine begins (``active=True``) or ends.  The scenario
+        Called as ``enforcer(session_id, node, above_level, active)`` when
+        the session's first receiver at ``node`` is quarantined
+        (``active=True``) and when its last one there is no longer
+        (``active=False``).  The scenario
         wires this to :meth:`repro.multicast.manager.MulticastManager.set_blocked`
         so a quarantined (possibly disobedient) receiver is physically pruned
         from every layer group above ``above_level`` — suggestions alone
@@ -708,7 +715,7 @@ class ControllerAgent:
         )
 
     def _discover_tree(
-        self, descriptor: SessionDescriptor, receivers: Dict[Any, Any], now: float
+        self, descriptor: SessionDescriptor, receiver_nodes: Iterable[Any], now: float
     ) -> Optional[SessionTree]:
         """Discover the session tree, degrading gracefully on failure.
 
@@ -717,7 +724,7 @@ class ControllerAgent:
         otherwise ``None`` (the caller skips the session this tick).
         """
         try:
-            tree = self.discovery.session_tree(descriptor, receivers, now=now)
+            tree = self.discovery.session_tree(descriptor, receiver_nodes, now=now)
         except DiscoveryUnavailable:
             self.discovery_failures += 1
             cached = self._last_good_trees.get(descriptor.session_id)
@@ -735,24 +742,28 @@ class ControllerAgent:
         ttl = REGISTRATION_TTL_INTERVALS * self.interval
         for sid, table in self.receivers.items():
             for rid in [r for r, e in table.items() if now - e.last_heard > ttl]:
-                entry = table.pop(rid)
-                key = (sid, rid)
-                if self.guard.is_quarantined(key) and self._enforcer is not None:
-                    # Lift the tree-level block: the departed receiver's node
-                    # may be reused by an honest successor.
-                    self._enforcer(sid, entry.register.node, QUARANTINE_LEVEL, False)
-                self.guard.forget(key)
+                del table[rid]
+                self.guard.forget((sid, rid))
                 self.registrations_expired += 1
 
-    def _enforce_transitions(self) -> None:
-        """Apply the guard's quarantine/release transitions at tree level."""
-        for key, kind, _when in self.guard.drain_transitions():
-            if self._enforcer is None:
-                continue
+    def _enforce_quarantine(self) -> Dict[Tuple[Any, Any], None]:
+        """The (session, node) pairs with a quarantined registered receiver,
+        in quarantine order; the enforcer blocks the pairs new since the last
+        tick and unblocks those gone."""
+        quarantined: Dict[Tuple[Any, Any], None] = {}
+        for key in self.guard.quarantined_keys():
             entry = self._entry(key)
-            if entry is None:
-                continue
-            self._enforcer(key[0], entry.register.node, QUARANTINE_LEVEL, kind == "quarantined")
+            if entry is not None:
+                quarantined[(key[0], entry.register.node)] = None
+        if self._enforcer is not None:
+            for target in self._quarantined_nodes:
+                if target not in quarantined:
+                    self._enforcer(*target, QUARANTINE_LEVEL, False)
+            for target in quarantined:
+                if target not in self._quarantined_nodes:
+                    self._enforcer(*target, QUARANTINE_LEVEL, True)
+        self._quarantined_nodes = quarantined
+        return quarantined
 
     def _suggest(self, sid: Any, node: Any, entries: List[ReceiverEntry], level: int,
                  now: float) -> None:
@@ -789,74 +800,65 @@ class ControllerAgent:
         cutoff = now - self.discovery.staleness
         inputs: List[SessionInput] = []
         audit_trees: Dict[Any, SessionTree] = {}
-        audit_reports: Dict[Any, Dict[tuple, Tuple[Report, float]]] = {}
-        # (session, node) -> the entries of the session's receivers there.
-        at_node: Dict[tuple, List[ReceiverEntry]] = {}
+        audit_reports: Dict[Any, Dict[tuple, Tuple[Report, float, Any]]] = {}
+        # session -> node -> the entries of the session's receivers there, in
+        # registration order: the one receiver -> node mapping of the tick.
+        at_node: Dict[Any, Dict[Any, List[ReceiverEntry]]] = {}
         for sid, descriptor in self.sessions.items():
-            table = self.receivers[sid]
-            nodes: Dict[Any, Any] = {}
-            for rid, entry in table.items():
-                nodes[rid] = node = entry.register.node
-                at_node.setdefault((sid, node), []).append(entry)
-            tree = self._discover_tree(descriptor, nodes, now)
+            by_node: Dict[Any, List[ReceiverEntry]] = {}
+            at_node[sid] = by_node
+            audited: Dict[tuple, Tuple[Report, float, Any]] = {}
+            for rid, entry in self.receivers[sid].items():
+                node = entry.register.node
+                by_node.setdefault(node, []).append(entry)
+                if entry.history:
+                    arrived, latest = entry.history[-1]
+                    audited[(sid, rid)] = (latest, arrived, node)
+            tree = self._discover_tree(descriptor, by_node, now)
             if tree is None:
                 self.sessions_skipped += 1
                 continue
             audit_trees[sid] = tree
-            audited: Dict[tuple, Tuple[Report, float]] = {}
             audit_reports[sid] = audited
+            # The node's latest-registered receiver of the session speaks for
+            # the leaf (DESIGN.md §7), unless it is quarantined (it is still
+            # audited) or its window overlaps a repair disruption at the node
+            # (it measured the detached subtree).  A last-good tree may hold
+            # a leaf whose receivers have all expired since.
             reports = {}
-            for rid, entry in table.items():
-                if not entry.history:
+            for leaf in tree.leaves:
+                if leaf not in by_node:
                     continue
-                key = (sid, rid)
-                arrived, latest = entry.history[-1]
-                audited[key] = (latest, arrived)
-                if self.guard.is_quarantined(key):
-                    # Quarantined receivers stay in the tree (and keep being
-                    # audited) but their word no longer reaches the algorithm.
+                speaker = by_node[leaf][-1]
+                if self.guard.is_quarantined((sid, speaker.register.receiver_id)):
                     continue
-                rep = entry.report_as_of(cutoff)
+                rep = speaker.report_as_of(cutoff)
                 if rep is None:
                     continue
                 if self.fence_repairs and self.discovery.disrupted_during(
-                    descriptor, entry.register.node, rep.t0, rep.t1
+                    descriptor, leaf, rep.t0, rep.t1
                 ):
-                    # The window overlaps a repair disruption at this node:
-                    # the loss it reports is the detached subtree, not the
-                    # network.  Keep the report for auditing, fence it from
-                    # the congestion algorithm.
                     self.reports_fenced += 1
                     continue
-                reports[rid] = ReceiverReport(
-                    receiver_id=rid,
-                    loss_rate=rep.loss_rate,
-                    bytes=rep.bytes,
-                    level=rep.level,
-                )
+                reports[leaf] = ReceiverReport(rep.loss_rate, rep.bytes, rep.level)
             inputs.append(SessionInput(tree=tree, schedule=descriptor.schedule, reports=reports))
         # Sibling-outlier audit + strike decay/rehabilitation, then push any
-        # quarantine transitions down to the multicast trees.
+        # quarantine changes down to the multicast trees.
         self.guard.audit(now, audit_reports, audit_trees, fresh_within=2.5 * self.interval)
-        self._enforce_transitions()
+        # A suggestion reaches every receiver of its session at its node, so
+        # a node with a quarantined receiver is capped as a whole (the
+        # enforcer blocks the whole node above that level too).
+        quarantined = self._enforce_quarantine()
         suggestions = self.algorithm.update(now, inputs)
         self.last_suggestions = suggestions
         self.updates_run += 1
         want_sugg = bus is not None and bus.wants("ctrl.suggestion")
-        # A suggestion reaches every receiver of its session at its node, so
-        # a node with a quarantined receiver is capped as a whole (the
-        # enforcer blocks the whole node above that level too).
-        quarantined: Dict[tuple, None] = {}  # (session, node), in quarantine order
-        for key in self.guard.quarantined_keys():
-            dest = self._entry(key)
-            if dest is not None:
-                quarantined[(key[0], dest.register.node)] = None
         suggested: Set[tuple] = set()
-        for (sid, rid), level in suggestions.items():
-            dest = self._entry((sid, rid))
-            if dest is None:
+        for target, level in suggestions.items():
+            sid, node = target
+            entries = at_node.get(sid, {}).get(node)
+            if entries is None:
                 continue
-            target = (sid, dest.register.node)
             if target in quarantined:
                 level = min(level, QUARANTINE_LEVEL)
             ceiling = self.session_ceilings.get(sid)
@@ -864,11 +866,11 @@ class ControllerAgent:
                 level = ceiling
                 self.suggestions_clamped += 1
             suggested.add(target)
-            self._suggest(sid, target[1], at_node[target], level, now)
+            self._suggest(sid, node, entries, level, now)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,
-                    node=target[1], session=sid, level=level, quarantined=False,
+                    node=node, session=sid, level=level, quarantined=False,
                 )
         # Nodes with a quarantined receiver the algorithm had nothing to say
         # about are still pinned down explicitly every tick.
@@ -876,7 +878,7 @@ class ControllerAgent:
             if target in suggested:
                 continue
             sid, node = target
-            self._suggest(sid, node, at_node[target], QUARANTINE_LEVEL, now)
+            self._suggest(sid, node, at_node[sid][node], QUARANTINE_LEVEL, now)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,

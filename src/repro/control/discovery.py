@@ -17,7 +17,7 @@ cutoff never moves back.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
 from ..core.session_topology import SessionTree
 from ..multicast.manager import MulticastManager
@@ -87,15 +87,16 @@ class TopologyDiscovery:
     def session_tree(
         self,
         descriptor: SessionDescriptor,
-        receivers: Mapping[Any, Any],
+        receiver_nodes: Iterable[Any],
         now: Optional[float] = None,
     ) -> SessionTree:
         """Discover the session tree as of ``now - staleness``.
 
-        ``receivers`` maps receiver id -> node name (from registrations).
-        Receivers whose node is not in the discovered tree (e.g. their join
-        postdates the snapshot) are omitted — the controller simply does not
-        see them yet, exactly as with a real stale discovery tool.
+        ``receiver_nodes`` are the distinct nodes of the session's
+        registered receivers, in order; they become the tree's leaves, in
+        that order.  A node not in the discovered tree (e.g. its join
+        postdates the snapshot) is omitted — the controller simply does not
+        see it yet, exactly as with a real stale discovery tool.
         """
         if now is None:
             now = self.mcast.sched.now
@@ -123,7 +124,7 @@ class TopologyDiscovery:
             root = self._entry_node(layer_edges)
             if root is None:
                 # The session does not reach this domain (yet).
-                return SessionTree(descriptor.session_id, descriptor.source, [], {})
+                return SessionTree(descriptor.session_id, descriptor.source, [], ())
             # Keep only the component hanging below the chosen entry (a
             # domain covering several disjoint subtrees yields several
             # candidate entries; this controller manages one of them).
@@ -133,13 +134,11 @@ class TopologyDiscovery:
             for u, v in edges:
                 tree_nodes.add(u)
                 tree_nodes.add(v)
-        visible = {
-            node: rid for rid, node in receivers.items() if node in tree_nodes
-        }
-        if self.domain is not None:
-            visible = {n: r for n, r in visible.items() if n in self.domain}
+        # Clipped edges and the entry node lie inside the domain, so every
+        # tree node does.
         return SessionTree.from_layer_snapshots(
-            descriptor.session_id, root, layer_edges, visible
+            descriptor.session_id, root, layer_edges,
+            [node for node in receiver_nodes if node in tree_nodes],
         )
 
     # ------------------------------------------------------------------

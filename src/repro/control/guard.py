@@ -35,8 +35,9 @@ Strike sources
   ``DISOBEY_MARGIN`` above the last suggestion sent to that receiver.
   Receivers climb one layer at a time, so an honest receiver can never
   legitimately exceed its suggestion by more than one.
-* **Under-reporting** (per audit): against receivers under the same parent
-  node of the session tree, claiming *near-zero* loss (below
+* **Under-reporting** (per audit): against the receivers whose nodes hang
+  under the same parent node of the session tree (each receiver is one
+  sibling, co-located ones included), claiming *near-zero* loss (below
   ``LOW_LOSS_FLOOR``) while every sibling reports substantial loss (the
   sibling minimum exceeds the claim by ``OUTLIER_MARGIN``), at or above the
   siblings' median level.  This is the self-serving lie-low/freerider
@@ -172,7 +173,6 @@ class ReportGuard:
         self.releases = 0
         #: ``(time, kind, key, detail)`` log of strikes and transitions.
         self.events: List[Tuple[float, str, Key, str]] = []
-        self._pending_transitions: List[Tuple[Key, str, float]] = []
         #: Optional :class:`~repro.obs.bus.EventBus`; the owning controller
         #: assigns its scheduler's bus each tick (the guard itself has no
         #: scheduler reference).
@@ -285,7 +285,6 @@ class ReportGuard:
             self.quarantines += 1
             self.events.append((now, "quarantine", key, reason))
             self._emit(now, "quarantine", key, reason)
-            self._pending_transitions.append((key, "quarantined", now))
 
     def _score_report(
         self,
@@ -310,15 +309,17 @@ class ReportGuard:
     def audit(
         self,
         now: float,
-        session_reports: Dict[Any, Dict[Key, Tuple[Any, float]]],
+        session_reports: Dict[Any, Dict[Key, Tuple[Any, float, Any]]],
         trees: Dict[Any, Any],
         fresh_within: float,
     ) -> None:
         """Run the sibling-outlier pass, then decay/rehabilitate.
 
-        ``session_reports`` maps session id to ``{key: (Report, arrived_at)}``
-        (the controller's latest accepted report per receiver); ``trees``
-        holds the session trees discovered this tick.  Reports older than
+        ``session_reports`` maps session id to ``{key: (Report, arrived_at,
+        node)}``: the controller's latest accepted report per receiver and
+        the node it registered at.  ``trees`` holds the session trees
+        discovered this tick; every report whose node has a parent there is
+        audited against the others under that parent.  Reports older than
         ``fresh_within`` are ignored entirely — a silent receiver must not be
         scored against (or contribute to) live sibling statistics.
         """
@@ -327,15 +328,10 @@ class ReportGuard:
             if not reports:
                 continue
             by_parent: Dict[Any, List[Tuple[Key, Any]]] = {}
-            for leaf, rid in tree.receivers.items():
-                key = (sid, rid)
-                entry = reports.get(key)
-                if entry is None:
-                    continue
-                rep, arrived = entry
+            for key, (rep, arrived, node) in reports.items():
                 if now - arrived > fresh_within:
                     continue
-                parent = tree.parent.get(leaf)
+                parent = tree.parent.get(node)
                 if parent is None:
                     continue
                 by_parent.setdefault(parent, []).append((key, rep))
@@ -401,7 +397,6 @@ class ReportGuard:
                 self.releases += 1
                 self.events.append((now, "release", key, "rehabilitated"))
                 self._emit(now, "release", key, "rehabilitated")
-                self._pending_transitions.append((key, "released", now))
 
     # ------------------------------------------------------------------
     # Queries / lifecycle
@@ -410,19 +405,13 @@ class ReportGuard:
         rec = self._records.get(key)
         return rec is not None and rec.quarantined_at is not None
 
-    def quarantined_keys(self) -> Set[Key]:
-        return {k for k, r in self._records.items() if r.quarantined_at is not None}
+    def quarantined_keys(self) -> List[Key]:
+        """Keys of the quarantined receivers, in the order first struck."""
+        return [k for k, r in self._records.items() if r.quarantined_at is not None]
 
     def strikes(self, key: Key) -> float:
         rec = self._records.get(key)
         return rec.strikes if rec is not None else 0.0
-
-    def drain_transitions(self) -> List[Tuple[Key, str, float]]:
-        """Quarantine/release transitions since the last drain (for the
-        controller's enforcement hook)."""
-        out = self._pending_transitions
-        self._pending_transitions = []
-        return out
 
     def forget(self, key: Key) -> None:
         """Drop all state for a departed receiver (registration expiry)."""

@@ -7,7 +7,8 @@ Public surface:
 * :class:`~repro.core.session_topology.SessionTree` — the controller's image
   of one session's multicast tree;
 * :class:`~repro.core.types.ReceiverReport` / :class:`~repro.core.types.SessionInput`
-  / :class:`~repro.core.types.SuggestionSet` — the interval I/O records;
+  — the interval input records, keyed by leaf (``TopoSense.update`` returns
+  one level per ``(session, leaf)``);
 * the individual stages (:mod:`~repro.core.congestion`,
   :mod:`~repro.core.capacity`, :mod:`~repro.core.bottleneck`,
   :mod:`~repro.core.sharing`, :mod:`~repro.core.decision_table`,

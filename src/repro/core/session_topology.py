@@ -5,13 +5,14 @@ topology-discovery snapshots and receiver reports (paper §III: "All actions
 performed by TopoSense are on this internal image of the multicast tree
 topologies").  A :class:`SessionTree` is the overlay of the per-layer
 distribution trees of one session; because layers are cumulative the overlay
-is itself a tree, rooted at the source.
+is itself a tree, rooted at the source.  The tree names its leaves, never
+receivers: which receiver speaks for a leaf is the control agent's decision.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["SessionTree"]
 
@@ -30,9 +31,11 @@ class SessionTree:
     edges:
         Directed parent->child edges.  They must form a tree rooted at
         ``root``.
-    receivers:
-        Mapping from leaf node name to the receiver id registered there.
-        Leaves without receivers are allowed (they are routers whose
+    leaves:
+        The nodes where the session has receivers, in the order the
+        controller first heard of a receiver at each (usually leaves of the
+        tree; a receiver on a forwarding node makes that node one too).
+        Tree leaves without receivers are allowed (they are routers whose
         downstream hosts sit outside the discovered region) but contribute
         no loss information.
     """
@@ -42,7 +45,7 @@ class SessionTree:
         session_id: Any,
         root: Any,
         edges: Iterable[Edge],
-        receivers: Mapping[Any, Any],
+        leaves: Iterable[Any],
     ) -> None:
         self.session_id = session_id
         self.root = root
@@ -77,10 +80,10 @@ class SessionTree:
         if unreachable:
             raise ValueError(f"nodes not reachable from root: {sorted(map(str, unreachable))}")
         self._topdown: Tuple[Any, ...] = tuple(order)
-        bad = [n for n in receivers if n not in seen]
+        self.leaves: Tuple[Any, ...] = tuple(leaves)
+        bad = [n for n in self.leaves if n not in seen]
         if bad:
-            raise ValueError(f"receivers on unknown nodes: {bad}")
-        self.receivers: Dict[Any, Any] = dict(receivers)
+            raise ValueError(f"leaves on unknown nodes: {bad}")
 
     # ------------------------------------------------------------------
     # Traversal
@@ -122,7 +125,7 @@ class SessionTree:
         session_id: Any,
         root: Any,
         layer_edges: Sequence[Iterable[Edge]],
-        receivers: Mapping[Any, Any],
+        leaves: Iterable[Any],
     ) -> "SessionTree":
         """Overlay per-layer distribution trees into a session tree.
 
@@ -131,10 +134,10 @@ class SessionTree:
         and the overlay (the union of the layers' edges) equals layer 1's
         tree.
         """
-        return cls(session_id, root, {e for edges in layer_edges for e in edges}, receivers)
+        return cls(session_id, root, {e for edges in layer_edges for e in edges}, leaves)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SessionTree {self.session_id} root={self.root!r} "
-            f"{len(self._topdown)} nodes, {len(self.receivers)} receivers>"
+            f"{len(self._topdown)} nodes, {len(self.leaves)} leaves>"
         )

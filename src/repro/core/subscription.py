@@ -74,8 +74,8 @@ def compute_demands(
 ) -> DemandResult:
     """Bottom-up Table I demand computation for one session.
 
-    ``reports`` is keyed by *leaf node name* (the control agent resolves
-    receiver ids to their nodes).  Side effects: updates each node's rolling
+    ``reports`` is keyed by leaf node; a leaf without one is read as
+    subscribed at ``min_level``.  Side effects: updates each node's rolling
     congestion/bytes history in ``state`` and arms back-off timers.
     """
     sid = tree.session_id
@@ -321,6 +321,6 @@ def allocate_supply(
         supply[node] = granted
         state.node(sid, node).push_supply(granted)
     levels: Dict[Any, int] = {}
-    for leaf in tree.receivers:
+    for leaf in tree.leaves:
         levels[leaf] = max(schedule.max_level_for(supply[leaf]), config.min_level)
     return levels

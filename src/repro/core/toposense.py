@@ -13,11 +13,12 @@
 
 :class:`TopoSense` is a pure, deterministic (given its RNG) computation over
 the controller's internal image of the network: it never touches simulator
-objects, which is what makes every stage unit-testable in isolation.  The
-control agent (:mod:`repro.control.agent`) feeds it
-:class:`~repro.core.types.SessionInput` records assembled from discovery
-snapshots and receiver reports, and ships the resulting
-:class:`~repro.core.types.SuggestionSet` back to receivers.
+objects, which is what makes every stage unit-testable in isolation.  It
+sees leaves, never receivers: the control agent (:mod:`repro.control.agent`)
+feeds it :class:`~repro.core.types.SessionInput` records assembled from
+discovery snapshots and the report of the receiver speaking for each leaf,
+and addresses each resulting ``(session, leaf)`` level to the session's
+receivers at that leaf.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .congestion import compute_congestion, compute_loss_rates, compute_subtree_
 from .sharing import compute_fair_shares
 from .state import ControllerState
 from .subscription import allocate_supply, compute_demands
-from .types import SessionInput, SuggestionSet
+from .types import LeafLevels, SessionInput
 
 __all__ = ["TopoSense"]
 
@@ -72,12 +73,13 @@ class TopoSense:
         self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    def update(self, now: float, sessions: Sequence[SessionInput]) -> SuggestionSet:
+    def update(self, now: float, sessions: Sequence[SessionInput]) -> LeafLevels:
         """Run one algorithm interval and return suggested levels.
 
         ``sessions`` carries, for every session in the domain, the (possibly
-        stale) session tree and the latest receiver reports.  Returns a
-        :class:`SuggestionSet` keyed by ``(session_id, receiver_id)``.
+        stale) session tree and the report of each of its leaves.  Returns
+        the suggested level per ``(session_id, leaf)``, for every leaf of
+        every session tree.
         """
         cfg = self.config
         interval = (
@@ -95,8 +97,8 @@ class TopoSense:
             tree = si.tree
             leaf_loss = {}
             leaf_bytes = {}
-            for leaf, rid in tree.receivers.items():
-                report = si.reports.get(rid)
+            for leaf in tree.leaves:
+                report = si.reports.get(leaf)
                 if report is not None:
                     raw = report.loss_rate
                     if cfg.loss_ewma > 0:
@@ -166,22 +168,17 @@ class TopoSense:
             t0 = prof.lap("toposense.stage4_fair_share", t0)
 
         # ---- Stages 5+6: demand and supply ------------------------------
-        suggestions = SuggestionSet()
+        suggestions: LeafLevels = {}
         for sid, data in per_session.items():
             si: SessionInput = data["input"]
             tree = si.tree
             schedule = si.schedule
-            leaf_reports = {
-                leaf: si.reports[rid]
-                for leaf, rid in tree.receivers.items()
-                if rid in si.reports
-            }
             if prof is not None:
                 t0 = perf_counter()
             result = compute_demands(
                 tree,
                 schedule,
-                leaf_reports,
+                si.reports,
                 data["loss"],
                 data["congestion"],
                 data["bytes"],
@@ -204,8 +201,8 @@ class TopoSense:
             )
             if prof is not None:
                 t0 = prof.lap("toposense.stage6_supply", t0)
-            for leaf, rid in tree.receivers.items():
-                suggestions.levels[(sid, rid)] = levels_by_leaf[leaf]
+            for leaf, level in levels_by_leaf.items():
+                suggestions[(sid, leaf)] = level
             self.last_diagnostics[sid] = {
                 "loss": data["loss"],
                 "congestion": data["congestion"],

@@ -1,28 +1,34 @@
-"""Input/output record types exchanged between the control plane and the
-TopoSense core.
+"""Input record types exchanged between the control plane and the
+TopoSense core.  The core sees leaves, never receivers: the control agent
+decides which receiver speaks for each leaf (DESIGN.md §7) and
+:meth:`~repro.core.toposense.TopoSense.update` returns one level per
+``(session_id, leaf)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Tuple
 
 from ..media.layers import LayerSchedule
 from .session_topology import SessionTree
 
-__all__ = ["ReceiverReport", "SessionInput", "SuggestionSet"]
+__all__ = ["LeafLevels", "ReceiverReport", "SessionInput"]
+
+#: What an algorithm's ``update`` returns: a level per ``(session_id, leaf)``.
+LeafLevels = Dict[Tuple[Any, Any], int]
 
 
 @dataclass
 class ReceiverReport:
-    """What one receiver tells the controller about the last interval.
+    """What the receiver speaking for a leaf tells the controller about the
+    last interval.
 
     Mirrors the paper's controller inputs: "Receiver packet loss rates" and
     "Number of bytes received at leaf nodes", plus the receiver's current
     subscription level (needed to interpret demand).
     """
 
-    receiver_id: Any
     loss_rate: float
     bytes: float
     level: int
@@ -40,8 +46,10 @@ class ReceiverReport:
 class SessionInput:
     """One session's per-interval input to :class:`~repro.core.toposense.TopoSense`.
 
-    ``reports`` is keyed by receiver id; the control agent fills in its most
-    recent report for receivers whose packets were lost.
+    ``reports`` is keyed by leaf node.  A leaf with no entry has no usable
+    report this interval (its receiver has not reported as of the cutoff,
+    or is quarantined, or its report was fenced); the algorithm then treats
+    the leaf as reporting nothing, not as reporting zero loss.
     """
 
     tree: SessionTree
@@ -52,17 +60,3 @@ class SessionInput:
     def session_id(self) -> Any:
         """Shortcut to the tree's session id."""
         return self.tree.session_id
-
-
-@dataclass
-class SuggestionSet:
-    """The algorithm's output: suggested level per (session, receiver)."""
-
-    levels: Dict[tuple, int] = field(default_factory=dict)
-
-    def items(self) -> Iterable[Tuple[tuple, int]]:
-        """Iterate ``((session_id, receiver_id), level)`` pairs."""
-        return self.levels.items()
-
-    def __len__(self) -> int:
-        return len(self.levels)

@@ -171,11 +171,11 @@ class DomainShard:
                  for report in reports if report.t1 > report.t0),
                 default=0.0,
             )
-            # Last tick's suggested levels; before the first tick (or when it
-            # suggested nothing here), the reported subscription levels.
+            # Last tick's suggested level per leaf; before the first tick (or
+            # when it suggested nothing here), the reported subscription levels.
             levels = [
-                suggested.levels[(sid, rid)] for rid in rids
-                if suggested is not None and (sid, rid) in suggested.levels
+                level for (session, _leaf), level in (suggested or {}).items()
+                if session == sid
             ] or [report.level for report in reports]
             out.append(SubtreeSummary(
                 domain=self.domain,

@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from repro.baselines.static import StaticController
-from repro.control.agent import QUARANTINE_LEVEL, ControllerAgent, ReceiverAgent
+from repro.control.agent import (
+    QUARANTINE_LEVEL,
+    REGISTRATION_TTL_INTERVALS,
+    ControllerAgent,
+    ReceiverAgent,
+)
 from repro.control.discovery import TopologyDiscovery
 from repro.control.session import SessionDescriptor
-from repro.core.types import SuggestionSet
 from repro.experiments.scenario import Scenario
 from repro.faults.plan import FaultPlan
 from repro.media.layers import LayerSchedule
@@ -99,12 +103,8 @@ def test_downward_suggestion_applied_immediately():
 
         def update(self, now, sessions):
             self.calls += 1
-            out = SuggestionSet()
             level = 3 if self.calls < 8 else 1
-            for si in sessions:
-                for rid in si.tree.receivers.values():
-                    out.levels[(si.session_id, rid)] = level
-            return out
+            return {(si.session_id, leaf): level for si in sessions for leaf in si.tree.leaves}
 
     sched, net, mcast, desc, receiver, controller, agent = build(algorithm=DropController())
     controller.start()
@@ -213,6 +213,22 @@ class TestGracefulDegradation:
         assert agent.reregistrations == 0
         assert agent.registered
 
+    def test_last_good_tree_may_outlive_its_receivers(self):
+        """During a discovery outage the controller serves its last tree,
+        whose leaf may have lost every receiver to expiry since: the leaf
+        then has no report and no one to suggest to, and the tick goes on."""
+        sched, net, mcast, desc, receiver, controller, agent = build()
+        controller.start()
+        agent.start()
+        sched.run(until=5.0)
+        assert controller.last_suggestions == {(0, "rcv"): 2}
+        controller.discovery.set_fault("timeout")
+        agent.stop()
+        sched.run(until=20.0)  # expired after 10 silent intervals of 1 s
+        assert controller.receivers[0] == {} and controller.registrations_expired == 1
+        assert controller.last_suggestions == {(0, "rcv"): 2}  # the cached tree's leaf
+        assert controller.updates_run == 19
+
     def test_silence_watchdog_drops_registration(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         agent.reregister_after = 3.0
@@ -285,3 +301,69 @@ def test_a_quarantine_caps_its_whole_node_and_no_other():
     entries = sc.controller.receivers[sid]
     assert entries["honest"].last_suggested == entries["liar"].last_suggested == QUARANTINE_LEVEL
     assert entries["other"].last_suggested == 3
+
+
+def test_a_co_located_liar_is_sibling_audited():
+    """The sibling audit sees every receiver's report, not only the one
+    speaking for its leaf: a ``lie_low`` receiver registered before an
+    honest one on its node is struck against the receivers under the same
+    parent."""
+    sc = Scenario(seed=1)
+    for name in ("src", "agg", "l1", "l2", "l3"):
+        sc.add_node(name)
+    sc.add_link("src", "agg", bandwidth=300e3)  # every receiver sees loss
+    for leaf in ("l1", "l2", "l3"):
+        sc.add_link("agg", leaf, bandwidth=10e6)
+    sess = sc.add_session("src", traffic="cbr")
+    sc.attach_controller("src", algorithm=StaticController(level=4))
+    for rid, node in (("liar", "l1"), ("speaker", "l1"), ("h2", "l2"), ("h3", "l3")):
+        sc.add_receiver(sess.session_id, node, receiver_id=rid)
+    FaultPlan().add(10.0, "byzantine_start", "liar", "lie_low").apply(sc)
+    sc.run(30.0)
+    sid = sess.session_id
+    at_l1 = [rid for rid, e in sc.controller.receivers[sid].items() if e.register.node == "l1"]
+    assert at_l1 == ["liar", "speaker"]  # "speaker" speaks for l1
+    struck = [key[1] for _, kind, key, why in sc.controller.guard.events
+              if kind == "strike" and why == "under_report"]
+    assert struck and set(struck) == {"liar"}
+    assert (sid, "liar") in {key for _, kind, key, _ in sc.controller.guard.events
+                             if kind == "quarantine"}
+
+
+def test_a_node_stays_blocked_while_any_quarantined_receiver_remains():
+    """Two disobedient liars share a node.  When one departs and its
+    registration expires, the other is still quarantined, so the node
+    stays pruned from the upper layer groups: the routers keep serving it
+    at most QUARANTINE_LEVEL.  When the second departs and expires too,
+    the block goes."""
+    sc = Scenario(seed=1)
+    for name in ("src", "home", "away"):
+        sc.add_node(name)
+    sc.add_link("src", "home", bandwidth=10e6)
+    sc.add_link("src", "away", bandwidth=10e6)
+    sess = sc.add_session("src", traffic="cbr")
+    sc.attach_controller("src")
+    for rid, node in (("liar1", "home"), ("liar2", "home"), ("other", "away")):
+        sc.add_receiver(sess.session_id, node, receiver_id=rid)
+    plan = FaultPlan()
+    for rid in ("liar1", "liar2"):
+        plan.add(10.0, "byzantine_start", rid, "lie_high+disobey")
+    expired = REGISTRATION_TTL_INTERVALS * sc.controller.interval + 4.0
+    plan.add(30.0, "receiver_leave", "liar1")
+    plan.add(30.0 + expired, "receiver_leave", "liar2")
+    plan.apply(sc)
+    sid, groups = sess.session_id, sess.groups
+    guard, mcast = sc.controller.guard, sc.mcast
+
+    def served_level():
+        """Layers the routers deliver to ``home``."""
+        return sum(1 for g in groups if "home" in mcast.members(g))
+
+    sc.run(30.0 + expired)
+    assert "liar1" not in sc.controller.receivers[sid]
+    assert guard.is_quarantined((sid, "liar2"))
+    assert all("home" in mcast.groups[g].blocked for g in groups[QUARANTINE_LEVEL:])
+    assert served_level() <= QUARANTINE_LEVEL
+    sc.run(2 * expired)
+    assert sc.controller.receivers[sid].keys() == {"other"}
+    assert not any("home" in mcast.groups[g].blocked for g in groups)

@@ -9,7 +9,7 @@ from repro.core.session_topology import SessionTree
 
 def tree():
     return SessionTree("s", 1, [(1, 2), (2, 3), (2, 4), (1, 5), (5, 6)],
-                       {3: "r3", 4: "r4", 6: "r6"})
+                       [3, 4, 6])
 
 
 def caps(mapping):
@@ -50,14 +50,14 @@ def test_handleable_is_max_over_subtree():
 
 def test_handleable_leaf_equals_own_bottleneck():
     c = caps({(1, 2): 300e3})
-    t = SessionTree("s", 1, [(1, 2)], {2: "r"})
+    t = SessionTree("s", 1, [(1, 2)], [2])
     b = compute_bottlenecks(t, c)
     h = compute_handleable(t, b)
     assert h[2] == b[2] == 300e3
 
 
 def test_single_node_tree():
-    t = SessionTree("s", 1, [], {1: "r"})
+    t = SessionTree("s", 1, [], [1])
     b = compute_bottlenecks(t, caps({}))
     h = compute_handleable(t, b)
     assert b[1] == math.inf and h[1] == math.inf

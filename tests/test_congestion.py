@@ -22,7 +22,7 @@ def tree():
         3   4   6
     """
     return SessionTree("s", 1, [(1, 2), (2, 3), (2, 4), (1, 5), (5, 6)],
-                       {3: "r3", 4: "r4", 6: "r6"})
+                       [3, 4, 6])
 
 
 class TestLossRates:
@@ -91,7 +91,7 @@ class TestCongestion:
         # Node 2 has 3 lossy children but none close to the mean -> not
         # congested; a clean sibling leaf keeps the root clean too.
         t = SessionTree("s", 1, [(1, 2), (2, 3), (2, 4), (2, 5), (1, 6)],
-                        {3: "a", 4: "b", 5: "c", 6: "d"})
+                        [3, 4, 5, 6])
         loss = compute_loss_rates(t, {3: 0.06, 4: 0.06, 5: 0.9, 6: 0.0})
         cong = compute_congestion(t, loss, CFG)
         # mean = 0.34; 0.06 deviates 0.28 > 0.17 tolerance; 0.9 deviates 0.56.
@@ -101,7 +101,7 @@ class TestCongestion:
     def test_single_child_chain_inherits_congestion(self):
         # With one child the similarity condition is trivially satisfied, so
         # a chain node is congested whenever its only child is (paper rule).
-        t = SessionTree("s", 1, [(1, 2), (2, 3)], {3: "r"})
+        t = SessionTree("s", 1, [(1, 2), (2, 3)], [3])
         loss = compute_loss_rates(t, {3: 0.2})
         cong = compute_congestion(t, loss, CFG)
         assert cong[2] is True and cong[1] is True
@@ -119,7 +119,7 @@ class TestCongestion:
         assert not any(cong.values())
 
     def test_single_receiver_chain(self):
-        t = SessionTree("s", 1, [(1, 2), (2, 3)], {3: "r"})
+        t = SessionTree("s", 1, [(1, 2), (2, 3)], [3])
         loss = compute_loss_rates(t, {3: 0.2})
         cong = compute_congestion(t, loss, CFG)
         # Single child is trivially "similar to the mean".

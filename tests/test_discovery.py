@@ -50,11 +50,11 @@ def test_fresh_discovery_sees_current_tree():
     disc = TopologyDiscovery(mcast, staleness=0.0)
     mcast.join(desc.groups[0], "r1")
     sched.run(until=1.0)
-    tree = disc.session_tree(desc, {"rcv1": "r1"})
+    tree = disc.session_tree(desc, ["r1"])
     assert tree.root == "src"
     assert ("src", "mid") in tree.edges
     assert ("mid", "r1") in tree.edges
-    assert tree.receivers == {"r1": "rcv1"}
+    assert tree.leaves == ("r1",)
 
 
 def test_stale_discovery_sees_old_tree():
@@ -64,11 +64,11 @@ def test_stale_discovery_sees_old_tree():
     sched.run(until=2.0)
     mcast.join(desc.groups[0], "r2")
     sched.run(until=4.0)  # r2 joined at ~2.2; staleness 5 -> invisible
-    tree = disc.session_tree(desc, {"rcv1": "r1", "rcv2": "r2"})
+    tree = disc.session_tree(desc, ["r1", "r2"])
     assert ("mid", "r1") not in tree.edges or True  # r1 joined at ~0.2 also invisible
     # At t=4 with staleness 5 the snapshot is from t<=0: empty tree.
     assert tree.edges == frozenset()
-    assert tree.receivers == {}
+    assert tree.leaves == ()
 
 
 def test_staleness_window_moves_forward():
@@ -76,9 +76,9 @@ def test_staleness_window_moves_forward():
     disc = TopologyDiscovery(mcast, staleness=2.0)
     mcast.join(desc.groups[0], "r1")
     sched.run(until=1.0)
-    assert disc.session_tree(desc, {"rcv1": "r1"}).receivers == {}
+    assert disc.session_tree(desc, ["r1"]).leaves == ()
     sched.run(until=5.0)
-    assert disc.session_tree(desc, {"rcv1": "r1"}).receivers == {"r1": "rcv1"}
+    assert disc.session_tree(desc, ["r1"]).leaves == ("r1",)
 
 
 def test_receiver_not_in_tree_omitted():
@@ -86,16 +86,16 @@ def test_receiver_not_in_tree_omitted():
     disc = TopologyDiscovery(mcast, staleness=0.0)
     mcast.join(desc.groups[0], "r1")
     sched.run(until=1.0)
-    # rcv2 registered but never joined: not in tree -> omitted.
-    tree = disc.session_tree(desc, {"rcv1": "r1", "rcv2": "r2"})
-    assert tree.receivers == {"r1": "rcv1"}
+    # r2's receiver registered but never joined: not in tree -> omitted.
+    tree = disc.session_tree(desc, ["r1", "r2"])
+    assert tree.leaves == ("r1",)
 
 
 def test_query_counter():
     sched, net, mcast, desc = setup()
     disc = TopologyDiscovery(mcast)
-    disc.session_tree(desc, {})
-    disc.session_tree(desc, {})
+    disc.session_tree(desc, [])
+    disc.session_tree(desc, [])
     assert disc.queries == 2
 
 
@@ -104,8 +104,8 @@ def test_explicit_now_parameter():
     disc = TopologyDiscovery(mcast, staleness=0.0)
     mcast.join(desc.groups[0], "r1")
     sched.run(until=3.0)
-    old = disc.session_tree(desc, {"rcv1": "r1"}, now=0.1)
-    assert old.receivers == {}
+    old = disc.session_tree(desc, ["r1"], now=0.1)
+    assert old.leaves == ()
 
 
 class TestSessionDescriptor:
@@ -129,11 +129,11 @@ class TestDiscoveryFaults:
         sched.run(until=1.0)
         disc.set_fault("timeout")
         with pytest.raises(DiscoveryUnavailable):
-            disc.session_tree(desc, {"rcv1": "r1"})
+            disc.session_tree(desc, ["r1"])
         assert disc.failed_queries == 1
         disc.clear_fault()
-        tree = disc.session_tree(desc, {"rcv1": "r1"})
-        assert tree.receivers == {"r1": "rcv1"}
+        tree = disc.session_tree(desc, ["r1"])
+        assert tree.leaves == ("r1",)
 
     def test_unknown_fault_mode_rejected(self):
         sched, net, mcast, desc = setup()
@@ -148,6 +148,6 @@ class TestDiscoveryFaults:
         # degrade to an empty tree, not raise.
         sched, net, mcast, desc = setup()
         disc = TopologyDiscovery(mcast)
-        tree = disc.session_tree(desc, {"rcv1": "r1"})
+        tree = disc.session_tree(desc, ["r1"])
         assert tree.edges == frozenset()
-        assert tree.receivers == {}
+        assert tree.leaves == ()

@@ -41,18 +41,18 @@ class TestDomainDiscovery:
         mcast.join(desc.groups[0], "r1")
         mcast.join(desc.groups[0], "r2")
         sched.run(until=1.0)
-        tree = disc.session_tree(desc, {"A": "r1", "B": "r2"})
+        tree = disc.session_tree(desc, ["r1", "r2"])
         assert tree.root == "gw1"
         assert tree.edges == frozenset({("gw1", "r1")})
         # Only the in-domain receiver is visible.
-        assert tree.receivers == {"r1": "A"}
+        assert tree.leaves == ("r1",)
 
     def test_source_inside_domain_keeps_root(self):
         sched, net, mcast, desc = setup_net()
         disc = TopologyDiscovery(mcast, domain={"src", "core", "gw1", "r1"})
         mcast.join(desc.groups[0], "r1")
         sched.run(until=1.0)
-        tree = disc.session_tree(desc, {"A": "r1"})
+        tree = disc.session_tree(desc, ["r1"])
         assert tree.root == "src"
         assert ("src", "core") in tree.edges
 
@@ -61,9 +61,9 @@ class TestDomainDiscovery:
         disc = TopologyDiscovery(mcast, domain={"gw2", "r2"})
         mcast.join(desc.groups[0], "r1")  # only domain 1 joined
         sched.run(until=1.0)
-        tree = disc.session_tree(desc, {"A": "r1"})
+        tree = disc.session_tree(desc, ["r1"])
         assert tree.edges == frozenset()
-        assert tree.receivers == {}
+        assert tree.leaves == ()
 
 
 class TestTwoDomainScenario:

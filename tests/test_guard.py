@@ -45,19 +45,23 @@ def admit(guard, msg, key=KEY, registered=True, now=1.0, last_suggestion=None):
 
 
 def three_leaf_tree():
-    """src -> agg -> {l1, l2, l3} hosting receivers R1..R3."""
+    """src -> agg -> {l1, l2, l3} hosting receivers R1..R3 (see LEAF)."""
     return SessionTree(
         SID, "src",
         [("src", "agg"), ("agg", "l1"), ("agg", "l2"), ("agg", "l3")],
-        {"l1": "R1", "l2": "R2", "l3": "R3"},
+        ["l1", "l2", "l3"],
     )
+
+
+#: The node each receiver registered at; any other receiver is off the tree.
+LEAF = {"R1": "l1", "R2": "l2", "R3": "l3"}
 
 
 def audit(guard, reports, now=10.0, tree=None, fresh_within=5.0):
     """Feed ``{rid: Report}`` (arrived just now) through one audit pass."""
     tree = tree if tree is not None else three_leaf_tree()
     session_reports = {
-        SID: {(SID, rid): (rep, now) for rid, rep in reports.items()}
+        SID: {(SID, rid): (rep, now, LEAF.get(rid, "off_tree")) for rid, rep in reports.items()}
     }
     guard.audit(now, session_reports, {SID: tree}, fresh_within)
 
@@ -191,8 +195,7 @@ class TestConsistencyStrikes:
         assert guard.strike_counts["inconsistent_loss"] == 3
         assert guard.is_quarantined(KEY)
         assert guard.quarantines == 1
-        assert guard.drain_transitions() == [(KEY, "quarantined", 2.0)]
-        assert guard.drain_transitions() == []  # drained
+        assert guard.events[-1] == (2.0, "quarantine", KEY, "inconsistent_loss")
 
     def test_consistent_loss_not_struck(self):
         guard = ReportGuard()
@@ -288,9 +291,9 @@ class TestSiblingAudit:
         guard = ReportGuard()
         tree = three_leaf_tree()
         session_reports = {SID: {
-            (SID, "R1"): (report(loss=0.4, rid="R1", level=3), 1.0),   # stale
-            (SID, "R2"): (report(loss=0.35, rid="R2", level=3), 1.0),  # stale
-            (SID, "R3"): (report(loss=0.0, rid="R3", level=3), 10.0),
+            (SID, "R1"): (report(loss=0.4, rid="R1", level=3), 1.0, "l1"),   # stale
+            (SID, "R2"): (report(loss=0.35, rid="R2", level=3), 1.0, "l2"),  # stale
+            (SID, "R3"): (report(loss=0.0, rid="R3", level=3), 10.0, "l3"),
         }}
         guard.audit(10.0, session_reports, {SID: tree}, fresh_within=5.0)
         assert guard.strike_counts == {}
@@ -302,7 +305,6 @@ class TestSiblingAudit:
             admit(guard, report(loss=0.9, bytes_=SCHEDULE.cumulative(2) / 8.0,
                                 rid="R1"), key=key1, now=float(i))
         assert guard.is_quarantined(key1)
-        guard.drain_transitions()
         # R1 claims 0.9; with R1 excluded, R3's floor comes from R2 alone.
         audit(guard, {
             "R1": report(loss=0.9, rid="R1", level=3),
@@ -350,7 +352,6 @@ class TestDecayAndRehab:
         for i in range(3):
             admit(guard, report(loss=0.9, bytes_=SCHEDULE.cumulative(2) / 8.0),
                   now=float(i))
-        guard.drain_transitions()
         # The first clean audit only absorbs the strike flag; the clean
         # streak starts counting from the next one.
         for _ in range(3):
@@ -360,7 +361,7 @@ class TestDecayAndRehab:
         assert not guard.is_quarantined(KEY)
         assert guard.strikes(KEY) == 0.0
         assert guard.releases == 1
-        assert guard.drain_transitions() == [(KEY, "released", 20.0)]
+        assert guard.events[-1] == (20.0, "release", KEY, "rehabilitated")
 
     def test_forget_drops_record_and_seq(self):
         guard = ReportGuard()

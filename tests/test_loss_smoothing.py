@@ -11,10 +11,10 @@ from repro.media.layers import PAPER_SCHEDULE
 
 
 def make_input(level, loss):
-    tree = SessionTree(0, "s", [("s", "m"), ("m", "leaf")], {"leaf": "R"})
+    tree = SessionTree(0, "s", [("s", "m"), ("m", "leaf")], ["leaf"])
     return SessionInput(
         tree=tree, schedule=PAPER_SCHEDULE,
-        reports={"R": ReceiverReport("R", loss, 100_000.0, level)},
+        reports={"leaf": ReceiverReport(loss, 100_000.0, level)},
     )
 
 

@@ -105,16 +105,15 @@ def test_oracle_controller_suggests_precomputed_levels():
         0, "src",
         [("src", "core"), ("core", "agg_a"), ("agg_a", "ra"),
          ("core", "agg_b"), ("agg_b", "rb")],
-        {"ra": "RA", "rb": "RB"},
+        ["ra", "rb"],
     )
     out = ctrl.update(0.0, [SessionInput(tree=tree, schedule=PAPER_SCHEDULE)])
-    assert out.levels[(0, "RA")] == 4
-    assert out.levels[(0, "RB")] == 2
+    assert out == {(0, "ra"): 4, (0, "rb"): 2}
 
 
 def test_oracle_controller_ignores_unknown_receivers():
     net, plan = topology_a_network()
     ctrl = OracleController(net, [plan])
-    tree = SessionTree(0, "src", [("src", "core")], {"core": "GHOST"})
+    tree = SessionTree(0, "src", [("src", "core")], ["core"])
     out = ctrl.update(0.0, [SessionInput(tree=tree, schedule=PAPER_SCHEDULE)])
     assert len(out) == 0

@@ -313,7 +313,7 @@ def test_cached_run_equals_from_scratch_run_after_every_step(scenario):
                 assert cached.net.shortest_path_or_none(a, b) == _fresh_path(graph, a, b)
         assert cached.trees() == reference.trees()
         layers = [cached.mcast.groups[cached.groups[i]].edges for i in (0, 2)]
-        SessionTree.from_layer_snapshots("s", 0, layers, {})
+        SessionTree.from_layer_snapshots("s", 0, layers, [])
         restored = bool(set(graph.edges) - edges_before)
         for source in sources:
             union = cached.union_members(source)

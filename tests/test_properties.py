@@ -32,9 +32,8 @@ def random_trees(draw, max_nodes=24):
     for child in range(1, n):
         parent = draw(st.integers(min_value=0, max_value=child - 1))
         edges.append((parent, child))
-    tree = SessionTree("s", 0, edges, {})
-    receivers = {leaf: f"r{leaf}" for leaf in leaves_of(tree)}
-    return SessionTree("s", 0, edges, receivers)
+    tree = SessionTree("s", 0, edges, [])
+    return SessionTree("s", 0, edges, leaves_of(tree))
 
 
 @st.composite
@@ -180,7 +179,6 @@ def demand_inputs(draw):
         level = draw(st.integers(min_value=1, max_value=6))
         loss = draw(st.floats(min_value=0.0, max_value=1.0))
         reports[leaf] = ReceiverReport(
-            receiver_id=tree.receivers[leaf],
             loss_rate=loss,
             bytes=draw(st.floats(min_value=0.0, max_value=1e6)),
             level=level,

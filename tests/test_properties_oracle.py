@@ -102,7 +102,7 @@ def shared_link_sessions(draw):
             SessionTree(
                 i, f"s{i}",
                 [(f"s{i}", "x"), ("x", "y"), ("y", f"r{i}")],
-                {f"r{i}": f"R{i}"},
+                [f"r{i}"],
             )
         )
         if down[i] != math.inf:

@@ -15,8 +15,7 @@ def paper_tree():
         3   4   6
     """
     edges = [(1, 2), (2, 3), (2, 4), (1, 5), (5, 6)]
-    receivers = {3: "r3", 4: "r4", 6: "r6"}
-    return SessionTree("s", 1, edges, receivers)
+    return SessionTree("s", 1, edges, [3, 4, 6])
 
 
 def test_parent_child_maps():
@@ -66,26 +65,26 @@ def test_path_from_root():
 
 def test_two_parents_rejected():
     with pytest.raises(ValueError, match="two parents"):
-        SessionTree("s", 1, [(1, 2), (1, 3), (3, 2)], {})
+        SessionTree("s", 1, [(1, 2), (1, 3), (3, 2)], [])
 
 
 def test_root_with_parent_rejected():
     with pytest.raises(ValueError, match="root cannot have a parent"):
-        SessionTree("s", 1, [(2, 1)], {})
+        SessionTree("s", 1, [(2, 1)], [])
 
 
 def test_disconnected_rejected():
     with pytest.raises(ValueError, match="not reachable"):
-        SessionTree("s", 1, [(1, 2), (3, 4)], {})
+        SessionTree("s", 1, [(1, 2), (3, 4)], [])
 
 
 def test_receiver_on_unknown_node_rejected():
     with pytest.raises(ValueError, match="unknown nodes"):
-        SessionTree("s", 1, [(1, 2)], {99: "r"})
+        SessionTree("s", 1, [(1, 2)], [99])
 
 
 def test_single_node_tree():
-    t = SessionTree("s", 1, [], {1: "r"})
+    t = SessionTree("s", 1, [], [1])
     assert t.is_leaf(1) and t.nodes == (1,)
     assert t.topdown() == (1,)
     assert t.is_leaf(1)
@@ -93,19 +92,19 @@ def test_single_node_tree():
 
 def test_receiver_on_internal_node_allowed():
     # A receiver can sit at an interior router (host co-located).
-    t = SessionTree("s", 1, [(1, 2), (2, 3)], {2: "mid", 3: "leaf"})
-    assert t.receivers == {2: "mid", 3: "leaf"}
+    t = SessionTree("s", 1, [(1, 2), (2, 3)], [2, 3])
+    assert t.leaves == (2, 3)
 
 
 def test_from_layer_snapshots_overlay():
     # Layer 1 reaches both subtrees, layer 2 only node 4.
     l1 = [(1, 2), (2, 3), (2, 4)]
     l2 = [(1, 2), (2, 4)]
-    t = SessionTree.from_layer_snapshots("s", 1, [l1, l2], {3: "r3", 4: "r4"})
+    t = SessionTree.from_layer_snapshots("s", 1, [l1, l2], [3, 4])
     assert t.edges == frozenset(l1)
 
 
 def test_children_order_deterministic():
-    t1 = SessionTree("s", 1, [(1, 3), (1, 2)], {})
-    t2 = SessionTree("s", 1, [(1, 2), (1, 3)], {})
+    t1 = SessionTree("s", 1, [(1, 3), (1, 2)], [])
+    t2 = SessionTree("s", 1, [(1, 2), (1, 3)], [])
     assert t1.children[1] == t2.children[1]

@@ -19,8 +19,8 @@ def caps(mapping):
 
 def two_sessions_shared_link():
     """Sessions A and B both cross (x, y); receivers diverge below y."""
-    ta = SessionTree("A", "sa", [("sa", "x"), ("x", "y"), ("y", "ra")], {"ra": "ra"})
-    tb = SessionTree("B", "sb", [("sb", "x"), ("x", "y"), ("y", "rb")], {"rb": "rb"})
+    ta = SessionTree("A", "sa", [("sa", "x"), ("x", "y"), ("y", "ra")], ["ra"])
+    tb = SessionTree("B", "sb", [("sb", "x"), ("x", "y"), ("y", "rb")], ["rb"])
     return ta, tb
 
 
@@ -32,8 +32,8 @@ class TestFindSharedLinks:
         assert sorted(shared[("x", "y")]) == ["A", "B"]
 
     def test_disjoint_trees_share_nothing(self):
-        ta = SessionTree("A", 1, [(1, 2)], {2: "a"})
-        tb = SessionTree("B", 3, [(3, 4)], {4: "b"})
+        ta = SessionTree("A", 1, [(1, 2)], [2])
+        tb = SessionTree("B", 3, [(3, 4)], [4])
         assert find_shared_links([ta, tb]) == {}
 
     def test_single_session_never_shared(self):
@@ -71,7 +71,7 @@ class TestMaxDemands:
         assert d["ra"] == PAPER_SCHEDULE.cumulative(1)
 
     def test_internal_demand_is_max_of_children(self):
-        t = SessionTree("A", 1, [(1, 2), (2, 3), (2, 4)], {3: "r3", 4: "r4"})
+        t = SessionTree("A", 1, [(1, 2), (2, 3), (2, 4)], [3, 4])
         d = compute_max_demands(
             t, PAPER_SCHEDULE,
             caps({(2, 3): 100_000.0, (2, 4): 700_000.0}), {}, {"A": 32_000.0},
@@ -84,7 +84,7 @@ class TestMaxDemands:
 
 class TestFairShares:
     def test_no_shared_links_empty(self):
-        ta = SessionTree("A", 1, [(1, 2)], {2: "a"})
+        ta = SessionTree("A", 1, [(1, 2)], [2])
         assert compute_fair_shares([ta], {"A": PAPER_SCHEDULE}, caps({})) == {}
 
     def test_infinite_capacity_gives_infinite_share(self):
@@ -108,8 +108,8 @@ class TestFairShares:
     def test_paper_example_proportional_to_downstream_bottleneck(self):
         """Paper: one session bottlenecked at ~250 Kb/s downstream should not
         get the same share as one that can use 1 Mb/s."""
-        ta = SessionTree("A", "sa", [("sa", "x"), ("x", "y"), ("y", "ra")], {"ra": "ra"})
-        tb = SessionTree("B", "sb", [("sb", "x"), ("x", "y"), ("y", "rb")], {"rb": "rb"})
+        ta = SessionTree("A", "sa", [("sa", "x"), ("x", "y"), ("y", "ra")], ["ra"])
+        tb = SessionTree("B", "sb", [("sb", "x"), ("x", "y"), ("y", "rb")], ["rb"])
         capacity = caps({
             ("x", "y"): 1_200_000.0,
             ("y", "ra"): 250_000.0,   # A's downstream bottleneck -> 3 layers (224k)
@@ -146,7 +146,7 @@ class TestFairShares:
                 SessionTree(
                     sid, f"s{sid}",
                     [(f"s{sid}", "x"), ("x", "y"), ("y", f"r{sid}")],
-                    {f"r{sid}": f"r{sid}"},
+                    [f"r{sid}"],
                 )
             )
         fair = compute_fair_shares(

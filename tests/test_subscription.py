@@ -20,14 +20,14 @@ RNG = np.random.default_rng(0)
 
 def chain_tree():
     """root -> mid -> leaf."""
-    return SessionTree("s", "root", [("root", "mid"), ("mid", "leaf")], {"leaf": "r"})
+    return SessionTree("s", "root", [("root", "mid"), ("mid", "leaf")], ["leaf"])
 
 
 def fork_tree():
     return SessionTree(
         "s", "root",
         [("root", "mid"), ("mid", "a"), ("mid", "b")],
-        {"a": "ra", "b": "rb"},
+        ["a", "b"],
     )
 
 
@@ -43,7 +43,7 @@ def run_demand(tree, reports, loss, congestion, node_bytes, state=None, now=100.
 
 def mk_reports(**levels):
     return {
-        node: ReceiverReport(receiver_id=f"r_{node}", loss_rate=0.0, bytes=0.0, level=lvl)
+        node: ReceiverReport(loss_rate=0.0, bytes=0.0, level=lvl)
         for node, lvl in levels.items()
     }
 
@@ -246,11 +246,11 @@ class TestInternalDemand:
 
         # A depth-6 binary tree: one demand for each of its 127 nodes.
         edges = [(n, 2 * n + c) for n in range(1, 64) for c in (0, 1)]
-        leaves = {n: f"r{n}" for n in range(64, 128)}
+        leaves = range(64, 128)
         big = SessionTree("s", 1, edges, leaves)
         reports = {
-            leaf: ReceiverReport(receiver_id=rid, loss_rate=0.0, bytes=120_000.0, level=3)
-            for leaf, rid in leaves.items()
+            leaf: ReceiverReport(loss_rate=0.0, bytes=120_000.0, level=3)
+            for leaf in leaves
         }
         res, _ = run_demand(
             big, reports, {n: 0.0 for n in big.nodes}, {n: False for n in big.nodes},

@@ -26,14 +26,14 @@ def cfg(**kw):
 
 
 def chain_input(level, loss, bytes_=None, session_id=0):
-    """One session: src -> mid -> leaf with receiver R."""
-    tree = SessionTree(session_id, "src", [("src", "mid"), ("mid", "leaf")], {"leaf": "R"})
+    """One session: src -> mid -> leaf with a receiver at leaf."""
+    tree = SessionTree(session_id, "src", [("src", "mid"), ("mid", "leaf")], ["leaf"])
     if bytes_ is None:
         bytes_ = PAPER_SCHEDULE.cumulative(level) * 2.0 / 8.0 * (1 - loss)
     return SessionInput(
         tree=tree,
         schedule=PAPER_SCHEDULE,
-        reports={"R": ReceiverReport("R", loss, bytes_, level)},
+        reports={"leaf": ReceiverReport(loss, bytes_, level)},
     )
 
 
@@ -43,7 +43,7 @@ def test_clean_receiver_climbs_one_layer_per_confirmed_interval():
     suggestions = []
     for i in range(18):
         out = ts.update(2.0 * (i + 1), [chain_input(level, 0.0)])
-        suggested = out.levels[(0, "R")]
+        suggested = out[(0, "leaf")]
         suggestions.append(suggested)
         level = min(suggested, level + 1)  # obedient receiver
     # Monotone non-decreasing climb to the top.
@@ -65,7 +65,7 @@ def test_congested_receiver_reduced():
     for _ in range(20):
         t += 2.0
         out = ts.update(t, [chain_input(level, loss_for(level))])
-        suggested = out.levels[(0, "R")]
+        suggested = out[(0, "leaf")]
         level = min(suggested, level + 1) if suggested > level else suggested
         seen.append(level)
     # The receiver reached 5 at some point but was pushed back below it.
@@ -85,7 +85,7 @@ def test_reduction_arms_backoff_against_re_add():
     for _ in range(24):
         t += 2.0
         out = ts.update(t, [chain_input(level, loss_for(level))])
-        suggested = out.levels[(0, "R")]
+        suggested = out[(0, "leaf")]
         level = min(suggested, level + 1) if suggested > level else suggested
         trace.append((t, level))
     # Count excursions to level 5: with a 20 s backoff and 48 s horizon,
@@ -107,13 +107,13 @@ def test_shared_link_estimated_and_fairly_shared():
             tree = SessionTree(
                 i, f"s{i}",
                 [(f"s{i}", "x"), ("x", "y"), ("y", f"r{i}")],
-                {f"r{i}": f"R{i}"},
+                [f"r{i}"],
             )
             inputs.append(
                 SessionInput(
                     tree=tree,
                     schedule=PAPER_SCHEDULE,
-                    reports={f"R{i}": ReceiverReport(f"R{i}", losses[i], bytes_[i], levels[i])},
+                    reports={f"r{i}": ReceiverReport(losses[i], bytes_[i], levels[i])},
                 )
             )
         return inputs
@@ -141,30 +141,30 @@ def test_shared_link_estimated_and_fairly_shared():
 def test_suggestions_cover_every_receiver():
     ts = TopoSense(config=cfg(), rng=np.random.default_rng(0))
     tree = SessionTree(
-        0, "s", [("s", "m"), ("m", "a"), ("m", "b")], {"a": "RA", "b": "RB"}
+        0, "s", [("s", "m"), ("m", "a"), ("m", "b")], ["a", "b"]
     )
     si = SessionInput(
         tree=tree, schedule=PAPER_SCHEDULE,
         reports={
-            "RA": ReceiverReport("RA", 0.0, 10_000, 2),
-            "RB": ReceiverReport("RB", 0.0, 10_000, 3),
+            "a": ReceiverReport(0.0, 10_000, 2),
+            "b": ReceiverReport(0.0, 10_000, 3),
         },
     )
     out = ts.update(2.0, [si])
-    assert set(out.levels) == {(0, "RA"), (0, "RB")}
+    assert set(out) == {(0, "a"), (0, "b")}
 
 
 def test_receiver_without_report_gets_conservative_suggestion():
     ts = TopoSense(config=cfg(), rng=np.random.default_rng(0))
-    tree = SessionTree(0, "s", [("s", "m"), ("m", "a")], {"a": "RA"})
+    tree = SessionTree(0, "s", [("s", "m"), ("m", "a")], ["a"])
     si = SessionInput(tree=tree, schedule=PAPER_SCHEDULE, reports={})
     out = ts.update(2.0, [si])
-    assert out.levels[(0, "RA")] >= 1
+    assert out[(0, "a")] >= 1
 
 
 def test_empty_session_produces_no_suggestions():
     ts = TopoSense(config=cfg(), rng=np.random.default_rng(0))
-    tree = SessionTree(0, "s", [], {})
+    tree = SessionTree(0, "s", [], [])
     out = ts.update(2.0, [SessionInput(tree=tree, schedule=PAPER_SCHEDULE)])
     assert len(out) == 0
 
@@ -187,7 +187,7 @@ def test_default_construction():
     ts = TopoSense(rng=np.random.default_rng(0))
     assert ts.config.interval > 0
     out = ts.update(2.0, [chain_input(1, 0.0)])
-    assert out.levels[(0, "R")] >= 1
+    assert out[(0, "leaf")] >= 1
 
 
 def test_interval_inferred_from_update_times():
@@ -210,12 +210,12 @@ def test_handleable_caps_demand():
             tree = SessionTree(
                 i, "s",
                 [("s", "x"), ("x", "y"), ("y", f"r{i}")],
-                {f"r{i}": f"R{i}"},
+                [f"r{i}"],
             )
             inputs.append(
                 SessionInput(
                     tree=tree, schedule=PAPER_SCHEDULE,
-                    reports={f"R{i}": ReceiverReport(f"R{i}", losses[i], bytes_[i], levels[i])},
+                    reports={f"r{i}": ReceiverReport(losses[i], bytes_[i], levels[i])},
                 )
             )
         return inputs
