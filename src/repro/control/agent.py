@@ -68,7 +68,7 @@ from .messages import (
     RegisterAck,
     Report,
     Suggestion,
-    suggestion_port,
+    session_port,
 )
 from .session import SessionDescriptor
 
@@ -104,40 +104,55 @@ REPORT_HISTORY = 64
 
 
 class _SessionPort:
-    """The handler of one session's suggestion port at one node: it hands
-    each suggestion to every receiver agent of that session there, in the
-    order they started.  Agents add themselves in :meth:`ReceiverAgent.start`
-    and remove themselves in :meth:`ReceiverAgent.stop`; the port is bound
-    while any agent is on it."""
+    """The handler of one session's port at one node, the only address of
+    the session's receivers there: it hands an ack to the receiver agent it
+    names and a suggestion to every agent, in the order they started.
+    Agents add themselves in :meth:`ReceiverAgent.start` and remove
+    themselves in :meth:`ReceiverAgent.stop`; the port is bound while any
+    agent is on it."""
 
-    __slots__ = ("agents",)
+    __slots__ = ("node", "agents")
 
-    def __init__(self) -> None:
-        self.agents: List["ReceiverAgent"] = []
+    def __init__(self, node: Node) -> None:
+        self.node = node
+        #: receiver id -> agent, in start order.
+        self.agents: Dict[Any, "ReceiverAgent"] = {}
 
     # A profiler may have wrapped the bound handler; a wrapper names what it
     # wraps as ``__wrapped__``.
     @staticmethod
     def add(agent: "ReceiverAgent") -> None:
         """Put ``agent`` on its session's port at its node, binding it first."""
-        node, port = agent.node, suggestion_port(agent.receiver.session_id)
+        node, port = agent.node, session_port(agent.receiver.session_id)
         handler = node.port_handlers.get(port)
         if handler is None:
-            handler = _SessionPort()
+            handler = _SessionPort(node)
             node.bind_port(port, handler)
-        unwrap(handler).agents.append(agent)
+        agents = unwrap(handler).agents
+        rid = agent.receiver.receiver_id
+        if rid in agents:
+            raise ValueError(f"receiver {rid!r} already on port {port!r} of node {node.name!r}")
+        agents[rid] = agent
 
     @staticmethod
     def remove(agent: "ReceiverAgent") -> None:
         """Take ``agent`` off its session's port, unbinding it when empty."""
-        node, port = agent.node, suggestion_port(agent.receiver.session_id)
-        session_port = unwrap(node.port_handlers[port])
-        session_port.agents.remove(agent)
-        if not session_port.agents:
+        node, port = agent.node, session_port(agent.receiver.session_id)
+        agents = unwrap(node.port_handlers[port]).agents
+        del agents[agent.receiver.receiver_id]
+        if not agents:
             node.unbind_port(port)
 
     def __call__(self, pkt: Packet) -> None:
-        for agent in self.agents:
+        if isinstance(pkt.payload, RegisterAck):
+            agent = self.agents.get(pkt.payload.receiver_id)
+            if agent is None:
+                # The agent it names has left: dropped, as at an unbound port.
+                self.node.stats.no_route += 1
+            else:
+                agent._on_packet(pkt)
+            return
+        for agent in self.agents.values():
             agent._on_packet(pkt)
 
 
@@ -147,8 +162,8 @@ class ReceiverAgent:
     # One agent per controlled receiver: slots keep its per-instance cost
     # to the attributes themselves, with no instance dict.
     __slots__ = (
-        "receiver", "node", "sched", "controller_candidates", "_candidate_index",
-        "controller_node", "interval", "rng", "reregister_after", "port", "registered",
+        "receiver", "node", "sched", "controller_candidates", "controller_node",
+        "interval", "rng", "reregister_after", "registered",
         "last_suggestion_at", "suggestions_received", "suggestion_times", "reports_sent",
         "control_bytes_sent", "unilateral_drops", "register_attempts", "reregistrations",
         "controller_epoch", "stale_suggestions_rejected", "invalid_suggestions_rejected",
@@ -159,24 +174,21 @@ class ReceiverAgent:
     def __init__(
         self,
         receiver: LayeredReceiver,
-        controller_node: Any,
+        controller_candidates: List[Any],
         interval: float = 2.0,
         *,
         rng: Pcg64,
         reregister_after: Optional[float] = None,
-        controller_candidates: Optional[List[Any]] = None,
     ) -> None:
         self.receiver = receiver
         self.node: Node = receiver.node
         self.sched = receiver.sched
-        #: Controller addresses to try, in order.  The first entry is the
-        #: primary; further entries are standbys the agent rotates to when a
-        #: registration round fails or the current controller goes silent
-        #: (VRRP/anycast-style failover without a discovery protocol).
-        self.controller_candidates: List[Any] = [
-            c for c in (controller_candidates or [controller_node]) if c is not None
-        ] or [controller_node]
-        self._candidate_index = 0
+        #: Controller nodes to try, in order, each listed once.  The first
+        #: is the primary; further entries are standbys the agent rotates to
+        #: when a registration round fails or the current controller goes
+        #: silent (VRRP/anycast-style failover without a discovery protocol).
+        self.controller_candidates: List[Any] = list(controller_candidates)
+        #: The candidate the agent sends to now.
         self.controller_node = self.controller_candidates[0]
         self.interval = interval
         self.rng = rng
@@ -190,7 +202,6 @@ class ReceiverAgent:
             if reregister_after is None
             else reregister_after
         )
-        self.port = f"rcv:{receiver.session_id}:{receiver.receiver_id}"
         self.registered = False
         self.last_suggestion_at: Optional[float] = None
         self.suggestions_received = 0
@@ -234,13 +245,12 @@ class ReceiverAgent:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bind the control port, register, and begin periodic reporting."""
+        """Join the session's port, register, and begin periodic reporting."""
         if self._started:
             return
         self._started = True
         self.started_at = self.sched.now
         self._last_contact = self.sched.now
-        self.node.bind_port(self.port, self._on_packet)
         _SessionPort.add(self)
         # Jittered phase so receivers do not report in lock-step.  Drawn
         # before registering so the phase does not depend on how many
@@ -253,11 +263,9 @@ class ReceiverAgent:
     # Registration (capped exponential backoff + failover rotation)
     # ------------------------------------------------------------------
     def _rotate_controller(self) -> None:
-        if len(self.controller_candidates) > 1:
-            self._candidate_index = (self._candidate_index + 1) % len(
-                self.controller_candidates
-            )
-            self.controller_node = self.controller_candidates[self._candidate_index]
+        candidates = self.controller_candidates
+        i = candidates.index(self.controller_node)
+        self.controller_node = candidates[(i + 1) % len(candidates)]
 
     def _begin_registration(self) -> None:
         """Start a fresh registration round, superseding any pending retry."""
@@ -282,8 +290,6 @@ class ReceiverAgent:
         msg = Register(
             receiver_id=self.receiver.receiver_id,
             session_id=self.receiver.session_id,
-            node=self.node.name,
-            port=self.port,
             seq=self._seq,
         )
         self._send(msg, REGISTER_SIZE)
@@ -327,7 +333,6 @@ class ReceiverAgent:
             self.sched.cancel(self._register_ev)
             self._register_ev = None
         self.receiver.set_level(0)
-        self.node.unbind_port(self.port)
         if self._started:
             _SessionPort.remove(self)
 
@@ -412,7 +417,6 @@ class ReceiverAgent:
         backoff can be shorter than the control RTT); without this, reports
         would flow to a node where no controller is listening."""
         if node in self.controller_candidates:
-            self._candidate_index = self.controller_candidates.index(node)
             self.controller_node = node
 
     def _admit_epoch(self, epoch: int) -> bool:
@@ -440,7 +444,7 @@ class ReceiverAgent:
             self._sync_controller(pkt.src)
         elif isinstance(msg, Suggestion):
             if (
-                msg.node != self.node.name
+                pkt.dst != self.node.name
                 or msg.session_id != self.receiver.session_id
                 or pkt.src not in self.controller_candidates
                 or not isinstance(msg.level, int)
@@ -469,8 +473,9 @@ class ReceiverAgent:
 
 
 class ReceiverEntry:
-    """The controller's soft state for one registered receiver: its
-    registration, its recent reports and the last level suggested to it.
+    """The controller's soft state for one registered receiver: its id, the
+    node its registration came from, its recent reports and the last level
+    suggested to it.
 
     ``history`` holds only the reports a tick can still ask for.  A tick
     reads :meth:`report_as_of` at ``now - staleness``, and that cutoff never
@@ -481,10 +486,12 @@ class ReceiverEntry:
     interval`` entries however long the run.
     """
 
-    __slots__ = ("register", "history", "last_heard", "last_suggested")
+    __slots__ = ("receiver_id", "node", "history", "last_heard", "last_suggested")
 
-    def __init__(self, register: Register, now: float) -> None:
-        self.register = register
+    def __init__(self, receiver_id: Any, node: Any, now: float) -> None:
+        self.receiver_id = receiver_id
+        #: Source node of the latest accepted ``Register``.
+        self.node = node
         #: ``(arrival time, Report)`` pairs, oldest first: the newest, and
         #: the ones a later tick's cutoff can still select.
         self.history: List[Tuple[float, Report]] = []
@@ -648,24 +655,27 @@ class ControllerAgent:
             )
             if reason is not None:
                 return
+            # A receiver is the node its packets come from.
+            node = pkt.src
             entry = self._entry(key)
             if entry is None:
-                self.receivers[msg.session_id][msg.receiver_id] = ReceiverEntry(msg, now)
+                self.receivers[msg.session_id][msg.receiver_id] = ReceiverEntry(
+                    msg.receiver_id, node, now)
             else:
-                entry.register = msg
+                entry.node = node
                 entry.last_heard = now
             bus = self.sched.bus
             if bus is not None:
                 bus.emit(
                     "ctrl.register", now,
-                    receiver=msg.receiver_id, session=msg.session_id, node=msg.node,
+                    receiver=msg.receiver_id, session=msg.session_id, node=node,
                 )
             ack = RegisterAck(
                 receiver_id=msg.receiver_id,
                 session_id=msg.session_id,
                 epoch=self.epoch,
             )
-            self._send_to(msg.node, msg.port, ack, REGISTER_SIZE)
+            self._send_to(node, session_port(msg.session_id), ack, REGISTER_SIZE)
         elif isinstance(msg, Report):
             key = (msg.session_id, msg.receiver_id)
             descriptor = self.sessions.get(msg.session_id)
@@ -754,7 +764,7 @@ class ControllerAgent:
         for key in self.guard.quarantined_keys():
             entry = self._entry(key)
             if entry is not None:
-                quarantined[(key[0], entry.register.node)] = None
+                quarantined[(key[0], entry.node)] = None
         if self._enforcer is not None:
             for target in self._quarantined_nodes:
                 if target not in quarantined:
@@ -765,14 +775,13 @@ class ControllerAgent:
         self._quarantined_nodes = quarantined
         return quarantined
 
-    def _suggest(self, sid: Any, node: Any, entries: List[ReceiverEntry], level: int,
-                 now: float) -> None:
+    def _suggest(self, sid: Any, node: Any, entries: List[ReceiverEntry], level: int) -> None:
         """Send ``level`` to the session's receivers at ``node`` and remember
         it as the last suggested to each of their ``entries``."""
         for entry in entries:
             entry.last_suggested = level
-        msg = Suggestion(node=node, session_id=sid, level=level, issued_at=now, epoch=self.epoch)
-        self._send_to(node, suggestion_port(sid), msg, SUGGESTION_SIZE)
+        msg = Suggestion(session_id=sid, level=level, epoch=self.epoch)
+        self._send_to(node, session_port(sid), msg, SUGGESTION_SIZE)
         self.suggestions_sent += 1
 
     # ------------------------------------------------------------------
@@ -809,7 +818,7 @@ class ControllerAgent:
             at_node[sid] = by_node
             audited: Dict[tuple, Tuple[Report, float, Any]] = {}
             for rid, entry in self.receivers[sid].items():
-                node = entry.register.node
+                node = entry.node
                 by_node.setdefault(node, []).append(entry)
                 if entry.history:
                     arrived, latest = entry.history[-1]
@@ -830,7 +839,7 @@ class ControllerAgent:
                 if leaf not in by_node:
                     continue
                 speaker = by_node[leaf][-1]
-                if self.guard.is_quarantined((sid, speaker.register.receiver_id)):
+                if self.guard.is_quarantined((sid, speaker.receiver_id)):
                     continue
                 rep = speaker.report_as_of(cutoff)
                 if rep is None:
@@ -866,7 +875,7 @@ class ControllerAgent:
                 level = ceiling
                 self.suggestions_clamped += 1
             suggested.add(target)
-            self._suggest(sid, node, entries, level, now)
+            self._suggest(sid, node, entries, level)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,
@@ -878,7 +887,7 @@ class ControllerAgent:
             if target in suggested:
                 continue
             sid, node = target
-            self._suggest(sid, node, at_node[sid][node], QUARANTINE_LEVEL, now)
+            self._suggest(sid, node, at_node[sid][node], QUARANTINE_LEVEL)
             if want_sugg:
                 bus.emit(
                     "ctrl.suggestion", now,

@@ -63,9 +63,9 @@ class TopologyDiscovery:
         self._staleness = staleness
         self.domain = frozenset(domain) if domain is not None else None
         self.queries = 0
-        #: Injected fault state: ``None`` (healthy) or ``"timeout"`` (queries
-        #: raise :class:`DiscoveryUnavailable`).
-        self.fault_mode: Optional[str] = None
+        #: False while an injected fault makes every query time out (raise
+        #: :class:`DiscoveryUnavailable`).
+        self.available = True
         self.failed_queries = 0
 
     @property
@@ -74,16 +74,6 @@ class TopologyDiscovery:
         return self._staleness
 
     # ------------------------------------------------------------------
-    def set_fault(self, mode: Optional[str]) -> None:
-        """Inject (or with ``mode=None`` clear) a discovery fault."""
-        if mode not in (None, "timeout"):
-            raise ValueError(f"unknown discovery fault mode {mode!r}")
-        self.fault_mode = mode
-
-    def clear_fault(self) -> None:
-        """Restore healthy discovery."""
-        self.fault_mode = None
-
     def session_tree(
         self,
         descriptor: SessionDescriptor,
@@ -101,7 +91,7 @@ class TopologyDiscovery:
         if now is None:
             now = self.mcast.sched.now
         self.queries += 1
-        if self.fault_mode == "timeout":
+        if not self.available:
             self.failed_queries += 1
             raise DiscoveryUnavailable(
                 f"discovery timed out for session {descriptor.session_id!r}"

@@ -72,21 +72,22 @@ Key = Tuple[Any, Any]  # (session_id, receiver_id)
 #: the suite, and a field listed here must actually be read as
 #: ``msg.<field>`` somewhere in this module.
 GUARDED_FIELDS: Dict[str, Set[str]] = {
-    "Register": {"receiver_id", "port", "seq"},
+    "Register": {"receiver_id", "seq"},
     "Report": {"loss_rate", "bytes", "level", "t0", "t1", "seq"},
 }
 
 #: Fields deliberately outside the admission checks, with the reason:
-#: ``session_id`` is validated upstream via the known-session lookup,
-#: ``receiver_id`` on reports doubles as the registration key, and a
-#: ``Register``'s ``node`` is a topology hint the discovery pass verifies.
+#: ``session_id`` is validated upstream via the known-session lookup, and
+#: ``receiver_id`` on reports doubles as the registration key.  No inbound
+#: message names a node: the controller files a receiver at its packet's
+#: source, so a receiver cannot claim a node it does not send from.
 #: The federation-tier messages (``SubtreeSummary``, ``FederationAdvice``)
 #: are exempt wholesale: they travel between infrastructure peers (domain
 #: controllers and the coordinator), never from receivers, and the
 #: coordinator structurally validates them — rejecting any per-receiver
 #: message type outright — in ``repro.federation.coordinator``.
 GUARD_EXEMPT_FIELDS: Dict[str, Set[str]] = {
-    "Register": {"session_id", "node"},
+    "Register": {"session_id"},
     "Report": {"receiver_id", "session_id"},
     "SubtreeSummary": {
         "domain", "session_id", "gateway", "receiver_count", "mean_loss",
@@ -195,7 +196,7 @@ class ReportGuard:
         reason = None
         if not known_session:
             reason = "unknown_session"
-        elif msg.receiver_id is None or not isinstance(msg.port, str) or not msg.port:
+        elif msg.receiver_id is None:
             reason = "malformed_register"
         else:
             reason = self._check_seq(key, msg.seq)

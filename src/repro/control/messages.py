@@ -8,6 +8,10 @@ to the same drop-tail queues as the media traffic.
 Sizes are nominal on-the-wire sizes in bytes (headers included) used for the
 packets carrying each message.
 
+Each end of the control plane has one address, and no message carries a
+node: the controller is its node (:data:`CONTROL_PORT` there), a receiver
+the node its packets come from and its session's :func:`session_port`.
+
 Every field is required, so every message is sequenced or fenced.  The
 sequencing and fencing fields:
 
@@ -39,7 +43,7 @@ __all__ = [
     "SubtreeSummary",
     "FederationAdvice",
     "CONTROL_PORT",
-    "suggestion_port",
+    "session_port",
     "REGISTER_SIZE",
     "REPORT_SIZE",
     "SUGGESTION_SIZE",
@@ -51,10 +55,11 @@ __all__ = [
 CONTROL_PORT = "toposense-ctrl"
 
 
-def suggestion_port(session_id: Any) -> str:
-    """The port on which every receiver of ``session_id`` at a node hears
-    the suggestions addressed to that node."""
-    return f"toposense-sugg:{session_id}"
+def session_port(session_id: Any) -> str:
+    """The port on which the receivers of ``session_id`` at a node hear the
+    controller: the acks of their registrations and the suggestions
+    addressed to that node."""
+    return f"toposense-session:{session_id}"
 
 
 REGISTER_SIZE = 64
@@ -70,12 +75,10 @@ ADVICE_SIZE = 48
 
 @dataclass(frozen=True)
 class Register:
-    """Receiver -> controller: 'I am receiving session X at node N'."""
+    """Receiver -> controller: 'I receive session X' at the packet's source."""
 
     receiver_id: Any
     session_id: Any
-    node: Any
-    port: str  # where the ack should be sent back
     seq: int  # per-receiver control sequence number, from 1
 
 
@@ -112,14 +115,12 @@ class Suggestion:
     subscribe to this many layers.
 
     TopoSense computes one level per leaf of the session tree, so a
-    suggestion is addressed to the leaf node, at :func:`suggestion_port`,
+    suggestion is addressed to the leaf node, at :func:`session_port`,
     and every receiver of the session there hears it: control bytes scale
     with the tree's leaves, not with its receivers."""
 
-    node: Any
     session_id: Any
     level: int
-    issued_at: float
     epoch: int  # controller epoch (fencing token)
 
 

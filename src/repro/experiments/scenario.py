@@ -114,9 +114,8 @@ class Scenario:
         self.plans: Dict[Any, SessionPlan] = {}
         self.receivers: List[ReceiverHandle] = []
         self._handles_by_id: Dict[Any, ReceiverHandle] = {}
+        #: name -> the active controller agent (its node and discovery tool).
         self.controllers: Dict[str, ControllerAgent] = {}
-        self.discoveries: Dict[str, TopologyDiscovery] = {}
-        self._controller_nodes: Dict[str, Any] = {}
         self._standby_nodes: Dict[str, Any] = {}
         self._session_counter = 0
         self._receiver_counter = 0
@@ -309,9 +308,7 @@ class Scenario:
             fence_repairs=fence_repairs,
         )
         controller.attach_enforcer(self.quarantine_enforcer)
-        self.discoveries[name] = discovery
         self.controllers[name] = controller
-        self._controller_nodes[name] = node
         if standby_node is not None:
             if standby_node not in self.network.nodes:
                 raise KeyError(f"unknown standby node {standby_node!r}")
@@ -339,14 +336,11 @@ class Scenario:
         """The configured standby node for controller ``name`` (or None)."""
         return self._standby_nodes.get(name)
 
-    def promote_controller(
-        self, name: str, controller: ControllerAgent, node: Any
-    ) -> None:
+    def promote_controller(self, name: str, controller: ControllerAgent) -> None:
         """Replace the registry entry for ``name`` with a standby that took
-        over at ``node`` (the old primary stays stopped but reachable to
+        over at its own node (the old primary stays stopped but reachable to
         callers holding a reference)."""
         self.controllers[name] = controller
-        self._controller_nodes[name] = node
 
     # -- single-controller conveniences (most scenarios) -----------------
     @property
@@ -355,13 +349,6 @@ class Scenario:
         if not self.controllers:
             return None
         return next(iter(self.controllers.values()))
-
-    @property
-    def discovery(self) -> Optional[TopologyDiscovery]:
-        """The first controller's discovery tool (convenience)."""
-        if not self.discoveries:
-            return None
-        return next(iter(self.discoveries.values()))
 
     # ------------------------------------------------------------------
     # Execution
@@ -423,18 +410,18 @@ class Scenario:
                     f"receiver {handle.receiver_id!r} needs controller "
                     f"{handle.controller_name!r}: attach_controller() first"
                 )
-            candidates = [self._controller_nodes[handle.controller_name]]
+            # After a failover the active controller is on the standby node.
+            candidates = [controller.node.name]
             standby = self._standby_nodes.get(handle.controller_name)
-            if standby is not None:
+            if standby is not None and standby != candidates[0]:
                 candidates.append(standby)
             handle.agent = ReceiverAgent(
                 handle.receiver,
-                candidates[0],
+                candidates,
                 interval=controller.interval,
                 rng=Pcg64(stream_seed(
                     self.seed, f"rcvagent/{handle.receiver_id}{stream}")),
                 reregister_after=handle.reregister_after,
-                controller_candidates=candidates,
             )
         elif handle.mode == "rlm":
             handle.agent = RLMReceiver(

@@ -11,7 +11,7 @@ the system needs to observe the fault:
 * controller kill/failover manipulates
   :class:`~repro.control.agent.ControllerAgent` lifecycles;
 * discovery faults flip the :class:`~repro.control.discovery.TopologyDiscovery`
-  fault mode (queries time out).
+  ``available`` flag (queries time out while it is off).
 
 Injectors are deliberately synchronous: they mutate state at the simulated
 instant they are invoked, and announce it as ``fault.<kind>`` on the event
@@ -124,11 +124,11 @@ class FaultInjector(_Injector):
         """
         scenario = self.scenario
         primary = scenario.controllers[name]
-        if primary.active:
-            primary.stop()
         standby_node = scenario.standby_node(name)
         if standby_node is None:
             raise ValueError(f"controller {name!r} has no standby node configured")
+        if primary.active:
+            primary.stop()
         standby = ControllerAgent(
             scenario.network.node(standby_node),
             list(scenario.sessions.values()),
@@ -142,18 +142,18 @@ class FaultInjector(_Injector):
             fence_repairs=primary.fence_repairs,
         )
         standby.attach_enforcer(primary._enforcer)
-        scenario.promote_controller(name, standby, standby_node)
+        scenario.promote_controller(name, standby)
         standby.start()
 
     # -- discovery ------------------------------------------------------
     def discovery_blackout(self, name: str = "default") -> None:
         """Queries raise until :meth:`discovery_restore` (tool unreachable
         or timing out)."""
-        self.scenario.discoveries[name].set_fault("timeout")
+        self.scenario.controllers[name].discovery.available = False
 
     def discovery_restore(self, name: str = "default") -> None:
         """Discovery answers fully again."""
-        self.scenario.discoveries[name].clear_fault()
+        self.scenario.controllers[name].discovery.available = True
 
     # -- byzantine receivers --------------------------------------------
     def byzantine_start(self, receiver_id: Any, mode: str) -> None:
@@ -165,15 +165,13 @@ class FaultInjector(_Injector):
         self._agent(receiver_id).set_byzantine(mode)
 
     def _agent(self, receiver_id: Any):
-        for handle in self.scenario.receivers:
-            if handle.receiver_id == receiver_id:
-                if not isinstance(handle.agent, ReceiverAgent):
-                    raise ValueError(
-                        f"receiver {receiver_id!r} has no controllable agent "
-                        "(byzantine faults need mode='controlled' and run())"
-                    )
-                return handle.agent
-        raise KeyError(f"unknown receiver {receiver_id!r}")
+        agent = self.scenario.receiver_handle(receiver_id).agent
+        if not isinstance(agent, ReceiverAgent):
+            raise ValueError(
+                f"receiver {receiver_id!r} has no controllable agent "
+                "(byzantine faults need mode='controlled' and run())"
+            )
+        return agent
 
     # -- membership -----------------------------------------------------
     # Idempotent: a leave for a departed receiver (or a join for a present

@@ -38,14 +38,17 @@ def _signature(kind: str) -> inspect.Signature:
 
 def _check(event: "FaultEvent", scenario: Any) -> None:
     """Raise ValueError unless the event's arguments bind to its scenario
-    injector method and the link or receiver it names exists."""
+    injector method and the link, receiver or controller it names exists
+    (a failover's controller with a standby node)."""
     kind = event.kind
     if kind not in _SCENARIO_KINDS:
         raise ValueError(f"{kind!r} is not a scenario fault kind")
     try:
-        arguments = _signature(kind).bind(None, *event.args, **event.kwargs).arguments
+        bound = _signature(kind).bind(None, *event.args, **event.kwargs)
     except TypeError as exc:
         raise ValueError(f"{kind} {list(event.args)} {event.kwargs}: {exc}") from None
+    bound.apply_defaults()
+    arguments = bound.arguments
     network = scenario.network
     if kind.startswith("link_"):
         a, b = arguments["a"], arguments["b"]
@@ -56,6 +59,12 @@ def _check(event: "FaultEvent", scenario: Any) -> None:
             scenario.receiver_handle(arguments["receiver_id"])
         except KeyError as exc:
             raise ValueError(f"{kind}: {exc.args[0]}") from None
+    elif "name" in arguments:
+        name = arguments["name"]
+        if not isinstance(name, str) or name not in scenario.controllers:
+            raise ValueError(f"{kind}: unknown controller {name!r}")
+        if kind == "controller_failover" and scenario.standby_node(name) is None:
+            raise ValueError(f"{kind}: controller {name!r} has no standby node")
 
 
 @dataclass(frozen=True)
@@ -182,9 +191,9 @@ class FaultPlan:
         :func:`~repro.experiments.scenario.run_plan`.  Events in the past
         relative to the scenario clock are rejected — apply the plan before
         running — and so is an event whose arguments do not fit its kind's
-        injector method or that names a link, node or receiver the scenario
-        lacks, so a plan read from a file fails here and not when the event
-        fires.
+        injector method or that names a link, receiver or controller the
+        scenario lacks, so a plan read from a file fails here and not when the
+        event fires.
         """
         injector = FaultInjector(scenario)
         now = scenario.sched.now

@@ -12,14 +12,23 @@ from repro.control.agent import (
     ReceiverAgent,
 )
 from repro.control.discovery import TopologyDiscovery
+from repro.control.messages import (
+    CONTROL_PORT,
+    REGISTER_SIZE,
+    Register,
+    RegisterAck,
+    session_port,
+)
 from repro.control.session import SessionDescriptor
 from repro.experiments.scenario import Scenario
+from repro.experiments.topologies import build_topology_a
 from repro.faults.plan import FaultPlan
 from repro.media.layers import LayerSchedule
 from repro.media.receiver import LayeredReceiver
 from repro.media.source import LayeredSource
 from repro.multicast.manager import MulticastManager
 from repro.simnet.engine import Scheduler
+from repro.simnet.packet import CONTROL, Packet
 from repro.simnet.topology import Network
 
 pytestmark = pytest.mark.usefixtures("no_igmp_delay")
@@ -48,7 +57,7 @@ def build(n_layers=3, bandwidth=10e6, algorithm=None):
         algorithm = StaticController(level=2)
     discovery = TopologyDiscovery(mcast, staleness=0.0)
     controller = ControllerAgent(net.node("src"), [desc], discovery, algorithm, interval=1.0)
-    agent = ReceiverAgent(receiver, "src", interval=1.0, rng=np.random.default_rng(0))
+    agent = ReceiverAgent(receiver, ["src"], interval=1.0, rng=np.random.default_rng(0))
     return sched, net, mcast, desc, receiver, controller, agent
 
 
@@ -59,7 +68,7 @@ def test_registration_handshake():
     sched.run(until=3.0)
     assert agent.registered
     assert list(controller.receivers[0]) == ["R"]
-    assert controller.receivers[0]["R"].register.node == "rcv"
+    assert controller.receivers[0]["R"].node == "rcv"
 
 
 def test_reports_flow_to_controller():
@@ -222,7 +231,7 @@ class TestGracefulDegradation:
         agent.start()
         sched.run(until=5.0)
         assert controller.last_suggestions == {(0, "rcv"): 2}
-        controller.discovery.set_fault("timeout")
+        controller.discovery.available = False
         agent.stop()
         sched.run(until=20.0)  # expired after 10 silent intervals of 1 s
         assert controller.receivers[0] == {} and controller.registrations_expired == 1
@@ -321,7 +330,7 @@ def test_a_co_located_liar_is_sibling_audited():
     FaultPlan().add(10.0, "byzantine_start", "liar", "lie_low").apply(sc)
     sc.run(30.0)
     sid = sess.session_id
-    at_l1 = [rid for rid, e in sc.controller.receivers[sid].items() if e.register.node == "l1"]
+    at_l1 = [rid for rid, e in sc.controller.receivers[sid].items() if e.node == "l1"]
     assert at_l1 == ["liar", "speaker"]  # "speaker" speaks for l1
     struck = [key[1] for _, kind, key, why in sc.controller.guard.events
               if kind == "strike" and why == "under_report"]
@@ -367,3 +376,76 @@ def test_a_node_stays_blocked_while_any_quarantined_receiver_remains():
     sc.run(2 * expired)
     assert sc.controller.receivers[sid].keys() == {"other"}
     assert not any("home" in mcast.groups[g].blocked for g in groups)
+
+
+# ----------------------------------------------------------------------
+# Addressing: a receiver is the node it sends from and its session's port
+# ----------------------------------------------------------------------
+def _co_located_agents():
+    """:func:`build`'s line with two receivers of session 0 at ``rcv``,
+    ``A`` then ``B``, their agents started and no controller listening."""
+    sched, net, mcast, desc, receiver, controller, agent = build()
+    agents = {}
+    for rid in ("A", "B"):
+        rx = LayeredReceiver(net.node("rcv"), 0, list(desc.groups), desc.schedule, mcast,
+                             receiver_id=rid, initial_level=1)
+        agents[rid] = ReceiverAgent(rx, ["src"], interval=1.0, rng=np.random.default_rng(0))
+        agents[rid].start()
+    return sched, net, agents
+
+
+def _send(net, src, dst, port, msg):
+    net.node(src).send(Packet(src=src, dst=dst, size=REGISTER_SIZE, kind=CONTROL,
+                              port=port, payload=msg))
+
+
+def test_a_receiver_is_filed_at_the_node_its_register_comes_from():
+    """The controller takes a receiver's node from its packet, so ``B0``
+    registering again from ``rb0`` stays at ``rb0`` and ``A0`` keeps
+    speaking for ``ra0``.  (A ``Register`` used to name its node, and one
+    from ``rb0`` naming ``ra0`` filed ``B0`` there, as ``ra0``'s speaker.)"""
+    sc = build_topology_a(n_receivers=2, seed=1)
+    sc.run(10.0)
+    table = sc.controller.receivers[0]
+    assert {rid: e.node for rid, e in table.items()} == {"A0": "ra0", "B0": "rb0"}
+    _send(sc.network, "rb0", "src", CONTROL_PORT, Register("B0", 0, seq=10**6))
+    sc.run(2.0)
+    assert table["B0"].last_heard > 10.0  # accepted
+    assert {rid: e.node for rid, e in table.items()} == {"A0": "ra0", "B0": "rb0"}
+    assert [rid for rid, e in table.items() if e.node == "ra0"] == ["A0"]
+
+
+def test_an_ack_registers_only_the_receiver_it_names():
+    """Two agents of one session share a node and its session port: an
+    ack for ``A`` registers ``A``, and ``B`` keeps retrying."""
+    sched, net, agents = _co_located_agents()
+    sched.run(until=1.0)
+    _send(net, "src", "rcv", session_port(0), RegisterAck("A", 0, epoch=1))
+    sched.run(until=2.0)
+    assert agents["A"].registered and not agents["B"].registered
+    tries = {rid: agent.register_attempts for rid, agent in agents.items()}
+    sched.run(until=12.0)
+    assert agents["A"].register_attempts == tries["A"]
+    assert agents["B"].register_attempts > tries["B"] and not agents["B"].registered
+
+
+def test_an_ack_for_a_departed_agent_is_dropped_once():
+    """An ack for an agent that left while a co-located peer stays on the
+    port is counted as ``no_route`` once, as at an unbound port, and
+    reaches no other agent."""
+    sched, net, agents = _co_located_agents()
+    agents["A"].stop()
+    node = net.node("rcv")
+    before = node.stats.no_route
+    _send(net, "src", "rcv", session_port(0), RegisterAck("A", 0, epoch=1))
+    sched.run(until=1.0)
+    assert node.stats.no_route == before + 1
+    assert not agents["B"].registered and agents["B"].controller_epoch == 0
+
+
+def test_a_receiver_id_is_on_its_session_port_once():
+    sched, net, agents = _co_located_agents()
+    twin = ReceiverAgent(agents["A"].receiver, ["src"], interval=1.0,
+                         rng=np.random.default_rng(1))
+    with pytest.raises(ValueError, match="already on port"):
+        twin.start()

@@ -330,6 +330,19 @@ NAMES_NOTHING = {
     "plan-one-endpoint": (
         "chaos", "plan", [{**_LINK, "args": ["core"]}],
         "missing a required argument: 'b'"),
+    "plan-ghost-controller": (
+        "chaos", "plan",
+        [{"time": 5.0, "kind": "discovery_blackout", "kwargs": {"name": "nosuch"}}],
+        "discovery_blackout: unknown controller 'nosuch'"),
+    "plan-list-controller": (
+        "chaos", "plan", [{"time": 5.0, "kind": "controller_kill", "kwargs": {"name": ["x"]}}],
+        "controller_kill: unknown controller ['x']"),
+    "churn-plan-ghost-controller": (
+        "churn", "plan", [{"time": 5.0, "kind": "controller_kill", "kwargs": {"name": "nosuch"}}],
+        "controller_kill: unknown controller 'nosuch'"),
+    "churn-plan-failover-without-standby": (
+        "churn", "plan", [{"time": 5.0, "kind": "controller_failover"}],
+        "controller_failover: controller 'default' has no standby node"),
     "spec-ghost-event": (
         "crowd", "spec",
         _crowd_spec(lambda d: d["events"].append(

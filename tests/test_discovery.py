@@ -127,21 +127,13 @@ class TestDiscoveryFaults:
         disc = TopologyDiscovery(mcast)
         mcast.join(desc.groups[0], "r1")
         sched.run(until=1.0)
-        disc.set_fault("timeout")
+        disc.available = False
         with pytest.raises(DiscoveryUnavailable):
             disc.session_tree(desc, ["r1"])
         assert disc.failed_queries == 1
-        disc.clear_fault()
+        disc.available = True
         tree = disc.session_tree(desc, ["r1"])
         assert tree.leaves == ("r1",)
-
-    def test_unknown_fault_mode_rejected(self):
-        sched, net, mcast, desc = setup()
-        disc = TopologyDiscovery(mcast)
-        with pytest.raises(ValueError):
-            disc.set_fault("gremlins")
-        with pytest.raises(ValueError):
-            disc.set_fault("truncate")
 
     def test_group_without_history_yields_empty_layer(self):
         # A group that never saw a join has no snapshots; discovery must

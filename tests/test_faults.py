@@ -213,6 +213,30 @@ class TestControllerFault:
         with pytest.raises(ValueError):
             injector.controller_failover()
 
+    def test_failover_without_standby_leaves_the_primary_running(self):
+        """The standby is checked first: the primary is not stopped by a
+        failover that cannot happen (it used to be, then the call raised)."""
+        sc = _line_scenario()
+        sc.run(5.0)
+        with pytest.raises(ValueError, match="no standby node"):
+            FaultInjector(sc).controller_failover()
+        assert sc.controller.active
+
+    @pytest.mark.parametrize("kind, kwargs, message", [
+        ("controller_kill", {"name": "nosuch"}, "unknown controller 'nosuch'"),
+        ("discovery_blackout", {"name": "nosuch"}, "unknown controller 'nosuch'"),
+        ("discovery_restore", {"name": "nosuch"}, "unknown controller 'nosuch'"),
+        ("controller_failover", {}, "controller 'default' has no standby node"),
+    ])
+    def test_apply_rejects_a_controller_the_scenario_lacks(self, kind, kwargs, message):
+        """Caught when the plan is applied, before anything is scheduled,
+        not as a KeyError when the event fires mid-run."""
+        sc = _line_scenario()
+        pending = sc.sched.pending
+        with pytest.raises(ValueError, match=f"{kind}: {message}"):
+            FaultPlan().add(5.0, kind, **kwargs).apply(sc)
+        assert sc.sched.pending == pending
+
 
 class TestDiscoveryFault:
     def test_blackout_served_from_last_known_good(self):
@@ -283,12 +307,12 @@ def test_every_scenario_kind_fires_once_from_a_replayed_plan():
     sc.run(11.0)
     assert not sc.network.link("mid", "rcv").up
     sc.run(12.0)  # t = 23
-    assert sc.discovery.fault_mode == "timeout"
+    assert not sc.controller.discovery.available
     sc.run(60.0 - sc.sched.now)
 
     assert [(t, k) for t, k, _ in injector.log] == [(e.time, e.kind) for e in plan]
     assert sc.network.link("mid", "rcv").up
-    assert sc.discovery.fault_mode is None
+    assert sc.controller.discovery.available
     assert sc.controller.node.name == "standby"
     agent = sc.receivers[0].agent
     # The rejoin built a fresh, honest agent.

@@ -45,7 +45,7 @@ class TestViews:
         views = build_federated_views(2, k)
         assert [v.domain for v in views] == ["d1", "d2"]
         for view in views:
-            domain = sc.discoveries[view.domain].domain
+            domain = sc.controllers[view.domain].discovery.domain
             assert [n for n in sorted(domain) if ("core", n) in links] == [
                 view.gateway
             ]

@@ -22,6 +22,7 @@ from repro.control.messages import (
     RegisterAck,
     Report,
     Suggestion,
+    session_port,
 )
 from repro.control.session import SessionDescriptor
 from repro.experiments.byzantine import run_byzantine
@@ -66,15 +67,15 @@ def build(n_layers=3, bandwidth=10e6, algorithm=None, staleness=0.0, **controlle
         net.node("src"), [desc], discovery, algorithm, interval=1.0,
         **controller_kwargs,
     )
-    agent = ReceiverAgent(receiver, "src", interval=1.0, rng=np.random.default_rng(0))
+    agent = ReceiverAgent(receiver, ["src"], interval=1.0, rng=np.random.default_rng(0))
     return sched, net, mcast, desc, receiver, controller, agent
 
 
-def _deliver(agent, msg):
+def _deliver(agent, msg, src="src", dst="rcv"):
     """Hand a control message straight to the receiver agent."""
     agent._on_packet(Packet(
-        src="src", dst="rcv", size=64, kind=CONTROL,
-        port=agent.port, payload=msg,
+        src=src, dst=dst, size=64, kind=CONTROL,
+        port=session_port(0), payload=msg,
     ))
 
 
@@ -98,21 +99,21 @@ class TestEpochFencing:
     def test_lower_epoch_suggestion_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
         agent.started_at = 0.0
-        _deliver(agent, Suggestion("rcv", 0, level=2, issued_at=0.0, epoch=5))
+        _deliver(agent, Suggestion(0, level=2, epoch=5))
         assert receiver.level == 2
         assert agent.controller_epoch == 5
-        _deliver(agent, Suggestion("rcv", 0, level=3, issued_at=0.0, epoch=3))
+        _deliver(agent, Suggestion(0, level=3, epoch=3))
         assert receiver.level == 2  # stale controller ignored
         assert agent.stale_suggestions_rejected == 1
-        _deliver(agent, Suggestion("rcv", 0, level=3, issued_at=0.0, epoch=6))
+        _deliver(agent, Suggestion(0, level=3, epoch=6))
         assert receiver.level == 3
         assert agent.controller_epoch == 6
 
     @pytest.mark.usefixtures("no_igmp_delay")
     def test_epoch_zero_fenced(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        _deliver(agent, Suggestion("rcv", 0, level=2, issued_at=0.0, epoch=5))
-        _deliver(agent, Suggestion("rcv", 0, level=1, issued_at=0.0, epoch=0))
+        _deliver(agent, Suggestion(0, level=2, epoch=5))
+        _deliver(agent, Suggestion(0, level=1, epoch=0))
         assert receiver.level == 2  # epoch 0 is just an old epoch
         assert agent.stale_suggestions_rejected == 1
         assert agent.controller_epoch == 5
@@ -120,7 +121,7 @@ class TestEpochFencing:
     @pytest.mark.usefixtures("no_igmp_delay")
     def test_stale_ack_does_not_register(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        _deliver(agent, Suggestion("rcv", 0, level=1, issued_at=0.0, epoch=5))
+        _deliver(agent, Suggestion(0, level=1, epoch=5))
         _deliver(agent, RegisterAck("R", 0, epoch=3))
         assert not agent.registered
         assert agent.stale_suggestions_rejected == 1
@@ -128,15 +129,13 @@ class TestEpochFencing:
     @pytest.mark.usefixtures("no_igmp_delay")
     def test_malformed_suggestions_rejected(self):
         sched, net, mcast, desc, receiver, controller, agent = build()
-        _deliver(agent, Suggestion("elsewhere", 0, level=2, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("rcv", 99, level=2, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("rcv", 0, level=-1, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("rcv", 0, level=99, issued_at=0.0, epoch=1))
-        _deliver(agent, Suggestion("rcv", 0, level=True, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion(0, level=2, epoch=1), dst="elsewhere")
+        _deliver(agent, Suggestion(99, level=2, epoch=1))
+        _deliver(agent, Suggestion(0, level=-1, epoch=1))
+        _deliver(agent, Suggestion(0, level=99, epoch=1))
+        _deliver(agent, Suggestion(0, level=True, epoch=1))
         # Well formed, but from a node that is none of the agent's controllers.
-        agent._on_packet(Packet(
-            src="rcv", dst="rcv", size=64, kind=CONTROL, port=agent.port,
-            payload=Suggestion("rcv", 0, level=2, issued_at=0.0, epoch=1)))
+        _deliver(agent, Suggestion(0, level=2, epoch=1), src="rcv")
         assert agent.invalid_suggestions_rejected == 6
         assert receiver.level == 1
 
@@ -182,8 +181,7 @@ class TestEpochFencing:
         assert agent.registered
         level = agent.receiver.level
         rejected = agent.stale_suggestions_rejected
-        deposed = Suggestion("rcv", sess.session_id, level=0, issued_at=9.0,
-                             epoch=primary.epoch)
+        deposed = Suggestion(sess.session_id, level=0, epoch=primary.epoch)
         _deliver(agent, deposed)
         assert agent.stale_suggestions_rejected == rejected + 1
         assert agent.receiver.level == level
@@ -207,7 +205,7 @@ def _rep(seq, loss=0.0, session=0):
 # ----------------------------------------------------------------------
 class TestReportHistory:
     def _entry(self):
-        return ReceiverEntry(Register("R", 0, "rcv", "rcv:0:R", seq=1), now=0.0)
+        return ReceiverEntry("R", "rcv", now=0.0)
 
     def test_empty_history_returns_none(self):
         entry = self._entry()
@@ -316,7 +314,7 @@ class TestControllerState:
         groups = tuple(mcast.create_group("src") for _ in range(3))
         controller.add_session(SessionDescriptor(1, "src", groups, desc.schedule))
         for sid in (0, 1):
-            _to_controller(controller, Register("R", sid, "rcv", f"rcv:{sid}:R", seq=1))
+            _to_controller(controller, Register("R", sid, seq=1))
             _to_controller(controller, _rep(2, loss=0.1 * sid, session=sid))
         sched.run(until=8.0)
         _to_controller(controller, _rep(3, session=0))  # session 0 stays fresh
@@ -326,7 +324,7 @@ class TestControllerState:
         assert controller.receivers[1] == {}
         kept = controller.receivers[0]["R"]
         assert [(rep.session_id, rep.seq) for _, rep in kept.history] == [(0, 2), (0, 3)]
-        assert kept.register.port == "rcv:0:R"
+        assert (kept.receiver_id, kept.node) == ("R", "rcv")
         assert controller.registrations_expired == 1
 
     def test_bad_controller_params_rejected(self):
@@ -477,7 +475,7 @@ class TestPacketCorruption:
     def _registered(self):
         built = build()
         controller = built[5]
-        _to_controller(controller, Register("R", 0, "rcv", "rcv:0:R", seq=1))
+        _to_controller(controller, Register("R", 0, seq=1))
         assert "R" in controller.receivers[0]
         return built
 
@@ -497,12 +495,12 @@ class TestPacketCorruption:
         sched, net, mcast, desc, receiver, controller, agent = self._registered()
         guard = controller.guard
         _to_controller(controller, Report("R", 0, 0.1, -1.0, 1, 0.0, 1.0, seq=2))
-        _to_controller(controller, Register("R", 0, "rcv", "", seq=3))
+        _to_controller(controller, Register(None, 0, seq=3))
         _to_controller(controller, ("garbled", _rep(4)))
         assert guard.rejections == {
             "bad_bytes": 1, "malformed_register": 1, "unknown_payload": 1}
         assert controller.reports_received == 0
-        _deliver(agent, Suggestion("rcv", 0, level=-1, issued_at=0.0, epoch=1))
+        _deliver(agent, Suggestion(0, level=-1, epoch=1))
         _deliver(agent, RegisterAck(("garbled", "R"), 0, epoch=1))
         assert agent.invalid_suggestions_rejected == 2
         assert receiver.level == 1 and not agent.registered
@@ -511,7 +509,7 @@ class TestPacketCorruption:
         controller = self._registered()[5]
         for _ in range(2):
             _to_controller(controller, _rep(2))
-            _to_controller(controller, Register("R", 0, "rcv", "rcv:0:R", seq=3))
+            _to_controller(controller, Register("R", 0, seq=3))
         assert controller.reports_received == 1
         assert controller.guard.rejections["stale_seq"] == 2
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.baselines.static import StaticController
 from repro.control.agent import REPORT_HISTORY, ControllerAgent, ReceiverEntry
 from repro.control.discovery import TopologyDiscovery
-from repro.control.messages import CONTROL_PORT, Register, Report
+from repro.control.messages import CONTROL_PORT, Report
 from repro.control.session import SessionDescriptor
 from repro.media.layers import LayerSchedule
 from repro.multicast import manager
@@ -165,8 +165,7 @@ def _controller(staleness):
         net.node("src"), [desc], TopologyDiscovery(mcast, staleness=staleness),
         StaticController(level=1), interval=1.0,
     )
-    controller.receivers[0]["R"] = ReceiverEntry(
-        Register("R", 0, "rcv", "rcv:0:R", seq=1), now=0.0)
+    controller.receivers[0]["R"] = ReceiverEntry("R", "rcv", now=0.0)
     return sched, controller
 
 
