@@ -15,10 +15,11 @@ paper stations it at a source so its traffic shares the congested links).  It
 
 The **receiver agent** wraps a :class:`~repro.media.receiver.LayeredReceiver`:
 it registers with the controller (retrying until acknowledged), reports every
-interval, and obeys arriving suggestions.  If suggestions stop arriving for
-:data:`UNILATERAL_AFTER` seconds (lost control traffic), it makes the paper's
-"unilateral decision": drop a layer whenever its own loss rate stays above
-:data:`LOSS_THRESHOLD`.
+interval (its session's port at its node sends the reports of all the
+session's agents there in one packet), and obeys arriving suggestions.  If
+suggestions stop arriving for :data:`UNILATERAL_AFTER` seconds (lost control
+traffic), it makes the paper's "unilateral decision": drop a layer whenever
+its own loss rate stays above :data:`LOSS_THRESHOLD`.
 
 Hardening (see :mod:`repro.control.guard`):
 
@@ -62,7 +63,9 @@ from .guard import ReportGuard
 from .messages import (
     CONTROL_PORT,
     REGISTER_SIZE,
-    REPORT_SIZE,
+    REPORT_BLOCK,
+    REPORT_HEADER,
+    REPORT_MAX_BLOCKS,
     SUGGESTION_SIZE,
     Register,
     RegisterAck,
@@ -109,7 +112,11 @@ class _SessionPort:
     names and a suggestion to every agent, in the order they started.
     Agents add themselves in :meth:`ReceiverAgent.start` and remove
     themselves in :meth:`ReceiverAgent.stop`; the port is bound while any
-    agent is on it."""
+    agent is on it.
+
+    The port also sends its agents' reports, once per interval at the phase
+    of the agent that bound it (:meth:`report`): one packet per controller
+    they report to, each block an agent's own :class:`Report`."""
 
     __slots__ = ("node", "agents")
 
@@ -121,18 +128,21 @@ class _SessionPort:
     # A profiler may have wrapped the bound handler; a wrapper names what it
     # wraps as ``__wrapped__``.
     @staticmethod
-    def add(agent: "ReceiverAgent") -> None:
-        """Put ``agent`` on its session's port at its node, binding it first."""
+    def add(agent: "ReceiverAgent") -> Optional["_SessionPort"]:
+        """Put ``agent`` on its session's port at its node, binding it first;
+        returns the port when this call bound it."""
         node, port = agent.node, session_port(agent.receiver.session_id)
         handler = node.port_handlers.get(port)
+        bound: Optional[_SessionPort] = None
         if handler is None:
-            handler = _SessionPort(node)
+            handler = bound = _SessionPort(node)
             node.bind_port(port, handler)
         agents = unwrap(handler).agents
         rid = agent.receiver.receiver_id
         if rid in agents:
             raise ValueError(f"receiver {rid!r} already on port {port!r} of node {node.name!r}")
         agents[rid] = agent
+        return bound
 
     @staticmethod
     def remove(agent: "ReceiverAgent") -> None:
@@ -154,6 +164,35 @@ class _SessionPort:
             return
         for agent in self.agents.values():
             agent._on_packet(pkt)
+
+    def report(self) -> None:
+        """Send one interval's reports: a block from each agent, in start
+        order, packed per controller target into packets of at most
+        :data:`REPORT_MAX_BLOCKS` blocks.  Each agent is charged its block,
+        the first of each packet the header too."""
+        if not self.agents:
+            # The last agent has left; a port bound again runs its own chain.
+            raise StopIteration
+        by_target: Dict[Any, List[Tuple["ReceiverAgent", Report]]] = {}
+        for agent in self.agents.values():
+            block = agent._report()
+            agent.control_bytes_sent += REPORT_BLOCK
+            by_target.setdefault(agent.controller_node, []).append((agent, block))
+        node = self.node
+        for target, pairs in by_target.items():
+            for i in range(0, len(pairs), REPORT_MAX_BLOCKS):
+                chunk = pairs[i:i + REPORT_MAX_BLOCKS]
+                chunk[0][0].control_bytes_sent += REPORT_HEADER
+                node.send(
+                    Packet(
+                        src=node.name,
+                        dst=target,
+                        size=REPORT_HEADER + REPORT_BLOCK * len(chunk),
+                        kind=CONTROL,
+                        port=CONTROL_PORT,
+                        payload=tuple(block for _, block in chunk),
+                    )
+                )
 
 
 class ReceiverAgent:
@@ -245,19 +284,24 @@ class ReceiverAgent:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Join the session's port, register, and begin periodic reporting."""
+        """Join the session's port and register; the agent that binds the
+        port begins its periodic reporting."""
         if self._started:
             return
         self._started = True
         self.started_at = self.sched.now
         self._last_contact = self.sched.now
-        _SessionPort.add(self)
-        # Jittered phase so receivers do not report in lock-step.  Drawn
-        # before registering so the phase does not depend on how many
+        port = _SessionPort.add(self)
+        if port is None:
+            # The port already reports, at its binder's phase.
+            self._register(attempt=0)
+            return
+        # Jittered phase so ports do not report in lock-step.  Drawn before
+        # registering so the phase does not depend on how many
         # backoff-jitter draws the registration path makes.
         phase = float(self.rng.uniform(0.05, 0.25)) * self.interval
         self._register(attempt=0)
-        self.sched.every(self.interval, self._report, start=self.sched.now + self.interval + phase)
+        self.sched.every(self.interval, port.report, start=self.sched.now + self.interval + phase)
 
     # ------------------------------------------------------------------
     # Registration (capped exponential backoff + failover rotation)
@@ -320,7 +364,7 @@ class ReceiverAgent:
         )
 
     def stop(self) -> None:
-        """Cease reporting and unsubscribe (the receiver departs).
+        """Leave the session's port and unsubscribe (the receiver departs).
 
         The controller simply stops hearing from this receiver; its stale
         registration ages out of relevance as the discovery tool no longer
@@ -337,9 +381,9 @@ class ReceiverAgent:
             _SessionPort.remove(self)
 
     # ------------------------------------------------------------------
-    def _report(self) -> None:
-        if not self.active:
-            raise StopIteration  # ends the periodic reporting loop
+    def _report(self) -> Report:
+        """This interval's report block, for the port to send to
+        :attr:`controller_node`."""
         # Silence check first, so this interval's report already goes to the
         # rotated-to controller (a failed-over standby needs a report before
         # its next tick to have anything to base a suggestion on).
@@ -360,7 +404,7 @@ class ReceiverAgent:
             bytes_ = self.receiver.schedule.cumulative(self.receiver.level) * dt / 8.0
             self.lies_told += 1
         self._seq += 1
-        msg = Report(
+        block = Report(
             receiver_id=self.receiver.receiver_id,
             session_id=self.receiver.session_id,
             loss_rate=loss_rate,
@@ -370,10 +414,10 @@ class ReceiverAgent:
             t1=stats.t1,
             seq=self._seq,
         )
-        self._send(msg, REPORT_SIZE)
         self.reports_sent += 1
         if not self._is("disobey"):
             self._maybe_unilateral(stats.loss_rate)
+        return block
 
     def _check_controller_silence(self) -> None:
         """Drop a registration the controller has stopped honouring.
@@ -401,7 +445,7 @@ class ReceiverAgent:
         than staying over-subscribed forever."""
         reference = self.last_suggestion_at
         if reference is None:
-            # start() sets started_at before it schedules _report, our caller
+            # start() sets started_at before the agent is on its port
             reference = cast(float, self.started_at)
         if self.sched.now - reference < UNILATERAL_AFTER:
             return
@@ -676,40 +720,51 @@ class ControllerAgent:
                 epoch=self.epoch,
             )
             self._send_to(node, session_port(msg.session_id), ack, REGISTER_SIZE)
-        elif isinstance(msg, Report):
-            key = (msg.session_id, msg.receiver_id)
-            descriptor = self.sessions.get(msg.session_id)
-            entry = self._entry(key)
-            reason = self.guard.admit_report(
-                key,
-                msg,
-                descriptor.schedule if descriptor is not None else None,
-                registered=entry is not None,
-                now=now,
-                last_suggestion=None if entry is None else entry.last_suggested,
-            )
-            if reason is not None:
-                return
-            assert entry is not None  # the guard rejects unregistered senders
-            history = entry.history
-            history.append((now, msg))
-            # Ticks read ``report_as_of(tick - staleness)``, a cutoff that
-            # only moves forward: a report followed by one that arrived by
-            # ``now - staleness`` can never be read again.
-            reach = now - self.discovery.staleness
-            while len(history) > REPORT_HISTORY or (len(history) > 1 and history[1][0] <= reach):
-                del history[0]
-            entry.last_heard = now
-            self.reports_received += 1
-            bus = self.sched.bus
-            if bus is not None:
-                bus.emit(
-                    "ctrl.report", now,
-                    receiver=msg.receiver_id, session=msg.session_id,
-                    loss=msg.loss_rate, level=msg.level,
-                )
+        elif isinstance(msg, tuple):
+            # A report packet: each block is admitted on its own, so one
+            # receiver's malformed block costs its siblings nothing.
+            for block in msg:
+                if isinstance(block, Report):
+                    self._admit_report(block, now)
+                else:
+                    self.guard.note_malformed()
         else:
             self.guard.note_malformed()
+
+    def _admit_report(self, msg: Report, now: float) -> None:
+        """Pass one report block through the guard into its receiver's
+        history."""
+        key = (msg.session_id, msg.receiver_id)
+        descriptor = self.sessions.get(msg.session_id)
+        entry = self._entry(key)
+        reason = self.guard.admit_report(
+            key,
+            msg,
+            descriptor.schedule if descriptor is not None else None,
+            registered=entry is not None,
+            now=now,
+            last_suggestion=None if entry is None else entry.last_suggested,
+        )
+        if reason is not None:
+            return
+        assert entry is not None  # the guard rejects unregistered senders
+        history = entry.history
+        history.append((now, msg))
+        # Ticks read ``report_as_of(tick - staleness)``, a cutoff that
+        # only moves forward: a report followed by one that arrived by
+        # ``now - staleness`` can never be read again.
+        reach = now - self.discovery.staleness
+        while len(history) > REPORT_HISTORY or (len(history) > 1 and history[1][0] <= reach):
+            del history[0]
+        entry.last_heard = now
+        self.reports_received += 1
+        bus = self.sched.bus
+        if bus is not None:
+            bus.emit(
+                "ctrl.report", now,
+                receiver=msg.receiver_id, session=msg.session_id,
+                loss=msg.loss_rate, level=msg.level,
+            )
 
     def _send_to(self, node_name: Any, port: str, msg: Any, size: int) -> None:
         self.control_bytes_sent += size

@@ -12,6 +12,14 @@ Each end of the control plane has one address, and no message carries a
 node: the controller is its node (:data:`CONTROL_PORT` there), a receiver
 the node its packets come from and its session's :func:`session_port`.
 
+Reports travel as RTCP compound receiver reports (RFC 3550 §6.4.2): once
+per interval the receivers of one session at one node send one packet per
+controller, whose payload is a tuple of :class:`Report` blocks, one per
+receiver.  The packet costs :data:`REPORT_HEADER` plus
+:data:`REPORT_BLOCK` per block, so a one-receiver packet is 96 B, and it
+carries at most :data:`REPORT_MAX_BLOCKS` blocks (RTCP's 5-bit report
+count).  The controller admits every block on its own.
+
 Every field is required, so every message is sequenced or fenced.  The
 sequencing and fencing fields:
 
@@ -45,7 +53,9 @@ __all__ = [
     "CONTROL_PORT",
     "session_port",
     "REGISTER_SIZE",
-    "REPORT_SIZE",
+    "REPORT_HEADER",
+    "REPORT_BLOCK",
+    "REPORT_MAX_BLOCKS",
     "SUGGESTION_SIZE",
     "SUMMARY_SIZE",
     "ADVICE_SIZE",
@@ -63,7 +73,12 @@ def session_port(session_id: Any) -> str:
 
 
 REGISTER_SIZE = 64
-REPORT_SIZE = 96
+#: A report packet is this header plus one block per receiver it carries.
+REPORT_HEADER = 64
+REPORT_BLOCK = 32
+#: Blocks in one report packet at most: the limit of RTCP's 5-bit report
+#: count (RFC 3550 §6.4.2); a larger group sends several packets.
+REPORT_MAX_BLOCKS = 31
 SUGGESTION_SIZE = 64
 #: A :class:`SubtreeSummary` is a fixed-size aggregate — ten scalar fields
 #: plus headers — no matter how many receivers the domain holds.  That
@@ -96,7 +111,8 @@ class Report:
     """Receiver -> controller: one interval's loss/bytes/subscription.
 
     This is the RTCP-receiver-report stand-in: the controller's algorithm
-    inputs are exactly ``loss_rate``, ``bytes`` and ``level``.
+    inputs are exactly ``loss_rate``, ``bytes`` and ``level``.  It is one
+    block of a report packet, whose payload is a tuple of them.
     """
 
     receiver_id: Any

@@ -55,10 +55,14 @@ def _check(event: "FaultEvent", scenario: Any) -> None:
         if (a, b) not in network.links:
             raise ValueError(f"{kind}: no link {a!r} -> {b!r}")
     elif "receiver_id" in arguments:
+        receiver_id = arguments["receiver_id"]
         try:
-            scenario.receiver_handle(arguments["receiver_id"])
+            scenario.receiver_handle(receiver_id)
         except KeyError as exc:
             raise ValueError(f"{kind}: {exc.args[0]}") from None
+        except TypeError:
+            # A JSON list or object is no receiver id (it is unhashable).
+            raise ValueError(f"{kind}: unknown receiver {receiver_id!r}") from None
     elif "name" in arguments:
         name = arguments["name"]
         if not isinstance(name, str) or name not in scenario.controllers:
@@ -195,14 +199,17 @@ class FaultPlan:
         scenario lacks, so a plan read from a file fails here and not when the
         event fires.
         """
-        injector = FaultInjector(scenario)
         now = scenario.sched.now
+        # Check every event before scheduling any, so a plan that fails
+        # leaves nothing behind on the scheduler.
         for ev in self.events:
             if ev.time < now:
                 raise ValueError(
                     f"fault event at t={ev.time} is in the past (now={now})"
                 )
             _check(ev, scenario)
+        injector = FaultInjector(scenario)
+        for ev in self.events:
             scenario.sched.at(ev.time, injector.execute, ev.kind, ev.args, ev.kwargs)
         return injector
 

@@ -324,6 +324,9 @@ NAMES_NOTHING = {
     "plan-ghost-receiver": (
         "chaos", "plan", [{"time": 5.0, "kind": "receiver_leave", "args": ["ghost"]}],
         "receiver_leave: unknown receiver 'ghost'"),
+    "plan-list-receiver": (
+        "chaos", "plan", [{"time": 5.0, "kind": "receiver_leave", "args": [["x"]]}],
+        "receiver_leave: unknown receiver ['x']"),
     "plan-ghost-link": (
         "chaos", "plan", [{**_LINK, "args": ["core", "nowhere"]}],
         "link_down: no link 'core' -> 'nowhere'"),

@@ -85,6 +85,17 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             plan.apply(sc)
 
+    def test_a_plan_that_fails_apply_schedules_nothing(self):
+        """Every event is checked before any is scheduled: a bad later
+        event does not leave the good earlier ones behind."""
+        sc = build_chaos_scenario(seed=1)
+        pending = sc.sched.pending
+        plan = (FaultPlan().add(1.0, "link_down", "core", "agg_a")
+                .add(2.0, "controller_kill", name="nosuch"))
+        with pytest.raises(ValueError, match="unknown controller 'nosuch'"):
+            plan.apply(sc)
+        assert sc.sched.pending == pending
+
     def test_adversarial_kinds_round_trip(self):
         plan = (
             FaultPlan()

@@ -188,10 +188,11 @@ class TestEpochFencing:
 
 
 def _to_controller(controller, msg):
-    """Hand a control message straight to the controller agent."""
+    """Hand a control message straight to the controller agent; a bare
+    ``Report`` travels as the one block of a report packet."""
     controller._on_packet(Packet(
         src="rcv", dst="src", size=96, kind=CONTROL,
-        port=CONTROL_PORT, payload=msg,
+        port=CONTROL_PORT, payload=(msg,) if isinstance(msg, Report) else msg,
     ))
 
 
@@ -499,7 +500,9 @@ class TestPacketCorruption:
         _to_controller(controller, ("garbled", _rep(4)))
         assert guard.rejections == {
             "bad_bytes": 1, "malformed_register": 1, "unknown_payload": 1}
-        assert controller.reports_received == 0
+        # The garbled block of the report packet is rejected alone: the
+        # well-formed block beside it is admitted.
+        assert controller.reports_received == 1
         _deliver(agent, Suggestion(0, level=-1, epoch=1))
         _deliver(agent, RegisterAck(("garbled", "R"), 0, epoch=1))
         assert agent.invalid_suggestions_rejected == 2

@@ -173,7 +173,7 @@ def _report(controller, seq):
     msg = Report("R", 0, loss_rate=0.0, bytes=4000.0, level=1, t0=0.0, t1=1.0, seq=seq)
     controller._on_packet(Packet(
         src="rcv", dst="src", size=96, kind=CONTROL,
-        port=CONTROL_PORT, payload=msg,
+        port=CONTROL_PORT, payload=(msg,),
     ))
 
 
@@ -204,6 +204,7 @@ def test_trimmed_reports_answer_like_the_untrimmed_history(script):
         if kind == "report":
             seq += 1
             _report(controller, seq)
+            assert entry.latest.seq == seq  # admitted, so the oracle is not vacuous
             full.append((sched.now, entry.latest))
             del full[:-REPORT_HISTORY]
             continue

@@ -35,14 +35,17 @@ SMALL, LARGE = 8, 40
 #: Simulated seconds of each measured run.
 DURATION = 40.0
 #: Traced bytes one more controlled crowd receiver may cost.  Measured on
-#: CPython 3.11 (x86-64): 4 314 B; 4 279–4 627 B on 3.9, 3.10 and 3.12.
-#: The bound is the 3.11 figure plus about 15 %.  While the controller kept
-#: each receiver's ``Register`` and every agent bound a port of its own for
-#: its acks, the same measurement gave 4 584–4 592 B on 3.11 (4 533–4 935 B
-#: on 3.10 and 3.12), under a bound of 5 100 B; before the per-receiver
-#: classes were slotted and a receiver held state only for its subscribed
-#: layers, 7 181–7 837 B.
-MAX_BYTES_PER_RECEIVER = 4950
+#: CPython 3.11 (x86-64): 3 288 B, since a node's session port sends one
+#: report packet for all its agents, so an agent keeps no periodic chain
+#: and heap entry of its own.  The bound is the 3.11 figure plus about
+#: 15 %.  While every agent reported on its own timer, the same
+#: measurement gave 4 314 B on 3.11 (4 279–4 627 B on 3.9, 3.10 and 3.12),
+#: under a bound of 4 950 B; while the controller kept each receiver's
+#: ``Register`` and every agent bound a port of its own for its acks,
+#: 4 584–4 592 B on 3.11 (4 533–4 935 B on 3.10 and 3.12); before the
+#: per-receiver classes were slotted and a receiver held state only for
+#: its subscribed layers, 7 181–7 837 B.
+MAX_BYTES_PER_RECEIVER = 3800
 
 
 @pytest.fixture
